@@ -32,7 +32,7 @@
 //! * The **caller participates**: it immediately runs the round's claim
 //!   loop itself, then — while its latch is still open — drains its own
 //!   deque and steals from siblings (helping whatever rounds are in
-//!   flight), then blocks on the round latch.
+//!   flight), then waits on the round latch (see *Wait policy*).
 //! * A **ticket** is an invitation, not a work item: shares are claimed
 //!   from the round's atomic counter in chunks, so a stale ticket popped
 //!   after its round drained is a no-op. Idle workers pop their own deque
@@ -53,6 +53,21 @@
 //! the lifetime of a guard — a benchmarking compatibility mode that lets
 //! `mp bench --serve` measure the before/after of round overlap on the
 //! same binary.
+//!
+//! # Wait policy: spin, then sleep
+//!
+//! The pool follows OpenMP's spin-then-sleep policy (`GOMP_SPINCOUNT`,
+//! `KMP_BLOCKTIME`): an idle thread polls for [`SPIN_WINDOW`] before it
+//! blocks in the kernel, so back-to-back small rounds do not pay a
+//! park→wake latency each. An idle worker polls the scheduler's atomic
+//! epoch (bumped on every ticket push) and the shutdown flag, then parks
+//! on the scheduler's condvar; a caller whose share is done polls its
+//! round's completion count, then blocks on the round latch. Every poll
+//! is followed by `std::thread::yield_now()`, so a spinning thread gives
+//! its CPU to any other runnable thread (serving threads, say) instead of
+//! starving it. The window is one constant, not a setting; DESIGN.md
+//! §15 gives the no-lost-wake-up argument and the measurement behind
+//! it.
 //!
 //! # The shared global pool
 //!
@@ -130,6 +145,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use core::cmp::Ordering;
 
@@ -145,6 +161,30 @@ use crate::partition::segment_boundary;
 /// consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long an idle pool thread polls before it blocks (module docs,
+/// *Wait policy*). Sized from the measured park→wake latency: a round
+/// that woke a parked worker and a blocked caller paid about 20 µs of
+/// fork-join overhead on a 2-vCPU guest, so a window of a few such
+/// latencies covers the gap between back-to-back rounds while an idle
+/// pool stops costing CPU time almost at once.
+pub const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// Polls `ready` for up to [`SPIN_WINDOW`], yielding the CPU between
+/// polls. Returns whether `ready` came true; `false` tells the caller to
+/// block.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        if ready() {
+            return true;
+        }
+        if start.elapsed() >= SPIN_WINDOW {
+            return false;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// A type-erased pointer to a round's job.
@@ -202,9 +242,10 @@ impl Round {
         self.completed.load(AtomicOrdering::Acquire) >= self.shares
     }
 
-    /// Blocks until every share has executed.
+    /// Blocks until every share has executed: polls for [`SPIN_WINDOW`],
+    /// then sleeps on the latch.
     fn wait_done(&self) {
-        if self.is_done() {
+        if spin_until(|| self.is_done()) {
             return;
         }
         let mut guard = lock(&self.latch);
@@ -317,10 +358,17 @@ struct Sched {
     deques: Box<[Mutex<VecDeque<Task>>]>,
     /// Overflow and fallback queue; popping it is not a steal.
     injector: Mutex<VecDeque<Task>>,
-    /// Bumped (under the mutex) after every ticket push and on shutdown;
-    /// workers park on `available` only while the epoch is unchanged, so
-    /// a push between a failed scan and the wait cannot be missed.
-    epoch: Mutex<u64>,
+    /// Bumped after every ticket push and on shutdown (`Release`, paired
+    /// with the workers' `Acquire` loads, so a worker that sees the new
+    /// value also sees the pushed ticket). An idle worker polls it for
+    /// [`SPIN_WINDOW`], then parks on `available` while it still reads
+    /// the value it saw before its failed scan.
+    epoch: AtomicU64,
+    /// Parking only: a worker re-checks `epoch` under this mutex before
+    /// it waits, and a pusher takes it after the bump before it
+    /// notifies, so a push between the re-check and the wait cannot be
+    /// missed.
+    park: Mutex<()>,
     available: Condvar,
     shutdown: AtomicBool,
     /// Cursor rotating both ticket distribution and steal-scan start
@@ -356,8 +404,16 @@ impl Sched {
                 lock(&self.injector).push_back(task);
             }
         }
-        let mut epoch = lock(&self.epoch);
-        *epoch = epoch.wrapping_add(1);
+        self.wake_all();
+    }
+
+    /// Bumps the epoch and wakes every parked worker. Spinning workers
+    /// see the bump on their next poll; a parker either re-checked the
+    /// epoch under `park` before this takes it (and is waiting by the
+    /// time the notify lands) or after (and reads the new value).
+    fn wake_all(&self) {
+        self.epoch.fetch_add(1, AtomicOrdering::Release);
+        let _park = lock(&self.park);
         self.available.notify_all();
     }
 
@@ -404,8 +460,14 @@ impl Sched {
 
 fn worker_loop(w: usize, sched: &Sched) {
     WORKER_ID.with(|id| id.set(Some(w)));
+    let idle = |seen: u64| {
+        sched.epoch.load(AtomicOrdering::Acquire) == seen
+            && !sched.shutdown.load(AtomicOrdering::Acquire)
+    };
     loop {
-        let seen = *lock(&sched.epoch);
+        // Read before the scan: a push the scan misses bumps the epoch
+        // past `seen`, which ends the spin or the park below.
+        let seen = sched.epoch.load(AtomicOrdering::Acquire);
         if sched.shutdown.load(AtomicOrdering::Acquire) {
             return;
         }
@@ -413,11 +475,14 @@ fn worker_loop(w: usize, sched: &Sched) {
             sched.execute(task, stolen, None);
             continue;
         }
-        let mut epoch = lock(&sched.epoch);
-        while *epoch == seen && !sched.shutdown.load(AtomicOrdering::Acquire) {
-            epoch = sched
+        if spin_until(|| !idle(seen)) {
+            continue;
+        }
+        let mut park = lock(&sched.park);
+        while idle(seen) {
+            park = sched
                 .available
-                .wait(epoch)
+                .wait(park)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -718,7 +783,8 @@ impl Pool {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             injector: Mutex::new(VecDeque::new()),
-            epoch: Mutex::new(0),
+            epoch: AtomicU64::new(0),
+            park: Mutex::new(()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             rr: AtomicUsize::new(0),
@@ -1106,11 +1172,7 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.sched.shutdown.store(true, AtomicOrdering::Release);
-        {
-            let mut epoch = lock(&self.sched.epoch);
-            *epoch = epoch.wrapping_add(1);
-            self.sched.available.notify_all();
-        }
+        self.sched.wake_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }

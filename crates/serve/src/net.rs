@@ -616,6 +616,10 @@ fn serve_connection<R>(
 {
     // 100ms poll so shutdown is never blocked on a silent client.
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(100)));
+    // Without it, Nagle's algorithm holds a response written while the
+    // previous one is unacknowledged until the client's delayed ACK,
+    // stalling a pipelining client for tens of milliseconds.
+    let _ = stream.set_nodelay(true);
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,

@@ -15,7 +15,9 @@ fn usage() -> ExitCode {
     eprintln!("tasks:");
     eprintln!("  verify-offline   build (release) and test the whole workspace with");
     eprintln!("                   cargo's --offline flag; fails if anything needs the");
-    eprintln!("                   network or the registry");
+    eprintln!("                   network or the registry. Then reruns the pool's tests");
+    eprintln!("                   (executor unit tests, pool_concurrency, pool_idle_cpu)");
+    eprintln!("                   in release, and runs mpbench's unit tests and smoke run");
     eprintln!("  verify-telemetry run `mp trace` on a small input and schema-check the");
     eprintln!("                   Chrome trace and JSONL metrics it emits (Thm 14");
     eprintln!("                   per-worker bounds included)");
@@ -134,6 +136,39 @@ fn verify_offline(opts: BuildOpts) -> ExitCode {
     let steps: &[&[&str]] = &[
         &["build", "--offline", "--release", "--workspace"],
         &["test", "--offline", "-q", "--workspace"],
+        // The pool's spin/park races depend on optimised timings, so its
+        // tests run again in release: the executor's unit tests, the
+        // wake-up tests and the idle-CPU binary.
+        &[
+            "test",
+            "--offline",
+            "-q",
+            "--release",
+            "-p",
+            "mergepath",
+            "--lib",
+            "executor::",
+        ],
+        &[
+            "test",
+            "--offline",
+            "-q",
+            "--release",
+            "--test",
+            "pool_concurrency",
+            "--test",
+            "pool_idle_cpu",
+        ],
+        // The benchmark is a package of its own: its unit tests and smoke
+        // run catch a renamed entry point that `mpbench/src/sut.rs` uses.
+        &[
+            "test",
+            "--offline",
+            "-q",
+            "--release",
+            "--manifest-path",
+            "mpbench/Cargo.toml",
+        ],
     ];
     for step in steps {
         let mut args = step.to_vec();

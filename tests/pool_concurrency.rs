@@ -14,10 +14,19 @@
 //! * a drop-accounting sweep across panicking multi-share rounds (shares
 //!   executed by the caller, by pool workers, and by stealing helpers
 //!   alike), proving the panic path leaks nothing and leaves the shared
-//!   scheduler reusable for clean rounds afterwards.
+//!   scheduler reusable for clean rounds afterwards;
+//! * the wait policy (spin for `executor::SPIN_WINDOW`, then sleep): a
+//!   worker parked after an idle gap and a caller blocked on its round
+//!   latch must both be woken, and concurrent submitters whose gaps fall
+//!   on either side of the window must all complete. Each of these runs
+//!   under a watchdog, so a lost wake-up fails the test instead of
+//!   hanging it. (That idle threads stop spinning at all is measured by
+//!   `tests/pool_idle_cpu.rs`, a binary of its own.)
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Arc, Once};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
@@ -378,4 +387,142 @@ fn panicking_multi_share_rounds_leak_nothing_and_pool_stays_reusable() {
         0,
         "panicking rounds leaked or double-dropped elements"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Wait policy: threads that stopped spinning must still be woken
+// ---------------------------------------------------------------------------
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within [`SPIN_ESCAPE`]: a lost wake-up becomes a failure, not
+/// a hung test run. A panic inside `f` is re-raised here.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(SPIN_ESCAPE) {
+        Ok(value) => {
+            handle
+                .join()
+                .expect("the watched thread returned its value");
+            value
+        }
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => resume_unwind(payload),
+            Ok(()) => unreachable!("the watched thread sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what}: not done within {SPIN_ESCAPE:?}, a wake-up was lost")
+        }
+    }
+}
+
+/// Sleeps far past the executor's spin window, so every idle pool thread
+/// has given up spinning and blocked by the time this returns.
+fn idle_past_window() {
+    std::thread::sleep(executor::SPIN_WINDOW * 400);
+}
+
+/// Runs one 2-share round on `pool` whose share on the calling thread
+/// cannot finish before the other share has started on another thread;
+/// that other share then keeps its thread for `hold`. The round can only
+/// complete if a second pool thread joined it, whichever share each side
+/// claimed first.
+fn handoff_round(pool: &executor::Pool, hold: Duration) {
+    let caller = std::thread::current().id();
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let started_rx = Mutex::new(started_rx);
+    pool.run_indexed(2, &|_share| {
+        if std::thread::current().id() == caller {
+            started_rx
+                .lock()
+                .expect("only the caller's share receives")
+                .recv_timeout(SPIN_ESCAPE)
+                .expect("the other share never started: the parked worker was not woken");
+        } else {
+            started_tx
+                .send(())
+                .expect("the caller's share is waiting for this");
+            std::thread::sleep(hold);
+        }
+    });
+}
+
+/// (a) After an idle gap longer than the window the pool's only worker
+/// is parked on the scheduler's condvar; the next round's ticket push
+/// must wake it, or the caller's share waits forever.
+#[test]
+fn a_parked_worker_is_woken_by_the_next_round() {
+    let pool = executor::Pool::new(2);
+    within("round after an idle gap", move || {
+        for _ in 0..3 {
+            idle_past_window();
+            handoff_round(&pool, Duration::ZERO);
+        }
+    });
+}
+
+/// (b) As (a), but the worker's share outlives the window, so the caller,
+/// done with its own share, stops polling its round and blocks on the
+/// latch; the worker finishing the last share must wake it.
+#[test]
+fn a_caller_blocked_on_its_latch_is_woken_by_the_finisher() {
+    let pool = executor::Pool::new(2);
+    within("round whose last share outlives the window", move || {
+        for _ in 0..3 {
+            idle_past_window();
+            handoff_round(&pool, executor::SPIN_WINDOW * 400);
+        }
+    });
+}
+
+/// (c) Several submitters share one pool, each pausing between rounds for
+/// gaps below the window (workers still spinning) and above it (workers
+/// parked, callers' latches slept on). Every round must complete with
+/// every share executed exactly once.
+#[test]
+fn concurrent_submitters_with_gaps_around_the_window_all_complete() {
+    const SUBMITTERS: usize = 4;
+    const ROUNDS: usize = 40;
+    let window = executor::SPIN_WINDOW;
+    // Short gaps are busy-waited: a sleep that short oversleeps by the
+    // kernel's timer slack, which is itself about one window.
+    let gaps = [Duration::ZERO, window / 4, window * 2, window * 100];
+    let pool = Arc::new(executor::Pool::new(3));
+    within("concurrent submitters", move || {
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let gap = gaps[(t + round) % gaps.len()];
+                        if gap > window {
+                            std::thread::sleep(gap);
+                        } else {
+                            let until = Instant::now() + gap;
+                            while Instant::now() < until {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        let shares = 2 + (t + round) % 5;
+                        let seen: Vec<AtomicUsize> =
+                            (0..shares).map(|_| AtomicUsize::new(0)).collect();
+                        pool.run_indexed(shares, &|i| {
+                            seen[i].fetch_add(1, AtOrd::Relaxed);
+                        });
+                        assert!(
+                            seen.iter().all(|s| s.load(AtOrd::Relaxed) == 1),
+                            "submitter {t} round {round}: a share ran twice or never"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in submitters {
+            if let Err(payload) = h.join() {
+                resume_unwind(payload);
+            }
+        }
+    });
 }

@@ -155,9 +155,13 @@ fn keyed_pairs_never_dispatch_simd_segments() {
         "pairs must not probe to the vector kernel"
     );
 
+    // The dispatch policy is process-wide and a sibling test forces each
+    // kernel in turn: trace under adaptive dispatch, held for the merge.
     let mut out = vec![(0u32, 0u32); a.len() + b.len()];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, 4, &by_key, &rec);
+    with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        parallel_merge_into_recorded(&a, &b, &mut out, 4, &by_key, &rec)
+    });
     let telemetry = rec.finish();
     let total = |name: &str| -> u64 {
         telemetry
@@ -201,9 +205,12 @@ fn uniform_primitive_keys_dispatch_simd_exactly_when_enabled() {
         v
     };
     let (a, b) = (side(), side());
+    // Under adaptive dispatch, not whatever a sibling test has forced.
     let mut out = vec![0u32; a.len() + b.len()];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, 4, &cmp, &rec);
+    with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        parallel_merge_into_recorded(&a, &b, &mut out, 4, &cmp, &rec)
+    });
     let telemetry = rec.finish();
     let simd_segments: u64 = telemetry
         .counters
