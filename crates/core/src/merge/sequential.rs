@@ -9,19 +9,36 @@
 //!
 //! * [`merge_into_by`] — the classic two-pointer merge with a tail copy;
 //!   the default, and the baseline for the paper's §VI overhead remark.
-//! * [`branch_lean_merge_into`] — replaces the hard-to-predict comparison
-//!   branch with index arithmetic; pays off for `Copy` keys with random
-//!   interleaving (branch misprediction bound), loses slightly on runs.
+//! * [`branch_lean_merge_into_by`] — replaces the hard-to-predict
+//!   comparison branch with index arithmetic, and runs as two streams:
+//!   pays off on random interleaving (branch misprediction bound), loses
+//!   slightly on runs.
 //! * [`galloping_merge_into_by`] — exponential search over runs; wins when
 //!   the inputs interleave coarsely (long runs from one side).
 //!
 //! Each has a probed variant used by the cache simulator.
+//!
+//! # Two streams per core
+//!
+//! Algorithm 1 makes every segment between two co-ranked diagonals an
+//! independent sequential merge; the parallel kernels spend that
+//! independence across threads. The branch-lean kernel also spends it
+//! inside one core. A branch-lean loop is one serial chain — the next load
+//! index depends on the last comparison — so it runs at the latency of
+//! compare, select and index update, not at the core's throughput. Above
+//! a short-output threshold the kernel co-ranks the middle diagonal once
+//! and interleaves the two halves' chains in one loop. The co-rank split
+//! is the unique stable one (ties to `a`), so the two-stream output is
+//! byte-identical to the one-stream output; every caller that lands on
+//! branch-lean gets it: the adaptive dispatch, the vector kernel's scalar
+//! fallback and [`super::batch`] fragments.
 
 use core::cell::Cell;
 use core::cmp::Ordering;
 
 use mergepath_telemetry::{counted_cmp, span, CounterKind, Recorder, SpanKind};
 
+use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
 use crate::probe::Probe;
 use crate::view::SortedView;
@@ -188,61 +205,93 @@ where
     }
 }
 
+/// Outputs shorter than this merge as one stream: below it the middle
+/// diagonal's co-rank search costs more than the second stream saves.
+const TWO_STREAM_MIN: usize = 64;
+
 /// A merge kernel that avoids the data-dependent select branch by advancing
-/// indices with boolean arithmetic.
+/// indices with boolean arithmetic: [`branch_lean_merge_into_by`] under the
+/// natural order.
 ///
-/// Requires `T: Copy + Ord`. On inputs whose interleaving is unpredictable
-/// (e.g. two independent uniform arrays) the classic kernel takes a branch
-/// misprediction roughly every other element; this kernel trades that for a
-/// couple of extra ALU ops per element.
+/// On inputs whose interleaving is unpredictable (e.g. two independent
+/// uniform arrays) the classic kernel takes a branch misprediction roughly
+/// every other element; this kernel trades that for a couple of extra ALU
+/// ops per element.
 pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
-    assert_out_len(a.len(), b.len(), out.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut k = 0usize;
-    // Main loop runs while both sides have elements; the comparison result
-    // is consumed as an integer, not a branch.
-    while i < a.len() && j < b.len() {
-        let take_a = a[i] <= b[j];
-        // Read both candidates unconditionally (both in bounds here).
-        let va = a[i];
-        let vb = b[j];
-        out[k] = if take_a { va } else { vb };
-        i += take_a as usize;
-        j += !take_a as usize;
-        k += 1;
-    }
-    if i < a.len() {
-        out[k..].copy_from_slice(&a[i..]);
-    } else {
-        out[k..].copy_from_slice(&b[j..]);
-    }
+    branch_lean_merge_into_by(a, b, out, &super::simd::natural_cmp);
 }
 
-/// [`branch_lean_merge_into`] generalized over `Clone` elements and a
-/// caller-supplied comparator, so the adaptive dispatcher
-/// ([`super::adaptive`]) can route arbitrary-key segments through it.
+/// The branch-lean kernel for `Clone` elements and a caller-supplied
+/// comparator, run as two independent streams.
 ///
 /// Ties (`Ordering::Equal`) take from `a` first — the same stable order as
 /// [`merge_into_by`]; the select consumes the comparison as an index
 /// increment rather than a data-dependent branch.
+///
+/// A single branch-lean loop is one serial dependency chain: each load
+/// index waits on the previous comparison. For outputs of at least
+/// `TWO_STREAM_MIN` keys the kernel co-ranks the middle diagonal once,
+/// which splits the segment into two independent merges — Algorithm 1's
+/// partition with `p = 2`, applied inside one core — and advances both in
+/// one loop, so the core overlaps two chains. The co-rank split is the
+/// unique stable one (ties to `a`, Siebert & Träff), so the output is
+/// byte-identical to the single stream's. When either half runs out of one
+/// input, each half finishes on the single-stream loop.
 pub fn branch_lean_merge_into_by<T: Clone, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
 {
     assert_out_len(a.len(), b.len(), out.len());
+    let n = out.len();
+    if n < TWO_STREAM_MIN {
+        branch_lean_stream(a, b, out, cmp);
+        return;
+    }
+    let half = n / 2;
+    let i = co_rank_by(half, a, b, cmp);
+    let (a0, a1) = a.split_at(i);
+    let (b0, b1) = b.split_at(half - i);
+    let (o0, o1) = out.split_at_mut(half);
+    let (mut i0, mut j0, mut i1, mut j1) = (0usize, 0usize, 0usize, 0usize);
+    while i0 < a0.len() && j0 < b0.len() && i1 < a1.len() && j1 < b1.len() {
+        let take0 = cmp(&a0[i0], &b0[j0]) != Ordering::Greater;
+        let take1 = cmp(&a1[i1], &b1[j1]) != Ordering::Greater;
+        o0[i0 + j0] = if take0 {
+            a0[i0].clone()
+        } else {
+            b0[j0].clone()
+        };
+        o1[i1 + j1] = if take1 {
+            a1[i1].clone()
+        } else {
+            b1[j1].clone()
+        };
+        i0 += take0 as usize;
+        j0 += !take0 as usize;
+        i1 += take1 as usize;
+        j1 += !take1 as usize;
+    }
+    branch_lean_stream(&a0[i0..], &b0[j0..], &mut o0[i0 + j0..], cmp);
+    branch_lean_stream(&a1[i1..], &b1[j1..], &mut o1[i1 + j1..], cmp);
+}
+
+/// One branch-lean stream: the select is an index increment, and the
+/// exhausted side's remainder is a block copy.
+fn branch_lean_stream<T: Clone, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
+where
+    F: Fn(&T, &T) -> Ordering,
+{
     let (mut i, mut j) = (0usize, 0usize);
-    let mut k = 0usize;
     while i < a.len() && j < b.len() {
         let take_a = cmp(&a[i], &b[j]) != Ordering::Greater;
-        out[k] = if take_a { a[i].clone() } else { b[j].clone() };
+        out[i + j] = if take_a { a[i].clone() } else { b[j].clone() };
         i += take_a as usize;
         j += !take_a as usize;
-        k += 1;
     }
     if i < a.len() {
-        out[k..].clone_from_slice(&a[i..]);
+        out[i + j..].clone_from_slice(&a[i..]);
     } else {
-        out[k..].clone_from_slice(&b[j..]);
+        out[i + j..].clone_from_slice(&b[j..]);
     }
 }
 

@@ -166,7 +166,7 @@ pub fn cache_aware_parallel_sort_recorded<T, F, R>(
             }
         }
         in_v = !in_v;
-        runs = super::parallel::halve_runs(&runs);
+        super::sequential::halve_runs(&mut runs);
     }
     if !in_v {
         executor::note_write_range(v);

@@ -11,15 +11,13 @@
 //! element in the loser tree versus `O(1)`-ish in a two-way merge; the
 //! `sort` bench measures the crossover.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::executor::{self, SendPtr};
+use crate::executor;
 use crate::merge::kway::parallel_kway_merge_recorded;
-use crate::partition::segment_boundary;
-use crate::sort::sequential::merge_sort_with_scratch_by;
+use crate::sort::parallel::sort_chunks_recorded;
 
 /// Sorts `v` with `threads` concurrent chunk sorts followed by one
 /// parallel k-way merge round. Stable; output identical to
@@ -64,48 +62,10 @@ where
     if n <= 1 {
         return;
     }
-    if threads == 1 || n <= 2 * threads {
-        executor::note_write_range(v);
-        let mut scratch = vec![T::default(); n];
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _round = span(rec, 0, SpanKind::SortRound);
-                merge_sort_with_scratch_by(v, &mut scratch, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, n as u64);
-        } else {
-            merge_sort_with_scratch_by(v, &mut scratch, cmp);
-        }
+    // Phase 1: concurrent chunk sorts (the same chunks as §III's sort).
+    let Some(bounds) = sort_chunks_recorded(v, threads, cmp, rec) else {
         return;
-    }
-
-    // Phase 1: concurrent chunk sorts (same boundaries as §III's sort).
-    let bounds: Vec<usize> = (0..=threads)
-        .map(|k| segment_boundary(n, threads, k))
-        .collect();
-    {
-        let base = SendPtr::new(v.as_mut_ptr());
-        let bounds = &bounds;
-        executor::global().run_indexed_recorded(threads, rec, &|k| {
-            // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
-            // across shares and tile `v` exactly; the pool's end barrier
-            // orders the writes before this frame resumes.
-            let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
-            let mut scratch = vec![T::default(); chunk.len()];
-            if R::ACTIVE {
-                let hits = Cell::new(0u64);
-                {
-                    let _round = span(rec, k, SpanKind::SortRound);
-                    merge_sort_with_scratch_by(chunk, &mut scratch, &counted_cmp(cmp, &hits));
-                }
-                rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            } else {
-                merge_sort_with_scratch_by(chunk, &mut scratch, cmp);
-            }
-        });
-    }
+    };
 
     // Phase 2: one k-way merge of the p runs, itself parallelized by the
     // multi-way rank split. Stability: runs are indexed in array order, and

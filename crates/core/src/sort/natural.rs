@@ -14,6 +14,7 @@
 use core::cmp::Ordering;
 
 use crate::merge::parallel::parallel_merge_into_by;
+use crate::sort::sequential::{halve_runs, merge_pairs};
 
 /// Detects the boundaries of maximal sorted runs, reversing strictly
 /// descending runs in place. Returns run boundaries (`runs[0] == 0`,
@@ -22,29 +23,37 @@ pub fn collect_runs_by<T, F>(v: &mut [T], cmp: &F) -> Vec<usize>
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    let n = v.len();
     let mut runs = vec![0usize];
-    if n == 0 {
-        return runs;
-    }
-    let mut start = 0usize;
-    while start < n {
-        let mut end = start + 1;
-        if end < n && cmp(&v[start], &v[end]) == Ordering::Greater {
-            // Strictly descending run (strictness preserves stability).
-            while end < n && cmp(&v[end - 1], &v[end]) == Ordering::Greater {
-                end += 1;
-            }
-            v[start..end].reverse();
-        } else {
-            while end < n && cmp(&v[end - 1], &v[end]) != Ordering::Greater {
-                end += 1;
-            }
-        }
-        runs.push(end);
-        start = end;
+    let mut start = 0;
+    while start < v.len() {
+        start = run_end_by(v, start, cmp);
+        runs.push(start);
     }
     runs
+}
+
+/// End of the maximal run that starts at `start < v.len()`: either
+/// non-descending, or strictly descending and then reversed in place
+/// (strictness means no two equal elements are reordered, so stability
+/// holds). Shared by [`collect_runs_by`] and the sequential merge sort's
+/// leaves.
+pub(crate) fn run_end_by<T, F>(v: &mut [T], start: usize, cmp: &F) -> usize
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    let n = v.len();
+    let mut end = start + 1;
+    if end < n && cmp(&v[start], &v[end]) == Ordering::Greater {
+        while end < n && cmp(&v[end - 1], &v[end]) == Ordering::Greater {
+            end += 1;
+        }
+        v[start..end].reverse();
+    } else {
+        while end < n && cmp(&v[end - 1], &v[end]) != Ordering::Greater {
+            end += 1;
+        }
+    }
+    end
 }
 
 /// Adaptive stable sort: natural run detection, then rounds of parallel
@@ -92,25 +101,12 @@ where
             } else {
                 (&scratch, &mut *v)
             };
-            let mut pair = 0;
-            while pair + 2 < runs.len() {
-                let (lo, mid, hi) = (runs[pair], runs[pair + 1], runs[pair + 2]);
-                parallel_merge_into_by(
-                    &src[lo..mid],
-                    &src[mid..hi],
-                    &mut dst[lo..hi],
-                    threads,
-                    cmp,
-                );
-                pair += 2;
-            }
-            if pair + 2 == runs.len() {
-                let (lo, hi) = (runs[pair], runs[pair + 1]);
-                dst[lo..hi].clone_from_slice(&src[lo..hi]);
-            }
+            merge_pairs(src, dst, &runs, |a, b, out| {
+                parallel_merge_into_by(a, b, out, threads, cmp)
+            });
         }
         in_v = !in_v;
-        runs = super::parallel::halve_runs(&runs);
+        halve_runs(&mut runs);
     }
     if !in_v {
         v.clone_from_slice(&scratch);

@@ -1,7 +1,10 @@
 //! Parallel merge sort (paper, §III).
 //!
 //! Phase 1: the array is split into `p` equisized chunks, each sorted
-//! concurrently with the sequential merge sort (`O(N/p · log(N/p))`).
+//! concurrently with the sequential merge sort (`O(N/p · log(N/p))`; its
+//! leaves are natural runs and its merges dispatch too, see
+//! [`crate::sort::sequential`]). With `threads == 1` the whole sort is that
+//! sequential sort — the Fig. 5 one-thread baseline.
 //!
 //! Phase 2: `⌈log2 p⌉` rounds of pairwise merges; every merge is executed by
 //! **all** `p` workers using Algorithm 1, so the cores stay fully busy even
@@ -17,14 +20,13 @@
 //! duplicate-heavy inputs speed up in the late rounds without any change
 //! to the output (all kernels are byte-identical).
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
 use crate::executor::{self, SendPtr};
 use crate::merge::batch::batch_merge_into_recorded;
-use crate::sort::sequential::merge_sort_with_scratch_by;
+use crate::sort::sequential::{halve_runs, merge_sort_recorded};
 
 /// Sorts `v` in parallel with `threads` workers using the natural order.
 ///
@@ -70,49 +72,10 @@ where
     if n <= 1 {
         return;
     }
-    if threads == 1 || n <= 2 * threads {
-        executor::note_write_range(v);
-        let mut scratch = vec![T::default(); n];
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _round = span(rec, 0, SpanKind::SortRound);
-                merge_sort_with_scratch_by(v, &mut scratch, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, n as u64);
-        } else {
-            merge_sort_with_scratch_by(v, &mut scratch, cmp);
-        }
+    // Phase 1: concurrent chunk sorts.
+    let Some(bounds) = sort_chunks_recorded(v, threads, cmp, rec) else {
         return;
-    }
-
-    // Phase 1: concurrent chunk sorts. Chunks follow the same ⌊k·n/p⌋
-    // boundaries as the merge partition, so sizes differ by at most one.
-    let bounds: Vec<usize> = (0..=threads)
-        .map(|k| crate::partition::segment_boundary(n, threads, k))
-        .collect();
-    {
-        let base = SendPtr::new(v.as_mut_ptr());
-        let bounds = &bounds;
-        executor::global().run_indexed_recorded(threads, rec, &|k| {
-            // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
-            // across shares and tile `v` exactly; the pool's end barrier
-            // orders the writes before this frame resumes.
-            let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
-            let mut scratch = vec![T::default(); chunk.len()];
-            if R::ACTIVE {
-                let hits = Cell::new(0u64);
-                {
-                    let _round = span(rec, k, SpanKind::SortRound);
-                    merge_sort_with_scratch_by(chunk, &mut scratch, &counted_cmp(cmp, &hits));
-                }
-                rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            } else {
-                merge_sort_with_scratch_by(chunk, &mut scratch, cmp);
-            }
-        });
-    }
+    };
 
     // Phase 2: rounds of pairwise parallel merges, ping-ponging between `v`
     // and a scratch buffer. Runs are tracked by their boundary offsets.
@@ -130,12 +93,59 @@ where
             merge_round_parallel(src, dst, &runs, threads, cmp, rec);
         }
         in_v = !in_v;
-        runs = halve_runs(&runs);
+        halve_runs(&mut runs);
     }
     if !in_v {
         executor::note_write_range(v);
         v.clone_from_slice(&scratch);
     }
+}
+
+/// Phase 1, shared with [`crate::sort::kway`]: sorts `threads` chunks of
+/// `v` concurrently with the sequential merge sort and returns the chunk
+/// boundaries. Chunks follow the same ⌊k·n/p⌋ boundaries as the merge
+/// partition, so sizes differ by at most one. With one thread, or at most
+/// two keys per thread, sorts all of `v` on the calling thread instead and
+/// returns `None`: nothing is left to merge.
+pub(crate) fn sort_chunks_recorded<T, F, R>(
+    v: &mut [T],
+    threads: usize,
+    cmp: &F,
+    rec: &R,
+) -> Option<Vec<usize>>
+where
+    T: Clone + Default + Send + Sync,
+    F: Fn(&T, &T) -> Ordering + Sync,
+    R: Recorder,
+{
+    let n = v.len();
+    if threads == 1 || n <= 2 * threads {
+        executor::note_write_range(v);
+        let mut scratch = vec![T::default(); n];
+        {
+            let _round = span(rec, 0, SpanKind::SortRound);
+            merge_sort_recorded(v, &mut scratch, cmp, rec, 0);
+        }
+        rec.worker_items(0, n as u64);
+        return None;
+    }
+    let bounds: Vec<usize> = (0..=threads)
+        .map(|k| crate::partition::segment_boundary(n, threads, k))
+        .collect();
+    {
+        let base = SendPtr::new(v.as_mut_ptr());
+        let bounds = &bounds;
+        executor::global().run_indexed_recorded(threads, rec, &|k| {
+            // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
+            // across shares and tile `v` exactly; the pool's end barrier
+            // orders the writes before this frame resumes.
+            let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
+            let mut scratch = vec![T::default(); chunk.len()];
+            let _round = span(rec, k, SpanKind::SortRound);
+            merge_sort_recorded(chunk, &mut scratch, cmp, rec, k);
+        });
+    }
+    Some(bounds)
 }
 
 /// Merges adjacent run pairs from `src` into `dst` with all `threads`
@@ -172,17 +182,6 @@ fn merge_round_parallel<T, F, R>(
     }
 }
 
-/// Collapses run boundaries after a round of pairwise merges.
-pub(crate) fn halve_runs(runs: &[usize]) -> Vec<usize> {
-    let mut next = Vec::with_capacity(runs.len() / 2 + 1);
-    for (idx, &b) in runs.iter().enumerate() {
-        if idx % 2 == 0 || idx == runs.len() - 1 {
-            next.push(b);
-        }
-    }
-    next
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,13 +200,6 @@ mod tests {
             }
             base.reverse();
         }
-    }
-
-    #[test]
-    fn halve_runs_collapses_pairs() {
-        assert_eq!(halve_runs(&[0, 10, 20, 30, 40]), vec![0, 20, 40]);
-        assert_eq!(halve_runs(&[0, 10, 20, 30]), vec![0, 20, 30]);
-        assert_eq!(halve_runs(&[0, 10]), vec![0, 10]);
     }
 
     #[test]

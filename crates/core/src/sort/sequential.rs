@@ -1,16 +1,34 @@
-//! Sequential stable merge sort (bottom-up, with an insertion-sort base
-//! case).
+//! Sequential stable merge sort: natural-run leaves, then bottom-up rounds
+//! of dispatched pairwise merges.
 //!
 //! This is the kernel each core runs on its private chunk in the parallel
 //! sort's first phase, and the single-thread baseline against which the
 //! paper's Figure 5 speedups are defined.
+//!
+//! * **Leaves** are the maximal runs already in the data (strictly
+//!   descending runs are reversed in place, which keeps equal keys in
+//!   order); a run shorter than `INSERTION_RUN` keys is extended to that
+//!   length by insertion sort. Sorted, reversed and organ-pipe inputs thus
+//!   cost one or two runs instead of `n / INSERTION_RUN` leaves.
+//! * **Rounds** merge adjacent runs pairwise, ping-ponging between the
+//!   input and the scratch buffer. Every merge goes through
+//!   [`adaptive_merge_into_by`], the same per-segment dispatch the parallel
+//!   kernels use: it gallops where the runs barely overlap and takes the
+//!   two-stream branch-lean loop on fine interleaving.
+//! * One run-boundary list, allocated once, is halved in place after each
+//!   round.
 
+use core::cell::Cell;
 use core::cmp::Ordering;
 
-use crate::merge::sequential::merge_into_by;
+use mergepath_telemetry::{counted_cmp, CounterKind, NoRecorder, Recorder};
 
-/// Runs shorter than this are sorted by insertion sort before merging
-/// begins. 32 balances branch cost against merge depth on typical keys.
+use crate::merge::adaptive::{adaptive_merge_into_by, adaptive_merge_into_counted, record_choice};
+use crate::sort::natural::run_end_by;
+
+/// Natural runs shorter than this are extended to this length by insertion
+/// sort before merging begins. 32 balances branch cost against merge depth
+/// on typical keys.
 const INSERTION_RUN: usize = 32;
 
 /// Stable in-place insertion sort; the base case of the merge sort and a
@@ -19,7 +37,16 @@ pub fn insertion_sort_by<T, F>(v: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    for i in 1..v.len() {
+    insert_after_prefix_by(v, 1, cmp);
+}
+
+/// Insertion sort of `v` whose first `sorted` elements are already in
+/// order.
+fn insert_after_prefix_by<T, F>(v: &mut [T], sorted: usize, cmp: &F)
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    for i in sorted.max(1)..v.len() {
         let mut j = i;
         // Shift left while the predecessor is strictly greater (equal
         // elements are not swapped — stability).
@@ -33,7 +60,7 @@ where
 /// Sorts `v` with a stable bottom-up merge sort using the natural order.
 ///
 /// Allocates one scratch buffer of `v.len()` elements; see
-/// [`merge_sort_with_scratch_by`] for the allocation-free variant.
+/// [`merge_sort_with_scratch_by`] for the variant that borrows it.
 ///
 /// # Examples
 /// ```
@@ -43,7 +70,7 @@ where
 /// assert_eq!(v, [1, 1, 2, 3, 4, 5, 6, 9]);
 /// ```
 pub fn merge_sort<T: Ord + Clone + Default>(v: &mut [T]) {
-    merge_sort_by(v, &|x: &T, y: &T| x.cmp(y));
+    merge_sort_by(v, &crate::merge::simd::natural_cmp);
 }
 
 /// [`merge_sort`] with a caller-supplied comparator.
@@ -55,14 +82,34 @@ where
     merge_sort_with_scratch_by(v, &mut scratch, cmp);
 }
 
-/// Bottom-up stable merge sort using a caller-provided scratch buffer
-/// (no allocation).
+/// Bottom-up stable merge sort using a caller-provided scratch buffer. The
+/// only allocation is the run-boundary list (one `usize` per
+/// `INSERTION_RUN` keys at most).
 ///
 /// # Panics
 /// Panics if `scratch.len() < v.len()`.
 pub fn merge_sort_with_scratch_by<T: Clone, F>(v: &mut [T], scratch: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
+{
+    merge_sort_recorded(v, scratch, cmp, &NoRecorder, 0);
+}
+
+/// [`merge_sort_with_scratch_by`] attributing its work to `worker` on
+/// `rec`: the comparisons it makes and, per merge, the kernel the dispatch
+/// chose ([`record_choice`]). Each merge's kernel is chosen on the raw
+/// `cmp`, exactly as in an untraced sort, and the chosen kernel counts its
+/// own comparisons ([`adaptive_merge_into_counted`]). With `NoRecorder`
+/// this is the untraced sort.
+pub(crate) fn merge_sort_recorded<T: Clone, F, R>(
+    v: &mut [T],
+    scratch: &mut [T],
+    cmp: &F,
+    rec: &R,
+    worker: usize,
+) where
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
 {
     let n = v.len();
     assert!(
@@ -75,53 +122,97 @@ where
         return;
     }
     let scratch = &mut scratch[..n];
+    let hits = Cell::new(0u64);
+    let mut runs = if R::ACTIVE {
+        leaf_runs_by(v, &counted_cmp(cmp, &hits))
+    } else {
+        leaf_runs_by(v, cmp)
+    };
 
-    // Base case: sort fixed-size runs in place.
-    let mut start = 0;
-    while start < n {
-        let end = (start + INSERTION_RUN).min(n);
-        insertion_sort_by(&mut v[start..end], cmp);
-        start = end;
-    }
-
-    // Bottom-up rounds, ping-ponging between `v` and `scratch`.
-    let mut width = INSERTION_RUN;
     let mut in_v = true;
-    while width < n {
+    while runs.len() > 2 {
         {
             let (src, dst): (&[T], &mut [T]) = if in_v {
                 (&*v, &mut *scratch)
             } else {
                 (&*scratch, &mut *v)
             };
-            merge_round(src, dst, width, cmp);
+            merge_pairs(src, dst, &runs, |a, b, out| {
+                let kernel = if R::ACTIVE {
+                    adaptive_merge_into_counted(a, b, out, cmp, &hits)
+                } else {
+                    adaptive_merge_into_by(a, b, out, cmp)
+                };
+                record_choice(rec, worker, kernel);
+            });
         }
         in_v = !in_v;
-        width *= 2;
+        halve_runs(&mut runs);
     }
     if !in_v {
         v.clone_from_slice(scratch);
     }
+    if R::ACTIVE {
+        rec.counter_add(worker, CounterKind::Comparisons, hits.get());
+    }
 }
 
-/// One round of pairwise merges of adjacent `width`-sized runs.
-fn merge_round<T: Clone, F>(src: &[T], dst: &mut [T], width: usize, cmp: &F)
+/// Splits `v` into leaves and returns their boundaries (`runs[0] == 0`,
+/// `runs.last() == v.len()`): maximal natural runs, each shorter one
+/// extended to `INSERTION_RUN` keys (or to the end of `v`).
+fn leaf_runs_by<T, F>(v: &mut [T], cmp: &F) -> Vec<usize>
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    let n = src.len();
+    let n = v.len();
+    // Every leaf but the last holds at least INSERTION_RUN keys.
+    let mut runs = Vec::with_capacity(n / INSERTION_RUN + 2);
+    runs.push(0);
     let mut start = 0;
     while start < n {
-        let mid = (start + width).min(n);
-        let end = (start + 2 * width).min(n);
-        if mid == end {
-            // Lone run: copy through.
-            dst[start..end].clone_from_slice(&src[start..end]);
-        } else {
-            merge_into_by(&src[start..mid], &src[mid..end], &mut dst[start..end], cmp);
+        let mut end = run_end_by(v, start, cmp);
+        if end - start < INSERTION_RUN {
+            let stop = (start + INSERTION_RUN).min(n);
+            insert_after_prefix_by(&mut v[start..stop], end - start, cmp);
+            end = stop;
         }
+        runs.push(end);
         start = end;
     }
+    runs
+}
+
+/// One round: merges each adjacent pair of runs (boundaries `runs`) from
+/// `src` into the same range of `dst` with `merge(left, right, out)`, and
+/// copies a lone trailing run through.
+pub(crate) fn merge_pairs<T: Clone>(
+    src: &[T],
+    dst: &mut [T],
+    runs: &[usize],
+    mut merge: impl FnMut(&[T], &[T], &mut [T]),
+) {
+    let mut pair = 0;
+    while pair + 2 < runs.len() {
+        let (lo, mid, hi) = (runs[pair], runs[pair + 1], runs[pair + 2]);
+        merge(&src[lo..mid], &src[mid..hi], &mut dst[lo..hi]);
+        pair += 2;
+    }
+    if pair + 2 == runs.len() {
+        let (lo, hi) = (runs[pair], runs[pair + 1]);
+        dst[lo..hi].clone_from_slice(&src[lo..hi]);
+    }
+}
+
+/// Collapses run boundaries in place after a round of pairwise merges:
+/// keeps every other boundary and the last one.
+pub(crate) fn halve_runs(runs: &mut Vec<usize>) {
+    let last = runs.len() - 1;
+    let mut idx = 0;
+    runs.retain(|_| {
+        let keep = idx % 2 == 0 || idx == last;
+        idx += 1;
+        keep
+    });
 }
 
 #[cfg(test)]
@@ -155,6 +246,40 @@ mod tests {
             expect.sort();
             merge_sort(&mut v);
             assert_eq!(v, expect);
+        }
+    }
+
+    #[test]
+    fn halve_runs_collapses_pairs_in_place() {
+        for (runs, halved) in [
+            (vec![0, 10, 20, 30, 40], vec![0, 20, 40]),
+            (vec![0, 10, 20, 30], vec![0, 20, 30]),
+            (vec![0, 10], vec![0, 10]),
+        ] {
+            let mut runs = runs;
+            halve_runs(&mut runs);
+            assert_eq!(runs, halved);
+        }
+    }
+
+    #[test]
+    fn leaves_are_natural_runs_extended_to_the_insertion_length() {
+        let cmp = |a: &i64, b: &i64| a.cmp(b);
+        // A 40-key ascending run, a 50-key strictly descending one
+        // (reversed in place), then 5 keys that become one short leaf.
+        let mut v: Vec<i64> = (0..40)
+            .chain((-50..0).rev())
+            .chain([3, 1, 2, 9, 0])
+            .collect();
+        assert_eq!(leaf_runs_by(&mut v, &cmp), [0, 40, 90, 95]);
+        assert!(v[40..90].windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(v[90..], [0, 1, 2, 3, 9]);
+        // Short natural runs are extended to INSERTION_RUN keys each.
+        let mut zigzag: Vec<i64> = (0..100).map(|i| if i % 2 == 0 { i } else { -i }).collect();
+        let runs = leaf_runs_by(&mut zigzag, &cmp);
+        assert_eq!(runs, [0, 32, 64, 96, 100]);
+        for w in runs.windows(2) {
+            assert!(zigzag[w[0]..w[1]].windows(2).all(|x| x[0] <= x[1]));
         }
     }
 

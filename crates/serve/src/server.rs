@@ -975,8 +975,11 @@ mod tests {
             },
             NoRecorder,
         );
-        // One long request occupies the single worker…
-        let busy: Vec<u32> = (0..200_000u32).rev().collect();
+        // One long request occupies the single worker (scrambled keys: the
+        // sort finishes a sorted or reversed input in one linear pass)…
+        let busy: Vec<u32> = (0..200_000u32)
+            .map(|x| x.wrapping_mul(2_654_435_761))
+            .collect();
         let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
         // …one more fills the queue; eventually a submit must bounce.
         let mut bounced = false;
@@ -1016,7 +1019,9 @@ mod tests {
             NoRecorder,
         );
         // Occupy the worker so the deadline request has to wait…
-        let busy: Vec<u32> = (0..300_000u32).rev().collect();
+        let busy: Vec<u32> = (0..300_000u32)
+            .map(|x| x.wrapping_mul(2_654_435_761))
+            .collect();
         let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
         // …with a deadline that will certainly have passed by then.
         let doomed = Request::merge(1, vec![1u32, 3], vec![2, 4]).with_deadline_in(1);
@@ -1277,7 +1282,9 @@ mod tests {
         );
         // Occupy the single worker so the small merges pile up in the
         // queue, then get coalesced into one round when it frees.
-        let busy: Vec<u32> = (0..300_000u32).rev().collect();
+        let busy: Vec<u32> = (0..300_000u32)
+            .map(|x| x.wrapping_mul(2_654_435_761))
+            .collect();
         let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
         let handles: Vec<_> = (1..=8u64)
             .map(|id| {
@@ -1360,7 +1367,9 @@ mod tests {
         );
         // Hold the single worker so ids 1 and 2 are both queued before
         // the next dequeue decision is made.
-        let busy: Vec<u32> = (0..300_000u32).rev().collect();
+        let busy: Vec<u32> = (0..300_000u32)
+            .map(|x| x.wrapping_mul(2_654_435_761))
+            .collect();
         let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
         // Wait until the worker has actually picked up the busy sort, so
         // ids 1 and 2 queue behind it rather than racing it to the front.

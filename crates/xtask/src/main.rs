@@ -17,7 +17,9 @@ fn usage() -> ExitCode {
     eprintln!("                   cargo's --offline flag; fails if anything needs the");
     eprintln!("                   network or the registry. Then reruns the pool's tests");
     eprintln!("                   (executor unit tests, pool_concurrency, pool_idle_cpu)");
-    eprintln!("                   in release, and runs mpbench's unit tests and smoke run");
+    eprintln!("                   and the kernel and sort differentials (oracle_differential,");
+    eprintln!("                   sort_pipeline, sequential_paths) in release, and runs");
+    eprintln!("                   mpbench's unit tests and smoke run");
     eprintln!("  verify-telemetry run `mp trace` on a small input and schema-check the");
     eprintln!("                   Chrome trace and JSONL metrics it emits (Thm 14");
     eprintln!("                   per-worker bounds included)");
@@ -158,6 +160,21 @@ fn verify_offline(opts: BuildOpts) -> ExitCode {
             "pool_concurrency",
             "--test",
             "pool_idle_cpu",
+        ],
+        // The two-stream branch-lean loop's bounds-check elision and codegen
+        // exist only in optimised builds, so the kernel and sort
+        // differentials run again in release.
+        &[
+            "test",
+            "--offline",
+            "-q",
+            "--release",
+            "--test",
+            "oracle_differential",
+            "--test",
+            "sort_pipeline",
+            "--test",
+            "sequential_paths",
         ],
         // The benchmark is a package of its own: its unit tests and smoke
         // run catch a renamed entry point that `mpbench/src/sut.rs` uses.

@@ -207,7 +207,9 @@ fn rejections_are_explicit_and_counted() {
         Arc::clone(&rec),
     );
     // A slow sort pins the single serving thread...
-    let busy: Vec<u32> = (0..400_000u32).rev().collect();
+    let busy: Vec<u32> = (0..400_000u32)
+        .map(|x| x.wrapping_mul(2_654_435_761))
+        .collect();
     let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
     // ...a doomed request waits behind it with an already-tiny deadline...
     let doomed = Request::merge(1, vec![1u32, 3], vec![2, 4]).with_deadline_in(1);
