@@ -750,11 +750,10 @@ pub fn default_input(n: usize, seed: u64) -> (Vec<Kv>, Vec<Kv>) {
 
 /// Builds a fine-interleaved pair of sorted primitive `u32` keys of
 /// combined length `n` — the input [`check_kernel_keys`] uses to drive the
-/// *vectorized* segment kernel under schedule exploration. Keys are drawn
+/// natural-order dispatch path under schedule exploration. Keys are drawn
 /// from a wide space so duplicate runs are rare and the adaptive probe's
-/// SIMD arm actually fires; with bare keys stability is vacuous (equal keys
-/// are bit-identical), which is exactly the property that licenses the SIMD
-/// kernel — the [`Kv`] checks remain the stability referee.
+/// branch-lean arm fires; with bare keys stability is vacuous (equal keys
+/// are bit-identical), so the [`Kv`] checks remain the stability referee.
 pub fn default_key_input(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
     let mut rng = Prng::seed_from_u64(seed ^ 0x51D0_5EED);
     let na = n / 2;
@@ -1165,11 +1164,9 @@ fn pram_replay<T>(
 /// byte-identical agreement with the sequential oracle on each, and
 /// cross-validates small rounds on the PRAM machine.
 ///
-/// Pass [`mergepath::merge::simd::natural_cmp`] with primitive keys to let
-/// the adaptive probe (or a forced [`DispatchPolicy::Fixed`] override) route
-/// segments through the vectorized kernel while the recording layer watches.
-///
-/// [`DispatchPolicy::Fixed`]: mergepath::merge::adaptive::DispatchPolicy
+/// Pass [`mergepath::merge::sequential::natural_cmp`] with primitive keys
+/// to put the adaptive probe's natural-order path (which the probe
+/// recognizes by comparator type identity) under the recording layer.
 pub fn check_kernel_on_by<T, F>(
     kernel: Kernel,
     a: &[T],
@@ -1265,18 +1262,22 @@ pub fn check_kernel(
 
 /// [`check_kernel_on_by`] with synthesized wide-key-space primitive `u32`
 /// inputs of combined length `n` and the canonical
-/// [`natural_cmp`](mergepath::merge::simd::natural_cmp) comparator — the
-/// only comparator the SIMD eligibility gate accepts, so this is the entry
-/// point that puts the *vectorized* segment kernel under schedule
-/// exploration (adaptively, or forced via
-/// [`with_dispatch_policy`](mergepath::merge::adaptive::with_dispatch_policy)).
+/// [`natural_cmp`](mergepath::merge::sequential::natural_cmp) comparator —
+/// the entry point that puts the natural-order dispatch path (bare keys,
+/// no observable stability) under schedule exploration.
 pub fn check_kernel_keys(
     kernel: Kernel,
     n: usize,
     cfg: &CheckConfig,
 ) -> Result<CheckReport, CheckError> {
     let (a, b) = default_key_input(n, cfg.seed);
-    check_kernel_on_by(kernel, &a, &b, cfg, &mergepath::merge::simd::natural_cmp)
+    check_kernel_on_by(
+        kernel,
+        &a,
+        &b,
+        cfg,
+        &mergepath::merge::sequential::natural_cmp,
+    )
 }
 
 /// Runs [`check_kernel`] over all nine kernels, failing on the first
@@ -1550,23 +1551,6 @@ mod tests {
             let report = check_kernel_keys(kernel, 700, &cfg).unwrap();
             assert!(report.multi_rounds > 0, "{report}");
         }
-    }
-
-    #[test]
-    fn primitive_key_checks_pass_with_the_simd_kernel_forced() {
-        use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
-        let cfg = CheckConfig {
-            schedules: 3,
-            ..CheckConfig::default()
-        };
-        // Forcing Simd is total even without the `simd` feature: ineligible
-        // or sub-lane segments fall back to scalar inside the entry point,
-        // so this test is meaningful in both build configurations.
-        with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::Simd), || {
-            for kernel in [Kernel::Parallel, Kernel::Segmented, Kernel::Hierarchical] {
-                check_kernel_keys(kernel, 700, &cfg).unwrap();
-            }
-        });
     }
 
     #[test]

@@ -9,13 +9,7 @@
 //! disjointness check can. This test asserts exactly that: under mutation
 //! the checker must report `WriteOverlap`; in a clean build it must pass.
 //!
-//! A second fault lives in the SIMD segment kernel: under the same cfg the
-//! in-register bitonic network swaps two output lanes after cleaning, which
-//! corrupts merged *values*. Forcing the Simd kernel over primitive keys
-//! must therefore surface as an `OutputMismatch` (the checker compares
-//! against the oracle before it audits the recording).
-//!
-//! A third fault inverts the tie break of the co-rank stable block kernel:
+//! A second fault inverts the tie break of the co-rank stable block kernel:
 //! under the same cfg its block-split binary search advances only on
 //! *strictly greater* instead of greater-or-equal, so equal B elements
 //! overtake equal A elements across interior block boundaries. The mutated
@@ -45,47 +39,13 @@ fn mutation_overlap_is_detected() {
     }
 }
 
-/// The lane-swap fault only executes when the vector loop actually runs, so
-/// this test is gated on the `simd` feature: it forces every segment through
-/// the Simd kernel on primitive keys and demands the checker convict the
-/// mutated network by *output*, deterministically on the very first
-/// schedule, before any access-set auditing happens.
-#[cfg(feature = "simd")]
-#[test]
-fn simd_lane_swap_mutation_is_detected_as_an_output_mismatch() {
-    use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
-    use mergepath_check::check_kernel_keys;
-
-    let cfg = CheckConfig::default();
-    let result = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::Simd), || {
-        check_kernel_keys(Kernel::Parallel, 1024, &cfg)
-    });
-    if cfg!(mergepath_mutate) {
-        match result {
-            Err(CheckError::OutputMismatch {
-                kernel, schedule, ..
-            }) => {
-                assert_eq!(kernel, "parallel");
-                assert_eq!(schedule, 0, "the fault is schedule-independent");
-            }
-            other => {
-                panic!("mutated simd lanes must be caught as an output mismatch, got {other:?}")
-            }
-        }
-    } else {
-        let report = result.expect("clean build must pass the forced-simd schedule check");
-        assert!(report.multi_rounds > 0, "{report}");
-    }
-}
-
 /// The co-rank tie-break fault only fires when a mixed tie class straddles
 /// one of the kernel's interior 256-rank block cuts, so this test builds its
 /// own input instead of using the default (whose per-worker segments are too
 /// short to contain an interior cut): 2048 + 2048 elements with 24-element
 /// tie runs per side give every worker segment (1024 outputs at the default
 /// 4 threads) mixed ~48-wide tie classes across the cuts at ranks
-/// 256/512/768. Unlike the lane-swap fault this one needs no feature gate —
-/// the co-rank kernel is pure scalar code, compiled in every configuration.
+/// 256/512/768.
 #[test]
 fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
     use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};

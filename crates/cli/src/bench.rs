@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
-use mergepath::merge::simd::{natural_cmp, simd_enabled};
+use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::stable::stable_parallel_merge_into_recorded;
 use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
@@ -121,20 +121,16 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// One family's measurements: the adaptive dispatch plus every pinned
-/// segment kernel (classic, branch-lean, SIMD, co-rank). Without the
-/// `simd` feature the pinned-SIMD column degenerates to branch-lean
-/// numbers, since the entry point falls back; `simd_enabled` in the
-/// payload says which.
+/// segment kernel (classic, branch-lean, co-rank).
 #[derive(Debug, Clone)]
 struct FamilyRow {
     family: String,
     adaptive_ns_per_elem: f64,
     classic_ns_per_elem: f64,
     branch_lean_ns_per_elem: f64,
-    simd_ns_per_elem: f64,
     co_rank_ns_per_elem: f64,
     comparisons: u64,
-    segments: [u64; 5],
+    segments: [u64; 4],
     max_items: u64,
     predicted_max: u64,
     imbalance: f64,
@@ -175,9 +171,6 @@ fn family_row(
         with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::BranchLean), || {
             median_ns(cfg.reps, &mut timed)
         });
-    let simd_ns = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::Simd), || {
-        median_ns(cfg.reps, &mut timed)
-    });
     let co_rank_ns = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
         median_ns(cfg.reps, &mut timed)
     });
@@ -206,14 +199,12 @@ fn family_row(
         adaptive_ns_per_elem: adaptive_ns / n as f64,
         classic_ns_per_elem: classic_ns / n as f64,
         branch_lean_ns_per_elem: branch_lean_ns / n as f64,
-        simd_ns_per_elem: simd_ns / n as f64,
         co_rank_ns_per_elem: co_rank_ns / n as f64,
         comparisons: counter_total(&telemetry, "comparisons"),
         segments: [
             counter_total(&telemetry, "segments_classic"),
             counter_total(&telemetry, "segments_branch_lean"),
             counter_total(&telemetry, "segments_galloping"),
-            counter_total(&telemetry, "segments_simd"),
             counter_total(&telemetry, "segments_co_rank"),
         ],
         max_items: report.max_items,
@@ -228,12 +219,8 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"n\":{},\"threads\":{},\"seed\":{},\"reps\":{},\"simd_enabled\":{},\"families\":[",
-        cfg.n,
-        cfg.threads,
-        cfg.seed,
-        cfg.reps,
-        simd_enabled()
+        "{{\"n\":{},\"threads\":{},\"seed\":{},\"reps\":{},\"families\":[",
+        cfg.n, cfg.threads, cfg.seed, cfg.reps,
     );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -242,29 +229,24 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
         let _ = write!(
             out,
             "{{\"family\":\"{}\",\"adaptive_ns_per_elem\":{},\"classic_ns_per_elem\":{},\
-             \"branch_lean_ns_per_elem\":{},\"simd_ns_per_elem\":{},\"co_rank_ns_per_elem\":{},\
-             \"speedup_vs_classic\":{},\"speedup_simd_vs_classic\":{},\
-             \"speedup_simd_vs_branch_lean\":{},\"speedup_co_rank_vs_classic\":{},\
+             \"branch_lean_ns_per_elem\":{},\"co_rank_ns_per_elem\":{},\
+             \"speedup_vs_classic\":{},\"speedup_co_rank_vs_classic\":{},\
              \"comparisons\":{},\"segments_classic\":{},\
-             \"segments_branch_lean\":{},\"segments_galloping\":{},\"segments_simd\":{},\
+             \"segments_branch_lean\":{},\"segments_galloping\":{},\
              \"segments_co_rank\":{},\"pinned_co_rank_segments\":{},\
              \"max_items\":{},\"predicted_max\":{},\"imbalance\":{},\"imbalance_co_rank\":{}}}",
             r.family,
             r.adaptive_ns_per_elem,
             r.classic_ns_per_elem,
             r.branch_lean_ns_per_elem,
-            r.simd_ns_per_elem,
             r.co_rank_ns_per_elem,
             r.classic_ns_per_elem / r.adaptive_ns_per_elem.max(f64::MIN_POSITIVE),
-            r.classic_ns_per_elem / r.simd_ns_per_elem.max(f64::MIN_POSITIVE),
-            r.branch_lean_ns_per_elem / r.simd_ns_per_elem.max(f64::MIN_POSITIVE),
             r.classic_ns_per_elem / r.co_rank_ns_per_elem.max(f64::MIN_POSITIVE),
             r.comparisons,
             r.segments[0],
             r.segments[1],
             r.segments[2],
             r.segments[3],
-            r.segments[4],
             r.pinned_co_rank_segments,
             r.max_items,
             r.predicted_max,
@@ -279,25 +261,23 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
 fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
     let _ = writeln!(
         out,
-        "{title}: family, adaptive/classic/branch-lean/simd/co-rank ns/elem, adaptive speedup, \
-         segments (c/bl/g/s/cr), co-rank imbalance"
+        "{title}: family, adaptive/classic/branch-lean/co-rank ns/elem, adaptive speedup, \
+         segments (c/bl/g/cr), co-rank imbalance"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "  {:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.3}x  {}/{}/{}/{}/{}  {:.5}",
+            "  {:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.3}x  {}/{}/{}/{}  {:.5}",
             r.family,
             r.adaptive_ns_per_elem,
             r.classic_ns_per_elem,
             r.branch_lean_ns_per_elem,
-            r.simd_ns_per_elem,
             r.co_rank_ns_per_elem,
             r.classic_ns_per_elem / r.adaptive_ns_per_elem.max(f64::MIN_POSITIVE),
             r.segments[0],
             r.segments[1],
             r.segments[2],
             r.segments[3],
-            r.segments[4],
             r.imbalance_co_rank,
         );
     }
@@ -377,17 +357,13 @@ pub fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> St
 /// in this module, not an input condition.
 pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
     let env = EnvFingerprint::capture();
-    // The canonical comparator keeps the sweep eligible for the probe's
-    // SIMD arm — the same dispatch callers of the plain `_by` entry points
-    // get on primitive keys.
+    // The canonical comparator keeps the sweep on the probe's
+    // natural-order path — the same dispatch callers of the plain `_by`
+    // entry points get on primitive keys.
     let cmp = natural_cmp::<u32>;
     let mut summary = format!(
-        "mp bench: n={} threads={} seed={} reps={} simd_enabled={}\n",
-        cfg.n,
-        cfg.threads,
-        cfg.seed,
-        cfg.reps,
-        simd_enabled()
+        "mp bench: n={} threads={} seed={} reps={}\n",
+        cfg.n, cfg.threads, cfg.seed, cfg.reps,
     );
 
     // --- merge sweep ---
@@ -527,12 +503,7 @@ mod tests {
         }
         assert!(run.summary.contains("merge:"));
         assert!(run.summary.contains("sort:"));
-        // The payload says which build configuration produced the numbers,
-        // and every family carries the pinned-kernel columns.
-        assert_eq!(
-            merge.get("payload").and_then(|p| p.get("simd_enabled")),
-            Some(&Value::Bool(simd_enabled()))
-        );
+        // Every family carries the pinned-kernel columns.
         for doc in [&merge, &sort] {
             for f in doc
                 .get("payload")
@@ -542,9 +513,6 @@ mod tests {
             {
                 for col in [
                     "branch_lean_ns_per_elem",
-                    "simd_ns_per_elem",
-                    "speedup_simd_vs_branch_lean",
-                    "segments_simd",
                     "co_rank_ns_per_elem",
                     "speedup_co_rank_vs_classic",
                     "segments_co_rank",
@@ -622,7 +590,10 @@ mod tests {
             let family = f.get("family").and_then(Value::as_str).unwrap();
             let galloping = f.get("segments_galloping").and_then(Value::as_f64).unwrap();
             let classic = f.get("segments_classic").and_then(Value::as_f64).unwrap();
-            let simd = f.get("segments_simd").and_then(Value::as_f64).unwrap();
+            let branch_lean = f
+                .get("segments_branch_lean")
+                .and_then(Value::as_f64)
+                .unwrap();
             match family {
                 "duplicate-heavy" => {
                     assert!(galloping > 0.0, "{family}: no galloping segments")
@@ -634,16 +605,11 @@ mod tests {
                     assert!(classic > 0.0 && galloping == 0.0, "{family}: not one-sided")
                 }
                 // Fine interleaving of primitive keys under the canonical
-                // comparator: the probe's last arm picks the SIMD kernel
-                // exactly when the feature compiled it in, branch-lean
-                // otherwise — never galloping.
+                // comparator: the probe's last arm picks branch-lean —
+                // never galloping.
                 "uniform" => {
                     assert_eq!(galloping, 0.0, "uniform must not gallop");
-                    if simd_enabled() {
-                        assert!(simd > 0.0, "uniform must vectorize with the feature on");
-                    } else {
-                        assert_eq!(simd, 0.0, "simd segments impossible without the feature");
-                    }
+                    assert!(branch_lean > 0.0, "{family}: no branch-lean segments");
                 }
                 _ => {}
             }

@@ -137,7 +137,7 @@ pub const USAGE: &str = "usage:
   mp select A B --rank K [--numeric]
   mp check  FILE [--numeric]
   mp check  --kernel KERNEL|all [--n N] [--threads P] [--seed S] [--schedules K]
-            [--dispatch adaptive|classic|branch-lean|galloping|simd|co_rank] [--steal-orders]
+            [--dispatch adaptive|classic|branch-lean|galloping|co_rank] [--steal-orders]
   mp trace  --kernel KERNEL
             [--n N] [--threads P] [--seed S] [--trace-out F] [--metrics-out F]
   mp bench  [--n N] [--threads P] [--seed S] [--reps R] [--out-dir D] [--smoke] [--serve]
@@ -237,11 +237,7 @@ impl TraceKernel {
 /// Per-segment dispatch override for `mp check --kernel`.
 ///
 /// `adaptive` (the default) checks the probe's real choices; the fixed
-/// variants pin every segment to one scalar kernel; `simd` pins the
-/// vectorized kernel and switches the checker to primitive-key inputs with
-/// the canonical comparator, since that is the only configuration the SIMD
-/// eligibility gate lets through (on scalar `(key, tag)` inputs a forced
-/// `simd` run would silently fall back and check nothing new).
+/// variants pin every segment to one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckDispatch {
     /// Probe each segment (default).
@@ -253,8 +249,6 @@ pub enum CheckDispatch {
     BranchLean,
     /// Force the galloping segment kernel.
     Galloping,
-    /// Force the SIMD segment kernel on primitive-key inputs.
-    Simd,
     /// Force the co-rank stable block kernel. Stays on the provenance-
     /// tagged `(key, tag)` duplicate-heavy inputs — exactly where stability
     /// is observable — so the checker's oracle comparison proves the
@@ -270,7 +264,6 @@ impl CheckDispatch {
             "classic" => Ok(CheckDispatch::Classic),
             "branch-lean" => Ok(CheckDispatch::BranchLean),
             "galloping" => Ok(CheckDispatch::Galloping),
-            "simd" => Ok(CheckDispatch::Simd),
             "co_rank" => Ok(CheckDispatch::CoRank),
             other => Err(CliError::Usage(format!("unknown --dispatch {other:?}"))),
         }
@@ -284,7 +277,6 @@ impl CheckDispatch {
             CheckDispatch::Classic => DispatchPolicy::Fixed(SegmentKernel::Classic),
             CheckDispatch::BranchLean => DispatchPolicy::Fixed(SegmentKernel::BranchLean),
             CheckDispatch::Galloping => DispatchPolicy::Fixed(SegmentKernel::Galloping),
-            CheckDispatch::Simd => DispatchPolicy::Fixed(SegmentKernel::Simd),
             CheckDispatch::CoRank => DispatchPolicy::Fixed(SegmentKernel::CoRank),
         }
     }
@@ -912,20 +904,11 @@ where
                     .expect("TraceKernel and check Kernel share names")],
                 None => mergepath_check::Kernel::ALL.to_vec(),
             };
-            // Forcing the SIMD kernel switches to primitive-key inputs:
-            // the (key, tag) checker comparator is deliberately ineligible
-            // for vectorization, so the scalar check set would fall back
-            // and prove nothing about the vector path.
-            let keyed = *dispatch == CheckDispatch::Simd;
             mergepath::merge::adaptive::with_dispatch_policy(dispatch.policy(), || {
                 let mut out = String::new();
                 for k in kernels {
-                    let report = if keyed {
-                        mergepath_check::check_kernel_keys(k, *n, &cfg)
-                    } else {
-                        mergepath_check::check_kernel(k, *n, &cfg)
-                    }
-                    .map_err(|e| CliError::CheckFailed(e.to_string()))?;
+                    let report = mergepath_check::check_kernel(k, *n, &cfg)
+                        .map_err(|e| CliError::CheckFailed(e.to_string()))?;
                     let _ = writeln!(out, "{report}");
                 }
                 Ok(out)
@@ -1046,9 +1029,9 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
     seed: u64,
     rec: &R,
 ) {
-    // The canonical comparator keeps traced/benched runs eligible for the
-    // adaptive probe's SIMD arm, exactly like the public entry points.
-    let cmp = mergepath::merge::simd::natural_cmp::<u32>;
+    // The canonical comparator keeps traced/benched runs on the adaptive
+    // probe's natural-order path, exactly like the public entry points.
+    let cmp = mergepath::merge::sequential::natural_cmp::<u32>;
     match kernel {
         TraceKernel::Parallel => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
@@ -1550,14 +1533,6 @@ mod tests {
             }
         ));
         // --dispatch pins a per-segment kernel for the whole run.
-        let cmd = parse_args(&argv("check --kernel all --dispatch simd")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::CheckSchedules {
-                dispatch: CheckDispatch::Simd,
-                ..
-            }
-        ));
         let cmd = parse_args(&argv("check --kernel all --dispatch co_rank")).unwrap();
         assert!(matches!(
             cmd,
@@ -1592,6 +1567,11 @@ mod tests {
             parse_args(&argv("check --kernel all --dispatch bogus")),
             Err(CliError::Usage(_))
         ));
+        // `simd` names no segment kernel.
+        assert!(matches!(
+            parse_args(&argv("check --kernel all --dispatch simd")),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]
@@ -1612,20 +1592,10 @@ mod tests {
 
     #[test]
     fn check_schedules_runs_under_every_dispatch_override() {
-        // Each override must pass the full check sweep; `simd` additionally
-        // swaps in the primitive-key inputs (meaningful in both build
-        // configurations — without the feature the entry point falls back
-        // to scalar and the run degenerates to a plain correctness check).
-        // `co_rank` deliberately stays on the provenance-tagged keyed
-        // inputs, where the oracle comparison proves its stable tie break.
-        for dispatch in [
-            "adaptive",
-            "classic",
-            "branch-lean",
-            "galloping",
-            "simd",
-            "co_rank",
-        ] {
+        // Each override must pass the full check sweep on the
+        // provenance-tagged keyed inputs, where the oracle comparison also
+        // proves each kernel's stable tie break.
+        for dispatch in ["adaptive", "classic", "branch-lean", "galloping", "co_rank"] {
             let cmd = parse_args(&argv(&format!(
                 "check --kernel parallel --n 600 --threads 3 --schedules 2 --dispatch {dispatch}"
             )))

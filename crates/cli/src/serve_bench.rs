@@ -255,108 +255,7 @@ pub struct ServeBenchArtifacts {
     pub serve_json: String,
 }
 
-/// One arm of the round-overlap cell: the same bursty plan, with
-/// concurrent pool rounds either force-serialized (the pre-work-stealing
-/// executor's one-round-at-a-time behaviour, reproduced through
-/// [`mergepath::executor::serialize_rounds`]) or free to overlap.
-#[derive(Debug, Clone)]
-struct OverlapArm {
-    serialized: bool,
-    completed: u64,
-    wall_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    pool_steals: u64,
-    pool_stolen_shares: u64,
-}
-
-impl OverlapArm {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"serialized\":{},\"completed\":{},\"wall_ns\":{},\"p50_ns\":{},\
-             \"p99_ns\":{},\"pool_steals\":{},\"pool_stolen_shares\":{}}}",
-            self.serialized,
-            self.completed,
-            self.wall_ns,
-            self.p50_ns,
-            self.p99_ns,
-            self.pool_steals,
-            self.pool_stolen_shares,
-        )
-    }
-}
-
-/// The round-overlap before/after comparison the artifact carries
-/// alongside the sweep rows.
-#[derive(Debug, Clone)]
-struct OverlapCell {
-    concurrency: usize,
-    serialized: OverlapArm,
-    overlapped: OverlapArm,
-}
-
-impl OverlapCell {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"pattern\":\"bursty\",\"concurrency\":{},\"serialized\":{},\"overlapped\":{}}}",
-            self.concurrency,
-            self.serialized.to_json(),
-            self.overlapped.to_json(),
-        )
-    }
-}
-
-/// Runs the round-overlap comparison: the bursty plan at the sweep's
-/// highest concurrency level, once with concurrent rounds force-serialized
-/// (the old pool's mutual exclusion, recreated via the executor's
-/// compatibility guard) and once with overlap enabled (the work-stealing
-/// default). The pair is the artifact's before/after evidence on the
-/// latency tail, and the overlapped arm's steal counters witness that
-/// cross-worker stealing actually happened during the run.
-fn overlap_cell(cfg: &ServeBenchConfig) -> OverlapCell {
-    let level = *cfg.levels.iter().max().expect("levels is non-empty");
-    let plan = arrival_plan(&cfg.plan_config(ArrivalPattern::Bursty));
-    let prepared = prepare(&plan);
-    let serve_cfg = ServeConfig {
-        queue_capacity: cfg.queue_capacity,
-        max_inflight: level,
-        worker_budget: cfg.worker_budget,
-        policy: QueuePolicy::Edf,
-        batch_max_items: cfg.batch_max_items(),
-    };
-    let arm = |serialized: bool| -> OverlapArm {
-        let guard = serialized.then(mergepath::executor::serialize_rounds);
-        let s0 = mergepath::executor::global().steal_stats();
-        let live = live_run(&prepared, serve_cfg, NoRecorder, NoProbe);
-        let s1 = mergepath::executor::global().steal_stats();
-        drop(guard);
-        assert_eq!(live.stats.lost(), 0, "round-overlap arm lost requests");
-        assert_eq!(
-            live.correctness_failures, 0,
-            "round-overlap arm differed from the oracle"
-        );
-        OverlapArm {
-            serialized,
-            completed: live.stats.completed,
-            wall_ns: live.wall_ns,
-            p50_ns: live.stats.latency.percentile(0.50),
-            p99_ns: live.stats.latency.percentile(0.99),
-            pool_steals: s1.steals.saturating_sub(s0.steals),
-            pool_stolen_shares: s1.stolen_shares.saturating_sub(s0.stolen_shares),
-        }
-    };
-    // Serialized arm first, so the overlapped arm never reads stale cache
-    // warmth as a scheduling win; both arms replay the identical plan.
-    let serialized = arm(true);
-    let overlapped = arm(false);
-    OverlapCell {
-        concurrency: level,
-        serialized,
-        overlapped,
-    }
-}
-
-fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow], overlap: &OverlapCell) -> String {
+fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -379,9 +278,7 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow], overlap: &OverlapCell
         }
         let _ = write!(out, "{l}");
     }
-    out.push_str("],\"round_overlap\":");
-    out.push_str(&overlap.to_json());
-    out.push_str(",\"rows\":[");
+    out.push_str("],\"rows\":[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -539,18 +436,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
             rows.push(row);
         }
     }
-    let overlap = overlap_cell(cfg);
-    let _ = writeln!(
-        summary,
-        "  round-overlap (bursty @ {}): serialized p99={}ns | overlapped p99={}ns \
-         steals={} stolen_shares={}",
-        overlap.concurrency,
-        overlap.serialized.p99_ns,
-        overlap.overlapped.p99_ns,
-        overlap.overlapped.pool_steals,
-        overlap.overlapped.pool_stolen_shares,
-    );
-    let serve_json = render_artifact("bench_serve", &env, &rows_payload(cfg, &rows, &overlap))
+    let serve_json = render_artifact("bench_serve", &env, &rows_payload(cfg, &rows))
         .expect("serve artifact must pass its own schema check");
     ServeBenchArtifacts {
         summary,
@@ -1122,42 +1008,6 @@ mod tests {
         assert!(run.summary.contains("steady"));
         assert!(run.summary.contains("bursty"));
         assert!(run.summary.contains("heavy-tail"));
-        assert!(run.summary.contains("round-overlap (bursty @ 4):"));
-
-        // The round-overlap cell: both arms present, complete, and tagged.
-        let overlap = doc
-            .get("payload")
-            .and_then(|p| p.get("round_overlap"))
-            .expect("round_overlap cell");
-        assert_eq!(
-            overlap.get("pattern").and_then(Value::as_str),
-            Some("bursty")
-        );
-        assert_eq!(
-            overlap.get("concurrency").and_then(Value::as_f64),
-            Some(4.0)
-        );
-        for (arm, want_serialized) in [("serialized", true), ("overlapped", false)] {
-            let a = overlap.get(arm).expect("overlap arm");
-            assert!(
-                matches!(a.get("serialized"), Some(Value::Bool(b)) if *b == want_serialized),
-                "{arm} tag"
-            );
-            for col in [
-                "completed",
-                "wall_ns",
-                "p50_ns",
-                "p99_ns",
-                "pool_steals",
-                "pool_stolen_shares",
-            ] {
-                assert!(a.get(col).and_then(Value::as_f64).is_some(), "{arm}.{col}");
-            }
-            assert!(
-                a.get("completed").and_then(Value::as_f64).unwrap() > 0.0,
-                "{arm} completed requests"
-            );
-        }
     }
 
     #[test]

@@ -49,11 +49,6 @@
 //! across job code, so a panicking round leaves it fully reusable (no
 //! poisoned round mutex to recover, unlike the old design).
 //!
-//! [`serialize_rounds`] restores the old one-round-at-a-time behaviour for
-//! the lifetime of a guard — a benchmarking compatibility mode that lets
-//! `mp bench --serve` measure the before/after of round overlap on the
-//! same binary.
-//!
 //! # Wait policy: spin, then sleep
 //!
 //! The pool follows OpenMP's spin-then-sleep policy (`GOMP_SPINCOUNT`,
@@ -507,32 +502,6 @@ struct RoundStats {
     stolen_shares: u64,
 }
 
-/// Active [`serialize_rounds`] guard count. While non-zero, every
-/// top-level round on every pool runs under that pool's legacy round
-/// mutex — one round at a time, the pre-work-stealing behaviour.
-static SERIALIZE_ROUNDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Restores the legacy one-round-at-a-time execution for the lifetime of
-/// the guard (process-wide, refcounted). This is a benchmarking
-/// compatibility mode: `mp bench --serve`'s round-overlap cell measures
-/// the same workload with and without round overlap on the same binary.
-/// Not intended for production use — it deliberately reintroduces the
-/// serialization the work-stealing scheduler removed.
-pub fn serialize_rounds() -> SerializedRoundsGuard {
-    SERIALIZE_ROUNDS.fetch_add(1, AtomicOrdering::SeqCst);
-    SerializedRoundsGuard(())
-}
-
-/// Guard returned by [`serialize_rounds`]; dropping it re-enables round
-/// overlap (once every outstanding guard is gone).
-pub struct SerializedRoundsGuard(());
-
-impl Drop for SerializedRoundsGuard {
-    fn drop(&mut self) {
-        SERIALIZE_ROUNDS.fetch_sub(1, AtomicOrdering::SeqCst);
-    }
-}
-
 /// A persistent team of worker threads executing fork-join rounds.
 ///
 /// # Examples
@@ -552,9 +521,6 @@ pub struct Pool {
     sched: Arc<Sched>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    /// The legacy round mutex, used only while a [`serialize_rounds`]
-    /// guard is active (benchmark compatibility mode).
-    legacy_round: Mutex<()>,
 }
 
 thread_local! {
@@ -804,7 +770,6 @@ impl Pool {
             sched,
             workers,
             threads,
-            legacy_round: Mutex::new(()),
         }
     }
 
@@ -847,15 +812,6 @@ impl Pool {
     ) -> RoundStats {
         debug_assert!(self.threads > 1 && shares > 1);
         let queued = now_ns();
-        // Benchmark compatibility mode: hold the legacy mutex for the
-        // whole round, restoring pre-work-stealing serialization. The
-        // queue wait then measures the mutex acquisition, exactly like
-        // the old executor reported it.
-        let _legacy = if SERIALIZE_ROUNDS.load(AtomicOrdering::SeqCst) > 0 {
-            Some(lock(&self.legacy_round))
-        } else {
-            None
-        };
         // SAFETY: we erase the lifetime of `job`. Every dereference of the
         // stored pointer is gated on a successful share claim, which
         // proves this function has not yet returned (see `participate`);
@@ -883,8 +839,8 @@ impl Pool {
             self.sched.push_tickets(&round, 1..tickets);
         }
         // The queue wait is the submit-side delay before this thread's
-        // first share — ticket distribution plus, in serialized mode, the
-        // legacy mutex wait — not the round duration.
+        // first share — round setup and ticket distribution — not the
+        // round duration.
         on_ready(now_ns().saturating_sub(queued));
         // Participate: the caller is always ticket 0 and never abandons
         // its own round.
@@ -1518,42 +1474,6 @@ mod tests {
             h.join().expect("caller thread panicked");
         }
         assert_eq!(total.load(AtomicOrdering::Relaxed), 4 * 25 * 6);
-    }
-
-    #[test]
-    fn serialized_rounds_guard_still_completes_concurrent_load() {
-        // The benchmark compatibility mode must keep the same coverage
-        // contract (it only changes scheduling, never results), and its
-        // refcount must drop cleanly so overlap resumes afterwards.
-        let pool = Arc::new(Pool::new(3));
-        let total = Arc::new(AtomicUsize::new(0));
-        {
-            let _serialized = serialize_rounds();
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let pool = Arc::clone(&pool);
-                    let total = Arc::clone(&total);
-                    std::thread::spawn(move || {
-                        for _ in 0..10 {
-                            pool.run_indexed(5, &|_| {
-                                total.fetch_add(1, AtomicOrdering::Relaxed);
-                            });
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("caller thread panicked");
-            }
-        }
-        assert_eq!(total.load(AtomicOrdering::Relaxed), 3 * 10 * 5);
-        assert_eq!(SERIALIZE_ROUNDS.load(AtomicOrdering::SeqCst), 0);
-        // Overlap is back: a plain round still works.
-        let count = AtomicUsize::new(0);
-        pool.run_indexed(4, &|_| {
-            count.fetch_add(1, AtomicOrdering::Relaxed);
-        });
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 4);
     }
 
     #[test]

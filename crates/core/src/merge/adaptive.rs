@@ -26,15 +26,18 @@
 //! — which is also why the process-wide [`DispatchPolicy`] override can be
 //! a relaxed atomic: a racing policy change can alter speed, never results.
 
+use core::any::TypeId;
 use core::cell::Cell;
 use core::cmp::Ordering;
+use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
 use mergepath_telemetry::{counted_cmp, CounterKind, Recorder};
 
-use super::sequential::{branch_lean_merge_into_by, galloping_merge_into_by, merge_into_by};
-use super::simd::{natural_order_eligible, simd_eligible, simd_merge_into_by, LANES};
+use super::sequential::{
+    branch_lean_merge_into_by, galloping_merge_into_by, merge_into_by, natural_cmp,
+};
 use super::stable::co_rank_merge_into_by;
 use crate::diagonal::co_rank_by;
 
@@ -67,13 +70,6 @@ pub enum SegmentKernel {
     BranchLean,
     /// Exponential-search run merge ([`galloping_merge_into_by`]).
     Galloping,
-    /// Vectorized lane merge ([`simd_merge_into_by`]): an in-register
-    /// bitonic network for primitive [`SimdKey`](super::simd::SimdKey)
-    /// types. Execution is total — ineligible types or scalar-length
-    /// segments silently take a byte-identical scalar fallback — but the
-    /// adaptive probe only *names* this kernel when the vector path would
-    /// really run.
-    Simd,
     /// Co-rank stable block merge
     /// ([`co_rank_merge_into_by`](super::stable::co_rank_merge_into_by)):
     /// subdivides the output into exact blocks whose boundaries are the
@@ -87,11 +83,10 @@ pub enum SegmentKernel {
 
 impl SegmentKernel {
     /// All kernels, in dispatch-byte order.
-    pub const ALL: [SegmentKernel; 5] = [
+    pub const ALL: [SegmentKernel; 4] = [
         SegmentKernel::Classic,
         SegmentKernel::BranchLean,
         SegmentKernel::Galloping,
-        SegmentKernel::Simd,
         SegmentKernel::CoRank,
     ];
 
@@ -101,7 +96,6 @@ impl SegmentKernel {
             SegmentKernel::Classic => "classic",
             SegmentKernel::BranchLean => "branch_lean",
             SegmentKernel::Galloping => "galloping",
-            SegmentKernel::Simd => "simd",
             SegmentKernel::CoRank => "co_rank",
         }
     }
@@ -112,7 +106,6 @@ impl SegmentKernel {
             SegmentKernel::Classic => CounterKind::SegmentsClassic,
             SegmentKernel::BranchLean => CounterKind::SegmentsBranchLean,
             SegmentKernel::Galloping => CounterKind::SegmentsGalloping,
-            SegmentKernel::Simd => CounterKind::SegmentsSimd,
             SegmentKernel::CoRank => CounterKind::SegmentsCoRank,
         }
     }
@@ -132,8 +125,7 @@ const POLICY_ADAPTIVE: u8 = 0;
 const POLICY_CLASSIC: u8 = 1;
 const POLICY_BRANCH_LEAN: u8 = 2;
 const POLICY_GALLOPING: u8 = 3;
-const POLICY_SIMD: u8 = 4;
-const POLICY_CO_RANK: u8 = 5;
+const POLICY_CO_RANK: u8 = 4;
 
 static POLICY: AtomicU8 = AtomicU8::new(POLICY_ADAPTIVE);
 
@@ -143,7 +135,6 @@ fn encode(policy: DispatchPolicy) -> u8 {
         DispatchPolicy::Fixed(SegmentKernel::Classic) => POLICY_CLASSIC,
         DispatchPolicy::Fixed(SegmentKernel::BranchLean) => POLICY_BRANCH_LEAN,
         DispatchPolicy::Fixed(SegmentKernel::Galloping) => POLICY_GALLOPING,
-        DispatchPolicy::Fixed(SegmentKernel::Simd) => POLICY_SIMD,
         DispatchPolicy::Fixed(SegmentKernel::CoRank) => POLICY_CO_RANK,
     }
 }
@@ -153,7 +144,6 @@ fn decode(bits: u8) -> DispatchPolicy {
         POLICY_CLASSIC => DispatchPolicy::Fixed(SegmentKernel::Classic),
         POLICY_BRANCH_LEAN => DispatchPolicy::Fixed(SegmentKernel::BranchLean),
         POLICY_GALLOPING => DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        POLICY_SIMD => DispatchPolicy::Fixed(SegmentKernel::Simd),
         POLICY_CO_RANK => DispatchPolicy::Fixed(SegmentKernel::CoRank),
         _ => DispatchPolicy::Adaptive,
     }
@@ -259,17 +249,67 @@ where
             return SegmentKernel::Galloping;
         }
     }
-    // Fine-grained, tie-free interleaving: the vector kernel's territory —
-    // but only when the element type and comparator are provably the
-    // primitive natural order, and only when *both* sides can fill at
-    // least one SIMD lane (a shorter side means the vector loop never
-    // iterates and the kernel is pure overhead, so short-circuit to a
-    // scalar kernel). Otherwise spend a couple of ALU ops per element to
-    // dodge the data-dependent select branch.
-    if na >= LANES && nb >= LANES && simd_eligible::<T, F>(cmp) {
-        return SegmentKernel::Simd;
-    }
+    // Fine-grained, tie-free interleaving: spend a couple of ALU ops per
+    // element to dodge the data-dependent select branch.
     SegmentKernel::BranchLean
+}
+
+/// Whether `F` is the [`natural_cmp`] function item of `u32`, `i32`, `u64`
+/// or `i64` — which forces `T` to be that primitive, because a function
+/// item implements `Fn(&T, &T) -> Ordering` for exactly its own signature.
+/// An element is then its own key: equal elements are bit-identical and
+/// stability is not observable. Decided by comparator *type identity*, so
+/// a semantically identical closure (or telemetry's counting wrapper)
+/// answers `false`. The function items carry no lifetime parameters, so
+/// the lifetime-erased `TypeId` comparison cannot collide.
+fn natural_order_eligible<T, F>(_cmp: &F) -> bool
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    let f = non_static_type_id::<F>();
+    [
+        type_id_of_val(&natural_cmp::<u32>),
+        type_id_of_val(&natural_cmp::<i32>),
+        type_id_of_val(&natural_cmp::<u64>),
+        type_id_of_val(&natural_cmp::<i64>),
+    ]
+    .contains(&f)
+}
+
+/// `TypeId` of `T` ignoring lifetimes (so non-`'static` comparator types,
+/// e.g. closures capturing references, can still be *compared against* the
+/// `'static` function items of [`natural_cmp`]).
+fn non_static_type_id<T: ?Sized>() -> TypeId {
+    trait NonStaticAny {
+        fn get_type_id(&self) -> TypeId
+        where
+            Self: 'static;
+    }
+    impl<T: ?Sized> NonStaticAny for PhantomData<T> {
+        fn get_type_id(&self) -> TypeId
+        where
+            Self: 'static,
+        {
+            TypeId::of::<T>()
+        }
+    }
+    let phantom = PhantomData::<T>;
+    let erased: &dyn NonStaticAny = &phantom;
+    // SAFETY: `dyn NonStaticAny` and `dyn NonStaticAny + 'static` have the
+    // same layout and vtable; the `Self: 'static` bound on `get_type_id`
+    // exists only so `TypeId::of` is nameable and the method reads nothing
+    // from `self` (the receiver is a borrowed ZST). Widening the trait
+    // object's lifetime bound for the duration of this call therefore
+    // cannot let any reference dangle. (This is the well-known
+    // lifetime-erased `TypeId` idiom.)
+    let erased: &(dyn NonStaticAny + 'static) = unsafe { core::mem::transmute(erased) };
+    erased.get_type_id()
+}
+
+/// Lifetime-erased `TypeId` of a value — used to fingerprint the
+/// [`natural_cmp`] function items.
+fn type_id_of_val<T: ?Sized>(_val: &T) -> TypeId {
+    non_static_type_id::<T>()
 }
 
 /// Applies the process-wide [`DispatchPolicy`]: a fixed policy wins, the
@@ -302,25 +342,17 @@ where
     F: Fn(&T, &T) -> Ordering,
 {
     let kernel = choose_kernel(a, b, cmp);
-    match kernel {
-        SegmentKernel::Classic => merge_into_by(a, b, out, cmp),
-        SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, cmp),
-        SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, cmp),
-        SegmentKernel::Simd => simd_merge_into_by(a, b, out, cmp),
-        SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, cmp),
-    }
+    merge_with(kernel, a, b, out, cmp);
     kernel
 }
 
 /// [`adaptive_merge_into_by`] for *traced* call sites: chooses the kernel
-/// on the raw comparator, then counts comparisons into `hits` via
-/// [`counted_cmp`] only on the scalar kernels.
+/// on the raw comparator, then merges with every comparison counted into
+/// `hits` via [`counted_cmp`].
 ///
 /// Wrapping `cmp` before dispatch would destroy the comparator's type
-/// identity and the SIMD kernel could never be selected under telemetry.
-/// The vector path makes zero comparator calls by construction, so it has
-/// nothing to count — SIMD segments legitimately report `cmp_segment = 0`
-/// and their work shows up in the `segments_simd` counter instead.
+/// identity, so a traced natural-order merge would send its
+/// duplicate-heavy segments to co-rank where the untraced one gallops.
 ///
 /// # Panics
 /// Panics if `out.len() != a.len() + b.len()`.
@@ -335,17 +367,21 @@ where
     F: Fn(&T, &T) -> Ordering,
 {
     let kernel = choose_kernel(a, b, cmp);
-    match kernel {
-        SegmentKernel::Classic => merge_into_by(a, b, out, &counted_cmp(cmp, hits)),
-        SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, &counted_cmp(cmp, hits)),
-        SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, &counted_cmp(cmp, hits)),
-        // A forced-but-ineligible Simd merge falls back to a scalar loop on
-        // the raw comparator; those comparisons go uncounted, which only
-        // affects telemetry of an explicitly mis-pinned policy.
-        SegmentKernel::Simd => simd_merge_into_by(a, b, out, cmp),
-        SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, &counted_cmp(cmp, hits)),
-    }
+    merge_with(kernel, a, b, out, &counted_cmp(cmp, hits));
     kernel
+}
+
+/// Runs `kernel` on one segment.
+fn merge_with<T: Clone, F>(kernel: SegmentKernel, a: &[T], b: &[T], out: &mut [T], cmp: &F)
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    match kernel {
+        SegmentKernel::Classic => merge_into_by(a, b, out, cmp),
+        SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, cmp),
+        SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, cmp),
+        SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, cmp),
+    }
 }
 
 /// Bumps `kernel`'s "segments won" counter for `worker` on `rec`; a no-op
@@ -417,7 +453,6 @@ mod tests {
         assert_eq!(probe_segment(&a, &b, &cmp), SegmentKernel::CoRank);
         // Under the canonical natural order an element is its key, so
         // galloping's tie-class collapse keeps the duplicate-heavy arm.
-        use crate::merge::simd::natural_cmp;
         assert_eq!(
             probe_segment(&a, &b, &natural_cmp::<i64>),
             SegmentKernel::Galloping
@@ -467,9 +502,6 @@ mod tests {
                 DispatchPolicy::Fixed(SegmentKernel::Classic),
                 DispatchPolicy::Fixed(SegmentKernel::BranchLean),
                 DispatchPolicy::Fixed(SegmentKernel::Galloping),
-                // `cmp` is a local fn, not `natural_cmp`, so forcing Simd
-                // exercises the byte-identical scalar fallback.
-                DispatchPolicy::Fixed(SegmentKernel::Simd),
                 DispatchPolicy::Fixed(SegmentKernel::CoRank),
             ] {
                 let mut out = vec![0i64; oracle.len()];
@@ -506,52 +538,51 @@ mod tests {
         });
     }
 
-    #[test]
-    fn probe_routes_fine_interleaving_to_simd_only_for_natural_primitives() {
-        use crate::merge::simd::{natural_cmp, simd_enabled};
-        let mut rng = Mix(9);
-        let mut a: Vec<u32> = (0..50_000).map(|_| rng.next() as u32).collect();
-        let mut b: Vec<u32> = (0..50_000).map(|_| rng.next() as u32).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        let expect = if simd_enabled() {
-            SegmentKernel::Simd
-        } else {
-            SegmentKernel::BranchLean
-        };
-        assert_eq!(probe_segment(&a, &b, &natural_cmp), expect);
-        // A semantically identical ad-hoc closure must stay scalar: the
-        // vector kernel is licensed by comparator type identity alone.
-        let closure = |x: &u32, y: &u32| x.cmp(y);
-        assert_eq!(probe_segment(&a, &b, &closure), SegmentKernel::BranchLean);
+    /// `len` sorted keys of type `K`, each `key` of a uniform 32-bit draw:
+    /// any two such sides interleave finely and almost without ties.
+    fn uniform_sorted<K: Ord>(len: usize, seed: u64, key: impl Fn(u64) -> K) -> Vec<K> {
+        let mut rng = Mix(seed);
+        let mut v: Vec<K> = (0..len).map(|_| key(rng.next() >> 32)).collect();
+        v.sort_unstable();
+        v
     }
 
     #[test]
-    fn probe_short_circuits_segments_with_a_side_shorter_than_one_lane() {
-        use crate::merge::simd::{natural_cmp, simd_enabled};
-        // Overlapping ranges, distinct keys, total >= PROBE_MIN_LEN: every
-        // earlier probe arm declines, so the final arm decides.
-        let wide: Vec<u32> = (0..500u32).map(|i| i * 13 + 1).collect();
-        let lane_minus_one: Vec<u32> = (0..(LANES as u32 - 1)).map(|i| i * 700 + 350).collect();
-        assert_eq!(lane_minus_one.len(), LANES - 1);
-        // A side one short of a lane can never fill the vector loop: the
-        // probe must short-circuit to a scalar kernel on either side.
-        assert_eq!(
-            probe_segment(&lane_minus_one, &wide, &natural_cmp),
-            SegmentKernel::BranchLean
-        );
-        assert_eq!(
-            probe_segment(&wide, &lane_minus_one, &natural_cmp),
-            SegmentKernel::BranchLean
-        );
-        // One more element and the segment is lane-viable again.
-        let lane_exact: Vec<u32> = (0..LANES as u32).map(|i| i * 700 + 350).collect();
-        let expect = if simd_enabled() {
-            SegmentKernel::Simd
-        } else {
-            SegmentKernel::BranchLean
-        };
-        assert_eq!(probe_segment(&lane_exact, &wide, &natural_cmp), expect);
+    fn probe_routes_fine_uniform_interleaving_of_every_natural_primitive_to_branch_lean() {
+        fn check<K: Ord + 'static>(key: impl Fn(u64) -> K + Copy) {
+            let a = uniform_sorted(50_000, 9, key);
+            let b = uniform_sorted(50_000, 10, key);
+            assert_eq!(
+                probe_segment(&a, &b, &natural_cmp::<K>),
+                SegmentKernel::BranchLean,
+                "{}",
+                core::any::type_name::<K>()
+            );
+        }
+        check(|x| x as u32);
+        check(|x| x as i32);
+        check(|x| x << 16);
+        check(|x| (x as i64) - (1 << 31));
+    }
+
+    #[test]
+    fn natural_order_eligible_names_exactly_the_four_primitive_natural_cmps() {
+        assert!(natural_order_eligible::<u32, _>(&natural_cmp::<u32>));
+        assert!(natural_order_eligible::<i32, _>(&natural_cmp::<i32>));
+        assert!(natural_order_eligible::<u64, _>(&natural_cmp::<u64>));
+        assert!(natural_order_eligible::<i64, _>(&natural_cmp::<i64>));
+        // A semantically identical closure is not the function item.
+        let closure = |x: &u32, y: &u32| x.cmp(y);
+        assert!(!natural_order_eligible::<u32, _>(&closure));
+        // Nor is a payload-carrying element type under its own natural_cmp.
+        assert!(!natural_order_eligible::<(u32, u32), _>(
+            &natural_cmp::<(u32, u32)>
+        ));
+        assert!(!natural_order_eligible::<u8, _>(&natural_cmp::<u8>));
+        // Telemetry's counting wrapper hides the identity on purpose.
+        let hits = Cell::new(0u64);
+        let counted = counted_cmp::<u32, _>(&natural_cmp, &hits);
+        assert!(!natural_order_eligible::<u32, _>(&counted));
     }
 
     #[test]
@@ -559,7 +590,6 @@ mod tests {
         assert_eq!(SegmentKernel::Classic.name(), "classic");
         assert_eq!(SegmentKernel::BranchLean.name(), "branch_lean");
         assert_eq!(SegmentKernel::Galloping.name(), "galloping");
-        assert_eq!(SegmentKernel::Simd.name(), "simd");
         assert_eq!(SegmentKernel::CoRank.name(), "co_rank");
         for kernel in SegmentKernel::ALL {
             assert_eq!(decode(encode(DispatchPolicy::Fixed(kernel))), {

@@ -20,7 +20,7 @@ use mergepath_telemetry::{span, CounterKind, NoRecorder, Recorder, SpanKind};
 use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::executor::{self, SendPtr};
 use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
-use crate::merge::simd::natural_cmp;
+use crate::merge::sequential::natural_cmp;
 use crate::partition::segment_boundary;
 
 /// Stable merges of each `(a, b)` pair into consecutive regions of `out`

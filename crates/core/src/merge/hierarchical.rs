@@ -33,7 +33,7 @@ use crate::diagonal::co_rank_by;
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
 use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
-use crate::merge::simd::natural_cmp;
+use crate::merge::sequential::natural_cmp;
 use crate::partition::{partition_points_by, segment_boundary};
 
 /// Shape of the two-level decomposition.

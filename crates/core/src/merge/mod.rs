@@ -14,5 +14,4 @@ pub mod kway;
 pub mod parallel;
 pub mod segmented;
 pub mod sequential;
-pub mod simd;
 pub mod stable;

@@ -33,8 +33,7 @@ use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
 use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
-use crate::merge::sequential::merge_into_by;
-use crate::merge::simd::natural_cmp;
+use crate::merge::sequential::{merge_into_by, natural_cmp};
 use crate::partition::segment_boundary;
 use crate::stats::MergeStats;
 

@@ -30,8 +30,8 @@
 //! and interleaves the two halves' chains in one loop. The co-rank split
 //! is the unique stable one (ties to `a`), so the two-stream output is
 //! byte-identical to the one-stream output; every caller that lands on
-//! branch-lean gets it: the adaptive dispatch, the vector kernel's scalar
-//! fallback and [`super::batch`] fragments.
+//! branch-lean gets it: the adaptive dispatch and [`super::batch`]
+//! fragments.
 
 use core::cell::Cell;
 use core::cmp::Ordering;
@@ -42,6 +42,19 @@ use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
 use crate::probe::Probe;
 use crate::view::SortedView;
+
+/// The canonical natural-order comparator: `|x, y| x.cmp(y)` as a named
+/// function item.
+///
+/// Every monomorphization of a function item has a unique zero-sized type,
+/// so passing `&natural_cmp` (rather than an ad-hoc closure) lets the
+/// adaptive dispatch prove by comparator *type identity* that the order is
+/// a primitive's natural order, in which equal elements are
+/// interchangeable (see [`super::adaptive`]). The natural-order entry
+/// points of this crate route through it.
+pub fn natural_cmp<T: Ord>(x: &T, y: &T) -> Ordering {
+    x.cmp(y)
+}
 
 /// Stable merge of two sorted slices into `out` using the natural order.
 ///
@@ -218,7 +231,7 @@ const TWO_STREAM_MIN: usize = 64;
 /// every other element; this kernel trades that for a couple of extra ALU
 /// ops per element.
 pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
-    branch_lean_merge_into_by(a, b, out, &super::simd::natural_cmp);
+    branch_lean_merge_into_by(a, b, out, &natural_cmp);
 }
 
 /// The branch-lean kernel for `Clone` elements and a caller-supplied

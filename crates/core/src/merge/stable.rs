@@ -46,8 +46,7 @@ use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, 
 use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::executor::{self, SendPtr};
 use crate::merge::adaptive::{self, SegmentKernel};
-use crate::merge::sequential::{assert_out_len, merge_into_by};
-use crate::merge::simd::natural_cmp;
+use crate::merge::sequential::{assert_out_len, merge_into_by, natural_cmp};
 
 /// Output-block granularity of the sequential co-rank kernel. Each block
 /// costs one `O(log min(|a|, |b|))` split search, amortized over

@@ -88,7 +88,7 @@ where
     cache_aware_parallel_sort_by(
         v,
         &CacheAwareConfig::new(cache_elems, threads),
-        &crate::merge::simd::natural_cmp,
+        &crate::merge::sequential::natural_cmp,
     );
 }
 

@@ -47,7 +47,7 @@ pub fn parallel_merge_sort<T>(v: &mut [T], threads: usize)
 where
     T: Ord + Clone + Default + Send + Sync,
 {
-    parallel_merge_sort_by(v, threads, &crate::merge::simd::natural_cmp);
+    parallel_merge_sort_by(v, threads, &crate::merge::sequential::natural_cmp);
 }
 
 /// [`parallel_merge_sort`] with a caller-supplied comparator.

@@ -70,7 +70,7 @@ where
 /// assert_eq!(v, [1, 1, 2, 3, 4, 5, 6, 9]);
 /// ```
 pub fn merge_sort<T: Ord + Clone + Default>(v: &mut [T]) {
-    merge_sort_by(v, &crate::merge::simd::natural_cmp);
+    merge_sort_by(v, &crate::merge::sequential::natural_cmp);
 }
 
 /// [`merge_sort`] with a caller-supplied comparator.

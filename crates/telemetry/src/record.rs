@@ -96,10 +96,6 @@ pub enum CounterKind {
     SegmentsBranchLean,
     /// Segments routed to the galloping kernel.
     SegmentsGalloping,
-    /// Segments routed to the vectorized (SIMD) kernel. The vector path
-    /// performs zero comparator calls, so these segments contribute
-    /// nothing to [`CounterKind::Comparisons`] by design.
-    SegmentsSimd,
     /// Segments routed to the co-rank stable block kernel (exact-balance
     /// block splits, ties broken A-before-B by construction).
     SegmentsCoRank,
@@ -141,7 +137,6 @@ impl CounterKind {
             CounterKind::SegmentsClassic => "segments_classic",
             CounterKind::SegmentsBranchLean => "segments_branch_lean",
             CounterKind::SegmentsGalloping => "segments_galloping",
-            CounterKind::SegmentsSimd => "segments_simd",
             CounterKind::SegmentsCoRank => "segments_co_rank",
             CounterKind::ServeCompleted => "serve_completed",
             CounterKind::ServeRejectedQueueFull => "serve_rejected_queue_full",
@@ -479,7 +474,6 @@ mod tests {
             "segments_branch_lean"
         );
         assert_eq!(CounterKind::SegmentsGalloping.name(), "segments_galloping");
-        assert_eq!(CounterKind::SegmentsSimd.name(), "segments_simd");
         assert_eq!(CounterKind::SegmentsCoRank.name(), "segments_co_rank");
         assert_eq!(CounterKind::ServeCompleted.name(), "serve_completed");
         assert_eq!(

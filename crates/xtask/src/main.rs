@@ -10,7 +10,7 @@ use std::env;
 use std::process::{Command, ExitCode};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo xtask <task> [--simd]");
+    eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
     eprintln!("  verify-offline   build (release) and test the whole workspace with");
@@ -51,9 +51,9 @@ fn usage() -> ExitCode {
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
-    eprintln!("                   lost requests, zero correctness failures, a round-overlap");
-    eprintln!("                   cell, and pool_steals > 0 witnessed under the bursty");
-    eprintln!("                   pattern) and append a serve_history line to");
+    eprintln!("                   lost requests, zero correctness failures, and");
+    eprintln!("                   pool_steals > 0 witnessed over the bursty rows) and");
+    eprintln!("                   append a serve_history line to");
     eprintln!("                   results/bench_history.jsonl");
     eprintln!("  verify-net       spawn `mp serve --listen 127.0.0.1:0` out of process,");
     eprintln!("                   drive `mp client --malformed` over the loopback TCP");
@@ -68,11 +68,6 @@ fn usage() -> ExitCode {
     eprintln!("                   envelope and the automatic anomaly flight dump; then run");
     eprintln!("                   the allocation-free hot-path tests and fail if the");
     eprintln!("                   measured observability overhead exceeds 3%");
-    eprintln!();
-    eprintln!("flags:");
-    eprintln!("  --simd           build every cargo invocation with `--features simd` so the");
-    eprintln!("                   vectorized segment kernel is compiled in, and add the");
-    eprintln!("                   forced-SIMD leg to verify-schedules");
     ExitCode::FAILURE
 }
 
@@ -90,24 +85,6 @@ const CO_RANK_IMBALANCE_CAP: f64 = 1.005;
 
 /// Where `verify-bench` accumulates one JSONL line per run.
 const HISTORY_PATH: &str = "results/bench_history.jsonl";
-
-/// Feature flags handed to every cargo invocation of a task run.
-#[derive(Clone, Copy)]
-struct BuildOpts {
-    /// Compile with `--features simd`.
-    simd: bool,
-}
-
-impl BuildOpts {
-    /// The extra cargo arguments this configuration needs.
-    fn feature_args(&self) -> &'static [&'static str] {
-        if self.simd {
-            &["--features", "simd"]
-        } else {
-            &[]
-        }
-    }
-}
 
 /// Runs `cargo <args>` against the workspace root, echoing the command.
 fn cargo(args: &[&str]) -> bool {
@@ -134,7 +111,7 @@ fn cargo_env(args: &[&str], envs: &[(&str, &str)]) -> bool {
     }
 }
 
-fn verify_offline(opts: BuildOpts) -> ExitCode {
+fn verify_offline() -> ExitCode {
     let steps: &[&[&str]] = &[
         &["build", "--offline", "--release", "--workspace"],
         &["test", "--offline", "-q", "--workspace"],
@@ -188,10 +165,8 @@ fn verify_offline(opts: BuildOpts) -> ExitCode {
         ],
     ];
     for step in steps {
-        let mut args = step.to_vec();
-        args.extend_from_slice(opts.feature_args());
-        if !cargo(&args) {
-            eprintln!("verify-offline: FAILED at `cargo {}`", args.join(" "));
+        if !cargo(step) {
+            eprintln!("verify-offline: FAILED at `cargo {}`", step.join(" "));
             return ExitCode::FAILURE;
         }
     }
@@ -256,7 +231,7 @@ fn check_trace_outputs(trace_path: &str, metrics_path: &str, n: u64, p: u64) -> 
     Ok(())
 }
 
-fn verify_telemetry(opts: BuildOpts) -> ExitCode {
+fn verify_telemetry() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("verify-telemetry: cannot create {}: {e}", dir.display());
@@ -269,9 +244,13 @@ fn verify_telemetry(opts: BuildOpts) -> ExitCode {
     let p_arg = p.to_string();
     let trace_arg = trace.display().to_string();
     let metrics_arg = metrics.display().to_string();
-    let mut args = vec!["run", "--offline", "--release", "-q", "-p", "mergepath-cli"];
-    args.extend_from_slice(opts.feature_args());
-    args.extend_from_slice(&[
+    let args = [
+        "run",
+        "--offline",
+        "--release",
+        "-q",
+        "-p",
+        "mergepath-cli",
         "--bin",
         "mp",
         "--",
@@ -286,7 +265,7 @@ fn verify_telemetry(opts: BuildOpts) -> ExitCode {
         &trace_arg,
         "--metrics-out",
         &metrics_arg,
-    ]);
+    ];
     if !cargo(&args) {
         eprintln!("verify-telemetry: FAILED running `mp trace`");
         return ExitCode::FAILURE;
@@ -313,11 +292,10 @@ fn verify_telemetry(opts: BuildOpts) -> ExitCode {
 /// 2. **Sensitivity of the checker**: the workspace is rebuilt with
 ///    `--cfg mergepath_mutate` (a deliberate off-by-one in the Algorithm 1
 ///    partition that makes two shares write the same boundary slot with the
-///    same value — invisible to output diffing, plus a lane swap in the
-///    SIMD bitonic network that corrupts merged values) and every mutation
-///    self-test must observe the checker convicting its fault. A separate
-///    target directory keeps the mutated artifacts from poisoning the
-///    normal build cache.
+///    same value — invisible to output diffing — and an inverted co-rank
+///    tie break) and every mutation self-test must observe the checker
+///    convicting its fault. A separate target directory keeps the mutated
+///    artifacts from poisoning the normal build cache.
 ///
 /// A second leg always draws round orders from the simulated
 /// work-stealing deque protocol (`--steal-orders`): executor-realistic
@@ -327,15 +305,15 @@ fn verify_telemetry(opts: BuildOpts) -> ExitCode {
 /// (`mp check --kernel all --dispatch co_rank`): its inputs stay
 /// provenance-tagged and duplicate-heavy, so the oracle comparison proves
 /// the A-before-B tie break on top of CREW exclusivity and the ⌈E/s⌉ cap.
-/// With `--simd`, two more legs force the vectorized segment kernel over
-/// primitive-key inputs (`mp check --kernel all --dispatch simd`, with
-/// and without `--steal-orders`), and the mutation leg compiles the
-/// lane-swap fault in.
-fn verify_schedules(opts: BuildOpts) -> ExitCode {
+fn verify_schedules() -> ExitCode {
     let mut runs: Vec<Vec<&str>> = Vec::new();
-    let mut base = vec!["run", "--offline", "--release", "-q", "-p", "mergepath-cli"];
-    base.extend_from_slice(opts.feature_args());
-    base.extend_from_slice(&[
+    let base = vec![
+        "run",
+        "--offline",
+        "--release",
+        "-q",
+        "-p",
+        "mergepath-cli",
         "--bin",
         "mp",
         "--",
@@ -348,31 +326,29 @@ fn verify_schedules(opts: BuildOpts) -> ExitCode {
         "4",
         "--schedules",
         "8",
-    ]);
+    ];
     runs.push(base.clone());
     let mut steal = base.clone();
     steal.push("--steal-orders");
     runs.push(steal);
-    let mut co_rank = base.clone();
+    let mut co_rank = base;
     co_rank.extend_from_slice(&["--dispatch", "co_rank"]);
     runs.push(co_rank);
-    if opts.simd {
-        let mut forced = base.clone();
-        forced.extend_from_slice(&["--dispatch", "simd"]);
-        runs.push(forced);
-        let mut forced_steal = base;
-        forced_steal.extend_from_slice(&["--dispatch", "simd", "--steal-orders"]);
-        runs.push(forced_steal);
-    }
     for check in &runs {
         if !cargo(check) {
             eprintln!("verify-schedules: FAILED: `mp check --kernel all` found a violation");
             return ExitCode::FAILURE;
         }
     }
-    let mut mutate = vec!["test", "--offline", "-q", "-p", "mergepath-check"];
-    mutate.extend_from_slice(opts.feature_args());
-    mutate.extend_from_slice(&["--test", "mutation"]);
+    let mutate = [
+        "test",
+        "--offline",
+        "-q",
+        "-p",
+        "mergepath-check",
+        "--test",
+        "mutation",
+    ];
     let envs = [
         ("RUSTFLAGS", "--cfg mergepath_mutate"),
         ("CARGO_TARGET_DIR", "target/mutate"),
@@ -389,23 +365,32 @@ fn verify_schedules(opts: BuildOpts) -> ExitCode {
 }
 
 /// Runs `mp bench` with the given extra arguments.
-fn run_mp_bench(opts: BuildOpts, extra: &[&str]) -> bool {
-    run_mp_bench_env(opts, extra, &[])
+fn run_mp_bench(extra: &[&str]) -> bool {
+    run_mp_bench_env(extra, &[])
 }
 
 /// [`run_mp_bench`] with extra environment variables (e.g.
 /// `MERGEPATH_THREADS` to size the global pool above this machine's core
 /// count so work-stealing paths actually engage).
-fn run_mp_bench_env(opts: BuildOpts, extra: &[&str], envs: &[(&str, &str)]) -> bool {
-    let mut args = vec!["run", "--offline", "--release", "-q", "-p", "mergepath-cli"];
-    args.extend_from_slice(opts.feature_args());
-    args.extend_from_slice(&["--bin", "mp", "--", "bench"]);
+fn run_mp_bench_env(extra: &[&str], envs: &[(&str, &str)]) -> bool {
+    let mut args = vec![
+        "run",
+        "--offline",
+        "--release",
+        "-q",
+        "-p",
+        "mergepath-cli",
+        "--bin",
+        "mp",
+        "--",
+        "bench",
+    ];
     args.extend_from_slice(extra);
     cargo_env(&args, envs)
 }
 
-fn bench(opts: BuildOpts) -> ExitCode {
-    if !run_mp_bench(opts, &["--out-dir", "."]) {
+fn bench() -> ExitCode {
+    if !run_mp_bench(&["--out-dir", "."]) {
         eprintln!("bench: FAILED running `mp bench`");
         return ExitCode::FAILURE;
     }
@@ -645,14 +630,14 @@ fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(
     Ok(())
 }
 
-fn verify_bench(opts: BuildOpts) -> ExitCode {
+fn verify_bench() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("bench");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("verify-bench: cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
     let out_dir = dir.display().to_string();
-    if !run_mp_bench(opts, &["--smoke", "--out-dir", &out_dir]) {
+    if !run_mp_bench(&["--smoke", "--out-dir", &out_dir]) {
         eprintln!("verify-bench: FAILED running `mp bench --smoke`");
         return ExitCode::FAILURE;
     }
@@ -709,10 +694,9 @@ fn verify_bench(opts: BuildOpts) -> ExitCode {
 
 /// Validates one fresh `bench_serve` payload: all three arrival patterns
 /// present, ≥ 4 concurrency levels, on every row the zero-lost /
-/// zero-correctness-failure / zero-contained-panic invariants, a complete
-/// `round_overlap` before/after cell, and — when the run had ≥ 2 pool
-/// threads — the work-stealing witness: `pool_steals > 0` somewhere under
-/// the bursty pattern.
+/// zero-correctness-failure / zero-contained-panic invariants, and — when
+/// the run had ≥ 2 pool threads — the work-stealing witness:
+/// `pool_steals > 0` summed over the bursty sweep rows.
 fn check_serve_payload(
     doc: &mergepath_telemetry::json::Value,
     expect_steals: bool,
@@ -800,48 +784,13 @@ fn check_serve_payload(
             "no bursty row recorded a batched round (serve_batched == 0 everywhere)".into(),
         );
     }
-    // The round-overlap cell: both arms present and complete, and the
-    // overlapped arm at least as described by its own tag.
-    let overlap = doc
-        .get("payload")
-        .and_then(|p| p.get("round_overlap"))
-        .ok_or("payload.round_overlap missing")?;
-    if overlap.get("pattern").and_then(Value::as_str) != Some("bursty") {
-        return Err("round_overlap.pattern is not bursty".into());
-    }
-    let mut overlapped_steals = 0.0;
-    for (arm, want_serialized) in [("serialized", true), ("overlapped", false)] {
-        let a = overlap
-            .get(arm)
-            .ok_or_else(|| format!("round_overlap.{arm} missing"))?;
-        match a.get("serialized") {
-            Some(Value::Bool(b)) if *b == want_serialized => {}
-            other => {
-                return Err(format!(
-                    "round_overlap.{arm}.serialized = {other:?}, want {want_serialized}"
-                ))
-            }
-        }
-        for col in ["completed", "wall_ns", "p50_ns", "p99_ns", "pool_steals"] {
-            if a.get(col).and_then(Value::as_f64).is_none() {
-                return Err(format!("round_overlap.{arm}.{col} missing"));
-            }
-        }
-        if a.get("completed").and_then(Value::as_f64) == Some(0.0) {
-            return Err(format!("round_overlap.{arm} completed no requests"));
-        }
-        if arm == "overlapped" {
-            overlapped_steals = a.get("pool_steals").and_then(Value::as_f64).unwrap_or(0.0);
-        }
-    }
     // The work-stealing witness: the gate's bench runs with a forced
-    // multi-thread pool (`MERGEPATH_THREADS`), so the bursty cells (sweep
-    // rows plus the overlapped arm) must have recorded at least one
-    // productive steal — otherwise the executor quietly degraded to the
-    // old serialized behaviour.
-    if expect_steals && bursty_pool_steals + overlapped_steals <= 0.0 {
+    // multi-thread pool (`MERGEPATH_THREADS`), so the bursty sweep rows
+    // must have recorded at least one productive steal — otherwise the
+    // executor quietly degraded to one round at a time.
+    if expect_steals && bursty_pool_steals <= 0.0 {
         return Err(
-            "pool_steals == 0 across every bursty cell despite a multi-thread pool: \
+            "pool_steals == 0 across every bursty row despite a multi-thread pool: \
              the work-stealing path never engaged"
                 .into(),
         );
@@ -890,7 +839,7 @@ fn render_serve_history_entry(doc: &mergepath_telemetry::json::Value) -> String 
     out
 }
 
-fn verify_serve(opts: BuildOpts) -> ExitCode {
+fn verify_serve() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("serve");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("verify-serve: cannot create {}: {e}", dir.display());
@@ -898,10 +847,9 @@ fn verify_serve(opts: BuildOpts) -> ExitCode {
     }
     let out_dir = dir.display().to_string();
     // Force a 4-thread pool regardless of the host's core count: the
-    // round-overlap cell and the pool_steals witness are meaningless on a
-    // single-thread pool, where every round runs inline.
+    // pool_steals witness is meaningless on a single-thread pool, where
+    // every round runs inline.
     if !run_mp_bench_env(
-        opts,
         &[
             "--smoke",
             "--serve",
@@ -932,7 +880,7 @@ fn verify_serve(opts: BuildOpts) -> ExitCode {
     }
     println!(
         "verify-serve: OK (3 patterns x >=4 concurrency levels; zero lost requests, \
-         zero correctness failures; round-overlap cell present, pool steals witnessed)"
+         zero correctness failures; pool steals witnessed)"
     );
     ExitCode::SUCCESS
 }
@@ -995,7 +943,7 @@ fn check_net_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), Strin
 /// oracle-checked, plus the garbage-frame hygiene probe), schema-check
 /// the `NET_loopback.json` artifact, then close the daemon's stdin and
 /// require a clean `lost=0` shutdown line.
-fn verify_net(opts: BuildOpts) -> ExitCode {
+fn verify_net() -> ExitCode {
     use std::io::{BufRead as _, BufReader, Read as _};
     use std::process::Stdio;
 
@@ -1008,7 +956,7 @@ fn verify_net(opts: BuildOpts) -> ExitCode {
 
     // Build up front so the daemon spawn below goes straight to execution
     // and its first stdout line is the listen banner.
-    let mut build = vec![
+    let build = [
         "build",
         "--offline",
         "--release",
@@ -1018,7 +966,6 @@ fn verify_net(opts: BuildOpts) -> ExitCode {
         "--bin",
         "mp",
     ];
-    build.extend_from_slice(opts.feature_args());
     if !cargo(&build) {
         eprintln!("verify-net: FAILED building the mp binary");
         return ExitCode::FAILURE;
@@ -1033,7 +980,6 @@ fn verify_net(opts: BuildOpts) -> ExitCode {
         "-p".into(),
         "mergepath-cli".into(),
     ];
-    daemon_args.extend(opts.feature_args().iter().map(|s| s.to_string()));
     for a in [
         "--bin",
         "mp",
@@ -1084,9 +1030,13 @@ fn verify_net(opts: BuildOpts) -> ExitCode {
 
     let artifact = dir.join("NET_loopback.json");
     let artifact_arg = artifact.display().to_string();
-    let mut client = vec!["run", "--offline", "--release", "-q", "-p", "mergepath-cli"];
-    client.extend_from_slice(opts.feature_args());
-    client.extend_from_slice(&[
+    let client = [
+        "run",
+        "--offline",
+        "--release",
+        "-q",
+        "-p",
+        "mergepath-cli",
         "--bin",
         "mp",
         "--",
@@ -1102,7 +1052,7 @@ fn verify_net(opts: BuildOpts) -> ExitCode {
         "--malformed",
         "--out",
         &artifact_arg,
-    ]);
+    ];
     let client_ok = cargo(&client);
 
     // Loopback check done (or failed): close the daemon's stdin so it
@@ -1281,7 +1231,7 @@ fn check_overhead(dir: &std::path::Path) -> Result<f64, String> {
 ///    exactly, and that the disabled [`NoProbe`] path stays zero-sized.
 /// 3. **Overhead budget**: a smoke `mp bench` refreshes the
 ///    `serve_overhead` point and >3% metrics-on overhead fails the gate.
-fn verify_metrics(opts: BuildOpts) -> ExitCode {
+fn verify_metrics() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("metrics");
     // Stale dumps from an earlier run must not satisfy the gate.
     let _ = std::fs::remove_dir_all(&dir);
@@ -1290,9 +1240,13 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let dir_arg = dir.display().to_string();
-    let mut args = vec!["run", "--offline", "--release", "-q", "-p", "mergepath-cli"];
-    args.extend_from_slice(opts.feature_args());
-    args.extend_from_slice(&[
+    let args = [
+        "run",
+        "--offline",
+        "--release",
+        "-q",
+        "-p",
+        "mergepath-cli",
         "--bin",
         "mp",
         "--",
@@ -1315,7 +1269,7 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
         "42",
         "--metrics-out",
         &dir_arg,
-    ]);
+    ];
     if !cargo(&args) {
         eprintln!("verify-metrics: FAILED running the overloaded `mp serve`");
         return ExitCode::FAILURE;
@@ -1327,7 +1281,7 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut tests = vec![
+    let tests = [
         "test",
         "--offline",
         "-q",
@@ -1338,7 +1292,6 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
         "--test",
         "histogram_props",
     ];
-    tests.extend_from_slice(opts.feature_args());
     if !cargo(&tests) {
         eprintln!("verify-metrics: FAILED: hot-path allocation / histogram invariants");
         return ExitCode::FAILURE;
@@ -1351,7 +1304,7 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let bench_arg = bench_dir.display().to_string();
-    if !run_mp_bench(opts, &["--smoke", "--out-dir", &bench_arg]) {
+    if !run_mp_bench(&["--smoke", "--out-dir", &bench_arg]) {
         eprintln!("verify-metrics: FAILED running `mp bench --smoke` for the overhead point");
         return ExitCode::FAILURE;
     }
@@ -1372,25 +1325,19 @@ fn verify_metrics(opts: BuildOpts) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = env::args().skip(1);
     let task = args.next();
-    let mut opts = BuildOpts { simd: false };
-    for flag in args {
-        match flag.as_str() {
-            "--simd" => opts.simd = true,
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return usage();
-            }
-        }
+    if let Some(flag) = args.next() {
+        eprintln!("unknown flag {flag:?}");
+        return usage();
     }
     match task.as_deref() {
-        Some("verify-offline") => verify_offline(opts),
-        Some("verify-telemetry") => verify_telemetry(opts),
-        Some("verify-schedules") => verify_schedules(opts),
-        Some("bench") => bench(opts),
-        Some("verify-bench") => verify_bench(opts),
-        Some("verify-serve") => verify_serve(opts),
-        Some("verify-net") => verify_net(opts),
-        Some("verify-metrics") => verify_metrics(opts),
+        Some("verify-offline") => verify_offline(),
+        Some("verify-telemetry") => verify_telemetry(),
+        Some("verify-schedules") => verify_schedules(),
+        Some("bench") => bench(),
+        Some("verify-bench") => verify_bench(),
+        Some("verify-serve") => verify_serve(),
+        Some("verify-net") => verify_net(),
+        Some("verify-metrics") => verify_metrics(),
         _ => usage(),
     }
 }

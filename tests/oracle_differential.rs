@@ -16,7 +16,7 @@ use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into_by, SpmConfig, Staging,
 };
-use mergepath_suite::mergepath::merge::sequential::merge_into_by;
+use mergepath_suite::mergepath::merge::sequential::{merge_into_by, natural_cmp};
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`, disambiguated by provenance `.1`.
@@ -152,7 +152,11 @@ fn every_dispatch_policy_matches_the_oracle_on_every_family() {
     // is byte-identical to the sequential oracle on all nine adversarial
     // families. The sweep covers Adaptive plus each kernel forced, so a
     // probe misroute can only ever cost speed, never correctness; the
-    // scoped override serializes concurrent sweeps.
+    // scoped override serializes concurrent sweeps. Each family runs twice:
+    // as keyed pairs, where stability is observable and the probe sends
+    // duplicate-heavy segments to co-rank, and as bare keys under
+    // `natural_cmp`, which the probe recognizes by comparator type
+    // identity and sends to galloping instead.
     use mergepath_suite::mergepath::merge::adaptive::{
         with_dispatch_policy, DispatchPolicy, SegmentKernel,
     };
@@ -161,10 +165,6 @@ fn every_dispatch_policy_matches_the_oracle_on_every_family() {
         DispatchPolicy::Fixed(SegmentKernel::Classic),
         DispatchPolicy::Fixed(SegmentKernel::BranchLean),
         DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        // Forced-Simd on (key, tag) pairs exercises the vector entry
-        // point's internal fallback: the comparator is not the canonical
-        // one, so every segment must take the scalar path byte-identically.
-        DispatchPolicy::Fixed(SegmentKernel::Simd),
         // Forced-CoRank routes every segment through the co-rank stable
         // block kernel, whose block cuts are the provably unique stable
         // splits — these families are where that proof is observable.
@@ -175,6 +175,8 @@ fn every_dispatch_policy_matches_the_oracle_on_every_family() {
         let n = a.len() + b.len();
         let mut oracle = vec![(0, 0); n];
         merge_into_by(&a, &b, &mut oracle, &cmp);
+        let mut bare_oracle = vec![0i32; n];
+        merge_into_by(&ka, &kb, &mut bare_oracle, &natural_cmp);
         for policy in policies {
             with_dispatch_policy(policy, || {
                 for threads in [1usize, 3, 8] {
@@ -186,9 +188,63 @@ fn every_dispatch_policy_matches_the_oracle_on_every_family() {
                     out.fill((0, 0));
                     batch_merge_into_by(&pairs, &mut out, threads, &cmp);
                     assert_eq!(out, oracle, "batch {name}: {policy:?}, threads={threads}");
+
+                    let mut bare = vec![0i32; n];
+                    parallel_merge_into_by(&ka, &kb, &mut bare, threads, &natural_cmp);
+                    assert_eq!(
+                        bare, bare_oracle,
+                        "bare {name}: {policy:?}, threads={threads}"
+                    );
                 }
             });
         }
+    }
+}
+
+#[test]
+fn every_policy_matches_the_oracle_on_every_natural_order_key_type() {
+    // The probe recognizes `natural_cmp` of `u32`, `i32`, `u64` and `i64`
+    // by comparator type identity; the matrix above runs bare `i32` only.
+    // Here every family is remapped monotonically onto the other three
+    // types (its keys are non-negative) and cut to prefixes whose sums
+    // straddle `PROBE_MIN_LEN`, the seam where a single-segment merge
+    // leaves the classic kernel for the probe, as well as at full length.
+    use mergepath_suite::mergepath::merge::adaptive::{
+        with_dispatch_policy, DispatchPolicy, SegmentKernel, PROBE_MIN_LEN,
+    };
+    fn check<K>(family: &str, ka: &[i32], kb: &[i32], key: impl Fn(i32) -> K)
+    where
+        K: Ord + Clone + Default + Send + Sync + std::fmt::Debug,
+    {
+        let a: Vec<K> = ka.iter().map(|&k| key(k)).collect();
+        let b: Vec<K> = kb.iter().map(|&k| key(k)).collect();
+        let half = PROBE_MIN_LEN / 2;
+        let cuts = |len: usize| [0, half - 1, half, half + 1, len].map(|c| c.min(len));
+        let mut policies = vec![DispatchPolicy::Adaptive];
+        policies.extend(SegmentKernel::ALL.map(DispatchPolicy::Fixed));
+        for la in cuts(a.len()) {
+            for lb in cuts(b.len()) {
+                let (a, b) = (&a[..la], &b[..lb]);
+                let mut oracle = vec![K::default(); la + lb];
+                merge_into_by(a, b, &mut oracle, &natural_cmp);
+                for &policy in &policies {
+                    with_dispatch_policy(policy, || {
+                        for threads in [1usize, 3, 8] {
+                            let mut out = vec![K::default(); la + lb];
+                            parallel_merge_into_by(a, b, &mut out, threads, &natural_cmp);
+                            let ty = std::any::type_name::<K>();
+                            let ctx = format!("{family} as {ty}: la={la} lb={lb}");
+                            assert_eq!(out, oracle, "{ctx} {policy:?} threads={threads}");
+                        }
+                    });
+                }
+            }
+        }
+    }
+    for (name, ka, kb) in adversarial_inputs() {
+        check(name, &ka, &kb, |k| k as u32);
+        check(name, &ka, &kb, |k| (k as u64) << 40);
+        check(name, &ka, &kb, |k| i64::from(k) - 800);
     }
 }
 
@@ -217,7 +273,6 @@ fn adaptive_dispatch_survives_permuted_schedules_under_forced_kernels() {
         DispatchPolicy::Fixed(SegmentKernel::Classic),
         DispatchPolicy::Fixed(SegmentKernel::BranchLean),
         DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        DispatchPolicy::Fixed(SegmentKernel::Simd),
         DispatchPolicy::Fixed(SegmentKernel::CoRank),
     ] {
         with_dispatch_policy(policy, || {

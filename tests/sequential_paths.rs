@@ -11,15 +11,22 @@
 //!   around the two-stream threshold, with one side empty, with the middle
 //!   split at either end of `a`, on all-equal inputs and with keyed ties
 //!   straddling the middle diagonal.
-//! * Traced sorts dispatch like untraced ones.
+//! * Traced sorts dispatch like untraced ones, and a counted segment merge
+//!   like an uncounted one: duplicate-heavy segments gallop under
+//!   `natural_cmp` of each of `u32`, `i32`, `u64`, `i64` and go to co-rank
+//!   under any other comparator.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 
-use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
+use mergepath::merge::adaptive::{
+    adaptive_merge_into_by, adaptive_merge_into_counted, with_dispatch_policy, DispatchPolicy,
+    SegmentKernel,
+};
+use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::sequential::{
     branch_lean_merge_into, branch_lean_merge_into_by, merge_into_by,
 };
-use mergepath::merge::simd::natural_cmp;
 use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
 use mergepath::sort::parallel::{
     parallel_merge_sort, parallel_merge_sort_by, parallel_merge_sort_recorded,
@@ -306,4 +313,53 @@ fn traced_sorts_dispatch_like_untraced_ones() {
             }
         }
     });
+}
+
+/// Merges one segment through [`adaptive_merge_into_by`] and
+/// [`adaptive_merge_into_counted`] under adaptive dispatch, checks both
+/// outputs against the classic kernel and that both chose the same kernel,
+/// which it returns.
+fn segment_kernel<T, F>(a: &[T], b: &[T], cmp: &F, ctx: &str) -> SegmentKernel
+where
+    T: Clone + Default + PartialEq + std::fmt::Debug,
+    F: Fn(&T, &T) -> Ordering,
+{
+    let mut oracle = vec![T::default(); a.len() + b.len()];
+    merge_into_by(a, b, &mut oracle, cmp);
+    let (mut out, hits) = (vec![T::default(); oracle.len()], Cell::new(0));
+    let (plain, counted) = with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        let plain = adaptive_merge_into_by(a, b, &mut out, cmp);
+        assert_eq!(out, oracle, "uncounted output {ctx}");
+        out.fill(T::default());
+        let counted = adaptive_merge_into_counted(a, b, &mut out, cmp, &hits);
+        (plain, counted)
+    });
+    assert_eq!(out, oracle, "counted output {ctx}");
+    assert!(hits.get() > 0, "no comparisons counted {ctx}");
+    assert_eq!(counted, plain, "counted dispatch diverged {ctx}");
+    plain
+}
+
+#[test]
+fn counted_segment_merges_dispatch_like_uncounted_ones() {
+    // Two sides of 2048 keys in tie classes of exactly 128, over the same
+    // 16 values: the key ranges overlap and every duplicate sample of the
+    // probe lands inside a tie class, so the segment is duplicate-heavy.
+    fn check<K: Ord + Clone + Default + std::fmt::Debug + 'static>(key: impl Fn(u32) -> K) {
+        let side: Vec<K> = (0..2048u32).map(|i| key(i / 128)).collect();
+        let ty = std::any::type_name::<K>();
+        let natural = segment_kernel(&side, &side, &natural_cmp::<K>, ty);
+        assert_eq!(natural, SegmentKernel::Galloping, "natural_cmp::<{ty}>");
+        let closure = segment_kernel(&side, &side, &|x: &K, y: &K| x.cmp(y), ty);
+        assert_eq!(closure, SegmentKernel::CoRank, "closure over {ty}");
+    }
+    check(|k| k);
+    check(|k| k as i32 - 8);
+    check(|k| u64::from(k) << 40);
+    check(|k| i64::from(k) - 8);
+    // A payload-carrying element is not its own key, even when every
+    // payload is equal and the comparator is `natural_cmp` itself.
+    let pairs: Vec<(u32, u32)> = (0..2048u32).map(|i| (i / 128, 7)).collect();
+    let kernel = segment_kernel(&pairs, &pairs, &natural_cmp::<(u32, u32)>, "pairs");
+    assert_eq!(kernel, SegmentKernel::CoRank, "natural_cmp::<(u32, u32)>");
 }

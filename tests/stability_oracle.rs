@@ -100,13 +100,12 @@ fn families() -> Vec<(&'static str, Vec<i32>, Vec<i32>)> {
     ]
 }
 
-fn policies() -> [DispatchPolicy; 6] {
+fn policies() -> [DispatchPolicy; 5] {
     [
         DispatchPolicy::Adaptive,
         DispatchPolicy::Fixed(SegmentKernel::Classic),
         DispatchPolicy::Fixed(SegmentKernel::BranchLean),
         DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        DispatchPolicy::Fixed(SegmentKernel::Simd),
         DispatchPolicy::Fixed(SegmentKernel::CoRank),
     ]
 }

@@ -7,17 +7,22 @@
 //! * the `NoRecorder` path produces byte-identical output to the plain
 //!   public kernels and the sequential reference;
 //! * `NoRecorder` is a ZST, so the untraced hot path carries no state;
-//! * both exporters emit documents the in-repo JSON parser accepts.
+//! * both exporters emit documents the in-repo JSON parser accepts;
+//! * the per-kernel segment counters of a traced merge witness the
+//!   adaptive routing: fine uniform primitive keys go to branch-lean, and
+//!   duplicate-heavy segments go to galloping only under `natural_cmp`.
 
+use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
 use mergepath::merge::batch::batch_merge_into_recorded;
 use mergepath::merge::hierarchical::{hierarchical_merge_into_recorded, HierarchicalConfig};
 use mergepath::merge::inplace::parallel_inplace_merge_recorded;
 use mergepath::merge::kway::parallel_kway_merge_recorded;
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
-use mergepath::merge::sequential::merge_into_by;
+use mergepath::merge::sequential::{merge_into_by, natural_cmp};
 use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
 use mergepath::telemetry::{NoRecorder, SpanRecord, Telemetry, TimelineRecorder};
 use mergepath_cli::{run_trace, TraceKernel};
+use mergepath_workloads::prng::Prng;
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
 
 fn cmp(x: &u32, y: &u32) -> std::cmp::Ordering {
@@ -30,6 +35,28 @@ fn traced_parallel_merge(n: usize, threads: usize, seed: u64) -> Telemetry {
     let rec = TimelineRecorder::new();
     parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec);
     rec.finish()
+}
+
+/// Merges `a` and `b` on 4 workers under adaptive dispatch (not whatever
+/// a sibling test has pinned), checks the output against the sequential
+/// oracle and returns the segments each kernel won, in
+/// `SegmentKernel::ALL` order: classic, branch-lean, galloping, co-rank.
+fn adaptive_segments<T, F>(a: &[T], b: &[T], cmp: &F) -> [u64; 4]
+where
+    T: Clone + Default + PartialEq + std::fmt::Debug + Send + Sync,
+    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
+{
+    let mut oracle = vec![T::default(); a.len() + b.len()];
+    merge_into_by(a, b, &mut oracle, cmp);
+    let mut out = vec![T::default(); oracle.len()];
+    let rec = TimelineRecorder::new();
+    with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        parallel_merge_into_recorded(a, b, &mut out, 4, cmp, &rec)
+    });
+    assert_eq!(out, oracle);
+    let t = rec.finish();
+    let won = |k: SegmentKernel| t.counters.iter().filter(move |c| c.kind == k.counter());
+    SegmentKernel::ALL.map(|k| won(k).map(|c| c.total).sum())
 }
 
 /// Asserts that `spans` (all from one worker) form a forest: any two spans
@@ -252,4 +279,45 @@ fn inplace_and_multiway_merges_tile_the_output_exactly() {
         t.worker_items.iter().map(|w| w.items).sum::<u64>(),
         n as u64
     );
+}
+
+#[test]
+fn uniform_primitive_keys_dispatch_branch_lean_segments() {
+    // Fine, tie-free interleaving: every 4096-element segment is past the
+    // probe's minimum length and shows neither tie runs nor an axis-hugging
+    // path, so the probe's last arm names branch-lean.
+    let (a, b) = merge_pair_sized(MergeWorkload::Uniform, 8192, 8192, 0xFEED);
+    let [_, branch_lean, _, co_rank] = adaptive_segments(&a, &b, &natural_cmp);
+    assert!(branch_lean > 0, "no branch-lean segment");
+    assert_eq!(co_rank, 0, "co-rank under natural_cmp");
+}
+
+#[test]
+fn duplicate_heavy_segments_gallop_only_under_natural_cmp() {
+    // 4096 keys a side from 64 values: tie classes of about 128, so every
+    // segment whose key ranges overlap is duplicate-heavy. The probe sends
+    // those to galloping only when the comparator is provably a primitive's
+    // natural order, decided by its type; keyed pairs, and the same bare
+    // keys under a semantically equal comparator, go to co-rank.
+    let mut rng = Prng::seed_from_u64(0x9A1D);
+    let mut side = || -> Vec<u32> {
+        let mut v: Vec<u32> = (0..4096).map(|_| rng.below(64) as u32).collect();
+        v.sort_unstable();
+        v
+    };
+    let (a, b) = (side(), side());
+    let [_, _, galloping, co_rank] = adaptive_segments(&a, &b, &natural_cmp);
+    assert!(galloping > 0, "no galloping segment");
+    assert_eq!(co_rank, 0, "co-rank under natural_cmp");
+    let [_, _, _, co_rank] = adaptive_segments(&a, &b, &cmp);
+    assert!(co_rank > 0, "no co-rank under a plain fn");
+
+    // (key, provenance) pairs by key: equal keys are distinguishable, and
+    // the oracle comparison inside the helper pins stability.
+    let tag = |v: &[u32], base: u32| -> Vec<(u32, u32)> {
+        (base..).zip(v).map(|(i, &k)| (k, i)).collect()
+    };
+    let by_key = |x: &(u32, u32), y: &(u32, u32)| x.0.cmp(&y.0);
+    let [_, _, _, co_rank] = adaptive_segments(&tag(&a, 0), &tag(&b, 1 << 20), &by_key);
+    assert!(co_rank > 0, "no co-rank on keyed pairs");
 }
