@@ -4,8 +4,8 @@
 //! of OpenMP."
 //!
 //! Measured here as: Merge Path with 1 thread (including its partition
-//! search and fork-join scaffolding, both the scoped-thread and the
-//! persistent-pool backends) versus an independently implemented textbook
+//! search and fork-join scaffolding, on the global pool and on a private
+//! one-thread pool) versus an independently implemented textbook
 //! sequential merge.
 //!
 //! Run: `cargo run --release -p mergepath-bench --bin t1_overhead [--full|--smoke]`

@@ -13,9 +13,8 @@
 //! * `BENCH_sort.json` — the §III parallel merge sort across four sort
 //!   families, same columns.
 //! * `BENCH_telemetry.json` — traced vs untraced wall-clock and the
-//!   load-balance report for every parallel kernel (the observation-cost
-//!   table previously produced by the standalone `bench_telemetry` bin,
-//!   refreshed here so it shares the other artifacts' fingerprint).
+//!   load-balance report for every parallel kernel, refreshed here so it
+//!   shares the other artifacts' fingerprint.
 //!
 //! Everything is seeded and pure-computation; the only I/O happens in
 //! `main.rs`, so the whole harness is unit-testable at smoke scale.
@@ -286,10 +285,8 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
 /// The telemetry artifact's payload: traced vs untraced wall-clock plus
 /// the load-balance report for every parallel kernel, and the serving
 /// layer's metrics-on vs metrics-off overhead (`serve_overhead` — the
-/// number `cargo xtask verify-metrics` gates at ≤ 3%). Shared by
-/// `mp bench` and the standalone `bench_telemetry` bin so both refresh
-/// `BENCH_telemetry.json` with the same schema.
-pub fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String {
+/// number `cargo xtask verify-metrics` gates at ≤ 3%).
+fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String {
     let mut payload = String::new();
     let _ = write!(
         payload,

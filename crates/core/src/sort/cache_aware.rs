@@ -22,9 +22,9 @@ use core::cmp::Ordering;
 
 use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::executor;
 use crate::merge::segmented::{segmented_parallel_merge_into_recorded, SpmConfig, Staging};
 use crate::sort::parallel::parallel_merge_sort_recorded;
+use crate::sort::{merge_pairs, merge_rounds};
 
 /// Configuration of the cache-aware sort.
 #[derive(Debug, Clone, Copy)]
@@ -68,8 +68,7 @@ impl CacheAwareConfig {
 
 /// Cache-aware parallel sort using the natural order.
 ///
-/// Stable; output identical to
-/// [`merge_sort`](crate::sort::sequential::merge_sort).
+/// Stable; output identical to `slice::sort`.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -92,7 +91,8 @@ where
     );
 }
 
-/// [`cache_aware_parallel_sort`] with full configuration and comparator.
+/// [`cache_aware_parallel_sort`] with full configuration and comparator;
+/// output identical to `slice::sort_by(cmp)`.
 pub fn cache_aware_parallel_sort_by<T, F>(v: &mut [T], config: &CacheAwareConfig, cmp: &F)
 where
     T: Clone + Default + Send + Sync,
@@ -135,43 +135,12 @@ pub fn cache_aware_parallel_sort_recorded<T, F, R>(
     // Phase 2: merge rounds, every pair merged with the segmented parallel
     // merge so the working set stays within `cache_elems`.
     let spm = SpmConfig::new(config.cache_elems, config.threads).with_staging(config.staging);
-    let mut scratch = vec![T::default(); n];
-    let mut runs = boundaries;
-    let mut in_v = true;
-    while runs.len() > 2 {
-        {
-            let (src, dst): (&[T], &mut [T]) = if in_v {
-                (&*v, &mut scratch)
-            } else {
-                (&scratch, &mut *v)
-            };
-            let _round = span(rec, 0, SpanKind::SortRound);
-            let mut pair = 0;
-            while pair + 2 < runs.len() {
-                let (lo, mid, hi) = (runs[pair], runs[pair + 1], runs[pair + 2]);
-                segmented_parallel_merge_into_recorded(
-                    &src[lo..mid],
-                    &src[mid..hi],
-                    &mut dst[lo..hi],
-                    &spm,
-                    cmp,
-                    rec,
-                );
-                pair += 2;
-            }
-            if pair + 2 == runs.len() {
-                let (lo, hi) = (runs[pair], runs[pair + 1]);
-                executor::note_write_range(&dst[lo..hi]);
-                dst[lo..hi].clone_from_slice(&src[lo..hi]);
-            }
-        }
-        in_v = !in_v;
-        super::sequential::halve_runs(&mut runs);
-    }
-    if !in_v {
-        executor::note_write_range(v);
-        v.clone_from_slice(&scratch);
-    }
+    merge_rounds(v, boundaries, config.threads, |src, dst, runs| {
+        let _round = span(rec, 0, SpanKind::SortRound);
+        merge_pairs(src, dst, runs, |a, b, out| {
+            segmented_parallel_merge_into_recorded(a, b, out, &spm, cmp, rec)
+        });
+    });
 }
 
 #[cfg(test)]

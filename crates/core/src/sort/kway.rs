@@ -8,20 +8,18 @@
 //! One round means one barrier and a single pass over the data instead of
 //! `log p` passes — the memory-traffic argument of §IV applied to the sort
 //! structure itself. The trade is `O(log k)` comparisons per emitted
-//! element in the loser tree versus `O(1)`-ish in a two-way merge; the
-//! `sort` bench measures the crossover.
+//! element in the loser tree versus `O(1)`-ish in a two-way merge.
 
 use core::cmp::Ordering;
 
 use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::executor;
 use crate::merge::kway::parallel_kway_merge_recorded;
+use crate::sort::copy_back;
 use crate::sort::parallel::sort_chunks_recorded;
 
 /// Sorts `v` with `threads` concurrent chunk sorts followed by one
-/// parallel k-way merge round. Stable; output identical to
-/// [`merge_sort`](crate::sort::sequential::merge_sort).
+/// parallel k-way merge round. Stable; output identical to `slice::sort`.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -40,7 +38,8 @@ where
     kway_merge_sort_by(v, threads, &|x: &T, y: &T| x.cmp(y));
 }
 
-/// [`kway_merge_sort`] with a caller-supplied comparator.
+/// [`kway_merge_sort`] with a caller-supplied comparator; output identical
+/// to `slice::sort_by(cmp)`.
 pub fn kway_merge_sort_by<T, F>(v: &mut [T], threads: usize, cmp: &F)
 where
     T: Clone + Default + Send + Sync,
@@ -62,7 +61,8 @@ where
     if n <= 1 {
         return;
     }
-    // Phase 1: concurrent chunk sorts (the same chunks as §III's sort).
+    // Phase 1: concurrent `slice::sort_by` chunk sorts (the same chunks as
+    // §III's sort).
     let Some(bounds) = sort_chunks_recorded(v, threads, cmp, rec) else {
         return;
     };
@@ -76,8 +76,7 @@ where
         let _round = span(rec, 0, SpanKind::SortRound);
         parallel_kway_merge_recorded(&runs, &mut out, threads, cmp, rec);
     }
-    executor::note_write_range(v);
-    v.clone_from_slice(&out);
+    copy_back(&out, v, threads);
 }
 
 #[cfg(test)]

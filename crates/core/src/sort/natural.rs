@@ -14,7 +14,7 @@
 use core::cmp::Ordering;
 
 use crate::merge::parallel::parallel_merge_into_by;
-use crate::sort::sequential::{halve_runs, merge_pairs};
+use crate::sort::{merge_pairs, merge_rounds};
 
 /// Detects the boundaries of maximal sorted runs, reversing strictly
 /// descending runs in place. Returns run boundaries (`runs[0] == 0`,
@@ -35,9 +35,8 @@ where
 /// End of the maximal run that starts at `start < v.len()`: either
 /// non-descending, or strictly descending and then reversed in place
 /// (strictness means no two equal elements are reordered, so stability
-/// holds). Shared by [`collect_runs_by`] and the sequential merge sort's
-/// leaves.
-pub(crate) fn run_end_by<T, F>(v: &mut [T], start: usize, cmp: &F) -> usize
+/// holds).
+fn run_end_by<T, F>(v: &mut [T], start: usize, cmp: &F) -> usize
 where
     F: Fn(&T, &T) -> Ordering,
 {
@@ -84,33 +83,12 @@ where
     F: Fn(&T, &T) -> Ordering + Sync,
 {
     assert!(threads > 0, "thread count must be at least 1");
-    let n = v.len();
-    if n <= 1 {
-        return;
-    }
-    let mut runs = collect_runs_by(v, cmp);
-    if runs.len() <= 2 {
-        return; // zero or one run: already sorted
-    }
-    let mut scratch = vec![T::default(); n];
-    let mut in_v = true;
-    while runs.len() > 2 {
-        {
-            let (src, dst): (&[T], &mut [T]) = if in_v {
-                (&*v, &mut scratch)
-            } else {
-                (&scratch, &mut *v)
-            };
-            merge_pairs(src, dst, &runs, |a, b, out| {
-                parallel_merge_into_by(a, b, out, threads, cmp)
-            });
-        }
-        in_v = !in_v;
-        halve_runs(&mut runs);
-    }
-    if !in_v {
-        v.clone_from_slice(&scratch);
-    }
+    let runs = collect_runs_by(v, cmp);
+    merge_rounds(v, runs, threads, |src, dst, runs| {
+        merge_pairs(src, dst, runs, |a, b, out| {
+            parallel_merge_into_by(a, b, out, threads, cmp)
+        });
+    });
 }
 
 /// The number of comparison rounds the adaptive sort will need for `v` —

@@ -1,16 +1,16 @@
 //! Parallel merge sort (paper, §III).
 //!
 //! Phase 1: the array is split into `p` equisized chunks, each sorted
-//! concurrently with the sequential merge sort (`O(N/p · log(N/p))`; its
-//! leaves are natural runs and its merges dispatch too, see
-//! [`crate::sort::sequential`]). With `threads == 1` the whole sort is that
-//! sequential sort — the Fig. 5 one-thread baseline.
+//! concurrently with `slice::sort_by` (`O(N/p · log(N/p))`); §III leaves
+//! this phase to any sequential sort. With `threads == 1` the whole sort
+//! is `slice::sort_by` — the Fig. 5 one-thread baseline.
 //!
 //! Phase 2: `⌈log2 p⌉` rounds of pairwise merges; every merge is executed by
 //! **all** `p` workers using Algorithm 1, so the cores stay fully busy even
 //! in the final round when only one pair remains — the very situation that
 //! motivates the paper (naive merge-sort parallelization starves in late
-//! rounds).
+//! rounds). After an odd number of rounds the `p` workers also copy the
+//! output back from the scratch buffer.
 //!
 //! Total time `O(N/p · log N + log p · log N)`.
 //!
@@ -20,18 +20,18 @@
 //! duplicate-heavy inputs speed up in the late rounds without any change
 //! to the output (all kernels are byte-identical).
 
+use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
 
 use crate::executor::{self, SendPtr};
 use crate::merge::batch::batch_merge_into_recorded;
-use crate::sort::sequential::{halve_runs, merge_sort_recorded};
+use crate::sort::merge_rounds;
 
 /// Sorts `v` in parallel with `threads` workers using the natural order.
 ///
-/// Stable; produces output identical to
-/// [`merge_sort`](crate::sort::sequential::merge_sort).
+/// Stable; produces output identical to `slice::sort`.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -50,7 +50,12 @@ where
     parallel_merge_sort_by(v, threads, &crate::merge::sequential::natural_cmp);
 }
 
-/// [`parallel_merge_sort`] with a caller-supplied comparator.
+/// [`parallel_merge_sort`] with a caller-supplied comparator; output
+/// identical to `slice::sort_by(cmp)`.
+///
+/// # Panics
+/// Panics if `threads == 0`. A `cmp` that is not a total order may panic,
+/// as it may in `slice::sort_by`.
 pub fn parallel_merge_sort_by<T, F>(v: &mut [T], threads: usize, cmp: &F)
 where
     T: Clone + Default + Send + Sync,
@@ -79,30 +84,14 @@ where
 
     // Phase 2: rounds of pairwise parallel merges, ping-ponging between `v`
     // and a scratch buffer. Runs are tracked by their boundary offsets.
-    let mut scratch = vec![T::default(); n];
-    let mut runs = bounds;
-    let mut in_v = true;
-    while runs.len() > 2 {
-        {
-            let (src, dst): (&[T], &mut [T]) = if in_v {
-                (&*v, &mut scratch)
-            } else {
-                (&scratch, &mut *v)
-            };
-            let _round = span(rec, 0, SpanKind::SortRound);
-            merge_round_parallel(src, dst, &runs, threads, cmp, rec);
-        }
-        in_v = !in_v;
-        halve_runs(&mut runs);
-    }
-    if !in_v {
-        executor::note_write_range(v);
-        v.clone_from_slice(&scratch);
-    }
+    merge_rounds(v, bounds, threads, |src, dst, runs| {
+        let _round = span(rec, 0, SpanKind::SortRound);
+        merge_round_parallel(src, dst, runs, threads, cmp, rec);
+    });
 }
 
 /// Phase 1, shared with [`crate::sort::kway`]: sorts `threads` chunks of
-/// `v` concurrently with the sequential merge sort and returns the chunk
+/// `v` concurrently with `slice::sort_by` and returns the chunk
 /// boundaries. Chunks follow the same ⌊k·n/p⌋ boundaries as the merge
 /// partition, so sizes differ by at most one. With one thread, or at most
 /// two keys per thread, sorts all of `v` on the calling thread instead and
@@ -114,17 +103,16 @@ pub(crate) fn sort_chunks_recorded<T, F, R>(
     rec: &R,
 ) -> Option<Vec<usize>>
 where
-    T: Clone + Default + Send + Sync,
+    T: Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
     let n = v.len();
     if threads == 1 || n <= 2 * threads {
         executor::note_write_range(v);
-        let mut scratch = vec![T::default(); n];
         {
             let _round = span(rec, 0, SpanKind::SortRound);
-            merge_sort_recorded(v, &mut scratch, cmp, rec, 0);
+            sort_chunk(v, cmp, rec, 0);
         }
         rec.worker_items(0, n as u64);
         return None;
@@ -140,12 +128,27 @@ where
             // across shares and tile `v` exactly; the pool's end barrier
             // orders the writes before this frame resumes.
             let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
-            let mut scratch = vec![T::default(); chunk.len()];
             let _round = span(rec, k, SpanKind::SortRound);
-            merge_sort_recorded(chunk, &mut scratch, cmp, rec, k);
+            sort_chunk(chunk, cmp, rec, k);
         });
     }
     Some(bounds)
+}
+
+/// Sorts one chunk with `slice::sort_by`. With an active `rec`, the sort
+/// compares through [`counted_cmp`] and adds its comparisons to `worker`.
+fn sort_chunk<T, F, R>(chunk: &mut [T], cmp: &F, rec: &R, worker: usize)
+where
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
+{
+    if R::ACTIVE {
+        let hits = Cell::new(0u64);
+        chunk.sort_by(counted_cmp(cmp, &hits));
+        rec.counter_add(worker, CounterKind::Comparisons, hits.get());
+    } else {
+        chunk.sort_by(cmp);
+    }
 }
 
 /// Merges adjacent run pairs from `src` into `dst` with all `threads`
@@ -197,6 +200,12 @@ mod tests {
                 let mut v = base.clone();
                 parallel_merge_sort(&mut v, threads);
                 assert_eq!(v, expect, "n={n} threads={threads}");
+                let mut desc = base.clone();
+                parallel_merge_sort_by(&mut desc, threads, &|a: &i64, b: &i64| b.cmp(a));
+                assert!(
+                    desc.iter().eq(expect.iter().rev()),
+                    "descending n={n} threads={threads}"
+                );
             }
             base.reverse();
         }

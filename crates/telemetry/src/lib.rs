@@ -9,7 +9,7 @@
 //!
 //! This crate provides that instrumentation without any external dependency
 //! (the workspace is hermetic — no `tracing`, no `metrics`; this follows the
-//! same vendored-shim philosophy as the in-repo `proptest`/`criterion`):
+//! same vendored-shim philosophy as the in-repo `proptest`):
 //!
 //! - [`Recorder`]: the sink trait the kernels and the executor report into.
 //!   Mirrors `mergepath::probe::Probe`: the default implementation

@@ -29,6 +29,8 @@ fn usage() -> ExitCode {
     eprintln!("                   round orders drawn from the simulated work-stealing deque");
     eprintln!("                   protocol) and a forced co-rank leg");
     eprintln!("                   (--dispatch co_rank, stable tie break on keyed inputs),");
+    eprintln!("                   all at 4 threads, and the plain check at 5 threads");
+    eprintln!("                   (the sort's odd round count and parallel copy-back),");
     eprintln!("                   then rebuild with the injected partition fault");
     eprintln!("                   (--cfg mergepath_mutate) and prove the checker reports");
     eprintln!("                   the overlap and the co-rank tie-break inversion");
@@ -305,28 +307,34 @@ fn verify_telemetry() -> ExitCode {
 /// (`mp check --kernel all --dispatch co_rank`): its inputs stay
 /// provenance-tagged and duplicate-heavy, so the oracle comparison proves
 /// the A-before-B tie break on top of CREW exclusivity and the ⌈E/s⌉ cap.
+/// A fourth leg runs the plain check at five threads, where `sort-parallel`
+/// takes three merge rounds and copies its output back from the scratch
+/// buffer on all five workers (at four threads its round count is even).
 fn verify_schedules() -> ExitCode {
     let mut runs: Vec<Vec<&str>> = Vec::new();
-    let base = vec![
-        "run",
-        "--offline",
-        "--release",
-        "-q",
-        "-p",
-        "mergepath-cli",
-        "--bin",
-        "mp",
-        "--",
-        "check",
-        "--kernel",
-        "all",
-        "--n",
-        "4096",
-        "--threads",
-        "4",
-        "--schedules",
-        "8",
-    ];
+    let at_threads = |threads| {
+        vec![
+            "run",
+            "--offline",
+            "--release",
+            "-q",
+            "-p",
+            "mergepath-cli",
+            "--bin",
+            "mp",
+            "--",
+            "check",
+            "--kernel",
+            "all",
+            "--n",
+            "4096",
+            "--threads",
+            threads,
+            "--schedules",
+            "8",
+        ]
+    };
+    let base = at_threads("4");
     runs.push(base.clone());
     let mut steal = base.clone();
     steal.push("--steal-orders");
@@ -334,6 +342,7 @@ fn verify_schedules() -> ExitCode {
     let mut co_rank = base;
     co_rank.extend_from_slice(&["--dispatch", "co_rank"]);
     runs.push(co_rank);
+    runs.push(at_threads("5"));
     for check in &runs {
         if !cargo(check) {
             eprintln!("verify-schedules: FAILED: `mp check --kernel all` found a violation");

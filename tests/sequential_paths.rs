@@ -1,20 +1,20 @@
-//! The sequential paths every sort and merge bottoms out in: the
-//! run-adaptive sequential merge sort and the two-stream branch-lean
-//! kernel.
+//! The sequential paths the sorts and merges bottom out in: `slice::sort_by`
+//! under the sorts' chunks, and the two-stream branch-lean kernel.
 //!
-//! * Sorts: `merge_sort`, `parallel_merge_sort_by` (threads 1, 2, 3, 5)
-//!   and `kway_merge_sort_by` against `slice::sort_by_key` on keyed
-//!   `(key, index)` records, over every `SortWorkload` family and the run
-//!   shapes the leaf pass branches on, at lengths 0–300 and 2^k ± 1,
-//!   under adaptive dispatch and every fixed kernel.
+//! * Sorts: `parallel_merge_sort_by` (threads 1, 2, 3, 5) and
+//!   `kway_merge_sort_by` against `slice::sort_by_key` on keyed
+//!   `(key, index)` records, over every `SortWorkload` family and a range
+//!   of run shapes, at lengths 0–300 and 2^k ± 1, under adaptive dispatch
+//!   and every fixed kernel.
 //! * Kernel: two-stream branch-lean is byte-identical to `merge_into_by`
 //!   around the two-stream threshold, with one side empty, with the middle
 //!   split at either end of `a`, on all-equal inputs and with keyed ties
 //!   straddling the middle diagonal.
-//! * Traced sorts dispatch like untraced ones, and a counted segment merge
-//!   like an uncounted one: duplicate-heavy segments gallop under
-//!   `natural_cmp` of each of `u32`, `i32`, `u64`, `i64` and go to co-rank
-//!   under any other comparator.
+//! * Traced sorts count their chunk sorts' comparisons and dispatch their
+//!   merges like untraced ones, and a counted segment merge dispatches like
+//!   an uncounted one: duplicate-heavy segments gallop under `natural_cmp`
+//!   of each of `u32`, `i32`, `u64`, `i64` and go to co-rank under any
+//!   other comparator.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -31,14 +31,9 @@ use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
 use mergepath::sort::parallel::{
     parallel_merge_sort, parallel_merge_sort_by, parallel_merge_sort_recorded,
 };
-use mergepath::sort::sequential::{merge_sort, merge_sort_by};
 use mergepath::telemetry::{Telemetry, TimelineRecorder};
 use mergepath_workloads::prng::Prng;
 use mergepath_workloads::{unsorted_keys, SortWorkload};
-
-/// The sequential sort's leaf length (`sort::sequential::INSERTION_RUN`):
-/// natural runs shorter than this are extended by insertion sort.
-const INSERTION_RUN: usize = 32;
 
 /// A keyed record: compared by `.0`; `.1` is its input position, so any
 /// reordering of equal keys shows.
@@ -103,7 +98,8 @@ fn shapes(n: usize) -> Vec<(String, Vec<u32>)> {
         })
         .collect();
     out.push(("descending-ties".into(), descending_with_ties(n, 40)));
-    for run in [INSERTION_RUN - 1, INSERTION_RUN, INSERTION_RUN + 1] {
+    // Natural runs just under, at and just over 32 keys.
+    for run in [31, 32, 33] {
         out.push((format!("ascending-runs-{run}"), ascending_runs(n, run)));
     }
     out.push(("up-down".into(), up_down(n, 45)));
@@ -130,17 +126,9 @@ fn sorts_match_std_stable_sort_under_every_policy() {
                     expect.sort_by_key(|r| r.0);
 
                     let mut v = keys.clone();
-                    merge_sort(&mut v);
-                    let plain: Vec<u32> = expect.iter().map(|r| r.0).collect();
-                    assert_eq!(v, plain, "merge_sort {ctx}");
-
-                    let mut v = keys.clone();
                     parallel_merge_sort(&mut v, 2);
+                    let plain: Vec<u32> = expect.iter().map(|r| r.0).collect();
                     assert_eq!(v, plain, "parallel_merge_sort p=2 {ctx}");
-
-                    let mut v = records.clone();
-                    merge_sort_by(&mut v, &by_key);
-                    assert_eq!(v, expect, "merge_sort_by {ctx}");
 
                     for threads in [1, 2, 3, 5] {
                         let mut v = records.clone();
@@ -280,18 +268,22 @@ fn counter(t: &Telemetry, name: &str) -> u64 {
 
 #[test]
 fn traced_sorts_dispatch_like_untraced_ones() {
-    // 2^15 keys from 2^8 values: the last rounds of every chunk sort (at
-    // p = 1 and p = 2) merge runs with tie classes of 32 and more, which
-    // the probe sends to galloping under the canonical natural order. A
-    // traced sort that chose its kernels on a counting wrapper would lose
-    // that identity and send them to co-rank instead.
+    // 2^15 keys from 2^8 values. At p = 1 the whole sort is one counted
+    // `slice::sort_by`: comparisons, and no merge segment. At p >= 2 the
+    // §III sort's merge rounds merge runs with tie classes of 32 and more,
+    // which the probe sends to galloping under the canonical natural
+    // order; a traced sort that chose its kernels on a counting wrapper
+    // would lose that identity and send them to co-rank instead. The
+    // k-way sort's loser-tree merge dispatches no segment kernel, so it
+    // must report comparisons and no co-rank segment.
     let n = 1 << 15;
     let mut rng = Prng::seed_from_u64(0xD0_0D);
     let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
     let mut expect = keys.clone();
     expect.sort();
+    let segment_counters = SegmentKernel::ALL.map(|k| k.counter().name());
     with_dispatch_policy(DispatchPolicy::Adaptive, || {
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let mut untraced = keys.clone();
             parallel_merge_sort(&mut untraced, threads);
             assert_eq!(untraced, expect, "untraced p={threads}");
@@ -307,9 +299,15 @@ fn traced_sorts_dispatch_like_untraced_ones() {
                 let t = rec.finish();
                 let ctx = format!("kway={kway} p={threads}");
                 assert_eq!(traced, expect, "traced output {ctx}");
-                assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
-                assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
                 assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
+                assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
+                if threads == 1 {
+                    for name in segment_counters {
+                        assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
+                    }
+                } else if !kway {
+                    assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
+                }
             }
         }
     });

@@ -360,7 +360,7 @@ fn panicking_request_is_contained_and_leaks_nothing() {
                 worker_budget: 2,
                 policy: QueuePolicy::Edf,
                 // No coalescing: the panic blast radius must stay exactly
-                // one request, so `completed == 2 && failed == 2` is
+                // one request, so `completed == 2 && failed == 3` is
                 // deterministic.
                 batch_max_items: 0,
             },
@@ -402,9 +402,18 @@ fn panicking_request_is_contained_and_leaks_nothing() {
             }
             other => panic!("good sort after panics: {other:?}"),
         }
+        // A poisoned sort of 1024 keys submitted alone: it runs with the
+        // whole budget of 2, so its chunk sorts run in pool shares and the
+        // panic unwinds out of `slice::sort_by` inside one of them.
+        let mut keys: Vec<i32> = (0..1024).map(|i| (i * 7919) % 1024).collect();
+        keys[1000] = POISON;
+        let bad_big_sort = server
+            .submit(Request::sort(4, tracked(&keys)))
+            .expect("admitted");
+        assert!(matches!(bad_big_sort.wait(), Outcome::Failed));
         let stats = server.shutdown();
         assert_eq!(stats.completed, 2);
-        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.failed, 3);
         assert_eq!(stats.lost(), 0, "failures are accounted, not lost");
     }
     // Server, handles, and outcomes are gone: every tracked element must

@@ -1,13 +1,12 @@
-//! Integration: the three sorts across all workload families, stability
-//! with tagged records, and agreement between the wall-clock and PRAM
-//! implementations of the §III sort.
+//! Integration: the parallel, cache-aware and bitonic sorts across all
+//! workload families, stability with tagged records, and agreement between
+//! the wall-clock and PRAM implementations of the §III sort.
 
 use mergepath_suite::baselines::bitonic::{bitonic_sort, parallel_bitonic_sort};
 use mergepath_suite::mergepath::sort::cache_aware::{
     cache_aware_parallel_sort_by, CacheAwareConfig,
 };
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort;
-use mergepath_suite::mergepath::sort::sequential::merge_sort;
 use mergepath_suite::pram::kernels::{load_array, parallel_merge_sort as pram_sort};
 use mergepath_suite::pram::PramMachine;
 use mergepath_suite::workloads::{unsorted_keys, SortWorkload};
@@ -18,10 +17,6 @@ fn every_sort_on_every_workload() {
         let base = unsorted_keys(wl, 20_000, 0x50F7);
         let mut expect = base.clone();
         expect.sort();
-
-        let mut v = base.clone();
-        merge_sort(&mut v);
-        assert_eq!(v, expect, "merge_sort on {}", wl.name());
 
         for threads in [2usize, 5] {
             let mut v = base.clone();
