@@ -1775,9 +1775,8 @@ mod tests {
         ))
         .unwrap();
         let out = execute(&cmd, memfs(&[])).unwrap();
-        assert!(out.contains("submitted=8"), "{out}");
+        assert!(out.contains("submitted=8 completed=8 "), "{out}");
         assert!(out.contains("lost=0"), "{out}");
-        assert!(out.contains("serve_completed=8"), "{out}");
     }
 
     #[test]

@@ -4,20 +4,18 @@
 //! Two entry points share one machinery:
 //!
 //! * [`run_serve`] drives a single live daemon run (`mp serve`) with a
-//!   [`TimelineRecorder`] attached, checks every completed response
-//!   against the sequential oracle, and summarizes stats plus the
-//!   `serve_*` telemetry counters.
+//!   [`TimelineRecorder`] and a [`ServeObserver`] attached, checks every
+//!   completed response against the sequential oracle, and summarizes the
+//!   daemon's stats, the observer's waterfall and the kernel telemetry.
 //! * [`run_serve_bench`] sweeps arrival pattern × concurrency level
 //!   (`mp bench --serve`) and renders the `bench_serve` artifact through
-//!   the shared envelope writer. Each cell pairs a **deterministic
-//!   replay** of the admission policy (reproducible outcome counts, pure
-//!   function of `(seed, config)`) with a **live run** (measured
-//!   throughput and p50/p99 latency) over the same arrival plan.
+//!   the shared envelope writer: one live run per cell (measured
+//!   throughput, p50/p99 latency, admission and batching counts) over the
+//!   cell's arrival plan.
 //!
-//! The live half paces submissions along the plan's arrival timestamps
-//! with the real clock, so latency numbers are machine-dependent like the
-//! other `BENCH_*` timings; the replay half is the artifact's
-//! reproducible anchor (`tests/serve_determinism.rs` pins it).
+//! Runs pace submissions along the plan's arrival timestamps with the
+//! real clock, so every number except the plan itself is
+//! machine-dependent like the other `BENCH_*` timings.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -28,9 +26,8 @@ use mergepath::merge::sequential::merge_into_by;
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::TimelineRecorder;
 use mergepath_serve::{
-    replay, NoProbe, NoRecorder, ObserverConfig, Outcome, QueuePolicy, ReplayConfig, ReplayOutcome,
-    Request, RoundGaugeRecorder, ServeConfig, ServeObserver, ServeProbe, ServeStats, Server,
-    ServiceModel, Waterfall,
+    NoProbe, NoRecorder, ObserverConfig, Outcome, QueuePolicy, Request, RoundGaugeRecorder,
+    ServeConfig, ServeObserver, ServeProbe, ServeStats, Server, Waterfall,
 };
 use mergepath_telemetry::{now_ns, LatencyHistogram};
 use mergepath_workloads::{
@@ -107,17 +104,6 @@ impl ServeBenchConfig {
         self.mean_len * 8
     }
 }
-
-/// The deterministic service-time model the replay half charges per
-/// request: a fixed dispatch overhead plus linear per-element work (Thm 2
-/// — sequential merge is linear in the output length). Calibration is
-/// loose on purpose; the replay needs a *consistent* cost notion, not an
-/// accurate one, and changing it changes `BENCH_serve.json`'s replay
-/// counts everywhere at once.
-pub const REPLAY_SERVICE_MODEL: ServiceModel = ServiceModel {
-    base_ns: 20_000,
-    per_item_ns: 25,
-};
 
 /// One live run's inputs: the regenerated request arrays and the
 /// sequential oracle's answer for each.
@@ -221,11 +207,6 @@ struct ServeRow {
     stats: ServeStats,
     wall_ns: u64,
     correctness_failures: usize,
-    replay_completed: usize,
-    replay_rejected_queue_full: usize,
-    replay_rejected_deadline: usize,
-    replay_fifo_deadline_miss: usize,
-    replay_edf_deadline_miss: usize,
     pool_steals: u64,
     pool_stolen_shares: u64,
 }
@@ -260,8 +241,7 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
     let _ = write!(
         out,
         "{{\"requests\":{},\"mean_len\":{},\"mean_gap_ns\":{},\"deadline_ns\":{},\
-         \"queue_capacity\":{},\"worker_budget\":{},\"seed\":{},\
-         \"replay_base_ns\":{},\"replay_per_item_ns\":{},\"levels\":[",
+         \"queue_capacity\":{},\"worker_budget\":{},\"seed\":{},\"levels\":[",
         cfg.requests,
         cfg.mean_len,
         cfg.mean_gap_ns,
@@ -269,8 +249,6 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
         cfg.queue_capacity,
         cfg.worker_budget,
         cfg.seed,
-        REPLAY_SERVICE_MODEL.base_ns,
-        REPLAY_SERVICE_MODEL.per_item_ns,
     );
     for (i, l) in cfg.levels.iter().enumerate() {
         if i > 0 {
@@ -290,10 +268,7 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
              \"correctness_failures\":{},\"queue_depth_peak\":{},\"inflight_peak\":{},\
              \"wall_ns\":{},\"throughput_rps\":{},\"p50_ns\":{},\"p99_ns\":{},\
              \"serve_batched\":{},\"batched_requests\":{},\"batch_width\":{},\
-             \"replay_completed\":{},\"replay_rejected_queue_full\":{},\
-             \"replay_rejected_deadline\":{},\"replay_fifo_deadline_miss\":{},\
-             \"replay_edf_deadline_miss\":{},\"pool_steals\":{},\
-             \"pool_stolen_shares\":{},\"latency\":{}}}",
+             \"pool_steals\":{},\"pool_stolen_shares\":{},\"latency\":{}}}",
             r.pattern,
             r.concurrency,
             r.stats.submitted,
@@ -312,11 +287,6 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
             r.stats.batched_rounds,
             r.stats.batched_requests,
             r.batch_width(),
-            r.replay_completed,
-            r.replay_rejected_queue_full,
-            r.replay_rejected_deadline,
-            r.replay_fifo_deadline_miss,
-            r.replay_edf_deadline_miss,
             r.pool_steals,
             r.pool_stolen_shares,
             r.stats.latency.to_json(),
@@ -347,35 +317,13 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
     );
     let _ = writeln!(
         summary,
-        "  pattern      conc   done  rej_q  rej_d   thr(req/s)     p50        p99   batched  fifo/edf miss"
+        "  pattern      conc   done  rej_q  rej_d   thr(req/s)     p50        p99   batched"
     );
     let mut rows = Vec::new();
     for pattern in ArrivalPattern::ALL {
         let plan = arrival_plan(&cfg.plan_config(pattern));
         let prepared = prepare(&plan);
         for &level in &cfg.levels {
-            // Replay the admission policy under BOTH queue orderings: the
-            // EDF log is the daemon's own policy (and feeds the replay_*
-            // columns); the FIFO log exists purely for the per-cell
-            // deadline-miss comparison the artifact carries.
-            let replay_under = |policy: QueuePolicy| {
-                replay(
-                    &plan,
-                    &ReplayConfig {
-                        queue_capacity: cfg.queue_capacity,
-                        max_inflight: level,
-                        policy,
-                    },
-                    &REPLAY_SERVICE_MODEL,
-                )
-            };
-            let log = replay_under(QueuePolicy::Edf);
-            let log_fifo = replay_under(QueuePolicy::Fifo);
-            let count = |o: ReplayOutcome| log.iter().filter(|e| e.outcome == o).count();
-            let fifo_miss = log_fifo
-                .iter()
-                .filter(|e| e.outcome == ReplayOutcome::RejectedDeadline)
-                .count();
             let steals_before = mergepath::executor::global().steal_stats();
             let live = live_run(
                 &prepared,
@@ -408,11 +356,6 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
                 stats: live.stats,
                 wall_ns: live.wall_ns,
                 correctness_failures: live.correctness_failures,
-                replay_completed: count(ReplayOutcome::Completed),
-                replay_rejected_queue_full: count(ReplayOutcome::RejectedQueueFull),
-                replay_rejected_deadline: count(ReplayOutcome::RejectedDeadline),
-                replay_fifo_deadline_miss: fifo_miss,
-                replay_edf_deadline_miss: count(ReplayOutcome::RejectedDeadline),
                 pool_steals: steals_after.steals.saturating_sub(steals_before.steals),
                 pool_stolen_shares: steals_after
                     .stolen_shares
@@ -420,7 +363,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
             };
             let _ = writeln!(
                 summary,
-                "  {:<12} {:>4} {:>6} {:>6} {:>6} {:>12.0} {:>9}ns {:>9}ns  bat={:<4} miss f/e={}/{}",
+                "  {:<12} {:>4} {:>6} {:>6} {:>6} {:>12.0} {:>9}ns {:>9}ns  bat={}",
                 row.pattern,
                 row.concurrency,
                 row.stats.completed,
@@ -430,8 +373,6 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
                 row.stats.latency.percentile(0.50),
                 row.stats.latency.percentile(0.99),
                 row.stats.batched_rounds,
-                row.replay_fifo_deadline_miss,
-                row.replay_edf_deadline_miss,
             );
             rows.push(row);
         }
@@ -616,11 +557,7 @@ pub fn run_serve(cfg: &ServeRunConfig) -> String {
     );
     let _ = writeln!(
         out,
-        "  telemetry: serve_completed={} serve_rejected_queue_full={} serve_rejected_deadline={} \
-         kernel_spans={} comparisons={}",
-        counter("serve_completed"),
-        counter("serve_rejected_queue_full"),
-        counter("serve_rejected_deadline"),
+        "  telemetry: kernel_spans={} comparisons={}",
         telemetry.spans.len(),
         counter("comparisons"),
     );
@@ -652,53 +589,6 @@ pub fn run_serve(cfg: &ServeRunConfig) -> String {
     for line in obs.attribution_table().lines() {
         let _ = writeln!(out, "    {line}");
     }
-
-    // Replay parity: the deterministic simulation of this exact plan and
-    // admission policy, printed beside the live counts. Replay numbers
-    // are a pure function of (seed, config); live ones are subject to
-    // real scheduling, so they bracket rather than equal the prediction.
-    let log = replay(
-        &plan,
-        &ReplayConfig {
-            queue_capacity: cfg.queue_capacity,
-            max_inflight: cfg.concurrency,
-            policy: QueuePolicy::Edf,
-        },
-        &REPLAY_SERVICE_MODEL,
-    );
-    let log_fifo = replay(
-        &plan,
-        &ReplayConfig {
-            queue_capacity: cfg.queue_capacity,
-            max_inflight: cfg.concurrency,
-            policy: QueuePolicy::Fifo,
-        },
-        &REPLAY_SERVICE_MODEL,
-    );
-    let rcount = |o: ReplayOutcome| log.iter().filter(|e| e.outcome == o).count();
-    let fifo_miss = log_fifo
-        .iter()
-        .filter(|e| e.outcome == ReplayOutcome::RejectedDeadline)
-        .count();
-    let _ = writeln!(
-        out,
-        "  replay parity: live completed={} rej_q={} rej_d={} | replay completed={} rej_q={} rej_d={} \
-         (model base={}ns per_item={}ns)",
-        s.completed,
-        s.rejected_queue_full,
-        s.rejected_deadline,
-        rcount(ReplayOutcome::Completed),
-        rcount(ReplayOutcome::RejectedQueueFull),
-        rcount(ReplayOutcome::RejectedDeadline),
-        REPLAY_SERVICE_MODEL.base_ns,
-        REPLAY_SERVICE_MODEL.per_item_ns,
-    );
-    let _ = writeln!(
-        out,
-        "  policy comparison: deadline misses fifo={} edf={} (replayed over the same plan)",
-        fifo_miss,
-        rcount(ReplayOutcome::RejectedDeadline),
-    );
 
     let dumps = obs.dump_paths();
     if !dumps.is_empty() {
@@ -978,11 +868,6 @@ mod tests {
                 "serve_batched",
                 "batched_requests",
                 "batch_width",
-                "replay_completed",
-                "replay_rejected_queue_full",
-                "replay_rejected_deadline",
-                "replay_fifo_deadline_miss",
-                "replay_edf_deadline_miss",
                 "pool_steals",
                 "pool_stolen_shares",
             ] {
@@ -998,50 +883,10 @@ mod tests {
             );
             let pattern = r.get("pattern").and_then(Value::as_str).unwrap();
             assert!(ArrivalPattern::parse(pattern).is_some(), "{pattern}");
-            // The replay_* columns are the EDF policy's log — the
-            // deadline-miss pair must agree on the EDF side.
-            assert_eq!(
-                r.get("replay_rejected_deadline").and_then(Value::as_f64),
-                r.get("replay_edf_deadline_miss").and_then(Value::as_f64),
-            );
         }
         assert!(run.summary.contains("steady"));
         assert!(run.summary.contains("bursty"));
         assert!(run.summary.contains("heavy-tail"));
-    }
-
-    #[test]
-    fn replay_counts_in_the_artifact_are_reproducible() {
-        let a = run_serve_bench(&tiny());
-        let b = run_serve_bench(&tiny());
-        let pick = |json: &str| -> Vec<(String, f64, f64, f64)> {
-            let doc = check_artifact(json, "bench_serve").unwrap();
-            doc.get("payload")
-                .and_then(|p| p.get("rows"))
-                .and_then(Value::as_array)
-                .unwrap()
-                .iter()
-                .map(|r| {
-                    (
-                        r.get("pattern")
-                            .and_then(Value::as_str)
-                            .unwrap()
-                            .to_string(),
-                        r.get("replay_completed").and_then(Value::as_f64).unwrap(),
-                        r.get("replay_rejected_queue_full")
-                            .and_then(Value::as_f64)
-                            .unwrap(),
-                        r.get("replay_rejected_deadline")
-                            .and_then(Value::as_f64)
-                            .unwrap()
-                            + r.get("replay_fifo_deadline_miss")
-                                .and_then(Value::as_f64)
-                                .unwrap(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(pick(&a.serve_json), pick(&b.serve_json));
     }
 
     #[test]
@@ -1057,16 +902,14 @@ mod tests {
             seed: 3,
             metrics_out: None,
         });
-        assert!(out.contains("submitted=16"));
+        assert!(out.contains("submitted=16 completed=16 "));
         assert!(out.contains("lost=0"));
-        assert!(out.contains("serve_completed=16"));
+        assert!(out.contains("telemetry: kernel_spans="));
         assert!(out.contains("latency: p50="));
         assert!(out.contains("counters reconcile exactly"));
         assert!(out.contains("waterfall attribution"));
         assert!(out.contains("compute"));
-        assert!(out.contains("replay parity:"));
         assert!(out.contains("batching: rounds="));
-        assert!(out.contains("policy comparison: deadline misses fifo="));
     }
 
     #[test]

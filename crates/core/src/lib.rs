@@ -32,7 +32,6 @@
 //! | [`matrix`], [`path`] | explicit Merge Matrix / Merge Path objects used to *verify* the paper's lemmas |
 //! | [`executor`] | a persistent fork-join worker pool (the OpenMP-style backend) |
 //! | [`probe`] | zero-cost memory-access probes used by the cache simulator |
-//! | [`stats`] | comparison/search counters used by the complexity experiments |
 //! | [`telemetry`] | re-export of `mergepath-telemetry`: recorder trait, per-worker timelines, trace exporters |
 //!
 //! ## Quickstart
@@ -74,7 +73,6 @@ pub mod path;
 pub mod probe;
 pub mod select;
 pub mod sort;
-pub mod stats;
 pub mod view;
 
 pub use mergepath_telemetry as telemetry;

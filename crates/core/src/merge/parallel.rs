@@ -33,9 +33,8 @@ use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
 use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
-use crate::merge::sequential::{merge_into_by, natural_cmp};
+use crate::merge::sequential::natural_cmp;
 use crate::partition::segment_boundary;
-use crate::stats::MergeStats;
 
 /// Stable parallel merge of `a` and `b` into `out` with `threads` workers,
 /// using the natural order of `T`.
@@ -217,62 +216,11 @@ where
     Ok(())
 }
 
-/// Instrumented [`parallel_merge_into_by`] that reports per-worker partition
-/// costs and merged-element counts — the observables behind Corollary 7
-/// (perfect balance) and the §III complexity claims.
-pub fn parallel_merge_into_stats<T, F>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    threads: usize,
-    cmp: &F,
-) -> MergeStats
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len() + b.len();
-    assert!(
-        out.len() == n,
-        "output buffer length mismatch: expected {n}, got {}",
-        out.len()
-    );
-    assert!(threads > 0, "thread count must be at least 1");
-
-    let mut partition_comparisons = vec![0u32; threads];
-    let mut merged_elements = vec![0usize; threads];
-
-    let out_base = SendPtr::new(out.as_mut_ptr());
-    let comp_base = SendPtr::new(partition_comparisons.as_mut_ptr());
-    let elem_base = SendPtr::new(merged_elements.as_mut_ptr());
-    executor::global().run_indexed(threads, &|k| {
-        let d_lo = segment_boundary(n, threads, k);
-        let d_hi = segment_boundary(n, threads, k + 1);
-        let (i_lo, c1) = co_rank_counted(d_lo, a, b, cmp);
-        let (i_hi, c2) = co_rank_counted(d_hi, a, b, cmp);
-        let (j_lo, j_hi) = (d_lo - i_lo, d_hi - i_hi);
-        // SAFETY: share `k` exclusively owns output range `d_lo..d_hi`
-        // (boundaries are monotone, `d_hi <= n == out.len()`) and stats
-        // slot `k` (`k < threads`, each share index occurs once); the
-        // pool's end barrier orders all writes before this frame reads
-        // the vectors again.
-        unsafe {
-            comp_base.write(k, c1 + c2);
-            elem_base.write(k, d_hi - d_lo);
-            let chunk = out_base.slice_mut(d_lo, d_hi - d_lo);
-            merge_into_by(&a[i_lo..i_hi], &b[j_lo..j_hi], chunk, cmp);
-        }
-    });
-
-    MergeStats {
-        partition_comparisons,
-        merged_elements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::sequential::merge_into_by;
+    use mergepath_telemetry::{Telemetry, TimelineRecorder};
     use proptest::prelude::*;
 
     fn sorted(mut v: Vec<i64>) -> Vec<i64> {
@@ -284,6 +232,13 @@ mod tests {
         let mut out = vec![0; a.len() + b.len()];
         merge_into_by(a, b, &mut out, &|x, y| x.cmp(y));
         out
+    }
+
+    /// Merges under a [`TimelineRecorder`] and returns what it recorded.
+    fn traced(a: &[i64], b: &[i64], out: &mut [i64], threads: usize) -> Telemetry {
+        let rec = TimelineRecorder::new();
+        parallel_merge_into_recorded(a, b, out, threads, &|x: &i64, y: &i64| x.cmp(y), &rec);
+        rec.finish()
     }
 
     #[test]
@@ -376,19 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn stats_show_perfect_balance() {
+    fn recorded_merge_shows_perfect_balance() {
         let a: Vec<i64> = (0..6000).map(|x| x * 2).collect();
         let b: Vec<i64> = (0..6000).map(|x| x * 2 + 1).collect();
         let mut out = vec![0; 12_000];
-        let stats = parallel_merge_into_stats(&a, &b, &mut out, 8, &|x, y| x.cmp(y));
-        assert_eq!(stats.merged_elements.len(), 8);
-        assert_eq!(stats.merged_elements.iter().sum::<usize>(), 12_000);
-        // Corollary 7: equisized segments.
-        assert!(stats.imbalance() <= 1.0 + 1e-9);
+        let t = traced(&a, &b, &mut out, 8);
+        let report = t.load_balance(12_000, 8);
+        assert_eq!(report.per_worker_items.len(), 8);
+        // Corollary 7: equisized segments, summing to N.
+        assert!(report.thm14_exact);
+        assert_eq!(report.max_items, 1500);
+        assert_eq!(report.min_items, 1500);
         // Theorem 14: every partition search is logarithmic.
-        let bound = 2 * ((6000f64).log2().ceil() as u32 + 1);
-        for &c in &stats.partition_comparisons {
-            assert!(c <= bound);
+        let bound = 2 * ((6000f64).log2().ceil() as u64 + 1);
+        let probes: Vec<u64> = t
+            .counters
+            .iter()
+            .filter(|c| c.kind == CounterKind::DiagonalProbeSteps)
+            .map(|c| c.total)
+            .collect();
+        assert!(!probes.is_empty(), "partition searches were counted");
+        for c in probes {
+            assert!(c <= bound, "{c} probe steps > {bound}");
         }
         assert_eq!(out, oracle(&a, &b));
     }
@@ -416,15 +380,14 @@ mod tests {
         }
 
         #[test]
-        fn stats_balance_invariant(
+        fn recorded_balance_invariant(
             a in proptest::collection::vec(-1000i64..1000, 0..300).prop_map(sorted),
             b in proptest::collection::vec(-1000i64..1000, 0..300).prop_map(sorted),
             threads in 1usize..12,
         ) {
             let mut out = vec![0; a.len() + b.len()];
-            let stats = parallel_merge_into_stats(&a, &b, &mut out, threads, &|x, y| x.cmp(y));
-            let max = stats.max_merged();
-            let min = stats.min_merged();
+            let report = traced(&a, &b, &mut out, threads).load_balance(out.len() as u64, threads);
+            let (max, min) = (report.max_items, report.min_items);
             prop_assert!(max - min <= 1, "max={} min={}", max, min);
             prop_assert_eq!(out, oracle(&a, &b));
         }

@@ -6,20 +6,20 @@
 //! library into that system:
 //!
 //! - [`Server`]: a long-lived daemon accepting many concurrent merge /
-//!   sort [`Request`]s through a **bounded queue dequeued in
-//!   [`QueuePolicy`] order** — earliest-deadline-first by default,
-//!   degenerating to exact FIFO when no deadlines are set (or under
-//!   [`QueuePolicy::Fifo`]). Overload is answered with explicit
-//!   backpressure — a synchronous [`RejectReason::QueueFull`] at
-//!   submission, or a [`RejectReason::DeadlineExpired`] at dequeue when
-//!   a request's deadline was reached while it waited (inclusive
-//!   boundary: `dequeue >= deadline` misses) — never a panic, never a
-//!   partially written output buffer.
+//!   sort [`Request`]s through a **bounded queue dequeued
+//!   earliest-deadline-first**, which is arrival order when no deadlines
+//!   are set. Overload is answered with explicit backpressure — a
+//!   synchronous [`RejectReason::QueueFull`] at submission, or a
+//!   [`RejectReason::DeadlineExpired`] at dequeue when a request's
+//!   deadline was reached while it waited (inclusive boundary:
+//!   `dequeue >= deadline` misses) — never a panic, never a partially
+//!   written output buffer.
 //! - **Request batching**: compatible queued small merges (same key
 //!   type and comparator class, combined output within
 //!   [`ServeConfig::batch_max_items`]) coalesce into one
 //!   `merge::batch` pool round instead of N `share = 1` inline runs,
-//!   counted by the `serve_batched` / `batch_width` telemetry counters.
+//!   counted by [`ServeStats::batched_rounds`] and
+//!   [`ServeStats::batched_requests`].
 //! - [`net`]: the TCP front-end — length-prefixed binary framing with a
 //!   hand-rolled codec ([`net::NetServer`] / [`net::NetClient`]), taking
 //!   the daemon out-of-process (`mp serve --listen` / `mp client`).
@@ -30,17 +30,13 @@
 //!   concurrency every request runs inline on its serving thread
 //!   (share = 1, no pool round), so throughput scales with serving
 //!   threads; at low concurrency a lone request fans out across the pool.
-//! - **Telemetry threading**: the generic [`Recorder`] flows through the
+//! - **Observability**: the generic [`Recorder`] flows through the
 //!   request path into the kernels (`parallel_merge_into_recorded`,
-//!   `parallel_merge_sort_recorded`), and the daemon counts completions
-//!   and rejections via the `serve_*` [`CounterKind`]s. Latency
-//!   percentiles come from the mergeable
-//!   [`LatencyHistogram`](mergepath_telemetry::LatencyHistogram).
-//! - [`replay`]: a deterministic discrete-event simulation of the exact
-//!   admission policy, so the outcome log of a planned run
-//!   ([`arrival_plan`](mergepath_workloads::arrival_plan)) is a pure
-//!   function of `(seed, config)` — the reproducibility contract
-//!   `tests/serve_determinism.rs` pins and `BENCH_serve.json` relies on.
+//!   `parallel_merge_sort_recorded`) and carries kernel events only. The
+//!   daemon's own events are counted in [`ServeStats`] and, when one is
+//!   attached, by the [`ServeProbe`] (a [`ServeObserver`]'s metrics
+//!   registry and flight ring). Latency percentiles come from the
+//!   mergeable [`LatencyHistogram`](mergepath_telemetry::LatencyHistogram).
 //!
 //! Correctness under concurrency follows the Träff stable-merge line
 //! (arXiv 1202.6575): every completed response is byte-identical to the
@@ -53,14 +49,12 @@
 
 pub mod net;
 pub mod observe;
-pub mod replay;
 mod server;
 
 pub use net::{NetClient, NetOp, NetRequest, NetResponse, NetServer, NetStatus, ProtocolError};
 pub use observe::{
     AnomalyTrigger, NoProbe, ObserverConfig, RoundGaugeRecorder, ServeObserver, ServeProbe,
 };
-pub use replay::{replay, ReplayConfig, ReplayEntry, ReplayOutcome, ServiceModel};
 pub use server::{
     worker_share, Outcome, QueuePolicy, RejectReason, Request, RequestKind, ResponseHandle,
     ServeConfig, ServeStats, Server,
@@ -69,6 +63,6 @@ pub use server::{
 // Re-exported so callers of the serving API need not name the telemetry
 // crate for the common cases.
 pub use mergepath_telemetry::{
-    CounterKind, FlightEvent, FlightEventKind, FlightRecorder, LatencyHistogram, MetricsRegistry,
+    FlightEvent, FlightEventKind, FlightRecorder, LatencyHistogram, MetricsRegistry,
     MetricsSnapshot, NoRecorder, Recorder, TimelineRecorder, Waterfall,
 };

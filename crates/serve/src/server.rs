@@ -11,9 +11,7 @@ use std::thread::JoinHandle;
 use mergepath::merge::batch::batch_merge_into_recorded;
 use mergepath::merge::parallel::parallel_merge_into_recorded;
 use mergepath::sort::parallel::parallel_merge_sort_recorded;
-use mergepath_telemetry::{
-    now_ns, CounterKind, LatencyHistogram, OffsetRecorder, Recorder, Waterfall,
-};
+use mergepath_telemetry::{now_ns, LatencyHistogram, OffsetRecorder, Recorder, Waterfall};
 
 use crate::observe::{NoProbe, ServeProbe};
 
@@ -148,41 +146,21 @@ pub enum Outcome<T> {
     Failed,
 }
 
-/// The order in which the daemon (and its deterministic
-/// [`replay`](crate::replay) twin) picks the next queued request.
+/// The order in which the daemon picks the next queued request. It has
+/// one value: the type, and [`ServeConfig::policy`], remain only because
+/// the benchmark's daemon configuration names `QueuePolicy::Edf`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueuePolicy {
-    /// First-in first-out: strict arrival order.
-    Fifo,
     /// Earliest-deadline-first: the queued request with the smallest
     /// absolute deadline runs next; deadline-free requests
     /// (`deadline_ns == 0`) rank after every deadlined one. Ties — and
-    /// the all-deadline-free queue — fall back to arrival order, so EDF
-    /// degenerates to exact FIFO when no deadlines are in play.
+    /// the all-deadline-free queue — fall back to arrival order, so with
+    /// no deadlines the queue is served in arrival order.
     #[default]
     Edf,
 }
 
-impl QueuePolicy {
-    /// Every policy, for sweeps and CLI listings.
-    pub const ALL: [QueuePolicy; 2] = [QueuePolicy::Fifo, QueuePolicy::Edf];
-
-    /// Stable name for logs, artifacts, and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueuePolicy::Fifo => "fifo",
-            QueuePolicy::Edf => "edf",
-        }
-    }
-
-    /// Parses a [`name`](Self::name) back into a policy.
-    pub fn parse(s: &str) -> Option<Self> {
-        QueuePolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-/// Daemon sizing. All fields are explicit so a configuration is a value
-/// (the deterministic [`replay`](crate::replay) takes the same numbers).
+/// Daemon sizing. All fields are explicit so a configuration is a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bounded queue capacity; submissions beyond it get
@@ -193,10 +171,12 @@ pub struct ServeConfig {
     /// Total pool-thread budget divided among in-flight requests via
     /// [`worker_share`].
     pub worker_budget: usize,
-    /// Dequeue ordering for the admission queue.
+    /// Dequeue ordering for the admission queue: always
+    /// [`QueuePolicy::Edf`], kept as a field because the benchmark's
+    /// daemon configuration sets it.
     pub policy: QueuePolicy,
     /// Batching threshold: a dequeued merge whose output is at most this
-    /// many items pulls further compatible queued merges (in policy
+    /// many items pulls further compatible queued merges (in EDF
     /// order, while the combined output still fits) into one
     /// `merge::batch` pool round instead of running each as a `share = 1`
     /// inline merge. `0` disables coalescing entirely.
@@ -455,11 +435,6 @@ where
             inner
                 .rejected_queue_full
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            if R::ACTIVE {
-                inner
-                    .rec
-                    .counter_add(0, CounterKind::ServeRejectedQueueFull, 1);
-            }
             if P::ACTIVE {
                 inner
                     .probe
@@ -545,36 +520,28 @@ where
     }
 }
 
-/// Index of the ticket the policy serves next, or `None` on an empty
-/// queue. FIFO takes the front; EDF scans for the smallest absolute
-/// deadline (`deadline_ns == 0` ranks after every deadlined ticket),
-/// keeping the earliest-queued ticket on ties — so an all-deadline-free
-/// queue degenerates to exact FIFO. The scan is O(queue depth), bounded
-/// by `queue_capacity`, and runs under the queue lock, so the choice is
-/// a pure function of queue contents.
-fn next_index<T>(deque: &VecDeque<Ticket<T>>, policy: QueuePolicy) -> Option<usize> {
-    if deque.is_empty() {
-        return None;
+/// The EDF rank of a ticket: its absolute deadline, with deadline-free
+/// tickets (`deadline_ns == 0`) ranked after every deadlined one.
+fn edf_key<T>(t: &Ticket<T>) -> u64 {
+    if t.deadline_ns == 0 {
+        u64::MAX
+    } else {
+        t.deadline_ns
     }
-    match policy {
-        QueuePolicy::Fifo => Some(0),
-        QueuePolicy::Edf => {
-            let mut best = 0usize;
-            let mut best_key = u64::MAX;
-            for (i, t) in deque.iter().enumerate() {
-                let key = if t.deadline_ns == 0 {
-                    u64::MAX
-                } else {
-                    t.deadline_ns
-                };
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            Some(best)
-        }
-    }
+}
+
+/// Index of the ticket served next, or `None` on an empty queue: the
+/// smallest [`edf_key`], keeping the earliest-queued ticket on ties — so
+/// an all-deadline-free queue is served in arrival order. The scan is
+/// O(queue depth), bounded by `queue_capacity`, and runs under the queue
+/// lock, so the choice is a pure function of queue contents.
+fn next_index<T>(deque: &VecDeque<Ticket<T>>) -> Option<usize> {
+    // `min_by_key` returns the first of several equal minima.
+    deque
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, t)| edf_key(t))
+        .map(|(i, _)| i)
 }
 
 /// Pulls additional compatible merges out of the queue to run alongside
@@ -584,7 +551,7 @@ fn next_index<T>(deque: &VecDeque<Ticket<T>>, policy: QueuePolicy) -> Option<usi
 /// `Ord` comparator per server instantiation, so key type and comparator
 /// class match by construction), each small enough that the round's
 /// combined output stays within `cfg.batch_max_items`. Companions are
-/// taken in policy order among the eligible tickets, so EDF urgency is
+/// taken in EDF order among the eligible tickets, so urgency is
 /// preserved inside the round. Sorts and oversized merges never batch.
 fn coalesce<T>(
     first: Ticket<T>,
@@ -609,16 +576,7 @@ fn coalesce<T>(
             if total + a.len() + b.len() > limit {
                 continue;
             }
-            let key = match cfg.policy {
-                QueuePolicy::Fifo => i as u64,
-                QueuePolicy::Edf => {
-                    if t.deadline_ns == 0 {
-                        u64::MAX
-                    } else {
-                        t.deadline_ns
-                    }
-                }
-            };
+            let key = edf_key(t);
             match pick {
                 Some((k, _)) if k <= key => {}
                 _ => pick = Some((key, i)),
@@ -634,30 +592,29 @@ fn coalesce<T>(
     batch
 }
 
-/// One serving thread: dequeue in policy order, coalesce compatible
+/// One serving thread: dequeue in EDF order, coalesce compatible
 /// merges, deadline-check, execute under the shared worker budget,
 /// resolve every ticket. Returns when the queue is closed and drained.
 ///
 /// `w` is this serving thread's index. Kernel telemetry is reported
-/// through an [`OffsetRecorder`] based at `1 + w * worker_budget`: serving
+/// through an [`OffsetRecorder`] based at `w * worker_budget`: serving
 /// threads execute requests concurrently, and the per-worker span stack
 /// discipline requires each thread's kernel events to land on a disjoint
 /// logical-worker range (a request's share never exceeds the budget, so
-/// the ranges cannot overlap). Worker 0 is reserved for the daemon's own
-/// `serve_*` counters.
+/// the ranges cannot overlap).
 fn serve_loop<T, R, P>(w: usize, inner: &Inner<T, R, P>)
 where
     T: Ord + Clone + Default + Send + Sync + 'static,
     R: Recorder + Send + Sync + 'static,
     P: ServeProbe + Send + Sync + 'static,
 {
-    let rec = OffsetRecorder::new(1 + w * inner.cfg.worker_budget, &inner.rec);
+    let rec = OffsetRecorder::new(w * inner.cfg.worker_budget, &inner.rec);
     loop {
         let (batch, depth) = {
             let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(idx) = next_index(&q.deque, inner.cfg.policy) {
-                    let t = q.deque.remove(idx).expect("policy index is in range");
+                if let Some(idx) = next_index(&q.deque) {
+                    let t = q.deque.remove(idx).expect("EDF index is in range");
                     let batch = coalesce(t, &mut q.deque, &inner.cfg);
                     break (Some(batch), q.deque.len());
                 }
@@ -685,7 +642,7 @@ where
         // rejected here, before any output buffer exists. The boundary is
         // inclusive — `dequeue_ns == deadline_ns` already misses — so a
         // zero-relative deadline (`with_deadline_in(0)`) deterministically
-        // rejects. `replay` applies the identical rule.
+        // rejects.
         let mut live: Vec<Ticket<T>> = Vec::with_capacity(batch.len());
         for ticket in batch.drain(..) {
             if P::ACTIVE {
@@ -697,11 +654,6 @@ where
                 inner
                     .rejected_deadline
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                if R::ACTIVE {
-                    inner
-                        .rec
-                        .counter_add(0, CounterKind::ServeRejectedDeadline, 1);
-                }
                 if P::ACTIVE {
                     inner
                         .probe
@@ -801,10 +753,6 @@ where
                 inner
                     .batched_requests
                     .fetch_add(width, AtomicOrdering::Relaxed);
-                if R::ACTIVE {
-                    inner.rec.counter_add(0, CounterKind::ServeBatched, 1);
-                    inner.rec.counter_add(0, CounterKind::BatchWidth, width);
-                }
                 for (ticket, output) in live.into_iter().zip(outputs) {
                     resolve_completed(
                         inner,
@@ -863,9 +811,6 @@ fn resolve_completed<T, R, P>(
         .unwrap_or_else(|e| e.into_inner())
         .record(latency_ns);
     inner.completed.fetch_add(1, AtomicOrdering::Relaxed);
-    if R::ACTIVE {
-        inner.rec.counter_add(0, CounterKind::ServeCompleted, 1);
-    }
     // The four stages partition submit→done exactly: each boundary
     // timestamp is used as the end of one stage and the start of the
     // next, so sum(stages) == latency_ns.
@@ -1088,19 +1033,12 @@ mod tests {
             .ok()
             .expect("server released its recorder handle at shutdown")
             .finish();
-        let completed: u64 = t
-            .counters
-            .iter()
-            .filter(|c| c.kind == CounterKind::ServeCompleted)
-            .map(|c| c.total)
-            .sum();
-        assert_eq!(completed, 32, "serve_completed counter observable");
-        // Every kernel span landed in a serving thread's offset range
-        // (worker 0 is reserved for daemon counters), and pairing held —
-        // each span closed with a positive-length window.
+        // Every kernel span landed in some serving thread's offset range
+        // (4 serving threads × a budget of 4), and pairing held — each
+        // span closed with a positive-length window.
         assert!(!t.spans.is_empty(), "kernel spans were recorded");
         for s in &t.spans {
-            assert!(s.worker >= 1, "kernel span on reserved worker 0");
+            assert!(s.worker < 4 * 4, "kernel span outside every offset range");
             assert!(s.end_ns >= s.start_ns);
         }
     }
@@ -1184,15 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_round_trip() {
-        for p in QueuePolicy::ALL {
-            assert_eq!(QueuePolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(QueuePolicy::parse("lifo"), None);
-        assert_eq!(QueuePolicy::default(), QueuePolicy::Edf);
-    }
-
-    #[test]
     fn lost_saturates_instead_of_underflowing() {
         // A mid-flight snapshot can load `submitted` before a racing
         // resolution lands, so the resolved sum may momentarily exceed
@@ -1268,9 +1197,7 @@ mod tests {
 
     #[test]
     fn queued_small_merges_coalesce_into_batch_rounds() {
-        use mergepath_telemetry::TimelineRecorder;
-        let rec = Arc::new(TimelineRecorder::new());
-        let server: Server<u32, _> = Server::start(
+        let server: Server<u32> = Server::start(
             ServeConfig {
                 queue_capacity: 32,
                 max_inflight: 1,
@@ -1278,7 +1205,7 @@ mod tests {
                 policy: QueuePolicy::Edf,
                 batch_max_items: 4096,
             },
-            Arc::clone(&rec),
+            NoRecorder,
         );
         // Occupy the single worker so the small merges pile up in the
         // queue, then get coalesced into one round when it frees.
@@ -1320,92 +1247,6 @@ mod tests {
             stats.batched_requests >= 2,
             "a round must fold at least two requests"
         );
-        let t = Arc::try_unwrap(rec)
-            .ok()
-            .expect("recorder released")
-            .finish();
-        let total = |k: CounterKind| -> u64 {
-            t.counters
-                .iter()
-                .filter(|c| c.kind == k)
-                .map(|c| c.total)
-                .sum()
-        };
-        assert_eq!(
-            total(CounterKind::ServeBatched),
-            stats.batched_rounds,
-            "serve_batched counter mirrors stats"
-        );
-        assert_eq!(
-            total(CounterKind::BatchWidth),
-            stats.batched_requests,
-            "batch_width counter mirrors stats"
-        );
-    }
-
-    /// Records the order serving threads dequeue requests in.
-    struct OrderProbe(Mutex<Vec<u64>>);
-
-    impl ServeProbe for OrderProbe {
-        fn on_dequeue(&self, id: u64, _t_ns: u64, _submit_ns: u64, _depth: usize) {
-            self.0.lock().unwrap_or_else(|e| e.into_inner()).push(id);
-        }
-    }
-
-    fn dequeue_order(policy: QueuePolicy) -> Vec<u64> {
-        let probe = Arc::new(OrderProbe(Mutex::new(Vec::new())));
-        let server: Server<u32, NoRecorder, Arc<OrderProbe>> = Server::start_with_probe(
-            ServeConfig {
-                queue_capacity: 8,
-                max_inflight: 1,
-                worker_budget: 1,
-                policy,
-                batch_max_items: 0,
-            },
-            NoRecorder,
-            Arc::clone(&probe),
-        );
-        // Hold the single worker so ids 1 and 2 are both queued before
-        // the next dequeue decision is made.
-        let busy: Vec<u32> = (0..300_000u32)
-            .map(|x| x.wrapping_mul(2_654_435_761))
-            .collect();
-        let h0 = server.submit(Request::sort(0, busy)).expect("admitted");
-        // Wait until the worker has actually picked up the busy sort, so
-        // ids 1 and 2 queue behind it rather than racing it to the front.
-        while probe.0.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
-            std::thread::yield_now();
-        }
-        let h1 = server
-            .submit(Request::merge(1, vec![1u32, 3], vec![2, 4]).with_deadline_in(60_000_000_000))
-            .expect("admitted");
-        let h2 = server
-            .submit(Request::merge(2, vec![5u32, 7], vec![6, 8]).with_deadline_in(30_000_000_000))
-            .expect("admitted");
-        for h in [h0, h1, h2] {
-            assert!(matches!(h.wait(), Outcome::Completed { .. }));
-        }
-        server.shutdown();
-        Arc::try_unwrap(probe)
-            .ok()
-            .expect("probe released")
-            .0
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn edf_dequeues_the_earliest_deadline_first() {
-        assert_eq!(
-            dequeue_order(QueuePolicy::Edf),
-            vec![0, 2, 1],
-            "the later-submitted, earlier-deadline request jumps ahead"
-        );
-    }
-
-    #[test]
-    fn fifo_policy_preserves_arrival_order() {
-        assert_eq!(dequeue_order(QueuePolicy::Fifo), vec![0, 1, 2]);
     }
 
     #[test]

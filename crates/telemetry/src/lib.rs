@@ -4,8 +4,8 @@
 //! of the `p` workers merges exactly `⌈N/p⌉` elements, so wall-clock time is
 //! bounded by the slowest worker with near-zero spread. Validating that claim
 //! (and every future performance change) needs per-worker timelines, pool
-//! round overhead, and diagonal-search cost — quantities the aggregate
-//! counters in `mergepath::stats` cannot observe.
+//! round overhead, and diagonal-search cost — quantities an aggregate
+//! comparison count cannot observe.
 //!
 //! This crate provides that instrumentation without any external dependency
 //! (the workspace is hermetic — no `tracing`, no `metrics`; this follows the

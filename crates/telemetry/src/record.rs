@@ -99,24 +99,6 @@ pub enum CounterKind {
     /// Segments routed to the co-rank stable block kernel (exact-balance
     /// block splits, ties broken A-before-B by construction).
     SegmentsCoRank,
-    /// Requests the serving daemon completed successfully (response handed
-    /// back byte-identical to the sequential oracle's answer).
-    ServeCompleted,
-    /// Requests the serving daemon rejected synchronously at submission
-    /// because the bounded queue was full (backpressure, never a panic).
-    ServeRejectedQueueFull,
-    /// Requests the serving daemon rejected at dequeue because their
-    /// deadline had already expired before execution could begin.
-    ServeRejectedDeadline,
-    /// Coalesced batch rounds the serving daemon executed: one increment
-    /// per pool round that merged two or more compatible queued requests
-    /// through `merge::batch` instead of running them as separate
-    /// `share = 1` inline merges.
-    ServeBatched,
-    /// Total requests folded into coalesced batch rounds (the sum of the
-    /// widths of every [`CounterKind::ServeBatched`] round, so
-    /// `batch_width / serve_batched` is the mean coalescing width).
-    BatchWidth,
     /// Tickets taken from another worker's deque (or the injector scan)
     /// by an idle participant during this round — the work-stealing
     /// executor's overlap witness. Reported once per round by the
@@ -138,11 +120,6 @@ impl CounterKind {
             CounterKind::SegmentsBranchLean => "segments_branch_lean",
             CounterKind::SegmentsGalloping => "segments_galloping",
             CounterKind::SegmentsCoRank => "segments_co_rank",
-            CounterKind::ServeCompleted => "serve_completed",
-            CounterKind::ServeRejectedQueueFull => "serve_rejected_queue_full",
-            CounterKind::ServeRejectedDeadline => "serve_rejected_deadline",
-            CounterKind::ServeBatched => "serve_batched",
-            CounterKind::BatchWidth => "batch_width",
             CounterKind::PoolSteals => "pool_steals",
             CounterKind::PoolStolenShares => "pool_stolen_shares",
         }
@@ -475,17 +452,6 @@ mod tests {
         );
         assert_eq!(CounterKind::SegmentsGalloping.name(), "segments_galloping");
         assert_eq!(CounterKind::SegmentsCoRank.name(), "segments_co_rank");
-        assert_eq!(CounterKind::ServeCompleted.name(), "serve_completed");
-        assert_eq!(
-            CounterKind::ServeRejectedQueueFull.name(),
-            "serve_rejected_queue_full"
-        );
-        assert_eq!(
-            CounterKind::ServeRejectedDeadline.name(),
-            "serve_rejected_deadline"
-        );
-        assert_eq!(CounterKind::ServeBatched.name(), "serve_batched");
-        assert_eq!(CounterKind::BatchWidth.name(), "batch_width");
         assert_eq!(CounterKind::PoolSteals.name(), "pool_steals");
         assert_eq!(CounterKind::PoolStolenShares.name(), "pool_stolen_shares");
     }

@@ -57,7 +57,7 @@ enum Event {
 }
 
 /// A cache-line-padded event shard so concurrent workers do not contend on
-/// one mutex line (mirrors the sharding fix in `mergepath::stats`).
+/// one mutex line.
 #[repr(align(128))]
 #[derive(Default)]
 struct Shard {

@@ -3,9 +3,9 @@
 //! The serving daemon (`mergepath-serve`, `mp bench --serve`) needs
 //! arrival schedules that look like real traffic — steady trickles,
 //! bursts, heavy-tailed lulls — yet are a **pure function of
-//! `(seed, config)`** so `BENCH_serve.json` and every admission decision
-//! derived from the plan can be regenerated bit-for-bit
-//! (`tests/serve_determinism.rs` proves this property).
+//! `(seed, config)`** so the traffic behind `BENCH_serve.json` can be
+//! regenerated bit-for-bit (`tests/serve_determinism.rs` proves this
+//! property).
 //!
 //! All gap sampling is integer-only (shifts and [`Prng::below`]); no
 //! floating-point math is involved, so there is no libm/platform variance
@@ -165,8 +165,8 @@ pub fn arrival_plan(cfg: &PlanConfig) -> Vec<RequestSpec> {
         let len_a = (mean_len / 2 + rng.below(mean_len)).max(1) as usize;
         let len_b = (mean_len / 2 + rng.below(mean_len)).max(1) as usize;
         // Per-request deadline jitter: with every deadline identical the
-        // EDF order is the FIFO order (absolute deadlines monotone in
-        // arrival), so the policy comparison would be vacuous. Saturating,
+        // EDF order is the arrival order (absolute deadlines monotone in
+        // arrival), so EDF would never reorder anything. Saturating,
         // and clamped to >= 1 so a jittered deadline never collapses into
         // the 0 = "no deadline" sentinel.
         let deadline_ns = if cfg.deadline_ns == 0 {
@@ -240,7 +240,7 @@ mod tests {
                 assert!(r.deadline_ns >= 2_500_000 && r.deadline_ns < 7_500_000);
             }
             // The jitter must produce real heterogeneity — identical
-            // deadlines would make EDF degenerate to FIFO plan-wide.
+            // deadlines would make EDF serve arrival order plan-wide.
             let distinct: std::collections::BTreeSet<u64> =
                 plan.iter().map(|r| r.deadline_ns).collect();
             assert!(distinct.len() > 100, "deadline jitter looks degenerate");

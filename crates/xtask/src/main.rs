@@ -19,7 +19,8 @@ fn usage() -> ExitCode {
     eprintln!("                   (executor unit tests, pool_concurrency, pool_idle_cpu)");
     eprintln!("                   and the kernel and sort differentials (oracle_differential,");
     eprintln!("                   sort_pipeline, sequential_paths) in release, and runs");
-    eprintln!("                   mpbench's unit tests and smoke run");
+    eprintln!("                   mpbench's unit tests and smoke run against its");
+    eprintln!("                   committed lock file (--locked)");
     eprintln!("  verify-telemetry run `mp trace` on a small input and schema-check the");
     eprintln!("                   Chrome trace and JSONL metrics it emits (Thm 14");
     eprintln!("                   per-worker bounds included)");
@@ -156,10 +157,13 @@ fn verify_offline() -> ExitCode {
             "sequential_paths",
         ],
         // The benchmark is a package of its own: its unit tests and smoke
-        // run catch a renamed entry point that `mpbench/src/sut.rs` uses.
+        // run catch a renamed entry point that `mpbench/src/sut.rs` uses,
+        // and `--locked` fails a program change that leaves
+        // `mpbench/Cargo.lock` stale instead of rewriting it.
         &[
             "test",
             "--offline",
+            "--locked",
             "-q",
             "--release",
             "--manifest-path",
@@ -742,8 +746,6 @@ fn check_serve_payload(
             "serve_batched",
             "batched_requests",
             "batch_width",
-            "replay_fifo_deadline_miss",
-            "replay_edf_deadline_miss",
             "pool_steals",
             "pool_stolen_shares",
         ] {

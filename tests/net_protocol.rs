@@ -4,12 +4,20 @@
 //! allocation — and a live daemon answers protocol abuse by closing the
 //! offending connection while every other connection keeps serving.
 //!
+//! Random and mutated frames from a seeded generator (byte flips,
+//! truncations, length edits) hold the decoders to the same contract in
+//! bulk, under a wall bound, and every frame they accept re-encodes to
+//! the bytes it was read from.
+//!
 //! The loopback half mirrors `tests/serve_invariants.rs`: pipelined,
 //! interleaved requests across all nine adversarial merge families must
 //! come back byte-identical to the sequential oracle.
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::panic::resume_unwind;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::serve::net::{
@@ -21,6 +29,7 @@ use mergepath_suite::serve::{
     ServeConfig,
 };
 use mergepath_suite::workloads::gen::{merge_pair_sized, MergeWorkload};
+use mergepath_suite::workloads::prng::Prng;
 
 fn valid_merge_frame() -> Vec<u8> {
     encode_request(&NetRequest {
@@ -358,4 +367,208 @@ fn request_and_response_frames_round_trip_through_the_codec() {
         let bytes = encode_response(&resp);
         assert_eq!(read_response(&mut &bytes[..]).unwrap(), Some(resp));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fuzzing the v1 frame decoders
+// ---------------------------------------------------------------------------
+
+/// Frames fed to each decoder by the fuzz loops below.
+const FUZZ_CASES: usize = 12_000;
+
+/// Wall bound on one fuzz loop: a decoder that hangs fails the test
+/// instead of stalling the suite.
+const FUZZ_WALL: Duration = Duration::from_secs(60);
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within [`FUZZ_WALL`]. A panic inside `f` is re-raised here.
+fn within_wall_bound(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(FUZZ_WALL) {
+        Ok(()) => handle.join().expect("the fuzz loop returned"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => resume_unwind(payload),
+            Ok(()) => unreachable!("the fuzz loop sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: not done within {FUZZ_WALL:?}"),
+    }
+}
+
+fn random_keys(rng: &mut Prng) -> Vec<u32> {
+    (0..rng.below(12)).map(|_| rng.next_u32()).collect()
+}
+
+fn random_bytes(rng: &mut Prng, max_len: u64) -> Vec<u8> {
+    (0..rng.below(max_len + 1))
+        .map(|_| rng.below(256) as u8)
+        .collect()
+}
+
+/// A declared length for a length edit: almost always small, now and
+/// then at or just past `limit`. A header that passes the limit check
+/// makes the decoder allocate the whole declared payload, so large
+/// lengths are kept rare.
+fn fuzz_len(rng: &mut Prng, limit: usize) -> u32 {
+    match rng.below(128) {
+        0 => limit as u32,
+        1 => limit as u32 + 1,
+        2 => u32::MAX,
+        _ => rng.below(24) as u32,
+    }
+}
+
+/// One fuzz input built from the `valid` frame: byte flips outside the
+/// length words at `len_at`, a truncation, a length edit with random
+/// trailing bytes, the frame's magic and version followed by random
+/// bytes, or random bytes alone.
+fn fuzz_frame(rng: &mut Prng, valid: &[u8], len_at: &[usize], limit: usize) -> Vec<u8> {
+    let in_len_word = |i: usize| len_at.iter().any(|&at| (at..at + 4).contains(&i));
+    let mut f = valid.to_vec();
+    match rng.below(5) {
+        0 => {
+            for _ in 0..=rng.below(3) {
+                let i = rng.below(f.len() as u64) as usize;
+                if !in_len_word(i) {
+                    f[i] ^= 1 + rng.below(255) as u8;
+                }
+            }
+        }
+        1 => f.truncate(rng.below(f.len() as u64) as usize),
+        2 => {
+            let at = len_at[rng.below(len_at.len() as u64) as usize];
+            f[at..at + 4].copy_from_slice(&fuzz_len(rng, limit).to_le_bytes());
+            f.extend(random_bytes(rng, 16));
+        }
+        3 => {
+            f.truncate(5);
+            f.extend(random_bytes(rng, 96));
+        }
+        _ => f = random_bytes(rng, 96),
+    }
+    f
+}
+
+/// Decode outcomes seen by one fuzz loop.
+#[derive(Debug, Default)]
+struct FuzzTally {
+    decoded: usize,
+    oversized: usize,
+    truncated: usize,
+    other_errors: usize,
+}
+
+impl FuzzTally {
+    /// Checks one decode of `frame`, of which the decoder left `rest`
+    /// unread: a clean end only on empty input, an oversized error only
+    /// past `limit`, never an I/O error from an in-memory reader, and a
+    /// decoded frame re-encodes to exactly the bytes it was read from.
+    fn check<V>(
+        &mut self,
+        frame: &[u8],
+        rest: usize,
+        res: Result<Option<V>, ProtocolError>,
+        encode: impl Fn(&V) -> Vec<u8>,
+        limit: usize,
+    ) {
+        match res {
+            Ok(Some(v)) => {
+                let used = &frame[..frame.len() - rest];
+                assert_eq!(encode(&v), used, "decoded frame re-encodes differently");
+                self.decoded += 1;
+            }
+            Ok(None) => assert!(frame.is_empty(), "clean end on {} bytes", frame.len()),
+            Err(ProtocolError::Oversized { declared, limit: l }) => {
+                assert_eq!(l, limit as u64);
+                assert!(declared > l, "{declared} keys is within the limit");
+                self.oversized += 1;
+            }
+            Err(ProtocolError::Truncated { expected, got }) => {
+                assert!(got < expected, "truncated with {got} of {expected} bytes");
+                self.truncated += 1;
+            }
+            Err(ProtocolError::Io(kind)) => panic!("i/o error {kind:?} from a byte slice"),
+            Err(_) => self.other_errors += 1,
+        }
+    }
+
+    /// Every outcome class was reached, so the loop explored past the
+    /// header checks.
+    fn assert_covered(&self) {
+        assert!(
+            self.decoded > 0 && self.oversized > 0 && self.truncated > 0 && self.other_errors > 0,
+            "{self:?}"
+        );
+    }
+}
+
+/// Random and mutated request frames each decode to a request or a typed
+/// [`ProtocolError`], within the wall bound.
+#[test]
+fn fuzzed_request_frames_decode_or_fail_typed() {
+    within_wall_bound("request fuzz", || {
+        let mut rng = Prng::seed_from_u64(0x5EED_F00D);
+        let mut tally = FuzzTally::default();
+        for _ in 0..FUZZ_CASES {
+            let op = if rng.below(2) == 0 {
+                NetOp::Merge {
+                    a: random_keys(&mut rng),
+                    b: random_keys(&mut rng),
+                }
+            } else {
+                NetOp::Sort {
+                    keys: random_keys(&mut rng),
+                }
+            };
+            let valid = encode_request(&NetRequest {
+                id: rng.next_u64(),
+                deadline_rel_ns: rng.below(1 << 40),
+                op,
+            });
+            let frame = fuzz_frame(&mut rng, &valid, &[24, 28], MAX_KEYS_PER_SIDE);
+            let mut rest = &frame[..];
+            let res = read_request(&mut rest);
+            tally.check(&frame, rest.len(), res, encode_request, MAX_KEYS_PER_SIDE);
+        }
+        tally.assert_covered();
+    });
+}
+
+/// Random and mutated response frames each decode to a response or a
+/// typed [`ProtocolError`], within the wall bound.
+#[test]
+fn fuzzed_response_frames_decode_or_fail_typed() {
+    within_wall_bound("response fuzz", || {
+        let mut rng = Prng::seed_from_u64(0xF00D_5EED);
+        let mut tally = FuzzTally::default();
+        let statuses = [
+            NetStatus::Ok,
+            NetStatus::RejectedQueueFull,
+            NetStatus::RejectedDeadline,
+            NetStatus::Failed,
+        ];
+        for _ in 0..FUZZ_CASES {
+            let status = statuses[rng.below(4) as usize];
+            let output = if status == NetStatus::Ok {
+                random_keys(&mut rng)
+            } else {
+                Vec::new()
+            };
+            let valid = encode_response(&NetResponse {
+                id: rng.next_u64(),
+                status,
+                latency_ns: rng.below(1 << 40),
+                output,
+            });
+            let limit = 2 * MAX_KEYS_PER_SIDE;
+            let frame = fuzz_frame(&mut rng, &valid, &[24], limit);
+            let mut rest = &frame[..];
+            let res = read_response(&mut rest);
+            tally.check(&frame, rest.len(), res, encode_response, limit);
+        }
+        tally.assert_covered();
+    });
 }

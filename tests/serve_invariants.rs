@@ -10,7 +10,8 @@ use std::sync::{Arc, Barrier};
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::serve::{
-    CounterKind, Outcome, QueuePolicy, RejectReason, Request, ServeConfig, Server, TimelineRecorder,
+    NoRecorder, ObserverConfig, Outcome, QueuePolicy, RejectReason, Request, ServeConfig,
+    ServeObserver, Server,
 };
 use mergepath_suite::workloads::gen::{merge_pair_sized, MergeWorkload};
 
@@ -39,7 +40,7 @@ fn concurrent_responses_match_sequential_oracle_on_all_families() {
             // as inline runs.
             batch_max_items: 2048,
         },
-        mergepath_suite::serve::NoRecorder,
+        NoRecorder,
     );
     let sizes = [(1usize, 900usize), (700, 300), (512, 512), (1000, 1)];
     let mut expected = Vec::new();
@@ -140,7 +141,7 @@ fn sustains_64_concurrent_in_flight_requests() {
             // their *own* kernels simultaneously.
             batch_max_items: 0,
         },
-        mergepath_suite::serve::NoRecorder,
+        NoRecorder,
     );
     let barrier = Arc::new(Barrier::new(INFLIGHT));
     let handles: Vec<_> = (0..INFLIGHT as u64)
@@ -191,12 +192,13 @@ fn sustains_64_concurrent_in_flight_requests() {
 
 /// Overloads a one-slot daemon until both rejection kinds fire, then
 /// checks every path stayed clean: queue-full reported synchronously,
-/// deadline expiry through the handle, both visible in the `serve_*`
-/// telemetry counters, and `submitted` fully accounted for.
+/// deadline expiry through the handle, both visible in an attached
+/// observer's `serve_*_total` counters, and `submitted` fully accounted
+/// for.
 #[test]
 fn rejections_are_explicit_and_counted() {
-    let rec = Arc::new(TimelineRecorder::new());
-    let server: Server<u32, _> = Server::start(
+    let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+    let server: Server<u32, NoRecorder, _> = Server::start_with_probe(
         ServeConfig {
             queue_capacity: 2,
             max_inflight: 1,
@@ -204,7 +206,8 @@ fn rejections_are_explicit_and_counted() {
             policy: QueuePolicy::Edf,
             batch_max_items: 4096,
         },
-        Arc::clone(&rec),
+        NoRecorder,
+        Arc::clone(&obs),
     );
     // A slow sort pins the single serving thread...
     let busy: Vec<u32> = (0..400_000u32)
@@ -243,26 +246,17 @@ fn rejections_are_explicit_and_counted() {
     assert!(stats.rejected_deadline >= 1);
     assert_eq!(stats.lost(), 0, "every submission accounted for");
 
-    // The same story must be readable from telemetry alone.
-    let t = Arc::try_unwrap(rec)
-        .ok()
-        .expect("server released its recorder at shutdown")
-        .finish();
-    let total = |kind: CounterKind| -> u64 {
-        t.counters
-            .iter()
-            .filter(|c| c.kind == kind)
-            .map(|c| c.total)
-            .sum()
-    };
-    assert_eq!(total(CounterKind::ServeCompleted), stats.completed);
+    // The same story must be readable from the observer alone.
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("serve_submitted_total"), Some(stats.submitted));
+    assert_eq!(snap.counter("serve_completed_total"), Some(stats.completed));
     assert_eq!(
-        total(CounterKind::ServeRejectedQueueFull),
-        stats.rejected_queue_full
+        snap.counter("serve_rejected_queue_full_total"),
+        Some(stats.rejected_queue_full)
     );
     assert_eq!(
-        total(CounterKind::ServeRejectedDeadline),
-        stats.rejected_deadline
+        snap.counter("serve_rejected_deadline_total"),
+        Some(stats.rejected_deadline)
     );
 }
 
@@ -364,7 +358,7 @@ fn panicking_request_is_contained_and_leaks_nothing() {
                 // deterministic.
                 batch_max_items: 0,
             },
-            mergepath_suite::serve::NoRecorder,
+            NoRecorder,
         );
         // A healthy request, a poisoned merge, a poisoned sort, and
         // another healthy request — the daemon must survive the panics
@@ -444,7 +438,7 @@ fn sustained_mixed_load_resolves_every_request() {
             policy: QueuePolicy::Edf,
             batch_max_items: 4096,
         },
-        mergepath_suite::serve::NoRecorder,
+        NoRecorder,
     );
     let mut completed = 0u64;
     let mut rejected = 0u64;
