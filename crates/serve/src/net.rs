@@ -51,10 +51,10 @@
 //! check runs **before** any payload allocation so a hostile length
 //! prefix cannot balloon memory.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -256,10 +256,13 @@ fn get_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
+/// Appends `keys` little-endian: one resize, then one pass over 4-byte
+/// chunks, which LLVM turns into a copy on little-endian hosts.
 fn put_keys(buf: &mut Vec<u8>, keys: &[u32]) {
-    buf.reserve(keys.len() * 4);
-    for k in keys {
-        buf.extend_from_slice(&k.to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + keys.len() * 4, 0);
+    for (dst, k) in buf[start..].chunks_exact_mut(4).zip(keys) {
+        dst.copy_from_slice(&k.to_le_bytes());
     }
 }
 
@@ -287,17 +290,33 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, ProtocolError> 
     Ok(true)
 }
 
+/// Bytes [`read_keys`] reads per step: a small reused buffer in place of
+/// one sized to the payload, so the key vector is the only allocation.
+const KEY_CHUNK: usize = 4096;
+
 /// Reads `len` keys, validated against [`MAX_KEYS_PER_SIDE`] by the
-/// caller before this allocates.
+/// caller before this allocates. A payload cut short is
+/// [`ProtocolError::Truncated`] counted over the whole payload.
 fn read_keys<R: Read>(r: &mut R, len: usize) -> Result<Vec<u32>, ProtocolError> {
-    let mut raw = vec![0u8; len * 4];
-    if !read_full(r, &mut raw)? && len > 0 {
-        return Err(ProtocolError::Truncated {
+    let mut keys = vec![0u32; len];
+    let mut chunk = [0u8; KEY_CHUNK];
+    for (step, dst) in keys.chunks_mut(KEY_CHUNK / 4).enumerate() {
+        let bytes = &mut chunk[..dst.len() * 4];
+        let truncated = |got: usize| ProtocolError::Truncated {
             expected: len * 4,
-            got: 0,
-        });
+            got: step * KEY_CHUNK + got,
+        };
+        match read_full(r, bytes) {
+            Ok(true) => {}
+            Ok(false) => return Err(truncated(0)),
+            Err(ProtocolError::Truncated { got, .. }) => return Err(truncated(got)),
+            Err(e) => return Err(e),
+        }
+        for (k, b) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+            *k = u32::from_le_bytes(b.try_into().expect("chunks_exact(4) yields 4 bytes"));
+        }
     }
-    Ok(raw.chunks_exact(4).map(get_u32).collect())
+    Ok(keys)
 }
 
 /// Encodes `req` as one wire frame.
@@ -395,16 +414,21 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<NetRequest>, ProtocolEr
 /// Encodes `resp` as one wire frame.
 pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + resp.output.len() * 4);
+    encode_response_into(&mut buf, resp);
+    buf
+}
+
+/// Appends `resp` as one wire frame to `buf`.
+fn encode_response_into(buf: &mut Vec<u8>, resp: &NetResponse) {
     buf.extend_from_slice(&RESPONSE_MAGIC);
     buf.push(WIRE_VERSION);
     buf.push(resp.status.to_byte());
     buf.extend_from_slice(&[0u8; 2]); // reserved
-    put_u64(&mut buf, resp.id);
-    put_u64(&mut buf, resp.latency_ns);
-    put_u32(&mut buf, resp.output.len() as u32);
-    put_u32(&mut buf, 0); // reserved
-    put_keys(&mut buf, &resp.output);
-    buf
+    put_u64(buf, resp.id);
+    put_u64(buf, resp.latency_ns);
+    put_u32(buf, resp.output.len() as u32);
+    put_u32(buf, 0); // reserved
+    put_keys(buf, &resp.output);
 }
 
 /// Writes `resp` as one frame.
@@ -590,6 +614,7 @@ where
         if closed.load(Ordering::Relaxed) {
             break;
         }
+        reap_finished(&mut conns);
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(&server);
         let closed = Arc::clone(&closed);
@@ -603,6 +628,27 @@ where
     }
     conns
 }
+
+/// Joins the connection threads that have returned. An exited thread that
+/// is never joined keeps its stack mapped, so without this every closed
+/// connection would hold its stack until shutdown.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(conns)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    *conns = live;
+    for h in done {
+        let _ = h.join();
+    }
+}
+
+/// Read buffer of a connection: a pipelined frame then costs a fraction of
+/// one `recv` instead of one per header and payload.
+const READ_BUF: usize = 64 * 1024;
+
+/// Bytes of encoded responses after which the writer writes even though
+/// more are ready, so a long run of ready responses stays bounded.
+const WRITE_BATCH: usize = 256 * 1024;
 
 /// One connection: this thread reads and submits frames; a paired writer
 /// thread resolves handles and writes responses in request order.
@@ -630,10 +676,13 @@ fn serve_connection<R>(
         .spawn(move || write_loop(write_half, rx))
         .expect("spawn connection writer");
 
-    let mut reader = PollRead {
-        stream: &stream,
-        closed,
-    };
+    let mut reader = BufReader::with_capacity(
+        READ_BUF,
+        PollRead {
+            stream: &stream,
+            closed,
+        },
+    );
     loop {
         match read_request(&mut reader) {
             Ok(Some(net_req)) => {
@@ -672,26 +721,65 @@ fn serve_connection<R>(
     let _ = writer.join();
 }
 
+/// Encodes every response that is ready into one buffer and writes it
+/// with one `write_all`. It writes what it holds before it blocks, on the
+/// channel or on an unresolved handle, so no finished response waits
+/// behind an unfinished one. It also writes once the buffer passes
+/// [`WRITE_BATCH`].
+///
+/// The writer is a thread of its own so that a client that stops reading
+/// blocks only this thread: a serving thread that wrote its own responses
+/// would stall on the full socket, and every other connection with it.
 fn write_loop(mut stream: TcpStream, rx: mpsc::Receiver<Pending>) {
-    while let Ok(pending) = rx.recv() {
+    let mut buf = Vec::new();
+    // Writing an empty buffer makes no system call.
+    let mut flush = |buf: &mut Vec<u8>| {
+        let res = stream.write_all(buf);
+        buf.clear();
+        if buf.capacity() > 4 * WRITE_BATCH {
+            // One huge response must not pin its buffer for the
+            // connection's lifetime.
+            *buf = Vec::new();
+        }
+        res
+    };
+    loop {
+        let pending = match rx.try_recv() {
+            Ok(pending) => pending,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                if flush(&mut buf).is_err() {
+                    return; // client gone; admitted work still resolves server-side
+                }
+                match rx.recv() {
+                    Ok(pending) => pending,
+                    Err(_) => break,
+                }
+            }
+        };
         let resp = match pending {
-            Pending::Resolve(id, handle) => match handle.wait() {
-                Outcome::Completed {
-                    output, latency_ns, ..
-                } => NetResponse {
-                    id,
-                    status: NetStatus::Ok,
-                    latency_ns,
-                    output,
-                },
-                Outcome::Rejected(RejectReason::QueueFull) => {
-                    reject(id, NetStatus::RejectedQueueFull)
+            Pending::Resolve(id, handle) => {
+                if !handle.is_resolved() && flush(&mut buf).is_err() {
+                    return;
                 }
-                Outcome::Rejected(RejectReason::DeadlineExpired) => {
-                    reject(id, NetStatus::RejectedDeadline)
+                match handle.wait() {
+                    Outcome::Completed {
+                        output, latency_ns, ..
+                    } => NetResponse {
+                        id,
+                        status: NetStatus::Ok,
+                        latency_ns,
+                        output,
+                    },
+                    Outcome::Rejected(RejectReason::QueueFull) => {
+                        reject(id, NetStatus::RejectedQueueFull)
+                    }
+                    Outcome::Rejected(RejectReason::DeadlineExpired) => {
+                        reject(id, NetStatus::RejectedDeadline)
+                    }
+                    Outcome::Failed => reject(id, NetStatus::Failed),
                 }
-                Outcome::Failed => reject(id, NetStatus::Failed),
-            },
+            }
             Pending::Reject(id, RejectReason::QueueFull) => {
                 reject(id, NetStatus::RejectedQueueFull)
             }
@@ -699,11 +787,12 @@ fn write_loop(mut stream: TcpStream, rx: mpsc::Receiver<Pending>) {
                 reject(id, NetStatus::RejectedDeadline)
             }
         };
-        if write_response(&mut stream, &resp).is_err() {
-            break; // client gone; admitted work still resolves server-side
+        encode_response_into(&mut buf, &resp);
+        if buf.len() >= WRITE_BATCH && flush(&mut buf).is_err() {
+            return;
         }
     }
-    let _ = stream.flush();
+    let _ = flush(&mut buf);
 }
 
 fn reject(id: u64, status: NetStatus) -> NetResponse {
@@ -841,6 +930,33 @@ mod tests {
         assert_eq!(NetStatus::Failed.name(), "failed");
         for b in 0..4u8 {
             assert_eq!(NetStatus::from_byte(b).unwrap().to_byte(), b);
+        }
+    }
+
+    #[test]
+    fn reaping_joins_only_the_finished_connection_threads() {
+        let (release, wait) = mpsc::channel::<()>();
+        let mut conns: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        conns.push(std::thread::spawn(move || {
+            let _ = wait.recv();
+        }));
+        let t0 = std::time::Instant::now();
+        while conns.len() > 1 {
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(10),
+                "exited threads were never reaped"
+            );
+            reap_finished(&mut conns);
+            std::thread::yield_now();
+        }
+        assert!(!conns[0].is_finished(), "the running thread stays");
+        release
+            .send(())
+            .expect("the running thread waits on the channel");
+        while !conns.is_empty() {
+            assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+            reap_finished(&mut conns);
+            std::thread::yield_now();
         }
     }
 

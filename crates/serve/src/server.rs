@@ -284,6 +284,13 @@ impl<T> ResponseHandle<T> {
     pub fn wait(self) -> Outcome<T> {
         self.cell.take()
     }
+
+    /// Whether the daemon has resolved the request, so that
+    /// [`wait`](Self::wait) returns without blocking.
+    pub(crate) fn is_resolved(&self) -> bool {
+        let slot = self.cell.slot.lock().unwrap_or_else(|e| e.into_inner());
+        slot.is_some()
+    }
 }
 
 /// An admitted request waiting in the queue.
@@ -530,6 +537,14 @@ fn edf_key<T>(t: &Ticket<T>) -> u64 {
     }
 }
 
+/// The dequeue verdict on a deadline: a ticket dequeued at `dequeue_ns`
+/// has expired when it has a deadline (`deadline_ns != 0`) and the clock
+/// has reached it. The boundary is inclusive: at the deadline is already
+/// too late.
+fn expired(deadline_ns: u64, dequeue_ns: u64) -> bool {
+    deadline_ns != 0 && dequeue_ns >= deadline_ns
+}
+
 /// Index of the ticket served next, or `None` on an empty queue: the
 /// smallest [`edf_key`], keeping the earliest-queued ticket on ties — so
 /// an all-deadline-free queue is served in arrival order. The scan is
@@ -650,7 +665,7 @@ where
                     .probe
                     .on_dequeue(ticket.id, dequeue_ns, ticket.submit_ns, depth);
             }
-            if ticket.deadline_ns != 0 && dequeue_ns >= ticket.deadline_ns {
+            if expired(ticket.deadline_ns, dequeue_ns) {
                 inner
                     .rejected_deadline
                     .fetch_add(1, AtomicOrdering::Relaxed);
@@ -1041,6 +1056,16 @@ mod tests {
             assert!(s.worker < 4 * 4, "kernel span outside every offset range");
             assert!(s.end_ns >= s.start_ns);
         }
+    }
+
+    #[test]
+    fn deadline_boundary_is_inclusive_to_the_nanosecond() {
+        let d = 1_000_000;
+        assert!(expired(d, d), "dequeued at the deadline");
+        assert!(!expired(d, d - 1), "dequeued one nanosecond before");
+        assert!(expired(d, d + 1));
+        assert!(!expired(0, 0), "no deadline");
+        assert!(!expired(0, u64::MAX), "no deadline");
     }
 
     #[test]

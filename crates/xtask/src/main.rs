@@ -17,10 +17,11 @@ fn usage() -> ExitCode {
     eprintln!("                   cargo's --offline flag; fails if anything needs the");
     eprintln!("                   network or the registry. Then reruns the pool's tests");
     eprintln!("                   (executor unit tests, pool_concurrency, pool_idle_cpu)");
-    eprintln!("                   and the kernel and sort differentials (oracle_differential,");
-    eprintln!("                   sort_pipeline, sequential_paths) in release, and runs");
-    eprintln!("                   mpbench's unit tests and smoke run against its");
-    eprintln!("                   committed lock file (--locked)");
+    eprintln!("                   the kernel and sort differentials (oracle_differential,");
+    eprintln!("                   sort_pipeline, sequential_paths) and the wire-protocol");
+    eprintln!("                   tests (net_protocol) in release, and runs mpbench's unit");
+    eprintln!("                   tests and smoke run against its committed lock file");
+    eprintln!("                   (--locked)");
     eprintln!("  verify-telemetry run `mp trace` on a small input and schema-check the");
     eprintln!("                   Chrome trace and JSONL metrics it emits (Thm 14");
     eprintln!("                   per-worker bounds included)");
@@ -155,6 +156,18 @@ fn verify_offline() -> ExitCode {
             "sort_pipeline",
             "--test",
             "sequential_paths",
+        ],
+        // The wire codec's whole-slice key loops become copies only in
+        // optimised builds, and the stall test and the decoder fuzz loops
+        // run against the daemon's optimised timings, so the protocol tests
+        // run again in release.
+        &[
+            "test",
+            "--offline",
+            "-q",
+            "--release",
+            "--test",
+            "net_protocol",
         ],
         // The benchmark is a package of its own: its unit tests and smoke
         // run catch a renamed entry point that `mpbench/src/sut.rs` uses,

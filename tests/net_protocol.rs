@@ -11,13 +11,15 @@
 //!
 //! The loopback half mirrors `tests/serve_invariants.rs`: pipelined,
 //! interleaved requests across all nine adversarial merge families must
-//! come back byte-identical to the sequential oracle.
+//! come back byte-identical to the sequential oracle. A client that stops
+//! reading must stall only its own connection, and fixed frames must
+//! encode to hand-written v1 bytes.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::panic::resume_unwind;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::serve::net::{
@@ -369,6 +371,196 @@ fn request_and_response_frames_round_trip_through_the_codec() {
     }
 }
 
+/// The v1 bytes of fixed frames, written out by hand. Round trips cannot
+/// see a slip that hits encoder and decoder alike, such as both sides
+/// turning big-endian; these bytes can.
+#[test]
+fn v1_wire_bytes_are_pinned() {
+    let merge = NetRequest {
+        id: 0x0102_0304_0506_0708,
+        deadline_rel_ns: 0x1112_1314_1516_1718,
+        op: NetOp::Merge {
+            a: vec![0x0403_0201, 0x0807_0605, 0x0C0B_0A09],
+            b: vec![],
+        },
+    };
+    let merge_bytes: Vec<u8> = [
+        &b"MPN1"[..],
+        &[1, 1, 1, 0], // version, op merge, key type u32, reserved
+        &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01],
+        &[0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11],
+        &[3, 0, 0, 0], // len_a
+        &[0, 0, 0, 0], // len_b: an empty side
+        &[
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C,
+        ],
+    ]
+    .concat();
+    let sort = NetRequest {
+        id: 5,
+        deadline_rel_ns: 0,
+        op: NetOp::Sort {
+            keys: vec![0xDEAD_BEEF],
+        },
+    };
+    let sort_bytes: Vec<u8> = [
+        &b"MPN1"[..],
+        &[1, 2, 1, 0], // op sort
+        &[5, 0, 0, 0, 0, 0, 0, 0],
+        &[0; 8],
+        &[1, 0, 0, 0],
+        &[0, 0, 0, 0],
+        &[0xEF, 0xBE, 0xAD, 0xDE],
+    ]
+    .concat();
+    for (req, bytes) in [(merge, merge_bytes), (sort, sort_bytes)] {
+        assert_eq!(encode_request(&req), bytes, "{req:?}");
+        assert_eq!(read_request(&mut &bytes[..]), Ok(Some(req)));
+    }
+
+    let ok = NetResponse {
+        id: 0x0102_0304_0506_0708,
+        status: NetStatus::Ok,
+        latency_ns: 0x2122_2324_2526_2728,
+        output: vec![0x0403_0201, 0x0807_0605, 0x0C0B_0A09],
+    };
+    let ok_bytes: Vec<u8> = [
+        &b"MPR1"[..],
+        &[1, 0, 0, 0], // version, status ok, reserved
+        &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01],
+        &[0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21],
+        &[3, 0, 0, 0], // len_out
+        &[0, 0, 0, 0], // reserved
+        &[
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C,
+        ],
+    ]
+    .concat();
+    let expired = NetResponse {
+        id: 9,
+        status: NetStatus::RejectedDeadline,
+        latency_ns: 0,
+        output: vec![],
+    };
+    let expired_bytes: Vec<u8> = [
+        &b"MPR1"[..],
+        &[1, 2, 0, 0], // status deadline
+        &[9, 0, 0, 0, 0, 0, 0, 0],
+        &[0; 8],
+        &[0; 8],
+    ]
+    .concat();
+    for (resp, bytes) in [(ok, ok_bytes), (expired, expired_bytes)] {
+        assert_eq!(encode_response(&resp), bytes, "{resp:?}");
+        assert_eq!(read_response(&mut &bytes[..]), Ok(Some(resp)));
+    }
+}
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within `wall`. A panic inside `f` is re-raised here.
+fn within_wall_bound(what: &str, wall: Duration, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(wall) {
+        Ok(()) => handle.join().expect("the bounded run returned"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => resume_unwind(payload),
+            Ok(()) => unreachable!("the bounded run sends before it returns"),
+        },
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: not done within {wall:?}"),
+    }
+}
+
+/// Merges client A pipelines in the stall test: their responses, 512 KiB
+/// each, overflow the daemon's send buffer and A's receive buffer
+/// together.
+const STALL_REQUESTS: u64 = 200;
+
+/// How long client B may wait for its answer while A reads nothing.
+const STALL_BOUND: Duration = Duration::from_secs(5);
+
+/// A client that pipelines large merges and reads none of the responses
+/// blocks only its own connection: with one serving thread, a second
+/// connection's small merge is still answered within [`STALL_BOUND`]. A
+/// daemon whose serving thread wrote responses itself would block on A's
+/// full socket and leave B unanswered.
+#[test]
+fn a_client_that_reads_nothing_stalls_no_other_connection() {
+    within_wall_bound("stall", Duration::from_secs(120), || {
+        let server = NetServer::start(
+            ServeConfig {
+                queue_capacity: 256,
+                max_inflight: 1,
+                worker_budget: 1,
+                policy: QueuePolicy::Edf,
+                batch_max_items: 4096,
+            },
+            mergepath_suite::serve::NoRecorder,
+            "127.0.0.1:0",
+        )
+        .expect("bind loopback");
+        let addr = server.local_addr();
+
+        let half = 1u32 << 16;
+        let mut big = NetRequest {
+            id: 0,
+            deadline_rel_ns: 0,
+            op: NetOp::Merge {
+                a: (0..half).map(|x| 2 * x).collect(),
+                b: (0..half).map(|x| 2 * x + 1).collect(),
+            },
+        };
+        let mut a = NetClient::connect(addr).expect("connect A");
+        for id in 0..STALL_REQUESTS {
+            big.id = id;
+            a.send(&big).expect("send to A");
+        }
+        // The pause: until the daemon has computed all of A's merges, whose
+        // responses now sit unread. A daemon whose serving thread blocks on
+        // A's socket never gets there, so the wait is bounded.
+        let t0 = Instant::now();
+        while server.stats().completed < STALL_REQUESTS && t0.elapsed() < Duration::from_secs(20) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        let mut b = TcpStream::connect(addr).expect("connect B");
+        b.set_read_timeout(Some(STALL_BOUND)).expect("read timeout");
+        let small = NetRequest {
+            id: 1,
+            deadline_rel_ns: 0,
+            op: NetOp::Merge {
+                a: vec![1, 3],
+                b: vec![2],
+            },
+        };
+        let t0 = Instant::now();
+        b.write_all(&encode_request(&small)).expect("send to B");
+        let resp = read_response(&mut b);
+        let waited = t0.elapsed();
+        let resp = match resp {
+            Ok(Some(resp)) => resp,
+            other => panic!("B unanswered after {waited:?} while A reads nothing: {other:?}"),
+        };
+        assert!(waited < STALL_BOUND, "B answered after {waited:?}");
+        assert_eq!((resp.id, resp.status), (1, NetStatus::Ok));
+        assert_eq!(resp.output, vec![1, 2, 3]);
+
+        let merged: Vec<u32> = (0..2 * half).collect();
+        for id in 0..STALL_REQUESTS {
+            let resp = a.recv().expect("A reads").expect("a response");
+            assert_eq!((resp.id, resp.status), (id, NetStatus::Ok));
+            assert!(resp.output == merged, "request {id}: wrong output");
+        }
+        drop((a, b));
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, STALL_REQUESTS + 1);
+        assert_eq!(stats.lost(), 0);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Fuzzing the v1 frame decoders
 // ---------------------------------------------------------------------------
@@ -379,24 +571,6 @@ const FUZZ_CASES: usize = 12_000;
 /// Wall bound on one fuzz loop: a decoder that hangs fails the test
 /// instead of stalling the suite.
 const FUZZ_WALL: Duration = Duration::from_secs(60);
-
-/// Runs `f` on a thread of its own and fails the test if it has not
-/// returned within [`FUZZ_WALL`]. A panic inside `f` is re-raised here.
-fn within_wall_bound(what: &str, f: impl FnOnce() + Send + 'static) {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        f();
-        let _ = tx.send(());
-    });
-    match rx.recv_timeout(FUZZ_WALL) {
-        Ok(()) => handle.join().expect("the fuzz loop returned"),
-        Err(RecvTimeoutError::Disconnected) => match handle.join() {
-            Err(payload) => resume_unwind(payload),
-            Ok(()) => unreachable!("the fuzz loop sends before it returns"),
-        },
-        Err(RecvTimeoutError::Timeout) => panic!("{what}: not done within {FUZZ_WALL:?}"),
-    }
-}
 
 fn random_keys(rng: &mut Prng) -> Vec<u32> {
     (0..rng.below(12)).map(|_| rng.next_u32()).collect()
@@ -509,7 +683,7 @@ impl FuzzTally {
 /// [`ProtocolError`], within the wall bound.
 #[test]
 fn fuzzed_request_frames_decode_or_fail_typed() {
-    within_wall_bound("request fuzz", || {
+    within_wall_bound("request fuzz", FUZZ_WALL, || {
         let mut rng = Prng::seed_from_u64(0x5EED_F00D);
         let mut tally = FuzzTally::default();
         for _ in 0..FUZZ_CASES {
@@ -541,7 +715,7 @@ fn fuzzed_request_frames_decode_or_fail_typed() {
 /// typed [`ProtocolError`], within the wall bound.
 #[test]
 fn fuzzed_response_frames_decode_or_fail_typed() {
-    within_wall_bound("response fuzz", || {
+    within_wall_bound("response fuzz", FUZZ_WALL, || {
         let mut rng = Prng::seed_from_u64(0xF00D_5EED);
         let mut tally = FuzzTally::default();
         let statuses = [
