@@ -39,25 +39,28 @@ fn mutation_overlap_is_detected() {
     }
 }
 
-/// The co-rank tie-break fault only fires when a mixed tie class straddles
-/// one of the kernel's interior 256-rank block cuts, so this test builds its
-/// own input instead of using the default (whose per-worker segments are too
-/// short to contain an interior cut): 2048 + 2048 elements with 24-element
-/// tie runs per side give every worker segment (1024 outputs at the default
-/// 4 threads) mixed ~48-wide tie classes across the cuts at ranks
-/// 256/512/768.
+/// The co-rank tie-break fault only fires when the probe sends a segment to
+/// the co-rank kernel and a mixed tie class straddles one of the kernel's
+/// interior 256-rank block cuts, so this test builds its own input instead
+/// of using the default (whose per-worker segments are too short to hold an
+/// interior cut): 2048 + 2048 keyed elements in tie runs of 48 per side.
+/// At the default 4 threads each worker segment (1024 outputs) holds mixed
+/// 96-wide tie classes. Runs of 24 would send every segment to branch-lean
+/// (too few of the probe's duplicate samples land in a run); runs of 32 or
+/// 64 make merged tie classes of 64 or 128 outputs, which divide the block
+/// size, so every block cut would fall on a class boundary and the
+/// inverted tie break could not show.
 #[test]
 fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
-    use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
+    use mergepath::merge::parallel::parallel_merge_into_recorded;
+    use mergepath::telemetry::TimelineRecorder;
     use mergepath_check::{check_kernel_on, Kv};
 
     let tagged =
-        |tag0: u32| -> Vec<Kv> { (0..2048u32).map(|i| ((i / 24) as i32, tag0 + i)).collect() };
+        |tag0: u32| -> Vec<Kv> { (0..2048u32).map(|i| ((i / 48) as i32, tag0 + i)).collect() };
     let (a, b) = (tagged(0), tagged(1_000_000));
     let cfg = CheckConfig::default();
-    let result = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
-        check_kernel_on(Kernel::Parallel, &a, &b, &cfg)
-    });
+    let result = check_kernel_on(Kernel::Parallel, &a, &b, &cfg);
     if cfg!(mergepath_mutate) {
         match result {
             Err(CheckError::OutputMismatch {
@@ -71,7 +74,21 @@ fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
             ),
         }
     } else {
-        let report = result.expect("clean build must pass the forced-co-rank schedule check");
+        let report = result.expect("clean build must pass the schedule check");
         assert!(report.multi_rounds > 0, "{report}");
+        // The conviction above rests on the probe choosing the co-rank
+        // kernel for this input at the checker's thread count.
+        let rec = TimelineRecorder::new();
+        let mut out = vec![(0, 0); a.len() + b.len()];
+        let by_key = |x: &Kv, y: &Kv| x.0.cmp(&y.0);
+        parallel_merge_into_recorded(&a, &b, &mut out, cfg.threads, &by_key, &rec);
+        let co_rank: u64 = rec
+            .finish()
+            .counters
+            .iter()
+            .filter(|c| c.kind.name() == "segments_co_rank")
+            .map(|c| c.total)
+            .sum();
+        assert!(co_rank > 0, "the probe sent no segment to co-rank");
     }
 }

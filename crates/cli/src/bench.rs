@@ -6,12 +6,13 @@
 //! on schema version or environment fingerprint:
 //!
 //! * `BENCH_merge.json` — the parallel merge across four workload
-//!   families (uniform, duplicate-heavy, run-structured, adversarial-tie),
-//!   each measured under the adaptive per-segment dispatch **and** under a
-//!   pinned classic kernel, with median ns/element, comparison counts,
-//!   per-kernel segment counters, and the Thm 14 load-balance skew.
+//!   families (uniform, duplicate-heavy, run-structured, adversarial-tie):
+//!   median ns/element under the probe's per-segment dispatch, comparison
+//!   counts, per-kernel segment counters and the Thm 14 load-balance skew,
+//!   plus one-thread columns in which each of the four segment kernels
+//!   merges the family's whole pair on the calling thread, with no pool.
 //! * `BENCH_sort.json` — the §III parallel merge sort across four sort
-//!   families, same columns.
+//!   families, same columns without the one-thread kernel columns.
 //! * `BENCH_telemetry.json` — traced vs untraced wall-clock and the
 //!   load-balance report for every parallel kernel, refreshed here so it
 //!   shares the other artifacts' fingerprint.
@@ -22,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
+use mergepath::merge::adaptive::SegmentKernel;
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
 use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::stable::stable_parallel_merge_into_recorded;
@@ -119,30 +120,33 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2] as f64
 }
 
-/// One family's measurements: the adaptive dispatch plus every pinned
-/// segment kernel (classic, branch-lean, co-rank).
+/// One family's measurements under the probe's dispatch.
 #[derive(Debug, Clone)]
 struct FamilyRow {
     family: String,
     adaptive_ns_per_elem: f64,
-    classic_ns_per_elem: f64,
-    branch_lean_ns_per_elem: f64,
-    co_rank_ns_per_elem: f64,
     comparisons: u64,
     segments: [u64; 4],
     max_items: u64,
     predicted_max: u64,
     imbalance: f64,
-    /// Items-based worker imbalance (`max_items · p / n`) of a pinned
-    /// co-rank traced run. Deterministic — it depends only on cut
-    /// arithmetic, never on timing — so `verify-bench` can hard-gate it:
-    /// the exact-balance schedule keeps it within `1 + p/n`.
+    /// The merge rows' extra columns; `None` on sort rows.
+    merge: Option<MergeColumns>,
+}
+
+/// Columns only the merge rows carry.
+#[derive(Debug, Clone)]
+struct MergeColumns {
+    /// Median ns/element of each [`SegmentKernel`] (in `ALL` order)
+    /// merging the family's whole pair on the calling thread: no pool, so
+    /// where the OS places a woken worker cannot move these columns.
+    kernel_t1_ns_per_elem: [f64; 4],
+    /// Items-based worker imbalance (`max_items · p / n`) of a traced
+    /// `stable_parallel_merge_into_recorded` run. Deterministic — it
+    /// depends only on cut arithmetic, never on timing — so `verify-bench`
+    /// can hard-gate it: the exact-balance schedule keeps it within
+    /// `1 + p/n`.
     imbalance_co_rank: f64,
-    /// Segments the *pinned* co-rank run routed through the kernel —
-    /// proof in the artifact that the co-rank columns measured the real
-    /// code path (the adaptive `segments` counters only show co-rank
-    /// segments when the probe itself picks the kernel).
-    pinned_co_rank_segments: u64,
 }
 
 fn counter_total(t: &Telemetry, name: &str) -> u64 {
@@ -157,60 +161,47 @@ fn family_row(
     family: &str,
     n: usize,
     cfg: &BenchConfig,
-    mut timed: impl FnMut(),
+    timed: impl FnMut(),
     traced: impl FnOnce(&TimelineRecorder),
-    co_rank_traced: impl FnOnce(&TimelineRecorder),
 ) -> FamilyRow {
-    let adaptive_ns =
-        with_dispatch_policy(DispatchPolicy::Adaptive, || median_ns(cfg.reps, &mut timed));
-    let classic_ns = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::Classic), || {
-        median_ns(cfg.reps, &mut timed)
-    });
-    let branch_lean_ns =
-        with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::BranchLean), || {
-            median_ns(cfg.reps, &mut timed)
-        });
-    let co_rank_ns = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
-        median_ns(cfg.reps, &mut timed)
-    });
-    let telemetry = with_dispatch_policy(DispatchPolicy::Adaptive, || {
-        let rec = TimelineRecorder::new();
-        traced(&rec);
-        rec.finish()
-    });
+    let adaptive_ns = median_ns(cfg.reps, timed);
+    let rec = TimelineRecorder::new();
+    traced(&rec);
+    let telemetry = rec.finish();
     let report = telemetry.load_balance(n as u64, cfg.threads);
-    // The co-rank column's load balance comes from its own traced run so
-    // the exact-balance claim is measured, not inferred. Items per worker
-    // are schedule arithmetic, hence exactly reproducible.
-    let co_telemetry = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
-        let rec = TimelineRecorder::new();
-        co_rank_traced(&rec);
-        rec.finish()
-    });
-    let co_report = co_telemetry.load_balance(n as u64, cfg.threads);
-    let imbalance_co_rank = if n == 0 {
-        1.0
-    } else {
-        co_report.max_items as f64 * cfg.threads as f64 / n as f64
-    };
     FamilyRow {
         family: family.to_string(),
         adaptive_ns_per_elem: adaptive_ns / n as f64,
-        classic_ns_per_elem: classic_ns / n as f64,
-        branch_lean_ns_per_elem: branch_lean_ns / n as f64,
-        co_rank_ns_per_elem: co_rank_ns / n as f64,
         comparisons: counter_total(&telemetry, "comparisons"),
-        segments: [
-            counter_total(&telemetry, "segments_classic"),
-            counter_total(&telemetry, "segments_branch_lean"),
-            counter_total(&telemetry, "segments_galloping"),
-            counter_total(&telemetry, "segments_co_rank"),
-        ],
+        segments: SegmentKernel::ALL.map(|k| counter_total(&telemetry, k.counter().name())),
         max_items: report.max_items,
         predicted_max: report.predicted_max,
         imbalance: report.busy.imbalance,
+        merge: None,
+    }
+}
+
+/// The merge rows' extra columns for the pair `a`, `b`.
+fn merge_columns(a: &[u32], b: &[u32], cfg: &BenchConfig) -> MergeColumns {
+    let cmp = natural_cmp::<u32>;
+    let n = a.len() + b.len();
+    let mut out = vec![0u32; n];
+    let kernel_t1_ns_per_elem = SegmentKernel::ALL.map(|kernel| {
+        median_ns(cfg.reps, || kernel.merge_into_by(a, b, &mut out, &cmp)) / n as f64
+    });
+    // The exact-balance cut schedule is the property published here; the
+    // items per worker are schedule arithmetic, hence exactly reproducible.
+    let rec = TimelineRecorder::new();
+    stable_parallel_merge_into_recorded(a, b, &mut out, cfg.threads, &cmp, &rec);
+    let report = rec.finish().load_balance(n as u64, cfg.threads);
+    let imbalance_co_rank = if n == 0 {
+        1.0
+    } else {
+        report.max_items as f64 * cfg.threads as f64 / n as f64
+    };
+    MergeColumns {
+        kernel_t1_ns_per_elem,
         imbalance_co_rank,
-        pinned_co_rank_segments: counter_total(&co_telemetry, "segments_co_rank"),
     }
 }
 
@@ -227,58 +218,57 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"family\":\"{}\",\"adaptive_ns_per_elem\":{},\"classic_ns_per_elem\":{},\
-             \"branch_lean_ns_per_elem\":{},\"co_rank_ns_per_elem\":{},\
-             \"speedup_vs_classic\":{},\"speedup_co_rank_vs_classic\":{},\
-             \"comparisons\":{},\"segments_classic\":{},\
-             \"segments_branch_lean\":{},\"segments_galloping\":{},\
-             \"segments_co_rank\":{},\"pinned_co_rank_segments\":{},\
-             \"max_items\":{},\"predicted_max\":{},\"imbalance\":{},\"imbalance_co_rank\":{}}}",
-            r.family,
-            r.adaptive_ns_per_elem,
-            r.classic_ns_per_elem,
-            r.branch_lean_ns_per_elem,
-            r.co_rank_ns_per_elem,
-            r.classic_ns_per_elem / r.adaptive_ns_per_elem.max(f64::MIN_POSITIVE),
-            r.classic_ns_per_elem / r.co_rank_ns_per_elem.max(f64::MIN_POSITIVE),
-            r.comparisons,
-            r.segments[0],
-            r.segments[1],
-            r.segments[2],
-            r.segments[3],
-            r.pinned_co_rank_segments,
-            r.max_items,
-            r.predicted_max,
-            r.imbalance,
-            r.imbalance_co_rank,
+            "{{\"family\":\"{}\",\"adaptive_ns_per_elem\":{},\"comparisons\":{}",
+            r.family, r.adaptive_ns_per_elem, r.comparisons,
         );
+        for (kernel, segments) in SegmentKernel::ALL.iter().zip(r.segments) {
+            let _ = write!(out, ",\"{}\":{segments}", kernel.counter().name());
+        }
+        let _ = write!(
+            out,
+            ",\"max_items\":{},\"predicted_max\":{},\"imbalance\":{}",
+            r.max_items, r.predicted_max, r.imbalance,
+        );
+        if let Some(m) = &r.merge {
+            for (kernel, ns) in SegmentKernel::ALL.iter().zip(m.kernel_t1_ns_per_elem) {
+                let _ = write!(out, ",\"{}_t1_ns_per_elem\":{ns}", kernel.name());
+            }
+            let _ = write!(out, ",\"imbalance_co_rank\":{}", m.imbalance_co_rank);
+        }
+        out.push('}');
     }
     out.push_str("]}");
     out
 }
 
 fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{title}: family, adaptive/classic/branch-lean/co-rank ns/elem, adaptive speedup, \
-         segments (c/bl/g/cr), co-rank imbalance"
+        "{title}: family, adaptive ns/elem, segments (c/bl/g/cr)"
     );
-    for r in rows {
-        let _ = writeln!(
+    if rows.iter().any(|r| r.merge.is_some()) {
+        let _ = write!(
             out,
-            "  {:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.3}x  {}/{}/{}/{}  {:.5}",
-            r.family,
-            r.adaptive_ns_per_elem,
-            r.classic_ns_per_elem,
-            r.branch_lean_ns_per_elem,
-            r.co_rank_ns_per_elem,
-            r.classic_ns_per_elem / r.adaptive_ns_per_elem.max(f64::MIN_POSITIVE),
-            r.segments[0],
-            r.segments[1],
-            r.segments[2],
-            r.segments[3],
-            r.imbalance_co_rank,
+            ", one-thread classic/branch-lean/galloping/co-rank ns/elem, co-rank imbalance"
         );
+    }
+    out.push('\n');
+    for r in rows {
+        let [c, bl, g, cr] = r.segments;
+        let _ = write!(
+            out,
+            "  {:<16} {:>8.3}  {c}/{bl}/{g}/{cr}",
+            r.family, r.adaptive_ns_per_elem
+        );
+        if let Some(m) = &r.merge {
+            let [c, bl, g, cr] = m.kernel_t1_ns_per_elem;
+            let _ = write!(
+                out,
+                "  {c:>8.3} {bl:>8.3} {g:>8.3} {cr:>8.3}  {:.5}",
+                m.imbalance_co_rank
+            );
+        }
+        out.push('\n');
     }
 }
 
@@ -369,7 +359,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
         .map(|family| {
             let (a, b) = merge_inputs(family, cfg.n, cfg.seed);
             let mut out = vec![0u32; cfg.n];
-            family_row(
+            let mut row = family_row(
                 family,
                 cfg.n,
                 cfg,
@@ -378,20 +368,9 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                     let mut traced_out = vec![0u32; cfg.n];
                     parallel_merge_into_recorded(&a, &b, &mut traced_out, cfg.threads, &cmp, rec);
                 },
-                // The co-rank balance row traces the exact-balance entry —
-                // the ⌈n/p⌉ cut schedule is the property being published.
-                |rec| {
-                    let mut traced_out = vec![0u32; cfg.n];
-                    stable_parallel_merge_into_recorded(
-                        &a,
-                        &b,
-                        &mut traced_out,
-                        cfg.threads,
-                        &cmp,
-                        rec,
-                    );
-                },
-            )
+            );
+            row.merge = Some(merge_columns(&a, &b, cfg));
+            row
         })
         .collect();
     summarize("merge", &merge_rows, &mut summary);
@@ -409,12 +388,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                     let mut w = v.clone();
                     parallel_merge_sort_by(&mut w, cfg.threads, &cmp);
                 },
-                |rec| {
-                    let mut w = v.clone();
-                    parallel_merge_sort_recorded(&mut w, cfg.threads, &cmp, rec);
-                },
-                // Sort has no exact-balance top-level entry; the pinned run
-                // still proves the co-rank segment kernel carried the merges.
                 |rec| {
                     let mut w = v.clone();
                     parallel_merge_sort_recorded(&mut w, cfg.threads, &cmp, rec);
@@ -500,36 +473,35 @@ mod tests {
         }
         assert!(run.summary.contains("merge:"));
         assert!(run.summary.contains("sort:"));
-        // Every family carries the pinned-kernel columns.
-        for doc in [&merge, &sort] {
-            for f in doc
-                .get("payload")
-                .and_then(|p| p.get("families"))
-                .and_then(Value::as_array)
-                .unwrap()
-            {
-                for col in [
-                    "branch_lean_ns_per_elem",
-                    "co_rank_ns_per_elem",
-                    "speedup_co_rank_vs_classic",
-                    "segments_co_rank",
-                    "pinned_co_rank_segments",
-                    "imbalance_co_rank",
-                ] {
+        // Merge rows carry the one-thread kernel columns and the co-rank
+        // balance; sort rows carry neither.
+        let merge_only = [
+            "classic_t1_ns_per_elem",
+            "branch_lean_t1_ns_per_elem",
+            "galloping_t1_ns_per_elem",
+            "co_rank_t1_ns_per_elem",
+            "imbalance_co_rank",
+        ];
+        for (doc, is_merge) in [(&merge, true), (&sort, false)] {
+            let rows = doc.get("payload").and_then(|p| p.get("families"));
+            for f in rows.and_then(Value::as_array).unwrap() {
+                for col in ["adaptive_ns_per_elem", "segments_co_rank", "imbalance"] {
                     assert!(
                         f.get(col).and_then(Value::as_f64).is_some(),
                         "missing {col}"
                     );
                 }
-                // The pinned co-rank sweep must have exercised the real
-                // kernel, not a fallback.
-                assert!(
-                    f.get("pinned_co_rank_segments")
-                        .and_then(Value::as_f64)
-                        .unwrap()
-                        > 0.0,
-                    "pinned co-rank run recorded no co-rank segments"
-                );
+                for col in merge_only {
+                    let present = f.get(col).and_then(Value::as_f64).is_some();
+                    assert_eq!(present, is_merge, "{col} on a merge row: {is_merge}");
+                }
+                for gone in [
+                    "speedup_vs_classic",
+                    "speedup_co_rank_vs_classic",
+                    "pinned_co_rank_segments",
+                ] {
+                    assert!(f.get(gone).is_none(), "retired column {gone}");
+                }
             }
         }
     }
@@ -538,7 +510,7 @@ mod tests {
     fn co_rank_imbalance_is_within_the_exact_balance_bound_on_merges() {
         // The exact-balance cut schedule hands every non-tail worker
         // exactly ⌈n/p⌉ output ranks, so the items-based imbalance of the
-        // pinned co-rank merge is at most 1 + p/n — far inside the 1.005
+        // exact-balance co-rank merge is at most 1 + p/n — far inside the 1.005
         // gate `cargo xtask verify-bench` enforces on the committed
         // artifact. Deterministic: it is cut arithmetic, not timing.
         let cfg = BenchConfig {

@@ -137,7 +137,7 @@ pub const USAGE: &str = "usage:
   mp select A B --rank K [--numeric]
   mp check  FILE [--numeric]
   mp check  --kernel KERNEL|all [--n N] [--threads P] [--seed S] [--schedules K]
-            [--dispatch adaptive|classic|branch-lean|galloping|co_rank] [--steal-orders]
+            [--steal-orders]
   mp trace  --kernel KERNEL
             [--n N] [--threads P] [--seed S] [--trace-out F] [--metrics-out F]
   mp bench  [--n N] [--threads P] [--seed S] [--reps R] [--out-dir D] [--smoke] [--serve]
@@ -234,54 +234,6 @@ impl TraceKernel {
     }
 }
 
-/// Per-segment dispatch override for `mp check --kernel`.
-///
-/// `adaptive` (the default) checks the probe's real choices; the fixed
-/// variants pin every segment to one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckDispatch {
-    /// Probe each segment (default).
-    #[default]
-    Adaptive,
-    /// Force the classic two-pointer segment kernel.
-    Classic,
-    /// Force the branch-lean segment kernel.
-    BranchLean,
-    /// Force the galloping segment kernel.
-    Galloping,
-    /// Force the co-rank stable block kernel. Stays on the provenance-
-    /// tagged `(key, tag)` duplicate-heavy inputs — exactly where stability
-    /// is observable — so the checker's oracle comparison proves the
-    /// kernel's stable tie break along with CREW exclusivity and the
-    /// `⌈E/s⌉` exact-balance cap.
-    CoRank,
-}
-
-impl CheckDispatch {
-    fn parse(s: &str) -> Result<Self, CliError> {
-        match s {
-            "adaptive" => Ok(CheckDispatch::Adaptive),
-            "classic" => Ok(CheckDispatch::Classic),
-            "branch-lean" => Ok(CheckDispatch::BranchLean),
-            "galloping" => Ok(CheckDispatch::Galloping),
-            "co_rank" => Ok(CheckDispatch::CoRank),
-            other => Err(CliError::Usage(format!("unknown --dispatch {other:?}"))),
-        }
-    }
-
-    /// The core dispatch policy this selector forces.
-    pub fn policy(self) -> mergepath::merge::adaptive::DispatchPolicy {
-        use mergepath::merge::adaptive::{DispatchPolicy, SegmentKernel};
-        match self {
-            CheckDispatch::Adaptive => DispatchPolicy::Adaptive,
-            CheckDispatch::Classic => DispatchPolicy::Fixed(SegmentKernel::Classic),
-            CheckDispatch::BranchLean => DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-            CheckDispatch::Galloping => DispatchPolicy::Fixed(SegmentKernel::Galloping),
-            CheckDispatch::CoRank => DispatchPolicy::Fixed(SegmentKernel::CoRank),
-        }
-    }
-}
-
 /// A parsed command.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Command {
@@ -341,8 +293,6 @@ pub enum Command {
         seed: u64,
         /// Number of permuted virtual schedules per kernel.
         schedules: usize,
-        /// Per-segment dispatch override active during the check.
-        dispatch: CheckDispatch,
         /// Draw round orders from the simulated work-stealing deque
         /// protocol instead of uniform shuffles (`--steal-orders`).
         steal_orders: bool,
@@ -450,7 +400,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut reps: Option<usize> = None;
     let mut out_dir = String::from(".");
     let mut smoke = false;
-    let mut dispatch = CheckDispatch::default();
     let mut steal_orders = false;
     let mut serve = false;
     let mut requests = 256usize;
@@ -635,12 +584,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 pattern = ArrivalPattern::parse(p)
                     .ok_or_else(|| CliError::Usage(format!("unknown --pattern {p:?}")))?;
             }
-            "--dispatch" => {
-                let d = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--dispatch needs a name".into()))?;
-                dispatch = CheckDispatch::parse(d)?;
-            }
             "--steal-orders" => steal_orders = true,
             other if other.starts_with('-') => {
                 return Err(CliError::Usage(format!("unknown flag {other:?}")));
@@ -686,7 +629,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 seed,
                 schedules,
-                dispatch,
                 steal_orders,
             })
         }
@@ -889,7 +831,6 @@ where
             threads,
             seed,
             schedules,
-            dispatch,
             steal_orders,
         } => {
             let cfg = mergepath_check::CheckConfig {
@@ -904,15 +845,13 @@ where
                     .expect("TraceKernel and check Kernel share names")],
                 None => mergepath_check::Kernel::ALL.to_vec(),
             };
-            mergepath::merge::adaptive::with_dispatch_policy(dispatch.policy(), || {
-                let mut out = String::new();
-                for k in kernels {
-                    let report = mergepath_check::check_kernel(k, *n, &cfg)
-                        .map_err(|e| CliError::CheckFailed(e.to_string()))?;
-                    let _ = writeln!(out, "{report}");
-                }
-                Ok(out)
-            })
+            let mut out = String::new();
+            for k in kernels {
+                let report = mergepath_check::check_kernel(k, *n, &cfg)
+                    .map_err(|e| CliError::CheckFailed(e.to_string()))?;
+                let _ = writeln!(out, "{report}");
+            }
+            Ok(out)
         }
         Command::Trace {
             kernel,
@@ -1505,7 +1444,6 @@ mod tests {
                 threads: 3,
                 seed: 5,
                 schedules: 4,
-                dispatch: CheckDispatch::Adaptive,
                 steal_orders: false,
             }
         );
@@ -1519,7 +1457,6 @@ mod tests {
                 threads: 2,
                 seed: 42,
                 schedules: 8,
-                dispatch: CheckDispatch::Adaptive,
                 steal_orders: false,
             }
         );
@@ -1529,15 +1466,6 @@ mod tests {
             cmd,
             Command::CheckSchedules {
                 steal_orders: true,
-                ..
-            }
-        ));
-        // --dispatch pins a per-segment kernel for the whole run.
-        let cmd = parse_args(&argv("check --kernel all --dispatch co_rank")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::CheckSchedules {
-                dispatch: CheckDispatch::CoRank,
                 ..
             }
         ));
@@ -1563,15 +1491,14 @@ mod tests {
             parse_args(&argv("trace --kernel all")),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            parse_args(&argv("check --kernel all --dispatch bogus")),
-            Err(CliError::Usage(_))
-        ));
-        // `simd` names no segment kernel.
-        assert!(matches!(
-            parse_args(&argv("check --kernel all --dispatch simd")),
-            Err(CliError::Usage(_))
-        ));
+        // The checker runs the probe's own kernel choices; no flag forces
+        // a segment kernel.
+        for forced in ["co_rank", "classic", "adaptive"] {
+            match parse_args(&argv(&format!("check --kernel all --dispatch {forced}"))) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--dispatch"), "{msg}"),
+                other => panic!("--dispatch {forced} must be a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1588,21 +1515,6 @@ mod tests {
         let one = parse_args(&argv("check --kernel kway --n 400 --threads 2")).unwrap();
         let out = execute(&one, memfs(&[])).unwrap();
         assert!(out.starts_with("kway: ok"), "{out}");
-    }
-
-    #[test]
-    fn check_schedules_runs_under_every_dispatch_override() {
-        // Each override must pass the full check sweep on the
-        // provenance-tagged keyed inputs, where the oracle comparison also
-        // proves each kernel's stable tie break.
-        for dispatch in ["adaptive", "classic", "branch-lean", "galloping", "co_rank"] {
-            let cmd = parse_args(&argv(&format!(
-                "check --kernel parallel --n 600 --threads 3 --schedules 2 --dispatch {dispatch}"
-            )))
-            .unwrap();
-            let out = execute(&cmd, memfs(&[])).unwrap();
-            assert!(out.starts_with("parallel: ok"), "{dispatch}: {out}");
-        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! ones. [`Pool`] reproduces that execution model so the per-merge overhead
 //! of `std::thread::spawn` can be separated from the algorithm itself (the
 //! §VI "6% single-thread overhead" experiment, and an ablation in the
-//! benches).
+//! benches). The pool runs shares and knows no kernel: Algorithm 1's share
+//! loop lives once, in [`crate::merge::parallel`], which submits it here.
 //!
 //! # Scheduler design (DESIGN.md §15)
 //!
@@ -142,13 +143,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use core::cmp::Ordering;
-
 use mergepath_telemetry::{now_ns, CounterKind, Recorder};
-
-use crate::diagonal::co_rank_by;
-use crate::merge::sequential::merge_into_by;
-use crate::partition::segment_boundary;
 
 /// Locks a mutex, ignoring poison. The scheduler never holds any of its
 /// locks across job code (jobs run under per-share `catch_unwind`), so a
@@ -1074,55 +1069,6 @@ impl Pool {
             rec.counter_add(0, CounterKind::PoolStolenShares, stats.stolen_shares);
         }
     }
-
-    /// Stable parallel merge executed on this pool (Algorithm 1 with the
-    /// OpenMP-style backend). Semantics are identical to
-    /// [`parallel_merge_into_by`](crate::merge::parallel::parallel_merge_into_by).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != a.len() + b.len()`.
-    pub fn merge_into_by<T, F>(&self, a: &[T], b: &[T], out: &mut [T], cmp: &F)
-    where
-        T: Clone + Send + Sync,
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        let n = a.len() + b.len();
-        assert!(
-            out.len() == n,
-            "output buffer length mismatch: expected {n}, got {}",
-            out.len()
-        );
-        let p = self.threads;
-        if p == 1 || n <= p {
-            note_write_range(out);
-            merge_into_by(a, b, out, cmp);
-            return;
-        }
-        let base = SendPtr(out.as_mut_ptr());
-        self.run(&move |tid| {
-            let d_lo = segment_boundary(n, p, tid);
-            let d_hi = segment_boundary(n, p, tid + 1);
-            let i_lo = co_rank_by(d_lo, a, b, cmp);
-            let i_hi = co_rank_by(d_hi, a, b, cmp);
-            let (sa, sb) = (&a[i_lo..i_hi], &b[d_lo - i_lo..d_hi - i_hi]);
-            note_read_range(sa);
-            note_read_range(sb);
-            // SAFETY: `d_lo..d_hi` ranges are disjoint across tids and lie
-            // within `out` (d_hi <= n == out.len()); the round latch orders
-            // all writes before `merge_into_by` returns to the caller,
-            // which still holds the unique borrow of `out`.
-            let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-            merge_into_by(sa, sb, chunk, cmp);
-        });
-    }
-
-    /// [`Pool::merge_into_by`] using the natural order.
-    pub fn merge_into<T>(&self, a: &[T], b: &[T], out: &mut [T])
-    where
-        T: Ord + Clone + Send + Sync,
-    {
-        self.merge_into_by(a, b, out, &|x: &T, y: &T| x.cmp(y));
-    }
 }
 
 impl Drop for Pool {
@@ -1262,30 +1208,31 @@ mod tests {
         assert_eq!(total, (0..1000u64).sum::<u64>() as usize);
     }
 
-    #[test]
-    fn pooled_merge_matches_sequential() {
-        let pool = Pool::new(4);
-        let a: Vec<i64> = (0..5000).map(|x| x * 2).collect();
-        let b: Vec<i64> = (0..4000).map(|x| x * 3 + 1).collect();
-        let mut expect = vec![0i64; 9000];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
-        let mut out = vec![0i64; 9000];
-        pool.merge_into(&a, &b, &mut out);
-        assert_eq!(out, expect);
-        // Reuse the pool for a second merge.
-        let mut out2 = vec![0i64; 9000];
-        pool.merge_into(&a, &b, &mut out2);
-        assert_eq!(out2, expect);
+    /// Copies `src` into `dst` on `pool` as `shares` disjoint chunks, each
+    /// share writing its own chunk through a [`SendPtr`].
+    fn chunked_copy(pool: &Pool, shares: usize, src: &[i64], dst: &mut [i64]) {
+        assert_eq!(src.len(), dst.len());
+        let n = src.len();
+        let base = SendPtr::new(dst.as_mut_ptr());
+        pool.run_indexed(shares, &|k| {
+            let (lo, hi) = (k * n / shares, (k + 1) * n / shares);
+            // SAFETY: the `lo..hi` ranges are disjoint across shares and lie
+            // within `dst`, whose unique borrow this frame holds until
+            // `run_indexed` returns.
+            let chunk = unsafe { base.slice_mut(lo, hi - lo) };
+            chunk.clone_from_slice(&src[lo..hi]);
+        });
     }
 
     #[test]
-    fn pooled_merge_tiny_inputs_fall_back() {
-        let pool = Pool::new(8);
-        let a = [1i64, 3];
-        let b = [2i64];
-        let mut out = [0i64; 3];
-        pool.merge_into(&a, &b, &mut out);
-        assert_eq!(out, [1, 2, 3]);
+    fn disjoint_share_writes_fill_the_output_on_a_reused_pool() {
+        let pool = Pool::new(4);
+        let src: Vec<i64> = (0..9000).map(|x| x * 3 - 7).collect();
+        for shares in [4, 9, 64] {
+            let mut out = vec![0i64; src.len()];
+            chunked_copy(&pool, shares, &src, &mut out);
+            assert_eq!(out, src, "shares={shares}");
+        }
     }
 
     #[test]
@@ -1435,15 +1382,24 @@ mod tests {
         // A share invoking a full parallel kernel (which itself calls
         // run_indexed on the global pool) must fall back to inline
         // execution and still produce correct output.
+        use crate::merge::parallel::parallel_merge_into;
         let pool = Pool::new(3);
         let a: Vec<i64> = (0..500).map(|x| x * 2).collect();
         let b: Vec<i64> = (0..500).map(|x| x * 2 + 1).collect();
-        let mut expect = vec![0i64; 1000];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
+        let expect: Vec<i64> = (0..1000).collect();
         let outputs: Vec<Mutex<Vec<i64>>> = (0..3).map(|_| Mutex::new(vec![0i64; 1000])).collect();
         pool.run(&|tid| {
+            assert!(in_pool_round(), "a share runs inside a round");
+            let caller = std::thread::current().id();
+            super::global().run_indexed(4, &|_| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "nested share ran elsewhere"
+                );
+            });
             let mut out = outputs[tid].lock().expect("test mutex");
-            super::global().merge_into_by(&a, &b, &mut out, &|x, y| x.cmp(y));
+            parallel_merge_into(&a, &b, &mut out, 4);
         });
         for o in &outputs {
             assert_eq!(*o.lock().expect("test mutex"), expect);
@@ -1653,14 +1609,11 @@ mod tests {
     #[test]
     fn stress_alternating_jobs() {
         let pool = Pool::new(4);
-        let a: Vec<i64> = (0..256).collect();
-        let b: Vec<i64> = (0..256).map(|x| x + 128).collect();
-        let mut expect = vec![0i64; 512];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
+        let src: Vec<i64> = (0..512).collect();
         for _ in 0..50 {
             let mut out = vec![0i64; 512];
-            pool.merge_into(&a, &b, &mut out);
-            assert_eq!(out, expect);
+            chunked_copy(&pool, 4, &src, &mut out);
+            assert_eq!(out, src);
             let touched = AtomicUsize::new(0);
             pool.run(&|_| {
                 touched.fetch_add(1, AtomicOrdering::Relaxed);

@@ -22,16 +22,15 @@
 //!   misprediction that the classic loop pays on unpredictable inputs.
 //!
 //! Every kernel produces byte-identical output (the oracle differential
-//! suite pins this down), so the choice is *purely* a performance decision
-//! — which is also why the process-wide [`DispatchPolicy`] override can be
-//! a relaxed atomic: a racing policy change can alter speed, never results.
+//! suite pins this down), so the choice is *purely* a performance decision.
+//! It is also a value, never process state: [`probe_segment`] names a
+//! kernel, and [`SegmentKernel::merge_into_by`] runs a named kernel on one
+//! segment — the one way a benchmark or a test forces a kernel.
 
 use core::any::TypeId;
 use core::cell::Cell;
 use core::cmp::Ordering;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 use mergepath_telemetry::{counted_cmp, CounterKind, Recorder};
 
@@ -82,7 +81,7 @@ pub enum SegmentKernel {
 }
 
 impl SegmentKernel {
-    /// All kernels, in dispatch-byte order.
+    /// All kernels, in the order telemetry and bench artifacts list them.
     pub const ALL: [SegmentKernel; 4] = [
         SegmentKernel::Classic,
         SegmentKernel::BranchLean,
@@ -109,78 +108,30 @@ impl SegmentKernel {
             SegmentKernel::CoRank => CounterKind::SegmentsCoRank,
         }
     }
-}
 
-/// Process-wide dispatch policy: probe per segment (the default) or force
-/// one fixed kernel everywhere (benchmark baselines, test sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Probe each segment and pick the best kernel (default).
-    Adaptive,
-    /// Route every segment through one fixed kernel.
-    Fixed(SegmentKernel),
-}
-
-const POLICY_ADAPTIVE: u8 = 0;
-const POLICY_CLASSIC: u8 = 1;
-const POLICY_BRANCH_LEAN: u8 = 2;
-const POLICY_GALLOPING: u8 = 3;
-const POLICY_CO_RANK: u8 = 4;
-
-static POLICY: AtomicU8 = AtomicU8::new(POLICY_ADAPTIVE);
-
-fn encode(policy: DispatchPolicy) -> u8 {
-    match policy {
-        DispatchPolicy::Adaptive => POLICY_ADAPTIVE,
-        DispatchPolicy::Fixed(SegmentKernel::Classic) => POLICY_CLASSIC,
-        DispatchPolicy::Fixed(SegmentKernel::BranchLean) => POLICY_BRANCH_LEAN,
-        DispatchPolicy::Fixed(SegmentKernel::Galloping) => POLICY_GALLOPING,
-        DispatchPolicy::Fixed(SegmentKernel::CoRank) => POLICY_CO_RANK,
-    }
-}
-
-fn decode(bits: u8) -> DispatchPolicy {
-    match bits {
-        POLICY_CLASSIC => DispatchPolicy::Fixed(SegmentKernel::Classic),
-        POLICY_BRANCH_LEAN => DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-        POLICY_GALLOPING => DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        POLICY_CO_RANK => DispatchPolicy::Fixed(SegmentKernel::CoRank),
-        _ => DispatchPolicy::Adaptive,
-    }
-}
-
-/// Reads the current process-wide dispatch policy.
-pub fn dispatch_policy() -> DispatchPolicy {
-    decode(POLICY.load(AtomicOrdering::Relaxed))
-}
-
-/// Sets the process-wide dispatch policy. Prefer the scoped
-/// [`with_dispatch_policy`] in tests and benches so concurrent sweeps
-/// serialize and the previous policy is always restored.
-pub fn set_dispatch_policy(policy: DispatchPolicy) {
-    POLICY.store(encode(policy), AtomicOrdering::Relaxed);
-}
-
-/// Runs `f` with the dispatch policy forced to `policy`, restoring the
-/// previous policy afterwards (also on panic). Callers are serialized by a
-/// global mutex, so concurrent test threads sweeping different policies do
-/// not interleave their overrides.
-pub fn with_dispatch_policy<R>(policy: DispatchPolicy, f: impl FnOnce() -> R) -> R {
-    static SWEEP: Mutex<()> = Mutex::new(());
-    let _serialize = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            POLICY.store(self.0, AtomicOrdering::Relaxed);
+    /// Stable merge of one segment with this kernel: ties take from `a`
+    /// first, and the output is byte-identical to [`merge_into_by`] for
+    /// every kernel. Each kernel is safe sequential code that writes only
+    /// `out`.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != a.len() + b.len()`.
+    pub fn merge_into_by<T: Clone, F>(self, a: &[T], b: &[T], out: &mut [T], cmp: &F)
+    where
+        F: Fn(&T, &T) -> Ordering,
+    {
+        match self {
+            SegmentKernel::Classic => merge_into_by(a, b, out, cmp),
+            SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, cmp),
+            SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, cmp),
+            SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, cmp),
         }
     }
-    let _restore = Restore(POLICY.swap(encode(policy), AtomicOrdering::Relaxed));
-    f()
 }
 
 /// The pure run-structure probe: inspects `a` and `b` (one partitioned
 /// segment's inputs) and names the kernel expected to merge them fastest.
-/// Spends `O(log)` comparisons, independent of the policy override.
+/// Spends `O(log)` comparisons.
 pub fn probe_segment<T, F>(a: &[T], b: &[T], cmp: &F) -> SegmentKernel
 where
     F: Fn(&T, &T) -> Ordering,
@@ -312,21 +263,9 @@ fn type_id_of_val<T: ?Sized>(_val: &T) -> TypeId {
     non_static_type_id::<T>()
 }
 
-/// Applies the process-wide [`DispatchPolicy`]: a fixed policy wins, the
-/// adaptive default defers to [`probe_segment`].
-pub fn choose_kernel<T, F>(a: &[T], b: &[T], cmp: &F) -> SegmentKernel
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    match dispatch_policy() {
-        DispatchPolicy::Fixed(kernel) => kernel,
-        DispatchPolicy::Adaptive => probe_segment(a, b, cmp),
-    }
-}
-
-/// Stable merge of one segment through the kernel chosen by
-/// [`choose_kernel`]; returns the choice so instrumented callers can
-/// attribute it ([`record_choice`]).
+/// Stable merge of one segment through the kernel [`probe_segment`]
+/// chooses; returns the choice so instrumented callers can attribute it
+/// ([`record_choice`]).
 ///
 /// Output is byte-identical to [`merge_into_by`] for every choice.
 ///
@@ -341,8 +280,8 @@ pub fn adaptive_merge_into_by<T: Clone, F>(
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    let kernel = choose_kernel(a, b, cmp);
-    merge_with(kernel, a, b, out, cmp);
+    let kernel = probe_segment(a, b, cmp);
+    kernel.merge_into_by(a, b, out, cmp);
     kernel
 }
 
@@ -366,22 +305,9 @@ pub fn adaptive_merge_into_counted<T: Clone, F>(
 where
     F: Fn(&T, &T) -> Ordering,
 {
-    let kernel = choose_kernel(a, b, cmp);
-    merge_with(kernel, a, b, out, &counted_cmp(cmp, hits));
+    let kernel = probe_segment(a, b, cmp);
+    kernel.merge_into_by(a, b, out, &counted_cmp(cmp, hits));
     kernel
-}
-
-/// Runs `kernel` on one segment.
-fn merge_with<T: Clone, F>(kernel: SegmentKernel, a: &[T], b: &[T], out: &mut [T], cmp: &F)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    match kernel {
-        SegmentKernel::Classic => merge_into_by(a, b, out, cmp),
-        SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, cmp),
-        SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, cmp),
-        SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, cmp),
-    }
 }
 
 /// Bumps `kernel`'s "segments won" counter for `worker` on `rec`; a no-op
@@ -497,45 +423,20 @@ mod tests {
         for (a, b) in &inputs {
             let mut oracle = vec![0i64; a.len() + b.len()];
             merge_into_by(a, b, &mut oracle, &cmp);
-            for policy in [
-                DispatchPolicy::Adaptive,
-                DispatchPolicy::Fixed(SegmentKernel::Classic),
-                DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-                DispatchPolicy::Fixed(SegmentKernel::Galloping),
-                DispatchPolicy::Fixed(SegmentKernel::CoRank),
-            ] {
+            for kernel in SegmentKernel::ALL {
                 let mut out = vec![0i64; oracle.len()];
-                let chosen =
-                    with_dispatch_policy(policy, || adaptive_merge_into_by(a, b, &mut out, &cmp));
-                assert_eq!(out, oracle, "policy {policy:?} chose {chosen:?}");
-                if let DispatchPolicy::Fixed(kernel) = policy {
-                    assert_eq!(chosen, kernel, "fixed policy must be obeyed");
-                }
+                kernel.merge_into_by(a, b, &mut out, &cmp);
+                assert_eq!(out, oracle, "{kernel:?}");
             }
+            let mut out = vec![0i64; oracle.len()];
+            let chosen = adaptive_merge_into_by(a, b, &mut out, &cmp);
+            assert_eq!(out, oracle, "probe chose {chosen:?}");
+            assert_eq!(
+                chosen,
+                probe_segment(a, b, &cmp),
+                "the probe must be obeyed"
+            );
         }
-    }
-
-    #[test]
-    fn scoped_policy_override_is_visible_and_swaps_cleanly() {
-        // All assertions run while the serialization mutex is held, so no
-        // concurrent test sweep can interleave its own override.
-        with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::Classic), || {
-            assert_eq!(
-                dispatch_policy(),
-                DispatchPolicy::Fixed(SegmentKernel::Classic)
-            );
-            let entry = POLICY.swap(POLICY_GALLOPING, AtomicOrdering::Relaxed);
-            assert_eq!(entry, POLICY_CLASSIC);
-            assert_eq!(
-                dispatch_policy(),
-                DispatchPolicy::Fixed(SegmentKernel::Galloping)
-            );
-            POLICY.store(entry, AtomicOrdering::Relaxed);
-            assert_eq!(
-                dispatch_policy(),
-                DispatchPolicy::Fixed(SegmentKernel::Classic)
-            );
-        });
     }
 
     /// `len` sorted keys of type `K`, each `key` of a uniform 32-bit draw:
@@ -592,12 +493,10 @@ mod tests {
         assert_eq!(SegmentKernel::Galloping.name(), "galloping");
         assert_eq!(SegmentKernel::CoRank.name(), "co_rank");
         for kernel in SegmentKernel::ALL {
-            assert_eq!(decode(encode(DispatchPolicy::Fixed(kernel))), {
-                DispatchPolicy::Fixed(kernel)
-            });
+            assert_eq!(
+                kernel.counter().name(),
+                format!("segments_{}", kernel.name())
+            );
         }
-        assert_eq!(decode(encode(DispatchPolicy::Adaptive)), {
-            DispatchPolicy::Adaptive
-        });
     }
 }

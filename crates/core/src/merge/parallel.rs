@@ -21,8 +21,9 @@
 //! §VI: `threads` is the *logical* processor count `p` of the algorithm
 //! (the number of Merge Path segments), scheduled as `p` shares over the
 //! pool. Output is bitwise identical regardless of the pool's physical
-//! size. [`Pool::merge_into_by`](crate::executor::Pool::merge_into_by)
-//! offers the same kernel pinned to an explicitly constructed pool.
+//! size. This is the one copy of the share loop; step 3 hands each segment
+//! to the kernel [`probe_segment`](crate::merge::adaptive::probe_segment)
+//! names for it.
 
 use core::cell::Cell;
 use core::cmp::Ordering;

@@ -27,15 +27,15 @@ fn usage() -> ExitCode {
     eprintln!("                   per-worker bounds included)");
     eprintln!("  verify-schedules run `mp check --kernel all` (CREW exclusivity, exact");
     eprintln!("                   coverage and Thm 14 across permuted virtual schedules");
-    eprintln!("                   for every kernel) plus a steal-order leg (--steal-orders,");
-    eprintln!("                   round orders drawn from the simulated work-stealing deque");
-    eprintln!("                   protocol) and a forced co-rank leg");
-    eprintln!("                   (--dispatch co_rank, stable tie break on keyed inputs),");
-    eprintln!("                   all at 4 threads, and the plain check at 5 threads");
-    eprintln!("                   (the sort's odd round count and parallel copy-back),");
-    eprintln!("                   then rebuild with the injected partition fault");
+    eprintln!("                   for every kernel, segment kernels as the probe picks");
+    eprintln!("                   them) plus a steal-order leg (--steal-orders, round");
+    eprintln!("                   orders drawn from the simulated work-stealing deque");
+    eprintln!("                   protocol), both at 4 threads, and the plain check at");
+    eprintln!("                   5 threads (the sort's odd round count and parallel");
+    eprintln!("                   copy-back), then rebuild with the injected faults");
     eprintln!("                   (--cfg mergepath_mutate) and prove the checker reports");
-    eprintln!("                   the overlap and the co-rank tie-break inversion");
+    eprintln!("                   the partition overlap and, on an input the probe sends");
+    eprintln!("                   to co-rank, the co-rank tie-break inversion");
     eprintln!("  bench            run `mp bench` at full scale, refreshing the committed");
     eprintln!("                   BENCH_merge.json / BENCH_sort.json / BENCH_telemetry.json");
     eprintln!("                   at the workspace root");
@@ -48,10 +48,8 @@ fn usage() -> ExitCode {
         "                   {HISTORY_WINDOW} same-environment history entries (falling back to the"
     );
     eprintln!("                   committed artifact when the history is empty); hard-fails");
-    eprintln!("                   when any merge family's pinned co-rank items imbalance");
-    eprintln!(
-        "                   exceeds {CO_RANK_IMBALANCE_CAP} (exact balance is deterministic)"
-    );
+    eprintln!("                   when any merge family's exact-balance co-rank items");
+    eprintln!("                   imbalance exceeds {CO_RANK_IMBALANCE_CAP} (it is deterministic)");
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
@@ -320,13 +318,13 @@ fn verify_telemetry() -> ExitCode {
 /// work-stealing deque protocol (`--steal-orders`): executor-realistic
 /// interleavings where the executing worker differs from the pushing
 /// worker, covering the reorderings a live stolen ticket can produce. A
-/// third leg always forces the co-rank stable kernel
-/// (`mp check --kernel all --dispatch co_rank`): its inputs stay
-/// provenance-tagged and duplicate-heavy, so the oracle comparison proves
-/// the A-before-B tie break on top of CREW exclusivity and the ⌈E/s⌉ cap.
-/// A fourth leg runs the plain check at five threads, where `sort-parallel`
+/// third leg runs the plain check at five threads, where `sort-parallel`
 /// takes three merge rounds and copies its output back from the scratch
 /// buffer on all five workers (at four threads its round count is even).
+/// Every leg checks the segment kernels the probe picks; each kernel is
+/// safe sequential code that writes only its own segment, so forcing one
+/// adds no access-set case, and the kernels themselves are checked
+/// directly on partition segments by the differential suites.
 fn verify_schedules() -> ExitCode {
     let mut runs: Vec<Vec<&str>> = Vec::new();
     let at_threads = |threads| {
@@ -353,12 +351,9 @@ fn verify_schedules() -> ExitCode {
     };
     let base = at_threads("4");
     runs.push(base.clone());
-    let mut steal = base.clone();
+    let mut steal = base;
     steal.push("--steal-orders");
     runs.push(steal);
-    let mut co_rank = base;
-    co_rank.extend_from_slice(&["--dispatch", "co_rank"]);
-    runs.push(co_rank);
     runs.push(at_threads("5"));
     for check in &runs {
         if !cargo(check) {
@@ -620,9 +615,9 @@ fn warn_on_regression(name: &str, doc_type: &str, fresh: &mergepath_telemetry::j
     }
 }
 
-/// Every merge family's `imbalance_co_rank` (items-based, from the pinned
-/// co-rank traced run over exact-balance cuts) must sit under
-/// [`CO_RANK_IMBALANCE_CAP`]. The duplicate-heavy family is the one the
+/// Every merge family's `imbalance_co_rank` (items-based, from a traced
+/// `stable_parallel_merge_into_recorded` run over exact-balance cuts) must
+/// sit under [`CO_RANK_IMBALANCE_CAP`]. The duplicate-heavy family is the one the
 /// co-rank kernel exists for, but the exact-balance argument is
 /// input-oblivious, so all four are held to the same cap.
 fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(), String> {

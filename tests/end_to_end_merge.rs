@@ -1,12 +1,11 @@
 //! Cross-crate integration: every merge implementation in the workspace —
-//! core kernels, both parallel backends, the segmented variants, the
-//! PRAM port, and the correct baselines — produces the identical stable
-//! merge on every workload family.
+//! core kernels, Algorithm 1 on the global pool, the segmented variants,
+//! the PRAM port, and the correct baselines — produces the identical
+//! stable merge on every workload family.
 
 use mergepath_suite::baselines::akl_santoro::akl_santoro_merge_into;
 use mergepath_suite::baselines::rank_partition::rank_partition_merge_into;
 use mergepath_suite::baselines::sequential::textbook_merge_into;
-use mergepath_suite::mergepath::executor::Pool;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into;
 use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into, SpmConfig, Staging,
@@ -26,11 +25,6 @@ fn check_all_implementations(a: &[u32], b: &[u32]) {
     for threads in [1usize, 3, 7] {
         parallel_merge_into(a, b, &mut out, threads);
         assert_eq!(out, reference, "parallel, threads={threads}");
-
-        let pool = Pool::new(threads);
-        out.fill(0);
-        pool.merge_into(a, b, &mut out);
-        assert_eq!(out, reference, "pooled, threads={threads}");
 
         for staging in [Staging::Windowed, Staging::Cyclic] {
             let cfg = SpmConfig::new(97, threads).with_staging(staging);

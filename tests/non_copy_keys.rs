@@ -98,9 +98,7 @@ mod counted_drop {
     use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering as AtOrd};
     use std::sync::Arc;
 
-    use mergepath_suite::mergepath::merge::adaptive::{
-        with_dispatch_policy, DispatchPolicy, SegmentKernel,
-    };
+    use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
     use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
     use mergepath_suite::mergepath::merge::hierarchical::{
         hierarchical_merge_into_by, HierarchicalConfig,
@@ -219,15 +217,14 @@ mod counted_drop {
                 parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
             }
             "co-rank" => {
-                // Every segment forced through the co-rank stable block
-                // kernel; a fuse can blow inside block_split or inside a
-                // bounded block merge, both of which clone only via
-                // `merge_into_by` into preallocated output.
+                // The co-rank stable block kernel run directly on the whole
+                // pair (one segment, so `threads` plays no part); a fuse
+                // can blow inside block_split or inside a bounded block
+                // merge, both of which clone only via `merge_into_by` into
+                // preallocated output.
                 let (a, b) = (track(&ka), track(&kb));
                 let mut out = vec![CountedDrop::default(); n];
-                with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
-                    parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
-                });
+                SegmentKernel::CoRank.merge_into_by(&a, &b, &mut out, cmp);
             }
             "stable" => {
                 // The exact-balance top-level entry: worker cuts come from

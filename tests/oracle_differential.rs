@@ -5,7 +5,13 @@
 //! key only, so byte-for-byte equality with the stable sequential oracle
 //! also pins down stability: within a tie class, all of `A`'s elements
 //! precede all of `B`'s, each side in original order.
+//!
+//! The parallel kernels run under the probe's own per-segment choices. A
+//! kernel is forced by calling it: every [`SegmentKernel`] runs directly on
+//! every segment `partition_segments_by` cuts, and each segment's output
+//! must equal the oracle's slice at the segment's output range.
 
+use mergepath_suite::mergepath::merge::adaptive::{SegmentKernel, PROBE_MIN_LEN};
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
 use mergepath_suite::mergepath::merge::hierarchical::{
     hierarchical_merge_into_by, HierarchicalConfig,
@@ -17,6 +23,7 @@ use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into_by, SpmConfig, Staging,
 };
 use mergepath_suite::mergepath::merge::sequential::{merge_into_by, natural_cmp};
+use mergepath_suite::mergepath::partition::partition_segments_by;
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`, disambiguated by provenance `.1`.
@@ -145,99 +152,135 @@ fn every_variant_matches_the_sequential_oracle() {
     }
 }
 
-#[test]
-fn every_dispatch_policy_matches_the_oracle_on_every_family() {
-    // The adaptive layer's contract: whatever kernel the run-structure
-    // probe picks — and whatever kernel a fixed policy pins — the output
-    // is byte-identical to the sequential oracle on all nine adversarial
-    // families. The sweep covers Adaptive plus each kernel forced, so a
-    // probe misroute can only ever cost speed, never correctness; the
-    // scoped override serializes concurrent sweeps. Each family runs twice:
-    // as keyed pairs, where stability is observable and the probe sends
-    // duplicate-heavy segments to co-rank, and as bare keys under
-    // `natural_cmp`, which the probe recognizes by comparator type
-    // identity and sends to galloping instead.
-    use mergepath_suite::mergepath::merge::adaptive::{
-        with_dispatch_policy, DispatchPolicy, SegmentKernel,
-    };
-    let policies = [
-        DispatchPolicy::Adaptive,
-        DispatchPolicy::Fixed(SegmentKernel::Classic),
-        DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-        DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        // Forced-CoRank routes every segment through the co-rank stable
-        // block kernel, whose block cuts are the provably unique stable
-        // splits — these families are where that proof is observable.
-        DispatchPolicy::Fixed(SegmentKernel::CoRank),
-    ];
-    for (name, ka, kb) in adversarial_inputs() {
-        let (a, b) = tag(&ka, &kb);
-        let n = a.len() + b.len();
-        let mut oracle = vec![(0, 0); n];
-        merge_into_by(&a, &b, &mut oracle, &cmp);
-        let mut bare_oracle = vec![0i32; n];
-        merge_into_by(&ka, &kb, &mut bare_oracle, &natural_cmp);
-        for policy in policies {
-            with_dispatch_policy(policy, || {
-                for threads in [1usize, 3, 8] {
-                    let mut out = vec![(0, 0); n];
-                    parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
-                    assert_eq!(out, oracle, "{name}: {policy:?}, threads={threads}");
+/// How many one-sided segments (one input empty) and empty segments
+/// [`kernels_match_the_oracle_on_every_segment`] merged.
+#[derive(Default)]
+struct Coverage {
+    one_sided: usize,
+    empty: usize,
+}
 
-                    let pairs: Vec<(&[Kv], &[Kv])> = vec![(&a, &b)];
-                    out.fill((0, 0));
-                    batch_merge_into_by(&pairs, &mut out, threads, &cmp);
-                    assert_eq!(out, oracle, "batch {name}: {policy:?}, threads={threads}");
-
-                    let mut bare = vec![0i32; n];
-                    parallel_merge_into_by(&ka, &kb, &mut bare, threads, &natural_cmp);
-                    assert_eq!(
-                        bare, bare_oracle,
-                        "bare {name}: {policy:?}, threads={threads}"
-                    );
-                }
-            });
+/// Cuts `a`, `b` into `p` segments with `partition_segments_by` for each
+/// `p` in 3 and 8, runs every [`SegmentKernel`] directly on each segment,
+/// and asserts each output equals `oracle` (the stable merge of the whole
+/// pair) at the segment's output range.
+fn kernels_match_the_oracle_on_every_segment<T, F>(
+    a: &[T],
+    b: &[T],
+    oracle: &[T],
+    cmp: &F,
+    ctx: &str,
+    seen: &mut Coverage,
+) where
+    T: Clone + Default + PartialEq + std::fmt::Debug,
+    F: Fn(&T, &T) -> std::cmp::Ordering,
+{
+    for p in [3usize, 8] {
+        for seg in partition_segments_by(a, b, p, cmp) {
+            let (sa, sb) = (&a[seg.a_start..seg.a_end], &b[seg.b_start..seg.b_end]);
+            let expect = &oracle[seg.out_start..seg.out_end];
+            seen.empty += usize::from(seg.is_empty());
+            seen.one_sided += usize::from(!seg.is_empty() && (sa.is_empty() || sb.is_empty()));
+            for kernel in SegmentKernel::ALL {
+                let mut out = vec![T::default(); expect.len()];
+                kernel.merge_into_by(sa, sb, &mut out, cmp);
+                assert_eq!(out, expect, "{ctx}: {kernel:?} p={p} segment {seg:?}");
+            }
         }
     }
 }
 
 #[test]
-fn every_policy_matches_the_oracle_on_every_natural_order_key_type() {
+fn probed_dispatch_matches_the_oracle_on_every_family() {
+    // The adaptive layer's contract: whatever kernel the run-structure
+    // probe picks, the output is byte-identical to the sequential oracle
+    // on all nine adversarial families. The test above runs them as keyed
+    // pairs, where stability is observable and the probe sends
+    // duplicate-heavy segments to co-rank; here they run as bare keys
+    // under `natural_cmp`, which the probe recognizes by comparator type
+    // identity and sends to galloping instead.
+    for (name, ka, kb) in adversarial_inputs() {
+        let mut oracle = vec![0i32; ka.len() + kb.len()];
+        merge_into_by(&ka, &kb, &mut oracle, &natural_cmp);
+        for threads in [1usize, 3, 8] {
+            let mut out = vec![0i32; oracle.len()];
+            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp);
+            assert_eq!(out, oracle, "bare {name}: threads={threads}");
+
+            let pairs: Vec<(&[i32], &[i32])> = vec![(&ka, &kb)];
+            out.fill(0);
+            batch_merge_into_by(&pairs, &mut out, threads, &natural_cmp);
+            assert_eq!(out, oracle, "bare batch {name}: threads={threads}");
+        }
+    }
+}
+
+#[test]
+fn every_kernel_matches_the_oracle_on_every_keyed_segment() {
+    // Forcing a kernel inside a parallel kernel adds nothing a direct run
+    // misses: every segment kernel is safe sequential code that writes
+    // only its own output slice. So each kernel runs on every segment the
+    // partition cuts, and equality with the provenance-tagged oracle's
+    // slice judges stability by provenance. A five-element prefix of each
+    // family at p = 8 yields empty segments.
+    let mut seen = Coverage::default();
+    for (name, ka, kb) in adversarial_inputs() {
+        let (a, b) = tag(&ka, &kb);
+        let (short_a, short_b) = (&a[..a.len().min(2)], &b[..b.len().min(3)]);
+        for (a, b) in [(&a[..], &b[..]), (short_a, short_b)] {
+            let mut oracle = vec![(0, 0); a.len() + b.len()];
+            merge_into_by(a, b, &mut oracle, &cmp);
+            assert_stable(&oracle, name);
+            let ctx = format!("{name} |a|={} |b|={}", a.len(), b.len());
+            kernels_match_the_oracle_on_every_segment(a, b, &oracle, &cmp, &ctx, &mut seen);
+        }
+    }
+    assert!(seen.one_sided > 0, "no one-sided segment merged");
+    assert!(seen.empty > 0, "no empty segment merged");
+}
+
+/// Every family remapped monotonically onto `K` (its keys are
+/// non-negative) and cut to prefixes whose sums straddle `PROBE_MIN_LEN`,
+/// the seam where a single-segment merge leaves the classic kernel for
+/// the probe, as well as at full length.
+fn natural_prefixes<K: Clone>(
+    ka: &[i32],
+    kb: &[i32],
+    key: impl Fn(i32) -> K,
+) -> Vec<(Vec<K>, Vec<K>)> {
+    let a: Vec<K> = ka.iter().map(|&k| key(k)).collect();
+    let b: Vec<K> = kb.iter().map(|&k| key(k)).collect();
+    let half = PROBE_MIN_LEN / 2;
+    let cuts = |len: usize| [0, half - 1, half, half + 1, len].map(|c| c.min(len));
+    let mut out = Vec::new();
+    for la in cuts(a.len()) {
+        for lb in cuts(b.len()) {
+            out.push((a[..la].to_vec(), b[..lb].to_vec()));
+        }
+    }
+    out
+}
+
+#[test]
+fn probed_dispatch_matches_the_oracle_on_every_natural_order_key_type() {
     // The probe recognizes `natural_cmp` of `u32`, `i32`, `u64` and `i64`
-    // by comparator type identity; the matrix above runs bare `i32` only.
-    // Here every family is remapped monotonically onto the other three
-    // types (its keys are non-negative) and cut to prefixes whose sums
-    // straddle `PROBE_MIN_LEN`, the seam where a single-segment merge
-    // leaves the classic kernel for the probe, as well as at full length.
-    use mergepath_suite::mergepath::merge::adaptive::{
-        with_dispatch_policy, DispatchPolicy, SegmentKernel, PROBE_MIN_LEN,
-    };
+    // by comparator type identity; the test above runs bare `i32` only.
     fn check<K>(family: &str, ka: &[i32], kb: &[i32], key: impl Fn(i32) -> K)
     where
         K: Ord + Clone + Default + Send + Sync + std::fmt::Debug,
     {
-        let a: Vec<K> = ka.iter().map(|&k| key(k)).collect();
-        let b: Vec<K> = kb.iter().map(|&k| key(k)).collect();
-        let half = PROBE_MIN_LEN / 2;
-        let cuts = |len: usize| [0, half - 1, half, half + 1, len].map(|c| c.min(len));
-        let mut policies = vec![DispatchPolicy::Adaptive];
-        policies.extend(SegmentKernel::ALL.map(DispatchPolicy::Fixed));
-        for la in cuts(a.len()) {
-            for lb in cuts(b.len()) {
-                let (a, b) = (&a[..la], &b[..lb]);
-                let mut oracle = vec![K::default(); la + lb];
-                merge_into_by(a, b, &mut oracle, &natural_cmp);
-                for &policy in &policies {
-                    with_dispatch_policy(policy, || {
-                        for threads in [1usize, 3, 8] {
-                            let mut out = vec![K::default(); la + lb];
-                            parallel_merge_into_by(a, b, &mut out, threads, &natural_cmp);
-                            let ty = std::any::type_name::<K>();
-                            let ctx = format!("{family} as {ty}: la={la} lb={lb}");
-                            assert_eq!(out, oracle, "{ctx} {policy:?} threads={threads}");
-                        }
-                    });
-                }
+        for (a, b) in natural_prefixes(ka, kb, key) {
+            let mut oracle = vec![K::default(); a.len() + b.len()];
+            merge_into_by(&a, &b, &mut oracle, &natural_cmp);
+            for threads in [1usize, 3, 8] {
+                let mut out = vec![K::default(); oracle.len()];
+                parallel_merge_into_by(&a, &b, &mut out, threads, &natural_cmp);
+                let ty = std::any::type_name::<K>();
+                let (la, lb) = (a.len(), b.len());
+                assert_eq!(
+                    out, oracle,
+                    "{family} as {ty}: la={la} lb={lb} threads={threads}"
+                );
             }
         }
     }
@@ -249,39 +292,41 @@ fn every_policy_matches_the_oracle_on_every_natural_order_key_type() {
 }
 
 #[test]
-fn adaptive_dispatch_survives_permuted_schedules_under_forced_kernels() {
-    // The schedule dimension crossed with the dispatch dimension: every
-    // kernel of the schedule checker runs under permuted virtual schedules
-    // while the segment dispatch is pinned to each sequential kernel in
-    // turn. CREW exclusivity and coverage must hold regardless of which
-    // inner kernel writes the segments.
-    use mergepath_check::{check_kernel_on, CheckConfig, Kernel};
-    use mergepath_suite::mergepath::merge::adaptive::{
-        with_dispatch_policy, DispatchPolicy, SegmentKernel,
-    };
-    let (name, ka, kb) = &adversarial_inputs()[3]; // duplicate_heavy
-    let (a, b) = tag(ka, kb);
-    let cfg = CheckConfig {
-        threads: 4,
-        schedules: 4,
-        seed: 0xD1FF,
-        pram_limit: 0,
-        steal_orders: false,
-    };
-    for policy in [
-        DispatchPolicy::Adaptive,
-        DispatchPolicy::Fixed(SegmentKernel::Classic),
-        DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-        DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        DispatchPolicy::Fixed(SegmentKernel::CoRank),
-    ] {
-        with_dispatch_policy(policy, || {
-            for &kernel in &Kernel::ALL {
-                if let Err(e) = check_kernel_on(kernel, &a, &b, &cfg) {
-                    panic!("{name}: {} under {policy:?}: {e}", kernel.name());
-                }
-            }
-        });
+fn every_kernel_matches_the_oracle_on_every_natural_order_segment() {
+    // The direct kernel runs of the keyed test, on bare keys under the
+    // canonical natural order of each primitive the probe recognizes.
+    fn check<K>(family: &str, ka: &[i32], kb: &[i32], key: impl Fn(i32) -> K) -> Coverage
+    where
+        K: Ord + Clone + Default + std::fmt::Debug,
+    {
+        let mut seen = Coverage::default();
+        for (a, b) in natural_prefixes(ka, kb, key) {
+            let mut oracle = vec![K::default(); a.len() + b.len()];
+            merge_into_by(&a, &b, &mut oracle, &natural_cmp);
+            let ty = std::any::type_name::<K>();
+            let ctx = format!("{family} as {ty}: la={} lb={}", a.len(), b.len());
+            kernels_match_the_oracle_on_every_segment(
+                &a,
+                &b,
+                &oracle,
+                &natural_cmp,
+                &ctx,
+                &mut seen,
+            );
+        }
+        seen
+    }
+    for (name, ka, kb) in adversarial_inputs() {
+        for seen in [
+            check(name, &ka, &kb, |k| k as u32),
+            check(name, &ka, &kb, |k| (k as u64) << 40),
+            check(name, &ka, &kb, |k| i64::from(k) - 800),
+        ] {
+            assert!(
+                seen.empty > 0 && seen.one_sided > 0,
+                "{name}: thin coverage"
+            );
+        }
     }
 }
 

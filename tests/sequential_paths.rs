@@ -4,8 +4,9 @@
 //! * Sorts: `parallel_merge_sort_by` (threads 1, 2, 3, 5) and
 //!   `kway_merge_sort_by` against `slice::sort_by_key` on keyed
 //!   `(key, index)` records, over every `SortWorkload` family and a range
-//!   of run shapes, at lengths 0–300 and 2^k ± 1, under adaptive dispatch
-//!   and every fixed kernel.
+//!   of run shapes, at lengths 0–300 and 2^k ± 1, under the probe's
+//!   dispatch; and every segment kernel run directly on every segment of
+//!   the merge of each input's stably sorted halves.
 //! * Kernel: two-stream branch-lean is byte-identical to `merge_into_by`
 //!   around the two-stream threshold, with one side empty, with the middle
 //!   split at either end of `a`, on all-equal inputs and with keyed ties
@@ -20,13 +21,13 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 
 use mergepath::merge::adaptive::{
-    adaptive_merge_into_by, adaptive_merge_into_counted, with_dispatch_policy, DispatchPolicy,
-    SegmentKernel,
+    adaptive_merge_into_by, adaptive_merge_into_counted, SegmentKernel,
 };
 use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::sequential::{
     branch_lean_merge_into, branch_lean_merge_into_by, merge_into_by,
 };
+use mergepath::partition::partition_segments_by;
 use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
 use mergepath::sort::parallel::{
     parallel_merge_sort, parallel_merge_sort_by, parallel_merge_sort_recorded,
@@ -41,12 +42,6 @@ type Rec = (u32, u32);
 
 fn by_key(x: &Rec, y: &Rec) -> Ordering {
     x.0.cmp(&y.0)
-}
-
-fn policies() -> Vec<DispatchPolicy> {
-    let mut all = vec![DispatchPolicy::Adaptive];
-    all.extend(SegmentKernel::ALL.map(DispatchPolicy::Fixed));
-    all
 }
 
 fn lengths() -> Vec<usize> {
@@ -115,33 +110,58 @@ fn keyed(keys: &[u32]) -> Vec<Rec> {
 }
 
 #[test]
-fn sorts_match_std_stable_sort_under_every_policy() {
-    for policy in policies() {
-        with_dispatch_policy(policy, || {
-            for n in lengths() {
-                for (shape, keys) in shapes(n) {
-                    let ctx = format!("{policy:?} {shape} n={n}");
-                    let records = keyed(&keys);
-                    let mut expect = records.clone();
-                    expect.sort_by_key(|r| r.0);
+fn sorts_match_std_stable_sort() {
+    for n in lengths() {
+        for (shape, keys) in shapes(n) {
+            let ctx = format!("{shape} n={n}");
+            let records = keyed(&keys);
+            let mut expect = records.clone();
+            expect.sort_by_key(|r| r.0);
 
-                    let mut v = keys.clone();
-                    parallel_merge_sort(&mut v, 2);
-                    let plain: Vec<u32> = expect.iter().map(|r| r.0).collect();
-                    assert_eq!(v, plain, "parallel_merge_sort p=2 {ctx}");
+            let mut v = keys.clone();
+            parallel_merge_sort(&mut v, 2);
+            let plain: Vec<u32> = expect.iter().map(|r| r.0).collect();
+            assert_eq!(v, plain, "parallel_merge_sort p=2 {ctx}");
 
-                    for threads in [1, 2, 3, 5] {
-                        let mut v = records.clone();
-                        parallel_merge_sort_by(&mut v, threads, &by_key);
-                        assert_eq!(v, expect, "parallel_merge_sort_by p={threads} {ctx}");
+            for threads in [1, 2, 3, 5] {
+                let mut v = records.clone();
+                parallel_merge_sort_by(&mut v, threads, &by_key);
+                assert_eq!(v, expect, "parallel_merge_sort_by p={threads} {ctx}");
+            }
+
+            let mut v = records.clone();
+            kway_merge_sort_by(&mut v, 3, &by_key);
+            assert_eq!(v, expect, "kway_merge_sort_by p=3 {ctx}");
+        }
+    }
+}
+
+#[test]
+fn every_kernel_merges_the_sorted_halves_of_every_shape() {
+    // The sorts' merge rounds under a forced kernel, run directly: each
+    // half of the input is stably sorted, the halves are cut into 3 and 8
+    // segments, and every kernel merges every segment. Ties take the left
+    // half first, so the merged halves are the stable sort of the whole.
+    for n in lengths() {
+        for (shape, keys) in shapes(n) {
+            let records = keyed(&keys);
+            let mut expect = records.clone();
+            expect.sort_by_key(|r| r.0);
+            let (mut a, mut b) = (records[..n / 2].to_vec(), records[n / 2..].to_vec());
+            a.sort_by_key(|r| r.0);
+            b.sort_by_key(|r| r.0);
+            for p in [3usize, 8] {
+                for seg in partition_segments_by(&a[..], &b[..], p, &by_key) {
+                    let (sa, sb) = (&a[seg.a_start..seg.a_end], &b[seg.b_start..seg.b_end]);
+                    let want = &expect[seg.out_start..seg.out_end];
+                    for kernel in SegmentKernel::ALL {
+                        let mut out = vec![(0, 0); want.len()];
+                        kernel.merge_into_by(sa, sb, &mut out, &by_key);
+                        assert_eq!(out, want, "{kernel:?} {shape} n={n} p={p} {seg:?}");
                     }
-
-                    let mut v = records.clone();
-                    kway_merge_sort_by(&mut v, 3, &by_key);
-                    assert_eq!(v, expect, "kway_merge_sort_by p=3 {ctx}");
                 }
             }
-        });
+        }
     }
 }
 
@@ -282,41 +302,38 @@ fn traced_sorts_dispatch_like_untraced_ones() {
     let mut expect = keys.clone();
     expect.sort();
     let segment_counters = SegmentKernel::ALL.map(|k| k.counter().name());
-    with_dispatch_policy(DispatchPolicy::Adaptive, || {
-        for threads in [1, 2, 4] {
-            let mut untraced = keys.clone();
-            parallel_merge_sort(&mut untraced, threads);
-            assert_eq!(untraced, expect, "untraced p={threads}");
+    for threads in [1, 2, 4] {
+        let mut untraced = keys.clone();
+        parallel_merge_sort(&mut untraced, threads);
+        assert_eq!(untraced, expect, "untraced p={threads}");
 
-            for kway in [false, true] {
-                let mut traced = keys.clone();
-                let rec = TimelineRecorder::new();
-                if kway {
-                    kway_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
-                } else {
-                    parallel_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
+        for kway in [false, true] {
+            let mut traced = keys.clone();
+            let rec = TimelineRecorder::new();
+            if kway {
+                kway_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
+            } else {
+                parallel_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
+            }
+            let t = rec.finish();
+            let ctx = format!("kway={kway} p={threads}");
+            assert_eq!(traced, expect, "traced output {ctx}");
+            assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
+            assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
+            if threads == 1 {
+                for name in segment_counters {
+                    assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
                 }
-                let t = rec.finish();
-                let ctx = format!("kway={kway} p={threads}");
-                assert_eq!(traced, expect, "traced output {ctx}");
-                assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
-                assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
-                if threads == 1 {
-                    for name in segment_counters {
-                        assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
-                    }
-                } else if !kway {
-                    assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
-                }
+            } else if !kway {
+                assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
             }
         }
-    });
+    }
 }
 
 /// Merges one segment through [`adaptive_merge_into_by`] and
-/// [`adaptive_merge_into_counted`] under adaptive dispatch, checks both
-/// outputs against the classic kernel and that both chose the same kernel,
-/// which it returns.
+/// [`adaptive_merge_into_counted`], checks both outputs against the
+/// classic kernel and that both chose the same kernel, which it returns.
 fn segment_kernel<T, F>(a: &[T], b: &[T], cmp: &F, ctx: &str) -> SegmentKernel
 where
     T: Clone + Default + PartialEq + std::fmt::Debug,
@@ -325,13 +342,10 @@ where
     let mut oracle = vec![T::default(); a.len() + b.len()];
     merge_into_by(a, b, &mut oracle, cmp);
     let (mut out, hits) = (vec![T::default(); oracle.len()], Cell::new(0));
-    let (plain, counted) = with_dispatch_policy(DispatchPolicy::Adaptive, || {
-        let plain = adaptive_merge_into_by(a, b, &mut out, cmp);
-        assert_eq!(out, oracle, "uncounted output {ctx}");
-        out.fill(T::default());
-        let counted = adaptive_merge_into_counted(a, b, &mut out, cmp, &hits);
-        (plain, counted)
-    });
+    let plain = adaptive_merge_into_by(a, b, &mut out, cmp);
+    assert_eq!(out, oracle, "uncounted output {ctx}");
+    out.fill(T::default());
+    let counted = adaptive_merge_into_counted(a, b, &mut out, cmp, &hits);
     assert_eq!(out, oracle, "counted output {ctx}");
     assert!(hits.get() > 0, "no comparisons counted {ctx}");
     assert_eq!(counted, plain, "counted dispatch diverged {ctx}");

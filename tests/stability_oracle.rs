@@ -1,7 +1,9 @@
 //! Stability-proving differential suite: keyed `(key, original_index)`
-//! pairs over nine adversarial families × every dispatch policy × three
-//! thread counts, asserting **byte-identical** order with the sequential
-//! stable oracle.
+//! pairs over nine adversarial families, asserting **byte-identical**
+//! order with the sequential stable oracle — for the parallel kernels
+//! under the probe's own per-segment choices at three thread counts, and
+//! for every segment kernel run directly on every segment
+//! `partition_segments_by` cuts.
 //!
 //! `tests/oracle_differential.rs` proves every kernel equals the oracle;
 //! this suite is the dedicated *stability* layer the co-rank kernel's
@@ -11,19 +13,17 @@
 //! exact tie order: within every tie class, all of `A`'s elements precede
 //! all of `B`'s, each side in original input order. The families are sized
 //! past the adaptive probe's minimum (256) and the co-rank kernel's block
-//! granularity (256) so every policy — including the co-rank block splits
-//! this PR introduces — executes its real code path, not a short-input
-//! fallback.
+//! granularity (256) so every kernel — including the co-rank block splits
+//! — executes its real code path, not a short-input fallback.
 
 use std::cmp::Ordering;
 
-use mergepath_suite::mergepath::merge::adaptive::{
-    with_dispatch_policy, DispatchPolicy, SegmentKernel,
-};
+use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::mergepath::merge::stable::{stable_parallel_merge_into_by, CO_RANK_BLOCK};
+use mergepath_suite::mergepath::partition::partition_segments_by;
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`; `.1` is the element's original index
@@ -100,16 +100,6 @@ fn families() -> Vec<(&'static str, Vec<i32>, Vec<i32>)> {
     ]
 }
 
-fn policies() -> [DispatchPolicy; 5] {
-    [
-        DispatchPolicy::Adaptive,
-        DispatchPolicy::Fixed(SegmentKernel::Classic),
-        DispatchPolicy::Fixed(SegmentKernel::BranchLean),
-        DispatchPolicy::Fixed(SegmentKernel::Galloping),
-        DispatchPolicy::Fixed(SegmentKernel::CoRank),
-    ]
-}
-
 const THREADS: [usize; 3] = [2, 4, 7];
 
 /// Stability, asserted directly on the output rather than through the
@@ -129,25 +119,52 @@ fn assert_stable(out: &[Kv], label: &str) {
 }
 
 #[test]
-fn every_policy_produces_the_stable_order_on_every_family() {
+fn probed_dispatch_produces_the_stable_order_on_every_family() {
     for (name, ka, kb) in families() {
         let (a, b) = tag(&ka, &kb);
         let n = a.len() + b.len();
         let mut oracle = vec![(0, 0); n];
         merge_into_by(&a, &b, &mut oracle, &cmp);
         assert_stable(&oracle, name);
-        for policy in policies() {
-            with_dispatch_policy(policy, || {
-                for threads in THREADS {
-                    let label = format!("{name}: {policy:?}, threads={threads}");
-                    let mut out = vec![(0, 0); n];
-                    parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
-                    assert_eq!(out, oracle, "{label}");
-                    assert_stable(&out, &label);
-                }
-            });
+        for threads in THREADS {
+            let label = format!("{name}: threads={threads}");
+            let mut out = vec![(0, 0); n];
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            assert_eq!(out, oracle, "{label}");
+            assert_stable(&out, &label);
         }
     }
+}
+
+#[test]
+fn every_kernel_produces_the_stable_order_on_every_partition_segment() {
+    // A kernel is forced by calling it. Every segment kernel is safe
+    // sequential code that writes only its own output slice, so running
+    // each one directly on every segment of the partition covers what
+    // forcing it inside a parallel kernel would. The tie runs one block
+    // wide and one past it put tie classes on and across the co-rank
+    // kernel's interior block cuts.
+    let mut cut_segments = 0;
+    for (name, ka, kb) in families() {
+        let (a, b) = tag(&ka, &kb);
+        let mut oracle = vec![(0, 0); a.len() + b.len()];
+        merge_into_by(&a, &b, &mut oracle, &cmp);
+        for p in [3usize, 8] {
+            for seg in partition_segments_by(&a[..], &b[..], p, &cmp) {
+                let (sa, sb) = (&a[seg.a_start..seg.a_end], &b[seg.b_start..seg.b_end]);
+                let expect = &oracle[seg.out_start..seg.out_end];
+                cut_segments += usize::from(expect.len() > CO_RANK_BLOCK);
+                for kernel in SegmentKernel::ALL {
+                    let label = format!("{name}: {kernel:?}, p={p}, segment {seg:?}");
+                    let mut out = vec![(0, 0); expect.len()];
+                    kernel.merge_into_by(sa, sb, &mut out, &cmp);
+                    assert_eq!(out, expect, "{label}");
+                    assert_stable(&out, &label);
+                }
+            }
+        }
+    }
+    assert!(cut_segments > 0, "no segment holds a co-rank block cut");
 }
 
 #[test]
@@ -172,10 +189,10 @@ fn the_exact_balance_co_rank_merge_is_stable_on_every_family() {
 }
 
 #[test]
-fn batched_merges_keep_the_stable_order_under_every_policy() {
+fn batched_merges_keep_the_stable_order() {
     // The batch kernel shares the adaptive segment dispatch; the
-    // duplicate-heavy families must come out stable under every policy
-    // when many pairs share one worker budget.
+    // duplicate-heavy families must come out stable when many pairs share
+    // one worker budget.
     let fams = families();
     let tagged: Vec<(Vec<Kv>, Vec<Kv>)> = fams.iter().map(|(_, ka, kb)| tag(ka, kb)).collect();
     let pairs: Vec<(&[Kv], &[Kv])> = tagged
@@ -188,13 +205,9 @@ fn batched_merges_keep_the_stable_order_under_every_policy() {
         merge_into_by(a, b, &mut m, &cmp);
         oracle.extend(m);
     }
-    for policy in policies() {
-        with_dispatch_policy(policy, || {
-            for threads in THREADS {
-                let mut out = vec![(0, 0); oracle.len()];
-                batch_merge_into_by(&pairs, &mut out, threads, &cmp);
-                assert_eq!(out, oracle, "{policy:?}, threads={threads}");
-            }
-        });
+    for threads in THREADS {
+        let mut out = vec![(0, 0); oracle.len()];
+        batch_merge_into_by(&pairs, &mut out, threads, &cmp);
+        assert_eq!(out, oracle, "threads={threads}");
     }
 }

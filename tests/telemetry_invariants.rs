@@ -12,7 +12,7 @@
 //!   adaptive routing: fine uniform primitive keys go to branch-lean, and
 //!   duplicate-heavy segments go to galloping only under `natural_cmp`.
 
-use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
+use mergepath::merge::adaptive::SegmentKernel;
 use mergepath::merge::batch::batch_merge_into_recorded;
 use mergepath::merge::hierarchical::{hierarchical_merge_into_recorded, HierarchicalConfig};
 use mergepath::merge::inplace::parallel_inplace_merge_recorded;
@@ -37,9 +37,8 @@ fn traced_parallel_merge(n: usize, threads: usize, seed: u64) -> Telemetry {
     rec.finish()
 }
 
-/// Merges `a` and `b` on 4 workers under adaptive dispatch (not whatever
-/// a sibling test has pinned), checks the output against the sequential
-/// oracle and returns the segments each kernel won, in
+/// Merges `a` and `b` on 4 workers, checks the output against the
+/// sequential oracle and returns the segments each kernel won, in
 /// `SegmentKernel::ALL` order: classic, branch-lean, galloping, co-rank.
 fn adaptive_segments<T, F>(a: &[T], b: &[T], cmp: &F) -> [u64; 4]
 where
@@ -50,9 +49,7 @@ where
     merge_into_by(a, b, &mut oracle, cmp);
     let mut out = vec![T::default(); oracle.len()];
     let rec = TimelineRecorder::new();
-    with_dispatch_policy(DispatchPolicy::Adaptive, || {
-        parallel_merge_into_recorded(a, b, &mut out, 4, cmp, &rec)
-    });
+    parallel_merge_into_recorded(a, b, &mut out, 4, cmp, &rec);
     assert_eq!(out, oracle);
     let t = rec.finish();
     let won = |k: SegmentKernel| t.counters.iter().filter(move |c| c.kind == k.counter());
