@@ -11,14 +11,20 @@
 //!    time (max per-processor ops). This reproduces the *shape* the paper
 //!    measures — near-linear scaling throttled only by the `O(log N)`
 //!    partition overhead.
-//! 2. **Wall clock** (reported honestly): real `std::thread` execution.
-//!    On a 1-core host speedups hover ≈ 1× or below; on a multi-core host
-//!    this column reproduces the paper directly.
+//! 2. **Wall clock** (reported honestly): real `std::thread` execution on
+//!    the global pool. Each cell is the median of `T(1)` over the median
+//!    of `T(p)`, with the spread of `T(1) / T(p)` over the `T(p)` samples.
+//!    A thread count above the host's cores is marked oversubscribed: the
+//!    pool has only that many threads, so such a row measures extra tiles
+//!    on the same cores, not more parallelism. On a multi-core host this
+//!    table reproduces the paper directly.
 //!
 //! Run: `cargo run --release -p mergepath-bench --bin fig5_speedup [--full|--smoke]`
 
+use std::time::Instant;
+
 use mergepath::merge::parallel::parallel_merge_into;
-use mergepath_bench::{mega_label, time_best, Scale, Table};
+use mergepath_bench::{mega_label, Scale, Table};
 use mergepath_pram::kernels::measure_merge;
 use mergepath_workloads::{merge_pair, MergeWorkload};
 
@@ -122,12 +128,13 @@ fn main() {
     }
 
     // --- Wall clock -----------------------------------------------------
-    println!("--- Wall-clock speedup (std::thread; honest on this host) ---");
+    println!("--- Wall-clock speedup (global pool; honest on this host) ---");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!(
-        "    (host has {} core(s) visible)",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        "    (host has {cores} core(s) visible; pool has {} thread(s))",
+        mergepath::executor::default_threads()
     );
     let wall_sizes: Vec<usize> = sizes
         .iter()
@@ -141,28 +148,41 @@ fn main() {
         })
         .collect();
     let mut wtable = Table::from_headers(
-        std::iter::once("threads".to_string())
-            .chain(wall_sizes.iter().map(|&n| mega_label(n)))
+        ["threads", "oversubscribed"]
+            .into_iter()
+            .map(String::from)
+            .chain(
+                wall_sizes
+                    .iter()
+                    .flat_map(|&n| [mega_label(n), format!("{} spread", mega_label(n))]),
+            )
             .collect(),
     );
-    let mut wall: Vec<Vec<f64>> = vec![vec![0.0; wall_sizes.len()]; threads.len()];
-    for (si, &n) in wall_sizes.iter().enumerate() {
+    // Enough samples per cell for a spread, even at smoke scale.
+    let reps = scale.reps().max(5);
+    let mut wall: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); threads.len()];
+    for &n in &wall_sizes {
         let (a, b) = merge_pair(MergeWorkload::Uniform, n, 0xF16_5EED);
         let mut out = vec![0u32; 2 * n];
-        let t1 = time_best(scale.reps(), || {
-            parallel_merge_into(&a, &b, &mut out, 1);
-        });
+        let t1 = median(&samples(reps, || parallel_merge_into(&a, &b, &mut out, 1)));
         for (ti, &p) in threads.iter().enumerate() {
-            let tp = time_best(scale.reps(), || {
-                parallel_merge_into(&a, &b, &mut out, p);
-            });
-            wall[ti][si] = t1 / tp;
+            let tp = samples(reps, || parallel_merge_into(&a, &b, &mut out, p));
+            let speedups: Vec<f64> = tp.iter().map(|t| t1 / t).collect();
+            let lo = speedups.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = speedups.iter().copied().fold(0.0, f64::max);
+            wall[ti].push((t1 / median(&tp), lo, hi));
         }
-        eprintln!("  [wall] size {} T1 = {:.3}s", mega_label(n), t1);
+        eprintln!("  [wall] size {} T1 = {t1:.4}s (median)", mega_label(n));
     }
     for (ti, &p) in threads.iter().enumerate() {
-        let mut row = vec![p.to_string()];
-        row.extend(wall[ti].iter().map(|s| format!("{s:.2}")));
+        let mut row = vec![
+            p.to_string(),
+            if p > cores { "yes" } else { "no" }.to_string(),
+        ];
+        for &(mid, lo, hi) in &wall[ti] {
+            row.push(format!("{mid:.2}"));
+            row.push(format!("{lo:.2}-{hi:.2}"));
+        }
         wtable.row(&row);
     }
     println!("{}", wtable.render());
@@ -173,4 +193,28 @@ fn main() {
          slightly lower for the biggest arrays. The PRAM-model column reproduces that\n\
          shape; wall-clock reproduces it only when real cores are available."
     );
+}
+
+/// `reps` wall-clock timings of `f` in seconds, after one warm-up run.
+fn samples(reps: usize, mut f: impl FnMut()) -> Vec<f64> {
+    f();
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect()
+}
+
+/// The median of `v` (the mean of the middle two for an even count).
+fn median(v: &[f64]) -> f64 {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
 }

@@ -74,8 +74,12 @@
 //! `std::thread::available_parallelism()`), and lives for the rest of the
 //! process. Kernels submit *logical* shares via [`Pool::run_indexed`]: the
 //! requested share count is decoupled from the pool's physical size, so a
-//! kernel asked for `p` shares produces bitwise-identical output whether
-//! the pool has 1, `p`, or 100 threads.
+//! kernel asked for `p` threads produces bitwise-identical output whether
+//! the pool has 1, `p`, or 100 threads. Each round also carries its
+//! participant count: Algorithm 1 cuts up to `4p` tiles (see
+//! [`crate::partition::tile_count`]), and a pool wider than `p` still runs
+//! them on at most `p` threads, the caller included (see *The participant
+//! bound*).
 //!
 //! A *nested* call (a share calling back into [`Pool::run`] or
 //! [`Pool::run_indexed`] on any pool while a round is executing on this
@@ -84,14 +88,26 @@
 //! with nested parallelism disabled. Pool workers therefore never submit
 //! rounds, which is what makes caller participation deadlock-free.
 //!
+//! # The participant bound
+//!
+//! [`Pool::run_indexed`] takes the round's share count and its
+//! participant count `p` separately and pushes `min(threads, shares, p) −
+//! 1` tickets, so at most `p` threads ever run the round's shares; with
+//! one participant the shares run in a loop on the caller. Every caller
+//! of a parallel kernel relies on this: the Fig. 5 and T1 sweeps vary `p`
+//! on one pool, and the serving daemon splits its pool among in-flight
+//! requests by handing each a `p`. The bound is an argument of the round,
+//! not a setting.
+//!
 //! # Chunked share claiming
 //!
-//! Oversubscribed rounds (`shares > threads`) claim shares in chunks of
-//! `ceil(shares / (threads * 4))` rather than one `fetch_add` per share,
-//! cutting cache-line contention on the claim counter for many-tiny-share
-//! rounds while still leaving 4× threads chunks for load balancing
-//! (Thm 14's `⌈N/p⌉` cap applies to the *share cut*, which is unchanged —
-//! chunking only batches the claims). Virtual execution under an
+//! Oversubscribed rounds (`shares > participants`) claim shares in chunks
+//! of `ceil(shares / (participants * 4))` rather than one `fetch_add` per
+//! share, cutting cache-line contention on the claim counter for
+//! many-tiny-share rounds while still leaving 4× participants chunks for
+//! load balancing (Thm 14's `⌈N/p⌉` cap applies to the *share cut*, which
+//! is unchanged — chunking only batches the claims). A tiled round of at
+//! most `4p` tiles claims one tile at a time. Virtual execution under an
 //! installed observer always enumerates per-share, so checker schedules
 //! are unaffected.
 //!
@@ -113,7 +129,7 @@
 //! round was helped by stolen tickets — the `pool_steals` /
 //! `pool_stolen_shares` counters into a `mergepath_telemetry::Recorder`.
 //! Share windows are tagged with the executing participant's *ticket*
-//! index (a round-local id in `0..min(threads, shares)`), so concurrent
+//! index (a round-local id below the round's participant count), so concurrent
 //! rounds reporting into per-request `OffsetRecorder`s keep their worker
 //! ranges disjoint. With the zero-sized `NoRecorder` (`ACTIVE == false`)
 //! the instrumented twins delegate directly to the untraced entry points,
@@ -266,8 +282,8 @@ impl Round {
 /// claim loop. Stale tickets (rounds already fully claimed) are no-ops.
 struct Task {
     round: Arc<Round>,
-    /// Round-local participant id in `0..min(threads, shares)`; ticket 0
-    /// is always the submitting caller.
+    /// Round-local participant id in `0..min(threads, shares,
+    /// participants)`; ticket 0 is always the submitting caller.
     ticket: usize,
 }
 
@@ -337,8 +353,8 @@ fn participate(
 
 /// Capacity of each worker's deque; ticket pushes beyond it overflow to
 /// the global injector. Tickets are invitations (a round pushes at most
-/// `threads - 1` of them), so a small bound suffices and keeps a stale
-/// backlog from growing behind a busy worker.
+/// `participants - 1` of them), so a small bound suffices and keeps a
+/// stale backlog from growing behind a busy worker.
 const DEQUE_CAP: usize = 8;
 
 /// The scheduler state shared between the pool handle and its workers.
@@ -723,11 +739,12 @@ pub fn threads_from_env(value: Option<&str>) -> usize {
         })
 }
 
-/// The claim-chunk size for an indexed round: `ceil(shares / (threads *
-/// 4))`, floored at 1. Tid-exact rounds ([`Pool::run`]) always use chunk
-/// 1 — each share *is* a participant there.
-fn indexed_chunk(shares: usize, threads: usize) -> usize {
-    shares.div_ceil(threads.max(1) * 4).max(1)
+/// The claim-chunk size for an indexed round run by `tickets`
+/// participants: `ceil(shares / (tickets * 4))`, floored at 1. Tid-exact
+/// rounds ([`Pool::run`]) always use chunk 1 — each share *is* a
+/// participant there.
+fn indexed_chunk(shares: usize, tickets: usize) -> usize {
+    shares.div_ceil(tickets.max(1) * 4).max(1)
 }
 
 impl Pool {
@@ -790,8 +807,10 @@ impl Pool {
     /// `round_wait_ns` then `round_begin` before any share executes on
     /// this thread.
     ///
-    /// Caller must have ruled out virtual, nested, single-thread, and
-    /// degenerate (`shares < 2`) execution.
+    /// `tickets` is the round's participant count, the caller included:
+    /// at least 2 and at most `min(threads, shares)`. Caller must have
+    /// ruled out virtual, nested, single-participant, and degenerate
+    /// (`shares < 2`) execution.
     ///
     /// # Panics
     /// Re-raises the caller's own share panic, or panics with
@@ -801,11 +820,12 @@ impl Pool {
     fn submit_round<F: FnOnce(u64)>(
         &self,
         shares: usize,
+        tickets: usize,
         chunk: usize,
         job: &(dyn Fn(usize, usize) + Sync),
         on_ready: F,
     ) -> RoundStats {
-        debug_assert!(self.threads > 1 && shares > 1);
+        debug_assert!(tickets > 1 && tickets <= self.threads.min(shares));
         let queued = now_ns();
         // SAFETY: we erase the lifetime of `job`. Every dereference of the
         // stored pointer is gated on a successful share claim, which
@@ -829,10 +849,7 @@ impl Pool {
             steals: AtomicU64::new(0),
             stolen_shares: AtomicU64::new(0),
         });
-        let tickets = self.threads.min(shares);
-        if tickets > 1 {
-            self.sched.push_tickets(&round, 1..tickets);
-        }
+        self.sched.push_tickets(&round, 1..tickets);
         // The queue wait is the submit-side delay before this thread's
         // first share — round setup and ticket distribution — not the
         // round duration.
@@ -896,53 +913,70 @@ impl Pool {
             job(0);
             return;
         }
-        self.submit_round(self.threads, 1, &|_ticket, share| job(share), |_| {});
+        self.submit_round(
+            self.threads,
+            self.threads,
+            1,
+            &|_ticket, share| job(share),
+            |_| {},
+        );
     }
 
-    /// Executes `job(i)` once for every `i in 0..shares`, distributing the
-    /// shares over the team, and returns when all have finished.
+    /// How many threads, the caller included, run a round of `shares`
+    /// shares that may use at most `participants` of them: never more than
+    /// the pool has, the shares need, or the caller allows (a count of 0
+    /// is read as 1, the caller alone).
+    fn tickets(&self, shares: usize, participants: usize) -> usize {
+        self.threads.min(shares).min(participants).max(1)
+    }
+
+    /// Executes `job(i)` once for every `i in 0..shares` on at most
+    /// `participants` threads (the caller included), and returns when all
+    /// have finished.
     ///
-    /// This is the entry point the parallel kernels use: `shares` is the
-    /// *logical* processor count `p` from the algorithm (the number of
-    /// Merge Path segments), which is deliberately decoupled from the
-    /// pool's physical thread count. Shares are claimed dynamically via an
-    /// atomic counter (in chunks when oversubscribed — see module docs),
-    /// so `shares > threads` oversubscribes gracefully and
-    /// `shares < threads` leaves the surplus workers free for other
-    /// rounds. Output is therefore identical regardless of pool size.
+    /// This is the entry point the parallel kernels use. `shares` is the
+    /// number of pieces the kernel cut its work into (Algorithm 1's tiles,
+    /// a sort's chunks), decoupled from the pool's physical thread count;
+    /// `participants` is the kernel's thread count `p`, the bound every
+    /// caller of a parallel kernel relies on: a pool wider than `p` never
+    /// recruits more than `p` threads into the round. The participants
+    /// claim shares dynamically from an atomic counter (in chunks when
+    /// oversubscribed — see module docs), so `shares > participants`
+    /// lets a participant that draws cheap shares take more of them, and
+    /// the surplus workers of a wider pool stay free for other rounds.
+    /// With one participant (or a one-thread pool) the shares run in a
+    /// loop on the caller. Output is identical regardless of pool size.
     ///
     /// Panic propagation and nested-call behaviour match [`Pool::run`].
-    pub fn run_indexed(&self, shares: usize, job: &(dyn Fn(usize) + Sync)) {
+    pub fn run_indexed(&self, shares: usize, participants: usize, job: &(dyn Fn(usize) + Sync)) {
         if let Some(obs) = current_observer() {
             run_virtual(&*obs, shares, job);
             return;
         }
-        match shares {
-            0 => {}
-            1 => {
-                let _mark = RoundMark::enter();
-                job(0);
-            }
-            _ if IN_POOL_ROUND.with(|f| f.get()) => {
-                for share in 0..shares {
-                    job(share);
-                }
-            }
-            _ if self.threads == 1 => {
-                let _mark = RoundMark::enter();
-                for share in 0..shares {
-                    job(share);
-                }
-            }
-            _ => {
-                self.submit_round(
-                    shares,
-                    indexed_chunk(shares, self.threads),
-                    &|_ticket, share| job(share),
-                    |_| {},
-                );
-            }
+        if shares == 0 {
+            return;
         }
+        if IN_POOL_ROUND.with(|f| f.get()) {
+            for share in 0..shares {
+                job(share);
+            }
+            return;
+        }
+        let tickets = self.tickets(shares, participants);
+        if tickets == 1 {
+            let _mark = RoundMark::enter();
+            for share in 0..shares {
+                job(share);
+            }
+            return;
+        }
+        self.submit_round(
+            shares,
+            tickets,
+            indexed_chunk(shares, tickets),
+            &|_ticket, share| job(share),
+            |_| {},
+        );
     }
 
     /// [`Pool::run`] with telemetry: reports the round (begin/end, queue
@@ -968,23 +1002,25 @@ impl Pool {
             job(share);
             rec.share_window(share, share, start, now_ns());
         };
-        self.run_observed(rec, self.threads, 1, &wrapped);
+        self.run_observed(rec, self.threads, self.threads, &wrapped);
     }
 
     /// [`Pool::run_indexed`] with telemetry: reports the round and one
     /// busy window per *logical share* (tagged with the round-local
-    /// ticket of the participant that claimed it) into `rec`.
+    /// ticket of the participant that claimed it, below `participants`)
+    /// into `rec`.
     ///
     /// With an inactive recorder this delegates to [`Pool::run_indexed`]
     /// unchanged — the untraced hot path is byte-for-byte the same code.
     pub fn run_indexed_recorded<R: Recorder>(
         &self,
         shares: usize,
+        participants: usize,
         rec: &R,
         job: &(dyn Fn(usize) + Sync),
     ) {
         if !R::ACTIVE {
-            self.run_indexed(shares, job);
+            self.run_indexed(shares, participants, job);
             return;
         }
         if let Some(obs) = current_observer() {
@@ -1009,16 +1045,16 @@ impl Pool {
                     job(share);
                     rec.share_window(ticket, share, start, now_ns());
                 };
-                self.run_observed(rec, shares, indexed_chunk(shares, self.threads), &wrapped);
+                self.run_observed(rec, shares, participants, &wrapped);
             }
         }
     }
 
     /// Shared telemetry wrapper around a fork-join round: replicates the
-    /// nested / single-thread / submitted dispatch of the untraced entry
-    /// points while reporting round begin/end, the submit queue wait, and
-    /// the round's steal counters. `job` is expected to report its own
-    /// share windows.
+    /// nested / single-participant / submitted dispatch of the untraced
+    /// entry points while reporting round begin/end, the submit queue
+    /// wait, and the round's steal counters. `job` is expected to report
+    /// its own share windows.
     ///
     /// These round-level callbacks are the executor's only contribution to
     /// the live observability layer (DESIGN.md §12): when the serving
@@ -1034,7 +1070,7 @@ impl Pool {
         &self,
         rec: &R,
         shares: usize,
-        chunk: usize,
+        participants: usize,
         job: &(dyn Fn(usize, usize) + Sync),
     ) {
         if IN_POOL_ROUND.with(|f| f.get()) {
@@ -1045,7 +1081,8 @@ impl Pool {
             rec.round_end();
             return;
         }
-        if self.threads == 1 {
+        let tickets = self.tickets(shares, participants);
+        if tickets == 1 {
             rec.round_begin(shares);
             {
                 let _mark = RoundMark::enter();
@@ -1056,7 +1093,8 @@ impl Pool {
             rec.round_end();
             return;
         }
-        let stats = self.submit_round(shares, chunk, job, |wait_ns| {
+        let chunk = indexed_chunk(shares, tickets);
+        let stats = self.submit_round(shares, tickets, chunk, job, |wait_ns| {
             // The wait must precede `round_begin` on this thread: the
             // timeline recorder attributes a pending wait to the next
             // round begun by the same thread.
@@ -1214,7 +1252,7 @@ mod tests {
         assert_eq!(src.len(), dst.len());
         let n = src.len();
         let base = SendPtr::new(dst.as_mut_ptr());
-        pool.run_indexed(shares, &|k| {
+        pool.run_indexed(shares, shares, &|k| {
             let (lo, hi) = (k * n / shares, (k + 1) * n / shares);
             // SAFETY: the `lo..hi` ranges are disjoint across shares and lie
             // within `dst`, whose unique borrow this frame holds until
@@ -1294,7 +1332,7 @@ mod tests {
         // the 0/1 degenerate counts.
         for shares in [0usize, 1, 2, 4, 7, 64] {
             let seen: Vec<AtomicUsize> = (0..shares).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_indexed(shares, &|i| {
+            pool.run_indexed(shares, shares, &|i| {
                 seen[i].fetch_add(1, AtomicOrdering::Relaxed);
             });
             for (i, s) in seen.iter().enumerate() {
@@ -1304,10 +1342,35 @@ mod tests {
     }
 
     #[test]
+    fn run_indexed_never_recruits_more_than_its_participants() {
+        // A pool wider than the round's participant count: however many
+        // shares there are, at most `participants` threads run them, and
+        // with one participant they all run on the caller.
+        let pool = Pool::new(6);
+        for participants in [1usize, 2, 3] {
+            let seen = Mutex::new(std::collections::HashSet::new());
+            let ran = AtomicUsize::new(0);
+            pool.run_indexed(24, participants, &|_| {
+                seen.lock()
+                    .expect("test mutex")
+                    .insert(std::thread::current().id());
+                std::thread::sleep(Duration::from_millis(1));
+                ran.fetch_add(1, AtomicOrdering::Relaxed);
+            });
+            assert_eq!(ran.load(AtomicOrdering::Relaxed), 24);
+            let threads = seen.lock().expect("test mutex").len();
+            assert!(
+                threads <= participants,
+                "{threads} threads ran a round of {participants} participants"
+            );
+        }
+    }
+
+    #[test]
     fn run_indexed_on_single_thread_pool() {
         let pool = Pool::new(1);
         let seen: Vec<AtomicUsize> = (0..9).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_indexed(9, &|i| {
+        pool.run_indexed(9, 9, &|i| {
             seen[i].fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert!(seen.iter().all(|s| s.load(AtomicOrdering::Relaxed) == 1));
@@ -1317,7 +1380,7 @@ mod tests {
     fn run_indexed_panic_propagates_without_deadlock() {
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(16, &|i| {
+            pool.run_indexed(16, 16, &|i| {
                 if i == 11 {
                     panic!("boom in share 11");
                 }
@@ -1326,7 +1389,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
         // The pool remains usable after the failed round.
         let count = AtomicUsize::new(0);
-        pool.run_indexed(8, &|_| {
+        pool.run_indexed(8, 8, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 8);
@@ -1342,7 +1405,7 @@ mod tests {
         let pool = Pool::new(3);
         for panic_at in [0usize, 1, 5, 7] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_indexed(8, &|i| {
+                pool.run_indexed(8, 8, &|i| {
                     if i == panic_at {
                         panic!("boom in share {i}");
                     }
@@ -1350,7 +1413,7 @@ mod tests {
             }));
             assert!(result.is_err(), "panic at {panic_at} must propagate");
             let seen: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_indexed(6, &|i| {
+            pool.run_indexed(6, 6, &|i| {
                 seen[i].fetch_add(1, AtomicOrdering::Relaxed);
             });
             assert!(
@@ -1369,7 +1432,7 @@ mod tests {
             outer.fetch_add(1, AtomicOrdering::Relaxed);
             // Nested call from inside a share: must not deadlock; every
             // nested share executes (inline, on this thread).
-            pool.run_indexed(3, &|_i| {
+            pool.run_indexed(3, 3, &|_i| {
                 inner.fetch_add(1, AtomicOrdering::Relaxed);
             });
         });
@@ -1391,7 +1454,7 @@ mod tests {
         pool.run(&|tid| {
             assert!(in_pool_round(), "a share runs inside a round");
             let caller = std::thread::current().id();
-            super::global().run_indexed(4, &|_| {
+            super::global().run_indexed(4, 4, &|_| {
                 assert_eq!(
                     std::thread::current().id(),
                     caller,
@@ -1419,7 +1482,7 @@ mod tests {
                 let total = Arc::clone(&total);
                 std::thread::spawn(move || {
                     for _ in 0..25 {
-                        pool.run_indexed(6, &|_| {
+                        pool.run_indexed(6, 6, &|_| {
                             total.fetch_add(1, AtomicOrdering::Relaxed);
                         });
                     }
@@ -1441,7 +1504,7 @@ mod tests {
         let shares = 1000usize;
         assert_eq!(indexed_chunk(shares, 4), 63);
         let seen: Vec<AtomicUsize> = (0..shares).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_indexed(shares, &|i| {
+        pool.run_indexed(shares, shares, &|i| {
             seen[i].fetch_add(1, AtomicOrdering::Relaxed);
         });
         for (i, s) in seen.iter().enumerate() {
@@ -1461,7 +1524,7 @@ mod tests {
         assert_eq!(s0, StealStats::default());
         let count = AtomicUsize::new(0);
         for _ in 0..20 {
-            pool.run_indexed(8, &|_| {
+            pool.run_indexed(8, 8, &|_| {
                 count.fetch_add(1, AtomicOrdering::Relaxed);
             });
         }
@@ -1478,7 +1541,7 @@ mod tests {
         assert_eq!(p1, p2, "global() must return one process-wide pool");
         assert!(super::global().threads() >= 1);
         let count = AtomicUsize::new(0);
-        super::global().run_indexed(5, &|_| {
+        super::global().run_indexed(5, 5, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 5);
@@ -1542,7 +1605,7 @@ mod tests {
         {
             let _guard = install_observer(obs.clone());
             let caller = std::thread::current().id();
-            global().run_indexed(3, &|i| {
+            global().run_indexed(3, 3, &|i| {
                 assert_eq!(std::thread::current().id(), caller, "must run inline");
                 order.lock().expect("test mutex").push(i);
             });
@@ -1554,7 +1617,7 @@ mod tests {
         );
         // Guard dropped: the pool is back to real execution.
         let count = AtomicUsize::new(0);
-        global().run_indexed(3, &|_| {
+        global().run_indexed(3, 3, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 3);
@@ -1569,7 +1632,7 @@ mod tests {
         {
             let _guard = install_observer(obs.clone());
             let base = SendPtr::new(out.as_mut_ptr());
-            global().run_indexed(2, &|i| {
+            global().run_indexed(2, 2, &|i| {
                 // SAFETY: shares touch disjoint halves of `out`, which
                 // outlives the (inline, virtual) round.
                 let half = unsafe { base.slice_mut(i * 4, 4) };
@@ -1590,7 +1653,7 @@ mod tests {
         });
         let guard = install_observer(obs.clone());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            global().run_indexed(2, &|i| {
+            global().run_indexed(2, 2, &|i| {
                 if i == 0 {
                     panic!("faulting share");
                 }

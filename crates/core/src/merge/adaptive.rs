@@ -2,7 +2,11 @@
 //!
 //! Algorithm 1 (paper §III) makes every output segment a fully independent
 //! sequential merge, which licenses choosing a *different* sequential
-//! kernel per segment. This module picks between the three kernels of
+//! kernel per segment. Here a segment is one of Algorithm 1's *tiles*
+//! ([`crate::partition::tile_count`]): `p` of them for small merges, up to
+//! four per thread above `2 · TILE_MIN` outputs, so a pair whose run
+//! structure changes along the merge path gets a kernel per region, even
+//! on one thread. This module picks between the three kernels of
 //! [`super::sequential`] — classic two-pointer, branch-lean, galloping —
 //! with a cheap run-structure probe sampled at the segment's diagonal
 //! endpoints (plus a handful of interior path points for large segments):

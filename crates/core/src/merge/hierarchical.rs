@@ -160,7 +160,7 @@ pub fn hierarchical_merge_into_recorded<T, F, R>(
         partition_points_by(a, b, blocks, cmp)
     };
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(blocks, rec, &|blk| {
+    executor::global().run_indexed_recorded(blocks, blocks, rec, &|blk| {
         let (i_lo, j_lo) = points[blk];
         let (i_hi, j_hi) = points[blk + 1];
         // Block blk's output range starts at its path offset i_lo + j_lo.

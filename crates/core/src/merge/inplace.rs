@@ -189,7 +189,7 @@ where
         ];
         let child_base = SendPtr::new(children.as_mut_ptr());
         let frontier_ref = &frontier;
-        executor::global().run_indexed_recorded(frontier_ref.len(), rec, &|idx| {
+        executor::global().run_indexed_recorded(frontier_ref.len(), threads, rec, &|idx| {
             let sub = frontier_ref[idx];
             let done = Sub {
                 start: sub.start + sub.len,
@@ -240,7 +240,7 @@ where
         frontier = children;
     }
     let frontier_ref = &frontier;
-    executor::global().run_indexed_recorded(frontier_ref.len(), rec, &|idx| {
+    executor::global().run_indexed_recorded(frontier_ref.len(), threads, rec, &|idx| {
         let sub = frontier_ref[idx];
         if R::ACTIVE {
             rec.worker_items(idx, sub.len as u64);

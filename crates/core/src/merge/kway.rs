@@ -378,7 +378,7 @@ pub fn parallel_kway_merge_recorded<T, F, R>(
     };
     let base = SendPtr::new(out.as_mut_ptr());
     let splits = &splits;
-    executor::global().run_indexed_recorded(threads, rec, &|t| {
+    executor::global().run_indexed_recorded(threads, threads, rec, &|t| {
         let d_lo = segment_boundary(total, threads, t);
         let d_hi = segment_boundary(total, threads, t + 1);
         let lo = &splits[t];

@@ -357,7 +357,7 @@ fn segment_merge_parallel<T, F, R>(
         return;
     }
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(p, rec, &|k| {
+    executor::global().run_indexed_recorded(p, p, rec, &|k| {
         let d_lo = segment_boundary(step, p, k);
         let d_hi = segment_boundary(step, p, k + 1);
         let (i_lo, i_hi) = if R::ACTIVE {
@@ -440,7 +440,7 @@ fn segment_merge_views_parallel<T, A, B, F, R>(
         partition_points_by(&sa, &sb, p, cmp)
     };
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(p, rec, &|k| {
+    executor::global().run_indexed_recorded(p, p, rec, &|k| {
         let (i_lo, j_lo) = points[k];
         let (i_hi, j_hi) = points[k + 1];
         // Worker k's output range starts at its path offset i_lo + j_lo.

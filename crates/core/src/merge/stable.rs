@@ -225,7 +225,7 @@ pub fn stable_parallel_merge_into_recorded<T, F, R>(
     }
 
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(threads, rec, &|k| {
+    executor::global().run_indexed_recorded(threads, threads, rec, &|k| {
         let d_lo = exact_boundary(n, threads, k);
         let d_hi = exact_boundary(n, threads, k + 1);
         let (i_lo, i_hi) = if R::ACTIVE {

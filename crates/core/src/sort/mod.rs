@@ -90,7 +90,7 @@ fn copy_back<T: Clone + Send + Sync>(src: &[T], dst: &mut [T], threads: usize) {
     assert_eq!(src.len(), dst.len(), "copy-back length mismatch");
     let n = dst.len();
     let base = SendPtr::new(dst.as_mut_ptr());
-    executor::global().run_indexed(threads, &|k| {
+    executor::global().run_indexed(threads, threads, &|k| {
         let (lo, hi) = (
             segment_boundary(n, threads, k),
             segment_boundary(n, threads, k + 1),

@@ -123,7 +123,7 @@ where
     {
         let base = SendPtr::new(v.as_mut_ptr());
         let bounds = &bounds;
-        executor::global().run_indexed_recorded(threads, rec, &|k| {
+        executor::global().run_indexed_recorded(threads, threads, rec, &|k| {
             // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
             // across shares and tile `v` exactly; the pool's end barrier
             // orders the writes before this frame resumes.

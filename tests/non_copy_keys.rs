@@ -331,8 +331,12 @@ mod counted_drop {
     fn panicking_comparator_balances_under_permuted_virtual_schedules() {
         // The same fuses, but under the deterministic virtual executor so
         // the panic lands at a reproducible point in a permuted schedule.
+        // The finite fuses all blow before a 400-element merge finishes;
+        // `u64::MAX` never blows, so every kernel also runs to its end
+        // under a permuted schedule, where a clone leaked after the last
+        // block or share would show.
         for kernel in KERNELS {
-            for (i, fuse) in [0u64, 3, 29, 222].into_iter().enumerate() {
+            for (i, fuse) in [0u64, 3, 29, 222, u64::MAX].into_iter().enumerate() {
                 let master = Arc::new(AtomicIsize::new(0));
                 let cmp = fused(fuse);
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -346,6 +350,11 @@ mod counted_drop {
                     0,
                     "{kernel} fuse={fuse}: unbalanced drops ({live} live, panicked={})",
                     result.is_err()
+                );
+                assert_eq!(
+                    result.is_err(),
+                    fuse != u64::MAX,
+                    "{kernel} fuse={fuse}: a finite fuse blows, the endless one never"
                 );
             }
         }

@@ -23,8 +23,9 @@ use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into_by, SpmConfig, Staging,
 };
 use mergepath_suite::mergepath::merge::sequential::{merge_into_by, natural_cmp};
-use mergepath_suite::mergepath::partition::partition_segments_by;
+use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
 use mergepath_suite::workloads::prng::Prng;
+use mergepath_suite::workloads::{merge_pair, MergeWorkload};
 
 /// A keyed element: compared by `.0`, disambiguated by provenance `.1`.
 type Kv = (i32, u32);
@@ -211,6 +212,61 @@ fn probed_dispatch_matches_the_oracle_on_every_family() {
             out.fill(0);
             batch_merge_into_by(&pairs, &mut out, threads, &natural_cmp);
             assert_eq!(out, oracle, "bare batch {name}: threads={threads}");
+        }
+    }
+}
+
+/// The thread counts the tiled differentials run at.
+const TILED_THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// One pair of 2^16 + 2^16 keys from every merge family: 2^17 outputs,
+/// which Algorithm 1 cuts into more tiles than threads at every count in
+/// [`TILED_THREADS`], so each tile runs the kernel the probe picks for it
+/// (a zipfian pair mixes galloping and branch-lean tiles).
+fn tiled_pairs() -> Vec<(MergeWorkload, Vec<u32>, Vec<u32>)> {
+    MergeWorkload::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, &family)| {
+            let (a, b) = merge_pair(family, 1 << 16, 0x711E + i as u64);
+            (family, a, b)
+        })
+        .collect()
+}
+
+#[test]
+fn tiled_merges_match_the_oracle_on_every_family() {
+    // Bare keys under `natural_cmp`, and the same keys as provenance-tagged
+    // pairs (stability observable, so duplicate-heavy tiles go to
+    // co-rank): both kernels that tile must equal the sequential oracle at
+    // every thread count, whatever kernel each tile picks.
+    for (family, ka, kb) in tiled_pairs() {
+        let n = ka.len() + kb.len();
+        for threads in TILED_THREADS {
+            assert!(tile_count(n, threads) > threads, "{family:?} must tile");
+        }
+        let mut oracle = vec![0u32; n];
+        merge_into_by(&ka, &kb, &mut oracle, &natural_cmp);
+        let keyed = |k: &[u32]| k.iter().map(|&x| (x >> 1) as i32).collect::<Vec<i32>>();
+        let (a, b) = tag(&keyed(&ka), &keyed(&kb));
+        let mut keyed_oracle = vec![(0, 0); n];
+        merge_into_by(&a, &b, &mut keyed_oracle, &cmp);
+        assert_stable(&keyed_oracle, "tiled oracle");
+        for threads in TILED_THREADS {
+            let label = format!("{family:?}, threads={threads}");
+            let mut out = vec![0u32; n];
+            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp);
+            assert_eq!(out, oracle, "bare parallel: {label}");
+            out.fill(0);
+            batch_merge_into_by(&[(&ka[..], &kb[..])], &mut out, threads, &natural_cmp);
+            assert_eq!(out, oracle, "bare batch: {label}");
+
+            let mut out = vec![(0, 0); n];
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            assert_eq!(out, keyed_oracle, "keyed parallel: {label}");
+            out.fill((0, 0));
+            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+            assert_eq!(out, keyed_oracle, "keyed batch: {label}");
         }
     }
 }

@@ -47,6 +47,64 @@ fn pool() -> &'static executor::Pool {
 }
 
 // ---------------------------------------------------------------------------
+// Participant bound: tiled rounds on a pool wider than their thread count
+// ---------------------------------------------------------------------------
+
+/// Algorithm 1 and the batch merge cut 2^15 + 2^15 outputs into more tiles
+/// than the 4-thread pool has threads, but asked for 2 threads they must
+/// run on 2. Each thread's first comparison holds it for a while, so every
+/// thread the round recruits has time to claim a tile before the others
+/// run out.
+#[test]
+fn tiled_rounds_on_a_wider_pool_run_on_at_most_their_threads() {
+    use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
+    use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
+    use mergepath_suite::mergepath::partition::tile_count;
+    use std::collections::HashSet;
+
+    let threads = 2;
+    assert!(pool().threads() > threads, "the pool must be wider");
+    let side = 1u32 << 15;
+    let a: Vec<u32> = (0..side).map(|x| 2 * x).collect();
+    let b: Vec<u32> = (0..side).map(|x| 2 * x + 1).collect();
+    let n = a.len() + b.len();
+    assert!(
+        tile_count(n, threads) > pool().threads(),
+        "more tiles than pool threads"
+    );
+    let seen = Mutex::new(HashSet::new());
+    let cmp = |x: &u32, y: &u32| {
+        let first = seen
+            .lock()
+            .expect("test mutex")
+            .insert(std::thread::current().id());
+        if first {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        x.cmp(y)
+    };
+    let used = || std::mem::take(&mut *seen.lock().expect("test mutex")).len();
+    for round in 0..3 {
+        let mut out = vec![0u32; n];
+        parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+        assert!(
+            out.iter().copied().eq(0..2 * side),
+            "parallel round {round}"
+        );
+        let ran = used();
+        assert!(
+            ran <= threads,
+            "parallel round {round} ran on {ran} threads"
+        );
+        out.fill(0);
+        batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+        assert!(out.iter().copied().eq(0..2 * side), "batch round {round}");
+        let ran = used();
+        assert!(ran <= threads, "batch round {round} ran on {ran} threads");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Overlap witness: narrow requests complete while a wide round executes
 // ---------------------------------------------------------------------------
 
@@ -433,7 +491,7 @@ fn handoff_round(pool: &executor::Pool, hold: Duration) {
     let caller = std::thread::current().id();
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let started_rx = Mutex::new(started_rx);
-    pool.run_indexed(2, &|_share| {
+    pool.run_indexed(2, 2, &|_share| {
         if std::thread::current().id() == caller {
             started_rx
                 .lock()
@@ -508,7 +566,7 @@ fn concurrent_submitters_with_gaps_around_the_window_all_complete() {
                         let shares = 2 + (t + round) % 5;
                         let seen: Vec<AtomicUsize> =
                             (0..shares).map(|_| AtomicUsize::new(0)).collect();
-                        pool.run_indexed(shares, &|i| {
+                        pool.run_indexed(shares, shares, &|i| {
                             seen[i].fetch_add(1, AtOrd::Relaxed);
                         });
                         assert!(

@@ -53,7 +53,7 @@ fn pool_threads_stop_spinning_once_idle() {
     let mut expected = 0;
     for round in 0..200 {
         let shares = 2 + round % 7;
-        pool.run_indexed(shares, &|_| {
+        pool.run_indexed(shares, shares, &|_| {
             executed.fetch_add(1, AtOrd::Relaxed);
         });
         expected += shares;
@@ -70,7 +70,7 @@ fn pool_threads_stop_spinning_once_idle() {
     );
 
     // The parked team still answers.
-    pool.run_indexed(4, &|_| {
+    pool.run_indexed(4, 4, &|_| {
         executed.fetch_add(1, AtOrd::Relaxed);
     });
     assert_eq!(executed.load(AtOrd::Relaxed), expected + 4);

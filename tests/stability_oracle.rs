@@ -189,6 +189,49 @@ fn the_exact_balance_co_rank_merge_is_stable_on_every_family() {
 }
 
 #[test]
+fn tiled_merges_keep_the_stable_order() {
+    // 2^16 + 2^16 tagged keys: Algorithm 1 and the batch merge cut more
+    // tiles than threads at every count below, and each tile picks its own
+    // kernel. Runs of 48 equal keys per side make tie classes straddle
+    // tile cuts and co-rank block cuts; the zipfian-shaped third family
+    // mixes tie-heavy tiles with finely interleaved ones.
+    let side = 1usize << 16;
+    let mut rng = Prng::seed_from_u64(0x711E);
+    let mut skewed = || -> Vec<i32> {
+        let mut v: Vec<i32> = (0..side)
+            .map(|_| {
+                let u = rng.below(1 << 20) as f64 / (1u64 << 20) as f64;
+                (u.powi(4) * 1e6) as i32
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let runs: Vec<i32> = (0..side as i32).map(|i| i / 48).collect();
+    let fams: Vec<(&str, Vec<i32>, Vec<i32>)> = vec![
+        ("runs_of_48", runs.clone(), runs),
+        ("all_equal", vec![3; side], vec![3; side]),
+        ("skewed", skewed(), skewed()),
+    ];
+    for (name, ka, kb) in fams {
+        let (a, b) = tag(&ka, &kb);
+        let mut oracle = vec![(0, 0); a.len() + b.len()];
+        merge_into_by(&a, &b, &mut oracle, &cmp);
+        assert_stable(&oracle, name);
+        for threads in [1usize, 2, 3, 8] {
+            let label = format!("{name}, threads={threads}");
+            let mut out = vec![(0, 0); oracle.len()];
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            assert_eq!(out, oracle, "parallel: {label}");
+            assert_stable(&out, &label);
+            out.fill((0, 0));
+            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+            assert_eq!(out, oracle, "batch: {label}");
+        }
+    }
+}
+
+#[test]
 fn batched_merges_keep_the_stable_order() {
     // The batch kernel shares the adaptive segment dispatch; the
     // duplicate-heavy families must come out stable when many pairs share
