@@ -1,10 +1,11 @@
 //! # mergepath-bench — experiment harness support
 //!
-//! Shared utilities for the figure/table regeneration binaries (`src/bin`)
-//! and the Criterion benches (`benches/`): wall-clock timing with warmup
-//! and repetition, markdown/CSV table emission, and the experiment scale
-//! presets (`--full` reproduces the paper's sizes; the default is scaled
-//! for a small machine).
+//! Shared utilities for the figure/table regeneration binaries
+//! (`src/bin`): wall-clock timing with warmup and repetition,
+//! markdown/CSV table emission, and the experiment scale presets (`--full`
+//! reproduces the paper's sizes; the default is scaled for a small
+//! machine). Per-kernel and per-family timing lives in `mp bench`
+//! (`crates/cli`) and end-to-end timing in `mpbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,8 @@
 //!
 //! * `BENCH_merge.json` — the parallel merge across four workload
 //!   families (uniform, duplicate-heavy, run-structured, adversarial-tie):
-//!   median ns/element under the probe's per-segment dispatch, comparison
+//!   median ns/element under the probe's per-segment dispatch, the share
+//!   of the timed pool rounds that ran solo on the caller, comparison
 //!   counts, per-kernel segment counters and the Thm 14 load-balance skew,
 //!   plus one-thread columns in which each of the four segment kernels
 //!   merges the family's whole pair on the calling thread, with no pool.
@@ -125,6 +126,10 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 struct FamilyRow {
     family: String,
     adaptive_ns_per_elem: f64,
+    /// Share of the timed reps' pool rounds (of at least two tickets) in
+    /// which the caller ran every share: the regime in which `p` threads
+    /// run at one thread's speed. 0 when no round reached the pool.
+    solo_frac: f64,
     comparisons: u64,
     segments: [u64; 4],
     max_items: u64,
@@ -164,7 +169,11 @@ fn family_row(
     timed: impl FnMut(),
     traced: impl FnOnce(&TimelineRecorder),
 ) -> FamilyRow {
+    let pool = mergepath::executor::global();
+    let before = pool.round_counts();
     let adaptive_ns = median_ns(cfg.reps, timed);
+    let after = pool.round_counts();
+    let (solo, shared) = (after.solo - before.solo, after.shared - before.shared);
     let rec = TimelineRecorder::new();
     traced(&rec);
     let telemetry = rec.finish();
@@ -172,6 +181,7 @@ fn family_row(
     FamilyRow {
         family: family.to_string(),
         adaptive_ns_per_elem: adaptive_ns / n as f64,
+        solo_frac: solo as f64 / (solo + shared).max(1) as f64,
         comparisons: counter_total(&telemetry, "comparisons"),
         segments: SegmentKernel::ALL.map(|k| counter_total(&telemetry, k.counter().name())),
         max_items: report.max_items,
@@ -218,8 +228,8 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"family\":\"{}\",\"adaptive_ns_per_elem\":{},\"comparisons\":{}",
-            r.family, r.adaptive_ns_per_elem, r.comparisons,
+            "{{\"family\":\"{}\",\"adaptive_ns_per_elem\":{},\"solo_frac\":{},\"comparisons\":{}",
+            r.family, r.adaptive_ns_per_elem, r.solo_frac, r.comparisons,
         );
         for (kernel, segments) in SegmentKernel::ALL.iter().zip(r.segments) {
             let _ = write!(out, ",\"{}\":{segments}", kernel.counter().name());
@@ -244,7 +254,7 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
 fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
     let _ = write!(
         out,
-        "{title}: family, adaptive ns/elem, segments (c/bl/g/cr)"
+        "{title}: family, adaptive ns/elem, solo frac, segments (c/bl/g/cr)"
     );
     if rows.iter().any(|r| r.merge.is_some()) {
         let _ = write!(
@@ -257,8 +267,8 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
         let [c, bl, g, cr] = r.segments;
         let _ = write!(
             out,
-            "  {:<16} {:>8.3}  {c}/{bl}/{g}/{cr}",
-            r.family, r.adaptive_ns_per_elem
+            "  {:<16} {:>8.3} {:>5.2}  {c}/{bl}/{g}/{cr}",
+            r.family, r.adaptive_ns_per_elem, r.solo_frac
         );
         if let Some(m) = &r.merge {
             let [c, bl, g, cr] = m.kernel_t1_ns_per_elem;
@@ -491,6 +501,11 @@ mod tests {
                         "missing {col}"
                     );
                 }
+                let solo = f.get("solo_frac").and_then(Value::as_f64);
+                assert!(
+                    solo.is_some_and(|x| (0.0..=1.0).contains(&x)),
+                    "solo_frac {solo:?}"
+                );
                 for col in merge_only {
                     let present = f.get(col).and_then(Value::as_f64).is_some();
                     assert_eq!(present, is_merge, "{col} on a merge row: {is_merge}");

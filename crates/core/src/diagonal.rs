@@ -13,14 +13,10 @@
 //! among its first `k` outputs. The point on the `k`-th diagonal is then
 //! `(i, k - i)`.
 //!
-//! Two independent implementations are provided:
-//!
-//! * [`co_rank_by`] — a classical `lo/hi` binary search over the diagonal;
-//! * [`co_rank_refine_by`] — the two-sided refinement loop that mirrors the
-//!   constructive proof of Theorem 14 (and the GPU formulations derived from
-//!   this paper).
-//!
-//! They are property-tested to be identical; both are `O(log min(|A|, |B|))`.
+//! [`co_rank_by`] is a classical `lo/hi` binary search over the diagonal,
+//! property-tested against a walk of the stable merge; [`co_rank_counted`]
+//! and [`co_rank_probed`] are the same search reporting its comparisons or
+//! its memory accesses. All are `O(log min(|A|, |B|))`.
 //!
 //! # Stability
 //!
@@ -65,6 +61,15 @@ pub fn co_rank<T: Ord>(k: usize, a: &[T], b: &[T]) -> usize {
 ///
 /// `cmp` must be a strict weak ordering consistent with the sort order of
 /// both inputs. Ties (`Ordering::Equal`) are broken toward `a`.
+///
+/// The proof of Theorem 14 is a two-sided refinement, the form the GPU
+/// descendants of the paper implement: hold a candidate split, and halve
+/// the uncertainty interval toward whichever split condition (module docs,
+/// *Stability*) the candidate violates. Along a cross diagonal both
+/// conditions are monotone (Corollary 12): the first holds exactly for
+/// splits at or below the valid one, the second exactly for splits at or
+/// above it. So testing the second condition alone at the midpoint decides
+/// which half keeps the valid split, and this search does only that.
 pub fn co_rank_by<T, A, B, F>(k: usize, a: &A, b: &B, cmp: &F) -> usize
 where
     A: SortedView<T> + ?Sized,
@@ -96,64 +101,6 @@ where
     }
     debug_assert!(split_is_valid(k, a, b, cmp, lo));
     lo
-}
-
-/// The two-sided refinement formulation of the diagonal search.
-///
-/// # Examples
-/// ```
-/// use mergepath::diagonal::{co_rank, co_rank_refine_by};
-/// let a = [1, 4, 9, 16];
-/// let b = [2, 3, 5, 8];
-/// let cmp = |x: &i32, y: &i32| x.cmp(y);
-/// for k in 0..=8 {
-///     assert_eq!(co_rank_refine_by(k, &a[..], &b[..], &cmp), co_rank(k, &a, &b));
-/// }
-/// ```
-///
-/// This follows the constructive argument in the proof of Theorem 14 (and
-/// matches the co-rank routine popularized by the GPU descendants of this
-/// paper): maintain a candidate split and halve the uncertainty interval on
-/// whichever side violates the split conditions. Exposed separately so the
-/// two formulations can be benchmarked and property-tested against each
-/// other.
-///
-/// # Panics
-/// Panics if `k > a.len() + b.len()`.
-pub fn co_rank_refine_by<T, A, B, F>(k: usize, a: &A, b: &B, cmp: &F) -> usize
-where
-    A: SortedView<T> + ?Sized,
-    B: SortedView<T> + ?Sized,
-    F: Fn(&T, &T) -> Ordering,
-{
-    let (na, nb) = (a.len(), b.len());
-    assert!(
-        k <= na + nb,
-        "diagonal index {k} out of range 0..={}",
-        na + nb
-    );
-    let mut i = k.min(na);
-    let mut j = k - i;
-    let mut i_low = k.saturating_sub(nb);
-    let mut j_low = k.saturating_sub(na);
-    loop {
-        if i > 0 && j < nb && cmp(a.get(i - 1), b.get(j)) == Ordering::Greater {
-            // Too many elements taken from A: move the split up-right.
-            let delta = (i - i_low).div_ceil(2);
-            j_low = j;
-            i -= delta;
-            j += delta;
-        } else if j > 0 && i < na && cmp(b.get(j - 1), a.get(i)) != Ordering::Less {
-            // Too many elements taken from B (>= keeps the merge stable).
-            let delta = (j - j_low).div_ceil(2);
-            i_low = i;
-            j -= delta;
-            i += delta;
-        } else {
-            debug_assert!(split_is_valid(k, a, b, cmp, i));
-            return i;
-        }
-    }
 }
 
 /// [`co_rank_by`] that additionally reports the number of comparisons spent,
@@ -368,15 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn refine_handles_degenerate_shapes() {
-        let cmp = |x: &i64, y: &i64| x.cmp(y);
+    fn co_rank_handles_degenerate_shapes() {
         let a: Vec<i64> = vec![7];
         let b: Vec<i64> = (0..100).collect();
         for k in 0..=101 {
+            assert_eq!(co_rank(k, &a, &b), oracle_co_rank(k, &a, &b), "k={k}");
             assert_eq!(
-                co_rank_refine_by(k, a.as_slice(), b.as_slice(), &cmp),
-                co_rank_by(k, a.as_slice(), b.as_slice(), &cmp),
-                "k={k}"
+                co_rank(k, &b, &a),
+                oracle_co_rank(k, &b, &a),
+                "swapped k={k}"
             );
         }
     }
@@ -410,20 +357,6 @@ mod tests {
             let k = ((a.len() + b.len()) as f64 * frac) as usize;
             let k = k.min(a.len() + b.len());
             prop_assert_eq!(co_rank(k, &a, &b), oracle_co_rank(k, &a, &b));
-        }
-
-        #[test]
-        fn two_formulations_agree(
-            a in proptest::collection::vec(-50i64..50, 0..120).prop_map(sorted),
-            b in proptest::collection::vec(-50i64..50, 0..120).prop_map(sorted),
-        ) {
-            let cmp = |x: &i64, y: &i64| x.cmp(y);
-            for k in 0..=a.len() + b.len() {
-                prop_assert_eq!(
-                    co_rank_by(k, a.as_slice(), b.as_slice(), &cmp),
-                    co_rank_refine_by(k, a.as_slice(), b.as_slice(), &cmp),
-                );
-            }
         }
 
         #[test]

@@ -22,7 +22,7 @@
 //!
 //! * Each worker owns a **bounded deque** of tickets (LIFO at the owner's
 //!   end, FIFO at the steal end), plus one shared **global injector**.
-//! * [`Pool::submit_round`] (the internal engine behind [`Pool::run`] and
+//! * [`Pool::submit_round`] (the internal engine behind
 //!   [`Pool::run_indexed`]) enqueues a **round descriptor** — erased job
 //!   pointer, atomic share-claim counter, completion latch, panic flag —
 //!   without taking any global lock. A pool-worker submitter pushes its
@@ -81,11 +81,10 @@
 //! them on at most `p` threads, the caller included (see *The participant
 //! bound*).
 //!
-//! A *nested* call (a share calling back into [`Pool::run`] or
-//! [`Pool::run_indexed`] on any pool while a round is executing on this
-//! thread) is supported and executes all of its shares inline,
-//! sequentially, on the calling thread — the same behaviour as OpenMP
-//! with nested parallelism disabled. Pool workers therefore never submit
+//! A *nested* call (a share calling back into [`Pool::run_indexed`] on
+//! any pool while a round is executing on this thread) is supported and
+//! executes all of its shares inline, sequentially, on the calling thread
+//! — the same behaviour as OpenMP with nested parallelism disabled. Pool workers therefore never submit
 //! rounds, which is what makes caller participation deadlock-free.
 //!
 //! # The participant bound
@@ -122,18 +121,23 @@
 //!
 //! # Telemetry
 //!
-//! [`Pool::run_recorded`] and [`Pool::run_indexed_recorded`] are the
-//! instrumented twins of [`Pool::run`] / [`Pool::run_indexed`]: they
-//! report round begin/end, the submit-to-first-share queue wait
-//! (`round_wait_ns`), one busy window per executed share, and — when the
+//! [`Pool::run_indexed_recorded`] is the instrumented twin of
+//! [`Pool::run_indexed`]: it reports round begin/end, the
+//! submit-to-first-share queue wait (`round_wait_ns`), one busy window
+//! per executed share, and — when the
 //! round was helped by stolen tickets — the `pool_steals` /
 //! `pool_stolen_shares` counters into a `mergepath_telemetry::Recorder`.
 //! Share windows are tagged with the executing participant's *ticket*
 //! index (a round-local id below the round's participant count), so concurrent
 //! rounds reporting into per-request `OffsetRecorder`s keep their worker
 //! ranges disjoint. With the zero-sized `NoRecorder` (`ACTIVE == false`)
-//! the instrumented twins delegate directly to the untraced entry points,
+//! the instrumented twin delegates directly to the untraced entry point,
 //! so the hot path is unchanged unless a real recorder is supplied.
+//!
+//! Without any recorder, [`Pool::steal_stats`] and [`Pool::round_counts`]
+//! keep pool-lifetime counts of productive steals and of *solo* rounds:
+//! rounds of at least two tickets whose every share ran on the caller
+//! because no other participant claimed one in time.
 //!
 //! # Virtual execution (schedule checking)
 //!
@@ -383,6 +387,9 @@ struct Sched {
     /// Pool-lifetime aggregates behind [`Pool::steal_stats`].
     steals: AtomicU64,
     stolen_shares: AtomicU64,
+    /// Pool-lifetime aggregates behind [`Pool::round_counts`].
+    solo_rounds: AtomicU64,
+    shared_rounds: AtomicU64,
 }
 
 impl Sched {
@@ -505,6 +512,17 @@ pub struct StealStats {
     pub stolen_shares: u64,
 }
 
+/// Cumulative round counters of one pool (see [`Pool::round_counts`]).
+/// Each counts rounds that pushed at least one ticket beyond the caller's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RoundCounts {
+    /// Rounds whose every share ran on the caller: no other participant
+    /// claimed a share before the caller had claimed them all.
+    pub solo: u64,
+    /// Rounds in which another participant ran at least one share.
+    pub shared: u64,
+}
+
 /// Round-level numbers [`Pool::submit_round`] hands back to the recorded
 /// entry points. The queue wait is not carried here — `submit_round`'s
 /// `on_ready` callback receives it before any share executes.
@@ -522,8 +540,8 @@ struct RoundStats {
 ///
 /// let pool = Pool::new(4);
 /// let hits = AtomicUsize::new(0);
-/// pool.run(&|tid| {
-///     assert!(tid < 4);
+/// pool.run_indexed(4, 4, &|share| {
+///     assert!(share < 4);
 ///     hits.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(hits.load(Ordering::Relaxed), 4);
@@ -536,8 +554,7 @@ pub struct Pool {
 
 thread_local! {
     /// True while this thread is executing a share of a pool round. Used
-    /// to detect nested `run` calls, which execute inline (see module
-    /// docs).
+    /// to detect nested rounds, which execute inline (see module docs).
     static IN_POOL_ROUND: Cell<bool> = const { Cell::new(false) };
     /// The worker-deque index owned by this thread, if it is a pool
     /// worker.
@@ -739,10 +756,8 @@ pub fn threads_from_env(value: Option<&str>) -> usize {
         })
 }
 
-/// The claim-chunk size for an indexed round run by `tickets`
-/// participants: `ceil(shares / (tickets * 4))`, floored at 1. Tid-exact
-/// rounds ([`Pool::run`]) always use chunk 1 — each share *is* a
-/// participant there.
+/// The claim-chunk size for a round run by `tickets` participants:
+/// `ceil(shares / (tickets * 4))`, floored at 1.
 fn indexed_chunk(shares: usize, tickets: usize) -> usize {
     shares.div_ceil(tickets.max(1) * 4).max(1)
 }
@@ -768,6 +783,8 @@ impl Pool {
             rr: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             stolen_shares: AtomicU64::new(0),
+            solo_rounds: AtomicU64::new(0),
+            shared_rounds: AtomicU64::new(0),
         });
         let workers = (1..threads)
             .map(|tid| {
@@ -785,7 +802,7 @@ impl Pool {
         }
     }
 
-    /// Number of participants (including the caller of [`Pool::run`]).
+    /// Number of participants, a round's caller included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -800,6 +817,18 @@ impl Pool {
         }
     }
 
+    /// Cumulative solo and shared round counts since the pool was
+    /// created, counted with no recorder attached. Monotonic, like
+    /// [`Pool::steal_stats`]: diff two snapshots to get a window's solo
+    /// fraction. Rounds that never reach the team (one participant, one
+    /// share, nested or virtual) count in neither.
+    pub fn round_counts(&self) -> RoundCounts {
+        RoundCounts {
+            solo: self.sched.solo_rounds.load(AtomicOrdering::Relaxed),
+            shared: self.sched.shared_rounds.load(AtomicOrdering::Relaxed),
+        }
+    }
+
     /// The scheduler engine: publishes a round descriptor, distributes
     /// tickets, participates, helps siblings, and blocks on the round
     /// latch. `on_ready` runs after ticket distribution with the measured
@@ -810,7 +839,8 @@ impl Pool {
     /// `tickets` is the round's participant count, the caller included:
     /// at least 2 and at most `min(threads, shares)`. Caller must have
     /// ruled out virtual, nested, single-participant, and degenerate
-    /// (`shares < 2`) execution.
+    /// (`shares < 2`) execution. Every round counts once in
+    /// [`Pool::round_counts`]: solo if the caller ran all of its shares.
     ///
     /// # Panics
     /// Re-raises the caller's own share panic, or panics with
@@ -821,7 +851,6 @@ impl Pool {
         &self,
         shares: usize,
         tickets: usize,
-        chunk: usize,
         job: &(dyn Fn(usize, usize) + Sync),
         on_ready: F,
     ) -> RoundStats {
@@ -840,7 +869,7 @@ impl Pool {
         let round = Arc::new(Round {
             job: JobPtr(erased),
             shares,
-            chunk: chunk.max(1),
+            chunk: indexed_chunk(shares, tickets),
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
@@ -855,8 +884,15 @@ impl Pool {
         // round duration.
         on_ready(now_ns().saturating_sub(queued));
         // Participate: the caller is always ticket 0 and never abandons
-        // its own round.
-        let (_, own) = participate(&round, 0, false, None);
+        // its own round. Once it returns every share is claimed, so the
+        // caller ran them all exactly when no other participant ran one.
+        let (executed, own) = participate(&round, 0, false, None);
+        let rounds = if executed == shares {
+            &self.sched.solo_rounds
+        } else {
+            &self.sched.shared_rounds
+        };
+        rounds.fetch_add(1, AtomicOrdering::Relaxed);
         // Help siblings while our latch is open: whatever rounds are in
         // flight get an extra participant instead of a blocked thread.
         // Bounded by one foreign chunk past our own round's completion.
@@ -878,48 +914,6 @@ impl Pool {
             None => {}
         }
         stats
-    }
-
-    /// Executes `job(tid)` once for every `tid in 0..threads`, in parallel,
-    /// returning when all have finished (implicit barrier, as at the end of
-    /// an OpenMP parallel region).
-    ///
-    /// Concurrent callers overlap: each call is its own round descriptor
-    /// and rounds execute simultaneously on the work-stealing scheduler
-    /// (see module docs). If a share itself calls `run` (on this or any
-    /// pool), the nested call executes all of its shares inline on the
-    /// calling thread — nested rounds never recruit the team, mirroring
-    /// OpenMP with nested parallelism off.
-    ///
-    /// # Panics
-    /// If any share panics, the panic is re-raised on the calling thread
-    /// after all shares of the round have finished (the pool itself
-    /// stays usable).
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        if let Some(obs) = current_observer() {
-            run_virtual(&*obs, self.threads, job);
-            return;
-        }
-        if IN_POOL_ROUND.with(|f| f.get()) {
-            // Nested call from inside a share: run every tid inline. The
-            // flag is already set, so deeper nesting also stays inline.
-            for tid in 0..self.threads {
-                job(tid);
-            }
-            return;
-        }
-        if self.threads == 1 {
-            let _mark = RoundMark::enter();
-            job(0);
-            return;
-        }
-        self.submit_round(
-            self.threads,
-            self.threads,
-            1,
-            &|_ticket, share| job(share),
-            |_| {},
-        );
     }
 
     /// How many threads, the caller included, run a round of `shares`
@@ -947,7 +941,17 @@ impl Pool {
     /// With one participant (or a one-thread pool) the shares run in a
     /// loop on the caller. Output is identical regardless of pool size.
     ///
-    /// Panic propagation and nested-call behaviour match [`Pool::run`].
+    /// Concurrent callers overlap: each call is its own round descriptor
+    /// and rounds execute simultaneously on the work-stealing scheduler
+    /// (see module docs). If a share itself calls `run_indexed` (on this
+    /// or any pool), the nested call executes all of its shares inline on
+    /// the calling thread — nested rounds never recruit the team,
+    /// mirroring OpenMP with nested parallelism off.
+    ///
+    /// # Panics
+    /// If any share panics, the panic is re-raised on the calling thread
+    /// after all shares of the round have finished (the pool itself
+    /// stays usable).
     pub fn run_indexed(&self, shares: usize, participants: usize, job: &(dyn Fn(usize) + Sync)) {
         if let Some(obs) = current_observer() {
             run_virtual(&*obs, shares, job);
@@ -970,39 +974,7 @@ impl Pool {
             }
             return;
         }
-        self.submit_round(
-            shares,
-            tickets,
-            indexed_chunk(shares, tickets),
-            &|_ticket, share| job(share),
-            |_| {},
-        );
-    }
-
-    /// [`Pool::run`] with telemetry: reports the round (begin/end, queue
-    /// wait, steal counters) and one busy window per share into `rec`.
-    ///
-    /// With an inactive recorder (`R::ACTIVE == false`, i.e.
-    /// `NoRecorder`) this delegates to [`Pool::run`] unchanged.
-    pub fn run_recorded<R: Recorder>(&self, rec: &R, job: &(dyn Fn(usize) + Sync)) {
-        if !R::ACTIVE {
-            self.run(job);
-            return;
-        }
-        if let Some(obs) = current_observer() {
-            // Virtual execution takes precedence over telemetry: the
-            // checker audits semantics, not timing.
-            run_virtual(&*obs, self.threads, job);
-            return;
-        }
-        // Tid-exact rounds are tagged by share index — the logical worker
-        // IS the share there, regardless of which participant ran it.
-        let wrapped = |_ticket: usize, share: usize| {
-            let start = now_ns();
-            job(share);
-            rec.share_window(share, share, start, now_ns());
-        };
-        self.run_observed(rec, self.threads, self.threads, &wrapped);
+        self.submit_round(shares, tickets, &|_ticket, share| job(share), |_| {});
     }
 
     /// [`Pool::run_indexed`] with telemetry: reports the round and one
@@ -1093,8 +1065,7 @@ impl Pool {
             rec.round_end();
             return;
         }
-        let chunk = indexed_chunk(shares, tickets);
-        let stats = self.submit_round(shares, tickets, chunk, job, |wait_ns| {
+        let stats = self.submit_round(shares, tickets, job, |wait_ns| {
             // The wait must precede `round_begin` on this thread: the
             // timeline recorder attributes a pending wait to the next
             // round begun by the same thread.
@@ -1126,7 +1097,7 @@ impl Drop for Pool {
 /// reconstructs its own sub-slice with `from_raw_parts_mut`. Every use
 /// site must uphold the contract in the `unsafe impl`s below: shares only
 /// touch pairwise-disjoint ranges, and the owning borrow outlives the
-/// round (guaranteed by the round latch in [`Pool::run`]).
+/// round (guaranteed by the round latch in [`Pool::run_indexed`]).
 pub struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
@@ -1198,7 +1169,7 @@ mod tests {
     fn runs_every_tid_exactly_once() {
         let pool = Pool::new(4);
         let seen = [(); 4].map(|_| AtomicUsize::new(0));
-        pool.run(&|tid| {
+        pool.run_indexed(4, 4, &|tid| {
             seen[tid].fetch_add(1, AtomicOrdering::Relaxed);
         });
         for s in &seen {
@@ -1210,7 +1181,7 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
         let count = AtomicUsize::new(0);
-        pool.run(&|tid| {
+        pool.run_indexed(1, 1, &|tid| {
             assert_eq!(tid, 0);
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
@@ -1222,7 +1193,7 @@ mod tests {
         let pool = Pool::new(3);
         let count = AtomicUsize::new(0);
         for _ in 0..100 {
-            pool.run(&|_tid| {
+            pool.run_indexed(3, 3, &|_tid| {
                 count.fetch_add(1, AtomicOrdering::Relaxed);
             });
         }
@@ -1234,7 +1205,7 @@ mod tests {
         let pool = Pool::new(4);
         let input: Vec<u64> = (0..1000).collect();
         let partial = [(); 4].map(|_| AtomicUsize::new(0));
-        pool.run(&|tid| {
+        pool.run_indexed(4, 4, &|tid| {
             let chunk = &input[tid * 250..(tid + 1) * 250];
             let s: u64 = chunk.iter().sum();
             partial[tid].store(s as usize, AtomicOrdering::Relaxed);
@@ -1277,7 +1248,7 @@ mod tests {
     fn drop_joins_workers_cleanly() {
         for _ in 0..10 {
             let pool = Pool::new(5);
-            pool.run(&|_| {});
+            pool.run_indexed(5, 5, &|_| {});
             drop(pool);
         }
     }
@@ -1286,7 +1257,7 @@ mod tests {
     fn worker_panic_propagates_without_deadlock() {
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(&|tid| {
+            pool.run_indexed(4, 4, &|tid| {
                 if tid == 2 {
                     panic!("boom in worker");
                 }
@@ -1295,7 +1266,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
         // The pool remains usable after the failed round.
         let count = AtomicUsize::new(0);
-        pool.run(&|_| {
+        pool.run_indexed(4, 4, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 4);
@@ -1305,7 +1276,7 @@ mod tests {
     fn caller_share_panic_propagates_and_pool_survives() {
         let pool = Pool::new(3);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(&|tid| {
+            pool.run_indexed(3, 3, &|tid| {
                 if tid == 0 {
                     panic!("boom in caller share");
                 }
@@ -1313,7 +1284,7 @@ mod tests {
         }));
         assert!(result.is_err());
         let count = AtomicUsize::new(0);
-        pool.run(&|_| {
+        pool.run_indexed(3, 3, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 3);
@@ -1428,7 +1399,7 @@ mod tests {
         let pool = Pool::new(4);
         let outer = AtomicUsize::new(0);
         let inner = AtomicUsize::new(0);
-        pool.run(&|_tid| {
+        pool.run_indexed(4, 4, &|_tid| {
             outer.fetch_add(1, AtomicOrdering::Relaxed);
             // Nested call from inside a share: must not deadlock; every
             // nested share executes (inline, on this thread).
@@ -1451,7 +1422,7 @@ mod tests {
         let b: Vec<i64> = (0..500).map(|x| x * 2 + 1).collect();
         let expect: Vec<i64> = (0..1000).collect();
         let outputs: Vec<Mutex<Vec<i64>>> = (0..3).map(|_| Mutex::new(vec![0i64; 1000])).collect();
-        pool.run(&|tid| {
+        pool.run_indexed(3, 3, &|tid| {
             assert!(in_pool_round(), "a share runs inside a round");
             let caller = std::thread::current().id();
             super::global().run_indexed(4, 4, &|_| {
@@ -1678,7 +1649,7 @@ mod tests {
             chunked_copy(&pool, 4, &src, &mut out);
             assert_eq!(out, src);
             let touched = AtomicUsize::new(0);
-            pool.run(&|_| {
+            pool.run_indexed(4, 4, &|_| {
                 touched.fetch_add(1, AtomicOrdering::Relaxed);
             });
             assert_eq!(touched.load(AtomicOrdering::Relaxed), 4);

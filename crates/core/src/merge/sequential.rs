@@ -10,7 +10,7 @@
 //! * [`merge_into_by`] — the classic two-pointer merge with a tail copy;
 //!   the default, and the baseline for the paper's §VI overhead remark.
 //! * [`branch_lean_merge_into_by`] — replaces the hard-to-predict
-//!   comparison branch with index arithmetic, and runs as two streams:
+//!   comparison branch with index arithmetic, and runs as four streams:
 //!   pays off on random interleaving (branch misprediction bound), loses
 //!   slightly on runs.
 //! * [`galloping_merge_into_by`] — exponential search over runs; wins when
@@ -18,7 +18,7 @@
 //!
 //! Each has a probed variant used by the cache simulator.
 //!
-//! # Two streams per core
+//! # Four streams per core
 //!
 //! Algorithm 1 makes every segment between two co-ranked diagonals an
 //! independent sequential merge; the parallel kernels spend that
@@ -26,12 +26,15 @@
 //! inside one core. A branch-lean loop is one serial chain — the next load
 //! index depends on the last comparison — so it runs at the latency of
 //! compare, select and index update, not at the core's throughput. Above
-//! a short-output threshold the kernel co-ranks the middle diagonal once
-//! and interleaves the two halves' chains in one loop. The co-rank split
-//! is the unique stable one (ties to `a`), so the two-stream output is
-//! byte-identical to the one-stream output; every caller that lands on
-//! branch-lean gets it: the adaptive dispatch and [`super::batch`]
-//! fragments.
+//! a short-output threshold the kernel co-ranks three interior diagonals
+//! and interleaves the four streams' chains in one loop, the thread level
+//! of GPU Merge Path (Green, Odeh, Birk) applied to one core's
+//! instruction-level parallelism. The co-rank cuts are the unique stable
+//! ones (ties to `a`), so the four-stream output is byte-identical to the
+//! one-stream output; every caller that lands on branch-lean gets it: the
+//! adaptive dispatch and [`super::batch`] fragments. Two, three, six and
+//! eight streams were measured too (DESIGN.md §5): two run at about 1.5×
+//! four's time per element, and six or eight at about four's.
 
 use core::cell::Cell;
 use core::cmp::Ordering;
@@ -40,6 +43,7 @@ use mergepath_telemetry::{counted_cmp, span, CounterKind, Recorder, SpanKind};
 
 use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
+use crate::partition::segment_boundary;
 use crate::probe::Probe;
 use crate::view::SortedView;
 
@@ -218,9 +222,14 @@ where
     }
 }
 
-/// Outputs shorter than this merge as one stream: below it the middle
-/// diagonal's co-rank search costs more than the second stream saves.
-const TWO_STREAM_MIN: usize = 64;
+/// Independent merge streams the branch-lean kernel advances in one loop.
+const STREAMS: usize = 4;
+
+/// Outputs per stream below which the branch-lean kernel merges as one
+/// stream: below `STREAMS · STREAM_MIN` outputs the interior diagonals'
+/// co-rank searches cost more than the extra streams save (DESIGN.md §5
+/// has the sweep).
+const STREAM_MIN: usize = 16;
 
 /// A merge kernel that avoids the data-dependent select branch by advancing
 /// indices with boolean arithmetic: [`branch_lean_merge_into_by`] under the
@@ -235,7 +244,7 @@ pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 }
 
 /// The branch-lean kernel for `Clone` elements and a caller-supplied
-/// comparator, run as two independent streams.
+/// comparator, run as `STREAMS` independent streams.
 ///
 /// Ties (`Ordering::Equal`) take from `a` first — the same stable order as
 /// [`merge_into_by`]; the select consumes the comparison as an index
@@ -243,49 +252,76 @@ pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 ///
 /// A single branch-lean loop is one serial dependency chain: each load
 /// index waits on the previous comparison. For outputs of at least
-/// `TWO_STREAM_MIN` keys the kernel co-ranks the middle diagonal once,
-/// which splits the segment into two independent merges — Algorithm 1's
-/// partition with `p = 2`, applied inside one core — and advances both in
-/// one loop, so the core overlaps two chains. The co-rank split is the
-/// unique stable one (ties to `a`, Siebert & Träff), so the output is
-/// byte-identical to the single stream's. When either half runs out of one
-/// input, each half finishes on the single-stream loop.
+/// `STREAMS · STREAM_MIN` keys the kernel co-ranks the `STREAMS − 1`
+/// interior diagonals `⌊s·n/STREAMS⌋`, which splits the segment into
+/// `STREAMS` independent merges — Algorithm 1's partition with
+/// `p = STREAMS`, applied inside one core — and advances all of them in
+/// one loop, so the core overlaps their chains. The co-rank cuts are the
+/// unique stable ones (ties to `a`, Siebert & Träff), so the output is
+/// byte-identical to the single stream's. Once any stream runs out of one
+/// input, each stream finishes on the single-stream loop.
 pub fn branch_lean_merge_into_by<T: Clone, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
 {
     assert_out_len(a.len(), b.len(), out.len());
     let n = out.len();
-    if n < TWO_STREAM_MIN {
+    if n < STREAMS * STREAM_MIN {
         branch_lean_stream(a, b, out, cmp);
         return;
     }
-    let half = n / 2;
-    let i = co_rank_by(half, a, b, cmp);
-    let (a0, a1) = a.split_at(i);
-    let (b0, b1) = b.split_at(half - i);
-    let (o0, o1) = out.split_at_mut(half);
-    let (mut i0, mut j0, mut i1, mut j1) = (0usize, 0usize, 0usize, 0usize);
-    while i0 < a0.len() && j0 < b0.len() && i1 < a1.len() && j1 < b1.len() {
-        let take0 = cmp(&a0[i0], &b0[j0]) != Ordering::Greater;
-        let take1 = cmp(&a1[i1], &b1[j1]) != Ordering::Greater;
-        o0[i0 + j0] = if take0 {
-            a0[i0].clone()
-        } else {
-            b0[j0].clone()
-        };
-        o1[i1 + j1] = if take1 {
-            a1[i1].clone()
-        } else {
-            b1[j1].clone()
-        };
-        i0 += take0 as usize;
-        j0 += !take0 as usize;
-        i1 += take1 as usize;
-        j1 += !take1 as usize;
+    // Stream `s` merges `a[ia[s]..ia[s + 1]]` and `b[jb[s]..jb[s + 1]]`
+    // into `out[d_s..d_{s + 1}]`, where `d_s = ia[s] + jb[s]`.
+    let mut ia = [0; STREAMS + 1];
+    let mut jb = [0; STREAMS + 1];
+    for s in 1..STREAMS {
+        let d = segment_boundary(n, STREAMS, s);
+        ia[s] = co_rank_by(d, a, b, cmp);
+        jb[s] = d - ia[s];
     }
-    branch_lean_stream(&a0[i0..], &b0[j0..], &mut o0[i0 + j0..], cmp);
-    branch_lean_stream(&a1[i1..], &b1[j1..], &mut o1[i1 + j1..], cmp);
+    (ia[STREAMS], jb[STREAMS]) = (a.len(), b.len());
+    let sa: [&[T]; STREAMS] = core::array::from_fn(|s| &a[ia[s]..ia[s + 1]]);
+    let sb: [&[T]; STREAMS] = core::array::from_fn(|s| &b[jb[s]..jb[s + 1]]);
+    let mut rest = out;
+    let so: [&mut [T]; STREAMS] = core::array::from_fn(|s| {
+        let (head, tail) = core::mem::take(&mut rest).split_at_mut(sa[s].len() + sb[s].len());
+        rest = tail;
+        head
+    });
+    // Each stream's cursors into its own inputs.
+    let (mut i, mut j) = ([0usize; STREAMS], [0usize; STREAMS]);
+    loop {
+        let steps = (0..STREAMS)
+            .map(|s| (sa[s].len() - i[s]).min(sb[s].len() - j[s]))
+            .min()
+            .unwrap_or(0);
+        if steps == 0 {
+            break;
+        }
+        for _ in 0..steps {
+            for s in 0..STREAMS {
+                debug_assert!(i[s] < sa[s].len() && j[s] < sb[s].len());
+                // SAFETY: every iteration advances exactly one of `i[s]`,
+                // `j[s]` by one, and this block runs `steps` iterations,
+                // at most the fewest keys any stream has left on either
+                // side. So `i[s] < sa[s].len()` and `j[s] < sb[s].len()`
+                // here, and `i[s] + j[s] < so[s].len()`, which is
+                // `sa[s].len() + sb[s].len()`. The cursors are plain locals
+                // that neither `cmp` nor `clone` can reach: whatever they
+                // return, or if they panic, no index moves out of bounds.
+                let (x, y) = unsafe { (sa[s].get_unchecked(i[s]), sb[s].get_unchecked(j[s])) };
+                let take_a = cmp(x, y) != Ordering::Greater;
+                let v = if take_a { x.clone() } else { y.clone() };
+                // SAFETY: `i[s] + j[s] < so[s].len()`, as argued above.
+                unsafe { *so[s].get_unchecked_mut(i[s] + j[s]) = v };
+                i[s] += take_a as usize;
+                j[s] += !take_a as usize;
+            }
+        }
+    }
+    for (s, o) in so.into_iter().enumerate() {
+        branch_lean_stream(&sa[s][i[s]..], &sb[s][j[s]..], &mut o[i[s] + j[s]..], cmp);
+    }
 }
 
 /// One branch-lean stream: the select is an index increment, and the

@@ -173,9 +173,10 @@ fn verify_offline() -> ExitCode {
             "--test",
             "pool_idle_cpu",
         ],
-        // The two-stream branch-lean loop's bounds-check elision and codegen
-        // exist only in optimised builds, so the kernel and sort
-        // differentials run again in release.
+        // The four-stream branch-lean loop's unchecked indexing is checked
+        // by `debug_assert!` in debug builds only, and its codegen exists
+        // only in optimised ones, so the kernel and sort differentials run
+        // again in release.
         &[
             "test",
             "--offline",

@@ -29,6 +29,9 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+// SAFETY: every allocation and deallocation is forwarded unchanged to
+// `System`, which upholds `GlobalAlloc`'s contract; the counter is a
+// `const`-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));

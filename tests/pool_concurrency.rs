@@ -22,11 +22,14 @@
 //!   under a watchdog, so a lost wake-up fails the test instead of
 //!   hanging it. (That idle threads stop spinning at all is measured by
 //!   `tests/pool_idle_cpu.rs`, a binary of its own.)
+//! * the pool's own solo-round count: a round whose other participant is
+//!   held inside another round counts solo, and a round a worker provably
+//!   joined counts shared.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering as AtOrd};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Barrier, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
@@ -582,5 +585,57 @@ fn concurrent_submitters_with_gaps_around_the_window_all_complete() {
                 resume_unwind(payload);
             }
         }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Solo rounds: counted by the pool itself, with no recorder
+// ---------------------------------------------------------------------------
+
+/// A round of two tickets whose second participant is held elsewhere: the
+/// pool's only worker and a second caller both block inside the shares of
+/// an earlier round, so the caller of the next round claims and runs both
+/// of its shares, and the pool counts that round solo. The earlier round,
+/// run by its caller and the worker, counts as shared.
+#[test]
+fn a_round_no_other_thread_can_join_counts_as_solo() {
+    let pool = executor::Pool::new(2);
+    within("solo round", move || {
+        let before = pool.round_counts();
+        let (start, release) = (Barrier::new(3), Barrier::new(3));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run_indexed(2, 2, &|_| {
+                    start.wait();
+                    release.wait();
+                });
+            });
+            // Both threads of the pool's team are inside the held round.
+            start.wait();
+            let caller = std::thread::current().id();
+            pool.run_indexed(2, 2, &|_| {
+                assert_eq!(std::thread::current().id(), caller, "a share ran elsewhere");
+            });
+            release.wait();
+        });
+        let after = pool.round_counts();
+        assert_eq!(after.solo - before.solo, 1, "{before:?} -> {after:?}");
+        assert_eq!(after.shared - before.shared, 1, "{before:?} -> {after:?}");
+    });
+}
+
+/// A round whose share on the caller cannot finish until the other share
+/// has started on the pool's worker counts as shared, not solo.
+#[test]
+fn a_round_another_thread_joins_counts_as_shared() {
+    let pool = executor::Pool::new(2);
+    within("shared round", move || {
+        let before = pool.round_counts();
+        for _ in 0..3 {
+            handoff_round(&pool, Duration::ZERO);
+        }
+        let after = pool.round_counts();
+        assert_eq!(after.shared - before.shared, 3, "{before:?} -> {after:?}");
+        assert_eq!(after.solo, before.solo, "{before:?} -> {after:?}");
     });
 }

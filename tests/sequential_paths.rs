@@ -1,5 +1,5 @@
 //! The sequential paths the sorts and merges bottom out in: `slice::sort_by`
-//! under the sorts' chunks, and the two-stream branch-lean kernel.
+//! under the sorts' chunks, and the four-stream branch-lean kernel.
 //!
 //! * Sorts: `parallel_merge_sort_by` (threads 1, 2, 3, 5) and
 //!   `kway_merge_sort_by` against `slice::sort_by_key` on keyed
@@ -7,10 +7,12 @@
 //!   of run shapes, at lengths 0–300 and 2^k ± 1, under the probe's
 //!   dispatch; and every segment kernel run directly on every segment of
 //!   the merge of each input's stably sorted halves.
-//! * Kernel: two-stream branch-lean is byte-identical to `merge_into_by`
-//!   around the two-stream threshold, with one side empty, with the middle
-//!   split at either end of `a`, on all-equal inputs and with keyed ties
-//!   straddling the middle diagonal.
+//! * Kernel: four-stream branch-lean is byte-identical to `merge_into_by`
+//!   around the one-stream threshold and at 2^k ± 1, with one side empty,
+//!   with each interior cut at either end of `a`, with one stream running
+//!   out of `a` long before the others, on all-equal inputs and with keyed
+//!   ties straddling each interior diagonal; a comparator or clone that
+//!   panics inside its interleaved loop leaves every value dropped once.
 //! * Traced sorts count their chunk sorts' comparisons and dispatch their
 //!   merges like untraced ones, and a counted segment merge dispatches like
 //!   an uncounted one: duplicate-heavy segments gallop under `natural_cmp`
@@ -20,6 +22,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 
+use mergepath::diagonal::co_rank_by;
 use mergepath::merge::adaptive::{
     adaptive_merge_into_by, adaptive_merge_into_counted, SegmentKernel,
 };
@@ -27,7 +30,7 @@ use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::sequential::{
     branch_lean_merge_into, branch_lean_merge_into_by, merge_into_by,
 };
-use mergepath::partition::partition_segments_by;
+use mergepath::partition::{partition_segments_by, segment_boundary};
 use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
 use mergepath::sort::parallel::{
     parallel_merge_sort, parallel_merge_sort_by, parallel_merge_sort_recorded,
@@ -167,7 +170,7 @@ fn every_kernel_merges_the_sorted_halves_of_every_shape() {
 
 /// Asserts both branch-lean entries equal the classic kernel, element for
 /// element, on keyed records and on their bare keys.
-fn assert_two_stream_identical(a: &[Rec], b: &[Rec], ctx: &str) {
+fn assert_streams_identical(a: &[Rec], b: &[Rec], ctx: &str) {
     assert!(
         a.is_sorted_by_key(|r| r.0) && b.is_sorted_by_key(|r| r.0),
         "unsorted input {ctx}"
@@ -202,11 +205,38 @@ fn side(rng: &mut Prng, len: usize, space: u64, tag: u32) -> Vec<Rec> {
         .collect()
 }
 
+/// The streams the branch-lean kernel cuts a merge into; the tests below
+/// place cuts, ties and early exhaustion at each of its interior diagonals.
+const STREAMS: usize = 4;
+
+/// The `(a, b)` extents of each stream of the merge of `a` and `b`: the
+/// stable co-ranks of the diagonals `⌊s·n/STREAMS⌋`.
+fn stream_extents(a: &[Rec], b: &[Rec]) -> Vec<(usize, usize)> {
+    let n = a.len() + b.len();
+    let cut = |s: usize| {
+        let d = segment_boundary(n, STREAMS, s);
+        let i = co_rank_by(d, a, b, &by_key);
+        (i, d - i)
+    };
+    (0..STREAMS)
+        .map(|s| {
+            let ((i0, j0), (i1, j1)) = (cut(s), cut(s + 1));
+            (i1 - i0, j1 - j0)
+        })
+        .collect()
+}
+
 #[test]
-fn two_stream_branch_lean_is_byte_identical_to_classic() {
+fn multi_stream_branch_lean_is_byte_identical_to_classic() {
+    // Around the one-stream threshold (16 or 64 outputs per stream, ± 2),
+    // and at 2^k ± 1.
     let mut rng = Prng::seed_from_u64(0x2_57EA);
-    let mut outputs: Vec<usize> = vec![1, 2, 62, 63, 64, 65, 66, 127, 128, 129];
-    for k in 7..=14 {
+    let mut outputs: Vec<usize> = vec![1, 2, 3];
+    for per_stream in [16, 64] {
+        let t = STREAMS * per_stream;
+        outputs.extend(t - 2..=t + 2);
+    }
+    for k in 5..=14 {
         outputs.extend([(1usize << k) - 1, (1 << k) + 1]);
     }
     for n in outputs {
@@ -216,65 +246,233 @@ fn two_stream_branch_lean_is_byte_identical_to_classic() {
                 let a = side(&mut rng, na, space, 0);
                 let b = side(&mut rng, nb, space, 1 << 30);
                 let ctx = format!("n={n} |a|={na} space={space}");
-                assert_two_stream_identical(&a, &b, &ctx);
-                assert_two_stream_identical(&b, &a, &format!("swapped {ctx}"));
+                assert_streams_identical(&a, &b, &ctx);
+                assert_streams_identical(&b, &a, &format!("swapped {ctx}"));
             }
         }
     }
 }
 
 #[test]
-fn two_stream_handles_splits_at_either_end_of_a() {
-    for n in [64usize, 65, 200, 1025] {
-        // All of `a` above all of `b`: with |b| >= n/2 the middle split
-        // takes nothing from `a` (i = 0).
-        let nb = n - n / 4;
-        let b: Vec<Rec> = (0..nb as u32).map(|k| (k, k)).collect();
-        let a: Vec<Rec> = (0..(n - nb) as u32).map(|k| (k + 10_000, k)).collect();
-        assert_two_stream_identical(&a, &b, &format!("i=0 n={n}"));
-        // All of `a` below all of `b`, |a| <= n/2: the split takes all of
-        // `a` (i = |a|).
-        let na = n / 4;
-        let a: Vec<Rec> = (0..na as u32).map(|k| (k, k)).collect();
-        let b: Vec<Rec> = (0..(n - na) as u32).map(|k| (k + 10_000, k)).collect();
-        assert_two_stream_identical(&a, &b, &format!("i=|a| n={n}"));
-        // Ties across sides at the boundary: `a`'s last key equals `b`'s
-        // first, so the stable split must still take all of `a` first.
-        let b: Vec<Rec> = (0..(n - na) as u32)
-            .map(|k| (na as u32 - 1 + k, k))
-            .collect();
-        assert_two_stream_identical(&a, &b, &format!("i=|a| tied n={n}"));
+fn multi_stream_handles_cuts_at_either_end_of_a_and_early_exhaustion() {
+    for n in [64usize, 65, 257, 1025, 4099] {
+        for s in 1..STREAMS {
+            let d = segment_boundary(n, STREAMS, s);
+            // The first `d` keys of `b` lie below all of `a`, so cut `s`
+            // takes nothing from `a` (i = 0); past it the sides interleave.
+            let b: Vec<Rec> = (0..(n - n / 4) as u32).map(|k| (k, k)).collect();
+            let a: Vec<Rec> = (0..(n / 4) as u32)
+                .map(|k| (d as u32 + 2 * k, 1 << 20 | k))
+                .collect();
+            let ctx = format!("cut {s} at i=0 n={n}");
+            assert_eq!(co_rank_by(d, &a[..], &b[..], &by_key), 0, "{ctx}");
+            assert_streams_identical(&a, &b, &ctx);
+            // `a` interleaves with `b` and runs out within the first `d`
+            // outputs, so cut `s` takes all of `a` (i = |a|).
+            let na = d / 2;
+            let a: Vec<Rec> = (0..na as u32).map(|k| (2 * k, k)).collect();
+            let b: Vec<Rec> = (0..(n - na) as u32)
+                .map(|k| (2 * k + 1, 1 << 20 | k))
+                .collect();
+            let ctx = format!("cut {s} at i=|a| n={n}");
+            assert_eq!(co_rank_by(d, &a[..], &b[..], &by_key), na, "{ctx}");
+            assert_streams_identical(&a, &b, &ctx);
+            // The same with `a`'s last key tied to the key of `b` that
+            // follows it: the stable cut still takes all of `a` first.
+            let b: Vec<Rec> = (0..(n - na) as u32)
+                .map(|k| (2 * k + 1 - u32::from(k as usize + 1 == na), 1 << 20 | k))
+                .collect();
+            let ctx = format!("cut {s} at i=|a| tied n={n}");
+            assert_eq!(a[na - 1].0, b[na - 1].0, "{ctx}");
+            assert_eq!(co_rank_by(d, &a[..], &b[..], &by_key), na, "{ctx}");
+            assert_streams_identical(&a, &b, &ctx);
+        }
+        // Output `k` of the merge is key `k`, drawn from `a` or `b` by a
+        // coin flip, except in stream `s`'s output range, which holds one
+        // key of `a` and the rest from `b`: that stream runs out of `a`
+        // after at most one step, long before the others.
+        for s in 0..STREAMS {
+            let mut rng = Prng::seed_from_u64(n as u64 ^ s as u64);
+            let starved = segment_boundary(n, STREAMS, s)..segment_boundary(n, STREAMS, s + 1);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for k in 0..n {
+                let to_a = if starved.contains(&k) {
+                    k == (starved.start + starved.end) / 2
+                } else {
+                    rng.below(2) == 0
+                };
+                if to_a { &mut a } else { &mut b }.push((k as u32, k as u32));
+            }
+            let ctx = format!("stream {s} starved of a n={n}");
+            let extents = stream_extents(&a, &b);
+            assert_eq!(extents[s].0, 1, "{ctx}: {extents:?}");
+            if n >= 1025 {
+                let fed = extents.iter().filter(|e| e.0 > n / 16).count();
+                assert_eq!(fed, STREAMS - 1, "{ctx}: {extents:?}");
+            }
+            assert_streams_identical(&a, &b, &ctx);
+            assert_streams_identical(&b, &a, &format!("swapped {ctx}"));
+        }
     }
 }
 
 #[test]
-fn two_stream_on_all_equal_and_ties_straddling_the_middle() {
-    for n in [63usize, 64, 65, 257, 4097] {
+fn multi_stream_on_all_equal_and_ties_straddling_every_interior_diagonal() {
+    for n in [63usize, 64, 65, 257, 1025, 4097] {
         for na in [1, n / 3, n / 2, n - 1] {
             let a: Vec<Rec> = (0..na as u32).map(|t| (7, t)).collect();
             let b: Vec<Rec> = (0..(n - na) as u32).map(|t| (7, 1 << 20 | t)).collect();
-            assert_two_stream_identical(&a, &b, &format!("all-equal n={n} |a|={na}"));
+            assert_streams_identical(&a, &b, &format!("all-equal n={n} |a|={na}"));
 
-            // One tie class of keys around the middle output rank on both
-            // sides, distinct keys elsewhere: the middle diagonal cuts
-            // through the class.
+            // On both sides, one tie class of keys around each interior
+            // diagonal's share of the side (positions 20–30%, 45–55% and
+            // 70–80%), distinct keys elsewhere: every interior diagonal of
+            // the merge cuts through a class shared by `a` and `b`.
             let keyed_side = |len: usize, tag: u32| -> Vec<Rec> {
                 (0..len)
                     .map(|i| {
-                        let key = if i * 4 < len {
-                            (i * 400 / len) as u32
-                        } else if i * 4 < 3 * len {
-                            500
-                        } else {
-                            1000 + i as u32
+                        let f = i * 20 / len;
+                        let key = match f {
+                            4 | 5 => 2_000,
+                            9 | 10 => 4_500,
+                            14 | 15 => 7_000,
+                            _ => (i * 10_000 / len) as u32,
                         };
                         (key, tag + i as u32)
                     })
                     .collect()
             };
             let (a, b) = (keyed_side(na, 0), keyed_side(n - na, 1 << 20));
-            assert_two_stream_identical(&a, &b, &format!("mid-ties n={n} |a|={na}"));
+            let ctx = format!("ties at every cut n={n} |a|={na}");
+            if na >= 40 && n - na >= 40 {
+                let mut merged = vec![(0, 0); n];
+                merge_into_by(&a, &b, &mut merged, &by_key);
+                for s in 1..STREAMS {
+                    let d = segment_boundary(n, STREAMS, s);
+                    assert_eq!(merged[d - 1].0, merged[d].0, "{ctx}: cut {s} not in a tie");
+                }
+            }
+            assert_streams_identical(&a, &b, &ctx);
+            assert_streams_identical(&b, &a, &format!("swapped {ctx}"));
         }
+    }
+}
+
+thread_local! {
+    /// Live [`CountedDrop`] values made on this thread, less those dropped.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Clones [`CountedDrop`] allows on this thread before one panics.
+    static CLONES_LEFT: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
+/// A keyed record that counts its live values and panics on a clone once
+/// [`CLONES_LEFT`] runs out.
+#[derive(Debug, PartialEq)]
+struct CountedDrop(u32, u32);
+
+impl CountedDrop {
+    fn new(key: u32, tag: u32) -> Self {
+        LIVE.with(|l| l.set(l.get() + 1));
+        CountedDrop(key, tag)
+    }
+}
+
+impl Clone for CountedDrop {
+    fn clone(&self) -> Self {
+        CLONES_LEFT.with(|c| match c.get() {
+            0 => panic!("clone fuse blown"),
+            left => c.set(left - 1),
+        });
+        CountedDrop::new(self.0, self.1)
+    }
+}
+
+impl Drop for CountedDrop {
+    fn drop(&mut self) {
+        LIVE.with(|l| l.set(l.get() - 1));
+    }
+}
+
+#[test]
+fn multi_stream_panic_inside_the_interleaved_loop_balances_drops() {
+    // A comparator or a clone that panics part-way through the
+    // interleaved loop of a forced branch-lean merge: unwinding leaves
+    // every output slot holding a live value, so after the inputs and the
+    // output drop, every value made has dropped exactly once.
+    let n = 4096;
+    let mut rng = Prng::seed_from_u64(0xD120B);
+    let (ra, rb) = (
+        side(&mut rng, n / 2, 1 << 20, 0),
+        side(&mut rng, n / 2, 1 << 20, 1 << 30),
+    );
+    let tracked = |rs: &[Rec]| -> Vec<CountedDrop> {
+        rs.iter().map(|&(k, t)| CountedDrop::new(k, t)).collect()
+    };
+    let cmp_count = Cell::new(0u64);
+    let cmp_fuse = Cell::new(u64::MAX);
+    let cmp = |x: &CountedDrop, y: &CountedDrop| {
+        let c = cmp_count.get();
+        cmp_count.set(c + 1);
+        assert!(c < cmp_fuse.get(), "comparator fuse blown");
+        x.0.cmp(&y.0)
+    };
+    let mut oracle = vec![(0, 0); n];
+    merge_into_by(&ra, &rb, &mut oracle, &by_key);
+    // (comparisons before the panic, clones before the panic); `MAX` never
+    // blows. The three co-rank searches take under 40 comparisons and no
+    // clone, so every fuse below blows inside the interleaved loop.
+    for (cmps, clones) in [
+        (u64::MAX, u64::MAX),
+        (100, u64::MAX),
+        (2_000, u64::MAX),
+        (u64::MAX, 0),
+        (u64::MAX, 9),
+        (u64::MAX, 1_500),
+    ] {
+        LIVE.with(|l| l.set(0));
+        {
+            let (a, b) = (tracked(&ra), tracked(&rb));
+            let mut out: Vec<CountedDrop> = (0..n as u32)
+                .map(|t| CountedDrop::new(u32::MAX, t))
+                .collect();
+            cmp_count.set(0);
+            cmp_fuse.set(cmps);
+            CLONES_LEFT.with(|c| c.set(clones));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SegmentKernel::BranchLean.merge_into_by(&a, &b, &mut out, &cmp);
+            }));
+            CLONES_LEFT.with(|c| c.set(u64::MAX));
+            let ctx = format!("comparisons {cmps} clones {clones}");
+            let written: Vec<usize> = (0..STREAMS)
+                .map(|s| {
+                    let range =
+                        segment_boundary(n, STREAMS, s)..segment_boundary(n, STREAMS, s + 1);
+                    out[range].iter().filter(|r| r.0 != u32::MAX).count()
+                })
+                .collect();
+            if cmps == u64::MAX && clones == u64::MAX {
+                assert!(result.is_ok(), "{ctx}");
+                let got: Vec<Rec> = out.iter().map(|r| (r.0, r.1)).collect();
+                assert_eq!(got, oracle, "{ctx}");
+            } else {
+                assert!(result.is_err(), "{ctx}: no panic");
+                // The interleaved loop advances every stream in lockstep,
+                // and a stream's finishing loop runs only after it: so the
+                // streams wrote within one output of each other, and none
+                // finished.
+                let (lo, hi) = (written.iter().min(), written.iter().max());
+                let (lo, hi) = (*lo.expect("streams"), *hi.expect("streams"));
+                assert!(
+                    hi - lo <= 1 && hi < n / STREAMS,
+                    "{ctx}: panic outside the interleaved loop, written {written:?}"
+                );
+            }
+        }
+        assert_eq!(
+            LIVE.with(Cell::get),
+            0,
+            "unbalanced drops, comparisons {cmps} clones {clones}"
+        );
     }
 }
 
