@@ -42,7 +42,6 @@ use std::rc::Rc;
 
 use mergepath::executor::{self, ShareObserver};
 use mergepath::merge::batch::batch_merge_into_by;
-use mergepath::merge::hierarchical::{hierarchical_merge_into_by, HierarchicalConfig};
 use mergepath::merge::inplace::parallel_inplace_merge_by;
 use mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath::merge::parallel::parallel_merge_into_by;
@@ -359,8 +358,6 @@ pub enum Kernel {
     Inplace,
     /// Rank-partitioned parallel k-way merge.
     Kway,
-    /// Two-level (GPU-shaped) hierarchical merge.
-    Hierarchical,
     /// §III parallel merge sort.
     SortParallel,
     /// Single-round k-way merge sort.
@@ -370,14 +367,13 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// All nine kernels, in the order the CLI and xtask report them.
-    pub const ALL: [Kernel; 9] = [
+    /// All eight kernels, in the order the CLI and xtask report them.
+    pub const ALL: [Kernel; 8] = [
         Kernel::Parallel,
         Kernel::Segmented,
         Kernel::Batch,
         Kernel::Inplace,
         Kernel::Kway,
-        Kernel::Hierarchical,
         Kernel::SortParallel,
         Kernel::SortKway,
         Kernel::SortCacheAware,
@@ -391,7 +387,6 @@ impl Kernel {
             "batch" => Kernel::Batch,
             "inplace" => Kernel::Inplace,
             "kway" => Kernel::Kway,
-            "hierarchical" => Kernel::Hierarchical,
             "sort-parallel" => Kernel::SortParallel,
             "sort-kway" => Kernel::SortKway,
             "sort-cache-aware" => Kernel::SortCacheAware,
@@ -407,7 +402,6 @@ impl Kernel {
             Kernel::Batch => "batch",
             Kernel::Inplace => "inplace",
             Kernel::Kway => "kway",
-            Kernel::Hierarchical => "hierarchical",
             Kernel::SortParallel => "sort-parallel",
             Kernel::SortKway => "sort-kway",
             Kernel::SortCacheAware => "sort-cache-aware",
@@ -418,11 +412,7 @@ impl Kernel {
         match self {
             // Merges into a dedicated output: every write must land inside
             // the output span and the union must tile it exactly.
-            Kernel::Parallel
-            | Kernel::Segmented
-            | Kernel::Batch
-            | Kernel::Kway
-            | Kernel::Hierarchical => Policy {
+            Kernel::Parallel | Kernel::Segmented | Kernel::Batch | Kernel::Kway => Policy {
                 exact: true,
                 cover: true,
                 thm14: true,
@@ -818,9 +808,7 @@ where
     F: Fn(&T, &T) -> Ordering,
 {
     match kernel {
-        Kernel::Parallel | Kernel::Segmented | Kernel::Inplace | Kernel::Hierarchical => {
-            oracle_merge(a, b, cmp)
-        }
+        Kernel::Parallel | Kernel::Segmented | Kernel::Inplace => oracle_merge(a, b, cmp),
         Kernel::Batch => {
             let (ha, hb) = batch_split(a, b);
             let mut out = oracle_merge(&a[..ha], &b[..hb], cmp);
@@ -902,17 +890,6 @@ where
             let mut out = vec![T::default(); n];
             let span = span_of(&out);
             parallel_kway_merge_by(&runs, &mut out, threads, cmp);
-            (out, span)
-        }
-        Kernel::Hierarchical => {
-            let mut out = vec![T::default(); n];
-            let span = span_of(&out);
-            let cfg_h = HierarchicalConfig {
-                blocks: threads,
-                threads_per_block: 4,
-                tile: 64,
-            };
-            hierarchical_merge_into_by(a, b, &mut out, &cfg_h, cmp);
             (out, span)
         }
         Kernel::SortParallel => {
@@ -1280,7 +1257,7 @@ pub fn check_kernel_keys(
     )
 }
 
-/// Runs [`check_kernel`] over all nine kernels, failing on the first
+/// Runs [`check_kernel`] over all eight kernels, failing on the first
 /// violation.
 pub fn check_all(n: usize, cfg: &CheckConfig) -> Result<Vec<CheckReport>, CheckError> {
     Kernel::ALL
@@ -1503,12 +1480,7 @@ mod tests {
     #[test]
     fn merge_kernels_cross_validate_on_the_pram_machine() {
         let cfg = CheckConfig::default();
-        for kernel in [
-            Kernel::Parallel,
-            Kernel::Batch,
-            Kernel::Kway,
-            Kernel::Hierarchical,
-        ] {
+        for kernel in [Kernel::Parallel, Kernel::Batch, Kernel::Kway] {
             let report = check_kernel(kernel, 600, &cfg).unwrap();
             assert!(report.pram_rounds > 0, "{report}");
         }

@@ -1,4 +1,4 @@
-//! Property layer for the co-rank stable kernel: the three facts its
+//! Property layer for the co-rank stable kernel: the two facts its
 //! stability proof rests on, checked over arbitrary shapes instead of the
 //! hand-picked inputs in the unit suites.
 //!
@@ -8,23 +8,18 @@
 //!    and the binary co-rank search finds it. Uniqueness is the whole
 //!    argument: independently computed block boundaries cannot disagree,
 //!    so stability composes across workers without coordination.
-//! 2. **Exact balance** — `exact_boundary` hands every non-tail worker
-//!    exactly `⌈(m + n) / p⌉` output ranks for arbitrary `(m, n, p)`; the
-//!    tail takes the remainder. This is the Siebert–Träff refinement over
-//!    the ⌊k·n/p⌋ schedule, and the invariant `mp bench` gates on.
-//! 3. **Tie runs straddling block cuts** — inputs whose tie-run length
+//! 2. **Tie runs straddling block cuts** — inputs whose tie-run length
 //!    sits exactly at, one short of, and one past the kernel's 256-rank
 //!    block granularity merge byte-identically to the sequential stable
 //!    oracle, with provenance tags proving no equal element crossed a cut
-//!    out of order.
+//!    out of order, alone and under Algorithm 1's tile cuts.
 
 use std::cmp::Ordering;
 
 use mergepath::diagonal::{co_rank_by, split_is_valid};
+use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::merge_into_by;
-use mergepath::merge::stable::{
-    co_rank_merge_into_by, exact_boundary, stable_parallel_merge_into_by, CO_RANK_BLOCK,
-};
+use mergepath::merge::stable::{co_rank_merge_into_by, CO_RANK_BLOCK};
 
 use proptest::prelude::*;
 
@@ -87,33 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn exact_boundaries_give_every_non_tail_worker_exactly_the_ceiling(
-        m in 0usize..5000,
-        n in 0usize..5000,
-        p in 1usize..64,
-    ) {
-        let total = m + n;
-        let share = total.div_ceil(p);
-        prop_assert_eq!(exact_boundary(total, p, 0), 0);
-        prop_assert_eq!(exact_boundary(total, p, p), total);
-        let mut covered = 0usize;
-        for k in 0..p {
-            let lo = exact_boundary(total, p, k);
-            let hi = exact_boundary(total, p, k + 1);
-            prop_assert!(lo <= hi, "monotone at k={}", k);
-            let size = hi - lo;
-            prop_assert!(size <= share, "no worker exceeds ⌈(m+n)/p⌉ at k={}", k);
-            if hi < total {
-                // Every worker before the capped tail gets exactly the
-                // ceiling — this is what makes imbalance ≤ 1 + p/n.
-                prop_assert_eq!(size, share, "non-tail worker {} must be exact", k);
-            }
-            covered += size;
-        }
-        prop_assert_eq!(covered, total);
-    }
-
-    #[test]
     fn tie_runs_at_the_block_granularity_merge_stably(
         // Runs one short of, exactly at, and one past CO_RANK_BLOCK, plus a
         // random jitter, so interior block cuts land inside, on the edge
@@ -131,10 +99,11 @@ proptest! {
         let mut out = vec![(0, 0); ta.len() + tb.len()];
         co_rank_merge_into_by(&ta, &tb, &mut out, &by_key);
         assert_stable_output(&ta, &tb, &out);
-        // The parallel entry layers exact-balance worker cuts on top of the
-        // same block machinery; the composition must stay stable too.
+        // Algorithm 1 layers its tile cuts on top of the kernel the probe
+        // picks per tile (co-rank for these keyed tie runs); the
+        // composition must stay stable too.
         let mut par = vec![(0, 0); out.len()];
-        stable_parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key);
+        parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key);
         prop_assert_eq!(par, out);
     }
 }

@@ -11,7 +11,7 @@
 //! partitioning gives every share a closed-form, coordination-free
 //! footprint, so any of these orders must produce byte-identical output —
 //! `check_kernel_on` verifies exactly that, plus CREW disjointness and
-//! the Thm 14 access bound, for all nine kernels.
+//! the Thm 14 access bound, for all eight kernels.
 
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_check::{
@@ -46,7 +46,7 @@ fn run_all_stealing(a: &[Kv], b: &[Kv], threads: usize, seed: u64) {
 }
 
 proptest! {
-    /// All nine kernels, random shapes and thread counts, every round
+    /// All eight kernels, random shapes and thread counts, every round
     /// order drawn from the simulated deque protocol: output must stay
     /// byte-identical to the sequential oracle and the access sets must
     /// stay CREW-disjoint within Thm 14 bounds.

@@ -27,7 +27,6 @@ use std::time::Instant;
 use mergepath::merge::adaptive::SegmentKernel;
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
 use mergepath::merge::sequential::natural_cmp;
-use mergepath::merge::stable::stable_parallel_merge_into_recorded;
 use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
@@ -135,23 +134,11 @@ struct FamilyRow {
     max_items: u64,
     predicted_max: u64,
     imbalance: f64,
-    /// The merge rows' extra columns; `None` on sort rows.
-    merge: Option<MergeColumns>,
-}
-
-/// Columns only the merge rows carry.
-#[derive(Debug, Clone)]
-struct MergeColumns {
-    /// Median ns/element of each [`SegmentKernel`] (in `ALL` order)
-    /// merging the family's whole pair on the calling thread: no pool, so
-    /// where the OS places a woken worker cannot move these columns.
-    kernel_t1_ns_per_elem: [f64; 4],
-    /// Items-based worker imbalance (`max_items · p / n`) of a traced
-    /// `stable_parallel_merge_into_recorded` run. Deterministic — it
-    /// depends only on cut arithmetic, never on timing — so `verify-bench`
-    /// can hard-gate it: the exact-balance schedule keeps it within
-    /// `1 + p/n`.
-    imbalance_co_rank: f64,
+    /// Merge rows only (`None` on sort rows): median ns/element of each
+    /// [`SegmentKernel`] (in `ALL` order) merging the family's whole pair
+    /// on the calling thread. No pool, so where the OS places a woken
+    /// worker cannot move these columns.
+    kernel_t1_ns_per_elem: Option<[f64; 4]>,
 }
 
 fn counter_total(t: &Telemetry, name: &str) -> u64 {
@@ -187,32 +174,17 @@ fn family_row(
         max_items: report.max_items,
         predicted_max: report.predicted_max,
         imbalance: report.busy.imbalance,
-        merge: None,
+        kernel_t1_ns_per_elem: None,
     }
 }
 
-/// The merge rows' extra columns for the pair `a`, `b`.
-fn merge_columns(a: &[u32], b: &[u32], cfg: &BenchConfig) -> MergeColumns {
+/// The merge rows' one-thread kernel columns for the pair `a`, `b`.
+fn kernel_t1_ns_per_elem(a: &[u32], b: &[u32], cfg: &BenchConfig) -> [f64; 4] {
     let cmp = natural_cmp::<u32>;
     let n = a.len() + b.len();
     let mut out = vec![0u32; n];
-    let kernel_t1_ns_per_elem = SegmentKernel::ALL.map(|kernel| {
-        median_ns(cfg.reps, || kernel.merge_into_by(a, b, &mut out, &cmp)) / n as f64
-    });
-    // The exact-balance cut schedule is the property published here; the
-    // items per worker are schedule arithmetic, hence exactly reproducible.
-    let rec = TimelineRecorder::new();
-    stable_parallel_merge_into_recorded(a, b, &mut out, cfg.threads, &cmp, &rec);
-    let report = rec.finish().load_balance(n as u64, cfg.threads);
-    let imbalance_co_rank = if n == 0 {
-        1.0
-    } else {
-        report.max_items as f64 * cfg.threads as f64 / n as f64
-    };
-    MergeColumns {
-        kernel_t1_ns_per_elem,
-        imbalance_co_rank,
-    }
+    SegmentKernel::ALL
+        .map(|kernel| median_ns(cfg.reps, || kernel.merge_into_by(a, b, &mut out, &cmp)) / n as f64)
 }
 
 fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
@@ -239,11 +211,10 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
             ",\"max_items\":{},\"predicted_max\":{},\"imbalance\":{}",
             r.max_items, r.predicted_max, r.imbalance,
         );
-        if let Some(m) = &r.merge {
-            for (kernel, ns) in SegmentKernel::ALL.iter().zip(m.kernel_t1_ns_per_elem) {
+        if let Some(t1) = r.kernel_t1_ns_per_elem {
+            for (kernel, ns) in SegmentKernel::ALL.iter().zip(t1) {
                 let _ = write!(out, ",\"{}_t1_ns_per_elem\":{ns}", kernel.name());
             }
-            let _ = write!(out, ",\"imbalance_co_rank\":{}", m.imbalance_co_rank);
         }
         out.push('}');
     }
@@ -256,10 +227,10 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
         out,
         "{title}: family, adaptive ns/elem, solo frac, segments (c/bl/g/cr)"
     );
-    if rows.iter().any(|r| r.merge.is_some()) {
+    if rows.iter().any(|r| r.kernel_t1_ns_per_elem.is_some()) {
         let _ = write!(
             out,
-            ", one-thread classic/branch-lean/galloping/co-rank ns/elem, co-rank imbalance"
+            ", one-thread classic/branch-lean/galloping/co-rank ns/elem"
         );
     }
     out.push('\n');
@@ -270,13 +241,8 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
             "  {:<16} {:>8.3} {:>5.2}  {c}/{bl}/{g}/{cr}",
             r.family, r.adaptive_ns_per_elem, r.solo_frac
         );
-        if let Some(m) = &r.merge {
-            let [c, bl, g, cr] = m.kernel_t1_ns_per_elem;
-            let _ = write!(
-                out,
-                "  {c:>8.3} {bl:>8.3} {g:>8.3} {cr:>8.3}  {:.5}",
-                m.imbalance_co_rank
-            );
+        if let Some([c, bl, g, cr]) = r.kernel_t1_ns_per_elem {
+            let _ = write!(out, "  {c:>8.3} {bl:>8.3} {g:>8.3} {cr:>8.3}");
         }
         out.push('\n');
     }
@@ -298,7 +264,6 @@ fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String
         TraceKernel::Batch,
         TraceKernel::Inplace,
         TraceKernel::Kway,
-        TraceKernel::Hierarchical,
         TraceKernel::SortParallel,
         TraceKernel::SortKway,
         TraceKernel::SortCacheAware,
@@ -379,7 +344,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                     parallel_merge_into_recorded(&a, &b, &mut traced_out, cfg.threads, &cmp, rec);
                 },
             );
-            row.merge = Some(merge_columns(&a, &b, cfg));
+            row.kernel_t1_ns_per_elem = Some(kernel_t1_ns_per_elem(&a, &b, cfg));
             row
         })
         .collect();
@@ -464,7 +429,7 @@ mod tests {
             .and_then(|p| p.get("kernels"))
             .and_then(Value::as_array)
             .expect("kernels array");
-        assert_eq!(kernels.len(), 9);
+        assert_eq!(kernels.len(), 8);
         let serve_overhead = telemetry
             .get("payload")
             .and_then(|p| p.get("serve_overhead"))
@@ -483,14 +448,12 @@ mod tests {
         }
         assert!(run.summary.contains("merge:"));
         assert!(run.summary.contains("sort:"));
-        // Merge rows carry the one-thread kernel columns and the co-rank
-        // balance; sort rows carry neither.
+        // Merge rows carry the one-thread kernel columns; sort rows do not.
         let merge_only = [
             "classic_t1_ns_per_elem",
             "branch_lean_t1_ns_per_elem",
             "galloping_t1_ns_per_elem",
             "co_rank_t1_ns_per_elem",
-            "imbalance_co_rank",
         ];
         for (doc, is_merge) in [(&merge, true), (&sort, false)] {
             let rows = doc.get("payload").and_then(|p| p.get("families"));
@@ -522,18 +485,24 @@ mod tests {
     }
 
     #[test]
-    fn co_rank_imbalance_is_within_the_exact_balance_bound_on_merges() {
-        // The exact-balance cut schedule hands every non-tail worker
-        // exactly ⌈n/p⌉ output ranks, so the items-based imbalance of the
-        // exact-balance co-rank merge is at most 1 + p/n — far inside the 1.005
-        // gate `cargo xtask verify-bench` enforces on the committed
-        // artifact. Deterministic: it is cut arithmetic, not timing.
+    fn every_merge_row_meets_theorem_14_per_tile() {
+        // The merge rows' load balance comes from a traced tiled
+        // Algorithm 1 run. At 2^15 outputs and 2 threads it cuts
+        // `tile_count` = 4 tiles, so the row reports one worker per tile
+        // and `predicted_max` = ⌈n/T⌉, not ⌈n/p⌉. Every tile's `⌊k·n/T⌋`
+        // cut keeps it at `⌊n/T⌋` or `⌈n/T⌉` items: cut arithmetic, not
+        // timing, hence the gate `cargo xtask verify-bench` enforces.
         let cfg = BenchConfig {
-            n: 1 << 14,
-            threads: 4,
+            n: 1 << 15,
+            threads: 2,
             seed: 11,
             reps: 1,
         };
+        let tiles = mergepath::partition::tile_count(cfg.n, cfg.threads);
+        assert!(
+            tiles > cfg.threads,
+            "{tiles} tiles must outnumber the threads"
+        );
         let run = run_bench(&cfg);
         let doc = json::parse(&run.merge_json).unwrap();
         let families = doc
@@ -541,13 +510,15 @@ mod tests {
             .and_then(|p| p.get("families"))
             .and_then(Value::as_array)
             .unwrap();
-        let bound = 1.0 + cfg.threads as f64 / cfg.n as f64;
+        let per_tile = cfg.n.div_ceil(tiles) as f64;
         for f in families {
             let family = f.get("family").and_then(Value::as_str).unwrap();
-            let imbalance = f.get("imbalance_co_rank").and_then(Value::as_f64).unwrap();
+            let max_items = f.get("max_items").and_then(Value::as_f64).unwrap();
+            let predicted_max = f.get("predicted_max").and_then(Value::as_f64).unwrap();
+            assert_eq!(predicted_max, per_tile, "{family}: ⌈n/T⌉");
             assert!(
-                imbalance <= bound + 1e-9,
-                "{family}: co-rank imbalance {imbalance} exceeds 1 + p/n = {bound}"
+                max_items <= predicted_max,
+                "{family}: a tile merged {max_items} > ⌈n/T⌉ = {predicted_max}"
             );
         }
     }

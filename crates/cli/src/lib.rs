@@ -60,7 +60,6 @@ pub mod serve_bench;
 use std::fmt::Write as _;
 
 use mergepath::merge::batch::batch_merge_into_recorded;
-use mergepath::merge::hierarchical::{hierarchical_merge_into_recorded, HierarchicalConfig};
 use mergepath::merge::inplace::parallel_inplace_merge_recorded;
 use mergepath::merge::kway::parallel_kway_merge_recorded;
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
@@ -148,7 +147,7 @@ pub const USAGE: &str = "usage:
   mp client --addr ADDR [--requests N] [--n LEN] [--seed S] [--deadline-ms D]
             [--malformed] [--out FILE]
   mp inspect FILE
-where KERNEL is parallel|segmented|batch|inplace|kway|hierarchical|\
+where KERNEL is parallel|segmented|batch|inplace|kway|\
 sort-parallel|sort-kway|sort-cache-aware";
 
 /// Sorting algorithm selector for `mp sort`.
@@ -191,8 +190,6 @@ pub enum TraceKernel {
     Inplace,
     /// Rank-partitioned parallel k-way merge.
     Kway,
-    /// Two-level (GPU-shaped) hierarchical merge.
-    Hierarchical,
     /// §III parallel merge sort.
     SortParallel,
     /// Single-round k-way merge sort.
@@ -210,7 +207,6 @@ impl TraceKernel {
             "batch" => Ok(TraceKernel::Batch),
             "inplace" => Ok(TraceKernel::Inplace),
             "kway" => Ok(TraceKernel::Kway),
-            "hierarchical" => Ok(TraceKernel::Hierarchical),
             "sort-parallel" => Ok(TraceKernel::SortParallel),
             "sort-kway" => Ok(TraceKernel::SortKway),
             "sort-cache-aware" => Ok(TraceKernel::SortCacheAware),
@@ -226,7 +222,6 @@ impl TraceKernel {
             TraceKernel::Batch => "batch",
             TraceKernel::Inplace => "inplace",
             TraceKernel::Kway => "kway",
-            TraceKernel::Hierarchical => "hierarchical",
             TraceKernel::SortParallel => "sort-parallel",
             TraceKernel::SortKway => "sort-kway",
             TraceKernel::SortCacheAware => "sort-cache-aware",
@@ -283,7 +278,7 @@ pub enum Command {
     },
     /// `mp check --kernel` — the deterministic schedule-exploration check.
     CheckSchedules {
-        /// Kernel under check; `None` means all nine.
+        /// Kernel under check; `None` means all eight.
         kernel: Option<TraceKernel>,
         /// Total output size `N`.
         n: usize,
@@ -1026,12 +1021,6 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
             let mut out = vec![0u32; n];
             parallel_kway_merge_recorded(&refs, &mut out, threads, &cmp, rec);
         }
-        TraceKernel::Hierarchical => {
-            let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
-            let mut out = vec![0u32; n];
-            let cfg = HierarchicalConfig::new(threads);
-            hierarchical_merge_into_recorded(&a, &b, &mut out, &cfg, &cmp, rec);
-        }
         TraceKernel::SortParallel => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
             parallel_merge_sort_recorded(&mut v, threads, &cmp, rec);
@@ -1334,14 +1323,14 @@ mod tests {
     #[test]
     fn parse_trace_command() {
         let cmd = parse_args(&argv(
-            "trace --kernel hierarchical --n 5000 --threads 3 --seed 9 \
+            "trace --kernel segmented --n 5000 --threads 3 --seed 9 \
              --trace-out t.json --metrics-out m.jsonl",
         ))
         .unwrap();
         assert_eq!(
             cmd,
             Command::Trace {
-                kernel: TraceKernel::Hierarchical,
+                kernel: TraceKernel::Segmented,
                 n: 5000,
                 threads: 3,
                 seed: 9,
@@ -1387,7 +1376,6 @@ mod tests {
             "batch",
             "inplace",
             "kway",
-            "hierarchical",
             "sort-parallel",
             "sort-kway",
             "sort-cache-aware",
@@ -1423,7 +1411,6 @@ mod tests {
             TraceKernel::Batch,
             TraceKernel::Inplace,
             TraceKernel::Kway,
-            TraceKernel::Hierarchical,
             TraceKernel::SortParallel,
             TraceKernel::SortKway,
             TraceKernel::SortCacheAware,
@@ -1516,7 +1503,7 @@ mod tests {
         ))
         .unwrap();
         let out = execute(&cmd, memfs(&[])).unwrap();
-        assert_eq!(out.lines().count(), 9);
+        assert_eq!(out.lines().count(), 8);
         for line in out.lines() {
             assert!(line.contains(": ok"), "{line}");
         }

@@ -30,14 +30,6 @@ pub enum MergeError {
         /// Index `i` such that `input[i] > input[i + 1]`.
         index: usize,
     },
-    /// A segmented-merge configuration had a window too small to make
-    /// progress (`L < threads` after clamping).
-    WindowTooSmall {
-        /// The computed window length `L`.
-        window: usize,
-        /// The requested thread count.
-        threads: usize,
-    },
 }
 
 /// Identifies one of the merge inputs in diagnostics.
@@ -62,10 +54,6 @@ impl fmt::Display for MergeError {
             MergeError::NotSorted { input, index } => {
                 write!(f, "input {input:?} is not sorted at index {index}")
             }
-            MergeError::WindowTooSmall { window, threads } => write!(
-                f,
-                "segmented merge window of {window} elements cannot feed {threads} threads"
-            ),
         }
     }
 }
@@ -104,11 +92,6 @@ mod tests {
             index: 3,
         };
         assert!(e.to_string().contains("index 3"));
-        let e = MergeError::WindowTooSmall {
-            window: 2,
-            threads: 8,
-        };
-        assert!(e.to_string().contains('2') && e.to_string().contains('8'));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 pub mod adaptive;
 pub mod batch;
-pub mod hierarchical;
 pub mod inplace;
 pub mod kway;
 pub mod parallel;

@@ -54,7 +54,7 @@ pub fn thread_index() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// Computing a share's segment boundaries (the cross-diagonal partition
-    /// phase of Algorithm 1 / the grid partition of the hierarchical merge).
+    /// phase of Algorithm 1).
     Partition,
     /// One binary search along a cross diagonal (`co_rank`).
     DiagonalSearch,
@@ -87,7 +87,7 @@ pub enum CounterKind {
     Comparisons,
     /// Comparisons spent inside diagonal binary searches only.
     DiagonalProbeSteps,
-    /// Staging-buffer refills (SPM ring buffers, hierarchical tiles).
+    /// Staging-buffer refills (the cyclic SPM merge's ring buffers).
     StagingFills,
     /// Segments the adaptive dispatcher routed to the classic two-pointer
     /// kernel.
@@ -96,7 +96,7 @@ pub enum CounterKind {
     SegmentsBranchLean,
     /// Segments routed to the galloping kernel.
     SegmentsGalloping,
-    /// Segments routed to the co-rank stable block kernel (exact-balance
+    /// Segments routed to the co-rank stable block kernel (256-rank
     /// block splits, ties broken A-before-B by construction).
     SegmentsCoRank,
     /// Tickets taken from another worker's deque (or the injector scan)

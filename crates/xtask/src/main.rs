@@ -50,8 +50,9 @@ fn usage() -> ExitCode {
         "                   {HISTORY_WINDOW} same-environment history entries (falling back to the"
     );
     eprintln!("                   committed artifact when the history is empty); hard-fails");
-    eprintln!("                   when any merge family's exact-balance co-rank items");
-    eprintln!("                   imbalance exceeds {CO_RANK_IMBALANCE_CAP} (it is deterministic)");
+    eprintln!("                   when a merge family's heaviest tile exceeds Thm 14's");
+    eprintln!("                   ceil(n/T) items (max_items > predicted_max; cut arithmetic,");
+    eprintln!("                   so deterministic)");
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
@@ -78,14 +79,6 @@ fn usage() -> ExitCode {
 /// How many trailing same-environment history entries feed the rolling
 /// median that fresh bench numbers are judged against.
 const HISTORY_WINDOW: usize = 5;
-
-/// Hard ceiling on the pinned co-rank merge's items-based worker imbalance
-/// (`max_items · p / n`). The exact-balance cut schedule guarantees
-/// `1 + p/n` (≈ 1.00006 at smoke scale), so 1.005 leaves room for nothing
-/// but a broken schedule — and unlike the ns/element medians the number is
-/// pure cut arithmetic, deterministic across machines, hence a gate rather
-/// than a warning.
-const CO_RANK_IMBALANCE_CAP: f64 = 1.005;
 
 /// Where `verify-bench` accumulates one JSONL line per run.
 const HISTORY_PATH: &str = "results/bench_history.jsonl";
@@ -698,12 +691,15 @@ fn warn_on_regression(name: &str, doc_type: &str, fresh: &mergepath_telemetry::j
     }
 }
 
-/// Every merge family's `imbalance_co_rank` (items-based, from a traced
-/// `stable_parallel_merge_into_recorded` run over exact-balance cuts) must
-/// sit under [`CO_RANK_IMBALANCE_CAP`]. The duplicate-heavy family is the one the
-/// co-rank kernel exists for, but the exact-balance argument is
-/// input-oblivious, so all four are held to the same cap.
-fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(), String> {
+/// Theorem 14 per tile: in every merge family, the heaviest tile of the
+/// traced tiled `parallel_merge_into_recorded` run (`max_items`) must not
+/// exceed `predicted_max = ⌈n/T⌉`. The `⌊k·n/T⌋` cuts give every tile
+/// `⌊n/T⌋` or `⌈n/T⌉` items whatever the input, so unlike the ns/element
+/// medians this is cut arithmetic, deterministic across machines, hence a
+/// gate rather than a warning. The cut argument is input-oblivious, so
+/// every family is held to it; the duplicate-heavy family, whose tie runs
+/// straddle tile cuts, must be in the sweep.
+fn check_tile_balance(merge: &mergepath_telemetry::json::Value) -> Result<(), String> {
     use mergepath_telemetry::json::Value;
     let families = merge
         .get("payload")
@@ -717,14 +713,16 @@ fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(
             .and_then(Value::as_str)
             .ok_or("family row without a name")?;
         seen_dup_heavy |= family == "duplicate-heavy";
-        let imbalance = f
-            .get("imbalance_co_rank")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{family}: imbalance_co_rank missing"))?;
-        if imbalance > CO_RANK_IMBALANCE_CAP {
+        let column = |name: &str| {
+            f.get(name)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("{family}: {name} missing"))
+        };
+        let (max_items, predicted_max) = (column("max_items")?, column("predicted_max")?);
+        if max_items > predicted_max {
             return Err(format!(
-                "{family}: co-rank items imbalance {imbalance} exceeds the \
-                 {CO_RANK_IMBALANCE_CAP} exact-balance cap"
+                "{family}: a tile merged {max_items} items, over Thm 14's \
+                 ceil(n/T) = {predicted_max}"
             ));
         }
     }
@@ -767,9 +765,9 @@ fn verify_bench() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The exact-balance gate: deterministic, so a violation is a bug in the
-    // cut schedule, never noise.
-    if let Err(e) = check_co_rank_imbalance(&fresh[0]) {
+    // The per-tile Thm 14 gate: deterministic, so a violation is a bug in
+    // the cut schedule, never noise.
+    if let Err(e) = check_tile_balance(&fresh[0]) {
         eprintln!("verify-bench: FAILED: BENCH_merge.json: {e}");
         return ExitCode::FAILURE;
     }
@@ -1446,7 +1444,8 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parallel_max_shares;
+    use super::{check_tile_balance, parallel_max_shares};
+    use mergepath_telemetry::json;
 
     #[test]
     fn parallel_max_shares_reads_the_parallel_line_only() {
@@ -1456,5 +1455,27 @@ mod tests {
                       max_shares=9, writes=64, pram_rounds=0)\n";
         assert_eq!(parallel_max_shares(report), Some(8));
         assert_eq!(parallel_max_shares("batch: ok (max_shares=9)"), None);
+    }
+
+    fn merge_doc(max_items: u64, predicted_max: u64) -> json::Value {
+        let row = |family: &str| {
+            format!(
+                "{{\"family\":\"{family}\",\"max_items\":{max_items},\
+                 \"predicted_max\":{predicted_max}}}"
+            )
+        };
+        json::parse(&format!(
+            "{{\"payload\":{{\"families\":[{},{}]}}}}",
+            row("uniform"),
+            row("duplicate-heavy")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn tile_balance_gate_passes_exact_rows_and_fails_one_item_over() {
+        assert_eq!(check_tile_balance(&merge_doc(8192, 8192)), Ok(()));
+        let err = check_tile_balance(&merge_doc(8193, 8192)).unwrap_err();
+        assert!(err.contains("uniform") && err.contains("8193"), "{err}");
     }
 }

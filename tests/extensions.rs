@@ -1,14 +1,11 @@
 //! Integration tests for the extension modules: every merge-flavoured API
 //! in the workspace agrees on every workload, and the extension structures
-//! (selection, lazy iteration, hierarchical/in-place/batch merges, the
+//! (selection, lazy iteration, in-place/batch merges, the
 //! adaptive and k-way sorts, multiselection) cross-validate.
 
 use mergepath_suite::baselines::multiselect::multiselect_merge_into;
 use mergepath_suite::mergepath::iter::{merge_iter, merged_range};
 use mergepath_suite::mergepath::merge::batch::batch_merge_into;
-use mergepath_suite::mergepath::merge::hierarchical::{
-    hierarchical_merge_into, HierarchicalConfig,
-};
 use mergepath_suite::mergepath::merge::inplace::{inplace_merge, parallel_inplace_merge};
 use mergepath_suite::mergepath::merge::sequential::merge_into;
 use mergepath_suite::mergepath::select::kth_of_union;
@@ -27,11 +24,6 @@ fn every_merge_flavour_agrees_on_every_workload() {
     for wl in MergeWorkload::ALL {
         let (a, b) = merge_pair(wl, 3000, 0xE87);
         let expect = reference(&a, &b);
-
-        // Hierarchical (GPU-style).
-        let mut out = vec![0u32; expect.len()];
-        hierarchical_merge_into(&a, &b, &mut out, &HierarchicalConfig::new(4));
-        assert_eq!(out, expect, "hierarchical on {}", wl.name());
 
         // In-place (sequential and parallel).
         let mut joined: Vec<u32> = a.iter().chain(&b).copied().collect();

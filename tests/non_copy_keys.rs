@@ -8,7 +8,6 @@ use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into_by, SpmConfig, Staging,
 };
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
-use mergepath_suite::mergepath::merge::stable::stable_parallel_merge_into_by;
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,9 +39,6 @@ fn string_keyed_parallel_merge() {
         let mut out = vec![Row::default(); 5500];
         parallel_merge_into_by(&a, &b, &mut out, threads, &by_key);
         assert_eq!(out, expect, "threads={threads}");
-        let mut out = vec![Row::default(); 5500];
-        stable_parallel_merge_into_by(&a, &b, &mut out, threads, &by_key);
-        assert_eq!(out, expect, "stable, threads={threads}");
     }
     // Segmented, both stagings (Clone + Default only).
     for staging in [Staging::Windowed, Staging::Cyclic] {
@@ -100,16 +96,12 @@ mod counted_drop {
 
     use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
     use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-    use mergepath_suite::mergepath::merge::hierarchical::{
-        hierarchical_merge_into_by, HierarchicalConfig,
-    };
     use mergepath_suite::mergepath::merge::inplace::parallel_inplace_merge_by;
     use mergepath_suite::mergepath::merge::kway::parallel_kway_merge_by;
     use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
     use mergepath_suite::mergepath::merge::segmented::{
         segmented_parallel_merge_into_by, SpmConfig,
     };
-    use mergepath_suite::mergepath::merge::stable::stable_parallel_merge_into_by;
     use mergepath_suite::mergepath::sort::cache_aware::{
         cache_aware_parallel_sort_by, CacheAwareConfig,
     };
@@ -181,15 +173,13 @@ mod counted_drop {
         v
     }
 
-    const KERNELS: [&str; 11] = [
+    const KERNELS: [&str; 9] = [
         "parallel",
         "co-rank",
-        "stable",
         "segmented",
         "batch",
         "inplace",
         "kway",
-        "hierarchical",
         "sort-parallel",
         "sort-kway",
         "sort-cache-aware",
@@ -226,13 +216,6 @@ mod counted_drop {
                 let mut out = vec![CountedDrop::default(); n];
                 SegmentKernel::CoRank.merge_into_by(&a, &b, &mut out, cmp);
             }
-            "stable" => {
-                // The exact-balance top-level entry: worker cuts come from
-                // `exact_boundary`, boundaries from the co-rank search.
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
-                stable_parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
-            }
             "segmented" => {
                 let (a, b) = (track(&ka), track(&kb));
                 let mut out = vec![CountedDrop::default(); n];
@@ -256,16 +239,6 @@ mod counted_drop {
                 let runs: Vec<&[CountedDrop]> = vec![&a[..85], &a[85..], &b[..115], &b[115..]];
                 let mut out = vec![CountedDrop::default(); n];
                 parallel_kway_merge_by(&runs, &mut out, threads, cmp);
-            }
-            "hierarchical" => {
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
-                let cfg = HierarchicalConfig {
-                    blocks: threads,
-                    threads_per_block: 4,
-                    tile: 64,
-                };
-                hierarchical_merge_into_by(&a, &b, &mut out, &cfg, cmp);
             }
             "sort-parallel" | "sort-kway" | "sort-cache-aware" => {
                 // An unsorted tracked input: interleave the two key streams.

@@ -13,9 +13,6 @@
 
 use mergepath_suite::mergepath::merge::adaptive::{SegmentKernel, PROBE_MIN_LEN};
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-use mergepath_suite::mergepath::merge::hierarchical::{
-    hierarchical_merge_into_by, HierarchicalConfig,
-};
 use mergepath_suite::mergepath::merge::inplace::parallel_inplace_merge_by;
 use mergepath_suite::mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
@@ -140,15 +137,6 @@ fn every_variant_matches_the_sequential_oracle() {
             out.fill((0, 0));
             parallel_kway_merge_by(&lists, &mut out, threads, &cmp);
             assert_eq!(out, oracle, "kway: {label}");
-
-            let hier = HierarchicalConfig {
-                blocks: threads,
-                threads_per_block: 4,
-                tile: 64,
-            };
-            out.fill((0, 0));
-            hierarchical_merge_into_by(&a, &b, &mut out, &hier, &cmp);
-            assert_eq!(out, oracle, "hierarchical: {label}");
         }
     }
 }

@@ -29,11 +29,12 @@
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering as AtOrd};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Barrier, Mutex, Once};
+use std::sync::{Arc, Barrier, Mutex, Once, OnceLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
-use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, Server};
+use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, ServeProbe, Server};
 
 /// Escape hatch for every spin loop in this file: generous enough for a
 /// loaded single-core CI runner, short enough that a genuine deadlock
@@ -119,14 +120,31 @@ static WIDE_IN_ROUND: AtomicBool = AtomicBool::new(false);
 /// Narrow requests observed complete (incremented by the test thread
 /// after each `wait()` returns).
 static NARROW_DONE: AtomicUsize = AtomicUsize::new(0);
+/// The serving thread that runs the wide request (id 0), recorded by
+/// [`WideServer`] just before that thread starts the kernel.
+static WIDE_SERVER: OnceLock<ThreadId> = OnceLock::new();
+
+/// Probe that names the wide request's own serving thread.
+struct WideServer;
+
+impl ServeProbe for WideServer {
+    fn on_start(&self, id: u64, _t_ns: u64, _share: usize, _inflight: usize) {
+        if id == 0 {
+            let _ = WIDE_SERVER.set(std::thread::current().id());
+        }
+    }
+}
 
 /// A key whose comparisons, when the element is wide-marked AND the
-/// comparison runs inside a pool round (`executor::in_pool_round()`),
-/// block until all [`NARROWS`] narrow requests have completed. Partition
-/// (co-rank) comparisons run on the serving thread outside any round and
-/// pass through, so the wide request reliably reaches its round and
-/// blocks *there* — the configuration the old serialized executor turned
-/// into a deadlock.
+/// comparison runs inside a pool round (`executor::in_pool_round()`) on a
+/// pool worker or on the wide request's own serving thread, block until
+/// all [`NARROWS`] narrow requests have completed. The wide request thus
+/// reliably reaches its round and blocks *there* — the configuration the
+/// old serialized executor turned into a deadlock. Any other thread that
+/// picks up a wide share runs it ungated: a caller waiting on its own
+/// round helps foreign rounds, so a narrow request's serving thread may
+/// take a wide share that a busy worker left unclaimed, and gating it
+/// would hold back the very narrow response the wide gate waits for.
 #[derive(Debug, Clone, Default)]
 struct WideKey {
     key: u32,
@@ -136,6 +154,13 @@ struct WideKey {
 impl WideKey {
     fn hold_until_narrows_finish(&self, other: &Self) {
         if !(self.wide || other.wide) || !executor::in_pool_round() {
+            return;
+        }
+        let me = std::thread::current();
+        let pool_worker = me
+            .name()
+            .is_some_and(|name| name.starts_with("mergepath-worker-"));
+        if !pool_worker && WIDE_SERVER.get() != Some(&me.id()) {
             return;
         }
         WIDE_IN_ROUND.store(true, AtOrd::SeqCst);
@@ -180,7 +205,7 @@ impl Ord for WideKey {
 #[test]
 fn narrow_requests_complete_while_a_wide_round_is_executing() {
     assert_eq!(pool().threads(), 4, "test needs a real multi-worker pool");
-    let server: Server<WideKey> = Server::start(
+    let server: Server<WideKey, _, WideServer> = Server::start_with_probe(
         ServeConfig {
             queue_capacity: 32,
             max_inflight: 2,
@@ -194,6 +219,7 @@ fn narrow_requests_complete_while_a_wide_round_is_executing() {
             batch_max_items: 0,
         },
         mergepath_suite::serve::NoRecorder,
+        WideServer,
     );
 
     // Wide input: every element is wide-marked, so whichever shares of

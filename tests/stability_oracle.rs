@@ -20,10 +20,13 @@ use std::cmp::Ordering;
 
 use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
+use mergepath_suite::mergepath::merge::parallel::{
+    parallel_merge_into_by, parallel_merge_into_recorded,
+};
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
-use mergepath_suite::mergepath::merge::stable::{stable_parallel_merge_into_by, CO_RANK_BLOCK};
-use mergepath_suite::mergepath::partition::partition_segments_by;
+use mergepath_suite::mergepath::merge::stable::CO_RANK_BLOCK;
+use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
+use mergepath_suite::mergepath::telemetry::{CounterKind, TimelineRecorder};
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`; `.1` is the element's original index
@@ -168,24 +171,48 @@ fn every_kernel_produces_the_stable_order_on_every_partition_segment() {
 }
 
 #[test]
-fn the_exact_balance_co_rank_merge_is_stable_on_every_family() {
-    // The top-level co-rank parallel entry cuts the output at the exactly
-    // balanced 1303.4312 boundaries instead of the ⌊k·n/p⌋ diagonals; its
-    // stability proof is block-split uniqueness, checked here byte-for-byte
-    // against the oracle under every family and thread count.
+fn traced_tiles_are_stable_and_balanced_on_every_family() {
+    // The traced instantiation of Algorithm 1 runs every tile through
+    // counting comparators; it must keep the stable order too. Its
+    // `⌊k·n/T⌋` cuts give every tile `⌊n/T⌋` or `⌈n/T⌉` items (Thm 14 per
+    // tile), the balance 1303.4312 gets from exact boundaries, and under
+    // this keyed comparator the duplicate-heavy tiles go to the co-rank
+    // kernel, so its block splits run under the tile cuts.
+    let mut co_rank_tiles = 0;
     for (name, ka, kb) in families() {
         let (a, b) = tag(&ka, &kb);
         let n = a.len() + b.len();
         let mut oracle = vec![(0, 0); n];
         merge_into_by(&a, &b, &mut oracle, &cmp);
         for threads in THREADS {
-            let label = format!("{name}: stable_parallel, threads={threads}");
+            let label = format!("{name}: traced, threads={threads}");
             let mut out = vec![(0, 0); n];
-            stable_parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            let rec = TimelineRecorder::new();
+            parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec);
+            let telemetry = rec.finish();
             assert_eq!(out, oracle, "{label}");
             assert_stable(&out, &label);
+            let tiles = tile_count(n, threads);
+            let mut items = vec![0usize; tiles];
+            for ev in &telemetry.worker_items {
+                items[ev.worker] += ev.items as usize;
+            }
+            assert_eq!(items.iter().sum::<usize>(), n, "{label}");
+            for (k, &it) in items.iter().enumerate() {
+                assert!(
+                    it == n / tiles || it == n.div_ceil(tiles),
+                    "{label}: tile {k} of {tiles} merged {it} items"
+                );
+            }
+            co_rank_tiles += telemetry
+                .counters
+                .iter()
+                .filter(|c| c.kind == CounterKind::SegmentsCoRank)
+                .map(|c| c.total)
+                .sum::<u64>();
         }
     }
+    assert!(co_rank_tiles > 0, "no tile ran the co-rank kernel");
 }
 
 #[test]

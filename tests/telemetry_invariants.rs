@@ -14,7 +14,6 @@
 
 use mergepath::merge::adaptive::{probe_segment, SegmentKernel};
 use mergepath::merge::batch::batch_merge_into_recorded;
-use mergepath::merge::hierarchical::{hierarchical_merge_into_recorded, HierarchicalConfig};
 use mergepath::merge::inplace::parallel_inplace_merge_recorded;
 use mergepath::merge::kway::parallel_kway_merge_recorded;
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
@@ -341,7 +340,6 @@ fn every_traced_kernel_produces_nested_spans_and_parsable_exports() {
         TraceKernel::Batch,
         TraceKernel::Inplace,
         TraceKernel::Kway,
-        TraceKernel::Hierarchical,
         TraceKernel::SortParallel,
         TraceKernel::SortKway,
         TraceKernel::SortCacheAware,
@@ -409,24 +407,6 @@ fn inplace_and_multiway_merges_tile_the_output_exactly() {
     assert_eq!(
         t.worker_items.iter().map(|w| w.items).sum::<u64>(),
         total as u64
-    );
-
-    // Hierarchical: blocks tile the output.
-    let (g, h) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, 23);
-    let mut out = vec![0u32; n];
-    let rec = TimelineRecorder::new();
-    hierarchical_merge_into_recorded(
-        &g,
-        &h,
-        &mut out,
-        &HierarchicalConfig::new(threads),
-        &cmp,
-        &rec,
-    );
-    let t = rec.finish();
-    assert_eq!(
-        t.worker_items.iter().map(|w| w.items).sum::<u64>(),
-        n as u64
     );
 }
 
