@@ -10,6 +10,7 @@
 
 use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
 use mergepath::sort::parallel::parallel_merge_sort;
+use mergepath::telemetry::NoRecorder;
 use mergepath_bench::Table;
 use mergepath_workloads::{is_sorted, unsorted_keys, SortWorkload};
 
@@ -61,7 +62,7 @@ fn main() {
 
     // End-to-end check through the public API.
     let mut v = data;
-    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b));
+    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
     assert!(is_sorted(&v), "cache-aware sort must sort");
     println!("\nEnd-to-end cache-aware sort: sorted = {}", is_sorted(&v));
     println!(

@@ -49,6 +49,7 @@ use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
 use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
+use mergepath::telemetry::NoRecorder;
 use mergepath_pram::PramMachine;
 use mergepath_workloads::prng::Prng;
 
@@ -858,7 +859,7 @@ where
         Kernel::Parallel => {
             let mut out = vec![T::default(); n];
             let span = span_of(&out);
-            parallel_merge_into_by(a, b, &mut out, threads, cmp);
+            parallel_merge_into_by(a, b, &mut out, threads, cmp, &NoRecorder);
             (out, span)
         }
         Kernel::Segmented => {
@@ -867,7 +868,7 @@ where
             // Small segments (~30 elements) force many segment rounds even
             // on checker-sized inputs.
             let spm = SpmConfig::new(91, threads);
-            segmented_parallel_merge_into_by(a, b, &mut out, &spm, cmp);
+            segmented_parallel_merge_into_by(a, b, &mut out, &spm, cmp, &NoRecorder);
             (out, span)
         }
         Kernel::Batch => {
@@ -875,13 +876,13 @@ where
             let pairs: Vec<(&[T], &[T])> = vec![(&a[..ha], &b[..hb]), (&a[ha..], &b[hb..])];
             let mut out = vec![T::default(); n];
             let span = span_of(&out);
-            batch_merge_into_by(&pairs, &mut out, threads, cmp);
+            batch_merge_into_by(&pairs, &mut out, threads, cmp, &NoRecorder);
             (out, span)
         }
         Kernel::Inplace => {
             let mut v: Vec<T> = a.iter().chain(b.iter()).copied().collect();
             let span = span_of(&v);
-            parallel_inplace_merge_by(&mut v, a.len(), threads, cmp);
+            parallel_inplace_merge_by(&mut v, a.len(), threads, cmp, &NoRecorder);
             (v, span)
         }
         Kernel::Kway => {
@@ -889,19 +890,19 @@ where
             let runs: Vec<&[T]> = vec![&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
             let mut out = vec![T::default(); n];
             let span = span_of(&out);
-            parallel_kway_merge_by(&runs, &mut out, threads, cmp);
+            parallel_kway_merge_by(&runs, &mut out, threads, cmp, &NoRecorder);
             (out, span)
         }
         Kernel::SortParallel => {
             let mut v = sort_input(a, b, cfg);
             let span = span_of(&v);
-            parallel_merge_sort_by(&mut v, threads, cmp);
+            parallel_merge_sort_by(&mut v, threads, cmp, &NoRecorder);
             (v, span)
         }
         Kernel::SortKway => {
             let mut v = sort_input(a, b, cfg);
             let span = span_of(&v);
-            kway_merge_sort_by(&mut v, threads, cmp);
+            kway_merge_sort_by(&mut v, threads, cmp, &NoRecorder);
             (v, span)
         }
         Kernel::SortCacheAware => {
@@ -910,7 +911,7 @@ where
             // A ~100-element cache forces multiple phase-1 blocks and
             // several segmented merge rounds.
             let cfg_c = CacheAwareConfig::new(200, threads);
-            cache_aware_parallel_sort_by(&mut v, &cfg_c, cmp);
+            cache_aware_parallel_sort_by(&mut v, &cfg_c, cmp, &NoRecorder);
             (v, span)
         }
     }

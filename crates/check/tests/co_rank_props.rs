@@ -20,6 +20,7 @@ use mergepath::diagonal::{co_rank_by, split_is_valid};
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::merge_into_by;
 use mergepath::merge::stable::{co_rank_merge_into_by, CO_RANK_BLOCK};
+use mergepath::telemetry::NoRecorder;
 
 use proptest::prelude::*;
 
@@ -103,7 +104,7 @@ proptest! {
         // picks per tile (co-rank for these keyed tie runs); the
         // composition must stay stable too.
         let mut par = vec![(0, 0); out.len()];
-        parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key);
+        parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key, &NoRecorder);
         prop_assert_eq!(par, out);
     }
 }

@@ -8,6 +8,8 @@
 //! output-diffing tests cannot see the fault — only the access-set
 //! disjointness check can. This test asserts exactly that: under mutation
 //! the checker must report `WriteOverlap`; in a clean build it must pass.
+//! The windowed segmented merge runs Algorithm 1's tile loop on each
+//! window, so the same fault must be caught there too.
 //!
 //! A second fault inverts the tie break of the co-rank stable block kernel:
 //! under the same cfg its block-split binary search advances only on
@@ -25,26 +27,35 @@ use mergepath_check::{check_kernel, CheckConfig, CheckError, Kernel};
 /// The overlap is tile 0's: checked where tiles are the paper's `p`
 /// segments (800 keys at 4 threads) and where Algorithm 1 cuts more tiles
 /// than threads (65536 keys at 2 threads, 8 tiles, and at 1 thread, 4
-/// tiles that the caller runs alone).
+/// tiles that the caller runs alone); and in the windowed segmented merge,
+/// whose checker windows of 30 outputs are cut into 4 tiles at 4 threads
+/// (at one thread a window would be a single tile, with no cut to fault).
 #[test]
 fn mutation_overlap_is_detected() {
-    for (n, threads) in [(800, 4), (65_536, 2), (65_536, 1)] {
+    let legs = [
+        (Kernel::Parallel, 800, 4),
+        (Kernel::Parallel, 65_536, 2),
+        (Kernel::Parallel, 65_536, 1),
+        (Kernel::Segmented, 800, 4),
+    ];
+    for (kernel, n, threads) in legs {
         let cfg = CheckConfig {
             threads,
             ..CheckConfig::default()
         };
-        let result = check_kernel(Kernel::Parallel, n, &cfg);
+        let name = kernel.name();
+        let result = check_kernel(kernel, n, &cfg);
         if cfg!(mergepath_mutate) {
             match result {
-                Err(CheckError::WriteOverlap { kernel, .. }) => assert_eq!(kernel, "parallel"),
+                Err(CheckError::WriteOverlap { kernel, .. }) => assert_eq!(kernel, name),
                 other => panic!(
-                    "n={n}: mutated parallel merge must be caught as a write overlap, \
+                    "{name} n={n}: the mutated tile cut must be caught as a write overlap, \
                      got {other:?}"
                 ),
             }
         } else {
             let report = result.expect("clean build must pass the schedule check");
-            assert!(report.multi_rounds > 0, "{report}");
+            assert!(report.multi_rounds > 0, "{name} n={n}: {report}");
             if n > 4096 {
                 assert!(report.max_shares > threads, "n={n} must tile: {report}");
             }
@@ -65,7 +76,7 @@ fn mutation_overlap_is_detected() {
 /// inverted tie break could not show.
 #[test]
 fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
-    use mergepath::merge::parallel::parallel_merge_into_recorded;
+    use mergepath::merge::parallel::parallel_merge_into_by;
     use mergepath::telemetry::TimelineRecorder;
     use mergepath_check::{check_kernel_on, Kv};
 
@@ -94,7 +105,7 @@ fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
         let rec = TimelineRecorder::new();
         let mut out = vec![(0, 0); a.len() + b.len()];
         let by_key = |x: &Kv, y: &Kv| x.0.cmp(&y.0);
-        parallel_merge_into_recorded(&a, &b, &mut out, cfg.threads, &by_key, &rec);
+        parallel_merge_into_by(&a, &b, &mut out, cfg.threads, &by_key, &rec);
         let co_rank: u64 = rec
             .finish()
             .counters

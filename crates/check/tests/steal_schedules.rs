@@ -14,6 +14,7 @@
 //! the Thm 14 access bound, for all eight kernels.
 
 use mergepath::merge::parallel::parallel_merge_into_by;
+use mergepath::telemetry::NoRecorder;
 use mergepath_check::{
     check_kernel_on, default_input, record_stealing, steal_order, AccessSpan, CheckConfig, Kernel,
     Kv, Recording,
@@ -120,9 +121,12 @@ fn multi_round_kernels_draw_fresh_steal_orders_per_round() {
         let (a, b) = default_input(600, 3);
         let mut v: Vec<Kv> = a.iter().chain(b.iter()).copied().collect();
         let ((), rec) = record_stealing(21, 4, || {
-            mergepath::sort::parallel::parallel_merge_sort_by(&mut v, 4, &|x: &Kv, y: &Kv| {
-                x.0.cmp(&y.0)
-            });
+            mergepath::sort::parallel::parallel_merge_sort_by(
+                &mut v,
+                4,
+                &|x: &Kv, y: &Kv| x.0.cmp(&y.0),
+                &NoRecorder,
+            );
         });
         assert!(v.windows(2).all(|w| w[0].0 <= w[1].0), "sort diverged");
         rec
@@ -187,10 +191,10 @@ fn concurrent_request_rounds_stay_disjoint_under_any_interleaving() {
     let mut out2: Vec<Kv> = vec![(0, 0); a2.len() + b2.len()];
 
     let ((), rec1) = record_stealing(31, 4, || {
-        parallel_merge_into_by(&a1, &b1, &mut out1, 4, &by_key);
+        parallel_merge_into_by(&a1, &b1, &mut out1, 4, &by_key, &NoRecorder);
     });
     let ((), rec2) = record_stealing(32, 4, || {
-        parallel_merge_into_by(&a2, &b2, &mut out2, 4, &by_key);
+        parallel_merge_into_by(&a2, &b2, &mut out2, 4, &by_key, &NoRecorder);
     });
 
     let spans = |rec: &Recording, writes: bool| -> Vec<AccessSpan> {

@@ -25,9 +25,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mergepath::merge::adaptive::SegmentKernel;
-use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
+use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::natural_cmp;
-use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
+use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
@@ -338,10 +338,10 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                 family,
                 cfg.n,
                 cfg,
-                || parallel_merge_into_by(&a, &b, &mut out, cfg.threads, &cmp),
+                || parallel_merge_into_by(&a, &b, &mut out, cfg.threads, &cmp, &NoRecorder),
                 |rec| {
                     let mut traced_out = vec![0u32; cfg.n];
-                    parallel_merge_into_recorded(&a, &b, &mut traced_out, cfg.threads, &cmp, rec);
+                    parallel_merge_into_by(&a, &b, &mut traced_out, cfg.threads, &cmp, rec);
                 },
             );
             row.kernel_t1_ns_per_elem = Some(kernel_t1_ns_per_elem(&a, &b, cfg));
@@ -361,11 +361,11 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                 cfg,
                 || {
                     let mut w = v.clone();
-                    parallel_merge_sort_by(&mut w, cfg.threads, &cmp);
+                    parallel_merge_sort_by(&mut w, cfg.threads, &cmp, &NoRecorder);
                 },
                 |rec| {
                     let mut w = v.clone();
-                    parallel_merge_sort_recorded(&mut w, cfg.threads, &cmp, rec);
+                    parallel_merge_sort_by(&mut w, cfg.threads, &cmp, rec);
                 },
             )
         })

@@ -59,19 +59,17 @@ pub mod serve_bench;
 
 use std::fmt::Write as _;
 
-use mergepath::merge::batch::batch_merge_into_recorded;
-use mergepath::merge::inplace::parallel_inplace_merge_recorded;
-use mergepath::merge::kway::parallel_kway_merge_recorded;
-use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
-use mergepath::merge::segmented::{segmented_parallel_merge_into_recorded, SpmConfig};
+use mergepath::merge::batch::batch_merge_into_by;
+use mergepath::merge::inplace::parallel_inplace_merge_by;
+use mergepath::merge::kway::parallel_kway_merge_by;
+use mergepath::merge::parallel::parallel_merge_into_by;
+use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath::select::kth_of_union_by;
-use mergepath::sort::cache_aware::{
-    cache_aware_parallel_sort_by, cache_aware_parallel_sort_recorded, CacheAwareConfig,
-};
-use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
+use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
+use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::natural::natural_merge_sort_by;
-use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
-use mergepath::telemetry::{LoadBalanceReport, TimelineRecorder};
+use mergepath::sort::parallel::parallel_merge_sort_by;
+use mergepath::telemetry::{LoadBalanceReport, NoRecorder, TimelineRecorder};
 use mergepath_workloads::{
     merge_pair_sized, sorted_keys, unsorted_keys, ArrivalPattern, MergeWorkload, SortWorkload,
 };
@@ -772,7 +770,8 @@ where
             ensure_sorted(a, &ra, *numeric)?;
             ensure_sorted(b, &rb, *numeric)?;
             let mut merged = vec![Record::default(); ra.len() + rb.len()];
-            parallel_merge_into_by(&ra, &rb, &mut merged, *threads, &compare(*numeric));
+            let cmp = compare(*numeric);
+            parallel_merge_into_by(&ra, &rb, &mut merged, *threads, &cmp, &NoRecorder);
             Ok(render(&merged))
         }
         Command::Sort {
@@ -785,13 +784,15 @@ where
             let mut records = parse_records(file, &load(file)?, *numeric)?;
             let cmp = compare(*numeric);
             match algo {
-                SortAlgo::Parallel => parallel_merge_sort_by(&mut records, *threads, &cmp),
-                SortAlgo::Kway => kway_merge_sort_by(&mut records, *threads, &cmp),
+                SortAlgo::Parallel => {
+                    parallel_merge_sort_by(&mut records, *threads, &cmp, &NoRecorder)
+                }
+                SortAlgo::Kway => kway_merge_sort_by(&mut records, *threads, &cmp, &NoRecorder),
                 SortAlgo::Natural => natural_merge_sort_by(&mut records, *threads, &cmp),
                 SortAlgo::CacheAware => {
                     let cfg =
                         mergepath::sort::cache_aware::CacheAwareConfig::new(64 * 1024, *threads);
-                    cache_aware_parallel_sort_by(&mut records, &cfg, &cmp);
+                    cache_aware_parallel_sort_by(&mut records, &cfg, &cmp, &NoRecorder);
                 }
             }
             Ok(render(&records))
@@ -970,13 +971,13 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
         TraceKernel::Parallel => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mut out = vec![0u32; n];
-            parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, rec);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, rec);
         }
         TraceKernel::Segmented => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mut out = vec![0u32; n];
             let spm = SpmConfig::new(64 * 1024, threads);
-            segmented_parallel_merge_into_recorded(&a, &b, &mut out, &spm, &cmp, rec);
+            segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, rec);
         }
         TraceKernel::Batch => {
             // A ragged batch: one pair per worker, sizes differing by design.
@@ -999,14 +1000,14 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
                 .map(|(a, b)| (a.as_slice(), b.as_slice()))
                 .collect();
             let mut out = vec![0u32; n];
-            batch_merge_into_recorded(&pairs, &mut out, threads, &cmp, rec);
+            batch_merge_into_by(&pairs, &mut out, threads, &cmp, rec);
         }
         TraceKernel::Inplace => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mid = a.len();
             let mut v = a;
             v.extend(b);
-            parallel_inplace_merge_recorded(&mut v, mid, threads, &cmp, rec);
+            parallel_inplace_merge_by(&mut v, mid, threads, &cmp, rec);
         }
         TraceKernel::Kway => {
             let k = 8usize.min(n.max(1));
@@ -1019,20 +1020,20 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
                 .collect();
             let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
             let mut out = vec![0u32; n];
-            parallel_kway_merge_recorded(&refs, &mut out, threads, &cmp, rec);
+            parallel_kway_merge_by(&refs, &mut out, threads, &cmp, rec);
         }
         TraceKernel::SortParallel => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
-            parallel_merge_sort_recorded(&mut v, threads, &cmp, rec);
+            parallel_merge_sort_by(&mut v, threads, &cmp, rec);
         }
         TraceKernel::SortKway => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
-            kway_merge_sort_recorded(&mut v, threads, &cmp, rec);
+            kway_merge_sort_by(&mut v, threads, &cmp, rec);
         }
         TraceKernel::SortCacheAware => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
             let cfg = CacheAwareConfig::new(64 * 1024, threads);
-            cache_aware_parallel_sort_recorded(&mut v, &cfg, &cmp, rec);
+            cache_aware_parallel_sort_by(&mut v, &cfg, &cmp, rec);
         }
     }
 }

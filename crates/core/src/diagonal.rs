@@ -13,10 +13,13 @@
 //! among its first `k` outputs. The point on the `k`-th diagonal is then
 //! `(i, k - i)`.
 //!
-//! [`co_rank_by`] is a classical `lo/hi` binary search over the diagonal,
-//! property-tested against a walk of the stable merge; [`co_rank_counted`]
-//! and [`co_rank_probed`] are the same search reporting its comparisons or
-//! its memory accesses. All are `O(log min(|A|, |B|))`.
+//! [`co_rank_probed`] is the one search loop: a classical `lo/hi` binary
+//! search over the diagonal, property-tested against a walk of the stable
+//! merge, that reports each element it reads to a [`Probe`].
+//! [`co_rank_by`] runs it under [`NoProbe`], which compiles away, and
+//! [`co_rank_counted`] under a counting probe, to report its comparisons;
+//! the cache simulator replays it with a tracing probe. All are
+//! `O(log min(|A|, |B|))`.
 //!
 //! # Stability
 //!
@@ -30,7 +33,7 @@
 
 use core::cmp::Ordering;
 
-use crate::probe::Probe;
+use crate::probe::{CountingProbe, NoProbe, Probe};
 use crate::view::SortedView;
 
 /// Returns the co-rank of `k` in the stable merge of `a` and `b` using the
@@ -76,31 +79,7 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
-    let (na, nb) = (a.len(), b.len());
-    assert!(
-        k <= na + nb,
-        "diagonal index {k} out of range 0..={}",
-        na + nb
-    );
-    // Feasible range for i (the number of elements taken from `a`).
-    let mut lo = k.saturating_sub(nb);
-    let mut hi = k.min(na);
-    // Invariant: the valid split index is in [lo, hi].
-    // too_small(i) ⇔ B[j-1] >= A[i] (with j = k - i), i.e. the split lets an
-    // element of B overtake a smaller-or-equal element of A.
-    while lo < hi {
-        let i = lo + (hi - lo) / 2;
-        let j = k - i;
-        // j >= 1 is guaranteed here: i < hi <= k.
-        debug_assert!(j >= 1 && i < na);
-        if cmp(b.get(j - 1), a.get(i)) != Ordering::Less {
-            lo = i + 1;
-        } else {
-            hi = i;
-        }
-    }
-    debug_assert!(split_is_valid(k, a, b, cmp, lo));
-    lo
+    co_rank_probed(k, a, b, cmp, &mut NoProbe)
 }
 
 /// [`co_rank_by`] that additionally reports the number of comparisons spent,
@@ -111,26 +90,10 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
-    let (na, nb) = (a.len(), b.len());
-    assert!(
-        k <= na + nb,
-        "diagonal index {k} out of range 0..={}",
-        na + nb
-    );
-    let mut comparisons = 0u32;
-    let mut lo = k.saturating_sub(nb);
-    let mut hi = k.min(na);
-    while lo < hi {
-        let i = lo + (hi - lo) / 2;
-        let j = k - i;
-        comparisons += 1;
-        if cmp(b.get(j - 1), a.get(i)) != Ordering::Less {
-            lo = i + 1;
-        } else {
-            hi = i;
-        }
-    }
-    (lo, comparisons)
+    let mut probe = CountingProbe::default();
+    let i = co_rank_probed(k, a, b, cmp, &mut probe);
+    // Each comparison reads one element of `a`.
+    (i, probe.reads_a as u32)
 }
 
 /// [`co_rank_by`] reporting every element access to a [`Probe`] (used by
@@ -151,11 +114,17 @@ where
         "diagonal index {k} out of range 0..={}",
         na + nb
     );
+    // Feasible range for i (the number of elements taken from `a`).
     let mut lo = k.saturating_sub(nb);
     let mut hi = k.min(na);
+    // Invariant: the valid split index is in [lo, hi].
+    // too_small(i) ⇔ B[j-1] >= A[i] (with j = k - i), i.e. the split lets an
+    // element of B overtake a smaller-or-equal element of A.
     while lo < hi {
         let i = lo + (hi - lo) / 2;
         let j = k - i;
+        // j >= 1 is guaranteed here: i < hi <= k.
+        debug_assert!(j >= 1 && i < na);
         probe.read_b(j - 1);
         probe.read_a(i);
         if cmp(b.get(j - 1), a.get(i)) != Ordering::Less {
@@ -164,6 +133,7 @@ where
             hi = i;
         }
     }
+    debug_assert!(split_is_valid(k, a, b, cmp, lo));
     lo
 }
 

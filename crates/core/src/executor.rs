@@ -121,18 +121,17 @@
 //!
 //! # Telemetry
 //!
-//! [`Pool::run_indexed_recorded`] is the instrumented twin of
-//! [`Pool::run_indexed`]: it reports round begin/end, the
-//! submit-to-first-share queue wait (`round_wait_ns`), one busy window
-//! per executed share, and — when the
+//! [`Pool::run_indexed`] takes a `mergepath_telemetry::Recorder` and
+//! reports into it round begin/end, the submit-to-first-share queue wait
+//! (`round_wait_ns`), one busy window per executed share, and — when the
 //! round was helped by stolen tickets — the `pool_steals` /
-//! `pool_stolen_shares` counters into a `mergepath_telemetry::Recorder`.
-//! Share windows are tagged with the executing participant's *ticket*
-//! index (a round-local id below the round's participant count), so concurrent
-//! rounds reporting into per-request `OffsetRecorder`s keep their worker
-//! ranges disjoint. With the zero-sized `NoRecorder` (`ACTIVE == false`)
-//! the instrumented twin delegates directly to the untraced entry point,
-//! so the hot path is unchanged unless a real recorder is supplied.
+//! `pool_stolen_shares` counters. Share windows are tagged with the
+//! executing participant's *ticket* index (a round-local id below the
+//! round's participant count), so concurrent rounds reporting into
+//! per-request `OffsetRecorder`s keep their worker ranges disjoint. With
+//! the zero-sized `NoRecorder` (`ACTIVE == false`) the reports compile
+//! away and no share is timed, so the hot path pays only when a real
+//! recorder is supplied.
 //!
 //! Without any recorder, [`Pool::steal_stats`] and [`Pool::round_counts`]
 //! keep pool-lifetime counts of productive steals and of *solo* rounds:
@@ -200,7 +199,7 @@ fn spin_until(ready: impl Fn() -> bool) -> bool {
 /// A type-erased pointer to a round's job.
 ///
 /// The erased signature is `Fn(ticket, share)`: `ticket` is the executing
-/// participant's round-local id (used by the recorded entry points to tag
+/// participant's round-local id (used by [`Pool::run_indexed`] to tag
 /// share windows), `share` the logical share index.
 ///
 /// Raw pointers are not `Send`/`Sync`; this wrapper asserts transfer is
@@ -523,8 +522,8 @@ pub struct RoundCounts {
     pub shared: u64,
 }
 
-/// Round-level numbers [`Pool::submit_round`] hands back to the recorded
-/// entry points. The queue wait is not carried here — `submit_round`'s
+/// Round-level numbers [`Pool::submit_round`] hands back to
+/// [`Pool::run_indexed`]. The queue wait is not carried here — `submit_round`'s
 /// `on_ready` callback receives it before any share executes.
 struct RoundStats {
     steals: u64,
@@ -536,11 +535,12 @@ struct RoundStats {
 /// # Examples
 /// ```
 /// use mergepath::executor::Pool;
+/// use mergepath::telemetry::NoRecorder;
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let pool = Pool::new(4);
 /// let hits = AtomicUsize::new(0);
-/// pool.run_indexed(4, 4, &|share| {
+/// pool.run_indexed(4, 4, &NoRecorder, &|share| {
 ///     assert!(share < 4);
 ///     hits.fetch_add(1, Ordering::Relaxed);
 /// });
@@ -832,7 +832,7 @@ impl Pool {
     /// The scheduler engine: publishes a round descriptor, distributes
     /// tickets, participates, helps siblings, and blocks on the round
     /// latch. `on_ready` runs after ticket distribution with the measured
-    /// submit-side queue wait — the recorded entry points use it to emit
+    /// submit-side queue wait — [`Pool::run_indexed`] uses it to emit
     /// `round_wait_ns` then `round_begin` before any share executes on
     /// this thread.
     ///
@@ -941,6 +941,13 @@ impl Pool {
     /// With one participant (or a one-thread pool) the shares run in a
     /// loop on the caller. Output is identical regardless of pool size.
     ///
+    /// The round reports into `rec`: round begin and end, the
+    /// submit-to-first-share wait, one busy window per *logical share*
+    /// (tagged with the round-local ticket of the participant that claimed
+    /// it, below `participants`), and the round's steals. Under
+    /// [`NoRecorder`](mergepath_telemetry::NoRecorder) every report compiles
+    /// away and no share is timed.
+    ///
     /// Concurrent callers overlap: each call is its own round descriptor
     /// and rounds execute simultaneously on the work-stealing scheduler
     /// (see module docs). If a share itself calls `run_indexed` (on this
@@ -952,7 +959,13 @@ impl Pool {
     /// If any share panics, the panic is re-raised on the calling thread
     /// after all shares of the round have finished (the pool itself
     /// stays usable).
-    pub fn run_indexed(&self, shares: usize, participants: usize, job: &(dyn Fn(usize) + Sync)) {
+    pub fn run_indexed<R: Recorder>(
+        &self,
+        shares: usize,
+        participants: usize,
+        rec: &R,
+        job: &(dyn Fn(usize) + Sync),
+    ) {
         if let Some(obs) = current_observer() {
             run_virtual(&*obs, shares, job);
             return;
@@ -960,73 +973,23 @@ impl Pool {
         if shares == 0 {
             return;
         }
-        if IN_POOL_ROUND.with(|f| f.get()) {
-            for share in 0..shares {
-                job(share);
-            }
-            return;
-        }
-        let tickets = self.tickets(shares, participants);
-        if tickets == 1 {
-            let _mark = RoundMark::enter();
-            for share in 0..shares {
-                job(share);
-            }
-            return;
-        }
-        self.submit_round(shares, tickets, &|_ticket, share| job(share), |_| {});
-    }
-
-    /// [`Pool::run_indexed`] with telemetry: reports the round and one
-    /// busy window per *logical share* (tagged with the round-local
-    /// ticket of the participant that claimed it, below `participants`)
-    /// into `rec`.
-    ///
-    /// With an inactive recorder this delegates to [`Pool::run_indexed`]
-    /// unchanged — the untraced hot path is byte-for-byte the same code.
-    pub fn run_indexed_recorded<R: Recorder>(
-        &self,
-        shares: usize,
-        participants: usize,
-        rec: &R,
-        job: &(dyn Fn(usize) + Sync),
-    ) {
-        if !R::ACTIVE {
-            self.run_indexed(shares, participants, job);
-            return;
-        }
-        if let Some(obs) = current_observer() {
-            run_virtual(&*obs, shares, job);
-            return;
-        }
-        match shares {
-            0 => {}
-            1 => {
-                rec.round_begin(1);
+        if R::ACTIVE {
+            let timed = |ticket: usize, share: usize| {
                 let start = now_ns();
-                {
-                    let _mark = RoundMark::enter();
-                    job(0);
-                }
-                rec.share_window(0, 0, start, now_ns());
-                rec.round_end();
-            }
-            _ => {
-                let wrapped = |ticket: usize, share: usize| {
-                    let start = now_ns();
-                    job(share);
-                    rec.share_window(ticket, share, start, now_ns());
-                };
-                self.run_observed(rec, shares, participants, &wrapped);
-            }
+                job(share);
+                rec.share_window(ticket, share, start, now_ns());
+            };
+            self.run_round(rec, shares, participants, &timed);
+        } else {
+            self.run_round(rec, shares, participants, &|_ticket, share| job(share));
         }
     }
 
-    /// Shared telemetry wrapper around a fork-join round: replicates the
-    /// nested / single-participant / submitted dispatch of the untraced
-    /// entry points while reporting round begin/end, the submit queue
-    /// wait, and the round's steal counters. `job` is expected to report
-    /// its own share windows.
+    /// The round behind [`Pool::run_indexed`]: runs a nested round inline,
+    /// a one-ticket round in a loop on the caller, and submits any other
+    /// to the scheduler, reporting round begin/end, the submit queue wait
+    /// and the round's steal counters into `rec`. `job(ticket, share)`
+    /// reports its own share windows.
     ///
     /// These round-level callbacks are the executor's only contribution to
     /// the live observability layer (DESIGN.md §12): when the serving
@@ -1038,7 +1001,7 @@ impl Pool {
     /// and the steal counters into `pool_steals_total` /
     /// `pool_stolen_shares_total` — the executor itself stays
     /// metrics-agnostic.
-    fn run_observed<R: Recorder>(
+    fn run_round<R: Recorder>(
         &self,
         rec: &R,
         shares: usize,
@@ -1163,13 +1126,14 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mergepath_telemetry::NoRecorder;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn runs_every_tid_exactly_once() {
         let pool = Pool::new(4);
         let seen = [(); 4].map(|_| AtomicUsize::new(0));
-        pool.run_indexed(4, 4, &|tid| {
+        pool.run_indexed(4, 4, &NoRecorder, &|tid| {
             seen[tid].fetch_add(1, AtomicOrdering::Relaxed);
         });
         for s in &seen {
@@ -1181,7 +1145,7 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
         let count = AtomicUsize::new(0);
-        pool.run_indexed(1, 1, &|tid| {
+        pool.run_indexed(1, 1, &NoRecorder, &|tid| {
             assert_eq!(tid, 0);
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
@@ -1193,7 +1157,7 @@ mod tests {
         let pool = Pool::new(3);
         let count = AtomicUsize::new(0);
         for _ in 0..100 {
-            pool.run_indexed(3, 3, &|_tid| {
+            pool.run_indexed(3, 3, &NoRecorder, &|_tid| {
                 count.fetch_add(1, AtomicOrdering::Relaxed);
             });
         }
@@ -1205,7 +1169,7 @@ mod tests {
         let pool = Pool::new(4);
         let input: Vec<u64> = (0..1000).collect();
         let partial = [(); 4].map(|_| AtomicUsize::new(0));
-        pool.run_indexed(4, 4, &|tid| {
+        pool.run_indexed(4, 4, &NoRecorder, &|tid| {
             let chunk = &input[tid * 250..(tid + 1) * 250];
             let s: u64 = chunk.iter().sum();
             partial[tid].store(s as usize, AtomicOrdering::Relaxed);
@@ -1223,7 +1187,7 @@ mod tests {
         assert_eq!(src.len(), dst.len());
         let n = src.len();
         let base = SendPtr::new(dst.as_mut_ptr());
-        pool.run_indexed(shares, shares, &|k| {
+        pool.run_indexed(shares, shares, &NoRecorder, &|k| {
             let (lo, hi) = (k * n / shares, (k + 1) * n / shares);
             // SAFETY: the `lo..hi` ranges are disjoint across shares and lie
             // within `dst`, whose unique borrow this frame holds until
@@ -1248,7 +1212,7 @@ mod tests {
     fn drop_joins_workers_cleanly() {
         for _ in 0..10 {
             let pool = Pool::new(5);
-            pool.run_indexed(5, 5, &|_| {});
+            pool.run_indexed(5, 5, &NoRecorder, &|_| {});
             drop(pool);
         }
     }
@@ -1257,7 +1221,7 @@ mod tests {
     fn worker_panic_propagates_without_deadlock() {
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(4, 4, &|tid| {
+            pool.run_indexed(4, 4, &NoRecorder, &|tid| {
                 if tid == 2 {
                     panic!("boom in worker");
                 }
@@ -1266,7 +1230,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
         // The pool remains usable after the failed round.
         let count = AtomicUsize::new(0);
-        pool.run_indexed(4, 4, &|_| {
+        pool.run_indexed(4, 4, &NoRecorder, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 4);
@@ -1276,7 +1240,7 @@ mod tests {
     fn caller_share_panic_propagates_and_pool_survives() {
         let pool = Pool::new(3);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(3, 3, &|tid| {
+            pool.run_indexed(3, 3, &NoRecorder, &|tid| {
                 if tid == 0 {
                     panic!("boom in caller share");
                 }
@@ -1284,7 +1248,7 @@ mod tests {
         }));
         assert!(result.is_err());
         let count = AtomicUsize::new(0);
-        pool.run_indexed(3, 3, &|_| {
+        pool.run_indexed(3, 3, &NoRecorder, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 3);
@@ -1303,7 +1267,7 @@ mod tests {
         // the 0/1 degenerate counts.
         for shares in [0usize, 1, 2, 4, 7, 64] {
             let seen: Vec<AtomicUsize> = (0..shares).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_indexed(shares, shares, &|i| {
+            pool.run_indexed(shares, shares, &NoRecorder, &|i| {
                 seen[i].fetch_add(1, AtomicOrdering::Relaxed);
             });
             for (i, s) in seen.iter().enumerate() {
@@ -1321,7 +1285,7 @@ mod tests {
         for participants in [1usize, 2, 3] {
             let seen = Mutex::new(std::collections::HashSet::new());
             let ran = AtomicUsize::new(0);
-            pool.run_indexed(24, participants, &|_| {
+            pool.run_indexed(24, participants, &NoRecorder, &|_| {
                 seen.lock()
                     .expect("test mutex")
                     .insert(std::thread::current().id());
@@ -1341,7 +1305,7 @@ mod tests {
     fn run_indexed_on_single_thread_pool() {
         let pool = Pool::new(1);
         let seen: Vec<AtomicUsize> = (0..9).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_indexed(9, 9, &|i| {
+        pool.run_indexed(9, 9, &NoRecorder, &|i| {
             seen[i].fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert!(seen.iter().all(|s| s.load(AtomicOrdering::Relaxed) == 1));
@@ -1351,7 +1315,7 @@ mod tests {
     fn run_indexed_panic_propagates_without_deadlock() {
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(16, 16, &|i| {
+            pool.run_indexed(16, 16, &NoRecorder, &|i| {
                 if i == 11 {
                     panic!("boom in share 11");
                 }
@@ -1360,7 +1324,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
         // The pool remains usable after the failed round.
         let count = AtomicUsize::new(0);
-        pool.run_indexed(8, 8, &|_| {
+        pool.run_indexed(8, 8, &NoRecorder, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 8);
@@ -1376,7 +1340,7 @@ mod tests {
         let pool = Pool::new(3);
         for panic_at in [0usize, 1, 5, 7] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_indexed(8, 8, &|i| {
+                pool.run_indexed(8, 8, &NoRecorder, &|i| {
                     if i == panic_at {
                         panic!("boom in share {i}");
                     }
@@ -1384,7 +1348,7 @@ mod tests {
             }));
             assert!(result.is_err(), "panic at {panic_at} must propagate");
             let seen: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_indexed(6, 6, &|i| {
+            pool.run_indexed(6, 6, &NoRecorder, &|i| {
                 seen[i].fetch_add(1, AtomicOrdering::Relaxed);
             });
             assert!(
@@ -1399,11 +1363,11 @@ mod tests {
         let pool = Pool::new(4);
         let outer = AtomicUsize::new(0);
         let inner = AtomicUsize::new(0);
-        pool.run_indexed(4, 4, &|_tid| {
+        pool.run_indexed(4, 4, &NoRecorder, &|_tid| {
             outer.fetch_add(1, AtomicOrdering::Relaxed);
             // Nested call from inside a share: must not deadlock; every
             // nested share executes (inline, on this thread).
-            pool.run_indexed(3, 3, &|_i| {
+            pool.run_indexed(3, 3, &NoRecorder, &|_i| {
                 inner.fetch_add(1, AtomicOrdering::Relaxed);
             });
         });
@@ -1422,10 +1386,10 @@ mod tests {
         let b: Vec<i64> = (0..500).map(|x| x * 2 + 1).collect();
         let expect: Vec<i64> = (0..1000).collect();
         let outputs: Vec<Mutex<Vec<i64>>> = (0..3).map(|_| Mutex::new(vec![0i64; 1000])).collect();
-        pool.run_indexed(3, 3, &|tid| {
+        pool.run_indexed(3, 3, &NoRecorder, &|tid| {
             assert!(in_pool_round(), "a share runs inside a round");
             let caller = std::thread::current().id();
-            super::global().run_indexed(4, 4, &|_| {
+            super::global().run_indexed(4, 4, &NoRecorder, &|_| {
                 assert_eq!(
                     std::thread::current().id(),
                     caller,
@@ -1453,7 +1417,7 @@ mod tests {
                 let total = Arc::clone(&total);
                 std::thread::spawn(move || {
                     for _ in 0..25 {
-                        pool.run_indexed(6, 6, &|_| {
+                        pool.run_indexed(6, 6, &NoRecorder, &|_| {
                             total.fetch_add(1, AtomicOrdering::Relaxed);
                         });
                     }
@@ -1475,7 +1439,7 @@ mod tests {
         let shares = 1000usize;
         assert_eq!(indexed_chunk(shares, 4), 63);
         let seen: Vec<AtomicUsize> = (0..shares).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_indexed(shares, shares, &|i| {
+        pool.run_indexed(shares, shares, &NoRecorder, &|i| {
             seen[i].fetch_add(1, AtomicOrdering::Relaxed);
         });
         for (i, s) in seen.iter().enumerate() {
@@ -1495,7 +1459,7 @@ mod tests {
         assert_eq!(s0, StealStats::default());
         let count = AtomicUsize::new(0);
         for _ in 0..20 {
-            pool.run_indexed(8, 8, &|_| {
+            pool.run_indexed(8, 8, &NoRecorder, &|_| {
                 count.fetch_add(1, AtomicOrdering::Relaxed);
             });
         }
@@ -1512,7 +1476,7 @@ mod tests {
         assert_eq!(p1, p2, "global() must return one process-wide pool");
         assert!(super::global().threads() >= 1);
         let count = AtomicUsize::new(0);
-        super::global().run_indexed(5, 5, &|_| {
+        super::global().run_indexed(5, 5, &NoRecorder, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 5);
@@ -1576,7 +1540,7 @@ mod tests {
         {
             let _guard = install_observer(obs.clone());
             let caller = std::thread::current().id();
-            global().run_indexed(3, 3, &|i| {
+            global().run_indexed(3, 3, &NoRecorder, &|i| {
                 assert_eq!(std::thread::current().id(), caller, "must run inline");
                 order.lock().expect("test mutex").push(i);
             });
@@ -1588,7 +1552,7 @@ mod tests {
         );
         // Guard dropped: the pool is back to real execution.
         let count = AtomicUsize::new(0);
-        global().run_indexed(3, 3, &|_| {
+        global().run_indexed(3, 3, &NoRecorder, &|_| {
             count.fetch_add(1, AtomicOrdering::Relaxed);
         });
         assert_eq!(count.load(AtomicOrdering::Relaxed), 3);
@@ -1603,7 +1567,7 @@ mod tests {
         {
             let _guard = install_observer(obs.clone());
             let base = SendPtr::new(out.as_mut_ptr());
-            global().run_indexed(2, 2, &|i| {
+            global().run_indexed(2, 2, &NoRecorder, &|i| {
                 // SAFETY: shares touch disjoint halves of `out`, which
                 // outlives the (inline, virtual) round.
                 let half = unsafe { base.slice_mut(i * 4, 4) };
@@ -1624,7 +1588,7 @@ mod tests {
         });
         let guard = install_observer(obs.clone());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            global().run_indexed(2, 2, &|i| {
+            global().run_indexed(2, 2, &NoRecorder, &|i| {
                 if i == 0 {
                     panic!("faulting share");
                 }
@@ -1649,7 +1613,7 @@ mod tests {
             chunked_copy(&pool, 4, &src, &mut out);
             assert_eq!(out, src);
             let touched = AtomicUsize::new(0);
-            pool.run_indexed(4, 4, &|_| {
+            pool.run_indexed(4, 4, &NoRecorder, &|_| {
                 touched.fetch_add(1, AtomicOrdering::Relaxed);
             });
             assert_eq!(touched.load(AtomicOrdering::Relaxed), 4);

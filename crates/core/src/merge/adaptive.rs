@@ -36,7 +36,7 @@ use core::cell::Cell;
 use core::cmp::Ordering;
 use core::marker::PhantomData;
 
-use mergepath_telemetry::{counted_cmp, CounterKind, Recorder};
+use mergepath_telemetry::{counted_cmp, span, CounterKind, Recorder, SpanKind};
 
 use super::sequential::{
     branch_lean_merge_into_by, galloping_merge_into_by, merge_into_by, natural_cmp,
@@ -268,64 +268,48 @@ fn type_id_of_val<T: ?Sized>(_val: &T) -> TypeId {
 }
 
 /// Stable merge of one segment through the kernel [`probe_segment`]
-/// chooses; returns the choice so instrumented callers can attribute it
-/// ([`record_choice`]).
+/// chooses, reported on logical worker `worker` of `rec`: a
+/// `segment_merge` span, the merge's comparisons, and one count on the
+/// chosen kernel's "segments won" counter. Returns the choice.
 ///
-/// Output is byte-identical to [`merge_into_by`] for every choice.
+/// The probe sees `cmp` itself and only the merge compares through
+/// [`counted_cmp`]: probing the counting wrapper would lose the
+/// comparator's type identity, so a traced natural-order merge would send
+/// its duplicate-heavy segments to co-rank where the untraced one gallops.
+/// Under [`NoRecorder`](mergepath_telemetry::NoRecorder) the span and the
+/// counts compile away. Output is byte-identical to [`merge_into_by`] for
+/// every choice.
 ///
 /// # Panics
 /// Panics if `out.len() != a.len() + b.len()`.
-pub fn adaptive_merge_into_by<T: Clone, F>(
+pub fn adaptive_merge_into_by<T: Clone, F, R>(
     a: &[T],
     b: &[T],
     out: &mut [T],
     cmp: &F,
+    rec: &R,
+    worker: usize,
 ) -> SegmentKernel
 where
     F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
 {
-    let kernel = probe_segment(a, b, cmp);
-    kernel.merge_into_by(a, b, out, cmp);
+    let hits = Cell::new(0u64);
+    let kernel = {
+        let _merge = span(rec, worker, SpanKind::SegmentMerge);
+        let kernel = probe_segment(a, b, cmp);
+        kernel.merge_into_by(a, b, out, &counted_cmp(rec, cmp, &hits));
+        kernel
+    };
+    rec.counter_add(worker, kernel.counter(), 1);
+    rec.counter_add(worker, CounterKind::Comparisons, hits.get());
     kernel
-}
-
-/// [`adaptive_merge_into_by`] for *traced* call sites: chooses the kernel
-/// on the raw comparator, then merges with every comparison counted into
-/// `hits` via [`counted_cmp`].
-///
-/// Wrapping `cmp` before dispatch would destroy the comparator's type
-/// identity, so a traced natural-order merge would send its
-/// duplicate-heavy segments to co-rank where the untraced one gallops.
-///
-/// # Panics
-/// Panics if `out.len() != a.len() + b.len()`.
-pub fn adaptive_merge_into_counted<T: Clone, F>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    cmp: &F,
-    hits: &Cell<u64>,
-) -> SegmentKernel
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    let kernel = probe_segment(a, b, cmp);
-    kernel.merge_into_by(a, b, out, &counted_cmp(cmp, hits));
-    kernel
-}
-
-/// Bumps `kernel`'s "segments won" counter for `worker` on `rec`; a no-op
-/// (compiled away) under [`NoRecorder`](mergepath_telemetry::NoRecorder).
-#[inline(always)]
-pub fn record_choice<R: Recorder>(rec: &R, worker: usize, kernel: SegmentKernel) {
-    if R::ACTIVE {
-        rec.counter_add(worker, kernel.counter(), 1);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mergepath_telemetry::NoRecorder;
 
     fn cmp(x: &i64, y: &i64) -> Ordering {
         x.cmp(y)
@@ -433,7 +417,7 @@ mod tests {
                 assert_eq!(out, oracle, "{kernel:?}");
             }
             let mut out = vec![0i64; oracle.len()];
-            let chosen = adaptive_merge_into_by(a, b, &mut out, &cmp);
+            let chosen = adaptive_merge_into_by(a, b, &mut out, &cmp, &NoRecorder, 0);
             assert_eq!(out, oracle, "probe chose {chosen:?}");
             assert_eq!(
                 chosen,
@@ -484,9 +468,10 @@ mod tests {
             &natural_cmp::<(u32, u32)>
         ));
         assert!(!natural_order_eligible::<u8, _>(&natural_cmp::<u8>));
-        // Telemetry's counting wrapper hides the identity on purpose.
+        // Telemetry's counting wrapper hides the identity, which is why
+        // the probe is handed the raw comparator.
         let hits = Cell::new(0u64);
-        let counted = counted_cmp::<u32, _>(&natural_cmp, &hits);
+        let counted = counted_cmp::<_, u32, _>(&NoRecorder, &natural_cmp, &hits);
         assert!(!natural_order_eligible::<u32, _>(&counted));
     }
 

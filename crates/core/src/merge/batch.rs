@@ -13,22 +13,22 @@
 //!
 //! The tiles are Algorithm 1's ([`tile_count`] of `ΣNᵢ` and `threads`):
 //! exactly `threads` below `2 · TILE_MIN` outputs, up to
-//! `TILES_PER_THREAD · threads` above, and one sequential pass when
-//! `ΣNᵢ ≤ threads`. At most `threads` participants claim them; with one
-//! thread the executor runs them in a loop on the caller.
+//! `TILES_PER_THREAD · threads` above, and one when `ΣNᵢ ≤ threads`. At
+//! most `threads` participants claim them; with one thread, or one tile,
+//! the executor runs them in a loop on the caller. Each fragment is
+//! searched and merged by the same two steps as an Algorithm 1 tile
+//! ([`crate::merge::parallel`]).
 //!
 //! [`crate::sort::parallel`] uses this as its round primitive.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{NoRecorder, Recorder};
 
-use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::adaptive::adaptive_merge_into_by;
 use crate::merge::sequential::natural_cmp;
-use crate::partition::{segment_boundary, tile_count};
+use crate::partition::{segment_boundary, tile_co_ranks, tile_count};
 
 /// Stable merges of each `(a, b)` pair into consecutive regions of `out`
 /// (pair `i`'s output occupies the range right after pair `i − 1`'s),
@@ -54,16 +54,7 @@ pub fn batch_merge_into<T>(pairs: &[(&[T], &[T])], out: &mut [T], threads: usize
 where
     T: Ord + Clone + Send + Sync,
 {
-    batch_merge_into_by(pairs, out, threads, &natural_cmp);
-}
-
-/// [`batch_merge_into`] with a caller-supplied comparator.
-pub fn batch_merge_into_by<T, F>(pairs: &[(&[T], &[T])], out: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    batch_merge_into_recorded(pairs, out, threads, cmp, &NoRecorder);
+    batch_merge_into_by(pairs, out, threads, &natural_cmp, &NoRecorder);
 }
 
 /// The equispaced global cut for tile `k` of `p` over a batch whose
@@ -115,9 +106,10 @@ pub(crate) fn worker_pair_fragments(
     frags
 }
 
-/// [`batch_merge_into_by`] reporting spans, counters and per-worker element
-/// counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn batch_merge_into_recorded<T, F, R>(
+/// [`batch_merge_into`] with a caller-supplied comparator, reporting
+/// spans, counters and per-tile element counts into `rec` (pass
+/// [`NoRecorder`] for an untraced merge).
+pub fn batch_merge_into_by<T, F, R>(
     pairs: &[(&[T], &[T])],
     out: &mut [T],
     threads: usize,
@@ -146,28 +138,6 @@ pub fn batch_merge_into_recorded<T, F, R>(
         return;
     }
     let tiles = tile_count(total, threads);
-    if tiles == 1 {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                for ((a, b), w) in pairs.iter().zip(offsets.windows(2)) {
-                    let kernel =
-                        adaptive_merge_into_counted(a, b, &mut out[w[0]..w[1]], cmp, &hits);
-                    adaptive::record_choice(rec, 0, kernel);
-                }
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, total as u64);
-        } else {
-            for ((a, b), w) in pairs.iter().zip(offsets.windows(2)) {
-                adaptive_merge_into_by(a, b, &mut out[w[0]..w[1]], cmp);
-            }
-        }
-        return;
-    }
-
     let base = SendPtr::new(out.as_mut_ptr());
     let offsets = &offsets;
     let tile = |k: usize| {
@@ -175,62 +145,28 @@ pub fn batch_merge_into_recorded<T, F, R>(
         let (g_lo, g_hi, mut pi) = worker_cut(offsets, total, tiles, k);
         // SAFETY: `g_lo..g_hi` ranges are disjoint across tiles and cover
         // `out` exactly (`g_hi <= total == out.len()`); every tile has run
-        // before `run_indexed_recorded` returns to this frame.
+        // before `run_indexed` returns to this frame.
         let chunk = unsafe { base.slice_mut(g_lo, g_hi - g_lo) };
         let mut chunk_pos = 0usize;
         while pi < pairs.len() && offsets[pi] < g_hi {
             let (a, b) = pairs[pi];
-            // This worker's sub-range of pair pi's output.
+            // This tile's sub-range of pair pi's output.
             let lo = g_lo.max(offsets[pi]) - offsets[pi];
             let hi = g_hi.min(offsets[pi + 1]) - offsets[pi];
-            let (i_lo, i_hi) = if R::ACTIVE {
-                let _partition = span(rec, k, SpanKind::Partition);
-                let (i_lo, c_lo) = {
-                    let _search = span(rec, k, SpanKind::DiagonalSearch);
-                    co_rank_counted(lo, a, b, cmp)
-                };
-                let (i_hi, c_hi) = {
-                    let _search = span(rec, k, SpanKind::DiagonalSearch);
-                    co_rank_counted(hi, a, b, cmp)
-                };
-                let probes = (c_lo + c_hi) as u64;
-                rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-                rec.counter_add(k, CounterKind::Comparisons, probes);
-                (i_lo, i_hi)
-            } else {
-                (co_rank_by(lo, a, b, cmp), co_rank_by(hi, a, b, cmp))
-            };
+            let (i_lo, i_hi) = tile_co_ranks(lo, hi, a, b, cmp, rec, k);
             let len = hi - lo;
             let (sa, sb) = (&a[i_lo..i_hi], &b[lo - i_lo..hi - i_hi]);
             executor::note_read_range(sa);
             executor::note_read_range(sb);
-            if R::ACTIVE {
-                let hits = Cell::new(0u64);
-                let kernel = {
-                    let _merge = span(rec, k, SpanKind::SegmentMerge);
-                    adaptive_merge_into_counted(
-                        sa,
-                        sb,
-                        &mut chunk[chunk_pos..chunk_pos + len],
-                        cmp,
-                        &hits,
-                    )
-                };
-                adaptive::record_choice(rec, k, kernel);
-                rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            } else {
-                adaptive_merge_into_by(sa, sb, &mut chunk[chunk_pos..chunk_pos + len], cmp);
-            }
+            adaptive_merge_into_by(sa, sb, &mut chunk[chunk_pos..chunk_pos + len], cmp, rec, k);
             chunk_pos += len;
             pi += 1;
         }
-        if R::ACTIVE {
-            rec.worker_items(k, (g_hi - g_lo) as u64);
-        }
+        rec.worker_items(k, (g_hi - g_lo) as u64);
         debug_assert_eq!(chunk_pos, chunk.len());
     };
     // At most `threads` participants claim the tiles as they free up.
-    executor::global().run_indexed_recorded(tiles, threads, rec, &tile);
+    executor::global().run_indexed(tiles, threads, rec, &tile);
 }
 
 #[cfg(test)]
@@ -312,7 +248,7 @@ mod tests {
         let b2 = [(2, 'x'), (2, 'y')];
         let pairs: Vec<(&[(i32, char)], &[(i32, char)])> = vec![(&a1, &b1), (&a2, &b2)];
         let mut out = [(0, '_'); 6];
-        batch_merge_into_by(&pairs, &mut out, 3, &|x, y| x.0.cmp(&y.0));
+        batch_merge_into_by(&pairs, &mut out, 3, &|x, y| x.0.cmp(&y.0), &NoRecorder);
         assert_eq!(
             out,
             [(1, 'a'), (1, 'b'), (1, 'x'), (2, 'a'), (2, 'x'), (2, 'y')]

@@ -101,68 +101,22 @@ pub fn parallel_inplace_merge<T>(v: &mut [T], mid: usize, threads: usize)
 where
     T: Ord + Send,
 {
-    parallel_inplace_merge_by(v, mid, threads, &|x: &T, y: &T| x.cmp(y));
+    parallel_inplace_merge_by(v, mid, threads, &|x: &T, y: &T| x.cmp(y), &NoRecorder);
 }
 
-/// [`parallel_inplace_merge`] with a caller-supplied comparator.
-pub fn parallel_inplace_merge_by<T, F>(v: &mut [T], mid: usize, threads: usize, cmp: &F)
+/// [`parallel_inplace_merge`] with a caller-supplied comparator, reporting
+/// spans, counters and per-leaf element counts into `rec` (pass
+/// [`NoRecorder`] for an untraced merge).
+pub fn parallel_inplace_merge_by<T, F, R>(v: &mut [T], mid: usize, threads: usize, cmp: &F, rec: &R)
 where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    parallel_inplace_merge_recorded(v, mid, threads, cmp, &NoRecorder);
-}
-
-/// [`parallel_inplace_merge_by`] reporting spans, counters and per-worker
-/// element counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn parallel_inplace_merge_recorded<T, F, R>(
-    v: &mut [T],
-    mid: usize,
-    threads: usize,
-    cmp: &F,
-    rec: &R,
-) where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
     assert!(mid <= v.len(), "mid {mid} out of bounds {}", v.len());
     assert!(threads > 0, "thread count must be at least 1");
-    go_parallel(v, mid, threads, cmp, rec);
-}
-
-/// A pending sub-merge: `v[start .. start + len]` holds two sorted runs
-/// split at relative index `mid`.
-#[derive(Clone, Copy)]
-struct Sub {
-    start: usize,
-    len: usize,
-    mid: usize,
-}
-
-fn go_parallel<T, F, R>(v: &mut [T], mid: usize, threads: usize, cmp: &F, rec: &R)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
-{
     let n = v.len();
     if mid == 0 || mid == n {
-        return;
-    }
-    if threads <= 1 || n <= INPLACE_CUTOFF {
-        executor::note_write_range(v);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                inplace_merge_by(v, mid, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, n as u64);
-        } else {
-            inplace_merge_by(v, mid, cmp);
-        }
         return;
     }
     // Breadth-first splitting, one fork-join round per level: every level
@@ -170,8 +124,14 @@ where
     // after ceil(log2(threads)) levels there are >= threads independent
     // sub-merges, which a final round merges sequentially. All splits of
     // one level run in parallel on disjoint sub-slices, preserving the
-    // recursive variant's doubling parallelism.
-    let levels = (usize::BITS - (threads - 1).leading_zeros()) as usize;
+    // recursive variant's doubling parallelism. One thread, or a merge
+    // within the sequential cutoff, takes no level: the final round is one
+    // share, run on the caller.
+    let levels = if n <= INPLACE_CUTOFF {
+        0
+    } else {
+        (usize::BITS - (threads - 1).leading_zeros()) as usize
+    };
     let mut frontier = vec![Sub {
         start: 0,
         len: n,
@@ -189,7 +149,7 @@ where
         ];
         let child_base = SendPtr::new(children.as_mut_ptr());
         let frontier_ref = &frontier;
-        executor::global().run_indexed_recorded(frontier_ref.len(), threads, rec, &|idx| {
+        executor::global().run_indexed(frontier_ref.len(), threads, rec, &|idx| {
             let sub = frontier_ref[idx];
             let done = Sub {
                 start: sub.start + sub.len,
@@ -204,19 +164,14 @@ where
                 // `v` (each level partitions its parent's range), so share
                 // `idx` holds the only live reference to this sub-slice.
                 let s = unsafe { base.slice_mut(sub.start, sub.len) };
-                let (i, _j, new_mid) = if R::ACTIVE {
-                    let probes = Cell::new(0u64);
-                    let split = {
-                        let _partition = span(rec, idx, SpanKind::Partition);
-                        let _search = span(rec, idx, SpanKind::DiagonalSearch);
-                        split_and_rotate(s, sub.mid, &counted_cmp(cmp, &probes))
-                    };
-                    rec.counter_add(idx, CounterKind::DiagonalProbeSteps, probes.get());
-                    rec.counter_add(idx, CounterKind::Comparisons, probes.get());
-                    split
-                } else {
-                    split_and_rotate(s, sub.mid, cmp)
+                let probes = Cell::new(0u64);
+                let (i, _j, new_mid) = {
+                    let _partition = span(rec, idx, SpanKind::Partition);
+                    let _search = span(rec, idx, SpanKind::DiagonalSearch);
+                    split_and_rotate(s, sub.mid, &counted_cmp(rec, cmp, &probes))
                 };
+                rec.counter_add(idx, CounterKind::DiagonalProbeSteps, probes.get());
+                rec.counter_add(idx, CounterKind::Comparisons, probes.get());
                 (
                     Sub {
                         start: sub.start,
@@ -240,27 +195,30 @@ where
         frontier = children;
     }
     let frontier_ref = &frontier;
-    executor::global().run_indexed_recorded(frontier_ref.len(), threads, rec, &|idx| {
+    executor::global().run_indexed(frontier_ref.len(), threads, rec, &|idx| {
         let sub = frontier_ref[idx];
-        if R::ACTIVE {
-            rec.worker_items(idx, sub.len as u64);
-        }
+        rec.worker_items(idx, sub.len as u64);
         if sub.len == 0 || sub.mid == 0 || sub.mid == sub.len {
             return;
         }
         // SAFETY: leaf sub-ranges are pairwise disjoint within `v`.
         let s = unsafe { base.slice_mut(sub.start, sub.len) };
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, idx, SpanKind::SegmentMerge);
-                inplace_merge_by(s, sub.mid, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(idx, CounterKind::Comparisons, hits.get());
-        } else {
-            inplace_merge_by(s, sub.mid, cmp);
+        let hits = Cell::new(0u64);
+        {
+            let _merge = span(rec, idx, SpanKind::SegmentMerge);
+            inplace_merge_by(s, sub.mid, &counted_cmp(rec, cmp, &hits));
         }
+        rec.counter_add(idx, CounterKind::Comparisons, hits.get());
     });
+}
+
+/// A pending sub-merge: `v[start .. start + len]` holds two sorted runs
+/// split at relative index `mid`.
+#[derive(Clone, Copy)]
+struct Sub {
+    start: usize,
+    len: usize,
+    mid: usize,
 }
 
 /// In-place merge of two tiny runs by binary-insertion of the right run

@@ -307,21 +307,13 @@ pub fn parallel_kway_merge<T>(lists: &[&[T]], out: &mut [T], threads: usize)
 where
     T: Ord + Clone + Send + Sync,
 {
-    parallel_kway_merge_by(lists, out, threads, &|x: &T, y: &T| x.cmp(y));
+    parallel_kway_merge_by(lists, out, threads, &|x: &T, y: &T| x.cmp(y), &NoRecorder);
 }
 
-/// [`parallel_kway_merge`] with a caller-supplied comparator.
-pub fn parallel_kway_merge_by<T, F>(lists: &[&[T]], out: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    parallel_kway_merge_recorded(lists, out, threads, cmp, &NoRecorder);
-}
-
-/// [`parallel_kway_merge_by`] reporting spans, counters and per-worker
-/// element counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn parallel_kway_merge_recorded<T, F, R>(
+/// [`parallel_kway_merge`] with a caller-supplied comparator, reporting
+/// spans, counters and per-worker element counts into `rec` (pass
+/// [`NoRecorder`] for an untraced merge).
+pub fn parallel_kway_merge_by<T, F, R>(
     lists: &[&[T]],
     out: &mut [T],
     threads: usize,
@@ -339,48 +331,29 @@ pub fn parallel_kway_merge_recorded<T, F, R>(
         out.len()
     );
     assert!(threads > 0, "thread count must be at least 1");
-    if threads == 1 || total <= threads {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                kway_merge_by(lists, out, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, total as u64);
-        } else {
-            kway_merge_by(lists, out, cmp);
-        }
-        return;
-    }
+    // One share, run on the caller, when there are no more outputs than
+    // threads.
+    let shares = if total <= threads { 1 } else { threads };
     // Cut ranks, computed independently (parallelizable, like Algorithm 1's
     // step 2; done here on the calling thread since p is tiny).
-    let splits: Vec<Vec<usize>> = if R::ACTIVE {
-        let probes = Cell::new(0u64);
-        let splits = {
-            let _partition = span(rec, 0, SpanKind::Partition);
-            let counting = counted_cmp(cmp, &probes);
-            (0..=threads)
-                .map(|t| {
-                    let _search = span(rec, 0, SpanKind::DiagonalSearch);
-                    kway_rank_split_by(lists, segment_boundary(total, threads, t), &counting)
-                })
-                .collect()
-        };
-        rec.counter_add(0, CounterKind::DiagonalProbeSteps, probes.get());
-        rec.counter_add(0, CounterKind::Comparisons, probes.get());
-        splits
-    } else {
-        (0..=threads)
-            .map(|t| kway_rank_split_by(lists, segment_boundary(total, threads, t), cmp))
+    let probes = Cell::new(0u64);
+    let splits: Vec<Vec<usize>> = {
+        let _partition = span(rec, 0, SpanKind::Partition);
+        let counting = counted_cmp(rec, cmp, &probes);
+        (0..=shares)
+            .map(|t| {
+                let _search = span(rec, 0, SpanKind::DiagonalSearch);
+                kway_rank_split_by(lists, segment_boundary(total, shares, t), &counting)
+            })
             .collect()
     };
+    rec.counter_add(0, CounterKind::DiagonalProbeSteps, probes.get());
+    rec.counter_add(0, CounterKind::Comparisons, probes.get());
     let base = SendPtr::new(out.as_mut_ptr());
     let splits = &splits;
-    executor::global().run_indexed_recorded(threads, threads, rec, &|t| {
-        let d_lo = segment_boundary(total, threads, t);
-        let d_hi = segment_boundary(total, threads, t + 1);
+    executor::global().run_indexed(shares, threads, rec, &|t| {
+        let d_lo = segment_boundary(total, shares, t);
+        let d_hi = segment_boundary(total, shares, t + 1);
         let lo = &splits[t];
         let hi = &splits[t + 1];
         // SAFETY: `d_lo..d_hi` ranges are disjoint across shares and tile
@@ -395,17 +368,13 @@ pub fn parallel_kway_merge_recorded<T, F, R>(
         for s in &sub {
             executor::note_read_range(s);
         }
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, t, SpanKind::SegmentMerge);
-                kway_merge_by(&sub, chunk, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(t, CounterKind::Comparisons, hits.get());
-            rec.worker_items(t, (d_hi - d_lo) as u64);
-        } else {
-            kway_merge_by(&sub, chunk, cmp);
+        let hits = Cell::new(0u64);
+        {
+            let _merge = span(rec, t, SpanKind::SegmentMerge);
+            kway_merge_by(&sub, chunk, &counted_cmp(rec, cmp, &hits));
         }
+        rec.counter_add(t, CounterKind::Comparisons, hits.get());
+        rec.worker_items(t, (d_hi - d_lo) as u64);
     });
 }
 
@@ -538,7 +507,7 @@ mod tests {
         let mut seq = vec![(0, 0); 120];
         kway_merge_by(&lists, &mut seq, &cmp);
         let mut par = vec![(0, 0); 120];
-        parallel_kway_merge_by(&lists, &mut par, 4, &cmp);
+        parallel_kway_merge_by(&lists, &mut par, 4, &cmp, &NoRecorder);
         assert_eq!(seq, par);
     }
 

@@ -33,22 +33,22 @@
 //! Execution: the tiles are the shares of one round on the process-wide
 //! persistent pool ([`crate::executor::global`], mirroring the OpenMP
 //! runtime of §VI), which at most `threads` participants run, each
-//! claiming the next tile off the round counter; with `threads == 1` the
-//! executor runs them in a loop on the caller, with no pool round. Output
-//! is bitwise identical regardless of the pool's physical size. This is
-//! the one copy of the tile loop.
+//! claiming the next tile off the round counter; with `threads == 1`, or
+//! one tile, the executor runs them in a loop on the caller without
+//! recruiting the pool. Output is bitwise identical regardless of the
+//! pool's physical size. This is the one copy of the tile loop: the
+//! windowed segmented merge runs it on each window (Algorithm 2, step 2),
+//! and the batch merge shares its search and merge steps.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{NoRecorder, Recorder};
 
-use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::adaptive::adaptive_merge_into_by;
 use crate::merge::sequential::natural_cmp;
-use crate::partition::{segment_boundary, tile_count};
+use crate::partition::{segment_boundary, tile_co_ranks, tile_count};
 
 /// Stable parallel merge of `a` and `b` into `out` with `threads` workers,
 /// using the natural order of `T`.
@@ -72,27 +72,15 @@ pub fn parallel_merge_into<T>(a: &[T], b: &[T], out: &mut [T], threads: usize)
 where
     T: Ord + Clone + Send + Sync,
 {
-    parallel_merge_into_by(a, b, out, threads, &natural_cmp);
+    parallel_merge_into_by(a, b, out, threads, &natural_cmp, &NoRecorder);
 }
 
-/// [`parallel_merge_into`] with a caller-supplied comparator.
+/// [`parallel_merge_into`] with a caller-supplied comparator, reporting
+/// spans, counters and per-tile element counts into `rec` (pass
+/// [`NoRecorder`] for an untraced merge; the reports then compile away).
 ///
 /// Ties take from `a` first (stable).
-pub fn parallel_merge_into_by<T, F>(a: &[T], b: &[T], out: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    parallel_merge_into_recorded(a, b, out, threads, cmp, &NoRecorder);
-}
-
-/// [`parallel_merge_into_by`] reporting spans, counters and per-worker
-/// element counts into `rec`.
-///
-/// With [`NoRecorder`] every instrumented site is guarded by the
-/// compile-time `R::ACTIVE` flag, so the instantiation is exactly the
-/// untraced kernel (the public entry point above delegates here).
-pub fn parallel_merge_into_recorded<T, F, R>(
+pub fn parallel_merge_into_by<T, F, R>(
     a: &[T],
     b: &[T],
     out: &mut [T],
@@ -112,25 +100,7 @@ pub fn parallel_merge_into_recorded<T, F, R>(
     );
     assert!(threads > 0, "thread count must be at least 1");
 
-    // One tile: a sequential merge, no fork overhead.
     let tiles = tile_count(n, threads);
-    if tiles == 1 {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _span = span(rec, 0, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(a, b, out, cmp, &hits)
-            };
-            adaptive::record_choice(rec, 0, kernel);
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, n as u64);
-        } else {
-            adaptive_merge_into_by(a, b, out, cmp);
-        }
-        return;
-    }
-
     let base = SendPtr::new(out.as_mut_ptr());
     let tile = |k: usize| {
         let d_lo = segment_boundary(n, tiles, k);
@@ -152,51 +122,24 @@ pub fn parallel_merge_into_recorded<T, F, R>(
         };
         // Step 2 of Algorithm 1: each tile finds its own intersections,
         // independently of every other tile.
-        let (i_lo, i_hi) = if R::ACTIVE {
-            let _partition = span(rec, k, SpanKind::Partition);
-            let (i_lo, c_lo) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_lo, a, b, cmp)
-            };
-            let (i_hi, c_hi) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_hi, a, b, cmp)
-            };
-            let probes = (c_lo + c_hi) as u64;
-            rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-            rec.counter_add(k, CounterKind::Comparisons, probes);
-            (i_lo, i_hi)
-        } else {
-            (co_rank_by(d_lo, a, b, cmp), co_rank_by(d_hi, a, b, cmp))
-        };
-        let (j_lo, j_hi) = (d_lo - i_lo, d_hi - i_hi);
-        let (sa, sb) = (&a[i_lo..i_hi], &b[j_lo..j_hi]);
+        let (i_lo, i_hi) = tile_co_ranks(d_lo, d_hi, a, b, cmp, rec, k);
+        let (sa, sb) = (&a[i_lo..i_hi], &b[d_lo - i_lo..d_hi - i_hi]);
         executor::note_read_range(sa);
         executor::note_read_range(sb);
         // SAFETY: tile boundaries are monotone, so `d_lo..d_hi` ranges are
         // pairwise disjoint across tiles and lie within `out`
         // (`d_hi <= n == out.len()`); every tile has run before
-        // `run_indexed_recorded` returns to this frame, which still holds
-        // the unique borrow of `out`.
+        // `run_indexed` returns to this frame, which still holds the unique
+        // borrow of `out`.
         let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
         // Step 3: a sequential merge of the private tile, routed to the
         // kernel the run-structure probe picks for this tile.
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, k, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(sa, sb, chunk, cmp, &hits)
-            };
-            adaptive::record_choice(rec, k, kernel);
-            rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            rec.worker_items(k, (d_hi - d_lo) as u64);
-        } else {
-            adaptive_merge_into_by(sa, sb, chunk, cmp);
-        }
+        adaptive_merge_into_by(sa, sb, chunk, cmp, rec, k);
+        rec.worker_items(k, (d_hi - d_lo) as u64);
     };
     // The tiles are the round's shares; at most `threads` participants
-    // claim them as they free up.
-    executor::global().run_indexed_recorded(tiles, threads, rec, &tile);
+    // claim them as they free up, and a one-tile round runs on the caller.
+    executor::global().run_indexed(tiles, threads, rec, &tile);
 }
 
 /// Convenience wrapper that allocates and returns the merged vector.
@@ -230,7 +173,7 @@ where
     if threads == 0 {
         return Err(MergeError::ZeroThreads);
     }
-    parallel_merge_into_by(a, b, out, threads, cmp);
+    parallel_merge_into_by(a, b, out, threads, cmp, &NoRecorder);
     Ok(())
 }
 
@@ -238,7 +181,7 @@ where
 mod tests {
     use super::*;
     use crate::merge::sequential::merge_into_by;
-    use mergepath_telemetry::{Telemetry, TimelineRecorder};
+    use mergepath_telemetry::{CounterKind, Telemetry, TimelineRecorder};
     use proptest::prelude::*;
 
     fn sorted(mut v: Vec<i64>) -> Vec<i64> {
@@ -255,7 +198,7 @@ mod tests {
     /// Merges under a [`TimelineRecorder`] and returns what it recorded.
     fn traced(a: &[i64], b: &[i64], out: &mut [i64], threads: usize) -> Telemetry {
         let rec = TimelineRecorder::new();
-        parallel_merge_into_recorded(a, b, out, threads, &|x: &i64, y: &i64| x.cmp(y), &rec);
+        parallel_merge_into_by(a, b, out, threads, &|x: &i64, y: &i64| x.cmp(y), &rec);
         rec.finish()
     }
 
@@ -317,7 +260,7 @@ mod tests {
         let a: Vec<(i32, u32)> = (0..64).map(|i| (i / 8, i as u32)).collect();
         let b: Vec<(i32, u32)> = (0..64).map(|i| (i / 8, 1000 + i as u32)).collect();
         let mut out = vec![(0, 0); 128];
-        parallel_merge_into_by(&a, &b, &mut out, 5, &|x, y| x.0.cmp(&y.0));
+        parallel_merge_into_by(&a, &b, &mut out, 5, &|x, y| x.0.cmp(&y.0), &NoRecorder);
         let mut expect = vec![(0, 0); 128];
         merge_into_by(&a, &b, &mut expect, &|x, y| x.0.cmp(&y.0));
         assert_eq!(out, expect);

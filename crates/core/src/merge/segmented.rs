@@ -12,7 +12,10 @@
 //!    iteration consumed, overwriting consumed slots (cyclic buffer).
 //! 2. In parallel, each of the `p` workers binary-searches its segment
 //!    starting point on a cross diagonal of the `L × L` window and merges
-//!    `L/p` steps sequentially.
+//!    `L/p` steps sequentially. This is Algorithm 1 on the window: the
+//!    windowed staging calls [`parallel_merge_into_by`] on it, which cuts
+//!    `p` segments below `2 · TILE_MIN` outputs and Algorithm 1's tiles
+//!    above.
 //! 3. Write the `L` merged elements out.
 //!
 //! Theorem 16 guarantees feasibility: `L` elements of each input always
@@ -38,13 +41,13 @@ use core::cmp::Ordering;
 
 use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
 
-use crate::diagonal::{co_rank_by, co_rank_counted};
+use crate::diagonal::co_rank_by;
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::parallel::parallel_merge_into_by;
 use crate::merge::sequential::{merge_views_into_by, natural_cmp};
-use crate::partition::{partition_points_by, segment_boundary};
-use crate::view::{RingBuffer, SortedView};
+use crate::partition::{search_diagonal, segment_boundary, tile_co_ranks};
+use crate::view::{RingBuffer, RingView, SortedView};
 
 /// Input staging strategy for the segmented merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,28 +151,15 @@ pub fn segmented_parallel_merge_into<T>(a: &[T], b: &[T], out: &mut [T], config:
 where
     T: Ord + Clone + Default + Send + Sync,
 {
-    segmented_parallel_merge_into_by(a, b, out, config, &natural_cmp);
+    segmented_parallel_merge_into_by(a, b, out, config, &natural_cmp, &NoRecorder);
 }
 
-/// [`segmented_parallel_merge_into`] with a caller-supplied comparator.
-pub fn segmented_parallel_merge_into_by<T, F>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    config: &SpmConfig,
-    cmp: &F,
-) where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    segmented_parallel_merge_into_recorded(a, b, out, config, cmp, &NoRecorder);
-}
-
-/// [`segmented_parallel_merge_into_by`] reporting telemetry into `rec`:
-/// one `spm_window` span per outer iteration (on worker 0, the
+/// [`segmented_parallel_merge_into`] with a caller-supplied comparator,
+/// reporting telemetry into `rec` (pass [`NoRecorder`] for an untraced
+/// merge): one `spm_window` span per outer iteration (on worker 0, the
 /// orchestrating thread), `staging_fills` counts for the cyclic ring
 /// refills, and per-share partition/merge spans inside each window.
-pub fn segmented_parallel_merge_into_recorded<T, F, R>(
+pub fn segmented_parallel_merge_into_by<T, F, R>(
     a: &[T],
     b: &[T],
     out: &mut [T],
@@ -215,7 +205,7 @@ where
     if config.threads == 0 {
         return Err(MergeError::ZeroThreads);
     }
-    segmented_parallel_merge_into_by(a, b, out, config, cmp);
+    segmented_parallel_merge_into_by(a, b, out, config, cmp, &NoRecorder);
     Ok(())
 }
 
@@ -238,23 +228,14 @@ where
         debug_assert!(step <= wa.len() + wb.len(), "Theorem 16 feasibility");
         // End point of this block's path segment (the consumed mix is data
         // dependent and only determinable by search — paper's remark).
-        let ta = if R::ACTIVE {
-            let _search = span(rec, 0, SpanKind::DiagonalSearch);
-            let (ta, probes) = co_rank_counted(step, wa, wb, cmp);
-            rec.counter_add(0, CounterKind::DiagonalProbeSteps, probes as u64);
-            rec.counter_add(0, CounterKind::Comparisons, probes as u64);
-            ta
-        } else {
-            co_rank_by(step, wa, wb, cmp)
-        };
+        let ta = search_diagonal(step, wa, wb, cmp, rec, 0);
         let tb = step - ta;
-        // Step 2: parallel merge within the segment (Algorithm 1 on the
-        // window's cross diagonals).
-        segment_merge_parallel(
+        // Step 2: Algorithm 1 on the window's path segment.
+        parallel_merge_into_by(
             &wa[..ta],
             &wb[..tb],
             &mut out[oi..oi + step],
-            config,
+            config.threads,
             cmp,
             rec,
         );
@@ -289,24 +270,14 @@ where
         let refill_b = (l - ring_b.len()).min(nb - fb);
         ring_b.refill(&b[fb..fb + refill_b]);
         fb += refill_b;
-        if R::ACTIVE {
-            let fills = (refill_a > 0) as u64 + (refill_b > 0) as u64;
-            rec.counter_add(0, CounterKind::StagingFills, fills);
-        }
+        let fills = (refill_a > 0) as u64 + (refill_b > 0) as u64;
+        rec.counter_add(0, CounterKind::StagingFills, fills);
 
         let va = ring_a.view();
         let vb = ring_b.view();
         let step = l.min(n - oi);
         debug_assert!(step <= va.len() + vb.len(), "Theorem 16 feasibility");
-        let ta = if R::ACTIVE {
-            let _search = span(rec, 0, SpanKind::DiagonalSearch);
-            let (ta, probes) = co_rank_counted(step, &va, &vb, cmp);
-            rec.counter_add(0, CounterKind::DiagonalProbeSteps, probes as u64);
-            rec.counter_add(0, CounterKind::Comparisons, probes as u64);
-            ta
-        } else {
-            co_rank_by(step, &va, &vb, cmp)
-        };
+        let ta = search_diagonal(step, &va, &vb, cmp, rec, 0);
         let tb = step - ta;
         // Step 2: parallel merge of the staged windows.
         segment_merge_views_parallel(
@@ -325,190 +296,52 @@ where
     }
 }
 
-/// Parallel merge of one segment's sub-arrays (plain slices).
-fn segment_merge_parallel<T, F, R>(
-    sa: &[T],
-    sb: &[T],
-    out: &mut [T],
-    config: &SpmConfig,
-    cmp: &F,
-    rec: &R,
-) where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
-{
-    let step = out.len();
-    let p = config.threads.min(step.max(1));
-    if p <= 1 {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(sa, sb, out, cmp, &hits)
-            };
-            adaptive::record_choice(rec, 0, kernel);
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, step as u64);
-        } else {
-            adaptive_merge_into_by(sa, sb, out, cmp);
-        }
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(p, p, rec, &|k| {
-        let d_lo = segment_boundary(step, p, k);
-        let d_hi = segment_boundary(step, p, k + 1);
-        let (i_lo, i_hi) = if R::ACTIVE {
-            let _partition = span(rec, k, SpanKind::Partition);
-            let (i_lo, c_lo) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_lo, sa, sb, cmp)
-            };
-            let (i_hi, c_hi) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_hi, sa, sb, cmp)
-            };
-            let probes = (c_lo + c_hi) as u64;
-            rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-            rec.counter_add(k, CounterKind::Comparisons, probes);
-            (i_lo, i_hi)
-        } else {
-            (co_rank_by(d_lo, sa, sb, cmp), co_rank_by(d_hi, sa, sb, cmp))
-        };
-        let (fa, fb) = (&sa[i_lo..i_hi], &sb[d_lo - i_lo..d_hi - i_hi]);
-        executor::note_read_range(fa);
-        executor::note_read_range(fb);
-        // SAFETY: `d_lo..d_hi` ranges are disjoint across shares and lie
-        // within `out` (`d_hi <= step == out.len()`); the pool's end
-        // barrier orders the writes before this frame resumes.
-        let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, k, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(fa, fb, chunk, cmp, &hits)
-            };
-            adaptive::record_choice(rec, k, kernel);
-            rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            rec.worker_items(k, (d_hi - d_lo) as u64);
-        } else {
-            adaptive_merge_into_by(fa, fb, chunk, cmp);
-        }
-    });
-}
-
 /// Parallel merge of one segment staged in ring-buffer views.
 ///
 /// This path stays on the classic view merge: the branch-lean and
 /// galloping kernels require contiguous slices (block copies, exponential
 /// probes), which the cyclic staging views cannot provide.
-fn segment_merge_views_parallel<T, A, B, F, R>(
-    sa: A,
-    sb: B,
+fn segment_merge_views_parallel<T, F, R>(
+    sa: RingView<'_, T>,
+    sb: RingView<'_, T>,
     out: &mut [T],
     config: &SpmConfig,
     cmp: &F,
     rec: &R,
 ) where
     T: Clone + Send + Sync,
-    A: SortedView<T> + Copy + Send + Sync,
-    B: SortedView<T> + Copy + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
     let step = out.len();
     let p = config.threads.min(step.max(1));
-    if p <= 1 {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                merge_views_into_by(&sa, &sb, out, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, step as u64);
-        } else {
-            merge_views_into_by(&sa, &sb, out, cmp);
-        }
-        return;
-    }
-    let points = {
-        let _partition = span(rec, 0, SpanKind::Partition);
-        partition_points_by(&sa, &sb, p, cmp)
-    };
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(p, p, rec, &|k| {
-        let (i_lo, j_lo) = points[k];
-        let (i_hi, j_hi) = points[k + 1];
-        // Worker k's output range starts at its path offset i_lo + j_lo.
-        let (d_lo, len) = (i_lo + j_lo, (i_hi - i_lo) + (j_hi - j_lo));
-        // SAFETY: partition points are monotone, so the `d_lo..d_lo+len`
+    executor::global().run_indexed(p, p, rec, &|k| {
+        // Each share finds its own intersections, as in Algorithm 1.
+        let (d_lo, d_hi) = (
+            segment_boundary(step, p, k),
+            segment_boundary(step, p, k + 1),
+        );
+        let (i_lo, i_hi) = tile_co_ranks(d_lo, d_hi, &sa, &sb, cmp, rec, k);
+        // SAFETY: the cuts `⌊k·step/p⌋` are monotone, so the `d_lo..d_hi`
         // ranges are disjoint across shares and tile `out` exactly; the
         // pool's end barrier orders the writes before this frame resumes.
         // (Ring-view reads have no contiguous address range to report, so
         // only the write side is recorded here.)
-        let chunk = unsafe { base.slice_mut(d_lo, len) };
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, k, SpanKind::SegmentMerge);
-                merge_views_into_by(
-                    &RingSlice::new(sa, i_lo, i_hi),
-                    &RingSlice::new(sb, j_lo, j_hi),
-                    chunk,
-                    &counted_cmp(cmp, &hits),
-                );
-            }
-            rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            rec.worker_items(k, len as u64);
-        } else {
+        let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
+        let hits = Cell::new(0u64);
+        {
+            let _merge = span(rec, k, SpanKind::SegmentMerge);
             merge_views_into_by(
-                &RingSlice::new(sa, i_lo, i_hi),
-                &RingSlice::new(sb, j_lo, j_hi),
+                &sa.slice(i_lo, i_hi),
+                &sb.slice(d_lo - i_lo, d_hi - i_hi),
                 chunk,
-                cmp,
+                &counted_cmp(rec, cmp, &hits),
             );
         }
+        rec.counter_add(k, CounterKind::Comparisons, hits.get());
+        rec.worker_items(k, (d_hi - d_lo) as u64);
     });
-}
-
-/// A sub-range adapter over any [`SortedView`] (works for ring views where a
-/// plain slice cannot be taken).
-#[derive(Clone, Copy)]
-struct RingSlice<V> {
-    inner: V,
-    start: usize,
-    len: usize,
-}
-
-impl<V> RingSlice<V> {
-    fn new<T>(inner: V, start: usize, end: usize) -> Self
-    where
-        V: SortedView<T>,
-    {
-        debug_assert!(start <= end && end <= inner.len());
-        RingSlice {
-            inner,
-            start,
-            len: end - start,
-        }
-    }
-}
-
-impl<T, V: SortedView<T>> SortedView<T> for RingSlice<V> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline(always)]
-    fn get(&self, i: usize) -> &T {
-        debug_assert!(i < self.len);
-        self.inner.get(self.start + i)
-    }
 }
 
 /// Computes the outer-iteration block structure of the segmented merge
@@ -631,9 +464,36 @@ mod tests {
         for staging in [Staging::Windowed, Staging::Cyclic] {
             let cfg = SpmConfig::new(60, 3).with_staging(staging);
             let mut out = vec![(0, 0); 400];
-            segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &cmp);
+            segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &cmp, &NoRecorder);
             assert_eq!(out, expect, "{staging:?}");
         }
+    }
+
+    #[test]
+    fn both_stagings_report_every_search_and_probe_step() {
+        use mergepath_telemetry::{CounterKind, SpanKind, TimelineRecorder};
+        let a: Vec<i64> = (0..3000).map(|x| x * 2).collect();
+        let b: Vec<i64> = (0..3000).map(|x| x * 2 + 1).collect();
+        let searches = |staging| {
+            let rec = TimelineRecorder::new();
+            let cfg = SpmConfig::new(300, 4).with_staging(staging);
+            let mut out = vec![0; 6000];
+            segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &|x, y| x.cmp(y), &rec);
+            let t = rec.finish();
+            let spans = t
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::DiagonalSearch);
+            let steps = t
+                .counters
+                .iter()
+                .filter(|c| c.kind == CounterKind::DiagonalProbeSteps);
+            (spans.count(), steps.map(|c| c.total).sum::<u64>())
+        };
+        // 60 windows, each one window search and four shares' two cuts.
+        let windowed = searches(Staging::Windowed);
+        assert_eq!(windowed.0, 60 * 9);
+        assert_eq!(searches(Staging::Cyclic), windowed);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`galloping_merge_into_by`] — exponential search over runs; wins when
 //!   the inputs interleave coarsely (long runs from one side).
 //!
-//! Each has a probed variant used by the cache simulator.
+//! The cache simulator replays the classic merge through
+//! [`merge_into_probed`], the view-merge loop of [`merge_views_into_by`]
+//! run with a probe.
 //!
 //! # Four streams per core
 //!
@@ -36,15 +38,12 @@
 //! eight streams were measured too (DESIGN.md §5): two run at about 1.5×
 //! four's time per element, and six or eight at about four's.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
-
-use mergepath_telemetry::{counted_cmp, span, CounterKind, Recorder, SpanKind};
 
 use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
 use crate::partition::segment_boundary;
-use crate::probe::Probe;
+use crate::probe::{NoProbe, Probe};
 use crate::view::SortedView;
 
 /// The canonical natural-order comparator: `|x, y| x.cmp(y)` as a named
@@ -106,29 +105,6 @@ where
     }
 }
 
-/// [`merge_into_by`] reporting a `segment_merge` span, the comparison count
-/// and the merged element count (attributed to worker 0) into `rec`.
-///
-/// With [`NoRecorder`](mergepath_telemetry::NoRecorder) this is exactly
-/// [`merge_into_by`] — the instrumentation monomorphizes away.
-pub fn merge_into_recorded<T: Clone, F, R>(a: &[T], b: &[T], out: &mut [T], cmp: &F, rec: &R)
-where
-    F: Fn(&T, &T) -> Ordering,
-    R: Recorder,
-{
-    if R::ACTIVE {
-        let hits = Cell::new(0u64);
-        {
-            let _merge = span(rec, 0, SpanKind::SegmentMerge);
-            merge_into_by(a, b, out, &counted_cmp(cmp, &hits));
-        }
-        rec.counter_add(0, CounterKind::Comparisons, hits.get());
-        rec.worker_items(0, out.len() as u64);
-    } else {
-        merge_into_by(a, b, out, cmp);
-    }
-}
-
 /// Fallible variant of [`merge_into_by`] that validates lengths and
 /// sortedness up front.
 pub fn try_merge_into_by<T: Clone, F>(
@@ -164,6 +140,7 @@ where
 
 /// [`merge_into_by`] generic over [`SortedView`] inputs; used by the
 /// segmented merge to consume cyclic staging buffers without compaction.
+/// It is [`merge_views_into_probed`]'s loop under [`NoProbe`].
 pub fn merge_views_into_by<T, A, B, F>(a: &A, b: &B, out: &mut [T], cmp: &F)
 where
     T: Clone,
@@ -171,21 +148,11 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
-    assert_out_len(a.len(), b.len(), out.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    for slot in out.iter_mut() {
-        let take_a = i < a.len() && (j >= b.len() || cmp(a.get(i), b.get(j)) != Ordering::Greater);
-        if take_a {
-            *slot = a.get(i).clone();
-            i += 1;
-        } else {
-            *slot = b.get(j).clone();
-            j += 1;
-        }
-    }
+    merge_views_into_probed(a, b, out, cmp, &mut NoProbe);
 }
 
-/// [`merge_views_into_by`] reporting every access to a [`Probe`].
+/// [`merge_views_into_by`] reporting every access to a [`Probe`]: the one
+/// view-merge loop, which the cache simulator replays.
 ///
 /// Probe indices are the *logical* view indices; callers translate them to
 /// physical addresses (e.g. ring-buffer slots) as needed.
@@ -474,6 +441,7 @@ mod tests {
     use super::*;
     use crate::probe::{CountingProbe, TraceProbe};
     use crate::view::RingView;
+    use core::cell::Cell;
     use proptest::prelude::*;
 
     fn oracle(a: &[i64], b: &[i64]) -> Vec<i64> {
@@ -774,8 +742,11 @@ mod tests {
             }
             let counter = Cell::new(0u64);
             let mut out = vec![0i64; a.len() + b.len()];
-            let cmp = |x: &i64, y: &i64| x.cmp(y);
-            galloping_merge_into_by(&a, &b, &mut out, &counted_cmp(&cmp, &counter));
+            let counted = |x: &i64, y: &i64| {
+                counter.set(counter.get() + 1);
+                x.cmp(y)
+            };
+            galloping_merge_into_by(&a, &b, &mut out, &counted);
             // Far fewer comparisons than elements.
             prop_assert!(counter.get() < (a.len() + b.len()) as u64 / 2);
             prop_assert_eq!(out, (0..next).collect::<Vec<_>>());

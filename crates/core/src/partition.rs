@@ -13,6 +13,8 @@
 
 use core::cmp::Ordering;
 
+use mergepath_telemetry::{span, CounterKind, Recorder, SpanKind};
+
 use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::view::SortedView;
 
@@ -82,17 +84,43 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
+    cut_points(a.len(), b.len(), p, |d| co_rank_by(d, a, b, cmp))
+}
+
+/// The `p + 1` grid points of [`partition_points_by`], with `co_rank(d)`
+/// searching each interior diagonal `d`.
+fn cut_points(
+    na: usize,
+    nb: usize,
+    p: usize,
+    mut co_rank: impl FnMut(usize) -> usize,
+) -> Vec<(usize, usize)> {
     assert!(p > 0, "partition requires at least one processor");
-    let n = a.len() + b.len();
+    let n = na + nb;
     let mut points = Vec::with_capacity(p + 1);
     points.push((0, 0));
     for k in 1..p {
         let d = segment_boundary(n, p, k);
-        let i = co_rank_by(d, a, b, cmp);
+        let i = co_rank(d);
         points.push((i, d - i));
     }
-    points.push((a.len(), b.len()));
+    points.push((na, nb));
     points
+}
+
+/// The segments between consecutive grid points.
+fn segments(points: &[(usize, usize)]) -> Vec<Segment> {
+    points
+        .windows(2)
+        .map(|w| Segment {
+            a_start: w[0].0,
+            a_end: w[1].0,
+            b_start: w[0].1,
+            b_end: w[1].1,
+            out_start: w[0].0 + w[0].1,
+            out_end: w[1].0 + w[1].1,
+        })
+        .collect()
 }
 
 /// [`partition_points_by`] for `T: Ord`.
@@ -126,18 +154,7 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
-    let points = partition_points_by(a, b, p, cmp);
-    points
-        .windows(2)
-        .map(|w| Segment {
-            a_start: w[0].0,
-            a_end: w[1].0,
-            b_start: w[0].1,
-            b_end: w[1].1,
-            out_start: w[0].0 + w[0].1,
-            out_end: w[1].0 + w[1].1,
-        })
-        .collect()
+    segments(&partition_points_by(a, b, p, cmp))
 }
 
 /// The output index at which processor `k` of `p` starts (the diagonal it
@@ -202,6 +219,54 @@ pub fn max_tiles(threads: usize) -> usize {
     threads.saturating_mul(TILES_PER_THREAD)
 }
 
+/// Step 2 of Algorithm 1 for the tile with output range `d_lo..d_hi`: its
+/// two searches ([`search_diagonal`]) in a `partition` span on `worker`.
+pub(crate) fn tile_co_ranks<T, A, B, F, R>(
+    d_lo: usize,
+    d_hi: usize,
+    a: &A,
+    b: &B,
+    cmp: &F,
+    rec: &R,
+    worker: usize,
+) -> (usize, usize)
+where
+    A: SortedView<T> + ?Sized,
+    B: SortedView<T> + ?Sized,
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
+{
+    let _partition = span(rec, worker, SpanKind::Partition);
+    (
+        search_diagonal(d_lo, a, b, cmp, rec, worker),
+        search_diagonal(d_hi, a, b, cmp, rec, worker),
+    )
+}
+
+/// [`co_rank_counted`] of diagonal `d` in a `diagonal_search` span on
+/// logical worker `worker` of `rec`, its probe steps added to the worker's
+/// probe-step and comparison counters (under `NoRecorder`, [`co_rank_by`]).
+pub(crate) fn search_diagonal<T, A, B, F, R>(
+    d: usize,
+    a: &A,
+    b: &B,
+    cmp: &F,
+    rec: &R,
+    worker: usize,
+) -> usize
+where
+    A: SortedView<T> + ?Sized,
+    B: SortedView<T> + ?Sized,
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
+{
+    let _search = span(rec, worker, SpanKind::DiagonalSearch);
+    let (i, steps) = co_rank_counted(d, a, b, cmp);
+    rec.counter_add(worker, CounterKind::DiagonalProbeSteps, steps.into());
+    rec.counter_add(worker, CounterKind::Comparisons, steps.into());
+    i
+}
+
 /// Result of [`partition_segments_counted`]: the segments plus the number of
 /// binary-search comparisons each interior cut point cost.
 #[derive(Debug, Clone)]
@@ -220,31 +285,14 @@ where
     B: SortedView<T> + ?Sized,
     F: Fn(&T, &T) -> Ordering,
 {
-    assert!(p > 0, "partition requires at least one processor");
-    let n = a.len() + b.len();
-    let mut points = Vec::with_capacity(p + 1);
     let mut comparisons = Vec::with_capacity(p.saturating_sub(1));
-    points.push((0, 0));
-    for k in 1..p {
-        let d = segment_boundary(n, p, k);
+    let points = cut_points(a.len(), b.len(), p, |d| {
         let (i, c) = co_rank_counted(d, a, b, cmp);
-        points.push((i, d - i));
         comparisons.push(c);
-    }
-    points.push((a.len(), b.len()));
-    let segments = points
-        .windows(2)
-        .map(|w| Segment {
-            a_start: w[0].0,
-            a_end: w[1].0,
-            b_start: w[0].1,
-            b_end: w[1].1,
-            out_start: w[0].0 + w[0].1,
-            out_end: w[1].0 + w[1].1,
-        })
-        .collect();
+        i
+    });
     CountedPartition {
-        segments,
+        segments: segments(&points),
         comparisons,
     }
 }

@@ -22,8 +22,8 @@ use core::cmp::Ordering;
 
 use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::merge::segmented::{segmented_parallel_merge_into_recorded, SpmConfig, Staging};
-use crate::sort::parallel::parallel_merge_sort_recorded;
+use crate::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig, Staging};
+use crate::sort::parallel::parallel_merge_sort_by;
 use crate::sort::{merge_pairs, merge_rounds};
 
 /// Configuration of the cache-aware sort.
@@ -88,22 +88,15 @@ where
         v,
         &CacheAwareConfig::new(cache_elems, threads),
         &crate::merge::sequential::natural_cmp,
+        &NoRecorder,
     );
 }
 
-/// [`cache_aware_parallel_sort`] with full configuration and comparator;
-/// output identical to `slice::sort_by(cmp)`.
-pub fn cache_aware_parallel_sort_by<T, F>(v: &mut [T], config: &CacheAwareConfig, cmp: &F)
-where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    cache_aware_parallel_sort_recorded(v, config, cmp, &NoRecorder);
-}
-
-/// [`cache_aware_parallel_sort_by`] reporting spans, counters and per-worker
-/// element counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn cache_aware_parallel_sort_recorded<T, F, R>(
+/// [`cache_aware_parallel_sort`] with full configuration and comparator,
+/// reporting spans, counters and per-worker element counts into `rec`
+/// (pass [`NoRecorder`] for an untraced sort); output identical to
+/// `slice::sort_by(cmp)`.
+pub fn cache_aware_parallel_sort_by<T, F, R>(
     v: &mut [T],
     config: &CacheAwareConfig,
     cmp: &F,
@@ -126,7 +119,7 @@ pub fn cache_aware_parallel_sort_recorded<T, F, R>(
     let mut start = 0;
     while start < n {
         let end = (start + block).min(n);
-        parallel_merge_sort_recorded(&mut v[start..end], config.threads, cmp, rec);
+        parallel_merge_sort_by(&mut v[start..end], config.threads, cmp, rec);
         boundaries.push(start);
         start = end;
     }
@@ -138,7 +131,7 @@ pub fn cache_aware_parallel_sort_recorded<T, F, R>(
     merge_rounds(v, boundaries, config.threads, |src, dst, runs| {
         let _round = span(rec, 0, SpanKind::SortRound);
         merge_pairs(src, dst, runs, |a, b, out| {
-            segmented_parallel_merge_into_recorded(a, b, out, &spm, cmp, rec)
+            segmented_parallel_merge_into_by(a, b, out, &spm, cmp, rec)
         });
     });
 }
@@ -172,7 +165,7 @@ mod tests {
         let mut expect = v.clone();
         expect.sort();
         let cfg = CacheAwareConfig::new(300, 4).with_staging(Staging::Cyclic);
-        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b));
+        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
         assert_eq!(v, expect);
     }
 
@@ -184,7 +177,7 @@ mod tests {
         let mut expect = v.clone();
         expect.sort_by_key(|&(k, _)| k);
         let cfg = CacheAwareConfig::new(200, 4);
-        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.0.cmp(&b.0));
+        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.0.cmp(&b.0), &NoRecorder);
         assert_eq!(v, expect);
     }
 

@@ -14,9 +14,9 @@ use core::cmp::Ordering;
 
 use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::merge::kway::parallel_kway_merge_recorded;
+use crate::merge::kway::parallel_kway_merge_by;
 use crate::sort::copy_back;
-use crate::sort::parallel::sort_chunks_recorded;
+use crate::sort::parallel::sort_chunks;
 
 /// Sorts `v` with `threads` concurrent chunk sorts followed by one
 /// parallel k-way merge round. Stable; output identical to `slice::sort`.
@@ -35,22 +35,13 @@ pub fn kway_merge_sort<T>(v: &mut [T], threads: usize)
 where
     T: Ord + Clone + Default + Send + Sync,
 {
-    kway_merge_sort_by(v, threads, &|x: &T, y: &T| x.cmp(y));
+    kway_merge_sort_by(v, threads, &|x: &T, y: &T| x.cmp(y), &NoRecorder);
 }
 
-/// [`kway_merge_sort`] with a caller-supplied comparator; output identical
-/// to `slice::sort_by(cmp)`.
-pub fn kway_merge_sort_by<T, F>(v: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    kway_merge_sort_recorded(v, threads, cmp, &NoRecorder);
-}
-
-/// [`kway_merge_sort_by`] reporting spans, counters and per-worker element
-/// counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn kway_merge_sort_recorded<T, F, R>(v: &mut [T], threads: usize, cmp: &F, rec: &R)
+/// [`kway_merge_sort`] with a caller-supplied comparator, reporting spans,
+/// counters and per-worker element counts into `rec` (pass [`NoRecorder`]
+/// for an untraced sort); output identical to `slice::sort_by(cmp)`.
+pub fn kway_merge_sort_by<T, F, R>(v: &mut [T], threads: usize, cmp: &F, rec: &R)
 where
     T: Clone + Default + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -63,7 +54,7 @@ where
     }
     // Phase 1: concurrent `slice::sort_by` chunk sorts (the same chunks as
     // §III's sort).
-    let Some(bounds) = sort_chunks_recorded(v, threads, cmp, rec) else {
+    let Some(bounds) = sort_chunks(v, threads, cmp, rec) else {
         return;
     };
 
@@ -74,7 +65,7 @@ where
     let mut out = vec![T::default(); n];
     {
         let _round = span(rec, 0, SpanKind::SortRound);
-        parallel_kway_merge_recorded(&runs, &mut out, threads, cmp, rec);
+        parallel_kway_merge_by(&runs, &mut out, threads, cmp, rec);
     }
     copy_back(&out, v, threads);
 }
@@ -111,7 +102,7 @@ mod tests {
         }
         let mut expect = v.clone();
         expect.sort_by_key(|&(k, _)| k);
-        kway_merge_sort_by(&mut v, 6, &|a, b| a.0.cmp(&b.0));
+        kway_merge_sort_by(&mut v, 6, &|a, b| a.0.cmp(&b.0), &NoRecorder);
         assert_eq!(v, expect);
     }
 

@@ -9,6 +9,8 @@
 //! * [`cache_aware`] — the paper's §IV.C sort: cache-sized block sorts
 //!   followed by rounds of segmented (Algorithm 2) merges.
 
+use mergepath_telemetry::NoRecorder;
+
 use crate::executor::{self, SendPtr};
 use crate::partition::segment_boundary;
 
@@ -90,7 +92,7 @@ fn copy_back<T: Clone + Send + Sync>(src: &[T], dst: &mut [T], threads: usize) {
     assert_eq!(src.len(), dst.len(), "copy-back length mismatch");
     let n = dst.len();
     let base = SendPtr::new(dst.as_mut_ptr());
-    executor::global().run_indexed(threads, threads, &|k| {
+    executor::global().run_indexed(threads, threads, &NoRecorder, &|k| {
         let (lo, hi) = (
             segment_boundary(n, threads, k),
             segment_boundary(n, threads, k + 1),

@@ -13,6 +13,8 @@
 
 use core::cmp::Ordering;
 
+use mergepath_telemetry::NoRecorder;
+
 use crate::merge::parallel::parallel_merge_into_by;
 use crate::sort::{merge_pairs, merge_rounds};
 
@@ -86,7 +88,7 @@ where
     let runs = collect_runs_by(v, cmp);
     merge_rounds(v, runs, threads, |src, dst, runs| {
         merge_pairs(src, dst, runs, |a, b, out| {
-            parallel_merge_into_by(a, b, out, threads, cmp)
+            parallel_merge_into_by(a, b, out, threads, cmp, &NoRecorder)
         });
     });
 }

@@ -20,13 +20,13 @@
 //! duplicate-heavy inputs speed up in the late rounds without any change
 //! to the output (all kernels are byte-identical).
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
 use crate::executor::{self, SendPtr};
-use crate::merge::batch::batch_merge_into_recorded;
+use crate::merge::batch::batch_merge_into_by;
+use crate::merge::sequential::natural_cmp;
 use crate::sort::merge_rounds;
 
 /// Sorts `v` in parallel with `threads` workers using the natural order.
@@ -47,26 +47,19 @@ pub fn parallel_merge_sort<T>(v: &mut [T], threads: usize)
 where
     T: Ord + Clone + Default + Send + Sync,
 {
-    parallel_merge_sort_by(v, threads, &crate::merge::sequential::natural_cmp);
+    parallel_merge_sort_by(v, threads, &natural_cmp, &NoRecorder);
 }
 
-/// [`parallel_merge_sort`] with a caller-supplied comparator; output
-/// identical to `slice::sort_by(cmp)`.
+/// [`parallel_merge_sort`] with a caller-supplied comparator, reporting
+/// spans, counters and per-worker element counts into `rec` (pass
+/// [`NoRecorder`] for an untraced sort); output identical to
+/// `slice::sort_by(cmp)`. Phase 1's comparisons are std's and are not
+/// counted: `rec`'s `comparisons` counter holds the merge rounds' work.
 ///
 /// # Panics
 /// Panics if `threads == 0`. A `cmp` that is not a total order may panic,
 /// as it may in `slice::sort_by`.
-pub fn parallel_merge_sort_by<T, F>(v: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    parallel_merge_sort_recorded(v, threads, cmp, &NoRecorder);
-}
-
-/// [`parallel_merge_sort_by`] reporting spans, counters and per-worker
-/// element counts into `rec`. With `NoRecorder` this is the untraced kernel.
-pub fn parallel_merge_sort_recorded<T, F, R>(v: &mut [T], threads: usize, cmp: &F, rec: &R)
+pub fn parallel_merge_sort_by<T, F, R>(v: &mut [T], threads: usize, cmp: &F, rec: &R)
 where
     T: Clone + Default + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -78,7 +71,7 @@ where
         return;
     }
     // Phase 1: concurrent chunk sorts.
-    let Some(bounds) = sort_chunks_recorded(v, threads, cmp, rec) else {
+    let Some(bounds) = sort_chunks(v, threads, cmp, rec) else {
         return;
     };
 
@@ -96,7 +89,7 @@ where
 /// partition, so sizes differ by at most one. With one thread, or at most
 /// two keys per thread, sorts all of `v` on the calling thread instead and
 /// returns `None`: nothing is left to merge.
-pub(crate) fn sort_chunks_recorded<T, F, R>(
+pub(crate) fn sort_chunks<T, F, R>(
     v: &mut [T],
     threads: usize,
     cmp: &F,
@@ -112,7 +105,7 @@ where
         executor::note_write_range(v);
         {
             let _round = span(rec, 0, SpanKind::SortRound);
-            sort_chunk(v, cmp, rec, 0);
+            v.sort_by(cmp);
         }
         rec.worker_items(0, n as u64);
         return None;
@@ -123,32 +116,16 @@ where
     {
         let base = SendPtr::new(v.as_mut_ptr());
         let bounds = &bounds;
-        executor::global().run_indexed_recorded(threads, threads, rec, &|k| {
+        executor::global().run_indexed(threads, threads, rec, &|k| {
             // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
             // across shares and tile `v` exactly; the pool's end barrier
             // orders the writes before this frame resumes.
             let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
             let _round = span(rec, k, SpanKind::SortRound);
-            sort_chunk(chunk, cmp, rec, k);
+            chunk.sort_by(cmp);
         });
     }
     Some(bounds)
-}
-
-/// Sorts one chunk with `slice::sort_by`. With an active `rec`, the sort
-/// compares through [`counted_cmp`] and adds its comparisons to `worker`.
-fn sort_chunk<T, F, R>(chunk: &mut [T], cmp: &F, rec: &R, worker: usize)
-where
-    F: Fn(&T, &T) -> Ordering,
-    R: Recorder,
-{
-    if R::ACTIVE {
-        let hits = Cell::new(0u64);
-        chunk.sort_by(counted_cmp(cmp, &hits));
-        rec.counter_add(worker, CounterKind::Comparisons, hits.get());
-    } else {
-        chunk.sort_by(cmp);
-    }
 }
 
 /// Merges adjacent run pairs from `src` into `dst` with all `threads`
@@ -176,7 +153,7 @@ fn merge_round_parallel<T, F, R>(
         pair += 2;
     }
     let merged_end = runs[pair];
-    batch_merge_into_recorded(&pairs, &mut dst[..merged_end], threads, cmp, rec);
+    batch_merge_into_by(&pairs, &mut dst[..merged_end], threads, cmp, rec);
     if pair + 2 == runs.len() {
         // Lone trailing run: copy through.
         let (lo, hi) = (runs[pair], runs[pair + 1]);
@@ -201,7 +178,12 @@ mod tests {
                 parallel_merge_sort(&mut v, threads);
                 assert_eq!(v, expect, "n={n} threads={threads}");
                 let mut desc = base.clone();
-                parallel_merge_sort_by(&mut desc, threads, &|a: &i64, b: &i64| b.cmp(a));
+                parallel_merge_sort_by(
+                    &mut desc,
+                    threads,
+                    &|a: &i64, b: &i64| b.cmp(a),
+                    &NoRecorder,
+                );
                 assert!(
                     desc.iter().eq(expect.iter().rev()),
                     "descending n={n} threads={threads}"
@@ -218,7 +200,7 @@ mod tests {
             .collect();
         let mut expect = v.clone();
         expect.sort_by_key(|&(k, _)| k);
-        parallel_merge_sort_by(&mut v, 5, &|a, b| a.0.cmp(&b.0));
+        parallel_merge_sort_by(&mut v, 5, &|a, b| a.0.cmp(&b.0), &NoRecorder);
         assert_eq!(v, expect);
     }
 
@@ -267,7 +249,7 @@ mod tests {
         ) {
             let mut expect = v.clone();
             expect.sort_by_key(|&(k, _)| k);
-            parallel_merge_sort_by(&mut v, threads, &|a, b| a.0.cmp(&b.0));
+            parallel_merge_sort_by(&mut v, threads, &|a, b| a.0.cmp(&b.0), &NoRecorder);
             prop_assert_eq!(v, expect);
         }
     }

@@ -28,11 +28,12 @@
 //!   [`worker_share`]`(budget, inflight)` logical shares, the same
 //!   equal-split discipline `merge::batch` applies across pairs. At high
 //!   concurrency every request runs inline on its serving thread
-//!   (share = 1, no pool round), so throughput scales with serving
-//!   threads; at low concurrency a lone request fans out across the pool.
+//!   (share = 1: a one-participant round that recruits no pool worker),
+//!   so throughput scales with serving threads; at low concurrency a lone request fans out across the pool.
 //! - **Observability**: the generic [`Recorder`] flows through the
-//!   request path into the kernels (`parallel_merge_into_recorded`,
-//!   `parallel_merge_sort_recorded`) and carries kernel events only. The
+//!   request path into the kernels (the trailing `rec` of
+//!   `parallel_merge_into_by`, `batch_merge_into_by` and
+//!   `parallel_merge_sort_by`) and carries kernel events only. The
 //!   daemon's own events are counted in [`ServeStats`] and, when one is
 //!   attached, by the [`ServeProbe`] (a [`ServeObserver`]'s metrics
 //!   registry and flight ring). Latency percentiles come from the

@@ -8,10 +8,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use mergepath::merge::batch::batch_merge_into_recorded;
-use mergepath::merge::parallel::parallel_merge_into_recorded;
+use mergepath::merge::batch::batch_merge_into_by;
+use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::partition::max_tiles;
-use mergepath::sort::parallel::parallel_merge_sort_recorded;
+use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath_telemetry::{now_ns, LatencyHistogram, OffsetRecorder, Recorder, Waterfall};
 
 use crate::observe::{NoProbe, ServeProbe};
@@ -749,7 +749,7 @@ where
             catch_unwind(AssertUnwindSafe(|| {
                 let cmp = |x: &T, y: &T| -> Ordering { x.cmp(y) };
                 let mut out = vec![T::default(); total];
-                batch_merge_into_recorded(&pairs, &mut out, share, &cmp, &rec);
+                batch_merge_into_by(&pairs, &mut out, share, &cmp, &rec);
                 // Split the concatenated output back into per-request
                 // buffers, tail-first so each split is O(its own length).
                 let mut outputs: Vec<Vec<T>> = Vec::with_capacity(pairs.len());
@@ -864,11 +864,11 @@ where
     match kind {
         RequestKind::Merge { a, b } => {
             let mut out = vec![T::default(); a.len() + b.len()];
-            parallel_merge_into_recorded(&a, &b, &mut out, share, &cmp, rec);
+            parallel_merge_into_by(&a, &b, &mut out, share, &cmp, rec);
             out
         }
         RequestKind::Sort { mut keys } => {
-            parallel_merge_sort_recorded(&mut keys, share, &cmp, rec);
+            parallel_merge_sort_by(&mut keys, share, &cmp, rec);
             keys
         }
     }

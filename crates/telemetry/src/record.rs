@@ -134,10 +134,12 @@ impl CounterKind {
 /// callable concurrently from the pool team.
 ///
 /// Implementations other than [`NoRecorder`] keep the default
-/// `ACTIVE = true`; kernels guard every timestamp capture behind
-/// `R::ACTIVE`, so the `NoRecorder` instantiation compiles to the exact
-/// untraced code (the zero-cost contract is asserted by the oracle
-/// differential suite and `tests/telemetry_invariants.rs`).
+/// `ACTIVE = true`. The work a call site does beyond the call itself (a
+/// timestamp, a comparison count) is guarded by `R::ACTIVE` inside the
+/// shared helpers ([`span`], [`counted_cmp`], the pool's share timer), so
+/// each kernel has one body and its `NoRecorder` instantiation is the
+/// untraced code (traced and untraced runs are compared in
+/// `tests/telemetry_invariants.rs`).
 pub trait Recorder: Sync {
     /// Compile-time activity flag; `false` only for [`NoRecorder`].
     const ACTIVE: bool = true;
@@ -190,9 +192,10 @@ pub trait Recorder: Sync {
 
 /// The zero-cost default recorder: a ZST with `ACTIVE = false`.
 ///
-/// Every public kernel entry point delegates to its `*_recorded` variant
-/// with `&NoRecorder`; because call sites are guarded by `R::ACTIVE`, the
-/// instantiation is the original untraced code.
+/// Each parallel kernel has one `_by` entry that takes a recorder; its
+/// natural-order entry passes `&NoRecorder`. Every method is an empty
+/// `#[inline(always)]` body and the helpers that time or count check
+/// `R::ACTIVE`, so that instantiation is the untraced code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoRecorder;
 
@@ -352,16 +355,27 @@ impl<R: Recorder> Drop for SpanGuard<'_, R> {
     }
 }
 
-/// Wraps a comparator so every invocation bumps a share-local [`Cell`]
-/// counter (flushed once per share via [`Recorder::counter_add`], avoiding
-/// any shared atomic on the hot path).
+/// Wraps a comparator so that, when `R` is active, every invocation bumps
+/// a share-local [`Cell`] counter (flushed once per share via
+/// [`Recorder::counter_add`], avoiding any shared atomic on the hot path).
+/// Under [`NoRecorder`] the wrapper only forwards to `cmp`.
+///
+/// The wrapper is a new type, so code that tells comparators apart by type
+/// (the adaptive merge's natural-order test) must look at `cmp` itself.
 #[inline(always)]
-pub fn counted_cmp<'a, T, F>(cmp: &'a F, counter: &'a Cell<u64>) -> impl Fn(&T, &T) -> Ordering + 'a
+pub fn counted_cmp<'a, R, T, F>(
+    _rec: &R,
+    cmp: &'a F,
+    counter: &'a Cell<u64>,
+) -> impl Fn(&T, &T) -> Ordering + 'a
 where
+    R: Recorder,
     F: Fn(&T, &T) -> Ordering,
 {
     move |x: &T, y: &T| {
-        counter.set(counter.get() + 1);
+        if R::ACTIVE {
+            counter.set(counter.get() + 1);
+        }
         cmp(x, y)
     }
 }
@@ -393,12 +407,16 @@ mod tests {
     }
 
     #[test]
-    fn counted_cmp_counts_and_preserves_order() {
+    fn counted_cmp_counts_only_for_an_active_recorder() {
         let hits = Cell::new(0u64);
         let base = |x: &i32, y: &i32| x.cmp(y);
-        let cmp = counted_cmp(&base, &hits);
+        let rec = crate::timeline::TimelineRecorder::new();
+        let cmp = counted_cmp(&rec, &base, &hits);
         assert_eq!(cmp(&1, &2), Ordering::Less);
         assert_eq!(cmp(&2, &1), Ordering::Greater);
+        assert_eq!(hits.get(), 2);
+        let uncounted = counted_cmp(&NoRecorder, &base, &hits);
+        assert_eq!(uncounted(&1, &2), Ordering::Less);
         assert_eq!(hits.get(), 2);
     }
 

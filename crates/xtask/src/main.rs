@@ -366,8 +366,10 @@ fn verify_telemetry() -> ExitCode {
 ///    partition that makes two shares write the same boundary slot with the
 ///    same value — invisible to output diffing — and an inverted co-rank
 ///    tie break) and every mutation self-test must observe the checker
-///    convicting its fault. A separate target directory keeps the mutated
-///    artifacts from poisoning the normal build cache.
+///    convicting its fault: the first in `parallel` and in the windowed
+///    `segmented` merge, whose windows run the same tile loop. A separate
+///    target directory keeps the mutated artifacts from poisoning the
+///    normal build cache.
 ///
 /// A second leg always draws round orders from the simulated
 /// work-stealing deque protocol (`--steal-orders`): executor-realistic
@@ -675,24 +677,59 @@ fn warn_on_regression(name: &str, doc_type: &str, fresh: &mergepath_telemetry::j
              ns/element numbers are not directly comparable"
         );
     }
-    let fresh_rows = family_medians(fresh);
-    let committed_rows = family_medians(&committed);
-    for (family, fresh_ns) in &fresh_rows {
-        let Some((_, committed_ns)) = committed_rows.iter().find(|(f, _)| f == family) else {
-            continue;
-        };
-        if *fresh_ns > committed_ns * 1.10 {
-            println!(
-                "verify-bench: WARNING: {name} {family}: fresh {fresh_ns:.3} ns/elem vs \
-                 committed {committed_ns:.3} (+{:.1}%, threshold 10%)",
-                (fresh_ns / committed_ns - 1.0) * 100.0
-            );
+    match regression_warnings(name, fresh, &committed) {
+        Ok(warnings) => {
+            for warning in warnings {
+                println!("verify-bench: WARNING: {warning}");
+            }
         }
+        Err(skipped) => println!("verify-bench: {skipped}"),
     }
 }
 
+/// The per-family regressions of `fresh` against `committed`: one line for
+/// each family whose median ns/element is more than 10% above the
+/// committed one. A median depends on the size and thread count it was
+/// measured at, so two artifacts are compared only when their `payload.n`
+/// and `payload.threads` agree; otherwise the result is one line naming
+/// both, and no comparison.
+fn regression_warnings(
+    name: &str,
+    fresh: &mergepath_telemetry::json::Value,
+    committed: &mergepath_telemetry::json::Value,
+) -> Result<Vec<String>, String> {
+    let shape = |doc: &mergepath_telemetry::json::Value| {
+        let field = |key| doc.get("payload")?.get(key)?.as_f64();
+        Some(format!("n={} threads={}", field("n")?, field("threads")?))
+    };
+    let (fresh_shape, committed_shape) = (shape(fresh), shape(committed));
+    if fresh_shape.is_none() || fresh_shape != committed_shape {
+        let unknown = "an unknown size";
+        return Err(format!(
+            "{name}: fresh run at {} vs committed at {}; medians at different \
+             sizes are not compared",
+            fresh_shape.as_deref().unwrap_or(unknown),
+            committed_shape.as_deref().unwrap_or(unknown)
+        ));
+    }
+    let committed_rows = family_medians(committed);
+    Ok(family_medians(fresh)
+        .into_iter()
+        .filter_map(|(family, fresh_ns)| {
+            let (_, committed_ns) = committed_rows.iter().find(|(f, _)| *f == family)?;
+            (fresh_ns > committed_ns * 1.10).then(|| {
+                format!(
+                    "{name} {family}: fresh {fresh_ns:.3} ns/elem vs committed \
+                     {committed_ns:.3} (+{:.1}%, threshold 10%)",
+                    (fresh_ns / committed_ns - 1.0) * 100.0
+                )
+            })
+        })
+        .collect())
+}
+
 /// Theorem 14 per tile: in every merge family, the heaviest tile of the
-/// traced tiled `parallel_merge_into_recorded` run (`max_items`) must not
+/// traced tiled `parallel_merge_into_by` run (`max_items`) must not
 /// exceed `predicted_max = ⌈n/T⌉`. The `⌊k·n/T⌋` cuts give every tile
 /// `⌊n/T⌋` or `⌈n/T⌉` items whatever the input, so unlike the ns/element
 /// medians this is cut arithmetic, deterministic across machines, hence a
@@ -1444,7 +1481,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_tile_balance, parallel_max_shares};
+    use super::{check_tile_balance, parallel_max_shares, regression_warnings};
     use mergepath_telemetry::json;
 
     #[test]
@@ -1470,6 +1507,37 @@ mod tests {
             row("duplicate-heavy")
         ))
         .unwrap()
+    }
+
+    fn bench_doc(n: u64, ns_per_elem: f64) -> json::Value {
+        json::parse(&format!(
+            "{{\"payload\":{{\"n\":{n},\"threads\":2,\"families\":[\
+             {{\"family\":\"duplicate-heavy\",\"adaptive_ns_per_elem\":{ns_per_elem}}}]}}}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn regressions_are_judged_only_between_runs_of_one_size() {
+        // A smoke run at 2^16 keys reading 24% above a committed 2^20 run
+        // is a different measurement, not a regression.
+        let committed = bench_doc(1 << 20, 1.0);
+        let smoke = bench_doc(1 << 16, 1.24);
+        let skipped = regression_warnings("BENCH_merge.json", &smoke, &committed).unwrap_err();
+        assert!(
+            skipped.contains("n=65536") && skipped.contains("n=1048576"),
+            "{skipped}"
+        );
+        // At one size the same 24% is one warning.
+        let same_size = bench_doc(1 << 20, 1.24);
+        let warnings = regression_warnings("BENCH_merge.json", &same_size, &committed).unwrap();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("duplicate-heavy"), "{warnings:?}");
+        let steady = bench_doc(1 << 20, 1.05);
+        assert_eq!(
+            regression_warnings("BENCH_merge.json", &steady, &committed),
+            Ok(vec![])
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use mergepath_suite::mergepath::partition::partition_segments_by;
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 use mergepath_suite::workloads::prng::Prng;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,9 +50,9 @@ fn main() {
 
     // Phase 1: parallel stable sorts by join key.
     let by_user = |x: &Order, y: &Order| x.user_id.cmp(&y.user_id);
-    parallel_merge_sort_by(&mut orders, threads, &by_user);
+    parallel_merge_sort_by(&mut orders, threads, &by_user, &NoRecorder);
     let by_id = |x: &User, y: &User| x.user_id.cmp(&y.user_id);
-    parallel_merge_sort_by(&mut users, threads, &by_id);
+    parallel_merge_sort_by(&mut users, threads, &by_id, &NoRecorder);
 
     // Phase 2: partition the JOIN with the merge path. Treat the two
     // relations as the two inputs of a merge ordered by key; each segment

@@ -9,6 +9,7 @@ use mergepath_suite::mergepath::merge::segmented::{
 };
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Row {
@@ -37,14 +38,14 @@ fn string_keyed_parallel_merge() {
     merge_into_by(&a, &b, &mut expect, &by_key);
     for threads in [1usize, 4, 9] {
         let mut out = vec![Row::default(); 5500];
-        parallel_merge_into_by(&a, &b, &mut out, threads, &by_key);
+        parallel_merge_into_by(&a, &b, &mut out, threads, &by_key, &NoRecorder);
         assert_eq!(out, expect, "threads={threads}");
     }
     // Segmented, both stagings (Clone + Default only).
     for staging in [Staging::Windowed, Staging::Cyclic] {
         let cfg = SpmConfig::new(300, 4).with_staging(staging);
         let mut out = vec![Row::default(); 5500];
-        segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &by_key);
+        segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &by_key, &NoRecorder);
         assert_eq!(out, expect, "{staging:?}");
     }
 }
@@ -60,7 +61,7 @@ fn string_keyed_parallel_sort_is_stable() {
         .collect();
     let mut expect = rows.clone();
     expect.sort_by(|a, b| a.key.cmp(&b.key)); // std stable sort oracle
-    parallel_merge_sort_by(&mut rows, 6, &by_key);
+    parallel_merge_sort_by(&mut rows, 6, &by_key, &NoRecorder);
     assert_eq!(rows, expect);
 }
 
@@ -107,6 +108,7 @@ mod counted_drop {
     };
     use mergepath_suite::mergepath::sort::kway::kway_merge_sort_by;
     use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
+    use mergepath_suite::mergepath::telemetry::NoRecorder;
 
     #[derive(Debug)]
     struct CountedDrop {
@@ -204,7 +206,7 @@ mod counted_drop {
             "parallel" => {
                 let (a, b) = (track(&ka), track(&kb));
                 let mut out = vec![CountedDrop::default(); n];
-                parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
+                parallel_merge_into_by(&a, &b, &mut out, threads, cmp, &NoRecorder);
             }
             "co-rank" => {
                 // The co-rank stable block kernel run directly on the whole
@@ -220,25 +222,25 @@ mod counted_drop {
                 let (a, b) = (track(&ka), track(&kb));
                 let mut out = vec![CountedDrop::default(); n];
                 let spm = SpmConfig::new(91, threads);
-                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, cmp);
+                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, cmp, &NoRecorder);
             }
             "batch" => {
                 let (a, b) = (track(&ka), track(&kb));
                 let pairs: Vec<(&[CountedDrop], &[CountedDrop])> =
                     vec![(&a[..100], &b[..60]), (&a[100..], &b[60..])];
                 let mut out = vec![CountedDrop::default(); n];
-                batch_merge_into_by(&pairs, &mut out, threads, cmp);
+                batch_merge_into_by(&pairs, &mut out, threads, cmp, &NoRecorder);
             }
             "inplace" => {
                 let mut v = track(&ka);
                 v.extend(track(&kb));
-                parallel_inplace_merge_by(&mut v, ka.len(), threads, cmp);
+                parallel_inplace_merge_by(&mut v, ka.len(), threads, cmp, &NoRecorder);
             }
             "kway" => {
                 let (a, b) = (track(&ka), track(&kb));
                 let runs: Vec<&[CountedDrop]> = vec![&a[..85], &a[85..], &b[..115], &b[115..]];
                 let mut out = vec![CountedDrop::default(); n];
-                parallel_kway_merge_by(&runs, &mut out, threads, cmp);
+                parallel_kway_merge_by(&runs, &mut out, threads, cmp, &NoRecorder);
             }
             "sort-parallel" | "sort-kway" | "sort-cache-aware" => {
                 // An unsorted tracked input: interleave the two key streams.
@@ -248,11 +250,11 @@ mod counted_drop {
                 }
                 let mut v = track(&unsorted);
                 match kernel {
-                    "sort-parallel" => parallel_merge_sort_by(&mut v, threads, cmp),
-                    "sort-kway" => kway_merge_sort_by(&mut v, threads, cmp),
+                    "sort-parallel" => parallel_merge_sort_by(&mut v, threads, cmp, &NoRecorder),
+                    "sort-kway" => kway_merge_sort_by(&mut v, threads, cmp, &NoRecorder),
                     _ => {
                         let cfg = CacheAwareConfig::new(200, threads);
-                        cache_aware_parallel_sort_by(&mut v, &cfg, cmp);
+                        cache_aware_parallel_sort_by(&mut v, &cfg, cmp, &NoRecorder);
                     }
                 }
             }
@@ -348,7 +350,7 @@ mod counted_drop {
                 .collect();
             let mut out = vec![CountedDrop::default(); 200];
             let cmp = fused(u64::MAX);
-            parallel_merge_into_by(&a, &b, &mut out, 4, &cmp);
+            parallel_merge_into_by(&a, &b, &mut out, 4, &cmp, &NoRecorder);
             assert!(out.windows(2).all(|w| w[0].key <= w[1].key));
         }
         assert_eq!(master.load(AtOrd::SeqCst), 0);

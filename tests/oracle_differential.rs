@@ -21,6 +21,7 @@ use mergepath_suite::mergepath::merge::segmented::{
 };
 use mergepath_suite::mergepath::merge::sequential::{merge_into_by, natural_cmp};
 use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 use mergepath_suite::workloads::prng::Prng;
 use mergepath_suite::workloads::{merge_pair, MergeWorkload};
 
@@ -114,28 +115,28 @@ fn every_variant_matches_the_sequential_oracle() {
             let label = format!("{name}, threads={threads}");
 
             let mut out = vec![(0, 0); n];
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "parallel: {label}");
 
             for staging in [Staging::Windowed, Staging::Cyclic] {
                 let spm = SpmConfig::new(91, threads).with_staging(staging);
                 out.fill((0, 0));
-                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp);
+                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, &NoRecorder);
                 assert_eq!(out, oracle, "segmented {staging:?}: {label}");
             }
 
             let pairs: Vec<(&[Kv], &[Kv])> = vec![(&a, &b)];
             out.fill((0, 0));
-            batch_merge_into_by(&pairs, &mut out, threads, &cmp);
+            batch_merge_into_by(&pairs, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "batch: {label}");
 
             let mut v: Vec<Kv> = a.iter().chain(b.iter()).copied().collect();
-            parallel_inplace_merge_by(&mut v, a.len(), threads, &cmp);
+            parallel_inplace_merge_by(&mut v, a.len(), threads, &cmp, &NoRecorder);
             assert_eq!(v, oracle, "inplace: {label}");
 
             let lists: Vec<&[Kv]> = vec![&a, &b];
             out.fill((0, 0));
-            parallel_kway_merge_by(&lists, &mut out, threads, &cmp);
+            parallel_kway_merge_by(&lists, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "kway: {label}");
         }
     }
@@ -193,12 +194,12 @@ fn probed_dispatch_matches_the_oracle_on_every_family() {
         merge_into_by(&ka, &kb, &mut oracle, &natural_cmp);
         for threads in [1usize, 3, 8] {
             let mut out = vec![0i32; oracle.len()];
-            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp);
+            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp, &NoRecorder);
             assert_eq!(out, oracle, "bare {name}: threads={threads}");
 
             let pairs: Vec<(&[i32], &[i32])> = vec![(&ka, &kb)];
             out.fill(0);
-            batch_merge_into_by(&pairs, &mut out, threads, &natural_cmp);
+            batch_merge_into_by(&pairs, &mut out, threads, &natural_cmp, &NoRecorder);
             assert_eq!(out, oracle, "bare batch {name}: threads={threads}");
         }
     }
@@ -243,17 +244,18 @@ fn tiled_merges_match_the_oracle_on_every_family() {
         for threads in TILED_THREADS {
             let label = format!("{family:?}, threads={threads}");
             let mut out = vec![0u32; n];
-            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp);
+            parallel_merge_into_by(&ka, &kb, &mut out, threads, &natural_cmp, &NoRecorder);
             assert_eq!(out, oracle, "bare parallel: {label}");
             out.fill(0);
-            batch_merge_into_by(&[(&ka[..], &kb[..])], &mut out, threads, &natural_cmp);
+            let pair = [(&ka[..], &kb[..])];
+            batch_merge_into_by(&pair, &mut out, threads, &natural_cmp, &NoRecorder);
             assert_eq!(out, oracle, "bare batch: {label}");
 
             let mut out = vec![(0, 0); n];
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, keyed_oracle, "keyed parallel: {label}");
             out.fill((0, 0));
-            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, keyed_oracle, "keyed batch: {label}");
         }
     }
@@ -318,7 +320,7 @@ fn probed_dispatch_matches_the_oracle_on_every_natural_order_key_type() {
             merge_into_by(&a, &b, &mut oracle, &natural_cmp);
             for threads in [1usize, 3, 8] {
                 let mut out = vec![K::default(); oracle.len()];
-                parallel_merge_into_by(&a, &b, &mut out, threads, &natural_cmp);
+                parallel_merge_into_by(&a, &b, &mut out, threads, &natural_cmp, &NoRecorder);
                 let ty = std::any::type_name::<K>();
                 let (la, lb) = (a.len(), b.len());
                 assert_eq!(
@@ -420,7 +422,7 @@ fn batch_variant_matches_oracle_on_ragged_batches() {
     }
     for threads in [1usize, 3, 8, 32] {
         let mut out = vec![(0, 0); oracle.len()];
-        batch_merge_into_by(&pairs, &mut out, threads, &cmp);
+        batch_merge_into_by(&pairs, &mut out, threads, &cmp, &NoRecorder);
         assert_eq!(out, oracle, "threads={threads}");
     }
 }
@@ -454,7 +456,7 @@ fn kway_variant_matches_oracle_on_many_lists() {
     assert_stable(&oracle, "kway_fold");
     for threads in [1usize, 2, 5, 9] {
         let mut out = vec![(0, 0); oracle.len()];
-        parallel_kway_merge_by(&lists, &mut out, threads, &cmp);
+        parallel_kway_merge_by(&lists, &mut out, threads, &cmp, &NoRecorder);
         assert_eq!(out, oracle, "threads={threads}");
     }
 }

@@ -4,7 +4,7 @@
 
 use mergepath_suite::baselines::naive::{count_order_violations, naive_equal_split_merge};
 use mergepath_suite::mergepath::diagonal::co_rank_counted;
-use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_recorded;
+use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::segmented::{spm_blocks, SpmConfig};
 use mergepath_suite::mergepath::partition::{partition_segments, Segment};
 use mergepath_suite::mergepath::path::MergePath;
@@ -126,7 +126,7 @@ fn naive_counterexample_vs_merge_path() {
 
     let mut out = vec![0u32; 20_000];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, 8, &|x: &u32, y: &u32| x.cmp(y), &rec);
+    parallel_merge_into_by(&a, &b, &mut out, 8, &|x: &u32, y: &u32| x.cmp(y), &rec);
     assert!(out.windows(2).all(|w| w[0] <= w[1]));
     // Corollary 7: the heaviest worker merges no more than the mean.
     let items: Vec<u64> = rec.finish().worker_items.iter().map(|w| w.items).collect();

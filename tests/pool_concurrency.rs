@@ -34,6 +34,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, ServeProbe, Server};
 
 /// Escape hatch for every spin loop in this file: generous enough for a
@@ -90,7 +91,7 @@ fn tiled_rounds_on_a_wider_pool_run_on_at_most_their_threads() {
     let used = || std::mem::take(&mut *seen.lock().expect("test mutex")).len();
     for round in 0..3 {
         let mut out = vec![0u32; n];
-        parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+        parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
         assert!(
             out.iter().copied().eq(0..2 * side),
             "parallel round {round}"
@@ -101,7 +102,7 @@ fn tiled_rounds_on_a_wider_pool_run_on_at_most_their_threads() {
             "parallel round {round} ran on {ran} threads"
         );
         out.fill(0);
-        batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+        batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp, &NoRecorder);
         assert!(out.iter().copied().eq(0..2 * side), "batch round {round}");
         let ran = used();
         assert!(ran <= threads, "batch round {round} ran on {ran} threads");
@@ -520,7 +521,7 @@ fn handoff_round(pool: &executor::Pool, hold: Duration) {
     let caller = std::thread::current().id();
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let started_rx = Mutex::new(started_rx);
-    pool.run_indexed(2, 2, &|_share| {
+    pool.run_indexed(2, 2, &NoRecorder, &|_share| {
         if std::thread::current().id() == caller {
             started_rx
                 .lock()
@@ -595,7 +596,7 @@ fn concurrent_submitters_with_gaps_around_the_window_all_complete() {
                         let shares = 2 + (t + round) % 5;
                         let seen: Vec<AtomicUsize> =
                             (0..shares).map(|_| AtomicUsize::new(0)).collect();
-                        pool.run_indexed(shares, shares, &|i| {
+                        pool.run_indexed(shares, shares, &NoRecorder, &|i| {
                             seen[i].fetch_add(1, AtOrd::Relaxed);
                         });
                         assert!(
@@ -631,7 +632,7 @@ fn a_round_no_other_thread_can_join_counts_as_solo() {
         let (start, release) = (Barrier::new(3), Barrier::new(3));
         std::thread::scope(|s| {
             s.spawn(|| {
-                pool.run_indexed(2, 2, &|_| {
+                pool.run_indexed(2, 2, &NoRecorder, &|_| {
                     start.wait();
                     release.wait();
                 });
@@ -639,7 +640,7 @@ fn a_round_no_other_thread_can_join_counts_as_solo() {
             // Both threads of the pool's team are inside the held round.
             start.wait();
             let caller = std::thread::current().id();
-            pool.run_indexed(2, 2, &|_| {
+            pool.run_indexed(2, 2, &NoRecorder, &|_| {
                 assert_eq!(std::thread::current().id(), caller, "a share ran elsewhere");
             });
             release.wait();

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 use std::time::Duration;
 
 use mergepath_suite::mergepath::executor::{Pool, SPIN_WINDOW};
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 
 /// The unit of `utime` and `stime` in `/proc`: `USER_HZ`, which Linux
 /// fixes at 100 per second for user-visible interfaces.
@@ -53,7 +54,7 @@ fn pool_threads_stop_spinning_once_idle() {
     let mut expected = 0;
     for round in 0..200 {
         let shares = 2 + round % 7;
-        pool.run_indexed(shares, shares, &|_| {
+        pool.run_indexed(shares, shares, &NoRecorder, &|_| {
             executed.fetch_add(1, AtOrd::Relaxed);
         });
         expected += shares;
@@ -70,7 +71,7 @@ fn pool_threads_stop_spinning_once_idle() {
     );
 
     // The parked team still answers.
-    pool.run_indexed(4, 4, &|_| {
+    pool.run_indexed(4, 4, &NoRecorder, &|_| {
         executed.fetch_add(1, AtOrd::Relaxed);
     });
     assert_eq!(executed.load(AtOrd::Relaxed), expected + 4);

@@ -13,29 +13,25 @@
 //!   out of `a` long before the others, on all-equal inputs and with keyed
 //!   ties straddling each interior diagonal; a comparator or clone that
 //!   panics inside its interleaved loop leaves every value dropped once.
-//! * Traced sorts count their chunk sorts' comparisons and dispatch their
-//!   merges like untraced ones, and a counted segment merge dispatches like
-//!   an uncounted one: duplicate-heavy segments gallop under `natural_cmp`
-//!   of each of `u32`, `i32`, `u64`, `i64` and go to co-rank under any
-//!   other comparator.
+//! * Traced sorts count their merge rounds' comparisons, not their chunk
+//!   sorts', and dispatch their merges like untraced ones, and a traced
+//!   segment merge dispatches like an untraced one: duplicate-heavy
+//!   segments gallop under `natural_cmp` of each of `u32`, `i32`, `u64`,
+//!   `i64` and go to co-rank under any other comparator.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 
 use mergepath::diagonal::co_rank_by;
-use mergepath::merge::adaptive::{
-    adaptive_merge_into_by, adaptive_merge_into_counted, SegmentKernel,
-};
+use mergepath::merge::adaptive::{adaptive_merge_into_by, SegmentKernel};
 use mergepath::merge::sequential::natural_cmp;
 use mergepath::merge::sequential::{
     branch_lean_merge_into, branch_lean_merge_into_by, merge_into_by,
 };
 use mergepath::partition::{partition_segments_by, segment_boundary};
-use mergepath::sort::kway::{kway_merge_sort_by, kway_merge_sort_recorded};
-use mergepath::sort::parallel::{
-    parallel_merge_sort, parallel_merge_sort_by, parallel_merge_sort_recorded,
-};
-use mergepath::telemetry::{Telemetry, TimelineRecorder};
+use mergepath::sort::kway::kway_merge_sort_by;
+use mergepath::sort::parallel::{parallel_merge_sort, parallel_merge_sort_by};
+use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
 use mergepath_workloads::prng::Prng;
 use mergepath_workloads::{unsorted_keys, SortWorkload};
 
@@ -128,12 +124,12 @@ fn sorts_match_std_stable_sort() {
 
             for threads in [1, 2, 3, 5] {
                 let mut v = records.clone();
-                parallel_merge_sort_by(&mut v, threads, &by_key);
+                parallel_merge_sort_by(&mut v, threads, &by_key, &NoRecorder);
                 assert_eq!(v, expect, "parallel_merge_sort_by p={threads} {ctx}");
             }
 
             let mut v = records.clone();
-            kway_merge_sort_by(&mut v, 3, &by_key);
+            kway_merge_sort_by(&mut v, 3, &by_key, &NoRecorder);
             assert_eq!(v, expect, "kway_merge_sort_by p=3 {ctx}");
         }
     }
@@ -486,14 +482,15 @@ fn counter(t: &Telemetry, name: &str) -> u64 {
 
 #[test]
 fn traced_sorts_dispatch_like_untraced_ones() {
-    // 2^15 keys from 2^8 values. At p = 1 the whole sort is one counted
-    // `slice::sort_by`: comparisons, and no merge segment. At p >= 2 the
-    // §III sort's merge rounds merge runs with tie classes of 32 and more,
-    // which the probe sends to galloping under the canonical natural
-    // order; a traced sort that chose its kernels on a counting wrapper
-    // would lose that identity and send them to co-rank instead. The
-    // k-way sort's loser-tree merge dispatches no segment kernel, so it
-    // must report comparisons and no co-rank segment.
+    // 2^15 keys from 2^8 values. At p = 1 the whole sort is one
+    // `slice::sort_by`, whose comparisons are std's and go uncounted: no
+    // comparison and no merge segment. At p >= 2 the merge rounds count
+    // theirs, and the §III sort's rounds merge runs with tie classes of 32
+    // and more, which the probe sends to galloping under the canonical
+    // natural order; a traced sort that chose its kernels on a counting
+    // wrapper would lose that identity and send them to co-rank instead.
+    // The k-way sort's loser-tree merge dispatches no segment kernel, so
+    // it must report comparisons and no co-rank segment.
     let n = 1 << 15;
     let mut rng = Prng::seed_from_u64(0xD0_0D);
     let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
@@ -509,29 +506,33 @@ fn traced_sorts_dispatch_like_untraced_ones() {
             let mut traced = keys.clone();
             let rec = TimelineRecorder::new();
             if kway {
-                kway_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
+                kway_merge_sort_by(&mut traced, threads, &natural_cmp, &rec);
             } else {
-                parallel_merge_sort_recorded(&mut traced, threads, &natural_cmp, &rec);
+                parallel_merge_sort_by(&mut traced, threads, &natural_cmp, &rec);
             }
             let t = rec.finish();
             let ctx = format!("kway={kway} p={threads}");
             assert_eq!(traced, expect, "traced output {ctx}");
-            assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
             assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
             if threads == 1 {
+                assert_eq!(counter(&t, "comparisons"), 0, "counted sort {ctx}");
                 for name in segment_counters {
                     assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
                 }
-            } else if !kway {
-                assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
+            } else {
+                assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
+                if !kway {
+                    assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
+                }
             }
         }
     }
 }
 
-/// Merges one segment through [`adaptive_merge_into_by`] and
-/// [`adaptive_merge_into_counted`], checks both outputs against the
-/// classic kernel and that both chose the same kernel, which it returns.
+/// Merges one segment through [`adaptive_merge_into_by`] untraced and
+/// traced, checks both outputs against the classic kernel, that the traced
+/// merge counted comparisons and its choice, and that both chose the same
+/// kernel, which it returns.
 fn segment_kernel<T, F>(a: &[T], b: &[T], cmp: &F, ctx: &str) -> SegmentKernel
 where
     T: Clone + Default + PartialEq + std::fmt::Debug,
@@ -539,14 +540,20 @@ where
 {
     let mut oracle = vec![T::default(); a.len() + b.len()];
     merge_into_by(a, b, &mut oracle, cmp);
-    let (mut out, hits) = (vec![T::default(); oracle.len()], Cell::new(0));
-    let plain = adaptive_merge_into_by(a, b, &mut out, cmp);
-    assert_eq!(out, oracle, "uncounted output {ctx}");
+    let mut out = vec![T::default(); oracle.len()];
+    let plain = adaptive_merge_into_by(a, b, &mut out, cmp, &NoRecorder, 0);
+    assert_eq!(out, oracle, "untraced output {ctx}");
     out.fill(T::default());
-    let counted = adaptive_merge_into_counted(a, b, &mut out, cmp, &hits);
-    assert_eq!(out, oracle, "counted output {ctx}");
-    assert!(hits.get() > 0, "no comparisons counted {ctx}");
-    assert_eq!(counted, plain, "counted dispatch diverged {ctx}");
+    let rec = TimelineRecorder::new();
+    let traced = adaptive_merge_into_by(a, b, &mut out, cmp, &rec, 0);
+    let t = rec.finish();
+    assert_eq!(out, oracle, "traced output {ctx}");
+    assert!(
+        counter(&t, "comparisons") > 0,
+        "no comparisons counted {ctx}"
+    );
+    assert_eq!(counter(&t, traced.counter().name()), 1, "choice {ctx}");
+    assert_eq!(traced, plain, "traced dispatch diverged {ctx}");
     plain
 }
 

@@ -6,7 +6,8 @@ use mergepath_suite::baselines::bitonic::{bitonic_sort, parallel_bitonic_sort};
 use mergepath_suite::mergepath::sort::cache_aware::{
     cache_aware_parallel_sort_by, CacheAwareConfig,
 };
-use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort;
+use mergepath_suite::mergepath::sort::parallel::{parallel_merge_sort, parallel_merge_sort_by};
+use mergepath_suite::mergepath::telemetry::NoRecorder;
 use mergepath_suite::pram::kernels::{load_array, parallel_merge_sort as pram_sort};
 use mergepath_suite::pram::PramMachine;
 use mergepath_suite::workloads::{unsorted_keys, SortWorkload};
@@ -25,7 +26,7 @@ fn every_sort_on_every_workload() {
 
             let mut v = base.clone();
             let cfg = CacheAwareConfig::new(1024, threads);
-            cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b));
+            cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
             assert_eq!(v, expect, "cache-aware p={threads} on {}", wl.name());
         }
 
@@ -54,12 +55,12 @@ fn stability_with_tagged_records_end_to_end() {
 
     let cmp = |a: &(u8, u32), b: &(u8, u32)| a.0.cmp(&b.0);
     let mut v = shuffled.clone();
-    mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by(&mut v, 6, &cmp);
+    parallel_merge_sort_by(&mut v, 6, &cmp, &NoRecorder);
     assert_eq!(v, expect);
 
     let mut v = shuffled.clone();
     let cfg = CacheAwareConfig::new(512, 3);
-    cache_aware_parallel_sort_by(&mut v, &cfg, &cmp);
+    cache_aware_parallel_sort_by(&mut v, &cfg, &cmp, &NoRecorder);
     assert_eq!(v, expect);
 }
 
@@ -91,6 +92,6 @@ fn large_single_shot_sort() {
     let mut v = base;
     let cfg = CacheAwareConfig::new(64 * 1024, 4)
         .with_staging(mergepath_suite::mergepath::merge::segmented::Staging::Cyclic);
-    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b));
+    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
     assert_eq!(v, expect);
 }

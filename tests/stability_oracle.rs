@@ -20,13 +20,11 @@ use std::cmp::Ordering;
 
 use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-use mergepath_suite::mergepath::merge::parallel::{
-    parallel_merge_into_by, parallel_merge_into_recorded,
-};
+use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::mergepath::merge::stable::CO_RANK_BLOCK;
 use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
-use mergepath_suite::mergepath::telemetry::{CounterKind, TimelineRecorder};
+use mergepath_suite::mergepath::telemetry::{CounterKind, NoRecorder, TimelineRecorder};
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`; `.1` is the element's original index
@@ -132,7 +130,7 @@ fn probed_dispatch_produces_the_stable_order_on_every_family() {
         for threads in THREADS {
             let label = format!("{name}: threads={threads}");
             let mut out = vec![(0, 0); n];
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "{label}");
             assert_stable(&out, &label);
         }
@@ -188,7 +186,7 @@ fn traced_tiles_are_stable_and_balanced_on_every_family() {
             let label = format!("{name}: traced, threads={threads}");
             let mut out = vec![(0, 0); n];
             let rec = TimelineRecorder::new();
-            parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &rec);
             let telemetry = rec.finish();
             assert_eq!(out, oracle, "{label}");
             assert_stable(&out, &label);
@@ -248,11 +246,11 @@ fn tiled_merges_keep_the_stable_order() {
         for threads in [1usize, 2, 3, 8] {
             let label = format!("{name}, threads={threads}");
             let mut out = vec![(0, 0); oracle.len()];
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "parallel: {label}");
             assert_stable(&out, &label);
             out.fill((0, 0));
-            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp);
+            batch_merge_into_by(&[(&a[..], &b[..])], &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "batch: {label}");
         }
     }
@@ -277,7 +275,7 @@ fn batched_merges_keep_the_stable_order() {
     }
     for threads in THREADS {
         let mut out = vec![(0, 0); oracle.len()];
-        batch_merge_into_by(&pairs, &mut out, threads, &cmp);
+        batch_merge_into_by(&pairs, &mut out, threads, &cmp, &NoRecorder);
         assert_eq!(out, oracle, "threads={threads}");
     }
 }

@@ -4,26 +4,31 @@
 //!   partially overlap;
 //! * per-worker element counts satisfy Thm 14 for single-round merges
 //!   (each ≤ ⌈N/p⌉, sum = N);
-//! * the `NoRecorder` path produces byte-identical output to the plain
-//!   public kernels and the sequential reference;
+//! * every kernel writes the same output over the same per-share ranges
+//!   with `NoRecorder` as with a `TimelineRecorder`, and the kernels that
+//!   dispatch through the probe choose the same segment kernels traced;
 //! * `NoRecorder` is a ZST, so the untraced hot path carries no state;
 //! * both exporters emit documents the in-repo JSON parser accepts;
 //! * the per-kernel segment counters of a traced merge witness the
 //!   adaptive routing: fine uniform primitive keys go to branch-lean, and
 //!   duplicate-heavy segments go to galloping only under `natural_cmp`.
 
+use mergepath::diagonal::co_rank;
 use mergepath::merge::adaptive::{probe_segment, SegmentKernel};
-use mergepath::merge::batch::batch_merge_into_recorded;
-use mergepath::merge::inplace::parallel_inplace_merge_recorded;
-use mergepath::merge::kway::parallel_kway_merge_recorded;
-use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
+use mergepath::merge::batch::batch_merge_into_by;
+use mergepath::merge::inplace::parallel_inplace_merge_by;
+use mergepath::merge::kway::parallel_kway_merge_by;
+use mergepath::merge::parallel::parallel_merge_into_by;
+use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath::merge::sequential::{merge_into_by, natural_cmp};
-use mergepath::partition::{partition_segments_by, segment_boundary, tile_count};
-use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
+use mergepath::partition::{partition_segments_by, segment_boundary, tile_count, TILE_MIN};
+use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
+use mergepath::sort::kway::kway_merge_sort_by;
+use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{
-    CounterKind, NoRecorder, SpanKind, SpanRecord, Telemetry, TimelineRecorder,
+    CounterKind, NoRecorder, Recorder, SpanKind, SpanRecord, Telemetry, TimelineRecorder,
 };
-use mergepath_check::{record, Recording};
+use mergepath_check::{record, Kernel, Recording};
 use mergepath_cli::{run_trace, TraceKernel};
 use mergepath_workloads::prng::Prng;
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
@@ -36,7 +41,7 @@ fn traced_parallel_merge(n: usize, threads: usize, seed: u64) -> Telemetry {
     let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
     let mut out = vec![0u32; n];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec);
+    parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &rec);
     rec.finish()
 }
 
@@ -52,7 +57,7 @@ where
     merge_into_by(a, b, &mut oracle, cmp);
     let mut out = vec![T::default(); oracle.len()];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(a, b, &mut out, 4, cmp, &rec);
+    parallel_merge_into_by(a, b, &mut out, 4, cmp, &rec);
     assert_eq!(out, oracle);
     let t = rec.finish();
     let won = |k: SegmentKernel| t.counters.iter().filter(move |c| c.kind == k.counter());
@@ -123,7 +128,7 @@ fn spans_nest_and_never_overlap_per_worker() {
     // nesting in the repo.
     let mut v = unsorted_keys(SortWorkload::Uniform, 20_000, 7);
     let rec = TimelineRecorder::new();
-    parallel_merge_sort_recorded(&mut v, 4, &cmp, &rec);
+    parallel_merge_sort_by(&mut v, 4, &cmp, &rec);
     assert_spans_nest(&rec.finish());
 }
 
@@ -148,15 +153,21 @@ fn thm14_per_worker_counts_for_single_round_merges() {
     }
 }
 
-/// Every output write of `rec`, as `(offset, len)` in elements from
-/// `base`, in round order and, within a round, in share order.
-fn writes_by_share(rec: &Recording, base: *const u32) -> Vec<(usize, usize)> {
-    let esize = std::mem::size_of::<u32>();
+/// Every write of `rec` in round order and, within a round, in share
+/// order, as `(share, offset, len)` in elements: the offset into `buf`, or
+/// `None` for a write to a scratch buffer, whose address differs from run
+/// to run.
+fn writes_by_share(rec: &Recording, buf: &[u32]) -> Vec<(usize, Option<usize>, usize)> {
+    let start = buf.as_ptr() as usize;
+    let span = start..start + std::mem::size_of_val(buf);
     rec.rounds
         .iter()
-        .flat_map(|r| &r.shares)
-        .flat_map(|s| &s.writes)
-        .map(|w| ((w.addr - base as usize) / esize, w.elems))
+        .flat_map(|r| r.shares.iter().enumerate())
+        .flat_map(|(k, s)| s.writes.iter().map(move |w| (k, w)))
+        .map(|(k, w)| {
+            let offset = span.contains(&w.addr).then(|| (w.addr - start) / 4);
+            (k, offset, w.elems)
+        })
         .collect()
 }
 
@@ -177,10 +188,10 @@ fn tiled_merges_cut_each_tile_exactly_and_trace_like_untraced_runs() {
     for threads in [1usize, 2, 3, 8] {
         let tiles = tile_count(n, threads);
         assert!(tiles > threads, "threads={threads}: {n} outputs must tile");
-        let cuts: Vec<(usize, usize)> = (0..tiles)
+        let cuts: Vec<(usize, Option<usize>, usize)> = (0..tiles)
             .map(|k| {
                 let lo = segment_boundary(n, tiles, k);
-                (lo, segment_boundary(n, tiles, k + 1) - lo)
+                (k, Some(lo), segment_boundary(n, tiles, k + 1) - lo)
             })
             .collect();
         let expected: Vec<SegmentKernel> = partition_segments_by(&a[..], &b[..], tiles, &cmp)
@@ -191,19 +202,18 @@ fn tiled_merges_cut_each_tile_exactly_and_trace_like_untraced_runs() {
         // Under a virtual schedule, traced and untraced runs write the
         // same tiles, each exactly its cut.
         let mut out = vec![0u32; n];
-        let base = out.as_ptr();
         let ((), untraced) = record(threads as u64, || {
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp)
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder)
         });
         assert_eq!(out, oracle, "untraced, threads={threads}");
-        assert_eq!(writes_by_share(&untraced, base), cuts, "threads={threads}");
+        assert_eq!(writes_by_share(&untraced, &out), cuts, "threads={threads}");
         out.fill(0);
         let rec = TimelineRecorder::new();
         let ((), traced) = record(threads as u64, || {
-            parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec)
+            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &rec)
         });
         assert_eq!(out, oracle, "traced, threads={threads}");
-        assert_eq!(writes_by_share(&traced, base), cuts, "threads={threads}");
+        assert_eq!(writes_by_share(&traced, &out), cuts, "threads={threads}");
         drop(rec);
 
         // On the real pool, the trace names one kernel per tile — the one
@@ -211,7 +221,7 @@ fn tiled_merges_cut_each_tile_exactly_and_trace_like_untraced_runs() {
         // and each tile's items.
         out.fill(0);
         let rec = TimelineRecorder::new();
-        parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec);
+        parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &rec);
         assert_eq!(out, oracle, "real pool, threads={threads}");
         let t = rec.finish();
         let total = |k: usize, kind: CounterKind| -> u64 {
@@ -248,11 +258,7 @@ fn tiled_merges_cut_each_tile_exactly_and_trace_like_untraced_runs() {
             .iter()
             .map(|w| (w.worker, w.items))
             .collect();
-        let want: Vec<(usize, u64)> = cuts
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, len))| (k, len as u64))
-            .collect();
+        let want: Vec<(usize, u64)> = cuts.iter().map(|&(k, _, len)| (k, len as u64)).collect();
         assert_eq!(items, want, "threads={threads}: items per tile");
         assert!(report.thm14_exact, "threads={threads}");
         assert_eq!(report.predicted_max, (n as u64).div_ceil(tiles as u64));
@@ -277,7 +283,7 @@ fn tiled_sort_traces_count_items_per_tile_and_busy_per_participant() {
     assert!(tiles > threads, "{n} outputs must tile");
     let mut v = unsorted_keys(SortWorkload::Uniform, n, 0x5027);
     let rec = TimelineRecorder::new();
-    parallel_merge_sort_recorded(&mut v, threads, &cmp, &rec);
+    parallel_merge_sort_by(&mut v, threads, &cmp, &rec);
     assert!(v.windows(2).all(|w| w[0] <= w[1]));
     let t = rec.finish();
     let report = t.load_balance(n as u64, threads);
@@ -296,34 +302,110 @@ fn tiled_sort_traces_count_items_per_tile_and_busy_per_participant() {
     );
 }
 
-#[test]
-fn norecorder_output_identical_to_plain_and_sequential() {
-    let n = 30_000;
-    let (a, b) = merge_pair_sized(MergeWorkload::DuplicateHeavy, n / 2, n - n / 2, 0xBEEF);
-    let mut seq = vec![0u32; n];
-    merge_into_by(&a, &b, &mut seq, &cmp);
-
-    for threads in [1, 3, 8] {
-        let mut plain = vec![0u32; n];
-        parallel_merge_into_by(&a, &b, &mut plain, threads, &cmp);
-        let mut untraced = vec![0u32; n];
-        parallel_merge_into_recorded(&a, &b, &mut untraced, threads, &cmp, &NoRecorder);
-        let rec = TimelineRecorder::new();
-        let mut traced = vec![0u32; n];
-        parallel_merge_into_recorded(&a, &b, &mut traced, threads, &cmp, &rec);
-        assert_eq!(plain, seq, "p={threads}: plain vs sequential");
-        assert_eq!(untraced, seq, "p={threads}: NoRecorder vs sequential");
-        assert_eq!(traced, seq, "p={threads}: traced vs sequential");
+/// Runs `kernel` under `natural_cmp` with the sorted halves `a` and `b`
+/// of `keys` as its merge inputs, or `keys` as its sort input, reporting
+/// into `rec`, and returns the buffer it wrote. Every merge's output is
+/// the sorted keys: the batch's two pairs are cut at a co-rank, and the
+/// k-way merge's four lists are the halves' halves. The segmented merge
+/// and the cache-aware sort cut 2^15-output windows, twice `2 · TILE_MIN`,
+/// so each window is cut into tiles.
+fn run_kernel<R: Recorder>(
+    kernel: Kernel,
+    keys: &[u32],
+    (a, b): (&[u32], &[u32]),
+    threads: usize,
+    rec: &R,
+) -> Vec<u32> {
+    let cmp = natural_cmp::<u32>;
+    let window = 3 * 4 * TILE_MIN;
+    let mut buf = vec![0; keys.len()];
+    match kernel {
+        Kernel::Parallel => parallel_merge_into_by(a, b, &mut buf, threads, &cmp, rec),
+        Kernel::Segmented => {
+            let spm = SpmConfig::new(window, threads);
+            segmented_parallel_merge_into_by(a, b, &mut buf, &spm, &cmp, rec);
+        }
+        Kernel::Batch => {
+            let i = co_rank(keys.len() / 2, a, b);
+            let j = keys.len() / 2 - i;
+            let pairs = [(&a[..i], &b[..j]), (&a[i..], &b[j..])];
+            batch_merge_into_by(&pairs, &mut buf, threads, &cmp, rec);
+        }
+        Kernel::Inplace => {
+            buf = [a, b].concat();
+            parallel_inplace_merge_by(&mut buf, a.len(), threads, &cmp, rec);
+        }
+        Kernel::Kway => {
+            let (ha, hb) = (a.len() / 2, b.len() / 2);
+            let lists = [&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
+            parallel_kway_merge_by(&lists, &mut buf, threads, &cmp, rec);
+        }
+        Kernel::SortParallel | Kernel::SortKway | Kernel::SortCacheAware => {
+            buf.copy_from_slice(keys);
+            match kernel {
+                Kernel::SortParallel => parallel_merge_sort_by(&mut buf, threads, &cmp, rec),
+                Kernel::SortKway => kway_merge_sort_by(&mut buf, threads, &cmp, rec),
+                _ => {
+                    let cfg = CacheAwareConfig::new(window, threads);
+                    cache_aware_parallel_sort_by(&mut buf, &cfg, &cmp, rec);
+                }
+            }
+        }
     }
+    buf
+}
 
-    let mut expect = unsorted_keys(SortWorkload::Uniform, 25_000, 3);
-    let mut plain = expect.clone();
-    let mut untraced = expect.clone();
-    expect.sort();
-    parallel_merge_sort_by(&mut plain, 5, &cmp);
-    parallel_merge_sort_recorded(&mut untraced, 5, &cmp, &NoRecorder);
-    assert_eq!(plain, expect);
-    assert_eq!(untraced, expect);
+#[test]
+fn traced_runs_write_like_untraced_runs_in_every_kernel() {
+    // 2^16 keys from 2^8 values: tie classes of about 256, so under
+    // `natural_cmp` the probe sends every merge tile whose key ranges
+    // overlap to galloping. Recorded under one virtual schedule seed, the
+    // `NoRecorder` run and the traced run must write the same ranges from
+    // the same shares. Where the probe picks segment kernels, the traced
+    // run must gallop and never pick co-rank, as a probe that saw
+    // telemetry's counting wrapper would.
+    let n = 1usize << 16;
+    let mut rng = Prng::seed_from_u64(0x7E1E);
+    let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
+    let (mut a, mut b) = (keys[..n / 2].to_vec(), keys[n / 2..].to_vec());
+    a.sort_unstable();
+    b.sort_unstable();
+    let mut expect = keys.clone();
+    expect.sort_unstable();
+    use Kernel::{Batch, Parallel, Segmented, SortCacheAware, SortParallel};
+    let probed = [Parallel, Segmented, Batch, SortParallel, SortCacheAware];
+    for threads in [1usize, 2, 3] {
+        for kernel in Kernel::ALL {
+            let ctx = format!("{} p={threads}", kernel.name());
+            let (untraced, plain) = record(5, || {
+                run_kernel(kernel, &keys, (&a, &b), threads, &NoRecorder)
+            });
+            let rec = TimelineRecorder::new();
+            let (traced, seen) = record(5, || run_kernel(kernel, &keys, (&a, &b), threads, &rec));
+            assert_eq!(untraced, expect, "untraced output {ctx}");
+            assert_eq!(traced, expect, "traced output {ctx}");
+            assert_eq!(
+                writes_by_share(&seen, &traced),
+                writes_by_share(&plain, &untraced),
+                "per-share writes {ctx}"
+            );
+            let t = rec.finish();
+            let total = |kind| -> u64 {
+                t.counters
+                    .iter()
+                    .filter(|c| c.kind == kind)
+                    .map(|c| c.total)
+                    .sum()
+            };
+            if probed.contains(&kernel) {
+                assert_eq!(total(CounterKind::SegmentsCoRank), 0, "co-rank {ctx}");
+                assert!(
+                    threads == 1 || total(CounterKind::SegmentsGalloping) > 0,
+                    "no galloping segment {ctx}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -373,7 +455,7 @@ fn inplace_and_multiway_merges_tile_the_output_exactly() {
     let mut v = a;
     v.extend(b);
     let rec = TimelineRecorder::new();
-    parallel_inplace_merge_recorded(&mut v, mid, threads, &cmp, &rec);
+    parallel_inplace_merge_by(&mut v, mid, threads, &cmp, &rec);
     let t = rec.finish();
     assert_eq!(
         t.worker_items.iter().map(|w| w.items).sum::<u64>(),
@@ -387,7 +469,7 @@ fn inplace_and_multiway_merges_tile_the_output_exactly() {
     let total = c.len() + d.len() + e.len() + f.len();
     let mut out = vec![0u32; total];
     let rec = TimelineRecorder::new();
-    batch_merge_into_recorded(&pairs, &mut out, threads, &cmp, &rec);
+    batch_merge_into_by(&pairs, &mut out, threads, &cmp, &rec);
     let t = rec.finish();
     assert_eq!(
         t.worker_items.iter().map(|w| w.items).sum::<u64>(),
@@ -402,7 +484,7 @@ fn inplace_and_multiway_merges_tile_the_output_exactly() {
     let total: usize = refs.iter().map(|r| r.len()).sum();
     let mut out = vec![0u32; total];
     let rec = TimelineRecorder::new();
-    parallel_kway_merge_recorded(&refs, &mut out, threads, &cmp, &rec);
+    parallel_kway_merge_by(&refs, &mut out, threads, &cmp, &rec);
     let t = rec.finish();
     assert_eq!(
         t.worker_items.iter().map(|w| w.items).sum::<u64>(),
