@@ -1,4 +1,4 @@
-//! Akl–Santoro recursive median bisection (the paper's reference [5]).
+//! Akl–Santoro recursive median bisection (the paper's reference \[5\]).
 //!
 //! The original EREW algorithm finds the pair of positions `(i, j)` that
 //! split the merged output at its median, then recurses on the two halves

@@ -1,4 +1,4 @@
-//! Batcher's bitonic merge and sort (the paper's reference [4]).
+//! Batcher's bitonic merge and sort (the paper's reference \[4\]).
 //!
 //! A data-oblivious sorting network: `O(N log² N)` comparisons arranged in
 //! `O(log² N)` stages of `N/2` independent compare-exchanges. The paper

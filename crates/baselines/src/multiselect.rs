@@ -1,4 +1,4 @@
-//! Merging by multiselection (the paper's reference [7]: Deo, Jain,
+//! Merging by multiselection (the paper's reference \[7\]: Deo, Jain,
 //! Medidi — "An optimal parallel algorithm for merging using
 //! multiselection").
 //!
@@ -11,7 +11,7 @@
 //! deeper in the recursion search ever-smaller sub-arrays, so the total
 //! search work is `O(p·log(N/p) + p·log p)` — asymptotically less than
 //! Merge Path's `O(p·log N)` total, at the price of a `O(log p)`-deep
-//! *dependent* recursion (the EREW-friendly structure ref [7] targets).
+//! *dependent* recursion (the EREW-friendly structure ref \[7\] targets).
 //!
 //! The `c1_complexity` experiment compares the three partitioners'
 //! measured comparison counts and round structure.

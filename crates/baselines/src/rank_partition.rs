@@ -1,4 +1,4 @@
-//! Shiloach–Vishkin-style rank partitioning (the paper's reference [6]).
+//! Shiloach–Vishkin-style rank partitioning (the paper's reference \[6\]).
 //!
 //! The workload is split by slicing `A` into `p` equal chunks and
 //! co-partitioning `B` at the ranks of the chunk boundaries. This is

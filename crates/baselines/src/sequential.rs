@@ -9,7 +9,7 @@
 use core::cmp::Ordering;
 
 /// The classic two-pointer stable merge, straight out of CLRS (the paper's
-/// reference [1]).
+/// reference \[1\]).
 ///
 /// # Panics
 /// Panics if `out.len() != a.len() + b.len()`.

@@ -75,6 +75,6 @@ fn main() {
          own kernels run directly on its own tile cuts, so it holds only the\n\
          diagonal searches, the probes and the dispatch. `vs seq` compares it with\n\
          the two-pointer baseline and is mostly kernel choice (branch-lean on\n\
-         uniform keys)."
+         uniform keys, eight keys per step on a CPU with AVX2)."
     );
 }

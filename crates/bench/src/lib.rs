@@ -172,9 +172,9 @@ impl Scale {
 
 /// Formats a mebi-elements size the way the paper labels it ("1M", "256M").
 pub fn mega_label(n: usize) -> String {
-    if n >= 1 << 20 && n % (1 << 20) == 0 {
+    if n >= 1 << 20 && n.is_multiple_of(1 << 20) {
         format!("{}M", n >> 20)
-    } else if n >= 1 << 10 && n % (1 << 10) == 0 {
+    } else if n >= 1 << 10 && n.is_multiple_of(1 << 10) {
         format!("{}K", n >> 10)
     } else {
         n.to_string()

@@ -44,14 +44,14 @@ impl CacheConfig {
             self.line_bytes
         );
         assert!(
-            self.capacity_bytes % self.line_bytes == 0,
+            self.capacity_bytes.is_multiple_of(self.line_bytes),
             "capacity {} not a multiple of line size {}",
             self.capacity_bytes,
             self.line_bytes
         );
         assert!(self.associativity > 0, "associativity must be at least 1");
         assert!(
-            self.lines() % self.associativity == 0,
+            self.lines().is_multiple_of(self.associativity),
             "line count {} not divisible by associativity {}",
             self.lines(),
             self.associativity

@@ -1096,7 +1096,10 @@ fn pram_replay<T>(
                 if w.bytes == 0 {
                     continue;
                 }
-                if w.addr < span.addr || w.end() > span.end() || (w.addr - span.addr) % esize != 0 {
+                if w.addr < span.addr
+                    || w.end() > span.end()
+                    || !(w.addr - span.addr).is_multiple_of(esize)
+                {
                     eligible = false;
                     break 'shares;
                 }

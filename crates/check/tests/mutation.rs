@@ -19,10 +19,17 @@
 //! oracle can see the difference, which the checker must report as an
 //! `OutputMismatch` on the first schedule.
 //!
+//! A third fault drops stage 3 of the 16-key network in the branch-lean
+//! kernel's AVX2 body, so most steps write their eight keys out of order.
+//! That body runs only for `u32` keys under `natural_cmp` on CPUs with
+//! AVX2, which the checker reaches only through `check_kernel_keys`; on
+//! such a CPU it must report an `OutputMismatch` on the first schedule,
+//! and elsewhere the same check must pass.
+//!
 //! `cargo xtask verify-schedules` runs the mutated configuration with these
 //! tests.
 
-use mergepath_check::{check_kernel, CheckConfig, CheckError, Kernel};
+use mergepath_check::{check_kernel, check_kernel_keys, CheckConfig, CheckError, Kernel};
 
 /// The overlap is tile 0's: checked where tiles are the paper's `p`
 /// segments (800 keys at 4 threads) and where Algorithm 1 cuts more tiles
@@ -114,5 +121,63 @@ fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
             .map(|c| c.total)
             .sum();
         assert!(co_rank > 0, "the probe sent no segment to co-rank");
+    }
+}
+
+/// Whether this CPU runs AVX2, so the branch-lean kernel takes its vector
+/// body on `u32` keys under `natural_cmp`.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The network fault fires wherever the vector body runs. `check_kernel_keys`
+/// merges 4096 wide-range `u32` keys under `natural_cmp`; at the default 4
+/// threads the batch merge cuts them into 1024-output tiles whose fragments
+/// the probe sends to branch-lean. The batch merge carries neither of the
+/// other two faults, so the mutated build fails here only through the
+/// network.
+#[test]
+fn vector_network_fault_is_detected_as_an_output_mismatch() {
+    use mergepath::merge::batch::batch_merge_into_by;
+    use mergepath::merge::sequential::natural_cmp;
+    use mergepath::telemetry::TimelineRecorder;
+    use mergepath_check::default_key_input;
+
+    let (n, cfg) = (4096, CheckConfig::default());
+    let result = check_kernel_keys(Kernel::Batch, n, &cfg);
+    if cfg!(mergepath_mutate) && avx2() {
+        match result {
+            Err(CheckError::OutputMismatch {
+                kernel, schedule, ..
+            }) => {
+                assert_eq!(kernel, "batch");
+                assert_eq!(schedule, 0, "the fault is schedule-independent");
+            }
+            other => panic!(
+                "the dropped network stage must be caught as an output mismatch, got {other:?}"
+            ),
+        }
+    } else {
+        let report = result.expect("the schedule check must pass where the fault cannot fire");
+        assert!(report.multi_rounds > 0, "{report}");
+        // The conviction above rests on the probe sending these fragments
+        // to branch-lean: the checker's batch input, traced.
+        let (a, b) = default_key_input(n, cfg.seed);
+        let (ha, hb) = (a.len() / 2, b.len() / 3);
+        let pairs = [(&a[..ha], &b[..hb]), (&a[ha..], &b[hb..])];
+        let rec = TimelineRecorder::new();
+        let mut out = vec![0u32; n];
+        batch_merge_into_by(&pairs, &mut out, cfg.threads, &natural_cmp, &rec);
+        let branch_lean: u64 = rec
+            .finish()
+            .counters
+            .iter()
+            .filter(|c| c.kind.name() == "segments_branch_lean")
+            .map(|c| c.total)
+            .sum();
+        assert!(branch_lean > 0, "the probe sent no segment to branch-lean");
     }
 }

@@ -32,7 +32,7 @@
 //! and round.
 //!
 //! `mp trace` runs one kernel on a synthetic workload with the
-//! [`TimelineRecorder`](mergepath::telemetry::TimelineRecorder) attached and
+//! [`TimelineRecorder`] attached and
 //! writes a Chrome `trace_event` JSON file (loadable in Perfetto /
 //! `chrome://tracing`) plus a flat JSONL metrics stream ending in a
 //! load-balance summary line (Theorem 14's `⌈N/p⌉` prediction against the
@@ -305,7 +305,7 @@ pub enum Command {
         /// JSONL metrics output path (default `mp-metrics.jsonl`).
         metrics_out: String,
     },
-    /// `mp bench` — the reproducible perf harness (see [`bench`]).
+    /// `mp bench` — the reproducible perf harness (see [`mod@bench`]).
     Bench {
         /// Elements per measured merge/sort.
         n: usize,

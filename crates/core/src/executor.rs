@@ -22,7 +22,7 @@
 //!
 //! * Each worker owns a **bounded deque** of tickets (LIFO at the owner's
 //!   end, FIFO at the steal end), plus one shared **global injector**.
-//! * [`Pool::submit_round`] (the internal engine behind
+//! * `Pool::submit_round` (the internal engine behind
 //!   [`Pool::run_indexed`]) enqueues a **round descriptor** — erased job
 //!   pointer, atomic share-claim counter, completion latch, panic flag —
 //!   without taking any global lock. A pool-worker submitter pushes its

@@ -39,7 +39,8 @@ use core::marker::PhantomData;
 use mergepath_telemetry::{counted_cmp, span, CounterKind, Recorder, SpanKind};
 
 use super::sequential::{
-    branch_lean_merge_into_by, galloping_merge_into_by, merge_into_by, natural_cmp,
+    branch_lean_merge_into_by, branch_lean_vector, galloping_merge_into_by, merge_into_by,
+    natural_cmp,
 };
 use super::stable::co_rank_merge_into_by;
 use crate::diagonal::co_rank_by;
@@ -74,7 +75,7 @@ pub enum SegmentKernel {
     /// Exponential-search run merge ([`galloping_merge_into_by`]).
     Galloping,
     /// Co-rank stable block merge
-    /// ([`co_rank_merge_into_by`](super::stable::co_rank_merge_into_by)):
+    /// ([`co_rank_merge_into_by`]):
     /// subdivides the output into exact blocks whose boundaries are the
     /// *unique* stable splits (ties broken A-before-B by global index), so
     /// stability is a proved property of every block cut rather than an
@@ -231,6 +232,23 @@ where
     .contains(&f)
 }
 
+/// Whether `F` is the [`natural_cmp`] function item of `u32` — the identity
+/// test of [`natural_order_eligible`] narrowed to the one key type the
+/// branch-lean kernel's vector body merges. True forces `T = u32`. Like
+/// that test it answers `false` for telemetry's counting wrapper, so a
+/// caller that merges through the wrapper asks about the raw comparator.
+pub(crate) fn natural_u32<T, F>(_cmp: &F) -> bool
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    non_static_type_id::<F>() == type_id_of_val(&natural_cmp::<u32>)
+}
+
+/// Whether `T` is `u32`.
+pub(crate) fn is_u32<T>() -> bool {
+    non_static_type_id::<T>() == TypeId::of::<u32>()
+}
+
 /// `TypeId` of `T` ignoring lifetimes (so non-`'static` comparator types,
 /// e.g. closures capturing references, can still be *compared against* the
 /// `'static` function items of [`natural_cmp`]).
@@ -298,7 +316,15 @@ where
     let kernel = {
         let _merge = span(rec, worker, SpanKind::SegmentMerge);
         let kernel = probe_segment(a, b, cmp);
-        kernel.merge_into_by(a, b, out, &counted_cmp(rec, cmp, &hits));
+        // The counting wrapper hides `natural_cmp::<u32>` from the
+        // branch-lean kernel, so the vector body is chosen here, on `cmp`,
+        // and counts through a wrapper of its own around the same counter.
+        let vector = kernel == SegmentKernel::BranchLean
+            && natural_u32(cmp)
+            && branch_lean_vector(a, b, out, &counted_cmp(rec, &natural_cmp::<u32>, &hits));
+        if !vector {
+            kernel.merge_into_by(a, b, out, &counted_cmp(rec, cmp, &hits));
+        }
         kernel
     };
     rec.counter_add(worker, kernel.counter(), 1);

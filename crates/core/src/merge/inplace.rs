@@ -6,7 +6,7 @@
 //! rotation-based in-place merge *is* a recursive application of the
 //! diagonal search —
 //!
-//! 1. split the output at its midpoint `k = N/2`: [`co_rank`] finds the
+//! 1. split the output at its midpoint `k = N/2`: [`co_rank`](crate::diagonal::co_rank) finds the
 //!    unique `(i, j)` with `i + j = k` such that `a[..i]` and `b[..j]`
 //!    form the first half of the merge;
 //! 2. rotate the middle region `v[i .. mid + j]` left by `mid - i` so the

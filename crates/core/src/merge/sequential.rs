@@ -12,7 +12,8 @@
 //! * [`branch_lean_merge_into_by`] — replaces the hard-to-predict
 //!   comparison branch with index arithmetic, and runs as four streams:
 //!   pays off on random interleaving (branch misprediction bound), loses
-//!   slightly on runs.
+//!   slightly on runs. For `u32` keys under [`natural_cmp`] on x86-64 CPUs
+//!   with AVX2 it merges eight keys per step instead.
 //! * [`galloping_merge_into_by`] — exponential search over runs; wins when
 //!   the inputs interleave coarsely (long runs from one side).
 //!
@@ -37,14 +38,31 @@
 //! adaptive dispatch and [`super::batch`] fragments. Two, three, six and
 //! eight streams were measured too (DESIGN.md §5): two run at about 1.5×
 //! four's time per element, and six or eight at about four's.
+//!
+//! # Eight keys per step
+//!
+//! Four scalar streams still spend a compare, a select and a store per
+//! key. For `u32` keys in natural order the kernel has a vector body
+//! (`avx2`): each of four co-ranked streams takes eight keys per step
+//! through a 16-key bitonic merge network in AVX2 registers and calls the
+//! comparator once per step, to choose which side the next eight keys come
+//! from. It runs when the comparator is the `natural_cmp::<u32>` function
+//! item — the adaptive dispatch asks that of the comparator it was handed,
+//! before telemetry's counting wrapper hides it — and the CPU reports AVX2
+//! at run time. Every other key type, comparator and CPU runs the scalar
+//! streams, and the output is the same bytes either way (DESIGN.md §10).
 
 use core::cmp::Ordering;
 
+use super::adaptive::{is_u32, natural_u32};
 use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
 use crate::partition::segment_boundary;
 use crate::probe::{NoProbe, Probe};
 use crate::view::SortedView;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// The canonical natural-order comparator: `|x, y| x.cmp(y)` as a named
 /// function item.
@@ -189,7 +207,8 @@ where
     }
 }
 
-/// Independent merge streams the branch-lean kernel advances in one loop.
+/// Independent merge streams the scalar branch-lean body advances in one
+/// loop.
 const STREAMS: usize = 4;
 
 /// Outputs per stream below which the branch-lean kernel merges as one
@@ -211,7 +230,8 @@ pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 }
 
 /// The branch-lean kernel for `Clone` elements and a caller-supplied
-/// comparator, run as `STREAMS` independent streams.
+/// comparator, run as `STREAMS` independent streams, or as eight keys per
+/// step for `u32` keys under [`natural_cmp`] on x86-64 CPUs with AVX2.
 ///
 /// Ties (`Ordering::Equal`) take from `a` first — the same stable order as
 /// [`merge_into_by`]; the select consumes the comparison as an index
@@ -227,34 +247,24 @@ pub fn branch_lean_merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 /// unique stable ones (ties to `a`, Siebert & Träff), so the output is
 /// byte-identical to the single stream's. Once any stream runs out of one
 /// input, each stream finishes on the single-stream loop.
+///
+/// When `cmp` is the `natural_cmp::<u32>` function item and the CPU has
+/// AVX2, the vector body runs instead (see the module docs): equal `u32`
+/// keys are bit-identical, so its output is byte-identical too.
 pub fn branch_lean_merge_into_by<T: Clone, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
 {
     assert_out_len(a.len(), b.len(), out.len());
+    if natural_u32(cmp) && branch_lean_vector(a, b, out, &natural_cmp::<u32>) {
+        return;
+    }
     let n = out.len();
     if n < STREAMS * STREAM_MIN {
         branch_lean_stream(a, b, out, cmp);
         return;
     }
-    // Stream `s` merges `a[ia[s]..ia[s + 1]]` and `b[jb[s]..jb[s + 1]]`
-    // into `out[d_s..d_{s + 1}]`, where `d_s = ia[s] + jb[s]`.
-    let mut ia = [0; STREAMS + 1];
-    let mut jb = [0; STREAMS + 1];
-    for s in 1..STREAMS {
-        let d = segment_boundary(n, STREAMS, s);
-        ia[s] = co_rank_by(d, a, b, cmp);
-        jb[s] = d - ia[s];
-    }
-    (ia[STREAMS], jb[STREAMS]) = (a.len(), b.len());
-    let sa: [&[T]; STREAMS] = core::array::from_fn(|s| &a[ia[s]..ia[s + 1]]);
-    let sb: [&[T]; STREAMS] = core::array::from_fn(|s| &b[jb[s]..jb[s + 1]]);
-    let mut rest = out;
-    let so: [&mut [T]; STREAMS] = core::array::from_fn(|s| {
-        let (head, tail) = core::mem::take(&mut rest).split_at_mut(sa[s].len() + sb[s].len());
-        rest = tail;
-        head
-    });
+    let (sa, sb, so) = co_ranked_streams::<T, F, STREAMS>(a, b, out, cmp);
     // Each stream's cursors into its own inputs.
     let (mut i, mut j) = ([0usize; STREAMS], [0usize; STREAMS]);
     loop {
@@ -289,6 +299,73 @@ where
     for (s, o) in so.into_iter().enumerate() {
         branch_lean_stream(&sa[s][i[s]..], &sb[s][j[s]..], &mut o[i[s] + j[s]..], cmp);
     }
+}
+
+/// The branch-lean kernel's vector body, when it applies: merges `a` and
+/// `b` into `out` and returns `true` when `T` is `u32` and the CPU has
+/// AVX2, and otherwise returns `false` without touching `out`. `cmp` must
+/// order `u32` naturally — it is [`natural_cmp`] or telemetry's counting
+/// wrapper around it — because the network compares keys as unsigned
+/// integers and calls `cmp` only to choose blocks and on the scalar tail.
+///
+/// # Panics
+/// Panics if `out.len() != a.len() + b.len()`.
+pub(crate) fn branch_lean_vector<T, G>(a: &[T], b: &[T], out: &mut [T], cmp: &G) -> bool
+where
+    G: Fn(&u32, &u32) -> Ordering,
+{
+    #[cfg(target_arch = "x86_64")]
+    if is_u32::<T>() && avx2::detected() {
+        assert_out_len(a.len(), b.len(), out.len());
+        // SAFETY: `T` is `u32` (same `TypeId`, checked just above), so each
+        // slice is reinterpreted as its own type: same length, same
+        // layout, and `out` stays the only reference to its elements.
+        let (a, b, out) = unsafe {
+            (
+                core::slice::from_raw_parts(a.as_ptr().cast::<u32>(), a.len()),
+                core::slice::from_raw_parts(b.as_ptr().cast::<u32>(), b.len()),
+                core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u32>(), out.len()),
+            )
+        };
+        // SAFETY: the CPU supports AVX2, detected at run time just above.
+        unsafe { avx2::merge(a, b, out, cmp) };
+        return true;
+    }
+    let _ = (a, b, out, cmp);
+    false
+}
+
+/// Cuts the merge of `a` and `b` into `S` independent merges at the stable
+/// co-ranks of the diagonals `⌊s·n/S⌋`: stream `s` merges
+/// `a[ia[s]..ia[s + 1]]` and `b[jb[s]..jb[s + 1]]` into
+/// `out[d_s..d_{s + 1}]`, where `d_s = ia[s] + jb[s]`. Returns each
+/// stream's `a` part, `b` part and output.
+#[allow(clippy::type_complexity)]
+fn co_ranked_streams<'s, T, F, const S: usize>(
+    a: &'s [T],
+    b: &'s [T],
+    out: &'s mut [T],
+    cmp: &F,
+) -> ([&'s [T]; S], [&'s [T]; S], [&'s mut [T]; S])
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    let n = out.len();
+    let starts: [(usize, usize); S] = core::array::from_fn(|s| {
+        let d = segment_boundary(n, S, s);
+        let i = co_rank_by(d, a, b, cmp);
+        (i, d - i)
+    });
+    let end = |s: usize| starts.get(s + 1).copied().unwrap_or((a.len(), b.len()));
+    let sa = core::array::from_fn(|s| &a[starts[s].0..end(s).0]);
+    let sb = core::array::from_fn(|s| &b[starts[s].1..end(s).1]);
+    let mut rest = out;
+    let so = core::array::from_fn(|s: usize| {
+        let (head, tail) = core::mem::take(&mut rest).split_at_mut(sa[s].len() + sb[s].len());
+        rest = tail;
+        head
+    });
+    (sa, sb, so)
 }
 
 /// One branch-lean stream: the select is an index increment, and the

@@ -89,7 +89,7 @@ where
 /// [`SegmentKernel::CoRank`](crate::merge::adaptive::SegmentKernel::CoRank).
 ///
 /// The output is cut every [`CO_RANK_BLOCK`] ranks; each interior boundary
-/// is co-ranked with [`block_split`] (`O(log min(|a|, |b|))` comparisons),
+/// is co-ranked with `block_split` (`O(log min(|a|, |b|))` comparisons),
 /// and each block is emitted by a bounded classic merge of its private
 /// input slices. Because the stable split at every rank is unique, the
 /// concatenation of the blocks *is* the stable merge: byte-identical to

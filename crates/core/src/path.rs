@@ -129,7 +129,7 @@ impl MergePath {
 /// the transition point the proposition describes, in `O(diagonal length)`.
 ///
 /// This is the brute-force counterpart of the `O(log)` search of
-/// [`co_rank_by`]; the test suite asserts they always agree.
+/// [`co_rank_by`](crate::diagonal::co_rank_by); the test suite asserts they always agree.
 pub fn diagonal_transition_bruteforce<T, F>(d: usize, a: &[T], b: &[T], cmp: &F) -> (usize, usize)
 where
     F: Fn(&T, &T) -> Ordering,

@@ -5,7 +5,7 @@
 //! the merge path with diagonal `k + 1` *is* a selection — the k-th
 //! smallest element of `A ∪ B` in `O(log min(|A|, |B|))` comparisons,
 //! without merging anything. This is the primitive the Akl–Santoro
-//! baseline (paper, ref [5]) builds its median bisection from, exposed
+//! baseline (paper, ref \[5\]) builds its median bisection from, exposed
 //! here as a first-class API (median of two sorted arrays, percentiles,
 //! …).
 

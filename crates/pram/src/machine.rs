@@ -47,7 +47,7 @@ pub enum MemoryMode {
     #[default]
     Crew,
     /// Both reads and writes exclusive — the model of the Akl–Santoro
-    /// baseline (paper, ref [5]).
+    /// baseline (paper, ref \[5\]).
     Erew,
 }
 

@@ -15,7 +15,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Admissible length ranges for [`vec`].
+/// Admissible length ranges for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -41,7 +41,7 @@ impl From<usize> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -37,7 +37,7 @@
 //!   daemon's own events are counted in [`ServeStats`] and, when one is
 //!   attached, by the [`ServeProbe`] (a [`ServeObserver`]'s metrics
 //!   registry and flight ring). Latency percentiles come from the
-//!   mergeable [`LatencyHistogram`](mergepath_telemetry::LatencyHistogram).
+//!   mergeable [`LatencyHistogram`].
 //!
 //! Correctness under concurrency follows the Träff stable-merge line
 //! (arXiv 1202.6575): every completed response is byte-identical to the

@@ -36,8 +36,9 @@ fn usage() -> ExitCode {
     eprintln!("                   (fails unless the parallel round has more tiles than");
     eprintln!("                   threads), then rebuild with the injected faults");
     eprintln!("                   (--cfg mergepath_mutate) and prove the checker reports");
-    eprintln!("                   the partition overlap and, on an input the probe sends");
-    eprintln!("                   to co-rank, the co-rank tie-break inversion");
+    eprintln!("                   the partition overlap, on an input the probe sends");
+    eprintln!("                   to co-rank the co-rank tie-break inversion, and on");
+    eprintln!("                   AVX2 CPUs the dropped stage of the vector merge network");
     eprintln!("  bench            run `mp bench` at full scale, refreshing the committed");
     eprintln!("                   BENCH_merge.json / BENCH_sort.json / BENCH_telemetry.json");
     eprintln!("                   at the workspace root");
@@ -364,12 +365,15 @@ fn verify_telemetry() -> ExitCode {
 /// 2. **Sensitivity of the checker**: the workspace is rebuilt with
 ///    `--cfg mergepath_mutate` (a deliberate off-by-one in the Algorithm 1
 ///    partition that makes two shares write the same boundary slot with the
-///    same value — invisible to output diffing — and an inverted co-rank
-///    tie break) and every mutation self-test must observe the checker
+///    same value — invisible to output diffing — an inverted co-rank tie
+///    break, and a dropped stage in the branch-lean kernel's AVX2 merge
+///    network) and every mutation self-test must observe the checker
 ///    convicting its fault: the first in `parallel` and in the windowed
-///    `segmented` merge, whose windows run the same tile loop. A separate
-///    target directory keeps the mutated artifacts from poisoning the
-///    normal build cache.
+///    `segmented` merge, whose windows run the same tile loop; the last in
+///    `batch` on `u32` keys under `natural_cmp` (`check_kernel_keys`), on
+///    the first schedule, where the CPU has AVX2 (elsewhere the vector body
+///    never runs and that check must pass). A separate target directory
+///    keeps the mutated artifacts from poisoning the normal build cache.
 ///
 /// A second leg always draws round orders from the simulated
 /// work-stealing deque protocol (`--steal-orders`): executor-realistic
@@ -458,9 +462,24 @@ fn verify_schedules() -> ExitCode {
     }
     println!(
         "verify-schedules: OK (all kernels CREW-exclusive under permuted and \
-         steal-order schedules; injected faults detected)"
+         steal-order schedules; injected faults detected: tile cut, co-rank \
+         tie break{})",
+        if avx2_detected() {
+            ", vector merge network"
+        } else {
+            "; no AVX2, so the vector merge network's fault cannot fire here"
+        }
     );
     ExitCode::SUCCESS
+}
+
+/// Whether this CPU runs AVX2, the one place the mutated vector merge
+/// network can run.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Runs `mp bench` with the given extra arguments.
@@ -1365,7 +1384,7 @@ fn check_overhead(dir: &std::path::Path) -> Result<f64, String> {
 /// 2. **Hot-path cost**: the `metrics_invariants` integration tests prove
 ///    with a counting allocator that every probe hook and flight-ring
 ///    write is allocation-free, that waterfall stages partition latency
-///    exactly, and that the disabled [`NoProbe`] path stays zero-sized.
+///    exactly, and that the disabled `NoProbe` path stays zero-sized.
 /// 3. **Overhead budget**: a smoke `mp bench` refreshes the
 ///    `serve_overhead` point and >3% metrics-on overhead fails the gate.
 fn verify_metrics() -> ExitCode {

@@ -472,6 +472,159 @@ fn multi_stream_panic_inside_the_interleaved_loop_balances_drops() {
     }
 }
 
+/// The branch-lean kernel's vector body (`u32` under `natural_cmp` on CPUs
+/// with AVX2) through both of its forcing entries, against the classic
+/// kernel under a closure, which never takes it. Each run starts from its
+/// own sentinel, so a slot the body fails to write shows.
+fn assert_vector_identical(a: &[u32], b: &[u32], ctx: &str) {
+    assert!(a.is_sorted() && b.is_sorted(), "unsorted input {ctx}");
+    let mut oracle = vec![0u32; a.len() + b.len()];
+    merge_into_by(a, b, &mut oracle, &|x: &u32, y: &u32| x.cmp(y));
+    let mut out = vec![0xA5A5_A5A5; oracle.len()];
+    branch_lean_merge_into(a, b, &mut out);
+    assert_eq!(out, oracle, "branch_lean_merge_into {ctx}");
+    out.fill(0x5A5A_5A5A);
+    SegmentKernel::BranchLean.merge_into_by(a, b, &mut out, &natural_cmp);
+    assert_eq!(out, oracle, "SegmentKernel::BranchLean {ctx}");
+}
+
+/// Keys at which a signed compare orders differently from an unsigned one:
+/// 0, 2^31 − 1, 2^31, `u32::MAX` and their neighbours.
+const SIGN_KEYS: [u32; 8] = [
+    0,
+    1,
+    (1 << 31) - 2,
+    (1 << 31) - 1,
+    1 << 31,
+    (1 << 31) + 1,
+    u32::MAX - 1,
+    u32::MAX,
+];
+
+/// `len` sorted keys: from `0..space`, or from [`SIGN_KEYS`] when `space`
+/// is 0.
+fn u32_side(rng: &mut Prng, len: usize, space: u64) -> Vec<u32> {
+    let mut keys: Vec<u32> = (0..len)
+        .map(|_| match space {
+            0 => SIGN_KEYS[rng.below(SIGN_KEYS.len() as u64) as usize],
+            _ => rng.below(space) as u32,
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn vector_body_is_byte_identical_to_the_closure_merge() {
+    // Every output length 0–300 and 2^k ± 1 (k = 3..16); each side empty,
+    // under one block of eight, at one block, or most of the merge; keys
+    // with ties (2 or 16 values), spread over all of `u32`, or drawn from
+    // the keys around the sign bit.
+    let mut rng = Prng::seed_from_u64(0xA7_2B0D);
+    let mut outputs: Vec<usize> = (0..=300).collect();
+    for k in 3..=16 {
+        outputs.extend([(1usize << k) - 1, (1 << k) + 1]);
+    }
+    for n in outputs {
+        let mut splits: Vec<usize> = [0, 1, 7, 8, 9, n / 3, n / 2]
+            .into_iter()
+            .flat_map(|na| [na, n.saturating_sub(na)])
+            .filter(|&na| na <= n)
+            .collect();
+        splits.sort_unstable();
+        splits.dedup();
+        for na in splits {
+            for space in [0u64, 2, 16, 1 << 32] {
+                let a = u32_side(&mut rng, na, space);
+                let b = u32_side(&mut rng, n - na, space);
+                assert_vector_identical(&a, &b, &format!("n={n} |a|={na} space={space}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn vector_body_on_all_equal_and_ties_straddling_every_block_and_stream_cut() {
+    // `values` keys, each `ra` times in `a` and `rb` times in `b`: every
+    // key is a tie class of `ra + rb` outputs shared by both sides, so
+    // classes straddle the eight-key blocks at every offset and each
+    // interior stream cut that does not fall between two classes falls
+    // inside one. The keys start just below 2^31 and cross it.
+    let base = (1u32 << 31) - 40;
+    for values in [1usize, 2, 5, 31, 64, 125, 513] {
+        for (ra, rb) in [(1, 1), (3, 5), (5, 3), (8, 8), (9, 7), (16, 1), (1, 16)] {
+            let a: Vec<u32> = (0..values * ra).map(|i| base + (i / ra) as u32).collect();
+            let b: Vec<u32> = (0..values * rb).map(|j| base + (j / rb) as u32).collect();
+            let (n, class) = (a.len() + b.len(), ra + rb);
+            let ctx = format!("{values} classes of {ra}+{rb}");
+            let mut merged = vec![0; n];
+            merge_into_by(&a, &b, &mut merged, &natural_cmp);
+            for s in 1..STREAMS {
+                let d = segment_boundary(n, STREAMS, s);
+                if d > 0 && !d.is_multiple_of(class) {
+                    assert_eq!(merged[d - 1], merged[d], "{ctx}: cut {s} not in a tie");
+                }
+            }
+            assert_vector_identical(&a, &b, &ctx);
+            assert_vector_identical(&b, &a, &format!("swapped {ctx}"));
+        }
+    }
+    for n in [16usize, 17, 64, 65, 1000, 4099] {
+        for na in [1, 8, n / 3, n / 2, n - 8] {
+            let (a, b) = (vec![base; na], vec![base; n - na]);
+            assert_vector_identical(&a, &b, &format!("all-equal n={n} |a|={na}"));
+        }
+    }
+}
+
+#[test]
+fn vector_body_runs_where_avx2_is_detected() {
+    // The vector body calls the comparator once per eight-key block (and on
+    // its tails), the scalar body once per output: a traced merge's
+    // `comparisons` shows which body ran, so a dispatch that never fires on
+    // a CPU with AVX2 fails here. Traced and untraced runs must agree on
+    // output and on the kernel, and only `natural_cmp::<u32>` takes the
+    // vector body.
+    let avx2 = cfg!(target_arch = "x86_64") && avx2_detected();
+    let n = 4096usize;
+    let mut rng = Prng::seed_from_u64(0x5EC7);
+    let (a, b) = (
+        u32_side(&mut rng, n / 2, 1 << 32),
+        u32_side(&mut rng, n / 2, 1 << 32),
+    );
+    let (kernel, vector) = segment_kernel(&a, &b, &natural_cmp::<u32>, "natural u32");
+    assert_eq!(kernel, SegmentKernel::BranchLean);
+    if avx2 {
+        assert!(
+            vector < n as u64 / 4,
+            "{vector} comparisons for {n} outputs"
+        );
+    } else {
+        assert!(
+            vector > n as u64 / 2,
+            "{vector} comparisons for {n} outputs"
+        );
+    }
+    let (kernel, scalar) = segment_kernel(&a, &b, &|x: &u32, y: &u32| x.cmp(y), "closure");
+    assert_eq!(kernel, SegmentKernel::BranchLean);
+    assert!(scalar > n as u64 / 2, "{scalar} closure comparisons");
+    let (a, b): (Vec<u64>, Vec<u64>) = (
+        a.iter().map(|&k| u64::from(k)).collect(),
+        b.iter().map(|&k| u64::from(k)).collect(),
+    );
+    let (kernel, wide) = segment_kernel(&a, &b, &natural_cmp::<u64>, "natural u64");
+    assert_eq!(kernel, SegmentKernel::BranchLean);
+    assert!(wide > n as u64 / 2, "{wide} u64 comparisons");
+}
+
+/// Whether this CPU runs AVX2.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 fn counter(t: &Telemetry, name: &str) -> u64 {
     t.counters
         .iter()
@@ -532,8 +685,8 @@ fn traced_sorts_dispatch_like_untraced_ones() {
 /// Merges one segment through [`adaptive_merge_into_by`] untraced and
 /// traced, checks both outputs against the classic kernel, that the traced
 /// merge counted comparisons and its choice, and that both chose the same
-/// kernel, which it returns.
-fn segment_kernel<T, F>(a: &[T], b: &[T], cmp: &F, ctx: &str) -> SegmentKernel
+/// kernel, which it returns with the traced merge's comparisons.
+fn segment_kernel<T, F>(a: &[T], b: &[T], cmp: &F, ctx: &str) -> (SegmentKernel, u64)
 where
     T: Clone + Default + PartialEq + std::fmt::Debug,
     F: Fn(&T, &T) -> Ordering,
@@ -548,13 +701,11 @@ where
     let traced = adaptive_merge_into_by(a, b, &mut out, cmp, &rec, 0);
     let t = rec.finish();
     assert_eq!(out, oracle, "traced output {ctx}");
-    assert!(
-        counter(&t, "comparisons") > 0,
-        "no comparisons counted {ctx}"
-    );
+    let comparisons = counter(&t, "comparisons");
+    assert!(comparisons > 0, "no comparisons counted {ctx}");
     assert_eq!(counter(&t, traced.counter().name()), 1, "choice {ctx}");
     assert_eq!(traced, plain, "traced dispatch diverged {ctx}");
-    plain
+    (plain, comparisons)
 }
 
 #[test]
@@ -565,9 +716,9 @@ fn counted_segment_merges_dispatch_like_uncounted_ones() {
     fn check<K: Ord + Clone + Default + std::fmt::Debug + 'static>(key: impl Fn(u32) -> K) {
         let side: Vec<K> = (0..2048u32).map(|i| key(i / 128)).collect();
         let ty = std::any::type_name::<K>();
-        let natural = segment_kernel(&side, &side, &natural_cmp::<K>, ty);
+        let (natural, _) = segment_kernel(&side, &side, &natural_cmp::<K>, ty);
         assert_eq!(natural, SegmentKernel::Galloping, "natural_cmp::<{ty}>");
-        let closure = segment_kernel(&side, &side, &|x: &K, y: &K| x.cmp(y), ty);
+        let (closure, _) = segment_kernel(&side, &side, &|x: &K, y: &K| x.cmp(y), ty);
         assert_eq!(closure, SegmentKernel::CoRank, "closure over {ty}");
     }
     check(|k| k);
@@ -577,6 +728,6 @@ fn counted_segment_merges_dispatch_like_uncounted_ones() {
     // A payload-carrying element is not its own key, even when every
     // payload is equal and the comparator is `natural_cmp` itself.
     let pairs: Vec<(u32, u32)> = (0..2048u32).map(|i| (i / 128, 7)).collect();
-    let kernel = segment_kernel(&pairs, &pairs, &natural_cmp::<(u32, u32)>, "pairs");
+    let (kernel, _) = segment_kernel(&pairs, &pairs, &natural_cmp::<(u32, u32)>, "pairs");
     assert_eq!(kernel, SegmentKernel::CoRank, "natural_cmp::<(u32, u32)>");
 }

@@ -357,31 +357,45 @@ fn run_kernel<R: Recorder>(
 
 #[test]
 fn traced_runs_write_like_untraced_runs_in_every_kernel() {
-    // 2^16 keys from 2^8 values: tie classes of about 256, so under
-    // `natural_cmp` the probe sends every merge tile whose key ranges
-    // overlap to galloping. Recorded under one virtual schedule seed, the
-    // `NoRecorder` run and the traced run must write the same ranges from
-    // the same shares. Where the probe picks segment kernels, the traced
-    // run must gallop and never pick co-rank, as a probe that saw
-    // telemetry's counting wrapper would.
+    // Two legs of 2^16 `u32` keys under `natural_cmp`. From 2^8 values
+    // (tie classes of about 256), the probe sends every merge tile whose
+    // key ranges overlap to galloping; from all of `u32`, to branch-lean,
+    // whose vector body runs on CPUs with AVX2. Recorded under one virtual
+    // schedule seed, the `NoRecorder` run and the traced run must write the
+    // same ranges from the same shares. Where the probe picks segment
+    // kernels, the traced run must pick the leg's kernel and never co-rank,
+    // as a probe that saw telemetry's counting wrapper would.
     let n = 1usize << 16;
-    let mut rng = Prng::seed_from_u64(0x7E1E);
-    let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
+    for (space, kernel) in [
+        (1u64 << 8, CounterKind::SegmentsGalloping),
+        (1 << 32, CounterKind::SegmentsBranchLean),
+    ] {
+        let mut rng = Prng::seed_from_u64(0x7E1E);
+        let keys: Vec<u32> = (0..n).map(|_| rng.below(space) as u32).collect();
+        traced_runs_write_like_untraced_runs(&keys, kernel);
+    }
+}
+
+/// Runs every kernel on `keys` (merges: on its sorted halves) at 1, 2 and
+/// 3 threads, untraced and traced, and checks outputs, per-share writes
+/// and that the probed kernels chose `segments` and never co-rank.
+fn traced_runs_write_like_untraced_runs(keys: &[u32], segments: CounterKind) {
+    let n = keys.len();
     let (mut a, mut b) = (keys[..n / 2].to_vec(), keys[n / 2..].to_vec());
     a.sort_unstable();
     b.sort_unstable();
-    let mut expect = keys.clone();
+    let mut expect = keys.to_vec();
     expect.sort_unstable();
     use Kernel::{Batch, Parallel, Segmented, SortCacheAware, SortParallel};
     let probed = [Parallel, Segmented, Batch, SortParallel, SortCacheAware];
     for threads in [1usize, 2, 3] {
         for kernel in Kernel::ALL {
-            let ctx = format!("{} p={threads}", kernel.name());
+            let ctx = format!("{} p={threads} {}", kernel.name(), segments.name());
             let (untraced, plain) = record(5, || {
-                run_kernel(kernel, &keys, (&a, &b), threads, &NoRecorder)
+                run_kernel(kernel, keys, (&a, &b), threads, &NoRecorder)
             });
             let rec = TimelineRecorder::new();
-            let (traced, seen) = record(5, || run_kernel(kernel, &keys, (&a, &b), threads, &rec));
+            let (traced, seen) = record(5, || run_kernel(kernel, keys, (&a, &b), threads, &rec));
             assert_eq!(untraced, expect, "untraced output {ctx}");
             assert_eq!(traced, expect, "traced output {ctx}");
             assert_eq!(
@@ -400,8 +414,9 @@ fn traced_runs_write_like_untraced_runs_in_every_kernel() {
             if probed.contains(&kernel) {
                 assert_eq!(total(CounterKind::SegmentsCoRank), 0, "co-rank {ctx}");
                 assert!(
-                    threads == 1 || total(CounterKind::SegmentsGalloping) > 0,
-                    "no galloping segment {ctx}"
+                    threads == 1 || total(segments) > 0,
+                    "no {} {ctx}",
+                    segments.name()
                 );
             }
         }
