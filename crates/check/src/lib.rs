@@ -1145,9 +1145,9 @@ fn pram_replay<T>(
 /// byte-identical agreement with the sequential oracle on each, and
 /// cross-validates small rounds on the PRAM machine.
 ///
-/// Pass [`mergepath::merge::sequential::natural_cmp`] with primitive keys
-/// to put the adaptive probe's natural-order path (which the probe
-/// recognizes by comparator type identity) under the recording layer.
+/// Pass [`mergepath::merge::sequential::natural_cmp`] with `u32` keys to
+/// put branch-lean's vector body (which the dispatch recognizes by
+/// comparator type identity) under the recording layer.
 pub fn check_kernel_on_by<T, F>(
     kernel: Kernel,
     a: &[T],

@@ -1,25 +1,25 @@
-//! Property layer for the co-rank stable kernel: the two facts its
-//! stability proof rests on, checked over arbitrary shapes instead of the
-//! hand-picked inputs in the unit suites.
+//! Property layer for stability: the two facts a stable parallel merge
+//! rests on (Siebert & Träff, arXiv 1303.4312), checked over arbitrary
+//! shapes instead of the hand-picked inputs in the unit suites.
 //!
 //! 1. **Split uniqueness** — for every rank `k` there is *exactly one*
 //!    feasible `(i, j)` with `i + j = k` satisfying the stable split
 //!    predicate (`a[i-1] <= b[j]` and `b[j-1] < a[i]`, ties toward `A`),
 //!    and the binary co-rank search finds it. Uniqueness is the whole
-//!    argument: independently computed block boundaries cannot disagree,
-//!    so stability composes across workers without coordination.
-//! 2. **Tie runs straddling block cuts** — inputs whose tie-run length
-//!    sits exactly at, one short of, and one past the kernel's 256-rank
-//!    block granularity merge byte-identically to the sequential stable
-//!    oracle, with provenance tags proving no equal element crossed a cut
-//!    out of order, alone and under Algorithm 1's tile cuts.
+//!    argument: independently computed tile and stream cuts cannot
+//!    disagree, so stability composes across workers without coordination.
+//! 2. **Tie runs through galloping** — keyed tie runs one short of,
+//!    exactly at, and one past a power of two (where galloping's doubling
+//!    search ends) merge byte-identically to the sequential stable oracle,
+//!    with provenance tags proving no equal element moved out of order,
+//!    through the galloping kernel alone and under Algorithm 1's tile cuts.
 
 use std::cmp::Ordering;
 
 use mergepath::diagonal::{co_rank_by, split_is_valid};
+use mergepath::merge::adaptive::SegmentKernel;
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::merge_into_by;
-use mergepath::merge::stable::{co_rank_merge_into_by, CO_RANK_BLOCK};
 use mergepath::telemetry::NoRecorder;
 
 use proptest::prelude::*;
@@ -83,26 +83,29 @@ proptest! {
     }
 
     #[test]
-    fn tie_runs_at_the_block_granularity_merge_stably(
-        // Runs one short of, exactly at, and one past CO_RANK_BLOCK, plus a
-        // random jitter, so interior block cuts land inside, on the edge
-        // of, and across tie classes.
+    fn tie_runs_merge_stably_through_galloping_and_tile_cuts(
+        // Runs one short of, exactly at, and one past a power of two, so
+        // galloping's doubling search ends inside, on the edge of, and past
+        // a tie class; the offset and jitter move the tile cuts across the
+        // classes.
+        log_run in 5u32..10,
         run_delta in -1isize..=1,
         jitter in 0usize..40,
         b_offset in 0usize..64,
         threads in 1usize..9,
     ) {
-        let run = (CO_RANK_BLOCK as isize + run_delta) as usize + jitter % 3;
-        let len = 4 * CO_RANK_BLOCK + jitter;
+        let run = ((1usize << log_run) as isize + run_delta) as usize;
+        let len = 1024 + jitter;
         let a: Vec<i32> = (0..len).map(|i| (i / run) as i32).collect();
         let b: Vec<i32> = (0..len).map(|i| ((i + b_offset) / run) as i32).collect();
         let (ta, tb) = tag(&a, &b);
         let mut out = vec![(0, 0); ta.len() + tb.len()];
-        co_rank_merge_into_by(&ta, &tb, &mut out, &by_key);
+        SegmentKernel::Galloping.merge_into_by(&ta, &tb, &mut out, &by_key);
         assert_stable_output(&ta, &tb, &out);
-        // Algorithm 1 layers its tile cuts on top of the kernel the probe
-        // picks per tile (co-rank for these keyed tie runs); the
-        // composition must stay stable too.
+        // Algorithm 1 cuts its tiles at the unique stable splits and runs
+        // the kernel the probe picks per tile (galloping wherever a tile's
+        // duplicate samples land inside runs); the composition must stay
+        // stable too.
         let mut par = vec![(0, 0); out.len()];
         parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key, &NoRecorder);
         prop_assert_eq!(par, out);

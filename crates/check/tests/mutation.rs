@@ -11,13 +11,13 @@
 //! The windowed segmented merge runs Algorithm 1's tile loop on each
 //! window, so the same fault must be caught there too.
 //!
-//! A second fault inverts the tie break of the co-rank stable block kernel:
-//! under the same cfg its block-split binary search advances only on
-//! *strictly greater* instead of greater-or-equal, so equal B elements
-//! overtake equal A elements across interior block boundaries. The mutated
-//! merge is still a sorted permutation — only the provenance-tagged stable
-//! oracle can see the difference, which the checker must report as an
-//! `OutputMismatch` on the first schedule.
+//! A second fault inverts the tie break of the galloping kernel, the one
+//! the probe gives every duplicate-heavy segment: under the same cfg it
+//! merges `b` into `a`, so the B-side run takes each tie class and the
+//! A-side run stops before it. The mutated merge is still a sorted
+//! permutation — only the provenance-tagged stable oracle can see the
+//! difference, which the checker must report as an `OutputMismatch` on the
+//! first schedule.
 //!
 //! A third fault drops stage 3 of the 16-key network in the branch-lean
 //! kernel's AVX2 body, so most steps write their eight keys out of order.
@@ -70,19 +70,14 @@ fn mutation_overlap_is_detected() {
     }
 }
 
-/// The co-rank tie-break fault only fires when the probe sends a segment to
-/// the co-rank kernel and a mixed tie class straddles one of the kernel's
-/// interior 256-rank block cuts, so this test builds its own input instead
-/// of using the default (whose per-worker segments are too short to hold an
-/// interior cut): 2048 + 2048 keyed elements in tie runs of 48 per side.
-/// At the default 4 threads each worker segment (1024 outputs) holds mixed
-/// 96-wide tie classes. Runs of 24 would send every segment to branch-lean
-/// (too few of the probe's duplicate samples land in a run); runs of 32 or
-/// 64 make merged tie classes of 64 or 128 outputs, which divide the block
-/// size, so every block cut would fall on a class boundary and the
-/// inverted tie break could not show.
+/// The galloping tie-break fault only fires when the probe sends a segment
+/// holding a tie class of both sides to galloping, so this test builds its
+/// own input instead of using the default (whose rare ties send its tiles
+/// to branch-lean): 2048 + 2048 keyed elements in tie runs of 48 per side.
+/// At the default 4 threads each tile (1024 outputs) holds mixed 96-wide
+/// tie classes, and the probe's duplicate samples land inside the runs.
 #[test]
-fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
+fn galloping_tie_break_inversion_is_detected_as_an_output_mismatch() {
     use mergepath::merge::parallel::parallel_merge_into_by;
     use mergepath::telemetry::TimelineRecorder;
     use mergepath_check::{check_kernel_on, Kv};
@@ -101,26 +96,26 @@ fn co_rank_tie_break_inversion_is_detected_as_an_output_mismatch() {
                 assert_eq!(schedule, 0, "the fault is schedule-independent");
             }
             other => panic!(
-                "mutated co-rank tie break must be caught as an output mismatch, got {other:?}"
+                "mutated galloping tie break must be caught as an output mismatch, got {other:?}"
             ),
         }
     } else {
         let report = result.expect("clean build must pass the schedule check");
         assert!(report.multi_rounds > 0, "{report}");
-        // The conviction above rests on the probe choosing the co-rank
+        // The conviction above rests on the probe choosing the galloping
         // kernel for this input at the checker's thread count.
         let rec = TimelineRecorder::new();
         let mut out = vec![(0, 0); a.len() + b.len()];
         let by_key = |x: &Kv, y: &Kv| x.0.cmp(&y.0);
         parallel_merge_into_by(&a, &b, &mut out, cfg.threads, &by_key, &rec);
-        let co_rank: u64 = rec
+        let galloping: u64 = rec
             .finish()
             .counters
             .iter()
-            .filter(|c| c.kind.name() == "segments_co_rank")
+            .filter(|c| c.kind.name() == "segments_galloping")
             .map(|c| c.total)
             .sum();
-        assert!(co_rank > 0, "the probe sent no segment to co-rank");
+        assert!(galloping > 0, "the probe sent no segment to galloping");
     }
 }
 

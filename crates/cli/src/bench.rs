@@ -10,7 +10,7 @@
 //!   median ns/element under the probe's per-segment dispatch, the share
 //!   of the timed pool rounds that ran solo on the caller, comparison
 //!   counts, per-kernel segment counters and the Thm 14 load-balance skew,
-//!   plus one-thread columns in which each of the four segment kernels
+//!   plus one-thread columns in which each of the three segment kernels
 //!   merges the family's whole pair on the calling thread, with no pool.
 //! * `BENCH_sort.json` — the §III parallel merge sort across four sort
 //!   families, same columns without the one-thread kernel columns.
@@ -32,7 +32,9 @@ use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
 
-use crate::{run_kernel_recorded, TraceKernel};
+use mergepath_check::Kernel;
+
+use crate::run_kernel_recorded;
 
 /// Scale and reproducibility knobs for one `mp bench` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +132,7 @@ struct FamilyRow {
     /// run at one thread's speed. 0 when no round reached the pool.
     solo_frac: f64,
     comparisons: u64,
-    segments: [u64; 4],
+    segments: [u64; 3],
     max_items: u64,
     predicted_max: u64,
     imbalance: f64,
@@ -138,7 +140,7 @@ struct FamilyRow {
     /// [`SegmentKernel`] (in `ALL` order) merging the family's whole pair
     /// on the calling thread. No pool, so where the OS places a woken
     /// worker cannot move these columns.
-    kernel_t1_ns_per_elem: Option<[f64; 4]>,
+    kernel_t1_ns_per_elem: Option<[f64; 3]>,
 }
 
 fn counter_total(t: &Telemetry, name: &str) -> u64 {
@@ -179,7 +181,7 @@ fn family_row(
 }
 
 /// The merge rows' one-thread kernel columns for the pair `a`, `b`.
-fn kernel_t1_ns_per_elem(a: &[u32], b: &[u32], cfg: &BenchConfig) -> [f64; 4] {
+fn kernel_t1_ns_per_elem(a: &[u32], b: &[u32], cfg: &BenchConfig) -> [f64; 3] {
     let cmp = natural_cmp::<u32>;
     let n = a.len() + b.len();
     let mut out = vec![0u32; n];
@@ -225,24 +227,21 @@ fn rows_payload(cfg: &BenchConfig, rows: &[FamilyRow]) -> String {
 fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
     let _ = write!(
         out,
-        "{title}: family, adaptive ns/elem, solo frac, segments (c/bl/g/cr)"
+        "{title}: family, adaptive ns/elem, solo frac, segments (c/bl/g)"
     );
     if rows.iter().any(|r| r.kernel_t1_ns_per_elem.is_some()) {
-        let _ = write!(
-            out,
-            ", one-thread classic/branch-lean/galloping/co-rank ns/elem"
-        );
+        let _ = write!(out, ", one-thread classic/branch-lean/galloping ns/elem");
     }
     out.push('\n');
     for r in rows {
-        let [c, bl, g, cr] = r.segments;
+        let [c, bl, g] = r.segments;
         let _ = write!(
             out,
-            "  {:<16} {:>8.3} {:>5.2}  {c}/{bl}/{g}/{cr}",
+            "  {:<16} {:>8.3} {:>5.2}  {c}/{bl}/{g}",
             r.family, r.adaptive_ns_per_elem, r.solo_frac
         );
-        if let Some([c, bl, g, cr]) = r.kernel_t1_ns_per_elem {
-            let _ = write!(out, "  {c:>8.3} {bl:>8.3} {g:>8.3} {cr:>8.3}");
+        if let Some([c, bl, g]) = r.kernel_t1_ns_per_elem {
+            let _ = write!(out, "  {c:>8.3} {bl:>8.3} {g:>8.3}");
         }
         out.push('\n');
     }
@@ -258,17 +257,7 @@ fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String
         payload,
         "{{\"n\":{n},\"threads\":{threads},\"reps\":{reps},\"kernels\":["
     );
-    let kernels = [
-        TraceKernel::Parallel,
-        TraceKernel::Segmented,
-        TraceKernel::Batch,
-        TraceKernel::Inplace,
-        TraceKernel::Kway,
-        TraceKernel::SortParallel,
-        TraceKernel::SortKway,
-        TraceKernel::SortCacheAware,
-    ];
-    for (i, kernel) in kernels.into_iter().enumerate() {
+    for (i, kernel) in Kernel::ALL.into_iter().enumerate() {
         let untraced_ns = median_ns(reps, || {
             run_kernel_recorded(kernel, n, threads, seed, &NoRecorder)
         });
@@ -453,12 +442,11 @@ mod tests {
             "classic_t1_ns_per_elem",
             "branch_lean_t1_ns_per_elem",
             "galloping_t1_ns_per_elem",
-            "co_rank_t1_ns_per_elem",
         ];
         for (doc, is_merge) in [(&merge, true), (&sort, false)] {
             let rows = doc.get("payload").and_then(|p| p.get("families"));
             for f in rows.and_then(Value::as_array).unwrap() {
-                for col in ["adaptive_ns_per_elem", "segments_co_rank", "imbalance"] {
+                for col in ["adaptive_ns_per_elem", "segments_galloping", "imbalance"] {
                     assert!(
                         f.get(col).and_then(Value::as_f64).is_some(),
                         "missing {col}"
@@ -473,12 +461,18 @@ mod tests {
                     let present = f.get(col).and_then(Value::as_f64).is_some();
                     assert_eq!(present, is_merge, "{col} on a merge row: {is_merge}");
                 }
+                // Retired columns: two speedup ratios, and the retired
+                // co-rank kernel's counter and one-thread column, named
+                // as the live kernels' columns are.
+                let retired_kernel = "co_rank";
                 for gone in [
-                    "speedup_vs_classic",
-                    "speedup_co_rank_vs_classic",
-                    "pinned_co_rank_segments",
+                    "speedup_vs_classic".to_string(),
+                    "speedup_co_rank_vs_classic".to_string(),
+                    "pinned_co_rank_segments".to_string(),
+                    format!("segments_{retired_kernel}"),
+                    format!("{retired_kernel}_t1_ns_per_elem"),
                 ] {
-                    assert!(f.get(gone).is_none(), "retired column {gone}");
+                    assert!(f.get(&gone).is_none(), "retired column {gone}");
                 }
             }
         }

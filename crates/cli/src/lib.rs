@@ -70,6 +70,7 @@ use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::natural::natural_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{LoadBalanceReport, NoRecorder, TimelineRecorder};
+use mergepath_check::Kernel;
 use mergepath_workloads::{
     merge_pair_sized, sorted_keys, unsorted_keys, ArrivalPattern, MergeWorkload, SortWorkload,
 };
@@ -174,57 +175,10 @@ impl SortAlgo {
     }
 }
 
-/// Kernel selector for `mp trace` — every parallel kernel of the suite plus
-/// the sorts built on them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKernel {
-    /// Algorithm 1 parallel merge.
-    Parallel,
-    /// Algorithm 2 segmented (SPM) merge.
-    Segmented,
-    /// Batched pairwise merges under one worker budget.
-    Batch,
-    /// Rotation-based parallel in-place merge.
-    Inplace,
-    /// Rank-partitioned parallel k-way merge.
-    Kway,
-    /// §III parallel merge sort.
-    SortParallel,
-    /// Single-round k-way merge sort.
-    SortKway,
-    /// §IV.C cache-aware sort.
-    SortCacheAware,
-}
-
-impl TraceKernel {
-    /// Parses a `--kernel` name.
-    pub fn parse(s: &str) -> Result<Self, CliError> {
-        match s {
-            "parallel" => Ok(TraceKernel::Parallel),
-            "segmented" => Ok(TraceKernel::Segmented),
-            "batch" => Ok(TraceKernel::Batch),
-            "inplace" => Ok(TraceKernel::Inplace),
-            "kway" => Ok(TraceKernel::Kway),
-            "sort-parallel" => Ok(TraceKernel::SortParallel),
-            "sort-kway" => Ok(TraceKernel::SortKway),
-            "sort-cache-aware" => Ok(TraceKernel::SortCacheAware),
-            other => Err(CliError::Usage(format!("unknown --kernel {other:?}"))),
-        }
-    }
-
-    /// The kernel's `--kernel` name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceKernel::Parallel => "parallel",
-            TraceKernel::Segmented => "segmented",
-            TraceKernel::Batch => "batch",
-            TraceKernel::Inplace => "inplace",
-            TraceKernel::Kway => "kway",
-            TraceKernel::SortParallel => "sort-parallel",
-            TraceKernel::SortKway => "sort-kway",
-            TraceKernel::SortCacheAware => "sort-cache-aware",
-        }
-    }
+/// Parses a `--kernel` name: one of the schedule checker's eight kernels,
+/// which `mp trace`, `mp check` and `mp bench` share.
+fn parse_kernel(name: &str) -> Result<Kernel, CliError> {
+    Kernel::parse(name).ok_or_else(|| CliError::Usage(format!("unknown --kernel {name:?}")))
 }
 
 /// A parsed command.
@@ -277,7 +231,7 @@ pub enum Command {
     /// `mp check --kernel` — the deterministic schedule-exploration check.
     CheckSchedules {
         /// Kernel under check; `None` means all eight.
-        kernel: Option<TraceKernel>,
+        kernel: Option<Kernel>,
         /// Total output size `N`.
         n: usize,
         /// Logical worker count `p`.
@@ -293,7 +247,7 @@ pub enum Command {
     /// `mp trace`.
     Trace {
         /// Kernel to run under the recorder.
-        kernel: TraceKernel,
+        kernel: Kernel,
         /// Total output size `N`.
         n: usize,
         /// Logical worker count `p`.
@@ -614,7 +568,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError::Usage("check needs a FILE or --kernel".into()))?
             {
                 "all" => None,
-                name => Some(TraceKernel::parse(name)?),
+                name => Some(parse_kernel(name)?),
             };
             Ok(Command::CheckSchedules {
                 kernel,
@@ -626,7 +580,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         ("trace", []) => Ok(Command::Trace {
-            kernel: TraceKernel::parse(
+            kernel: parse_kernel(
                 kernel.ok_or_else(|| CliError::Usage("trace needs --kernel".into()))?,
             )?,
             n: n.unwrap_or(1_000_000),
@@ -836,10 +790,9 @@ where
                 steal_orders: *steal_orders,
                 ..mergepath_check::CheckConfig::default()
             };
-            let kernels: Vec<mergepath_check::Kernel> = match kernel {
-                Some(k) => vec![mergepath_check::Kernel::parse(k.name())
-                    .expect("TraceKernel and check Kernel share names")],
-                None => mergepath_check::Kernel::ALL.to_vec(),
+            let kernels = match kernel {
+                Some(k) => vec![*k],
+                None => Kernel::ALL.to_vec(),
             };
             let mut out = String::new();
             for k in kernels {
@@ -958,28 +911,29 @@ pub struct TraceRun {
 /// same body drives both the untraced timing loops (`NoRecorder`) of
 /// `mp bench` and the traced runs of `mp trace`.
 pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
-    kernel: TraceKernel,
+    kernel: Kernel,
     n: usize,
     threads: usize,
     seed: u64,
     rec: &R,
 ) {
-    // The canonical comparator keeps traced/benched runs on the adaptive
-    // probe's natural-order path, exactly like the public entry points.
+    // The canonical comparator keeps traced/benched runs on the
+    // natural-order path (branch-lean's vector body on AVX2 CPUs), exactly
+    // like the public entry points.
     let cmp = mergepath::merge::sequential::natural_cmp::<u32>;
     match kernel {
-        TraceKernel::Parallel => {
+        Kernel::Parallel => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mut out = vec![0u32; n];
             parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, rec);
         }
-        TraceKernel::Segmented => {
+        Kernel::Segmented => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mut out = vec![0u32; n];
             let spm = SpmConfig::new(64 * 1024, threads);
             segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, rec);
         }
-        TraceKernel::Batch => {
+        Kernel::Batch => {
             // A ragged batch: one pair per worker, sizes differing by design.
             let pair_count = threads.max(2);
             let data: Vec<(Vec<u32>, Vec<u32>)> = (0..pair_count)
@@ -1002,14 +956,14 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
             let mut out = vec![0u32; n];
             batch_merge_into_by(&pairs, &mut out, threads, &cmp, rec);
         }
-        TraceKernel::Inplace => {
+        Kernel::Inplace => {
             let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
             let mid = a.len();
             let mut v = a;
             v.extend(b);
             parallel_inplace_merge_by(&mut v, mid, threads, &cmp, rec);
         }
-        TraceKernel::Kway => {
+        Kernel::Kway => {
             let k = 8usize.min(n.max(1));
             let lists: Vec<Vec<u32>> = (0..k)
                 .map(|i| {
@@ -1022,15 +976,15 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
             let mut out = vec![0u32; n];
             parallel_kway_merge_by(&refs, &mut out, threads, &cmp, rec);
         }
-        TraceKernel::SortParallel => {
+        Kernel::SortParallel => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
             parallel_merge_sort_by(&mut v, threads, &cmp, rec);
         }
-        TraceKernel::SortKway => {
+        Kernel::SortKway => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
             kway_merge_sort_by(&mut v, threads, &cmp, rec);
         }
-        TraceKernel::SortCacheAware => {
+        Kernel::SortCacheAware => {
             let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
             let cfg = CacheAwareConfig::new(64 * 1024, threads);
             cache_aware_parallel_sort_by(&mut v, &cfg, &cmp, rec);
@@ -1041,7 +995,7 @@ pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
 /// Runs `kernel` on a deterministic synthetic workload of `n` total output
 /// elements with the [`TimelineRecorder`] attached, and renders both
 /// exporters plus the load-balance report.
-pub fn run_trace(kernel: TraceKernel, n: usize, threads: usize, seed: u64) -> TraceRun {
+pub fn run_trace(kernel: Kernel, n: usize, threads: usize, seed: u64) -> TraceRun {
     let rec = TimelineRecorder::new();
     run_kernel_recorded(kernel, n, threads, seed, &rec);
     let telemetry = rec.finish();
@@ -1331,7 +1285,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Trace {
-                kernel: TraceKernel::Segmented,
+                kernel: Kernel::Segmented,
                 n: 5000,
                 threads: 3,
                 seed: 9,
@@ -1347,7 +1301,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Trace {
-                kernel: TraceKernel::Parallel,
+                kernel: Kernel::Parallel,
                 n: 1_000_000,
                 threads: mergepath::executor::default_threads(),
                 seed: 42,
@@ -1370,24 +1324,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_kernel_names_round_trip() {
-        for name in [
-            "parallel",
-            "segmented",
-            "batch",
-            "inplace",
-            "kway",
-            "sort-parallel",
-            "sort-kway",
-            "sort-cache-aware",
-        ] {
-            assert_eq!(TraceKernel::parse(name).unwrap().name(), name);
-        }
-    }
-
-    #[test]
     fn run_trace_parallel_satisfies_thm14_and_exports_parse() {
-        let run = run_trace(TraceKernel::Parallel, 10_000, 4, 7);
+        let run = run_trace(Kernel::Parallel, 10_000, 4, 7);
         assert!(run.report.thm14_exact);
         assert_eq!(run.report.predicted_max, 2500);
         assert_eq!(run.report.max_items, 2500);
@@ -1407,15 +1345,7 @@ mod tests {
 
     #[test]
     fn run_trace_covers_every_kernel() {
-        for kernel in [
-            TraceKernel::Segmented,
-            TraceKernel::Batch,
-            TraceKernel::Inplace,
-            TraceKernel::Kway,
-            TraceKernel::SortParallel,
-            TraceKernel::SortKway,
-            TraceKernel::SortCacheAware,
-        ] {
+        for kernel in Kernel::ALL {
             let run = run_trace(kernel, 3000, 3, 11);
             assert!(
                 !run.report.per_worker_items.is_empty(),
@@ -1435,7 +1365,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::CheckSchedules {
-                kernel: Some(TraceKernel::Segmented),
+                kernel: Some(Kernel::Segmented),
                 n: 600,
                 threads: 3,
                 seed: 5,
@@ -1489,7 +1419,7 @@ mod tests {
         ));
         // The checker runs the probe's own kernel choices; no flag forces
         // a segment kernel.
-        for forced in ["co_rank", "classic", "adaptive"] {
+        for forced in ["galloping", "classic", "adaptive"] {
             match parse_args(&argv(&format!("check --kernel all --dispatch {forced}"))) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains("--dispatch"), "{msg}"),
                 other => panic!("--dispatch {forced} must be a usage error, got {other:?}"),

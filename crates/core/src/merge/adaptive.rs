@@ -15,10 +15,9 @@
 //!   and [`galloping_merge_into_by`] degenerates to two block copies;
 //! * long within-side tie runs (provable with one comparison per sample,
 //!   because the inputs are sorted) ⇒ galloping collapses each tie class
-//!   into `O(log run)` comparisons — unless the comparator is *not* a
-//!   provable primitive natural order, in which case equal elements are
-//!   distinguishable and the duplicate-heavy segment routes to the
-//!   provably stable co-rank block kernel ([`super::stable`]);
+//!   into `O(log run)` comparisons, under every comparator: a run from `a`
+//!   takes the ties and a run from `b` stops before them, so a comparator
+//!   that tells equal elements apart sees the classic merge's order;
 //! * the path hugging an axis for ≥ [`RUN_LEN`] steps at sampled interior
 //!   diagonals ⇒ coarse interleaving, again galloping territory;
 //! * otherwise fine, tie-free interleaving ⇒
@@ -26,10 +25,13 @@
 //!   misprediction that the classic loop pays on unpredictable inputs.
 //!
 //! Every kernel produces byte-identical output (the oracle differential
-//! suite pins this down), so the choice is *purely* a performance decision.
-//! It is also a value, never process state: [`probe_segment`] names a
-//! kernel, and [`SegmentKernel::merge_into_by`] runs a named kernel on one
-//! segment — the one way a benchmark or a test forces a kernel.
+//! suite pins this down), so the choice is *purely* a performance decision,
+//! and the probe reads only the keys, never which comparator it was given.
+//! The one comparator test is `natural_u32`, which picks branch-lean's
+//! vector body. The choice is also a value, never process state:
+//! [`probe_segment`] names a kernel, and [`SegmentKernel::merge_into_by`]
+//! runs a named kernel on one segment — the one way a benchmark or a test
+//! forces a kernel.
 
 use core::any::TypeId;
 use core::cell::Cell;
@@ -42,7 +44,6 @@ use super::sequential::{
     branch_lean_merge_into_by, branch_lean_vector, galloping_merge_into_by, merge_into_by,
     natural_cmp,
 };
-use super::stable::co_rank_merge_into_by;
 use crate::diagonal::co_rank_by;
 
 /// Segments shorter than this skip the probe entirely and run the classic
@@ -74,24 +75,14 @@ pub enum SegmentKernel {
     BranchLean,
     /// Exponential-search run merge ([`galloping_merge_into_by`]).
     Galloping,
-    /// Co-rank stable block merge
-    /// ([`co_rank_merge_into_by`]):
-    /// subdivides the output into exact blocks whose boundaries are the
-    /// *unique* stable splits (ties broken A-before-B by global index), so
-    /// stability is a proved property of every block cut rather than an
-    /// emergent one. The probe prefers it on duplicate-heavy segments whose
-    /// comparator is not a provable primitive natural order — exactly where
-    /// stability is observable.
-    CoRank,
 }
 
 impl SegmentKernel {
     /// All kernels, in the order telemetry and bench artifacts list them.
-    pub const ALL: [SegmentKernel; 4] = [
+    pub const ALL: [SegmentKernel; 3] = [
         SegmentKernel::Classic,
         SegmentKernel::BranchLean,
         SegmentKernel::Galloping,
-        SegmentKernel::CoRank,
     ];
 
     /// Stable lowercase name (telemetry and bench artifacts).
@@ -100,7 +91,6 @@ impl SegmentKernel {
             SegmentKernel::Classic => "classic",
             SegmentKernel::BranchLean => "branch_lean",
             SegmentKernel::Galloping => "galloping",
-            SegmentKernel::CoRank => "co_rank",
         }
     }
 
@@ -110,7 +100,6 @@ impl SegmentKernel {
             SegmentKernel::Classic => CounterKind::SegmentsClassic,
             SegmentKernel::BranchLean => CounterKind::SegmentsBranchLean,
             SegmentKernel::Galloping => CounterKind::SegmentsGalloping,
-            SegmentKernel::CoRank => CounterKind::SegmentsCoRank,
         }
     }
 
@@ -129,7 +118,6 @@ impl SegmentKernel {
             SegmentKernel::Classic => merge_into_by(a, b, out, cmp),
             SegmentKernel::BranchLean => branch_lean_merge_into_by(a, b, out, cmp),
             SegmentKernel::Galloping => galloping_merge_into_by(a, b, out, cmp),
-            SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, cmp),
         }
     }
 }
@@ -166,19 +154,7 @@ where
         }
     }
     if dup_a >= DUP_SAMPLES / 2 || dup_b >= DUP_SAMPLES / 2 {
-        // Duplicate-heavy segments split on whether stability is
-        // *observable*: under a provable primitive natural order an
-        // element is its key and equal elements are interchangeable, so
-        // galloping's tie-class collapse wins outright. Any other
-        // comparator (keyed pairs, ad-hoc closures) can distinguish equal
-        // elements — the territory of the co-rank kernel, whose block
-        // splits are the provably unique stable cuts and whose balance is
-        // immune to tie-run skew.
-        return if natural_order_eligible::<T, F>(cmp) {
-            SegmentKernel::Galloping
-        } else {
-            SegmentKernel::CoRank
-        };
+        return SegmentKernel::Galloping;
     }
     // Path-hug probe: co-rank a few interior diagonals (true path points)
     // and ask whether the path stays on one axis for >= RUN_LEN steps.
@@ -210,33 +186,15 @@ where
     SegmentKernel::BranchLean
 }
 
-/// Whether `F` is the [`natural_cmp`] function item of `u32`, `i32`, `u64`
-/// or `i64` — which forces `T` to be that primitive, because a function
-/// item implements `Fn(&T, &T) -> Ordering` for exactly its own signature.
-/// An element is then its own key: equal elements are bit-identical and
-/// stability is not observable. Decided by comparator *type identity*, so
-/// a semantically identical closure (or telemetry's counting wrapper)
-/// answers `false`. The function items carry no lifetime parameters, so
-/// the lifetime-erased `TypeId` comparison cannot collide.
-fn natural_order_eligible<T, F>(_cmp: &F) -> bool
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    let f = non_static_type_id::<F>();
-    [
-        type_id_of_val(&natural_cmp::<u32>),
-        type_id_of_val(&natural_cmp::<i32>),
-        type_id_of_val(&natural_cmp::<u64>),
-        type_id_of_val(&natural_cmp::<i64>),
-    ]
-    .contains(&f)
-}
-
-/// Whether `F` is the [`natural_cmp`] function item of `u32` — the identity
-/// test of [`natural_order_eligible`] narrowed to the one key type the
-/// branch-lean kernel's vector body merges. True forces `T = u32`. Like
-/// that test it answers `false` for telemetry's counting wrapper, so a
-/// caller that merges through the wrapper asks about the raw comparator.
+/// Whether `F` is the [`natural_cmp`] function item of `u32`, the one
+/// comparator under which the branch-lean kernel runs its vector body.
+/// True forces `T = u32`, because a function item implements
+/// `Fn(&T, &T) -> Ordering` for exactly its own signature. Decided by
+/// comparator *type identity*, so a semantically identical closure
+/// answers `false`, and so does telemetry's counting wrapper: a caller
+/// that merges through the wrapper asks about the raw comparator. The
+/// function item carries no lifetime parameters, so the lifetime-erased
+/// `TypeId` comparison cannot collide.
 pub(crate) fn natural_u32<T, F>(_cmp: &F) -> bool
 where
     F: Fn(&T, &T) -> Ordering,
@@ -291,9 +249,9 @@ fn type_id_of_val<T: ?Sized>(_val: &T) -> TypeId {
 /// chosen kernel's "segments won" counter. Returns the choice.
 ///
 /// The probe sees `cmp` itself and only the merge compares through
-/// [`counted_cmp`]: probing the counting wrapper would lose the
-/// comparator's type identity, so a traced natural-order merge would send
-/// its duplicate-heavy segments to co-rank where the untraced one gallops.
+/// [`counted_cmp`], so `comparisons` counts the merge's calls alone; the
+/// counting wrapper would also hide `natural_cmp::<u32>` from the
+/// branch-lean kernel, so the vector body is chosen here, on `cmp`.
 /// Under [`NoRecorder`](mergepath_telemetry::NoRecorder) the span and the
 /// counts compile away. Output is byte-identical to [`merge_into_by`] for
 /// every choice.
@@ -385,16 +343,30 @@ mod tests {
     #[test]
     fn probe_detects_duplicate_heavy_sides() {
         // ~64-element tie classes on both sides, overlapping ranges (so the
-        // endpoint shortcut does not fire). The local `cmp` fn is *not* the
-        // canonical natural_cmp, so stability is observable and the probe
-        // must pick the provably stable co-rank kernel.
+        // endpoint shortcut does not fire). Galloping takes the segment
+        // whichever comparator orders it: the local `cmp` fn, the canonical
+        // natural order, a key-only closure over index-tagged pairs, or
+        // `natural_cmp` over pairs.
         let a = random_sorted(4_000, 60, 1);
         let b = random_sorted(4_000, 60, 2);
-        assert_eq!(probe_segment(&a, &b, &cmp), SegmentKernel::CoRank);
-        // Under the canonical natural order an element is its key, so
-        // galloping's tie-class collapse keeps the duplicate-heavy arm.
+        assert_eq!(probe_segment(&a, &b, &cmp), SegmentKernel::Galloping);
         assert_eq!(
             probe_segment(&a, &b, &natural_cmp::<i64>),
+            SegmentKernel::Galloping
+        );
+        let pairs = |v: &[i64], tag: u32| -> Vec<(u32, u32)> {
+            v.iter()
+                .zip(0..)
+                .map(|(&k, i)| (k as u32, i * tag))
+                .collect()
+        };
+        let by_key = |x: &(u32, u32), y: &(u32, u32)| x.0.cmp(&y.0);
+        assert_eq!(
+            probe_segment(&pairs(&a, 1), &pairs(&b, 1), &by_key),
+            SegmentKernel::Galloping
+        );
+        assert_eq!(
+            probe_segment(&pairs(&a, 0), &pairs(&b, 0), &natural_cmp::<(u32, u32)>),
             SegmentKernel::Galloping
         );
     }
@@ -481,24 +453,18 @@ mod tests {
     }
 
     #[test]
-    fn natural_order_eligible_names_exactly_the_four_primitive_natural_cmps() {
-        assert!(natural_order_eligible::<u32, _>(&natural_cmp::<u32>));
-        assert!(natural_order_eligible::<i32, _>(&natural_cmp::<i32>));
-        assert!(natural_order_eligible::<u64, _>(&natural_cmp::<u64>));
-        assert!(natural_order_eligible::<i64, _>(&natural_cmp::<i64>));
+    fn natural_u32_names_only_the_u32_natural_cmp() {
+        assert!(natural_u32::<u32, _>(&natural_cmp::<u32>));
+        assert!(!natural_u32::<i32, _>(&natural_cmp::<i32>));
+        assert!(!natural_u32::<(u32, u32), _>(&natural_cmp::<(u32, u32)>));
         // A semantically identical closure is not the function item.
         let closure = |x: &u32, y: &u32| x.cmp(y);
-        assert!(!natural_order_eligible::<u32, _>(&closure));
-        // Nor is a payload-carrying element type under its own natural_cmp.
-        assert!(!natural_order_eligible::<(u32, u32), _>(
-            &natural_cmp::<(u32, u32)>
-        ));
-        assert!(!natural_order_eligible::<u8, _>(&natural_cmp::<u8>));
+        assert!(!natural_u32::<u32, _>(&closure));
         // Telemetry's counting wrapper hides the identity, which is why
-        // the probe is handed the raw comparator.
+        // the vector body is chosen on the raw comparator.
         let hits = Cell::new(0u64);
         let counted = counted_cmp::<_, u32, _>(&NoRecorder, &natural_cmp, &hits);
-        assert!(!natural_order_eligible::<u32, _>(&counted));
+        assert!(!natural_u32::<u32, _>(&counted));
     }
 
     #[test]
@@ -506,7 +472,6 @@ mod tests {
         assert_eq!(SegmentKernel::Classic.name(), "classic");
         assert_eq!(SegmentKernel::BranchLean.name(), "branch_lean");
         assert_eq!(SegmentKernel::Galloping.name(), "galloping");
-        assert_eq!(SegmentKernel::CoRank.name(), "co_rank");
         for kernel in SegmentKernel::ALL {
             assert_eq!(
                 kernel.counter().name(),

@@ -13,4 +13,3 @@ pub mod kway;
 pub mod parallel;
 pub mod segmented;
 pub mod sequential;
-pub mod stable;

@@ -393,12 +393,22 @@ where
 /// When the merge path hugs one axis — long runs of consecutive elements
 /// from the same input — this kernel finds each run boundary in
 /// `O(log run)` comparisons and block-copies the run, instead of paying one
-/// comparison per element.
+/// comparison per element. A tie class is one run from `a` (its run takes
+/// every element `<=` the head of `b`) followed by one run from `b` (its
+/// run stops before the head of `a`), which is where stability lives.
 pub fn galloping_merge_into_by<T: Clone, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
 where
     F: Fn(&T, &T) -> Ordering,
 {
     assert_out_len(a.len(), b.len(), out.len());
+    // Sensitivity fault for the schedule checker (`--cfg mergepath_mutate`):
+    // merging `b` into `a` hands every tie to `b` first, so the `b` run
+    // takes the ties and the `a` run stops before them. The output is still
+    // a sorted permutation; only the provenance-tagged stable oracle of
+    // `crates/check` can convict it, as an output mismatch on the first
+    // schedule whenever a galloping segment holds a tie class of both sides.
+    #[cfg(mergepath_mutate)]
+    let (a, b) = (b, a);
     let (mut i, mut j) = (0usize, 0usize);
     let mut k = 0usize;
     while i < a.len() && j < b.len() {

@@ -96,9 +96,6 @@ pub enum CounterKind {
     SegmentsBranchLean,
     /// Segments routed to the galloping kernel.
     SegmentsGalloping,
-    /// Segments routed to the co-rank stable block kernel (256-rank
-    /// block splits, ties broken A-before-B by construction).
-    SegmentsCoRank,
     /// Tickets taken from another worker's deque (or the injector scan)
     /// by an idle participant during this round — the work-stealing
     /// executor's overlap witness. Reported once per round by the
@@ -119,7 +116,6 @@ impl CounterKind {
             CounterKind::SegmentsClassic => "segments_classic",
             CounterKind::SegmentsBranchLean => "segments_branch_lean",
             CounterKind::SegmentsGalloping => "segments_galloping",
-            CounterKind::SegmentsCoRank => "segments_co_rank",
             CounterKind::PoolSteals => "pool_steals",
             CounterKind::PoolStolenShares => "pool_stolen_shares",
         }
@@ -469,7 +465,6 @@ mod tests {
             "segments_branch_lean"
         );
         assert_eq!(CounterKind::SegmentsGalloping.name(), "segments_galloping");
-        assert_eq!(CounterKind::SegmentsCoRank.name(), "segments_co_rank");
         assert_eq!(CounterKind::PoolSteals.name(), "pool_steals");
         assert_eq!(CounterKind::PoolStolenShares.name(), "pool_stolen_shares");
     }

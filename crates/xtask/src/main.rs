@@ -36,8 +36,8 @@ fn usage() -> ExitCode {
     eprintln!("                   (fails unless the parallel round has more tiles than");
     eprintln!("                   threads), then rebuild with the injected faults");
     eprintln!("                   (--cfg mergepath_mutate) and prove the checker reports");
-    eprintln!("                   the partition overlap, on an input the probe sends");
-    eprintln!("                   to co-rank the co-rank tie-break inversion, and on");
+    eprintln!("                   the partition overlap, on a keyed input the probe sends");
+    eprintln!("                   to galloping the galloping tie-break inversion, and on");
     eprintln!("                   AVX2 CPUs the dropped stage of the vector merge network");
     eprintln!("  bench            run `mp bench` at full scale, refreshing the committed");
     eprintln!("                   BENCH_merge.json / BENCH_sort.json / BENCH_telemetry.json");
@@ -365,11 +365,12 @@ fn verify_telemetry() -> ExitCode {
 /// 2. **Sensitivity of the checker**: the workspace is rebuilt with
 ///    `--cfg mergepath_mutate` (a deliberate off-by-one in the Algorithm 1
 ///    partition that makes two shares write the same boundary slot with the
-///    same value — invisible to output diffing — an inverted co-rank tie
+///    same value — invisible to output diffing — an inverted galloping tie
 ///    break, and a dropped stage in the branch-lean kernel's AVX2 merge
 ///    network) and every mutation self-test must observe the checker
 ///    convicting its fault: the first in `parallel` and in the windowed
-///    `segmented` merge, whose windows run the same tile loop; the last in
+///    `segmented` merge, whose windows run the same tile loop; the second
+///    in `parallel` on a keyed tie-run input whose tiles gallop; the last in
 ///    `batch` on `u32` keys under `natural_cmp` (`check_kernel_keys`), on
 ///    the first schedule, where the CPU has AVX2 (elsewhere the vector body
 ///    never runs and that check must pass). A separate target directory
@@ -462,7 +463,7 @@ fn verify_schedules() -> ExitCode {
     }
     println!(
         "verify-schedules: OK (all kernels CREW-exclusive under permuted and \
-         steal-order schedules; injected faults detected: tile cut, co-rank \
+         steal-order schedules; injected faults detected: tile cut, galloping \
          tie break{})",
         if avx2_detected() {
             ", vector merge network"

@@ -177,7 +177,7 @@ mod counted_drop {
 
     const KERNELS: [&str; 9] = [
         "parallel",
-        "co-rank",
+        "galloping",
         "segmented",
         "batch",
         "inplace",
@@ -208,15 +208,16 @@ mod counted_drop {
                 let mut out = vec![CountedDrop::default(); n];
                 parallel_merge_into_by(&a, &b, &mut out, threads, cmp, &NoRecorder);
             }
-            "co-rank" => {
-                // The co-rank stable block kernel run directly on the whole
-                // pair (one segment, so `threads` plays no part); a fuse
-                // can blow inside block_split or inside a bounded block
-                // merge, both of which clone only via `merge_into_by` into
-                // preallocated output.
+            "galloping" => {
+                // The galloping kernel run directly on the whole pair (one
+                // segment, so `threads` plays no part): with 4–6 copies of
+                // each of 40 keys per side, the other entries' segments are
+                // too short or too finely interleaved for the probe to pick
+                // it. A fuse can blow inside a run search or between two
+                // run copies, which clone into preallocated output.
                 let (a, b) = (track(&ka), track(&kb));
                 let mut out = vec![CountedDrop::default(); n];
-                SegmentKernel::CoRank.merge_into_by(&a, &b, &mut out, cmp);
+                SegmentKernel::Galloping.merge_into_by(&a, &b, &mut out, cmp);
             }
             "segmented" => {
                 let (a, b) = (track(&ka), track(&kb));
@@ -309,7 +310,7 @@ mod counted_drop {
         // The finite fuses all blow before a 400-element merge finishes;
         // `u64::MAX` never blows, so every kernel also runs to its end
         // under a permuted schedule, where a clone leaked after the last
-        // block or share would show.
+        // run or share would show.
         for kernel in KERNELS {
             for (i, fuse) in [0u64, 3, 29, 222, u64::MAX].into_iter().enumerate() {
                 let master = Arc::new(AtomicIsize::new(0));

@@ -185,10 +185,9 @@ fn probed_dispatch_matches_the_oracle_on_every_family() {
     // The adaptive layer's contract: whatever kernel the run-structure
     // probe picks, the output is byte-identical to the sequential oracle
     // on all nine adversarial families. The test above runs them as keyed
-    // pairs, where stability is observable and the probe sends
-    // duplicate-heavy segments to co-rank; here they run as bare keys
-    // under `natural_cmp`, which the probe recognizes by comparator type
-    // identity and sends to galloping instead.
+    // pairs, where stability is observable; here they run as bare keys
+    // under `natural_cmp`, the comparator the natural-order entry points
+    // pass.
     for (name, ka, kb) in adversarial_inputs() {
         let mut oracle = vec![0i32; ka.len() + kb.len()];
         merge_into_by(&ka, &kb, &mut oracle, &natural_cmp);
@@ -226,9 +225,9 @@ fn tiled_pairs() -> Vec<(MergeWorkload, Vec<u32>, Vec<u32>)> {
 #[test]
 fn tiled_merges_match_the_oracle_on_every_family() {
     // Bare keys under `natural_cmp`, and the same keys as provenance-tagged
-    // pairs (stability observable, so duplicate-heavy tiles go to
-    // co-rank): both kernels that tile must equal the sequential oracle at
-    // every thread count, whatever kernel each tile picks.
+    // pairs (stability observable): both kernels that tile must equal the
+    // sequential oracle at every thread count, whatever kernel each tile
+    // picks.
     for (family, ka, kb) in tiled_pairs() {
         let n = ka.len() + kb.len();
         for threads in TILED_THREADS {

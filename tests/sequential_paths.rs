@@ -17,7 +17,7 @@
 //!   sorts', and dispatch their merges like untraced ones, and a traced
 //!   segment merge dispatches like an untraced one: duplicate-heavy
 //!   segments gallop under `natural_cmp` of each of `u32`, `i32`, `u64`,
-//!   `i64` and go to co-rank under any other comparator.
+//!   `i64`, under a closure, and under `natural_cmp` of keyed pairs.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -639,11 +639,9 @@ fn traced_sorts_dispatch_like_untraced_ones() {
     // `slice::sort_by`, whose comparisons are std's and go uncounted: no
     // comparison and no merge segment. At p >= 2 the merge rounds count
     // theirs, and the §III sort's rounds merge runs with tie classes of 32
-    // and more, which the probe sends to galloping under the canonical
-    // natural order; a traced sort that chose its kernels on a counting
-    // wrapper would lose that identity and send them to co-rank instead.
-    // The k-way sort's loser-tree merge dispatches no segment kernel, so
-    // it must report comparisons and no co-rank segment.
+    // and more, which the probe sends to galloping. The k-way sort's
+    // loser-tree merge dispatches no segment kernel, so it must report
+    // comparisons and no galloping segment.
     let n = 1 << 15;
     let mut rng = Prng::seed_from_u64(0xD0_0D);
     let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
@@ -666,7 +664,6 @@ fn traced_sorts_dispatch_like_untraced_ones() {
             let t = rec.finish();
             let ctx = format!("kway={kway} p={threads}");
             assert_eq!(traced, expect, "traced output {ctx}");
-            assert_eq!(counter(&t, "segments_co_rank"), 0, "co-rank segment {ctx}");
             if threads == 1 {
                 assert_eq!(counter(&t, "comparisons"), 0, "counted sort {ctx}");
                 for name in segment_counters {
@@ -674,9 +671,8 @@ fn traced_sorts_dispatch_like_untraced_ones() {
                 }
             } else {
                 assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
-                if !kway {
-                    assert!(counter(&t, "segments_galloping") > 0, "no galloping {ctx}");
-                }
+                let galloping = counter(&t, "segments_galloping");
+                assert_eq!(galloping > 0, !kway, "{galloping} galloping segments {ctx}");
             }
         }
     }
@@ -712,22 +708,19 @@ where
 fn counted_segment_merges_dispatch_like_uncounted_ones() {
     // Two sides of 2048 keys in tie classes of exactly 128, over the same
     // 16 values: the key ranges overlap and every duplicate sample of the
-    // probe lands inside a tie class, so the segment is duplicate-heavy.
+    // probe lands inside a tie class, so the segment is duplicate-heavy and
+    // gallops whichever comparator orders it.
     fn check<K: Ord + Clone + Default + std::fmt::Debug + 'static>(key: impl Fn(u32) -> K) {
         let side: Vec<K> = (0..2048u32).map(|i| key(i / 128)).collect();
         let ty = std::any::type_name::<K>();
         let (natural, _) = segment_kernel(&side, &side, &natural_cmp::<K>, ty);
         assert_eq!(natural, SegmentKernel::Galloping, "natural_cmp::<{ty}>");
         let (closure, _) = segment_kernel(&side, &side, &|x: &K, y: &K| x.cmp(y), ty);
-        assert_eq!(closure, SegmentKernel::CoRank, "closure over {ty}");
+        assert_eq!(closure, SegmentKernel::Galloping, "closure over {ty}");
     }
     check(|k| k);
     check(|k| k as i32 - 8);
     check(|k| u64::from(k) << 40);
     check(|k| i64::from(k) - 8);
-    // A payload-carrying element is not its own key, even when every
-    // payload is equal and the comparator is `natural_cmp` itself.
-    let pairs: Vec<(u32, u32)> = (0..2048u32).map(|i| (i / 128, 7)).collect();
-    let (kernel, _) = segment_kernel(&pairs, &pairs, &natural_cmp::<(u32, u32)>, "pairs");
-    assert_eq!(kernel, SegmentKernel::CoRank, "natural_cmp::<(u32, u32)>");
+    check(|k| (k, 7u32));
 }

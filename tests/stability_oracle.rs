@@ -6,15 +6,15 @@
 //! `partition_segments_by` cuts.
 //!
 //! `tests/oracle_differential.rs` proves every kernel equals the oracle;
-//! this suite is the dedicated *stability* layer the co-rank kernel's
-//! proof obligations call for (ROADMAP: keyed-pair duplicate-heavy
-//! differential). Each element carries its original index as provenance
-//! the comparator never sees, so equality with the stable oracle pins the
-//! exact tie order: within every tie class, all of `A`'s elements precede
-//! all of `B`'s, each side in original input order. The families are sized
-//! past the adaptive probe's minimum (256) and the co-rank kernel's block
-//! granularity (256) so every kernel — including the co-rank block splits
-//! — executes its real code path, not a short-input fallback.
+//! this suite is the dedicated *stability* layer (ROADMAP: keyed-pair
+//! duplicate-heavy differential). Each element carries its original index
+//! as provenance the comparator never sees, so equality with the stable
+//! oracle pins the exact tie order: within every tie class, all of `A`'s
+//! elements precede all of `B`'s, each side in original input order. The
+//! families are sized past the adaptive probe's minimum (256) so every
+//! kernel executes its real code path, not a short-input fallback, and the
+//! duplicate-heavy ones send every tile to galloping, the kernel that
+//! merges keyed tie classes.
 
 use std::cmp::Ordering;
 
@@ -22,7 +22,6 @@ use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
-use mergepath_suite::mergepath::merge::stable::CO_RANK_BLOCK;
 use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
 use mergepath_suite::mergepath::telemetry::{CounterKind, NoRecorder, TimelineRecorder};
 use mergepath_suite::workloads::prng::Prng;
@@ -47,10 +46,12 @@ fn tag(a: &[i32], b: &[i32]) -> (Vec<Kv>, Vec<Kv>) {
     (ta, tb)
 }
 
+/// The families whose every tile the probe must send to galloping.
+const TIE_FAMILIES: [&str; 3] = ["duplicate_heavy", "pow2_ties", "pow2_plus_one_ties"];
+
 /// Nine adversarial families, weighted toward duplicate-heavy shapes where
 /// stability is maximally observable. All sized so per-worker segments at
-/// the tested thread counts still exceed the probe minimum and hold
-/// interior co-rank block cuts.
+/// the tested thread counts still exceed the probe minimum.
 fn families() -> Vec<(&'static str, Vec<i32>, Vec<i32>)> {
     let mut rng = Prng::seed_from_u64(0x0057_AB1E);
     let mut random_sorted = |len: usize, key_space: u64| -> Vec<i32> {
@@ -58,7 +59,7 @@ fn families() -> Vec<(&'static str, Vec<i32>, Vec<i32>)> {
         v.sort_unstable();
         v
     };
-    let block = CO_RANK_BLOCK as i32;
+    let run = 256;
     vec![
         // One giant tie class: the most hostile stability input there is.
         ("all_equal", vec![7; 2600], vec![7; 2100]),
@@ -68,18 +69,18 @@ fn families() -> Vec<(&'static str, Vec<i32>, Vec<i32>)> {
             random_sorted(2800, 5),
             random_sorted(2500, 5),
         ),
-        // Tie runs exactly one block wide, so tie classes land precisely on
-        // and around the co-rank kernel's interior block cuts.
+        // Tie runs of 2^8 keys per side, so galloping's doubling search
+        // lands on the first key past a class...
         (
-            "block_aligned_ties",
-            (0..2560).map(|i| i / block).collect(),
-            (0..2560).map(|i| i / block).collect(),
+            "pow2_ties",
+            (0..2560).map(|i| i / run).collect(),
+            (0..2560).map(|i| i / run).collect(),
         ),
-        // Tie runs one past the block width: every cut straddles a class.
+        // ...and one past 2^8, so it lands on the class's last key.
         (
-            "block_straddling_ties",
-            (0..2570).map(|i| i / (block + 1)).collect(),
-            (0..2570).map(|i| i / (block + 1)).collect(),
+            "pow2_plus_one_ties",
+            (0..2570).map(|i| i / (run + 1)).collect(),
+            (0..2570).map(|i| i / (run + 1)).collect(),
         ),
         ("one_side_empty", (0..2000).collect(), vec![]),
         (
@@ -142,10 +143,7 @@ fn every_kernel_produces_the_stable_order_on_every_partition_segment() {
     // A kernel is forced by calling it. Every segment kernel is safe
     // sequential code that writes only its own output slice, so running
     // each one directly on every segment of the partition covers what
-    // forcing it inside a parallel kernel would. The tie runs one block
-    // wide and one past it put tie classes on and across the co-rank
-    // kernel's interior block cuts.
-    let mut cut_segments = 0;
+    // forcing it inside a parallel kernel would.
     for (name, ka, kb) in families() {
         let (a, b) = tag(&ka, &kb);
         let mut oracle = vec![(0, 0); a.len() + b.len()];
@@ -154,7 +152,6 @@ fn every_kernel_produces_the_stable_order_on_every_partition_segment() {
             for seg in partition_segments_by(&a[..], &b[..], p, &cmp) {
                 let (sa, sb) = (&a[seg.a_start..seg.a_end], &b[seg.b_start..seg.b_end]);
                 let expect = &oracle[seg.out_start..seg.out_end];
-                cut_segments += usize::from(expect.len() > CO_RANK_BLOCK);
                 for kernel in SegmentKernel::ALL {
                     let label = format!("{name}: {kernel:?}, p={p}, segment {seg:?}");
                     let mut out = vec![(0, 0); expect.len()];
@@ -165,7 +162,6 @@ fn every_kernel_produces_the_stable_order_on_every_partition_segment() {
             }
         }
     }
-    assert!(cut_segments > 0, "no segment holds a co-rank block cut");
 }
 
 #[test]
@@ -174,9 +170,8 @@ fn traced_tiles_are_stable_and_balanced_on_every_family() {
     // counting comparators; it must keep the stable order too. Its
     // `⌊k·n/T⌋` cuts give every tile `⌊n/T⌋` or `⌈n/T⌉` items (Thm 14 per
     // tile), the balance 1303.4312 gets from exact boundaries, and under
-    // this keyed comparator the duplicate-heavy tiles go to the co-rank
-    // kernel, so its block splits run under the tile cuts.
-    let mut co_rank_tiles = 0;
+    // this keyed comparator every tile of the duplicate-heavy families
+    // gallops, so galloping's tie runs run under the tile cuts.
     for (name, ka, kb) in families() {
         let (a, b) = tag(&ka, &kb);
         let n = a.len() + b.len();
@@ -202,15 +197,17 @@ fn traced_tiles_are_stable_and_balanced_on_every_family() {
                     "{label}: tile {k} of {tiles} merged {it} items"
                 );
             }
-            co_rank_tiles += telemetry
+            let galloping: u64 = telemetry
                 .counters
                 .iter()
-                .filter(|c| c.kind == CounterKind::SegmentsCoRank)
+                .filter(|c| c.kind == CounterKind::SegmentsGalloping)
                 .map(|c| c.total)
-                .sum::<u64>();
+                .sum();
+            if TIE_FAMILIES.contains(&name) {
+                assert_eq!(galloping, tiles as u64, "{label}: tiles that galloped");
+            }
         }
     }
-    assert!(co_rank_tiles > 0, "no tile ran the co-rank kernel");
 }
 
 #[test]
@@ -218,7 +215,7 @@ fn tiled_merges_keep_the_stable_order() {
     // 2^16 + 2^16 tagged keys: Algorithm 1 and the batch merge cut more
     // tiles than threads at every count below, and each tile picks its own
     // kernel. Runs of 48 equal keys per side make tie classes straddle
-    // tile cuts and co-rank block cuts; the zipfian-shaped third family
+    // tile cuts; the zipfian-shaped third family
     // mixes tie-heavy tiles with finely interleaved ones.
     let side = 1usize << 16;
     let mut rng = Prng::seed_from_u64(0x711E);

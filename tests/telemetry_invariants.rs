@@ -11,7 +11,7 @@
 //! * both exporters emit documents the in-repo JSON parser accepts;
 //! * the per-kernel segment counters of a traced merge witness the
 //!   adaptive routing: fine uniform primitive keys go to branch-lean, and
-//!   duplicate-heavy segments go to galloping only under `natural_cmp`.
+//!   duplicate-heavy segments go to galloping under every comparator.
 
 use mergepath::diagonal::co_rank;
 use mergepath::merge::adaptive::{probe_segment, SegmentKernel};
@@ -29,7 +29,7 @@ use mergepath::telemetry::{
     CounterKind, NoRecorder, Recorder, SpanKind, SpanRecord, Telemetry, TimelineRecorder,
 };
 use mergepath_check::{record, Kernel, Recording};
-use mergepath_cli::{run_trace, TraceKernel};
+use mergepath_cli::run_trace;
 use mergepath_workloads::prng::Prng;
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
 
@@ -47,8 +47,8 @@ fn traced_parallel_merge(n: usize, threads: usize, seed: u64) -> Telemetry {
 
 /// Merges `a` and `b` on 4 workers, checks the output against the
 /// sequential oracle and returns the segments each kernel won, in
-/// `SegmentKernel::ALL` order: classic, branch-lean, galloping, co-rank.
-fn adaptive_segments<T, F>(a: &[T], b: &[T], cmp: &F) -> [u64; 4]
+/// `SegmentKernel::ALL` order: classic, branch-lean, galloping.
+fn adaptive_segments<T, F>(a: &[T], b: &[T], cmp: &F) -> [u64; 3]
 where
     T: Clone + Default + PartialEq + std::fmt::Debug + Send + Sync,
     F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
@@ -233,11 +233,7 @@ fn tiled_merges_cut_each_tile_exactly_and_trace_like_untraced_runs() {
         };
         for (k, &kernel) in expected.iter().enumerate() {
             let won = SegmentKernel::ALL.map(|kk| total(k, kk.counter()));
-            let mut want = [0u64; 4];
-            want[SegmentKernel::ALL
-                .iter()
-                .position(|&x| x == kernel)
-                .unwrap()] = 1;
+            let want = SegmentKernel::ALL.map(|kk| u64::from(kk == kernel));
             assert_eq!(won, want, "threads={threads} tile {k}: kernel");
             let searches = t
                 .spans
@@ -363,8 +359,7 @@ fn traced_runs_write_like_untraced_runs_in_every_kernel() {
     // whose vector body runs on CPUs with AVX2. Recorded under one virtual
     // schedule seed, the `NoRecorder` run and the traced run must write the
     // same ranges from the same shares. Where the probe picks segment
-    // kernels, the traced run must pick the leg's kernel and never co-rank,
-    // as a probe that saw telemetry's counting wrapper would.
+    // kernels, the traced run must pick the leg's kernel.
     let n = 1usize << 16;
     for (space, kernel) in [
         (1u64 << 8, CounterKind::SegmentsGalloping),
@@ -378,7 +373,7 @@ fn traced_runs_write_like_untraced_runs_in_every_kernel() {
 
 /// Runs every kernel on `keys` (merges: on its sorted halves) at 1, 2 and
 /// 3 threads, untraced and traced, and checks outputs, per-share writes
-/// and that the probed kernels chose `segments` and never co-rank.
+/// and that the probed kernels chose `segments`.
 fn traced_runs_write_like_untraced_runs(keys: &[u32], segments: CounterKind) {
     let n = keys.len();
     let (mut a, mut b) = (keys[..n / 2].to_vec(), keys[n / 2..].to_vec());
@@ -412,7 +407,6 @@ fn traced_runs_write_like_untraced_runs(keys: &[u32], segments: CounterKind) {
                     .sum()
             };
             if probed.contains(&kernel) {
-                assert_eq!(total(CounterKind::SegmentsCoRank), 0, "co-rank {ctx}");
                 assert!(
                     threads == 1 || total(segments) > 0,
                     "no {} {ctx}",
@@ -431,16 +425,7 @@ fn norecorder_is_zero_sized() {
 
 #[test]
 fn every_traced_kernel_produces_nested_spans_and_parsable_exports() {
-    for kernel in [
-        TraceKernel::Parallel,
-        TraceKernel::Segmented,
-        TraceKernel::Batch,
-        TraceKernel::Inplace,
-        TraceKernel::Kway,
-        TraceKernel::SortParallel,
-        TraceKernel::SortKway,
-        TraceKernel::SortCacheAware,
-    ] {
+    for kernel in Kernel::ALL {
         let run = run_trace(kernel, 5_000, 3, 0xC0FFEE);
         let doc = mergepath::telemetry::json::parse(&run.chrome_json)
             .unwrap_or_else(|e| panic!("{}: chrome trace: {e}", kernel.name()));
@@ -513,18 +498,17 @@ fn uniform_primitive_keys_dispatch_branch_lean_segments() {
     // probe's minimum length and shows neither tie runs nor an axis-hugging
     // path, so the probe's last arm names branch-lean.
     let (a, b) = merge_pair_sized(MergeWorkload::Uniform, 8192, 8192, 0xFEED);
-    let [_, branch_lean, _, co_rank] = adaptive_segments(&a, &b, &natural_cmp);
+    let [_, branch_lean, _] = adaptive_segments(&a, &b, &natural_cmp);
     assert!(branch_lean > 0, "no branch-lean segment");
-    assert_eq!(co_rank, 0, "co-rank under natural_cmp");
 }
 
 #[test]
-fn duplicate_heavy_segments_gallop_only_under_natural_cmp() {
+fn duplicate_heavy_segments_gallop_under_every_comparator() {
     // 4096 keys a side from 64 values: tie classes of about 128, so every
     // segment whose key ranges overlap is duplicate-heavy. The probe sends
-    // those to galloping only when the comparator is provably a primitive's
-    // natural order, decided by its type; keyed pairs, and the same bare
-    // keys under a semantically equal comparator, go to co-rank.
+    // all four to galloping, whichever comparator orders the keys: the
+    // canonical natural order, a semantically equal plain fn, or a key-only
+    // comparator over keyed pairs.
     let mut rng = Prng::seed_from_u64(0x9A1D);
     let mut side = || -> Vec<u32> {
         let mut v: Vec<u32> = (0..4096).map(|_| rng.below(64) as u32).collect();
@@ -532,11 +516,8 @@ fn duplicate_heavy_segments_gallop_only_under_natural_cmp() {
         v
     };
     let (a, b) = (side(), side());
-    let [_, _, galloping, co_rank] = adaptive_segments(&a, &b, &natural_cmp);
-    assert!(galloping > 0, "no galloping segment");
-    assert_eq!(co_rank, 0, "co-rank under natural_cmp");
-    let [_, _, _, co_rank] = adaptive_segments(&a, &b, &cmp);
-    assert!(co_rank > 0, "no co-rank under a plain fn");
+    assert_eq!(adaptive_segments(&a, &b, &natural_cmp), [0, 0, 4]);
+    assert_eq!(adaptive_segments(&a, &b, &cmp), [0, 0, 4], "plain fn");
 
     // (key, provenance) pairs by key: equal keys are distinguishable, and
     // the oracle comparison inside the helper pins stability.
@@ -544,6 +525,6 @@ fn duplicate_heavy_segments_gallop_only_under_natural_cmp() {
         (base..).zip(v).map(|(i, &k)| (k, i)).collect()
     };
     let by_key = |x: &(u32, u32), y: &(u32, u32)| x.0.cmp(&y.0);
-    let [_, _, _, co_rank] = adaptive_segments(&tag(&a, 0), &tag(&b, 1 << 20), &by_key);
-    assert!(co_rank > 0, "no co-rank on keyed pairs");
+    let keyed = adaptive_segments(&tag(&a, 0), &tag(&b, 1 << 20), &by_key);
+    assert_eq!(keyed, [0, 0, 4], "keyed pairs");
 }
