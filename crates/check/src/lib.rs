@@ -120,75 +120,6 @@ pub struct Recording {
     pub rounds: Vec<RoundLog>,
 }
 
-/// One executed share in a simulated work-stealing schedule: which
-/// simulated worker's deque the share was pushed onto, and which worker
-/// actually executed it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealStep {
-    /// The logical share index.
-    pub share: usize,
-    /// The worker whose deque received the share's ticket.
-    pub pusher: usize,
-    /// The worker that executed it.
-    pub executor: usize,
-}
-
-impl StealStep {
-    /// Whether this share was executed through a steal (executor ≠
-    /// pusher) — the work-stealing executor's defining reordering.
-    pub fn stolen(&self) -> bool {
-        self.pusher != self.executor
-    }
-}
-
-/// Simulates the work-stealing executor's deque protocol to produce one
-/// execution order of `shares` over `workers` simulated deques: owners
-/// pop their own deque LIFO, an empty worker steals a random victim's
-/// ticket FIFO — the same ends the live scheduler uses
-/// (`mergepath::executor`, DESIGN.md §15). With `hoard` every ticket is
-/// pushed onto worker 0's deque (the non-pool-submitter shape, maximally
-/// steal-inducing); otherwise tickets are dealt round-robin, the
-/// balanced shape. The result covers every share exactly once and
-/// records which worker pushed and which executed it, so callers can
-/// assert stolen (executor ≠ pusher) steps actually occur.
-pub fn steal_order(prng: &mut Prng, shares: usize, workers: usize, hoard: bool) -> Vec<StealStep> {
-    let workers = workers.max(1);
-    let mut deques: Vec<std::collections::VecDeque<(usize, usize)>> =
-        vec![std::collections::VecDeque::new(); workers];
-    for share in 0..shares {
-        let pusher = if hoard { 0 } else { share % workers };
-        deques[pusher].push_back((share, pusher));
-    }
-    let mut steps = Vec::with_capacity(shares);
-    while steps.len() < shares {
-        let me = prng.below(workers as u64) as usize;
-        if let Some((share, pusher)) = deques[me].pop_back() {
-            steps.push(StealStep {
-                share,
-                pusher,
-                executor: me,
-            });
-            continue;
-        }
-        let start = prng.below(workers as u64) as usize;
-        for k in 0..workers {
-            let victim = (start + k) % workers;
-            if victim == me {
-                continue;
-            }
-            if let Some((share, pusher)) = deques[victim].pop_front() {
-                steps.push(StealStep {
-                    share,
-                    pusher,
-                    executor: me,
-                });
-                break;
-            }
-        }
-    }
-    steps
-}
-
 struct RecorderState {
     prng: Prng,
     rounds: Vec<RoundLog>,
@@ -198,17 +129,12 @@ struct RecorderState {
     /// Stack of `(round index, share id)` for the currently executing
     /// share(s).
     share_stack: Vec<(usize, usize)>,
-    /// `Some(workers)` puts the recorder in steal-order mode: round
-    /// permutations come from [`steal_order`] over this many simulated
-    /// deques instead of a uniform shuffle.
-    steal_workers: Option<usize>,
 }
 
-/// A [`ShareObserver`] that picks a seeded execution order for every
-/// round — a uniform random permutation by default, or a simulated
-/// work-stealing order (see [`steal_order`]) in steal mode — and records
-/// each share's access sets. Single-threaded by construction (virtual
-/// rounds run inline), hence the `RefCell`.
+/// A [`ShareObserver`] that picks a seeded uniform random permutation as
+/// the execution order of every round and records each share's access
+/// sets. Single-threaded by construction (virtual rounds run inline),
+/// hence the `RefCell`.
 pub struct ScheduleRecorder {
     state: RefCell<RecorderState>,
 }
@@ -216,26 +142,12 @@ pub struct ScheduleRecorder {
 impl ScheduleRecorder {
     /// Creates a recorder whose round permutations are drawn from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_mode(seed, None)
-    }
-
-    /// Creates a recorder in steal-order mode: every round's execution
-    /// order is produced by simulating the work-stealing deque protocol
-    /// over `workers` deques (alternating seeded hoarded and balanced
-    /// push shapes), so the recorded schedules model shares executed by
-    /// workers other than their pusher.
-    pub fn new_stealing(seed: u64, workers: usize) -> Self {
-        Self::with_mode(seed, Some(workers.max(2)))
-    }
-
-    fn with_mode(seed: u64, steal_workers: Option<usize>) -> Self {
         ScheduleRecorder {
             state: RefCell::new(RecorderState {
                 prng: Prng::seed_from_u64(seed),
                 rounds: Vec::new(),
                 open: Vec::new(),
                 share_stack: Vec::new(),
-                steal_workers,
             }),
         }
     }
@@ -253,22 +165,8 @@ impl ScheduleRecorder {
 impl ShareObserver for ScheduleRecorder {
     fn round_begin(&self, shares: usize) -> Vec<usize> {
         let mut st = self.state.borrow_mut();
-        let order: Vec<usize> = match st.steal_workers {
-            Some(workers) => {
-                // Alternate seeded push shapes: hoarded rounds force
-                // steals, balanced rounds mix owner pops with steals.
-                let hoard = st.prng.below(2) == 1;
-                steal_order(&mut st.prng, shares, workers, hoard)
-                    .into_iter()
-                    .map(|s| s.share)
-                    .collect()
-            }
-            None => {
-                let mut order: Vec<usize> = (0..shares).collect();
-                st.prng.shuffle(&mut order);
-                order
-            }
-        };
+        let mut order: Vec<usize> = (0..shares).collect();
+        st.prng.shuffle(&mut order);
         let idx = st.rounds.len();
         st.rounds.push(RoundLog {
             order: order.clone(),
@@ -323,18 +221,7 @@ impl ShareObserver for ScheduleRecorder {
 /// seeded permutation order) and is recorded. Returns `f`'s value and the
 /// recording. The observer is uninstalled even if `f` panics.
 pub fn record<T>(seed: u64, f: impl FnOnce() -> T) -> (T, Recording) {
-    record_with(ScheduleRecorder::new(seed), f)
-}
-
-/// [`record`] in steal-order mode: round orders come from the simulated
-/// work-stealing deque protocol over `workers` deques (see
-/// [`steal_order`]) instead of a uniform shuffle.
-pub fn record_stealing<T>(seed: u64, workers: usize, f: impl FnOnce() -> T) -> (T, Recording) {
-    record_with(ScheduleRecorder::new_stealing(seed, workers), f)
-}
-
-fn record_with<T>(rec: ScheduleRecorder, f: impl FnOnce() -> T) -> (T, Recording) {
-    let rec = Rc::new(rec);
+    let rec = Rc::new(ScheduleRecorder::new(seed));
     let guard = executor::install_observer(rec.clone());
     let value = f();
     drop(guard);
@@ -467,12 +354,6 @@ pub struct CheckConfig {
     /// Replay rounds of at most this many elements on the PRAM CREW
     /// machine (0 disables the cross-validation).
     pub pram_limit: usize,
-    /// Draw round execution orders from the simulated work-stealing
-    /// deque protocol ([`steal_order`] over `threads` deques) instead of
-    /// uniform shuffles — proving CREW safety holds specifically under
-    /// the reorderings the live work-stealing executor produces (shares
-    /// executed by workers other than their pusher).
-    pub steal_orders: bool,
 }
 
 impl Default for CheckConfig {
@@ -482,7 +363,6 @@ impl Default for CheckConfig {
             schedules: 8,
             seed: 0x5EED_CAFE,
             pram_limit: 4096,
-            steal_orders: false,
         }
     }
 }
@@ -1181,13 +1061,7 @@ where
         let seed = cfg
             .seed
             .wrapping_add((schedule as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let ((out, span), recording) = if cfg.steal_orders {
-            record_stealing(seed, cfg.threads.max(2), || {
-                run_kernel(kernel, a, b, cfg, cmp)
-            })
-        } else {
-            record(seed, || run_kernel(kernel, a, b, cfg, cmp))
-        };
+        let ((out, span), recording) = record(seed, || run_kernel(kernel, a, b, cfg, cmp));
         if let Some(index) = (0..oracle.len().max(out.len())).find(|&i| out.get(i) != oracle.get(i))
         {
             return Err(CheckError::OutputMismatch {
@@ -1525,79 +1399,6 @@ mod tests {
         };
         for &kernel in &Kernel::ALL {
             let report = check_kernel_keys(kernel, 700, &cfg).unwrap();
-            assert!(report.multi_rounds > 0, "{report}");
-        }
-    }
-
-    #[test]
-    fn steal_order_is_a_permutation_with_actual_steals() {
-        let mut prng = Prng::seed_from_u64(42);
-        for &(shares, workers, hoard) in &[
-            (16usize, 4usize, true),
-            (16, 4, false),
-            (7, 3, true),
-            (1, 4, false),
-        ] {
-            let steps = steal_order(&mut prng, shares, workers, hoard);
-            assert_eq!(steps.len(), shares);
-            let mut seen = vec![false; shares];
-            for s in &steps {
-                assert!(!seen[s.share], "share {} executed twice", s.share);
-                seen[s.share] = true;
-                assert!(s.pusher < workers && s.executor < workers);
-                if hoard {
-                    assert_eq!(s.pusher, 0, "hoarded push shape");
-                }
-            }
-        }
-        // A hoarded round over several workers must produce stolen steps
-        // (a worker other than 0 executing a worker-0 ticket) — the
-        // schedule family would be vacuous otherwise.
-        let steps = steal_order(&mut prng, 64, 4, true);
-        assert!(
-            steps.iter().any(|s| s.stolen()),
-            "no stolen step in a hoarded 64-share round"
-        );
-    }
-
-    #[test]
-    fn steal_mode_recorder_differs_from_shuffle_and_verifies() {
-        let (a, b) = default_input(400, 7);
-        let cfg = CheckConfig::default();
-        let orders = |stealing: bool| {
-            // Several rounds: a single small round can collide with the
-            // shuffle stream by chance (both identity), many cannot.
-            let run = || {
-                for _ in 0..6 {
-                    run_kernel(Kernel::Parallel, &a, &b, &cfg, &by_key);
-                }
-            };
-            let (_, rec) = if stealing {
-                record_stealing(11, 4, run)
-            } else {
-                record(11, run)
-            };
-            rec.rounds
-                .iter()
-                .map(|r| r.order.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(orders(true), orders(true), "steal mode is deterministic");
-        assert_ne!(
-            orders(true),
-            orders(false),
-            "steal orders must differ from the uniform shuffle stream"
-        );
-    }
-
-    #[test]
-    fn all_kernels_pass_under_steal_order_schedules() {
-        let cfg = CheckConfig {
-            schedules: 3,
-            steal_orders: true,
-            ..CheckConfig::default()
-        };
-        for report in check_all(700, &cfg).unwrap() {
             assert!(report.multi_rounds > 0, "{report}");
         }
     }

@@ -135,7 +135,6 @@ pub const USAGE: &str = "usage:
   mp select A B --rank K [--numeric]
   mp check  FILE [--numeric]
   mp check  --kernel KERNEL|all [--n N] [--threads P] [--seed S] [--schedules K]
-            [--steal-orders]
   mp trace  --kernel KERNEL
             [--n N] [--threads P] [--seed S] [--trace-out F] [--metrics-out F]
   mp bench  [--n N] [--threads P] [--seed S] [--reps R] [--out-dir D] [--smoke] [--serve]
@@ -240,9 +239,6 @@ pub enum Command {
         seed: u64,
         /// Number of permuted virtual schedules per kernel.
         schedules: usize,
-        /// Draw round orders from the simulated work-stealing deque
-        /// protocol instead of uniform shuffles (`--steal-orders`).
-        steal_orders: bool,
     },
     /// `mp trace`.
     Trace {
@@ -347,7 +343,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut reps: Option<usize> = None;
     let mut out_dir = String::from(".");
     let mut smoke = false;
-    let mut steal_orders = false;
     let mut serve = false;
     let mut requests = 256usize;
     let mut concurrency = 64usize;
@@ -531,7 +526,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 pattern = ArrivalPattern::parse(p)
                     .ok_or_else(|| CliError::Usage(format!("unknown --pattern {p:?}")))?;
             }
-            "--steal-orders" => steal_orders = true,
             other if other.starts_with('-') => {
                 return Err(CliError::Usage(format!("unknown flag {other:?}")));
             }
@@ -576,7 +570,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 seed,
                 schedules,
-                steal_orders,
             })
         }
         ("trace", []) => Ok(Command::Trace {
@@ -781,13 +774,11 @@ where
             threads,
             seed,
             schedules,
-            steal_orders,
         } => {
             let cfg = mergepath_check::CheckConfig {
                 threads: *threads,
                 schedules: *schedules,
                 seed: *seed,
-                steal_orders: *steal_orders,
                 ..mergepath_check::CheckConfig::default()
             };
             let kernels = match kernel {
@@ -1370,7 +1361,6 @@ mod tests {
                 threads: 3,
                 seed: 5,
                 schedules: 4,
-                steal_orders: false,
             }
         );
         // `all` selects every kernel; defaults fill the rest.
@@ -1383,18 +1373,8 @@ mod tests {
                 threads: 2,
                 seed: 42,
                 schedules: 8,
-                steal_orders: false,
             }
         );
-        // --steal-orders switches the schedule family.
-        let cmd = parse_args(&argv("check --kernel all --steal-orders")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::CheckSchedules {
-                steal_orders: true,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -207,8 +207,8 @@ struct ServeRow {
     stats: ServeStats,
     wall_ns: u64,
     correctness_failures: usize,
-    pool_steals: u64,
-    pool_stolen_shares: u64,
+    /// The cell's diff of the global pool's `RoundCounts::overlapped`.
+    pool_overlapped_rounds: u64,
 }
 
 impl ServeRow {
@@ -268,7 +268,7 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
              \"correctness_failures\":{},\"queue_depth_peak\":{},\"inflight_peak\":{},\
              \"wall_ns\":{},\"throughput_rps\":{},\"p50_ns\":{},\"p99_ns\":{},\
              \"serve_batched\":{},\"batched_requests\":{},\"batch_width\":{},\
-             \"pool_steals\":{},\"pool_stolen_shares\":{},\"latency\":{}}}",
+             \"pool_overlapped_rounds\":{},\"latency\":{}}}",
             r.pattern,
             r.concurrency,
             r.stats.submitted,
@@ -287,8 +287,7 @@ fn rows_payload(cfg: &ServeBenchConfig, rows: &[ServeRow]) -> String {
             r.stats.batched_rounds,
             r.stats.batched_requests,
             r.batch_width(),
-            r.pool_steals,
-            r.pool_stolen_shares,
+            r.pool_overlapped_rounds,
             r.stats.latency.to_json(),
         );
     }
@@ -324,7 +323,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
         let plan = arrival_plan(&cfg.plan_config(pattern));
         let prepared = prepare(&plan);
         for &level in &cfg.levels {
-            let steals_before = mergepath::executor::global().steal_stats();
+            let before = mergepath::executor::global().round_counts();
             let live = live_run(
                 &prepared,
                 ServeConfig {
@@ -337,7 +336,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
                 NoRecorder,
                 NoProbe,
             );
-            let steals_after = mergepath::executor::global().steal_stats();
+            let after = mergepath::executor::global().round_counts();
             assert_eq!(
                 live.stats.lost(),
                 0,
@@ -356,10 +355,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchArtifacts {
                 stats: live.stats,
                 wall_ns: live.wall_ns,
                 correctness_failures: live.correctness_failures,
-                pool_steals: steals_after.steals.saturating_sub(steals_before.steals),
-                pool_stolen_shares: steals_after
-                    .stolen_shares
-                    .saturating_sub(steals_before.stolen_shares),
+                pool_overlapped_rounds: after.overlapped - before.overlapped,
             };
             let _ = writeln!(
                 summary,
@@ -868,8 +864,7 @@ mod tests {
                 "serve_batched",
                 "batched_requests",
                 "batch_width",
-                "pool_steals",
-                "pool_stolen_shares",
+                "pool_overlapped_rounds",
             ] {
                 assert!(
                     r.get(col).and_then(Value::as_f64).is_some(),

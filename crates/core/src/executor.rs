@@ -1,4 +1,4 @@
-//! A persistent work-stealing fork-join worker pool.
+//! A persistent fork-join worker pool.
 //!
 //! The paper's x86 implementation uses OpenMP, whose parallel regions are
 //! executed by a long-lived team of threads rather than freshly spawned
@@ -17,33 +17,31 @@
 //! finish. The co-rank construction (Siebert & Träff, arXiv 1303.4312;
 //! Merge Path Thm 14) computes every share's input/output ranges with
 //! zero cross-share coordination, so shares are safe to execute in any
-//! order, on any worker, interleaved across rounds. This scheduler
+//! order, on any thread, interleaved across rounds. This scheduler
 //! exploits exactly that independence:
 //!
-//! * Each worker owns a **bounded deque** of tickets (LIFO at the owner's
-//!   end, FIFO at the steal end), plus one shared **global injector**.
-//! * `Pool::submit_round` (the internal engine behind
-//!   [`Pool::run_indexed`]) enqueues a **round descriptor** — erased job
-//!   pointer, atomic share-claim counter, completion latch, panic flag —
-//!   without taking any global lock. A pool-worker submitter pushes its
-//!   tickets onto its own deque; a non-pool submitter (the common case:
-//!   serving threads, test drivers) has no deque of its own, so its
-//!   tickets are distributed round-robin across the worker deques,
-//!   overflowing to the global injector when a deque is full.
+//! * The pool has **one FIFO ticket queue**. `Pool::submit_round` (the
+//!   internal engine behind [`Pool::run_indexed`]) publishes a **round
+//!   descriptor** — erased job pointer, atomic share-claim counter,
+//!   completion latch, panic flag — and pushes the round's tickets onto
+//!   the back of the queue under one lock.
+//! * Idle workers pop tickets from the front of the queue, oldest first.
 //! * The **caller participates**: it immediately runs the round's claim
-//!   loop itself, then — while its latch is still open — drains its own
-//!   deque and steals from siblings (helping whatever rounds are in
+//!   loop itself, then — while its latch is still open — pops tickets
+//!   from the front of the queue too (helping whatever rounds are in
 //!   flight), then waits on the round latch (see *Wait policy*).
 //! * A **ticket** is an invitation, not a work item: shares are claimed
 //!   from the round's atomic counter in chunks, so a stale ticket popped
-//!   after its round drained is a no-op. Idle workers pop their own deque
-//!   LIFO, then the injector, then steal a sibling's ticket FIFO — each
-//!   productive steal is counted (`pool_steals`, `pool_stolen_shares`).
+//!   after its round drained is a no-op.
+//!
+//! Co-ranked shares are equal by construction (Thm 14), so the pool has
+//! no per-thread queues and no work stealing: there is no imbalance for
+//! them to correct (DESIGN.md §15).
 //!
 //! Multiple rounds are therefore in flight simultaneously; narrow serving
 //! requests overlap wide ones instead of queueing behind them. The round
 //! latch fires when every share has *executed* (not when tickets retire),
-//! so tickets stranded on a busy worker's deque can never deadlock a
+//! so tickets still queued after their round drained can never deadlock a
 //! caller. Panics are caught per share: the panicking share still counts
 //! toward the latch, the round's panic flag is set, and the caller
 //! re-raises after the latch fires — the scheduler itself holds no lock
@@ -123,20 +121,19 @@
 //!
 //! [`Pool::run_indexed`] takes a `mergepath_telemetry::Recorder` and
 //! reports into it round begin/end, the submit-to-first-share queue wait
-//! (`round_wait_ns`), one busy window per executed share, and — when the
-//! round was helped by stolen tickets — the `pool_steals` /
-//! `pool_stolen_shares` counters. Share windows are tagged with the
-//! executing participant's *ticket* index (a round-local id below the
-//! round's participant count), so concurrent rounds reporting into
-//! per-request `OffsetRecorder`s keep their worker ranges disjoint. With
-//! the zero-sized `NoRecorder` (`ACTIVE == false`) the reports compile
-//! away and no share is timed, so the hot path pays only when a real
-//! recorder is supplied.
+//! (`round_wait_ns`), and one busy window per executed share. Share
+//! windows are tagged with the executing participant's *ticket* index (a
+//! round-local id below the round's participant count), so concurrent
+//! rounds reporting into per-request `OffsetRecorder`s keep their worker
+//! ranges disjoint. With the zero-sized `NoRecorder` (`ACTIVE == false`)
+//! the reports compile away and no share is timed, so the hot path pays
+//! only when a real recorder is supplied.
 //!
-//! Without any recorder, [`Pool::steal_stats`] and [`Pool::round_counts`]
-//! keep pool-lifetime counts of productive steals and of *solo* rounds:
-//! rounds of at least two tickets whose every share ran on the caller
-//! because no other participant claimed one in time.
+//! Without any recorder, [`Pool::round_counts`] keeps pool-lifetime
+//! counts of the rounds of at least two tickets: *solo* ones, whose every
+//! share ran on the caller because no other participant claimed one in
+//! time, *shared* ones, and *overlapped* ones, which pushed their tickets
+//! while another such round of the pool was still in flight.
 //!
 //! # Virtual execution (schedule checking)
 //!
@@ -147,11 +144,9 @@
 //! recording accessors ([`SendPtr::slice_mut`], [`SendPtr::write`],
 //! [`note_write_range`], [`note_read_range`]) report each share's output
 //! writes and input reads to it. `mergepath-check` builds the CREW
-//! access-set checker (paper, Thms 9 and 14) on these hooks — including
-//! steal-order schedules that model shares executing on workers other
-//! than their pusher, interleaved across rounds. With no observer
-//! installed — the default — each hook site costs one thread-local read
-//! and the pool behaves exactly as documented above.
+//! access-set checker (paper, Thms 9 and 14) on these hooks. With no
+//! observer installed — the default — each hook site costs one
+//! thread-local read and the pool behaves exactly as documented above.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -162,7 +157,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mergepath_telemetry::{now_ns, CounterKind, Recorder};
+use mergepath_telemetry::{now_ns, Recorder};
 
 /// Locks a mutex, ignoring poison. The scheduler never holds any of its
 /// locks across job code (jobs run under per-share `catch_unwind`), so a
@@ -232,18 +227,14 @@ struct Round {
     next: AtomicUsize,
     /// Shares *executed* (panicking shares included). The round latch
     /// fires when this reaches `shares` — completion is counted per
-    /// executed share, never per retired ticket, so tickets stranded on a
-    /// blocked worker's deque cannot deadlock the caller.
+    /// executed share, never per retired ticket, so tickets still queued
+    /// behind busy threads cannot deadlock the caller.
     completed: AtomicUsize,
     /// Set when any share panicked; the caller re-raises after the latch.
     panicked: AtomicBool,
     /// Latch mutex + condvar; the predicate is `completed >= shares`.
     latch: Mutex<()>,
     done_cv: Condvar,
-    /// Tickets of this round productively taken from a foreign deque.
-    steals: AtomicU64,
-    /// Shares executed through those stolen tickets.
-    stolen_shares: AtomicU64,
 }
 
 impl Round {
@@ -267,9 +258,8 @@ impl Round {
     }
 
     /// Counts `n` executed shares, firing the latch on the last one. The
-    /// `AcqRel` ordering publishes every per-round store made by the
-    /// finishing participant (panic flag, steal counters) to the caller's
-    /// `is_done` acquire load.
+    /// `AcqRel` ordering publishes the finishing participant's panic flag
+    /// store to the caller's `is_done` acquire load.
     fn finish(&self, n: usize) {
         let prev = self.completed.fetch_add(n, AtomicOrdering::AcqRel);
         if prev + n >= self.shares {
@@ -281,7 +271,7 @@ impl Round {
     }
 }
 
-/// A deque entry: an invitation for one participant to join `round`'s
+/// A queue entry: an invitation for one participant to join `round`'s
 /// claim loop. Stale tickets (rounds already fully claimed) are no-ops.
 struct Task {
     round: Arc<Round>,
@@ -290,12 +280,20 @@ struct Task {
     ticket: usize,
 }
 
+impl Task {
+    /// Runs this ticket's claim loop. The panic payload is dropped here:
+    /// the round's flag is already set, and the submitting caller
+    /// re-raises.
+    fn run(self, stop: Option<&Round>) {
+        drop(participate(&self.round, self.ticket, stop));
+    }
+}
+
 /// Runs `round`'s claim loop as participant `ticket`. Returns the number
 /// of shares executed here and — if one of them panicked — the first
 /// panic payload (the caller resumes its own payload; workers drop
 /// theirs, the round's flag having already been set).
 ///
-/// `stolen` attributes executed shares to the round's steal counters.
 /// `stop` makes the loop abandon between chunks once *that* round's latch
 /// has fired — used by callers helping foreign rounds while waiting, so
 /// help is bounded by one chunk past their own round's completion.
@@ -305,7 +303,6 @@ struct Task {
 fn participate(
     round: &Round,
     ticket: usize,
-    stolen: bool,
     stop: Option<&Round>,
 ) -> (usize, Option<Box<dyn std::any::Any + Send>>) {
     let mut executed = 0usize;
@@ -338,40 +335,23 @@ fn participate(
                 }
             }
         }
-        if stolen {
-            if executed == 0 {
-                round.steals.fetch_add(1, AtomicOrdering::Relaxed);
-            }
-            round
-                .stolen_shares
-                .fetch_add((hi - base) as u64, AtomicOrdering::Relaxed);
-        }
         executed += hi - base;
-        // Count executed shares only after the steal attribution above so
-        // `finish`'s release publishes it to the waiting caller.
         round.finish(hi - base);
     }
     (executed, own)
 }
 
-/// Capacity of each worker's deque; ticket pushes beyond it overflow to
-/// the global injector. Tickets are invitations (a round pushes at most
-/// `participants - 1` of them), so a small bound suffices and keeps a
-/// stale backlog from growing behind a busy worker.
-const DEQUE_CAP: usize = 8;
-
 /// The scheduler state shared between the pool handle and its workers.
 struct Sched {
-    /// One bounded deque per spawned worker (`threads - 1` of them).
-    /// Owners pop LIFO (`pop_back`), thieves steal FIFO (`pop_front`).
-    deques: Box<[Mutex<VecDeque<Task>>]>,
-    /// Overflow and fallback queue; popping it is not a steal.
-    injector: Mutex<VecDeque<Task>>,
+    /// Every queued ticket of every round in flight, oldest first. A
+    /// round pushes all of its tickets under one lock; idle workers and
+    /// helping callers pop from the front.
+    queue: Mutex<VecDeque<Task>>,
     /// Bumped after every ticket push and on shutdown (`Release`, paired
     /// with the workers' `Acquire` loads, so a worker that sees the new
-    /// value also sees the pushed ticket). An idle worker polls it for
+    /// value also sees the pushed tickets). An idle worker polls it for
     /// [`SPIN_WINDOW`], then parks on `available` while it still reads
-    /// the value it saw before its failed scan.
+    /// the value it saw before its failed pop.
     epoch: AtomicU64,
     /// Parking only: a worker re-checks `epoch` under this mutex before
     /// it waits, and a pusher takes it after the bump before it
@@ -380,42 +360,24 @@ struct Sched {
     park: Mutex<()>,
     available: Condvar,
     shutdown: AtomicBool,
-    /// Cursor rotating both ticket distribution and steal-scan start
-    /// points, so neither favours low-numbered workers.
-    rr: AtomicUsize,
-    /// Pool-lifetime aggregates behind [`Pool::steal_stats`].
-    steals: AtomicU64,
-    stolen_shares: AtomicU64,
+    /// Team rounds between their ticket push and their latch; a round
+    /// that finds another here counts as overlapped. Like the counts
+    /// below it publishes no other data, so it is `Relaxed` throughout.
+    inflight: AtomicUsize,
     /// Pool-lifetime aggregates behind [`Pool::round_counts`].
     solo_rounds: AtomicU64,
     shared_rounds: AtomicU64,
+    overlapped_rounds: AtomicU64,
 }
 
 impl Sched {
-    /// Pushes tickets `tickets` of `round` and wakes the team. A
-    /// pool-worker submitter (hypothetical — nested calls run inline, so
-    /// workers do not submit today) pushes onto its own deque; non-pool
-    /// submitters distribute round-robin across the worker deques,
-    /// overflowing to the injector.
+    /// Pushes tickets `tickets` of `round` onto the back of the queue and
+    /// wakes the team.
     fn push_tickets(&self, round: &Arc<Round>, tickets: std::ops::Range<usize>) {
-        let me = WORKER_ID.with(|w| w.get());
-        for ticket in tickets {
-            let task = Task {
-                round: Arc::clone(round),
-                ticket,
-            };
-            let target = match me {
-                Some(w) => w,
-                None => self.rr.fetch_add(1, AtomicOrdering::Relaxed) % self.deques.len(),
-            };
-            let mut dq = lock(&self.deques[target]);
-            if me.is_some() || dq.len() < DEQUE_CAP {
-                dq.push_back(task);
-            } else {
-                drop(dq);
-                lock(&self.injector).push_back(task);
-            }
-        }
+        lock(&self.queue).extend(tickets.map(|ticket| Task {
+            round: Arc::clone(round),
+            ticket,
+        }));
         self.wake_all();
     }
 
@@ -429,62 +391,26 @@ impl Sched {
         self.available.notify_all();
     }
 
-    /// Takes the next ticket for participant `me` (`None` for a
-    /// non-worker caller): own deque LIFO, then the injector, then a
-    /// rotating FIFO scan of the other deques. The flag reports whether
-    /// the pop was a steal (a sibling's deque).
-    fn grab(&self, me: Option<usize>) -> Option<(Task, bool)> {
-        if let Some(w) = me {
-            if let Some(task) = lock(&self.deques[w]).pop_back() {
-                return Some((task, false));
-            }
-        }
-        if let Some(task) = lock(&self.injector).pop_front() {
-            return Some((task, false));
-        }
-        let n = self.deques.len();
-        let start = self.rr.fetch_add(1, AtomicOrdering::Relaxed) % n;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(task) = lock(&self.deques[victim]).pop_front() {
-                return Some((task, true));
-            }
-        }
-        None
-    }
-
-    /// Runs one ticket's claim loop, attributing productive steals.
-    /// Worker-side panic payloads are dropped here — the round's flag is
-    /// already set, and the submitting caller re-raises.
-    fn execute(&self, task: Task, stolen: bool, stop: Option<&Round>) {
-        let (executed, payload) = participate(&task.round, task.ticket, stolen, stop);
-        drop(payload);
-        if stolen && executed > 0 {
-            self.steals.fetch_add(1, AtomicOrdering::Relaxed);
-            self.stolen_shares
-                .fetch_add(executed as u64, AtomicOrdering::Relaxed);
-        }
+    /// Takes the oldest queued ticket.
+    fn pop(&self) -> Option<Task> {
+        lock(&self.queue).pop_front()
     }
 }
 
-fn worker_loop(w: usize, sched: &Sched) {
-    WORKER_ID.with(|id| id.set(Some(w)));
+fn worker_loop(sched: &Sched) {
     let idle = |seen: u64| {
         sched.epoch.load(AtomicOrdering::Acquire) == seen
             && !sched.shutdown.load(AtomicOrdering::Acquire)
     };
     loop {
-        // Read before the scan: a push the scan misses bumps the epoch
+        // Read before the pop: a push the pop misses bumps the epoch
         // past `seen`, which ends the spin or the park below.
         let seen = sched.epoch.load(AtomicOrdering::Acquire);
         if sched.shutdown.load(AtomicOrdering::Acquire) {
             return;
         }
-        if let Some((task, stolen)) = sched.grab(Some(w)) {
-            sched.execute(task, stolen, None);
+        if let Some(task) = sched.pop() {
+            task.run(None);
             continue;
         }
         if spin_until(|| !idle(seen)) {
@@ -500,17 +426,6 @@ fn worker_loop(w: usize, sched: &Sched) {
     }
 }
 
-/// Cumulative work-stealing counters of one pool (see
-/// [`Pool::steal_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StealStats {
-    /// Productive steals: tickets taken from a sibling worker's deque
-    /// that went on to execute at least one share.
-    pub steals: u64,
-    /// Logical shares executed through stolen tickets.
-    pub stolen_shares: u64,
-}
-
 /// Cumulative round counters of one pool (see [`Pool::round_counts`]).
 /// Each counts rounds that pushed at least one ticket beyond the caller's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -520,14 +435,9 @@ pub struct RoundCounts {
     pub solo: u64,
     /// Rounds in which another participant ran at least one share.
     pub shared: u64,
-}
-
-/// Round-level numbers [`Pool::submit_round`] hands back to
-/// [`Pool::run_indexed`]. The queue wait is not carried here — `submit_round`'s
-/// `on_ready` callback receives it before any share executes.
-struct RoundStats {
-    steals: u64,
-    stolen_shares: u64,
+    /// Rounds that pushed their tickets while another such round of the
+    /// same pool was still in flight. Each is also solo or shared.
+    pub overlapped: u64,
 }
 
 /// A persistent team of worker threads executing fork-join rounds.
@@ -556,13 +466,10 @@ thread_local! {
     /// True while this thread is executing a share of a pool round. Used
     /// to detect nested rounds, which execute inline (see module docs).
     static IN_POOL_ROUND: Cell<bool> = const { Cell::new(false) };
-    /// The worker-deque index owned by this thread, if it is a pool
-    /// worker.
-    static WORKER_ID: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// True while the current thread is executing a share of a pool round
-/// (on any pool, whether as a pool worker, a stealing helper, or a
+/// (on any pool, whether as a pool worker, a helping caller, or a
 /// participating caller). The executor itself uses the same flag to run
 /// nested fork-join calls inline; tests use it to witness that work they
 /// observe really ran inside a round.
@@ -771,27 +678,22 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "thread count must be at least 1");
         let sched = Arc::new(Sched {
-            deques: (1..threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(0),
             park: Mutex::new(()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            stolen_shares: AtomicU64::new(0),
+            inflight: AtomicUsize::new(0),
             solo_rounds: AtomicU64::new(0),
             shared_rounds: AtomicU64::new(0),
+            overlapped_rounds: AtomicU64::new(0),
         });
         let workers = (1..threads)
             .map(|tid| {
                 let sched = Arc::clone(&sched);
                 std::thread::Builder::new()
                     .name(format!("mergepath-worker-{tid}"))
-                    .spawn(move || worker_loop(tid - 1, &sched))
+                    .spawn(move || worker_loop(&sched))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -807,31 +709,23 @@ impl Pool {
         self.threads
     }
 
-    /// Cumulative steal counters since the pool was created. Monotonic;
-    /// callers diff snapshots to attribute steals to a workload window
-    /// (the serve bench does exactly that for its per-cell columns).
-    pub fn steal_stats(&self) -> StealStats {
-        StealStats {
-            steals: self.sched.steals.load(AtomicOrdering::Relaxed),
-            stolen_shares: self.sched.stolen_shares.load(AtomicOrdering::Relaxed),
-        }
-    }
-
-    /// Cumulative solo and shared round counts since the pool was
-    /// created, counted with no recorder attached. Monotonic, like
-    /// [`Pool::steal_stats`]: diff two snapshots to get a window's solo
-    /// fraction. Rounds that never reach the team (one participant, one
-    /// share, nested or virtual) count in neither.
+    /// Cumulative solo, shared and overlapped round counts since the
+    /// pool was created, counted with no recorder attached. Monotonic:
+    /// diff two snapshots to get a window's solo fraction (`mp bench`) or
+    /// its overlapped rounds (the serve sweep). Rounds that never reach
+    /// the team (one participant, one share, nested or virtual) count in
+    /// none of them.
     pub fn round_counts(&self) -> RoundCounts {
         RoundCounts {
             solo: self.sched.solo_rounds.load(AtomicOrdering::Relaxed),
             shared: self.sched.shared_rounds.load(AtomicOrdering::Relaxed),
+            overlapped: self.sched.overlapped_rounds.load(AtomicOrdering::Relaxed),
         }
     }
 
-    /// The scheduler engine: publishes a round descriptor, distributes
-    /// tickets, participates, helps siblings, and blocks on the round
-    /// latch. `on_ready` runs after ticket distribution with the measured
+    /// The scheduler engine: publishes a round descriptor, queues its
+    /// tickets, participates, helps other rounds, and blocks on the round
+    /// latch. `on_ready` runs after the ticket push with the measured
     /// submit-side queue wait — [`Pool::run_indexed`] uses it to emit
     /// `round_wait_ns` then `round_begin` before any share executes on
     /// this thread.
@@ -840,7 +734,9 @@ impl Pool {
     /// at least 2 and at most `min(threads, shares)`. Caller must have
     /// ruled out virtual, nested, single-participant, and degenerate
     /// (`shares < 2`) execution. Every round counts once in
-    /// [`Pool::round_counts`]: solo if the caller ran all of its shares.
+    /// [`Pool::round_counts`], solo if the caller ran all of its shares,
+    /// and once more as overlapped if another round was in flight when it
+    /// pushed its tickets.
     ///
     /// # Panics
     /// Re-raises the caller's own share panic, or panics with
@@ -853,7 +749,7 @@ impl Pool {
         tickets: usize,
         job: &(dyn Fn(usize, usize) + Sync),
         on_ready: F,
-    ) -> RoundStats {
+    ) {
         debug_assert!(tickets > 1 && tickets <= self.threads.min(shares));
         let queued = now_ns();
         // SAFETY: we erase the lifetime of `job`. Every dereference of the
@@ -875,45 +771,45 @@ impl Pool {
             panicked: AtomicBool::new(false),
             latch: Mutex::new(()),
             done_cv: Condvar::new(),
-            steals: AtomicU64::new(0),
-            stolen_shares: AtomicU64::new(0),
         });
+        let overlapped = self.sched.inflight.fetch_add(1, AtomicOrdering::Relaxed) > 0;
         self.sched.push_tickets(&round, 1..tickets);
         // The queue wait is the submit-side delay before this thread's
-        // first share — round setup and ticket distribution — not the
-        // round duration.
+        // first share — round setup and the ticket push — not the round
+        // duration.
         on_ready(now_ns().saturating_sub(queued));
         // Participate: the caller is always ticket 0 and never abandons
         // its own round. Once it returns every share is claimed, so the
         // caller ran them all exactly when no other participant ran one.
-        let (executed, own) = participate(&round, 0, false, None);
+        let (executed, own) = participate(&round, 0, None);
         let rounds = if executed == shares {
             &self.sched.solo_rounds
         } else {
             &self.sched.shared_rounds
         };
         rounds.fetch_add(1, AtomicOrdering::Relaxed);
-        // Help siblings while our latch is open: whatever rounds are in
-        // flight get an extra participant instead of a blocked thread.
-        // Bounded by one foreign chunk past our own round's completion.
+        // Help while our latch is open: whatever rounds are in flight get
+        // an extra participant instead of a blocked thread. Bounded by one
+        // foreign chunk past our own round's completion.
         while !round.is_done() {
-            match self.sched.grab(WORKER_ID.with(|w| w.get())) {
-                Some((task, stolen)) => self.sched.execute(task, stolen, Some(&round)),
+            match self.sched.pop() {
+                Some(task) => task.run(Some(&round)),
                 None => break,
             }
         }
         round.wait_done();
-        let stats = RoundStats {
-            steals: round.steals.load(AtomicOrdering::Relaxed),
-            stolen_shares: round.stolen_shares.load(AtomicOrdering::Relaxed),
-        };
+        self.sched.inflight.fetch_sub(1, AtomicOrdering::Relaxed);
+        if overlapped {
+            self.sched
+                .overlapped_rounds
+                .fetch_add(1, AtomicOrdering::Relaxed);
+        }
         let panicked = round.panicked.load(AtomicOrdering::Acquire);
         match own {
             Some(payload) => resume_unwind(payload),
             None if panicked => panic!("a pool worker's share panicked"),
             None => {}
         }
-        stats
     }
 
     /// How many threads, the caller included, run a round of `shares`
@@ -942,15 +838,15 @@ impl Pool {
     /// loop on the caller. Output is identical regardless of pool size.
     ///
     /// The round reports into `rec`: round begin and end, the
-    /// submit-to-first-share wait, one busy window per *logical share*
+    /// submit-to-first-share wait, and one busy window per *logical share*
     /// (tagged with the round-local ticket of the participant that claimed
-    /// it, below `participants`), and the round's steals. Under
+    /// it, below `participants`). Under
     /// [`NoRecorder`](mergepath_telemetry::NoRecorder) every report compiles
     /// away and no share is timed.
     ///
     /// Concurrent callers overlap: each call is its own round descriptor
-    /// and rounds execute simultaneously on the work-stealing scheduler
-    /// (see module docs). If a share itself calls `run_indexed` (on this
+    /// and rounds execute simultaneously off the one ticket queue (see
+    /// module docs). If a share itself calls `run_indexed` (on this
     /// or any pool), the nested call executes all of its shares inline on
     /// the calling thread — nested rounds never recruit the team,
     /// mirroring OpenMP with nested parallelism off.
@@ -987,20 +883,18 @@ impl Pool {
 
     /// The round behind [`Pool::run_indexed`]: runs a nested round inline,
     /// a one-ticket round in a loop on the caller, and submits any other
-    /// to the scheduler, reporting round begin/end, the submit queue wait
-    /// and the round's steal counters into `rec`. `job(ticket, share)`
-    /// reports its own share windows.
+    /// to the scheduler, reporting round begin/end and the submit queue
+    /// wait into `rec`. `job(ticket, share)` reports its own share
+    /// windows.
     ///
     /// These round-level callbacks are the executor's only contribution to
     /// the live observability layer (DESIGN.md §12): when the serving
     /// daemon wraps its recorder in a `RoundGaugeRecorder`
     /// (`mergepath-serve::observe`), every `round_begin`/`round_end` pair
     /// seen here is teed into the `pool_rounds_active` gauge and
-    /// `pool_rounds_total` counter of the live registry, the
-    /// `round_wait_ns` callback into the `round_queue_wait_ns` histogram,
-    /// and the steal counters into `pool_steals_total` /
-    /// `pool_stolen_shares_total` — the executor itself stays
-    /// metrics-agnostic.
+    /// `pool_rounds_total` counter of the live registry, and the
+    /// `round_wait_ns` callback into the `round_queue_wait_ns` histogram —
+    /// the executor itself stays metrics-agnostic.
     fn run_round<R: Recorder>(
         &self,
         rec: &R,
@@ -1028,7 +922,7 @@ impl Pool {
             rec.round_end();
             return;
         }
-        let stats = self.submit_round(shares, tickets, job, |wait_ns| {
+        self.submit_round(shares, tickets, job, |wait_ns| {
             // The wait must precede `round_begin` on this thread: the
             // timeline recorder attributes a pending wait to the next
             // round begun by the same thread.
@@ -1036,10 +930,6 @@ impl Pool {
             rec.round_begin(shares);
         });
         rec.round_end();
-        if stats.steals > 0 {
-            rec.counter_add(0, CounterKind::PoolSteals, stats.steals);
-            rec.counter_add(0, CounterKind::PoolStolenShares, stats.stolen_shares);
-        }
     }
 }
 
@@ -1332,9 +1222,8 @@ mod tests {
 
     #[test]
     fn panicking_round_then_clean_round_reuses_scheduler() {
-        // The satellite regression for the old `PoisonError::into_inner`
-        // recovery: the work-stealing scheduler holds no lock across job
-        // code, so a panicking round must leave it fully reusable — many
+        // The regression for the old `PoisonError::into_inner` recovery:
+        // the scheduler holds no lock across job code, so a panicking round must leave it fully reusable — many
         // times over, from several share positions, with the clean
         // rounds' coverage still exact.
         let pool = Pool::new(3);
@@ -1453,19 +1342,18 @@ mod tests {
     }
 
     #[test]
-    fn steal_stats_are_monotonic_and_start_at_zero() {
+    fn round_counts_start_at_zero_and_see_no_overlap_from_one_caller() {
         let pool = Pool::new(4);
-        let s0 = pool.steal_stats();
-        assert_eq!(s0, StealStats::default());
+        assert_eq!(pool.round_counts(), RoundCounts::default());
         let count = AtomicUsize::new(0);
         for _ in 0..20 {
             pool.run_indexed(8, 8, &NoRecorder, &|_| {
                 count.fetch_add(1, AtomicOrdering::Relaxed);
             });
         }
-        let s1 = pool.steal_stats();
-        assert!(s1.steals >= s0.steals);
-        assert!(s1.stolen_shares >= s1.steals, "a steal executes ≥ 1 share");
+        let counts = pool.round_counts();
+        assert_eq!(counts.solo + counts.shared, 20, "{counts:?}");
+        assert_eq!(counts.overlapped, 0, "{counts:?}");
         assert_eq!(count.load(AtomicOrdering::Relaxed), 20 * 8);
     }
 

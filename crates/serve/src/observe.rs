@@ -36,8 +36,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serve_failed_total",
     "serve_flight_dumps_total",
     "pool_rounds_total",
-    "pool_steals_total",
-    "pool_stolen_shares_total",
 ];
 const C_SUBMITTED: usize = 0;
 const C_COMPLETED: usize = 1;
@@ -46,8 +44,6 @@ const C_REJECTED_DEADLINE: usize = 3;
 const C_FAILED: usize = 4;
 const C_FLIGHT_DUMPS: usize = 5;
 const C_POOL_ROUNDS: usize = 6;
-const C_POOL_STEALS: usize = 7;
-const C_POOL_STOLEN_SHARES: usize = 8;
 
 /// Gauge names registered by [`ServeObserver`], in index order.
 pub const GAUGE_NAMES: &[&str] = &[
@@ -333,16 +329,6 @@ impl ServeObserver {
         self.registry.histogram_record(H_ROUND_QUEUE_WAIT, ns);
     }
 
-    /// Bumps the work-stealing witness counters (wired from the
-    /// executor's per-round steal report via [`RoundGaugeRecorder`]).
-    /// `steals` counts productive ticket steals; `stolen_shares` the
-    /// logical shares those tickets executed.
-    pub fn on_pool_steals(&self, steals: u64, stolen_shares: u64) {
-        self.registry.counter_add(C_POOL_STEALS, steals);
-        self.registry
-            .counter_add(C_POOL_STOLEN_SHARES, stolen_shares);
-    }
-
     /// Renders the p99 waterfall attribution table from the stage
     /// histograms accumulated so far.
     pub fn attribution_table(&self) -> String {
@@ -571,11 +557,9 @@ impl ServeProbe for ServeObserver {
 /// observer's pool metrics: `round_begin`/`round_end` into the
 /// `pool_rounds_total` counter and `pool_rounds_active` gauge (so the
 /// live snapshot shows whether the daemon is currently data-parallel or
-/// request-parallel), `round_wait_ns` into the `round_queue_wait_ns`
-/// histogram, and the executor's per-round steal report
-/// (`CounterKind::PoolSteals` / `PoolStolenShares`) into the
-/// `pool_steals_total` / `pool_stolen_shares_total` counters — the live
-/// witness that round overlap is actually happening.
+/// request-parallel), and `round_wait_ns` into the `round_queue_wait_ns`
+/// histogram. The gauge is the live witness that rounds overlap: it reads
+/// above 1 while more than one is in flight.
 pub struct RoundGaugeRecorder<R> {
     inner: R,
     observer: Arc<ServeObserver>,
@@ -609,15 +593,6 @@ impl<R: Recorder + Send + Sync> Recorder for RoundGaugeRecorder<R> {
     }
     #[inline(always)]
     fn counter_add(&self, worker: usize, kind: mergepath_telemetry::CounterKind, delta: u64) {
-        match kind {
-            mergepath_telemetry::CounterKind::PoolSteals => {
-                self.observer.on_pool_steals(delta, 0);
-            }
-            mergepath_telemetry::CounterKind::PoolStolenShares => {
-                self.observer.on_pool_steals(0, delta);
-            }
-            _ => {}
-        }
         self.inner.counter_add(worker, kind, delta);
     }
     #[inline(always)]
@@ -827,15 +802,10 @@ mod tests {
         rec.span_begin(0, mergepath_telemetry::SpanKind::SegmentMerge);
         rec.span_end(0, mergepath_telemetry::SpanKind::SegmentMerge);
         rec.round_end();
-        // The executor's per-round steal report routes through
-        // counter_add with the dedicated kinds.
-        rec.counter_add(0, mergepath_telemetry::CounterKind::PoolSteals, 2);
-        rec.counter_add(0, mergepath_telemetry::CounterKind::PoolStolenShares, 5);
+        rec.counter_add(0, mergepath_telemetry::CounterKind::Comparisons, 2);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("pool_rounds_total"), Some(1));
         assert_eq!(snap.gauge("pool_rounds_active"), Some(0));
-        assert_eq!(snap.counter("pool_steals_total"), Some(2));
-        assert_eq!(snap.counter("pool_stolen_shares_total"), Some(5));
         let wait = snap.histogram("round_queue_wait_ns").unwrap();
         assert_eq!(wait.count(), 1, "round_wait_ns teed into the histogram");
         assert_eq!(wait.sum(), 750);
@@ -845,14 +815,10 @@ mod tests {
         assert_eq!(
             t.counters
                 .iter()
-                .filter(|c| matches!(
-                    c.kind,
-                    mergepath_telemetry::CounterKind::PoolSteals
-                        | mergepath_telemetry::CounterKind::PoolStolenShares
-                ))
+                .filter(|c| c.kind == mergepath_telemetry::CounterKind::Comparisons)
                 .count(),
-            2,
-            "steal counters still delegate to the inner recorder"
+            1,
+            "counters still delegate to the inner recorder"
         );
     }
 }

@@ -31,10 +31,10 @@ use crate::observe::{NoProbe, ServeProbe};
 /// floor split was the safe choice (rounds ran one at a time, so handing
 /// out more shares than the strict division only lengthened the queue),
 /// but it systematically under-shared — 8 threads at 3 inflight gave each
-/// request 2 shares and idled two threads. With the work-stealing
-/// scheduler concurrent rounds overlap and idle workers steal whatever is
-/// left, so a generous share count costs nothing when the pool is busy
-/// and buys parallelism when it is not.
+/// request 2 shares and idled two threads. Now concurrent rounds overlap
+/// and an idle worker takes the next queued ticket of whichever round
+/// pushed it, so a generous share count costs nothing when the pool is
+/// busy and buys parallelism when it is not.
 pub fn worker_share(budget: usize, inflight: usize) -> usize {
     budget.div_ceil(inflight.max(1)).max(1)
 }

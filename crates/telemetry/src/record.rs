@@ -96,14 +96,6 @@ pub enum CounterKind {
     SegmentsBranchLean,
     /// Segments routed to the galloping kernel.
     SegmentsGalloping,
-    /// Tickets taken from another worker's deque (or the injector scan)
-    /// by an idle participant during this round — the work-stealing
-    /// executor's overlap witness. Reported once per round by the
-    /// submitting caller after the round latch fires.
-    PoolSteals,
-    /// Logical shares executed through stolen tickets during this round
-    /// (each steal's claim loop may run several chunks).
-    PoolStolenShares,
 }
 
 impl CounterKind {
@@ -116,8 +108,6 @@ impl CounterKind {
             CounterKind::SegmentsClassic => "segments_classic",
             CounterKind::SegmentsBranchLean => "segments_branch_lean",
             CounterKind::SegmentsGalloping => "segments_galloping",
-            CounterKind::PoolSteals => "pool_steals",
-            CounterKind::PoolStolenShares => "pool_stolen_shares",
         }
     }
 }
@@ -465,7 +455,5 @@ mod tests {
             "segments_branch_lean"
         );
         assert_eq!(CounterKind::SegmentsGalloping.name(), "segments_galloping");
-        assert_eq!(CounterKind::PoolSteals.name(), "pool_steals");
-        assert_eq!(CounterKind::PoolStolenShares.name(), "pool_stolen_shares");
     }
 }

@@ -28,11 +28,9 @@ fn usage() -> ExitCode {
     eprintln!("  verify-schedules run `mp check --kernel all` (CREW exclusivity, exact");
     eprintln!("                   coverage and Thm 14 across permuted virtual schedules");
     eprintln!("                   for every kernel, segment kernels as the probe picks");
-    eprintln!("                   them) plus a steal-order leg (--steal-orders, round");
-    eprintln!("                   orders drawn from the simulated work-stealing deque");
-    eprintln!("                   protocol), both at 4 threads, and the plain check at");
-    eprintln!("                   5 threads (the sort's odd round count and parallel");
-    eprintln!("                   copy-back), a tiled leg at 65536 keys and 2 threads");
+    eprintln!("                   them) at 4 threads and at 5 threads (the sort's odd");
+    eprintln!("                   round count and parallel copy-back), a tiled leg at");
+    eprintln!("                   65536 keys and 2 threads");
     eprintln!("                   (fails unless the parallel round has more tiles than");
     eprintln!("                   threads), then rebuild with the injected faults");
     eprintln!("                   (--cfg mergepath_mutate) and prove the checker reports");
@@ -58,7 +56,7 @@ fn usage() -> ExitCode {
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
     eprintln!("                   lost requests, zero correctness failures, and");
-    eprintln!("                   pool_steals > 0 witnessed over the bursty rows) and");
+    eprintln!("                   pool_overlapped_rounds > 0 over the bursty rows) and");
     eprintln!("                   append a serve_history line to");
     eprintln!("                   results/bench_history.jsonl");
     eprintln!("  verify-net       spawn `mp serve --listen 127.0.0.1:0` out of process,");
@@ -376,11 +374,7 @@ fn verify_telemetry() -> ExitCode {
 ///    never runs and that check must pass). A separate target directory
 ///    keeps the mutated artifacts from poisoning the normal build cache.
 ///
-/// A second leg always draws round orders from the simulated
-/// work-stealing deque protocol (`--steal-orders`): executor-realistic
-/// interleavings where the executing worker differs from the pushing
-/// worker, covering the reorderings a live stolen ticket can produce. A
-/// third leg runs the plain check at five threads, where `sort-parallel`
+/// A second leg runs the check at five threads, where `sort-parallel`
 /// takes three merge rounds and copies its output back from the scratch
 /// buffer on all five workers (at four threads its round count is even).
 /// Every leg checks the segment kernels the probe picks; each kernel is
@@ -388,13 +382,12 @@ fn verify_telemetry() -> ExitCode {
 /// adds no access-set case, and the kernels themselves are checked
 /// directly on partition segments by the differential suites.
 ///
-/// Those three legs merge 4096 keys, below the size at which Algorithm 1
-/// cuts more tiles than threads. A fourth leg checks 65536 keys at two
+/// Those two legs merge 4096 keys, below the size at which Algorithm 1
+/// cuts more tiles than threads. A third leg checks 65536 keys at two
 /// threads, where the `parallel` and `batch` rounds have more tiles than
 /// threads (CREW exclusivity and the `⌈E/s⌉` bound then hold per tile),
 /// and fails unless the `parallel` report's `max_shares` shows it.
 fn verify_schedules() -> ExitCode {
-    let mut runs: Vec<Vec<&str>> = Vec::new();
     let check = |n, threads| {
         vec![
             "run",
@@ -417,14 +410,8 @@ fn verify_schedules() -> ExitCode {
             "8",
         ]
     };
-    let base = check("4096", "4");
-    runs.push(base.clone());
-    let mut steal = base;
-    steal.push("--steal-orders");
-    runs.push(steal);
-    runs.push(check("4096", "5"));
-    for leg in &runs {
-        if !cargo(leg) {
+    for leg in [check("4096", "4"), check("4096", "5")] {
+        if !cargo(&leg) {
             eprintln!("verify-schedules: FAILED: `mp check --kernel all` found a violation");
             return ExitCode::FAILURE;
         }
@@ -462,9 +449,8 @@ fn verify_schedules() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "verify-schedules: OK (all kernels CREW-exclusive under permuted and \
-         steal-order schedules; injected faults detected: tile cut, galloping \
-         tie break{})",
+        "verify-schedules: OK (all kernels CREW-exclusive under permuted \
+         schedules; injected faults detected: tile cut, galloping tie break{})",
         if avx2_detected() {
             ", vector merge network"
         } else {
@@ -490,7 +476,7 @@ fn run_mp_bench(extra: &[&str]) -> bool {
 
 /// [`run_mp_bench`] with extra environment variables (e.g.
 /// `MERGEPATH_THREADS` to size the global pool above this machine's core
-/// count so work-stealing paths actually engage).
+/// count so concurrent requests' rounds actually overlap).
 fn run_mp_bench_env(extra: &[&str], envs: &[(&str, &str)]) -> bool {
     let mut args = vec![
         "run",
@@ -853,13 +839,10 @@ fn verify_bench() -> ExitCode {
 
 /// Validates one fresh `bench_serve` payload: all three arrival patterns
 /// present, ≥ 4 concurrency levels, on every row the zero-lost /
-/// zero-correctness-failure / zero-contained-panic invariants, and — when
-/// the run had ≥ 2 pool threads — the work-stealing witness:
-/// `pool_steals > 0` summed over the bursty sweep rows.
-fn check_serve_payload(
-    doc: &mergepath_telemetry::json::Value,
-    expect_steals: bool,
-) -> Result<(), String> {
+/// zero-correctness-failure / zero-contained-panic invariants, and the
+/// round-overlap witness: `pool_overlapped_rounds > 0` summed over the
+/// bursty sweep rows.
+fn check_serve_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), String> {
     use mergepath_telemetry::json::Value;
     let rows = doc
         .get("payload")
@@ -872,7 +855,7 @@ fn check_serve_payload(
     let mut patterns = std::collections::BTreeSet::new();
     let mut levels = std::collections::BTreeSet::new();
     let mut bursty_batched_rounds = 0.0;
-    let mut bursty_pool_steals = 0.0;
+    let mut bursty_overlapped_rounds = 0.0;
     for (i, r) in rows.iter().enumerate() {
         let pattern = r
             .get("pattern")
@@ -892,8 +875,7 @@ fn check_serve_payload(
             "serve_batched",
             "batched_requests",
             "batch_width",
-            "pool_steals",
-            "pool_stolen_shares",
+            "pool_overlapped_rounds",
         ] {
             if r.get(col).and_then(Value::as_f64).is_none() {
                 return Err(format!("row {i} ({pattern} @ {level}): {col} missing"));
@@ -904,7 +886,10 @@ fn check_serve_payload(
                 .get("serve_batched")
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0);
-            bursty_pool_steals += r.get("pool_steals").and_then(Value::as_f64).unwrap_or(0.0);
+            bursty_overlapped_rounds += r
+                .get("pool_overlapped_rounds")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
         }
         for (col, want) in [
             ("lost", 0.0),
@@ -941,14 +926,14 @@ fn check_serve_payload(
             "no bursty row recorded a batched round (serve_batched == 0 everywhere)".into(),
         );
     }
-    // The work-stealing witness: the gate's bench runs with a forced
-    // multi-thread pool (`MERGEPATH_THREADS`), so the bursty sweep rows
-    // must have recorded at least one productive steal — otherwise the
-    // executor quietly degraded to one round at a time.
-    if expect_steals && bursty_pool_steals <= 0.0 {
+    // The round-overlap witness: the gate's bench runs with a forced
+    // multi-thread pool (`MERGEPATH_THREADS`), so some bursty round must
+    // have pushed its tickets while another was in flight — otherwise
+    // the executor quietly degraded to one round at a time.
+    if bursty_overlapped_rounds <= 0.0 {
         return Err(
-            "pool_steals == 0 across every bursty row despite a multi-thread pool: \
-             the work-stealing path never engaged"
+            "pool_overlapped_rounds == 0 across every bursty row despite a \
+             multi-thread pool: no round overlapped another"
                 .into(),
         );
     }
@@ -983,7 +968,7 @@ fn render_serve_history_entry(doc: &mergepath_telemetry::json::Value) -> String 
             "throughput_rps",
             "p50_ns",
             "p99_ns",
-            "pool_steals",
+            "pool_overlapped_rounds",
         ] {
             out.push_str(",\"");
             out.push_str(col);
@@ -1004,8 +989,8 @@ fn verify_serve() -> ExitCode {
     }
     let out_dir = dir.display().to_string();
     // Force a 4-thread pool regardless of the host's core count: the
-    // pool_steals witness is meaningless on a single-thread pool, where
-    // every round runs inline.
+    // overlap witness is meaningless on a single-thread pool, where every
+    // round runs inline.
     if !run_mp_bench_env(
         &[
             "--smoke",
@@ -1027,7 +1012,7 @@ fn verify_serve() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = check_serve_payload(&fresh, true) {
+    if let Err(e) = check_serve_payload(&fresh) {
         eprintln!("verify-serve: FAILED: BENCH_serve.json: {e}");
         return ExitCode::FAILURE;
     }
@@ -1037,7 +1022,7 @@ fn verify_serve() -> ExitCode {
     }
     println!(
         "verify-serve: OK (3 patterns x >=4 concurrency levels; zero lost requests, \
-         zero correctness failures; pool steals witnessed)"
+         zero correctness failures; round overlap witnessed)"
     );
     ExitCode::SUCCESS
 }

@@ -68,7 +68,6 @@ fn corpus_replays_clean_through_the_schedule_checker() {
                 schedules: 8,
                 seed: 0xC0_2B05 ^ threads as u64,
                 pram_limit: 4096,
-                steal_orders: true,
             };
             for &kernel in &Kernel::ALL {
                 if let Err(e) = check_kernel_on(kernel, &a, &b, &cfg) {

@@ -392,7 +392,6 @@ fn every_kernel_survives_permuted_schedules_on_adversarial_inputs() {
                 schedules: 8,
                 seed: 0xD1FF ^ threads as u64,
                 pram_limit: 0, // machine cross-validation covered in mergepath-check
-                steal_orders: false,
             };
             for &kernel in &Kernel::ALL {
                 if let Err(e) = check_kernel_on(kernel, &a, &b, &cfg) {

@@ -1,19 +1,19 @@
-//! Round overlap on the work-stealing executor, witnessed through the
-//! live serving daemon.
+//! Round overlap on the executor's one ticket queue, witnessed through
+//! the live serving daemon.
 //!
 //! The old executor serialized pool rounds: one round owned the whole
 //! pool, so a narrow request's two-share round queued behind a wide
-//! request's round even when most workers were idle. The work-stealing
-//! scheduler keeps multiple rounds in flight. These tests pin that down
-//! deterministically:
+//! request's round even when most workers were idle. The scheduler keeps
+//! multiple rounds in flight, their tickets on one FIFO queue. These
+//! tests pin that down deterministically:
 //!
 //! * a wide request whose comparisons block *inside its pool round* until
 //!   several narrow requests have completed end-to-end — the test can
 //!   only terminate if narrow rounds execute while the wide round is
 //!   provably mid-execution;
 //! * a drop-accounting sweep across panicking multi-share rounds (shares
-//!   executed by the caller, by pool workers, and by stealing helpers
-//!   alike), proving the panic path leaks nothing and leaves the shared
+//!   executed by the caller, by pool workers, and by callers helping
+//!   other rounds alike), proving the panic path leaks nothing and leaves the shared
 //!   scheduler reusable for clean rounds afterwards;
 //! * the wait policy (spin for `executor::SPIN_WINDOW`, then sleep): a
 //!   worker parked after an idle gap and a caller blocked on its round
@@ -22,9 +22,10 @@
 //!   under a watchdog, so a lost wake-up fails the test instead of
 //!   hanging it. (That idle threads stop spinning at all is measured by
 //!   `tests/pool_idle_cpu.rs`, a binary of its own.)
-//! * the pool's own solo-round count: a round whose other participant is
-//!   held inside another round counts solo, and a round a worker provably
-//!   joined counts shared.
+//! * the pool's own round counts: a round whose other participant is
+//!   held inside another round counts solo and overlapped, and a round a
+//!   worker provably joined, run back to back with the others, counts
+//!   shared and not overlapped.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering as AtOrd};
@@ -377,7 +378,7 @@ impl Ord for CountedDrop {
 
 /// Panicking rounds on the 4-worker pool, through the live daemon, with
 /// multi-share rounds whose shares run on the submitting worker, pool
-/// workers, and stealing helpers alike. The poisons are spread across the
+/// workers, and callers helping other rounds alike. The poisons are spread across the
 /// input so the panic can land in any share (or in the caller-side
 /// partition — every containment path must be equally leak-free). After
 /// the poisoned wave, a clean wave of multi-share merges over the same
@@ -622,8 +623,10 @@ fn concurrent_submitters_with_gaps_around_the_window_all_complete() {
 /// A round of two tickets whose second participant is held elsewhere: the
 /// pool's only worker and a second caller both block inside the shares of
 /// an earlier round, so the caller of the next round claims and runs both
-/// of its shares, and the pool counts that round solo. The earlier round,
-/// run by its caller and the worker, counts as shared.
+/// of its shares, and the pool counts that round solo. It pushed its
+/// ticket while the earlier round was in flight, so it also counts as
+/// overlapped. The earlier round, run by its caller and the worker, counts
+/// as shared.
 #[test]
 fn a_round_no_other_thread_can_join_counts_as_solo() {
     let pool = executor::Pool::new(2);
@@ -648,11 +651,17 @@ fn a_round_no_other_thread_can_join_counts_as_solo() {
         let after = pool.round_counts();
         assert_eq!(after.solo - before.solo, 1, "{before:?} -> {after:?}");
         assert_eq!(after.shared - before.shared, 1, "{before:?} -> {after:?}");
+        assert_eq!(
+            after.overlapped - before.overlapped,
+            1,
+            "{before:?} -> {after:?}"
+        );
     });
 }
 
 /// A round whose share on the caller cannot finish until the other share
-/// has started on the pool's worker counts as shared, not solo.
+/// has started on the pool's worker counts as shared, not solo. The rounds
+/// run back to back from one caller, so none counts as overlapped.
 #[test]
 fn a_round_another_thread_joins_counts_as_shared() {
     let pool = executor::Pool::new(2);
@@ -664,5 +673,9 @@ fn a_round_another_thread_joins_counts_as_shared() {
         let after = pool.round_counts();
         assert_eq!(after.shared - before.shared, 3, "{before:?} -> {after:?}");
         assert_eq!(after.solo, before.solo, "{before:?} -> {after:?}");
+        assert_eq!(
+            after.overlapped, before.overlapped,
+            "{before:?} -> {after:?}"
+        );
     });
 }
