@@ -47,9 +47,8 @@ use mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
-use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
-use mergepath::telemetry::NoRecorder;
+use mergepath::telemetry::{NoRecorder, Recorder};
 use mergepath_pram::PramMachine;
 use mergepath_workloads::prng::Prng;
 
@@ -248,22 +247,19 @@ pub enum Kernel {
     Kway,
     /// §III parallel merge sort.
     SortParallel,
-    /// Single-round k-way merge sort.
-    SortKway,
     /// §IV.C cache-aware sort.
     SortCacheAware,
 }
 
 impl Kernel {
-    /// All eight kernels, in the order the CLI and xtask report them.
-    pub const ALL: [Kernel; 8] = [
+    /// All seven kernels, in the order the CLI and xtask report them.
+    pub const ALL: [Kernel; 7] = [
         Kernel::Parallel,
         Kernel::Segmented,
         Kernel::Batch,
         Kernel::Inplace,
         Kernel::Kway,
         Kernel::SortParallel,
-        Kernel::SortKway,
         Kernel::SortCacheAware,
     ];
 
@@ -276,7 +272,6 @@ impl Kernel {
             "inplace" => Kernel::Inplace,
             "kway" => Kernel::Kway,
             "sort-parallel" => Kernel::SortParallel,
-            "sort-kway" => Kernel::SortKway,
             "sort-cache-aware" => Kernel::SortCacheAware,
             _ => return None,
         })
@@ -291,7 +286,6 @@ impl Kernel {
             Kernel::Inplace => "inplace",
             Kernel::Kway => "kway",
             Kernel::SortParallel => "sort-parallel",
-            Kernel::SortKway => "sort-kway",
             Kernel::SortCacheAware => "sort-cache-aware",
         }
     }
@@ -307,7 +301,7 @@ impl Kernel {
             },
             // Sorts ping-pong through a scratch buffer, so out-of-span
             // writes are legitimate; the input span must still be covered.
-            Kernel::SortParallel | Kernel::SortKway | Kernel::SortCacheAware => Policy {
+            Kernel::SortParallel | Kernel::SortCacheAware => Policy {
                 exact: false,
                 cover: true,
                 thm14: true,
@@ -599,7 +593,7 @@ impl core::fmt::Display for CheckError {
 impl std::error::Error for CheckError {}
 
 // ---------------------------------------------------------------------------
-// Input synthesis and oracles
+// Input synthesis, oracles and the kernel table
 // ---------------------------------------------------------------------------
 
 /// Builds a duplicate-heavy pair of sorted, provenance-tagged inputs of
@@ -642,17 +636,17 @@ pub fn default_key_input(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
 /// code with the kernels under check.
 fn oracle_merge<T, F>(a: &[T], b: &[T], cmp: &F) -> Vec<T>
 where
-    T: Copy,
+    T: Clone,
     F: Fn(&T, &T) -> Ordering,
 {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         if cmp(&b[j], &a[i]) == Ordering::Less {
-            out.push(b[j]);
+            out.push(b[j].clone());
             j += 1;
         } else {
-            out.push(a[i]);
+            out.push(a[i].clone());
             i += 1;
         }
     }
@@ -661,139 +655,134 @@ where
     out
 }
 
-/// The batch harness splits each input in (deliberately ragged) halves and
-/// merges `(a₀,b₀)` then `(a₁,b₁)` into consecutive output regions.
+/// The batch merge's two pairs: each input is cut (deliberately raggedly)
+/// at `(a/2, b/3)`, and `(a₀,b₀)` then `(a₁,b₁)` merge into consecutive
+/// output regions.
 fn batch_split<T>(a: &[T], b: &[T]) -> (usize, usize) {
     (a.len() / 2, b.len() / 3)
 }
 
-/// The k-way harness merges four runs: `a` split in half, then `b` split in
-/// half (run order matches ascending provenance, so a left fold of the
-/// stable two-way oracle reproduces the k-way tie-break).
+/// The k-way merge's four runs: `a`'s halves, then `b`'s (run order
+/// matches ascending provenance, so a left fold of the stable two-way
+/// oracle reproduces the k-way tie-break).
 fn kway_split<T>(a: &[T], b: &[T]) -> (usize, usize) {
     (a.len() / 2, b.len() / 2)
 }
 
-/// The sorts' input: the concatenation `a ++ b`, deterministically
-/// shuffled. The shuffle seed depends only on the base config seed, so
-/// every schedule sorts the *same* array.
-fn sort_input<T: Copy>(a: &[T], b: &[T], cfg: &CheckConfig) -> Vec<T> {
-    let mut v: Vec<T> = a.iter().chain(b.iter()).copied().collect();
-    Prng::seed_from_u64(cfg.seed ^ 0x5075_FF1E).shuffle(&mut v);
+/// The sorts' input: the concatenation `a ++ b`, shuffled with a fixed
+/// seed, so every run of a sort on the same pair sorts the same array.
+fn sort_input<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
+    let mut v = [a, b].concat();
+    Prng::seed_from_u64(0x5075_FF1E).shuffle(&mut v);
     v
 }
 
-fn expected<T, F>(kernel: Kernel, a: &[T], b: &[T], cfg: &CheckConfig, cmp: &F) -> Vec<T>
-where
-    T: Copy,
-    F: Fn(&T, &T) -> Ordering,
-{
-    match kernel {
-        Kernel::Parallel | Kernel::Segmented | Kernel::Inplace => oracle_merge(a, b, cmp),
-        Kernel::Batch => {
-            let (ha, hb) = batch_split(a, b);
-            let mut out = oracle_merge(&a[..ha], &b[..hb], cmp);
-            out.extend(oracle_merge(&a[ha..], &b[hb..], cmp));
-            out
-        }
-        Kernel::Kway => {
-            let (ha, hb) = kway_split(a, b);
-            let mut acc: Vec<T> = Vec::new();
-            for run in [&a[..ha], &a[ha..], &b[..hb], &b[hb..]] {
-                acc = oracle_merge(&acc, run, cmp);
+/// The one table of how each parallel kernel is called on a sorted pair:
+/// the checker, `mp trace`, `mp bench` and the workspace's tests all run
+/// kernels through it.
+impl Kernel {
+    /// Runs the kernel once on the sorted pair `a`, `b` with `threads`
+    /// workers, reporting into `rec`, and returns the buffer it wrote.
+    ///
+    /// The merges merge `a` and `b` into a fresh output (the batch merge
+    /// as two pairs, cut at `(a/2, b/3)`; the k-way merge as four runs,
+    /// each input's halves), and the in-place merge merges `a ++ b` in
+    /// place; the sorts sort a fixed-seed shuffle of `a ++ b`. `window` is
+    /// the cache size, in elements, of the two windowed kernels: the
+    /// segmented merge's and the cache-aware sort's. The returned vector is
+    /// the buffer the kernel wrote, so its address span is the one the
+    /// kernel's pool rounds recorded.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`, or if `cmp` panics.
+    pub fn run_by<T, F, R>(
+        self,
+        a: &[T],
+        b: &[T],
+        threads: usize,
+        window: usize,
+        cmp: &F,
+        rec: &R,
+    ) -> Vec<T>
+    where
+        T: Clone + Default + Send + Sync,
+        F: Fn(&T, &T) -> Ordering + Sync,
+        R: Recorder,
+    {
+        let mut out = match self {
+            Kernel::Inplace => [a, b].concat(),
+            Kernel::SortParallel | Kernel::SortCacheAware => sort_input(a, b),
+            _ => vec![T::default(); a.len() + b.len()],
+        };
+        match self {
+            Kernel::Parallel => parallel_merge_into_by(a, b, &mut out, threads, cmp, rec),
+            Kernel::Segmented => {
+                let spm = SpmConfig::new(window, threads);
+                segmented_parallel_merge_into_by(a, b, &mut out, &spm, cmp, rec);
             }
-            acc
+            Kernel::Batch => {
+                let (ha, hb) = batch_split(a, b);
+                let pairs = [(&a[..ha], &b[..hb]), (&a[ha..], &b[hb..])];
+                batch_merge_into_by(&pairs, &mut out, threads, cmp, rec);
+            }
+            Kernel::Inplace => parallel_inplace_merge_by(&mut out, a.len(), threads, cmp, rec),
+            Kernel::Kway => {
+                let (ha, hb) = kway_split(a, b);
+                let runs = [&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
+                parallel_kway_merge_by(&runs, &mut out, threads, cmp, rec);
+            }
+            Kernel::SortParallel => parallel_merge_sort_by(&mut out, threads, cmp, rec),
+            Kernel::SortCacheAware => {
+                let cfg = CacheAwareConfig::new(window, threads);
+                cache_aware_parallel_sort_by(&mut out, &cfg, cmp, rec);
+            }
         }
-        Kernel::SortParallel | Kernel::SortKway | Kernel::SortCacheAware => {
-            let mut v = sort_input(a, b, cfg);
-            v.sort_by(|x, y| cmp(x, y)); // std's stable sort, same key order
-            v
+        out
+    }
+
+    /// What [`Kernel::run_by`] must return for `a`, `b` and `cmp`, computed
+    /// by an independent sequential oracle: a two-pointer stable merge for
+    /// the merges, std's stable sort for the sorts.
+    pub fn expected_by<T, F>(self, a: &[T], b: &[T], cmp: &F) -> Vec<T>
+    where
+        T: Clone + Default + Send + Sync,
+        F: Fn(&T, &T) -> Ordering,
+    {
+        match self {
+            Kernel::Parallel | Kernel::Segmented | Kernel::Inplace => oracle_merge(a, b, cmp),
+            Kernel::Batch => {
+                let (ha, hb) = batch_split(a, b);
+                let mut out = oracle_merge(&a[..ha], &b[..hb], cmp);
+                out.extend(oracle_merge(&a[ha..], &b[hb..], cmp));
+                out
+            }
+            Kernel::Kway => {
+                let (ha, hb) = kway_split(a, b);
+                let mut acc: Vec<T> = Vec::new();
+                for run in [&a[..ha], &a[ha..], &b[..hb], &b[hb..]] {
+                    acc = oracle_merge(&acc, run, cmp);
+                }
+                acc
+            }
+            Kernel::SortParallel | Kernel::SortCacheAware => {
+                let mut v = sort_input(a, b);
+                v.sort_by(|x, y| cmp(x, y)); // std's stable sort, same key order
+                v
+            }
         }
     }
 }
+
+/// The cache size, in elements, the checker passes both windowed kernels:
+/// segments of 30 outputs and cache-aware blocks of 45 force many segment
+/// rounds and phase-1 blocks even on checker-sized inputs.
+const WINDOW: usize = 91;
 
 fn span_of<T>(v: &[T]) -> AccessSpan {
     AccessSpan {
         addr: v.as_ptr() as usize,
         bytes: std::mem::size_of_val(v),
         elems: v.len(),
-    }
-}
-
-/// Runs `kernel` once (virtually, if an observer is installed) and returns
-/// its output buffer plus the buffer's address span.
-fn run_kernel<T, F>(
-    kernel: Kernel,
-    a: &[T],
-    b: &[T],
-    cfg: &CheckConfig,
-    cmp: &F,
-) -> (Vec<T>, AccessSpan)
-where
-    T: Copy + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len() + b.len();
-    let threads = cfg.threads;
-    match kernel {
-        Kernel::Parallel => {
-            let mut out = vec![T::default(); n];
-            let span = span_of(&out);
-            parallel_merge_into_by(a, b, &mut out, threads, cmp, &NoRecorder);
-            (out, span)
-        }
-        Kernel::Segmented => {
-            let mut out = vec![T::default(); n];
-            let span = span_of(&out);
-            // Small segments (~30 elements) force many segment rounds even
-            // on checker-sized inputs.
-            let spm = SpmConfig::new(91, threads);
-            segmented_parallel_merge_into_by(a, b, &mut out, &spm, cmp, &NoRecorder);
-            (out, span)
-        }
-        Kernel::Batch => {
-            let (ha, hb) = batch_split(a, b);
-            let pairs: Vec<(&[T], &[T])> = vec![(&a[..ha], &b[..hb]), (&a[ha..], &b[hb..])];
-            let mut out = vec![T::default(); n];
-            let span = span_of(&out);
-            batch_merge_into_by(&pairs, &mut out, threads, cmp, &NoRecorder);
-            (out, span)
-        }
-        Kernel::Inplace => {
-            let mut v: Vec<T> = a.iter().chain(b.iter()).copied().collect();
-            let span = span_of(&v);
-            parallel_inplace_merge_by(&mut v, a.len(), threads, cmp, &NoRecorder);
-            (v, span)
-        }
-        Kernel::Kway => {
-            let (ha, hb) = kway_split(a, b);
-            let runs: Vec<&[T]> = vec![&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
-            let mut out = vec![T::default(); n];
-            let span = span_of(&out);
-            parallel_kway_merge_by(&runs, &mut out, threads, cmp, &NoRecorder);
-            (out, span)
-        }
-        Kernel::SortParallel => {
-            let mut v = sort_input(a, b, cfg);
-            let span = span_of(&v);
-            parallel_merge_sort_by(&mut v, threads, cmp, &NoRecorder);
-            (v, span)
-        }
-        Kernel::SortKway => {
-            let mut v = sort_input(a, b, cfg);
-            let span = span_of(&v);
-            kway_merge_sort_by(&mut v, threads, cmp, &NoRecorder);
-            (v, span)
-        }
-        Kernel::SortCacheAware => {
-            let mut v = sort_input(a, b, cfg);
-            let span = span_of(&v);
-            // A ~100-element cache forces multiple phase-1 blocks and
-            // several segmented merge rounds.
-            let cfg_c = CacheAwareConfig::new(200, threads);
-            cache_aware_parallel_sort_by(&mut v, &cfg_c, cmp, &NoRecorder);
-            (v, span)
-        }
     }
 }
 
@@ -1050,7 +1039,7 @@ where
         "input b not sorted"
     );
 
-    let oracle = expected(kernel, a, b, cfg, cmp);
+    let oracle = kernel.expected_by(a, b, cmp);
     let mut report = CheckReport {
         kernel: kernel.name(),
         n: a.len() + b.len(),
@@ -1061,7 +1050,12 @@ where
         let seed = cfg
             .seed
             .wrapping_add((schedule as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let ((out, span), recording) = record(seed, || run_kernel(kernel, a, b, cfg, cmp));
+        let (out, recording) = record(seed, || {
+            kernel.run_by(a, b, cfg.threads, WINDOW, cmp, &NoRecorder)
+        });
+        // Returning a `Vec` moves no element, so `out` still spans the
+        // buffer the recorded rounds wrote.
+        let span = span_of(&out);
         if let Some(index) = (0..oracle.len().max(out.len())).find(|&i| out.get(i) != oracle.get(i))
         {
             return Err(CheckError::OutputMismatch {
@@ -1135,7 +1129,7 @@ pub fn check_kernel_keys(
     )
 }
 
-/// Runs [`check_kernel`] over all eight kernels, failing on the first
+/// Runs [`check_kernel`] over all seven kernels, failing on the first
 /// violation.
 pub fn check_all(n: usize, cfg: &CheckConfig) -> Result<Vec<CheckReport>, CheckError> {
     Kernel::ALL
@@ -1336,7 +1330,8 @@ mod tests {
         let (a, b) = default_input(400, 7);
         let cfg = CheckConfig::default();
         let run = |seed: u64| {
-            let (_, rec) = record(seed, || run_kernel(Kernel::Parallel, &a, &b, &cfg, &by_key));
+            let run = || Kernel::Parallel.run_by(&a, &b, cfg.threads, WINDOW, &by_key, &NoRecorder);
+            let (_, rec) = record(seed, run);
             rec.rounds
                 .iter()
                 .map(|r| r.order.clone())

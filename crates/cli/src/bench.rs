@@ -34,7 +34,7 @@ use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWo
 
 use mergepath_check::Kernel;
 
-use crate::run_kernel_recorded;
+use crate::{trace_inputs, WINDOW};
 
 /// Scale and reproducibility knobs for one `mp bench` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,24 +250,30 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
 /// The telemetry artifact's payload: traced vs untraced wall-clock plus
 /// the load-balance report for every parallel kernel, and the serving
 /// layer's metrics-on vs metrics-off overhead (`serve_overhead` — the
-/// number `cargo xtask verify-metrics` gates at ≤ 3%).
+/// number `cargo xtask verify-metrics` gates at ≤ 3%). The kernels' pair
+/// is built once, before any clock starts, so each row times one
+/// [`Kernel::run_by`] call: the buffer the kernel writes (a fresh output,
+/// the pair concatenated for the in-place merge, a shuffle of it for the
+/// sorts) and the kernel itself.
 fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String {
     let mut payload = String::new();
     let _ = write!(
         payload,
         "{{\"n\":{n},\"threads\":{threads},\"reps\":{reps},\"kernels\":["
     );
+    let (a, b) = trace_inputs(n, seed);
+    let cmp = natural_cmp::<u32>;
     for (i, kernel) in Kernel::ALL.into_iter().enumerate() {
         let untraced_ns = median_ns(reps, || {
-            run_kernel_recorded(kernel, n, threads, seed, &NoRecorder)
+            drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &NoRecorder));
         });
         let traced_ns = median_ns(reps, || {
             let rec = TimelineRecorder::new();
-            run_kernel_recorded(kernel, n, threads, seed, &rec);
+            drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &rec));
             drop(rec.finish());
         });
         let rec = TimelineRecorder::new();
-        run_kernel_recorded(kernel, n, threads, seed, &rec);
+        kernel.run_by(&a, &b, threads, WINDOW, &cmp, &rec);
         let telemetry = rec.finish();
         let report = telemetry.load_balance(n as u64, threads);
         if i > 0 {
@@ -418,7 +424,7 @@ mod tests {
             .and_then(|p| p.get("kernels"))
             .and_then(Value::as_array)
             .expect("kernels array");
-        assert_eq!(kernels.len(), 8);
+        assert_eq!(kernels.len(), Kernel::ALL.len());
         let serve_overhead = telemetry
             .get("payload")
             .and_then(|p| p.get("serve_overhead"))

@@ -59,21 +59,15 @@ pub mod serve_bench;
 
 use std::fmt::Write as _;
 
-use mergepath::merge::batch::batch_merge_into_by;
-use mergepath::merge::inplace::parallel_inplace_merge_by;
-use mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath::merge::parallel::parallel_merge_into_by;
-use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
+use mergepath::merge::sequential::natural_cmp;
 use mergepath::select::kth_of_union_by;
 use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
-use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::natural::natural_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{LoadBalanceReport, NoRecorder, TimelineRecorder};
 use mergepath_check::Kernel;
-use mergepath_workloads::{
-    merge_pair_sized, sorted_keys, unsorted_keys, ArrivalPattern, MergeWorkload, SortWorkload,
-};
+use mergepath_workloads::{merge_pair_sized, ArrivalPattern, MergeWorkload};
 
 /// Everything that can go wrong, with user-facing messages.
 #[derive(Debug, PartialEq, Eq)]
@@ -112,7 +106,7 @@ pub enum CliError {
 impl core::fmt::Display for CliError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CliError::Usage(msg) => write!(f, "{msg}\n\n{USAGE}"),
+            CliError::Usage(msg) => write!(f, "{msg}\n\n{}", usage()),
             CliError::Io(msg) => write!(f, "io error: {msg}"),
             CliError::NotSorted { file, line } => {
                 write!(f, "{file}: not sorted (first violation at line {line})")
@@ -128,10 +122,10 @@ impl core::fmt::Display for CliError {
     }
 }
 
-/// The usage text printed on argument errors.
-pub const USAGE: &str = "usage:
+/// The usage text, without its kernel list.
+const COMMANDS: &str = "usage:
   mp merge  A B [-o OUT] [--threads N] [--numeric]
-  mp sort   FILE [-o OUT] [--threads N] [--numeric] [--algo parallel|kway|natural|cache-aware]
+  mp sort   FILE [-o OUT] [--threads N] [--numeric] [--algo parallel|natural|cache-aware]
   mp select A B --rank K [--numeric]
   mp check  FILE [--numeric]
   mp check  --kernel KERNEL|all [--n N] [--threads P] [--seed S] [--schedules K]
@@ -144,9 +138,14 @@ pub const USAGE: &str = "usage:
   mp serve  --listen ADDR [--concurrency C] [--queue-capacity Q] [--n LEN] [--threads B]
   mp client --addr ADDR [--requests N] [--n LEN] [--seed S] [--deadline-ms D]
             [--malformed] [--out FILE]
-  mp inspect FILE
-where KERNEL is parallel|segmented|batch|inplace|kway|\
-sort-parallel|sort-kway|sort-cache-aware";
+  mp inspect FILE";
+
+/// The usage text printed on argument errors; its `KERNEL` list is
+/// [`Kernel::ALL`]'s names.
+pub fn usage() -> String {
+    let kernels: Vec<&str> = Kernel::ALL.iter().map(|k| k.name()).collect();
+    format!("{COMMANDS}\nwhere KERNEL is {}", kernels.join("|"))
+}
 
 /// Sorting algorithm selector for `mp sort`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,8 +153,6 @@ pub enum SortAlgo {
     /// The §III parallel merge sort (default).
     #[default]
     Parallel,
-    /// Single-round k-way merge sort.
-    Kway,
     /// Adaptive natural-runs sort.
     Natural,
     /// The §IV.C cache-aware sort.
@@ -166,7 +163,6 @@ impl SortAlgo {
     fn parse(s: &str) -> Result<Self, CliError> {
         match s {
             "parallel" => Ok(SortAlgo::Parallel),
-            "kway" => Ok(SortAlgo::Kway),
             "natural" => Ok(SortAlgo::Natural),
             "cache-aware" => Ok(SortAlgo::CacheAware),
             other => Err(CliError::Usage(format!("unknown --algo {other:?}"))),
@@ -174,7 +170,7 @@ impl SortAlgo {
     }
 }
 
-/// Parses a `--kernel` name: one of the schedule checker's eight kernels,
+/// Parses a `--kernel` name: one of the schedule checker's seven kernels,
 /// which `mp trace`, `mp check` and `mp bench` share.
 fn parse_kernel(name: &str) -> Result<Kernel, CliError> {
     Kernel::parse(name).ok_or_else(|| CliError::Usage(format!("unknown --kernel {name:?}")))
@@ -229,7 +225,7 @@ pub enum Command {
     },
     /// `mp check --kernel` — the deterministic schedule-exploration check.
     CheckSchedules {
-        /// Kernel under check; `None` means all eight.
+        /// Kernel under check; `None` means all seven.
         kernel: Option<Kernel>,
         /// Total output size `N`.
         n: usize,
@@ -734,11 +730,9 @@ where
                 SortAlgo::Parallel => {
                     parallel_merge_sort_by(&mut records, *threads, &cmp, &NoRecorder)
                 }
-                SortAlgo::Kway => kway_merge_sort_by(&mut records, *threads, &cmp, &NoRecorder),
                 SortAlgo::Natural => natural_merge_sort_by(&mut records, *threads, &cmp),
                 SortAlgo::CacheAware => {
-                    let cfg =
-                        mergepath::sort::cache_aware::CacheAwareConfig::new(64 * 1024, *threads);
+                    let cfg = CacheAwareConfig::new(WINDOW, *threads);
                     cache_aware_parallel_sort_by(&mut records, &cfg, &cmp, &NoRecorder);
                 }
             }
@@ -897,98 +891,26 @@ pub struct TraceRun {
     pub report: LoadBalanceReport,
 }
 
-/// Runs `kernel` once on a deterministic synthetic workload of `n` total
-/// output elements, reporting into `rec`. Generic over the recorder so the
-/// same body drives both the untraced timing loops (`NoRecorder`) of
-/// `mp bench` and the traced runs of `mp trace`.
-pub fn run_kernel_recorded<R: mergepath::telemetry::Recorder>(
-    kernel: Kernel,
-    n: usize,
-    threads: usize,
-    seed: u64,
-    rec: &R,
-) {
-    // The canonical comparator keeps traced/benched runs on the
-    // natural-order path (branch-lean's vector body on AVX2 CPUs), exactly
-    // like the public entry points.
-    let cmp = mergepath::merge::sequential::natural_cmp::<u32>;
-    match kernel {
-        Kernel::Parallel => {
-            let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
-            let mut out = vec![0u32; n];
-            parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, rec);
-        }
-        Kernel::Segmented => {
-            let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
-            let mut out = vec![0u32; n];
-            let spm = SpmConfig::new(64 * 1024, threads);
-            segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, rec);
-        }
-        Kernel::Batch => {
-            // A ragged batch: one pair per worker, sizes differing by design.
-            let pair_count = threads.max(2);
-            let data: Vec<(Vec<u32>, Vec<u32>)> = (0..pair_count)
-                .map(|i| {
-                    let lo = i * n / pair_count;
-                    let hi = (i + 1) * n / pair_count;
-                    let total = hi - lo;
-                    merge_pair_sized(
-                        MergeWorkload::Uniform,
-                        total / 2,
-                        total - total / 2,
-                        seed.wrapping_add(i as u64),
-                    )
-                })
-                .collect();
-            let pairs: Vec<(&[u32], &[u32])> = data
-                .iter()
-                .map(|(a, b)| (a.as_slice(), b.as_slice()))
-                .collect();
-            let mut out = vec![0u32; n];
-            batch_merge_into_by(&pairs, &mut out, threads, &cmp, rec);
-        }
-        Kernel::Inplace => {
-            let (a, b) = merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed);
-            let mid = a.len();
-            let mut v = a;
-            v.extend(b);
-            parallel_inplace_merge_by(&mut v, mid, threads, &cmp, rec);
-        }
-        Kernel::Kway => {
-            let k = 8usize.min(n.max(1));
-            let lists: Vec<Vec<u32>> = (0..k)
-                .map(|i| {
-                    let lo = i * n / k;
-                    let hi = (i + 1) * n / k;
-                    sorted_keys(hi - lo, seed.wrapping_add(i as u64))
-                })
-                .collect();
-            let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-            let mut out = vec![0u32; n];
-            parallel_kway_merge_by(&refs, &mut out, threads, &cmp, rec);
-        }
-        Kernel::SortParallel => {
-            let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
-            parallel_merge_sort_by(&mut v, threads, &cmp, rec);
-        }
-        Kernel::SortKway => {
-            let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
-            kway_merge_sort_by(&mut v, threads, &cmp, rec);
-        }
-        Kernel::SortCacheAware => {
-            let mut v = unsorted_keys(SortWorkload::Uniform, n, seed);
-            let cfg = CacheAwareConfig::new(64 * 1024, threads);
-            cache_aware_parallel_sort_by(&mut v, &cfg, &cmp, rec);
-        }
-    }
+/// The cache size, in elements, of the windowed kernels `mp trace`,
+/// `mp bench` and `mp sort --algo cache-aware` run: 64 Ki elements.
+pub(crate) const WINDOW: usize = 64 * 1024;
+
+/// The sorted pair `mp trace` and `mp bench` run every kernel on: two
+/// uniform sides of `n / 2` and `n - n / 2` keys from `seed`.
+pub(crate) fn trace_inputs(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+    merge_pair_sized(MergeWorkload::Uniform, n / 2, n - n / 2, seed)
 }
 
 /// Runs `kernel` on a deterministic synthetic workload of `n` total output
 /// elements with the [`TimelineRecorder`] attached, and renders both
 /// exporters plus the load-balance report.
 pub fn run_trace(kernel: Kernel, n: usize, threads: usize, seed: u64) -> TraceRun {
+    let (a, b) = trace_inputs(n, seed);
     let rec = TimelineRecorder::new();
-    run_kernel_recorded(kernel, n, threads, seed, &rec);
+    // The canonical comparator keeps traced runs on the natural-order path
+    // (branch-lean's vector body on AVX2 CPUs), like the public entry
+    // points.
+    kernel.run_by(&a, &b, threads, WINDOW, &natural_cmp::<u32>, &rec);
     let telemetry = rec.finish();
     let report = telemetry.load_balance(n as u64, threads);
     let chrome_json = telemetry.to_chrome_trace();
@@ -1189,7 +1111,7 @@ mod tests {
         let files = [("f", input)];
         let fs = memfs(&files);
         let mut outputs = Vec::new();
-        for algo in ["parallel", "kway", "natural", "cache-aware"] {
+        for algo in ["parallel", "natural", "cache-aware"] {
             let cmd = parse_args(&argv(&format!("sort f -n --algo {algo} --threads 3"))).unwrap();
             outputs.push(execute(&cmd, &fs).unwrap());
         }
@@ -1414,13 +1336,36 @@ mod tests {
         ))
         .unwrap();
         let out = execute(&cmd, memfs(&[])).unwrap();
-        assert_eq!(out.lines().count(), 8);
+        assert_eq!(out.lines().count(), Kernel::ALL.len());
         for line in out.lines() {
             assert!(line.contains(": ok"), "{line}");
         }
         let one = parse_args(&argv("check --kernel kway --n 400 --threads 2")).unwrap();
         let out = execute(&one, memfs(&[])).unwrap();
         assert!(out.starts_with("kway: ok"), "{out}");
+    }
+
+    #[test]
+    fn usage_lists_every_kernel_and_no_retired_name() {
+        let text = usage();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("where KERNEL is "))
+            .expect("a KERNEL line");
+        let names: Vec<&str> = line["where KERNEL is ".len()..].split('|').collect();
+        assert_eq!(names, Kernel::ALL.map(|k| k.name()));
+        // The retired k-way sort's name: `sort-` and the k-way merge's.
+        let retired = format!("sort-{}", Kernel::Kway.name());
+        for sub in ["trace", "check"] {
+            match parse_args(&argv(&format!("{sub} --kernel {retired}"))) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(&retired), "{msg}"),
+                other => panic!("{sub} --kernel {retired} must be a usage error, got {other:?}"),
+            }
+        }
+        match parse_args(&argv("sort f --algo kway")) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("kway"), "{msg}"),
+            other => panic!("--algo kway must be a usage error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1558,8 +1503,8 @@ mod tests {
 
     #[test]
     fn inspect_through_execute_renders_a_dump() {
-        use mergepath_serve::{AnomalyTrigger, ObserverConfig, ServeObserver, ServeProbe as _};
-        let obs = ServeObserver::new(ObserverConfig::default());
+        use mergepath_serve::{AnomalyTrigger, ServeObserver, ServeProbe as _};
+        let obs = ServeObserver::new(None);
         obs.on_submit(5, 100, 90);
         obs.on_reject_deadline(5, 150, 90);
         let body = obs.render_dump(AnomalyTrigger::DeadlineMiss, 0);

@@ -26,8 +26,8 @@ use mergepath::merge::sequential::merge_into_by;
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::TimelineRecorder;
 use mergepath_serve::{
-    NoProbe, NoRecorder, ObserverConfig, Outcome, QueuePolicy, Request, RoundGaugeRecorder,
-    ServeConfig, ServeObserver, ServeProbe, ServeStats, Server, Waterfall,
+    NoProbe, NoRecorder, Outcome, QueuePolicy, Request, RoundGaugeRecorder, ServeConfig,
+    ServeObserver, ServeProbe, ServeStats, Server, Waterfall,
 };
 use mergepath_telemetry::{now_ns, LatencyHistogram};
 use mergepath_workloads::{
@@ -453,10 +453,7 @@ pub fn run_serve(cfg: &ServeRunConfig) -> String {
     });
     let prepared = prepare(&plan);
     let metrics_dir = cfg.metrics_out.as_ref().map(PathBuf::from);
-    let obs = Arc::new(ServeObserver::new(ObserverConfig {
-        dump_dir: metrics_dir.clone(),
-        ..ObserverConfig::default()
-    }));
+    let obs = Arc::new(ServeObserver::new(metrics_dir.clone()));
     let timeline = Arc::new(TimelineRecorder::new());
     let rec = RoundGaugeRecorder::new(Arc::clone(&timeline), Arc::clone(&obs));
 
@@ -746,7 +743,7 @@ pub fn measure_serve_overhead(
     // a fresh registry and flight ring are page-faulted on first touch, a
     // one-time cost that would otherwise be billed to the first timed
     // metrics-on window and read as per-request overhead.
-    let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+    let obs = Arc::new(ServeObserver::new(None));
     let _ = unpaced_run(&prepared, cfg, NoProbe);
     let _ = unpaced_run(&prepared, cfg, Arc::clone(&obs));
     let mut walls_off = Vec::with_capacity(reps);

@@ -728,7 +728,9 @@ impl Pool {
     /// latch. `on_ready` runs after the ticket push with the measured
     /// submit-side queue wait — [`Pool::run_indexed`] uses it to emit
     /// `round_wait_ns` then `round_begin` before any share executes on
-    /// this thread.
+    /// this thread. It runs under `catch_unwind`: once the tickets are
+    /// queued, workers call `job`, which lives in the caller's frame, so
+    /// nothing may unwind out of this function before the latch opens.
     ///
     /// `tickets` is the round's participant count, the caller included:
     /// at least 2 and at most `min(threads, shares)`. Caller must have
@@ -739,10 +741,10 @@ impl Pool {
     /// pushed its tickets.
     ///
     /// # Panics
-    /// Re-raises the caller's own share panic, or panics with
-    /// `"a pool worker's share panicked"` when only foreign shares
-    /// panicked — after every share of the round has executed, so the
-    /// scheduler is left fully reusable.
+    /// Re-raises a panic of `on_ready`, else the caller's own share panic,
+    /// or panics with `"a pool worker's share panicked"` when only foreign
+    /// shares panicked — after every share of the round has executed, so
+    /// the scheduler is left fully reusable.
     fn submit_round<F: FnOnce(u64)>(
         &self,
         shares: usize,
@@ -777,7 +779,8 @@ impl Pool {
         // The queue wait is the submit-side delay before this thread's
         // first share — round setup and the ticket push — not the round
         // duration.
-        on_ready(now_ns().saturating_sub(queued));
+        let wait_ns = now_ns().saturating_sub(queued);
+        let ready = catch_unwind(AssertUnwindSafe(|| on_ready(wait_ns)));
         // Participate: the caller is always ticket 0 and never abandons
         // its own round. Once it returns every share is claimed, so the
         // caller ran them all exactly when no other participant ran one.
@@ -805,6 +808,9 @@ impl Pool {
                 .fetch_add(1, AtomicOrdering::Relaxed);
         }
         let panicked = round.panicked.load(AtomicOrdering::Acquire);
+        if let Err(payload) = ready {
+            resume_unwind(payload);
+        }
         match own {
             Some(payload) => resume_unwind(payload),
             None if panicked => panic!("a pool worker's share panicked"),

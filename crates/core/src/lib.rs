@@ -28,7 +28,7 @@
 //! | [`diagonal`] | the cross-diagonal binary search ([`co_rank`](diagonal::co_rank)) — the paper's Theorem 14 |
 //! | [`partition`] | splitting a merge into `p` equisized independent segments |
 //! | [`merge`] | sequential kernels, **Algorithm 1** ([`merge::parallel`]), **Algorithm 2** ([`merge::segmented`]), and a k-way extension |
-//! | [`sort`] | merge sorts built on the above: parallel (§III), k-way, natural-runs and cache-aware (§IV.C) |
+//! | [`sort`] | merge sorts built on the above: parallel (§III), natural-runs and cache-aware (§IV.C) |
 //! | [`matrix`], [`path`] | explicit Merge Matrix / Merge Path objects used to *verify* the paper's lemmas |
 //! | [`executor`] | a persistent fork-join worker pool (the OpenMP-style backend) |
 //! | [`probe`] | zero-cost memory-access probes used by the cache simulator |
@@ -89,7 +89,6 @@ pub mod prelude {
     pub use crate::partition::{partition_segments, Segment};
     pub use crate::select::{kth_of_union, median_of_union};
     pub use crate::sort::cache_aware::cache_aware_parallel_sort;
-    pub use crate::sort::kway::kway_merge_sort;
     pub use crate::sort::natural::natural_merge_sort;
     pub use crate::sort::parallel::parallel_merge_sort;
 }

@@ -3,9 +3,7 @@
 //! * [`parallel`] — the paper's §III parallel merge sort: `p` concurrent
 //!   chunk sorts (`slice::sort_by`), then `log p` rounds of parallel
 //!   (Algorithm 1) merges;
-//! * [`kway`] — the same chunk sorts, then one parallel k-way merge round;
-//! * [`natural`] — the runs already in the data, then rounds of
-//!   Algorithm 1;
+//! * [`natural`] — the runs already in the data, then the same rounds;
 //! * [`cache_aware`] — the paper's §IV.C sort: cache-sized block sorts
 //!   followed by rounds of segmented (Algorithm 2) merges.
 
@@ -15,7 +13,6 @@ use crate::executor::{self, SendPtr};
 use crate::partition::segment_boundary;
 
 pub mod cache_aware;
-pub mod kway;
 pub mod natural;
 pub mod parallel;
 

@@ -4,19 +4,20 @@
 //! appended in key order, exports concatenate sorted shards. A natural
 //! merge sort detects the maximal runs already present (reversing strictly
 //! descending ones in place, which cannot reorder equal elements and so
-//! preserves stability) and then merges runs with Algorithm 1, paying
+//! preserves stability) and then merges runs level by level, paying
 //! `O(N·log(runs))` instead of `O(N·log N)`.
 //!
-//! Same round structure as [`crate::sort::parallel`], but the leaves come
-//! from the data instead of from an arbitrary `p`-way split — the paper's
-//! merge machinery applied adaptively.
+//! Same rounds as [`crate::sort::parallel`]'s phase 2 — each level's pairs
+//! merged in one batch round of Algorithm 1 tiles, however many pairs the
+//! level holds — but the leaves come from the data instead of from an
+//! arbitrary `p`-way split: the paper's merge machinery applied adaptively.
 
 use core::cmp::Ordering;
 
 use mergepath_telemetry::NoRecorder;
 
-use crate::merge::parallel::parallel_merge_into_by;
-use crate::sort::{merge_pairs, merge_rounds};
+use crate::sort::merge_rounds;
+use crate::sort::parallel::merge_round_parallel;
 
 /// Detects the boundaries of maximal sorted runs, reversing strictly
 /// descending runs in place. Returns run boundaries (`runs[0] == 0`,
@@ -57,8 +58,8 @@ where
     end
 }
 
-/// Adaptive stable sort: natural run detection, then rounds of parallel
-/// pairwise merges.
+/// Adaptive stable sort: natural run detection, then one pool round of
+/// parallel pairwise merges per level.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -87,9 +88,7 @@ where
     assert!(threads > 0, "thread count must be at least 1");
     let runs = collect_runs_by(v, cmp);
     merge_rounds(v, runs, threads, |src, dst, runs| {
-        merge_pairs(src, dst, runs, |a, b, out| {
-            parallel_merge_into_by(a, b, out, threads, cmp, &NoRecorder)
-        });
+        merge_round_parallel(src, dst, runs, threads, cmp, &NoRecorder)
     });
 }
 

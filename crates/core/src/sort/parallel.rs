@@ -83,12 +83,12 @@ where
     });
 }
 
-/// Phase 1, shared with [`crate::sort::kway`]: sorts `threads` chunks of
-/// `v` concurrently with `slice::sort_by` and returns the chunk
-/// boundaries. Chunks follow the same ⌊k·n/p⌋ boundaries as the merge
-/// partition, so sizes differ by at most one. With one thread, or at most
-/// two keys per thread, sorts all of `v` on the calling thread instead and
-/// returns `None`: nothing is left to merge.
+/// Phase 1: sorts `threads` chunks of `v` concurrently with
+/// `slice::sort_by` and returns the chunk boundaries. Chunks follow the
+/// same ⌊k·n/p⌋ boundaries as the merge partition, so sizes differ by at
+/// most one. With one thread, or at most two keys per thread, sorts all of
+/// `v` on the calling thread instead and returns `None`: nothing is left
+/// to merge.
 pub(crate) fn sort_chunks<T, F, R>(
     v: &mut [T],
     threads: usize,
@@ -132,8 +132,9 @@ where
 /// workers balanced across the whole round
 /// ([`batch_merge_into_by`](crate::merge::batch::batch_merge_into_by)):
 /// even ragged final rounds keep every core busy — exactly the late-round
-/// starvation the paper's introduction calls out.
-fn merge_round_parallel<T, F, R>(
+/// starvation the paper's introduction calls out. [`crate::sort::natural`]
+/// merges its levels with it too.
+pub(crate) fn merge_round_parallel<T, F, R>(
     src: &[T],
     dst: &mut [T],
     runs: &[usize],

@@ -53,9 +53,7 @@ pub mod observe;
 mod server;
 
 pub use net::{NetClient, NetOp, NetRequest, NetResponse, NetServer, NetStatus, ProtocolError};
-pub use observe::{
-    AnomalyTrigger, NoProbe, ObserverConfig, RoundGaugeRecorder, ServeObserver, ServeProbe,
-};
+pub use observe::{AnomalyTrigger, NoProbe, RoundGaugeRecorder, ServeObserver, ServeProbe};
 pub use server::{
     worker_share, Outcome, QueuePolicy, RejectReason, Request, RequestKind, ResponseHandle,
     ServeConfig, ServeStats, Server,

@@ -205,8 +205,8 @@ impl<P: ServeProbe + Send + Sync> ServeProbe for Arc<P> {
 pub enum AnomalyTrigger {
     /// First request whose deadline expired while it waited.
     DeadlineMiss,
-    /// [`ObserverConfig::queue_full_burst`] synchronous rejections inside
-    /// one [`ObserverConfig::queue_full_window_ns`] window.
+    /// [`QUEUE_FULL_BURST`] synchronous rejections inside one
+    /// [`QUEUE_FULL_WINDOW_NS`] window.
     QueueFullBurst,
     /// First contained request panic.
     Panic,
@@ -226,35 +226,20 @@ impl AnomalyTrigger {
     }
 }
 
-/// Sizing and trigger thresholds for a [`ServeObserver`].
-#[derive(Debug, Clone)]
-pub struct ObserverConfig {
-    /// Flight-recorder ring capacity (events retained).
-    pub flight_capacity: usize,
-    /// Where anomaly dumps are written; `None` records anomalies in the
-    /// counters but writes nothing.
-    pub dump_dir: Option<PathBuf>,
-    /// `QueueFull` rejections within the window that constitute a burst.
-    pub queue_full_burst: u64,
-    /// The burst-detection window, nanoseconds.
-    pub queue_full_window_ns: u64,
-    /// Minimum spacing between burst-triggered dumps, nanoseconds
-    /// (first-deadline-miss and first-panic dumps fire exactly once and
-    /// ignore the cooldown).
-    pub dump_cooldown_ns: u64,
-}
+/// Flight-recorder ring capacity of a [`ServeObserver`] (events retained).
+pub const FLIGHT_CAPACITY: usize = 1024;
 
-impl Default for ObserverConfig {
-    fn default() -> Self {
-        ObserverConfig {
-            flight_capacity: 1024,
-            dump_dir: None,
-            queue_full_burst: 8,
-            queue_full_window_ns: 1_000_000_000,
-            dump_cooldown_ns: 1_000_000_000,
-        }
-    }
-}
+/// `QueueFull` rejections within one [`QUEUE_FULL_WINDOW_NS`] window that
+/// constitute a burst.
+pub const QUEUE_FULL_BURST: u64 = 8;
+
+/// The burst-detection window, nanoseconds.
+pub const QUEUE_FULL_WINDOW_NS: u64 = 1_000_000_000;
+
+/// Minimum spacing between burst-triggered dumps, nanoseconds
+/// (first-deadline-miss and first-panic dumps fire exactly once and
+/// ignore the cooldown).
+pub const DUMP_COOLDOWN_NS: u64 = 1_000_000_000;
 
 /// The production [`ServeProbe`]: live counters/gauges, per-stage
 /// waterfall histograms, and the dump-on-anomaly flight recorder.
@@ -266,7 +251,7 @@ impl Default for ObserverConfig {
 /// incremented at the same points of the request path — which
 /// `mp serve` asserts on every run.
 pub struct ServeObserver {
-    cfg: ObserverConfig,
+    dump_dir: Option<PathBuf>,
     registry: MetricsRegistry,
     flight: FlightRecorder,
     dumped_deadline: AtomicBool,
@@ -279,13 +264,14 @@ pub struct ServeObserver {
 }
 
 impl ServeObserver {
-    /// Builds an observer; all metric and flight storage is allocated
-    /// here.
-    pub fn new(cfg: ObserverConfig) -> Self {
+    /// Builds an observer that writes anomaly dumps into `dump_dir`
+    /// (`None` records anomalies in the counters but writes nothing); all
+    /// metric and flight storage is allocated here.
+    pub fn new(dump_dir: Option<PathBuf>) -> Self {
         ServeObserver {
             registry: MetricsRegistry::new(COUNTER_NAMES, GAUGE_NAMES, HISTOGRAM_NAMES),
-            flight: FlightRecorder::new(cfg.flight_capacity),
-            cfg,
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            dump_dir,
             dumped_deadline: AtomicBool::new(false),
             dumped_panic: AtomicBool::new(false),
             burst_window_start: AtomicU64::new(0),
@@ -363,7 +349,7 @@ impl ServeObserver {
     /// dump directory is configured or the write fails — the daemon never
     /// fails a request over a diagnostics problem.
     fn write_dump(&self, trigger: AnomalyTrigger) -> Option<PathBuf> {
-        let dir = self.cfg.dump_dir.as_ref()?;
+        let dir = self.dump_dir.as_ref()?;
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
         let body = self.render_dump(trigger, seq);
         let path = dir.join(format!("flight-{seq:03}-{}.jsonl", trigger.name()));
@@ -407,7 +393,7 @@ impl ServeObserver {
 
     fn note_queue_full(&self, t_ns: u64) {
         let start = self.burst_window_start.load(Ordering::Relaxed);
-        if t_ns.saturating_sub(start) > self.cfg.queue_full_window_ns {
+        if t_ns.saturating_sub(start) > QUEUE_FULL_WINDOW_NS {
             // Window elapsed: whoever wins the race opens a fresh one.
             if self
                 .burst_window_start
@@ -419,9 +405,9 @@ impl ServeObserver {
             }
         }
         let count = self.burst_window_count.fetch_add(1, Ordering::Relaxed) + 1;
-        if count == self.cfg.queue_full_burst {
+        if count == QUEUE_FULL_BURST {
             let last = self.last_burst_dump_ns.load(Ordering::Relaxed);
-            let cooled = last == 0 || t_ns.saturating_sub(last) >= self.cfg.dump_cooldown_ns;
+            let cooled = last == 0 || t_ns.saturating_sub(last) >= DUMP_COOLDOWN_NS;
             if cooled
                 && self
                     .last_burst_dump_ns
@@ -650,7 +636,7 @@ mod tests {
 
     #[test]
     fn hooks_drive_counters_gauges_and_histograms() {
-        let obs = ServeObserver::new(ObserverConfig::default());
+        let obs = ServeObserver::new(None);
         obs.on_submit(1, 100, 0);
         obs.on_enqueue(1, 3);
         obs.on_dequeue(1, 200, 100, 2);
@@ -690,10 +676,7 @@ mod tests {
     #[test]
     fn first_deadline_miss_dumps_exactly_once() {
         let dir = test_scratch_dir("deadline");
-        let obs = ServeObserver::new(ObserverConfig {
-            dump_dir: Some(dir.clone()),
-            ..ObserverConfig::default()
-        });
+        let obs = ServeObserver::new(Some(dir.clone()));
         obs.on_submit(7, 50, 40);
         obs.on_reject_deadline(7, 100, 40);
         obs.on_reject_deadline(8, 200, 40);
@@ -736,39 +719,38 @@ mod tests {
     #[test]
     fn queue_full_burst_dump_respects_threshold_and_cooldown() {
         let dir = test_scratch_dir("burst");
-        let obs = ServeObserver::new(ObserverConfig {
-            dump_dir: Some(dir.clone()),
-            queue_full_burst: 4,
-            queue_full_window_ns: 1_000,
-            dump_cooldown_ns: u64::MAX,
-            ..ObserverConfig::default()
-        });
-        // Three rejections inside the window: below threshold, no dump.
-        for (id, t) in [(1u64, 10u64), (2, 20), (3, 30)] {
-            obs.on_reject_queue_full(id, t, 8);
-        }
+        let obs = ServeObserver::new(Some(dir.clone()));
+        // Synthetic timestamps; each rejection's id is its timestamp.
+        let reject = |times: std::ops::RangeInclusive<u64>| {
+            for t in times {
+                obs.on_reject_queue_full(t, t, 8);
+            }
+        };
+        let (burst, window) = (QUEUE_FULL_BURST, QUEUE_FULL_WINDOW_NS);
+        // One short of the threshold inside the first window: no dump.
+        reject(1..=burst - 1);
         assert!(obs.dump_paths().is_empty());
-        // Fourth inside the same window crosses the threshold.
-        obs.on_reject_queue_full(4, 40, 8);
+        // The threshold-th, at the window's last nanosecond, dumps.
+        reject(window..=window);
         assert_eq!(obs.dump_paths().len(), 1);
         assert!(obs.dump_paths()[0]
             .to_string_lossy()
             .contains("queue_full_burst"));
-        // Another burst during the (infinite) cooldown stays silent.
-        for (id, t) in [(5u64, 50u64), (6, 60), (7, 70), (8, 80)] {
-            obs.on_reject_queue_full(id, t, 8);
-        }
+        // A whole burst in the next window, `burst` ns after that dump,
+        // falls inside the cooldown and stays silent.
+        reject(window + 1..=window + burst);
         assert_eq!(obs.dump_paths().len(), 1, "cooldown suppressed the dump");
+        // A burst in a later window, past the cooldown, dumps again.
+        let later = 2 * window + DUMP_COOLDOWN_NS;
+        reject(later..=later + burst - 1);
+        assert_eq!(obs.dump_paths().len(), 2, "the cooldown expired");
         remove_scratch_dir(&dir);
     }
 
     #[test]
     fn panic_and_on_demand_dumps() {
         let dir = test_scratch_dir("panic");
-        let obs = ServeObserver::new(ObserverConfig {
-            dump_dir: Some(dir.clone()),
-            ..ObserverConfig::default()
-        });
+        let obs = ServeObserver::new(Some(dir.clone()));
         obs.on_fail(1, 10, 0);
         obs.on_fail(2, 20, 0);
         let on_demand = obs.dump_on_demand().expect("dump dir configured");
@@ -781,7 +763,7 @@ mod tests {
 
     #[test]
     fn no_dump_dir_means_no_io_but_counters_advance() {
-        let obs = ServeObserver::new(ObserverConfig::default());
+        let obs = ServeObserver::new(None);
         obs.on_reject_deadline(1, 100, 50);
         assert!(obs.dump_paths().is_empty());
         assert_eq!(
@@ -794,7 +776,7 @@ mod tests {
     #[test]
     fn round_gauge_recorder_tees_rounds_and_delegates() {
         use mergepath_telemetry::TimelineRecorder;
-        let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+        let obs = Arc::new(ServeObserver::new(None));
         let rec = RoundGaugeRecorder::new(TimelineRecorder::new(), Arc::clone(&obs));
         rec.round_wait_ns(750);
         rec.round_begin(4);

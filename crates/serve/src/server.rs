@@ -27,14 +27,13 @@ use crate::observe::{NoProbe, ServeProbe};
 /// entering a pool round), so the daemon's parallelism degrades
 /// gracefully from data-parallel to request-parallel.
 ///
-/// The split rounds **up**: under the old serialize-the-pool executor a
-/// floor split was the safe choice (rounds ran one at a time, so handing
-/// out more shares than the strict division only lengthened the queue),
-/// but it systematically under-shared — 8 threads at 3 inflight gave each
-/// request 2 shares and idled two threads. Now concurrent rounds overlap
-/// and an idle worker takes the next queued ticket of whichever round
-/// pushed it, so a generous share count costs nothing when the pool is
-/// busy and buys parallelism when it is not.
+/// The split rounds **up**: a floor split would under-share — 8 threads
+/// at 3 inflight would give each request 2 shares and idle two threads.
+/// Concurrent rounds overlap, and an idle worker takes the next queued
+/// ticket of whichever round pushed it, so a generous share count costs
+/// nothing when the pool is busy and buys parallelism when it is not. At
+/// a budget of 2 only a lone request gets 2 shares, so two requests'
+/// rounds never reach the pool at once.
 pub fn worker_share(budget: usize, inflight: usize) -> usize {
     budget.div_ceil(inflight.max(1)).max(1)
 }
@@ -1182,8 +1181,8 @@ mod tests {
 
     #[test]
     fn probe_counters_reconcile_and_waterfall_partitions_latency() {
-        use crate::observe::{ObserverConfig, ServeObserver};
-        let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+        use crate::observe::ServeObserver;
+        let obs = Arc::new(ServeObserver::new(None));
         let server: Server<u32, NoRecorder, Arc<ServeObserver>> = Server::start_with_probe(
             ServeConfig {
                 queue_capacity: 16,

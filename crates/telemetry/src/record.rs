@@ -62,8 +62,7 @@ pub enum SpanKind {
     SegmentMerge,
     /// One cache-sized window of the segmented (SPM) merge, §IV.
     SpmWindow,
-    /// One round of a parallel sort (chunk sort or pairwise/k-way merge
-    /// round).
+    /// One round of a parallel sort (chunk sort or pairwise merge round).
     SortRound,
 }
 
@@ -162,9 +161,8 @@ pub trait Recorder: Sync {
     fn round_end(&self) {}
 
     /// The calling thread spent `ns` nanoseconds between submitting the
-    /// round and beginning to execute its shares (scheduler queueing
-    /// overhead: ticket distribution, and — in the serialized
-    /// compatibility mode — the legacy round-mutex wait).
+    /// round and beginning to execute its shares: building the round and
+    /// pushing its tickets onto the pool's queue.
     fn round_wait_ns(&self, ns: u64) {
         let _ = ns;
     }

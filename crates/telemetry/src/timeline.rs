@@ -422,7 +422,9 @@ pub struct LoadBalanceReport {
     /// counting as idle. However finely a round is cut, this shows how
     /// evenly its threads were loaded.
     pub busy: BusyStats,
-    /// Total round-mutex wait across rounds (serialization overhead).
+    /// Submit-side wait summed over the rounds: each caller's time from
+    /// submitting a round to running its first share
+    /// ([`Recorder::round_wait_ns`]).
     pub total_wait_ns: u64,
 }
 

@@ -1,7 +1,7 @@
 //! Integration tests for the extension modules: every merge-flavoured API
 //! in the workspace agrees on every workload, and the extension structures
 //! (selection, lazy iteration, in-place/batch merges, the
-//! adaptive and k-way sorts, multiselection) cross-validate.
+//! adaptive sort, multiselection) cross-validate.
 
 use mergepath_suite::baselines::multiselect::multiselect_merge_into;
 use mergepath_suite::mergepath::iter::{merge_iter, merged_range};
@@ -9,7 +9,6 @@ use mergepath_suite::mergepath::merge::batch::batch_merge_into;
 use mergepath_suite::mergepath::merge::inplace::{inplace_merge, parallel_inplace_merge};
 use mergepath_suite::mergepath::merge::sequential::merge_into;
 use mergepath_suite::mergepath::select::kth_of_union;
-use mergepath_suite::mergepath::sort::kway::kway_merge_sort;
 use mergepath_suite::mergepath::sort::natural::natural_merge_sort;
 use mergepath_suite::workloads::{merge_pair, unsorted_keys, MergeWorkload, SortWorkload};
 
@@ -86,10 +85,6 @@ fn extension_sorts_agree_with_std_on_all_workloads() {
         expect.sort();
 
         let mut v = base.clone();
-        kway_merge_sort(&mut v, 6);
-        assert_eq!(v, expect, "kway sort on {}", wl.name());
-
-        let mut v = base.clone();
         natural_merge_sort(&mut v, 6);
         assert_eq!(v, expect, "natural sort on {}", wl.name());
     }
@@ -108,6 +103,28 @@ fn natural_sort_exploits_presortedness_end_to_end() {
     expect.sort();
     natural_merge_sort(&mut v, 4);
     assert_eq!(v, expect);
+}
+
+#[test]
+fn natural_sort_merges_each_level_in_one_pool_round() {
+    // 4096 shuffled keys hold about 1700 natural runs. Each level's merges
+    // form one batch round, so at p = 2 the sort records at most
+    // ⌈log₂ runs⌉ multi-share rounds for its levels and one for the
+    // copy-back, where a round per merged pair records about one per run.
+    use mergepath_suite::mergepath::sort::natural::collect_runs_by;
+    use mergepath_suite::workloads::prng::Prng;
+    let mut keys: Vec<u32> = (0..4096).collect();
+    Prng::seed_from_u64(0x4A7).shuffle(&mut keys);
+    let runs = collect_runs_by(&mut keys.clone(), &|a: &u32, b: &u32| a.cmp(b)).len() - 1;
+    let mut v = keys;
+    let ((), rec) = mergepath_check::record(7, || natural_merge_sort(&mut v, 2));
+    assert!(v.windows(2).all(|w| w[0] <= w[1]), "not sorted");
+    let multi = rec.rounds.iter().filter(|r| r.shares.len() > 1).count();
+    let bound = runs.next_power_of_two().trailing_zeros() as usize + 1;
+    assert!(
+        (1..=bound).contains(&multi),
+        "{multi} multi-share rounds for {runs} runs, bound {bound}"
+    );
 }
 
 #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use mergepath::telemetry::now_ns;
 use mergepath_serve::{
-    FlightEvent, FlightEventKind, FlightRecorder, NoProbe, ObserverConfig, Outcome, QueuePolicy,
-    Request, ServeConfig, ServeObserver, ServeProbe, Server, Waterfall,
+    FlightEvent, FlightEventKind, FlightRecorder, NoProbe, Outcome, QueuePolicy, Request,
+    ServeConfig, ServeObserver, ServeProbe, Server, Waterfall,
 };
 
 /// Counts allocations per thread, so concurrent test threads in this
@@ -55,7 +55,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 fn probe_hot_path_is_allocation_free() {
     // No dump_dir: anomaly bookkeeping runs but no dump is rendered (a
     // dump legitimately allocates; it only happens on an actual anomaly).
-    let obs = ServeObserver::new(ObserverConfig::default());
+    let obs = ServeObserver::new(None);
     let wf = Waterfall {
         queue_ns: 10,
         dispatch_ns: 2,
@@ -90,7 +90,7 @@ fn probe_hot_path_is_allocation_free() {
 
 #[test]
 fn registry_reads_do_not_allocate_either_side() {
-    let obs = ServeObserver::new(ObserverConfig::default());
+    let obs = ServeObserver::new(None);
     obs.on_submit(1, 1, 0);
     // Writers stay allocation-free even while a snapshot reader runs
     // concurrently (snapshot itself allocates its result — that's the
@@ -139,7 +139,7 @@ fn flight_recorder_record_is_allocation_free_and_overwrites_oldest() {
 
 #[test]
 fn waterfall_partitions_latency_and_stays_under_wall_time() {
-    let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+    let obs = Arc::new(ServeObserver::new(None));
     let server: Server<u32, mergepath_serve::NoRecorder, Arc<ServeObserver>> =
         Server::start_with_probe(
             ServeConfig {

@@ -95,19 +95,10 @@ mod counted_drop {
     use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering as AtOrd};
     use std::sync::Arc;
 
+    use mergepath_check::Kernel;
     use mergepath_suite::mergepath::merge::adaptive::SegmentKernel;
-    use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-    use mergepath_suite::mergepath::merge::inplace::parallel_inplace_merge_by;
-    use mergepath_suite::mergepath::merge::kway::parallel_kway_merge_by;
     use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
-    use mergepath_suite::mergepath::merge::segmented::{
-        segmented_parallel_merge_into_by, SpmConfig,
-    };
-    use mergepath_suite::mergepath::sort::cache_aware::{
-        cache_aware_parallel_sort_by, CacheAwareConfig,
-    };
-    use mergepath_suite::mergepath::sort::kway::kway_merge_sort_by;
-    use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
+    use mergepath_suite::mergepath::sort::natural::natural_merge_sort_by;
     use mergepath_suite::mergepath::telemetry::NoRecorder;
 
     #[derive(Debug)]
@@ -175,22 +166,43 @@ mod counted_drop {
         v
     }
 
-    const KERNELS: [&str; 9] = [
-        "parallel",
-        "galloping",
-        "segmented",
-        "batch",
-        "inplace",
-        "kway",
-        "sort-parallel",
-        "sort-kway",
-        "sort-cache-aware",
-    ];
+    /// What the drop tests run: every kernel of the checker's table, and
+    /// two entries the table does not reach.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        /// A parallel kernel, called as `Kernel::run_by` calls it.
+        Table(Kernel),
+        /// The galloping kernel run directly on the whole pair (one
+        /// segment, so `threads` plays no part): with 4–6 copies of each of
+        /// 40 keys per side, the table's segments are too short or too
+        /// finely interleaved for the probe to pick it. A fuse can blow
+        /// inside a run search or between two run copies, which clone into
+        /// preallocated output.
+        Galloping,
+        /// `natural_merge_sort_by` on 200 keys in alternating ascending and
+        /// strictly descending runs of 20: it finds 10 runs, reversing the
+        /// descending ones in place (209 comparisons), then merges each
+        /// level from `v` into its scratch buffer and back, so the fuses of
+        /// 222 and 400 blow in the merge rounds.
+        Natural,
+    }
 
-    /// Builds tracked inputs, runs `kernel`, and drops everything before
+    fn entries() -> impl Iterator<Item = Entry> {
+        Kernel::ALL
+            .map(Entry::Table)
+            .into_iter()
+            .chain([Entry::Galloping, Entry::Natural])
+    }
+
+    /// The cache size of the table's two windowed kernels: segments of 30
+    /// outputs and cache-aware blocks of 45 keep many segment rounds in a
+    /// 400-element run.
+    const WINDOW: usize = 91;
+
+    /// Builds tracked inputs, runs `entry`, and drops everything before
     /// returning. Any panic from the comparator unwinds through here (and
     /// through the worker pool), dropping the locals on the way out.
-    fn drive<F>(kernel: &str, threads: usize, master: &Arc<AtomicIsize>, cmp: &F)
+    fn drive<F>(entry: Entry, threads: usize, master: &Arc<AtomicIsize>, cmp: &F)
     where
         F: Fn(&CountedDrop, &CountedDrop) -> Ordering + Sync,
     {
@@ -199,80 +211,40 @@ mod counted_drop {
                 .map(|&k| CountedDrop::tracked(k, master))
                 .collect()
         };
-        let ka = keys(170, 3, 40);
-        let kb = keys(230, 7, 40);
-        let n = ka.len() + kb.len();
-        match kernel {
-            "parallel" => {
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
-                parallel_merge_into_by(&a, &b, &mut out, threads, cmp, &NoRecorder);
+        let pair = || (track(&keys(170, 3, 40)), track(&keys(230, 7, 40)));
+        match entry {
+            Entry::Table(kernel) => {
+                let (a, b) = pair();
+                drop(kernel.run_by(&a, &b, threads, WINDOW, cmp, &NoRecorder));
             }
-            "galloping" => {
-                // The galloping kernel run directly on the whole pair (one
-                // segment, so `threads` plays no part): with 4–6 copies of
-                // each of 40 keys per side, the other entries' segments are
-                // too short or too finely interleaved for the probe to pick
-                // it. A fuse can blow inside a run search or between two
-                // run copies, which clone into preallocated output.
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
+            Entry::Galloping => {
+                let (a, b) = pair();
+                let mut out = vec![CountedDrop::default(); a.len() + b.len()];
                 SegmentKernel::Galloping.merge_into_by(&a, &b, &mut out, cmp);
             }
-            "segmented" => {
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
-                let spm = SpmConfig::new(91, threads);
-                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, cmp, &NoRecorder);
+            Entry::Natural => {
+                let runs: Vec<i32> = (0..200)
+                    .map(|i| match (i / 20 % 2, i % 20) {
+                        (0, j) => 2 * j,
+                        (_, j) => 40 - 2 * j,
+                    })
+                    .collect();
+                let mut v = track(&runs);
+                natural_merge_sort_by(&mut v, threads, cmp);
             }
-            "batch" => {
-                let (a, b) = (track(&ka), track(&kb));
-                let pairs: Vec<(&[CountedDrop], &[CountedDrop])> =
-                    vec![(&a[..100], &b[..60]), (&a[100..], &b[60..])];
-                let mut out = vec![CountedDrop::default(); n];
-                batch_merge_into_by(&pairs, &mut out, threads, cmp, &NoRecorder);
-            }
-            "inplace" => {
-                let mut v = track(&ka);
-                v.extend(track(&kb));
-                parallel_inplace_merge_by(&mut v, ka.len(), threads, cmp, &NoRecorder);
-            }
-            "kway" => {
-                let (a, b) = (track(&ka), track(&kb));
-                let runs: Vec<&[CountedDrop]> = vec![&a[..85], &a[85..], &b[..115], &b[115..]];
-                let mut out = vec![CountedDrop::default(); n];
-                parallel_kway_merge_by(&runs, &mut out, threads, cmp, &NoRecorder);
-            }
-            "sort-parallel" | "sort-kway" | "sort-cache-aware" => {
-                // An unsorted tracked input: interleave the two key streams.
-                let mut unsorted = ka.clone();
-                for (i, &k) in kb.iter().enumerate() {
-                    unsorted.insert((i * 2 + 1).min(unsorted.len()), k);
-                }
-                let mut v = track(&unsorted);
-                match kernel {
-                    "sort-parallel" => parallel_merge_sort_by(&mut v, threads, cmp, &NoRecorder),
-                    "sort-kway" => kway_merge_sort_by(&mut v, threads, cmp, &NoRecorder),
-                    _ => {
-                        let cfg = CacheAwareConfig::new(200, threads);
-                        cache_aware_parallel_sort_by(&mut v, &cfg, cmp, &NoRecorder);
-                    }
-                }
-            }
-            other => panic!("unknown kernel {other}"),
         }
     }
 
     #[test]
     fn clean_runs_balance_drops_on_the_real_pool() {
-        for kernel in KERNELS {
+        for entry in entries() {
             for threads in [1usize, 2, 4] {
                 let master = Arc::new(AtomicIsize::new(0));
-                drive(kernel, threads, &master, &by_key);
+                drive(entry, threads, &master, &by_key);
                 assert_eq!(
                     master.load(AtOrd::SeqCst),
                     0,
-                    "{kernel} threads={threads}: live count after clean run"
+                    "{entry:?} threads={threads}: live count after clean run"
                 );
             }
         }
@@ -280,23 +252,23 @@ mod counted_drop {
 
     #[test]
     fn panicking_comparator_never_double_drops_or_leaks_real_pool() {
-        for kernel in KERNELS {
+        for entry in entries() {
             for fuse in [0u64, 1, 7, 50, 400] {
                 let master = Arc::new(AtomicIsize::new(0));
                 let cmp = fused(fuse);
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    drive(kernel, 4, &master, &cmp);
+                    drive(entry, 4, &master, &cmp);
                 }));
                 let live = master.load(AtOrd::SeqCst);
                 assert!(
                     live >= 0,
-                    "{kernel} fuse={fuse}: DOUBLE-DROP ({live} live, panicked={})",
+                    "{entry:?} fuse={fuse}: DOUBLE-DROP ({live} live, panicked={})",
                     result.is_err()
                 );
                 assert_eq!(
                     live,
                     0,
-                    "{kernel} fuse={fuse}: LEAK ({live} live, panicked={})",
+                    "{entry:?} fuse={fuse}: LEAK ({live} live, panicked={})",
                     result.is_err()
                 );
             }
@@ -311,26 +283,26 @@ mod counted_drop {
         // `u64::MAX` never blows, so every kernel also runs to its end
         // under a permuted schedule, where a clone leaked after the last
         // run or share would show.
-        for kernel in KERNELS {
+        for entry in entries() {
             for (i, fuse) in [0u64, 3, 29, 222, u64::MAX].into_iter().enumerate() {
                 let master = Arc::new(AtomicIsize::new(0));
                 let cmp = fused(fuse);
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     mergepath_check::record(0xD20 + i as u64, || {
-                        drive(kernel, 4, &master, &cmp);
+                        drive(entry, 4, &master, &cmp);
                     })
                 }));
                 let live = master.load(AtOrd::SeqCst);
                 assert_eq!(
                     live,
                     0,
-                    "{kernel} fuse={fuse}: unbalanced drops ({live} live, panicked={})",
+                    "{entry:?} fuse={fuse}: unbalanced drops ({live} live, panicked={})",
                     result.is_err()
                 );
                 assert_eq!(
                     result.is_err(),
                     fuse != u64::MAX,
-                    "{kernel} fuse={fuse}: a finite fuse blows, the endless one never"
+                    "{entry:?} fuse={fuse}: a finite fuse blows, the endless one never"
                 );
             }
         }

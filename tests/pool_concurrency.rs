@@ -25,7 +25,9 @@
 //! * the pool's own round counts: a round whose other participant is
 //!   held inside another round counts solo and overlapped, and a round a
 //!   worker provably joined, run back to back with the others, counts
-//!   shared and not overlapped.
+//!   shared and not overlapped;
+//! * a recorder that panics as a round begins unwinds its caller only
+//!   after every share of that round has run.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering as AtOrd};
@@ -35,7 +37,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
-use mergepath_suite::mergepath::telemetry::NoRecorder;
+use mergepath_suite::mergepath::telemetry::{NoRecorder, Recorder};
 use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, ServeProbe, Server};
 
 /// Escape hatch for every spin loop in this file: generous enough for a
@@ -677,5 +679,54 @@ fn a_round_another_thread_joins_counts_as_shared() {
             after.overlapped, before.overlapped,
             "{before:?} -> {after:?}"
         );
+    });
+}
+
+/// A recorder whose `round_begin` panics. The pool calls it after the
+/// round's tickets are queued, so a worker may already be running the
+/// round's shares when it panics.
+struct PanicsAtRoundBegin;
+
+impl Recorder for PanicsAtRoundBegin {
+    fn round_begin(&self, _shares: usize) {
+        panic!("recorder panicked in round_begin");
+    }
+}
+
+/// `run_indexed` re-raises the recorder's panic only once every share of
+/// the round has run: a share counter read right after the unwind equals
+/// the share count, and a round the pool's worker provably joins
+/// afterwards (so it has left the panicked round) finds it unchanged.
+#[test]
+fn a_recorder_panic_unwinds_only_after_every_share_ran() {
+    let pool = executor::Pool::new(2);
+    within("recorder panic", move || {
+        let shares = 64;
+        for round in 0..20 {
+            let ran = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_indexed(shares, 2, &PanicsAtRoundBegin, &|_| {
+                    // Long enough that the worker is mid-round when the
+                    // caller's recorder panics.
+                    let start = Instant::now();
+                    while start.elapsed() < Duration::from_micros(20) {
+                        std::hint::spin_loop();
+                    }
+                    ran.fetch_add(1, AtOrd::SeqCst);
+                });
+            }));
+            assert!(
+                result.is_err(),
+                "round {round}: the recorder's panic was lost"
+            );
+            let at_unwind = ran.load(AtOrd::SeqCst);
+            assert_eq!(at_unwind, shares, "round {round}: shares run by the unwind");
+            handoff_round(&pool, Duration::ZERO);
+            assert_eq!(
+                ran.load(AtOrd::SeqCst),
+                at_unwind,
+                "round {round}: a share ran after the unwind"
+            );
+        }
     });
 }

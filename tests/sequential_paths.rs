@@ -1,8 +1,8 @@
 //! The sequential paths the sorts and merges bottom out in: `slice::sort_by`
 //! under the sorts' chunks, and the four-stream branch-lean kernel.
 //!
-//! * Sorts: `parallel_merge_sort_by` (threads 1, 2, 3, 5) and
-//!   `kway_merge_sort_by` against `slice::sort_by_key` on keyed
+//! * Sorts: `parallel_merge_sort_by` (threads 1, 2, 3, 5) against
+//!   `slice::sort_by_key` on keyed
 //!   `(key, index)` records, over every `SortWorkload` family and a range
 //!   of run shapes, at lengths 0–300 and 2^k ± 1, under the probe's
 //!   dispatch; and every segment kernel run directly on every segment of
@@ -29,7 +29,6 @@ use mergepath::merge::sequential::{
     branch_lean_merge_into, branch_lean_merge_into_by, merge_into_by,
 };
 use mergepath::partition::{partition_segments_by, segment_boundary};
-use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::parallel::{parallel_merge_sort, parallel_merge_sort_by};
 use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
 use mergepath_workloads::prng::Prng;
@@ -127,10 +126,6 @@ fn sorts_match_std_stable_sort() {
                 parallel_merge_sort_by(&mut v, threads, &by_key, &NoRecorder);
                 assert_eq!(v, expect, "parallel_merge_sort_by p={threads} {ctx}");
             }
-
-            let mut v = records.clone();
-            kway_merge_sort_by(&mut v, 3, &by_key, &NoRecorder);
-            assert_eq!(v, expect, "kway_merge_sort_by p=3 {ctx}");
         }
     }
 }
@@ -639,9 +634,7 @@ fn traced_sorts_dispatch_like_untraced_ones() {
     // `slice::sort_by`, whose comparisons are std's and go uncounted: no
     // comparison and no merge segment. At p >= 2 the merge rounds count
     // theirs, and the §III sort's rounds merge runs with tie classes of 32
-    // and more, which the probe sends to galloping. The k-way sort's
-    // loser-tree merge dispatches no segment kernel, so it must report
-    // comparisons and no galloping segment.
+    // and more, which the probe sends to galloping.
     let n = 1 << 15;
     let mut rng = Prng::seed_from_u64(0xD0_0D);
     let keys: Vec<u32> = (0..n).map(|_| rng.below(256) as u32).collect();
@@ -653,27 +646,21 @@ fn traced_sorts_dispatch_like_untraced_ones() {
         parallel_merge_sort(&mut untraced, threads);
         assert_eq!(untraced, expect, "untraced p={threads}");
 
-        for kway in [false, true] {
-            let mut traced = keys.clone();
-            let rec = TimelineRecorder::new();
-            if kway {
-                kway_merge_sort_by(&mut traced, threads, &natural_cmp, &rec);
-            } else {
-                parallel_merge_sort_by(&mut traced, threads, &natural_cmp, &rec);
+        let mut traced = keys.clone();
+        let rec = TimelineRecorder::new();
+        parallel_merge_sort_by(&mut traced, threads, &natural_cmp, &rec);
+        let t = rec.finish();
+        let ctx = format!("p={threads}");
+        assert_eq!(traced, expect, "traced output {ctx}");
+        if threads == 1 {
+            assert_eq!(counter(&t, "comparisons"), 0, "counted sort {ctx}");
+            for name in segment_counters {
+                assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
             }
-            let t = rec.finish();
-            let ctx = format!("kway={kway} p={threads}");
-            assert_eq!(traced, expect, "traced output {ctx}");
-            if threads == 1 {
-                assert_eq!(counter(&t, "comparisons"), 0, "counted sort {ctx}");
-                for name in segment_counters {
-                    assert_eq!(counter(&t, name), 0, "{name} at p=1 {ctx}");
-                }
-            } else {
-                assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
-                let galloping = counter(&t, "segments_galloping");
-                assert_eq!(galloping > 0, !kway, "{galloping} galloping segments {ctx}");
-            }
+        } else {
+            assert!(counter(&t, "comparisons") > 0, "no comparisons {ctx}");
+            let galloping = counter(&t, "segments_galloping");
+            assert!(galloping > 0, "{galloping} galloping segments {ctx}");
         }
     }
 }

@@ -23,8 +23,8 @@ use proptest::prelude::*;
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::serve::{
-    FlightEventKind, NoRecorder, ObserverConfig, Outcome, QueuePolicy, RejectReason, Request,
-    ResponseHandle, ServeConfig, ServeObserver, Server,
+    FlightEventKind, NoRecorder, Outcome, QueuePolicy, RejectReason, Request, ResponseHandle,
+    ServeConfig, ServeObserver, Server,
 };
 use mergepath_suite::workloads::arrival::{arrival_plan, ArrivalPattern, PlanConfig};
 use mergepath_suite::workloads::gen::merge_pair_sized;
@@ -161,7 +161,7 @@ fn held_daemon() -> (
     Arc<Hold>,
     ResponseHandle<HeldKey>,
 ) {
-    let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+    let obs = Arc::new(ServeObserver::new(None));
     let server = Server::start_with_probe(
         ServeConfig {
             queue_capacity: 16,

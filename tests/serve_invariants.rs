@@ -10,8 +10,7 @@ use std::sync::{Arc, Barrier};
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::serve::{
-    NoRecorder, ObserverConfig, Outcome, QueuePolicy, RejectReason, Request, ServeConfig,
-    ServeObserver, Server,
+    NoRecorder, Outcome, QueuePolicy, RejectReason, Request, ServeConfig, ServeObserver, Server,
 };
 use mergepath_suite::workloads::gen::{merge_pair_sized, MergeWorkload};
 
@@ -197,7 +196,7 @@ fn sustains_64_concurrent_in_flight_requests() {
 /// for.
 #[test]
 fn rejections_are_explicit_and_counted() {
-    let obs = Arc::new(ServeObserver::new(ObserverConfig::default()));
+    let obs = Arc::new(ServeObserver::new(None));
     let server: Server<u32, NoRecorder, _> = Server::start_with_probe(
         ServeConfig {
             queue_capacity: 2,

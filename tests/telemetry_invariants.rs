@@ -13,20 +13,16 @@
 //!   adaptive routing: fine uniform primitive keys go to branch-lean, and
 //!   duplicate-heavy segments go to galloping under every comparator.
 
-use mergepath::diagonal::co_rank;
 use mergepath::merge::adaptive::{probe_segment, SegmentKernel};
 use mergepath::merge::batch::batch_merge_into_by;
 use mergepath::merge::inplace::parallel_inplace_merge_by;
 use mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath::merge::parallel::parallel_merge_into_by;
-use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath::merge::sequential::{merge_into_by, natural_cmp};
 use mergepath::partition::{partition_segments_by, segment_boundary, tile_count, TILE_MIN};
-use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
-use mergepath::sort::kway::kway_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{
-    CounterKind, NoRecorder, Recorder, SpanKind, SpanRecord, Telemetry, TimelineRecorder,
+    CounterKind, NoRecorder, SpanKind, SpanRecord, Telemetry, TimelineRecorder,
 };
 use mergepath_check::{record, Kernel, Recording};
 use mergepath_cli::run_trace;
@@ -298,59 +294,6 @@ fn tiled_sort_traces_count_items_per_tile_and_busy_per_participant() {
     );
 }
 
-/// Runs `kernel` under `natural_cmp` with the sorted halves `a` and `b`
-/// of `keys` as its merge inputs, or `keys` as its sort input, reporting
-/// into `rec`, and returns the buffer it wrote. Every merge's output is
-/// the sorted keys: the batch's two pairs are cut at a co-rank, and the
-/// k-way merge's four lists are the halves' halves. The segmented merge
-/// and the cache-aware sort cut 2^15-output windows, twice `2 · TILE_MIN`,
-/// so each window is cut into tiles.
-fn run_kernel<R: Recorder>(
-    kernel: Kernel,
-    keys: &[u32],
-    (a, b): (&[u32], &[u32]),
-    threads: usize,
-    rec: &R,
-) -> Vec<u32> {
-    let cmp = natural_cmp::<u32>;
-    let window = 3 * 4 * TILE_MIN;
-    let mut buf = vec![0; keys.len()];
-    match kernel {
-        Kernel::Parallel => parallel_merge_into_by(a, b, &mut buf, threads, &cmp, rec),
-        Kernel::Segmented => {
-            let spm = SpmConfig::new(window, threads);
-            segmented_parallel_merge_into_by(a, b, &mut buf, &spm, &cmp, rec);
-        }
-        Kernel::Batch => {
-            let i = co_rank(keys.len() / 2, a, b);
-            let j = keys.len() / 2 - i;
-            let pairs = [(&a[..i], &b[..j]), (&a[i..], &b[j..])];
-            batch_merge_into_by(&pairs, &mut buf, threads, &cmp, rec);
-        }
-        Kernel::Inplace => {
-            buf = [a, b].concat();
-            parallel_inplace_merge_by(&mut buf, a.len(), threads, &cmp, rec);
-        }
-        Kernel::Kway => {
-            let (ha, hb) = (a.len() / 2, b.len() / 2);
-            let lists = [&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
-            parallel_kway_merge_by(&lists, &mut buf, threads, &cmp, rec);
-        }
-        Kernel::SortParallel | Kernel::SortKway | Kernel::SortCacheAware => {
-            buf.copy_from_slice(keys);
-            match kernel {
-                Kernel::SortParallel => parallel_merge_sort_by(&mut buf, threads, &cmp, rec),
-                Kernel::SortKway => kway_merge_sort_by(&mut buf, threads, &cmp, rec),
-                _ => {
-                    let cfg = CacheAwareConfig::new(window, threads);
-                    cache_aware_parallel_sort_by(&mut buf, &cfg, &cmp, rec);
-                }
-            }
-        }
-    }
-    buf
-}
-
 #[test]
 fn traced_runs_write_like_untraced_runs_in_every_kernel() {
     // Two legs of 2^16 `u32` keys under `natural_cmp`. From 2^8 values
@@ -371,26 +314,29 @@ fn traced_runs_write_like_untraced_runs_in_every_kernel() {
     }
 }
 
-/// Runs every kernel on `keys` (merges: on its sorted halves) at 1, 2 and
-/// 3 threads, untraced and traced, and checks outputs, per-share writes
-/// and that the probed kernels chose `segments`.
+/// Runs every kernel of the checker's table on the sorted halves of `keys`
+/// at 1, 2 and 3 threads, untraced and traced, and checks outputs,
+/// per-share writes and that the probed kernels chose `segments`. The
+/// segmented merge and the cache-aware sort cut 2^15-output windows, twice
+/// `2 · TILE_MIN`, so each window is cut into tiles.
 fn traced_runs_write_like_untraced_runs(keys: &[u32], segments: CounterKind) {
     let n = keys.len();
     let (mut a, mut b) = (keys[..n / 2].to_vec(), keys[n / 2..].to_vec());
     a.sort_unstable();
     b.sort_unstable();
-    let mut expect = keys.to_vec();
-    expect.sort_unstable();
+    let window = 3 * 4 * TILE_MIN;
+    let cmp = natural_cmp::<u32>;
     use Kernel::{Batch, Parallel, Segmented, SortCacheAware, SortParallel};
     let probed = [Parallel, Segmented, Batch, SortParallel, SortCacheAware];
     for threads in [1usize, 2, 3] {
         for kernel in Kernel::ALL {
             let ctx = format!("{} p={threads} {}", kernel.name(), segments.name());
+            let expect = kernel.expected_by(&a, &b, &cmp);
             let (untraced, plain) = record(5, || {
-                run_kernel(kernel, keys, (&a, &b), threads, &NoRecorder)
+                kernel.run_by(&a, &b, threads, window, &cmp, &NoRecorder)
             });
             let rec = TimelineRecorder::new();
-            let (traced, seen) = record(5, || run_kernel(kernel, keys, (&a, &b), threads, &rec));
+            let (traced, seen) = record(5, || kernel.run_by(&a, &b, threads, window, &cmp, &rec));
             assert_eq!(untraced, expect, "untraced output {ctx}");
             assert_eq!(traced, expect, "traced output {ctx}");
             assert_eq!(
