@@ -249,12 +249,13 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
 
 /// The telemetry artifact's payload: traced vs untraced wall-clock plus
 /// the load-balance report for every parallel kernel, and the serving
-/// layer's metrics-on vs metrics-off overhead (`serve_overhead` — the
-/// number `cargo xtask verify-metrics` gates at ≤ 3%). The kernels' pair
-/// is built once, before any clock starts, so each row times one
+/// layer's observability overhead (`serve_overhead` — the number
+/// `cargo xtask verify-metrics` gates at ≤ 3%). The kernels' pair is
+/// built once, before any clock starts, so each cell times one
 /// [`Kernel::run_by`] call: the buffer the kernel writes (a fresh output,
 /// the pair concatenated for the in-place merge, a shuffle of it for the
-/// sorts) and the kernel itself.
+/// sorts) and the kernel itself. A traced cell builds its recorder before
+/// the clock starts and finishes it after the clock stops.
 fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String {
     let mut payload = String::new();
     let _ = write!(
@@ -267,14 +268,18 @@ fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String
         let untraced_ns = median_ns(reps, || {
             drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &NoRecorder));
         });
-        let traced_ns = median_ns(reps, || {
+        let mut traced = Vec::with_capacity(reps.max(1));
+        let mut telemetry = None;
+        for _ in 0..reps.max(1) {
             let rec = TimelineRecorder::new();
+            let start = Instant::now();
             drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &rec));
-            drop(rec.finish());
-        });
-        let rec = TimelineRecorder::new();
-        kernel.run_by(&a, &b, threads, WINDOW, &cmp, &rec);
-        let telemetry = rec.finish();
+            traced.push(start.elapsed().as_nanos());
+            telemetry = Some(rec.finish());
+        }
+        traced.sort_unstable();
+        let traced_ns = traced[traced.len() / 2] as f64;
+        let telemetry = telemetry.expect("at least one traced rep");
         let report = telemetry.load_balance(n as u64, threads);
         if i > 0 {
             payload.push(',');
@@ -429,13 +434,7 @@ mod tests {
             .get("payload")
             .and_then(|p| p.get("serve_overhead"))
             .expect("serve_overhead section");
-        for key in [
-            "wall_off_ns",
-            "wall_on_ns",
-            "p99_off_ns",
-            "p99_on_ns",
-            "overhead",
-        ] {
+        for key in ["wall_ns", "p99_ns", "hook_ns_per_request", "overhead"] {
             assert!(
                 serve_overhead.get(key).and_then(Value::as_f64).is_some(),
                 "serve_overhead missing {key}"

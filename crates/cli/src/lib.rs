@@ -1503,7 +1503,7 @@ mod tests {
 
     #[test]
     fn inspect_through_execute_renders_a_dump() {
-        use mergepath_serve::{AnomalyTrigger, ServeObserver, ServeProbe as _};
+        use mergepath_serve::{AnomalyTrigger, ServeObserver};
         let obs = ServeObserver::new(None);
         obs.on_submit(5, 100, 90);
         obs.on_reject_deadline(5, 150, 90);

@@ -56,7 +56,8 @@ fn listen_serve_config(cfg: &ListenConfig) -> ServeConfig {
 
 /// Binds the TCP daemon, prints `listening on ADDR` (flushed, so a
 /// supervisor can parse the ephemeral port), blocks until stdin reaches
-/// EOF, then shuts down and returns the final stats summary.
+/// EOF, then shuts down and returns the final stats summary followed by
+/// the p99 waterfall attribution table.
 ///
 /// # Errors
 /// Returns [`CliError::Io`] if the bind fails.
@@ -72,6 +73,7 @@ pub fn run_listen(cfg: &ListenConfig) -> Result<String, CliError> {
     let _ = std::io::stdin().lock().read_to_end(&mut sink);
 
     let protocol_errors = server.protocol_errors();
+    let obs = std::sync::Arc::clone(server.observer());
     let s = server.shutdown();
     let mut out = String::new();
     let _ = writeln!(
@@ -87,6 +89,7 @@ pub fn run_listen(cfg: &ListenConfig) -> Result<String, CliError> {
         s.batched_rounds,
         protocol_errors,
     );
+    crate::serve_bench::push_attribution(&mut out, &obs);
     Ok(out)
 }
 

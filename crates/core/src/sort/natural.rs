@@ -16,6 +16,7 @@ use core::cmp::Ordering;
 
 use mergepath_telemetry::NoRecorder;
 
+use crate::merge::sequential::natural_cmp;
 use crate::sort::merge_rounds;
 use crate::sort::parallel::merge_round_parallel;
 
@@ -76,7 +77,7 @@ pub fn natural_merge_sort<T>(v: &mut [T], threads: usize)
 where
     T: Ord + Clone + Default + Send + Sync,
 {
-    natural_merge_sort_by(v, threads, &|x: &T, y: &T| x.cmp(y));
+    natural_merge_sort_by(v, threads, &natural_cmp);
 }
 
 /// [`natural_merge_sort`] with a caller-supplied comparator.

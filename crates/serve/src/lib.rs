@@ -34,10 +34,11 @@
 //!   request path into the kernels (the trailing `rec` of
 //!   `parallel_merge_into_by`, `batch_merge_into_by` and
 //!   `parallel_merge_sort_by`) and carries kernel events only. The
-//!   daemon's own events are counted in [`ServeStats`] and, when one is
-//!   attached, by the [`ServeProbe`] (a [`ServeObserver`]'s metrics
-//!   registry and flight ring). Latency percentiles come from the
-//!   mergeable [`LatencyHistogram`].
+//!   daemon's own events have one path: every server owns a
+//!   [`ServeObserver`], whose metrics registry counts each event once and
+//!   whose flight ring keeps the most recent ones; [`ServeStats`] is read
+//!   from that registry. Latency percentiles come from the mergeable
+//!   [`LatencyHistogram`].
 //!
 //! Correctness under concurrency follows the Träff stable-merge line
 //! (arXiv 1202.6575): every completed response is byte-identical to the
@@ -53,7 +54,7 @@ pub mod observe;
 mod server;
 
 pub use net::{NetClient, NetOp, NetRequest, NetResponse, NetServer, NetStatus, ProtocolError};
-pub use observe::{AnomalyTrigger, NoProbe, RoundGaugeRecorder, ServeObserver, ServeProbe};
+pub use observe::{AnomalyTrigger, RoundGaugeRecorder, ServeObserver};
 pub use server::{
     worker_share, Outcome, QueuePolicy, RejectReason, Request, RequestKind, ResponseHandle,
     ServeConfig, ServeStats, Server,

@@ -60,6 +60,7 @@ use std::thread::JoinHandle;
 
 use mergepath_telemetry::Recorder;
 
+use crate::observe::ServeObserver;
 use crate::server::{
     Outcome, RejectReason, Request, RequestKind, ResponseHandle, ServeConfig, ServeStats, Server,
 };
@@ -574,6 +575,11 @@ where
     /// Live daemon counters.
     pub fn stats(&self) -> ServeStats {
         self.server.stats()
+    }
+
+    /// The daemon's observer (see [`Server::observer`]).
+    pub fn observer(&self) -> &Arc<ServeObserver> {
+        self.server.observer()
     }
 
     /// Stops accepting, drains every connection and the daemon queue,

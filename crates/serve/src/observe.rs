@@ -1,15 +1,14 @@
-//! Live observability for the daemon: the [`ServeProbe`] hook trait, its
-//! zero-cost [`NoProbe`] default, and [`ServeObserver`] — the production
-//! implementation bundling a [`MetricsRegistry`], per-stage waterfall
-//! histograms, and a dump-on-anomaly [`FlightRecorder`].
+//! Live observability for the daemon: [`ServeObserver`] bundles a
+//! [`MetricsRegistry`], per-stage waterfall histograms, and a
+//! dump-on-anomaly [`FlightRecorder`].
 //!
-//! The probe mirrors the kernel-side [`Recorder`] contract exactly:
-//! `Server` is generic over `P: ServeProbe`, every hook call site (and
-//! every timestamp read feeding one) is guarded by `P::ACTIVE`, and the
-//! default [`NoProbe`] is a ZST with `ACTIVE == false`, so the
-//! metrics-disabled daemon monomorphizes to the pre-observability code —
-//! byte-identical kernel output, no extra clock reads
-//! (`tests/metrics_invariants.rs` holds the hot path to zero allocation).
+//! Every [`Server`](crate::Server) owns one observer, and its `on_*`
+//! hooks are the daemon's one event path: the registry is the only place
+//! a request event is counted, and [`ServeStats`] is read back from it.
+//! The hooks sit on the serving hot path, so they touch only storage
+//! allocated up front (`tests/metrics_invariants.rs` holds them to zero
+//! allocation), and `cargo xtask verify-metrics` gates their cost at 3% of
+//! per-request service time.
 //!
 //! Anomaly triggers (DESIGN.md §12): the observer dumps the flight ring
 //! as JSONL on the **first deadline miss**, on a **`QueueFull` burst**
@@ -23,9 +22,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mergepath_telemetry::{
-    now_ns, FlightEvent, FlightEventKind, FlightRecorder, MetricsRegistry, MetricsSnapshot,
-    Recorder, Waterfall,
+    now_ns, FlightEvent, FlightEventKind, FlightRecorder, LatencyHistogram, MetricsRegistry,
+    MetricsSnapshot, Recorder, Waterfall,
 };
+
+use crate::ServeStats;
 
 /// Counter names registered by [`ServeObserver`], in index order.
 pub const COUNTER_NAMES: &[&str] = &[
@@ -36,6 +37,8 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serve_failed_total",
     "serve_flight_dumps_total",
     "pool_rounds_total",
+    "serve_batched_rounds_total",
+    "serve_batched_requests_total",
 ];
 const C_SUBMITTED: usize = 0;
 const C_COMPLETED: usize = 1;
@@ -44,6 +47,8 @@ const C_REJECTED_DEADLINE: usize = 3;
 const C_FAILED: usize = 4;
 const C_FLIGHT_DUMPS: usize = 5;
 const C_POOL_ROUNDS: usize = 6;
+const C_BATCHED_ROUNDS: usize = 7;
+const C_BATCHED_REQUESTS: usize = 8;
 
 /// Gauge names registered by [`ServeObserver`], in index order.
 pub const GAUGE_NAMES: &[&str] = &[
@@ -76,129 +81,6 @@ const H_COMPUTE: usize = 2;
 const H_EMIT: usize = 3;
 const H_LATENCY: usize = 4;
 const H_ROUND_QUEUE_WAIT: usize = 5;
-
-/// Lifecycle hooks the [`Server`](crate::Server) request path reports
-/// into. All methods take `&self` and are called concurrently from the
-/// submitter and every serving thread; implementations must be cheap —
-/// they sit on the serving hot path.
-///
-/// Timestamps are on the shared [`now_ns`] clock, the same clock that
-/// judges deadlines, so a probe's waterfall arithmetic is always
-/// consistent with the daemon's verdicts.
-pub trait ServeProbe: Sync {
-    /// Compile-time activity flag; `false` only for [`NoProbe`]. Call
-    /// sites (and their timestamp reads) are guarded by this constant.
-    const ACTIVE: bool = true;
-
-    /// A request was offered to `submit` (admitted or not).
-    fn on_submit(&self, id: u64, t_ns: u64, deadline_ns: u64) {
-        let _ = (id, t_ns, deadline_ns);
-    }
-
-    /// The request was admitted; the queue is now `depth` deep.
-    fn on_enqueue(&self, id: u64, depth: usize) {
-        let _ = (id, depth);
-    }
-
-    /// The request bounced synchronously off the full queue.
-    fn on_reject_queue_full(&self, id: u64, t_ns: u64, capacity: usize) {
-        let _ = (id, t_ns, capacity);
-    }
-
-    /// A serving thread popped the request; `depth` is the queue depth
-    /// after the pop.
-    fn on_dequeue(&self, id: u64, t_ns: u64, submit_ns: u64, depth: usize) {
-        let _ = (id, t_ns, submit_ns, depth);
-    }
-
-    /// The request's deadline had expired by dequeue time.
-    fn on_reject_deadline(&self, id: u64, t_ns: u64, deadline_ns: u64) {
-        let _ = (id, t_ns, deadline_ns);
-    }
-
-    /// Kernel execution began with `share` logical workers; `inflight`
-    /// counts this request.
-    fn on_start(&self, id: u64, t_ns: u64, share: usize, inflight: usize) {
-        let _ = (id, t_ns, share, inflight);
-    }
-
-    /// The request resolved successfully; `inflight` no longer counts it.
-    fn on_complete(&self, id: u64, t_ns: u64, inflight: usize, waterfall: &Waterfall) {
-        let _ = (id, t_ns, inflight, waterfall);
-    }
-
-    /// The request's kernel panicked (contained); `inflight` no longer
-    /// counts it.
-    fn on_fail(&self, id: u64, t_ns: u64, inflight: usize) {
-        let _ = (id, t_ns, inflight);
-    }
-}
-
-/// The zero-cost default probe: a ZST with `ACTIVE = false`. The
-/// `Server<T, R, NoProbe>` instantiation is the pre-observability daemon.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoProbe;
-
-impl ServeProbe for NoProbe {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn on_submit(&self, _id: u64, _t_ns: u64, _deadline_ns: u64) {}
-    #[inline(always)]
-    fn on_enqueue(&self, _id: u64, _depth: usize) {}
-    #[inline(always)]
-    fn on_reject_queue_full(&self, _id: u64, _t_ns: u64, _capacity: usize) {}
-    #[inline(always)]
-    fn on_dequeue(&self, _id: u64, _t_ns: u64, _submit_ns: u64, _depth: usize) {}
-    #[inline(always)]
-    fn on_reject_deadline(&self, _id: u64, _t_ns: u64, _deadline_ns: u64) {}
-    #[inline(always)]
-    fn on_start(&self, _id: u64, _t_ns: u64, _share: usize, _inflight: usize) {}
-    #[inline(always)]
-    fn on_complete(&self, _id: u64, _t_ns: u64, _inflight: usize, _waterfall: &Waterfall) {}
-    #[inline(always)]
-    fn on_fail(&self, _id: u64, _t_ns: u64, _inflight: usize) {}
-}
-
-/// Shared ownership delegates, mirroring the `Recorder` blanket impl: the
-/// daemon holds an `Arc<ServeObserver>` while the caller keeps another
-/// handle to snapshot and dump from outside.
-impl<P: ServeProbe + Send + Sync> ServeProbe for Arc<P> {
-    const ACTIVE: bool = P::ACTIVE;
-
-    #[inline(always)]
-    fn on_submit(&self, id: u64, t_ns: u64, deadline_ns: u64) {
-        P::on_submit(self, id, t_ns, deadline_ns);
-    }
-    #[inline(always)]
-    fn on_enqueue(&self, id: u64, depth: usize) {
-        P::on_enqueue(self, id, depth);
-    }
-    #[inline(always)]
-    fn on_reject_queue_full(&self, id: u64, t_ns: u64, capacity: usize) {
-        P::on_reject_queue_full(self, id, t_ns, capacity);
-    }
-    #[inline(always)]
-    fn on_dequeue(&self, id: u64, t_ns: u64, submit_ns: u64, depth: usize) {
-        P::on_dequeue(self, id, t_ns, submit_ns, depth);
-    }
-    #[inline(always)]
-    fn on_reject_deadline(&self, id: u64, t_ns: u64, deadline_ns: u64) {
-        P::on_reject_deadline(self, id, t_ns, deadline_ns);
-    }
-    #[inline(always)]
-    fn on_start(&self, id: u64, t_ns: u64, share: usize, inflight: usize) {
-        P::on_start(self, id, t_ns, share, inflight);
-    }
-    #[inline(always)]
-    fn on_complete(&self, id: u64, t_ns: u64, inflight: usize, waterfall: &Waterfall) {
-        P::on_complete(self, id, t_ns, inflight, waterfall);
-    }
-    #[inline(always)]
-    fn on_fail(&self, id: u64, t_ns: u64, inflight: usize) {
-        P::on_fail(self, id, t_ns, inflight);
-    }
-}
 
 /// Why a flight dump was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,15 +123,15 @@ pub const QUEUE_FULL_WINDOW_NS: u64 = 1_000_000_000;
 /// ignore the cooldown).
 pub const DUMP_COOLDOWN_NS: u64 = 1_000_000_000;
 
-/// The production [`ServeProbe`]: live counters/gauges, per-stage
-/// waterfall histograms, and the dump-on-anomaly flight recorder.
+/// A daemon's live counters/gauges, per-stage waterfall histograms, and
+/// dump-on-anomaly flight recorder.
 ///
 /// All hook paths are allocation-free (registry cells and flight slots
 /// are preallocated); only an actual anomaly dump touches the filesystem.
-/// The observer's counters reconcile **exactly** with
-/// [`ServeStats`](crate::ServeStats) after shutdown — both are
-/// incremented at the same points of the request path — which
-/// `mp serve` asserts on every run.
+/// The hooks take `&self` and are called concurrently from the submitter
+/// and every serving thread. Their timestamps are on the shared
+/// [`now_ns`] clock, the same clock that judges deadlines, so the
+/// waterfall arithmetic always agrees with the daemon's verdicts.
 pub struct ServeObserver {
     dump_dir: Option<PathBuf>,
     registry: MetricsRegistry,
@@ -315,22 +197,44 @@ impl ServeObserver {
         self.registry.histogram_record(H_ROUND_QUEUE_WAIT, ns);
     }
 
+    /// The daemon's counters and latency histogram, read from the
+    /// registry.
+    pub(crate) fn stats(&self) -> ServeStats {
+        let counter = |idx| self.registry.counter_value(idx);
+        let gauge = |idx| self.registry.gauge_value(idx) as usize;
+        ServeStats {
+            submitted: counter(C_SUBMITTED),
+            completed: counter(C_COMPLETED),
+            rejected_queue_full: counter(C_REJECTED_QUEUE_FULL),
+            rejected_deadline: counter(C_REJECTED_DEADLINE),
+            failed: counter(C_FAILED),
+            queue_depth_peak: gauge(G_QUEUE_DEPTH_PEAK),
+            inflight_peak: gauge(G_INFLIGHT_PEAK),
+            batched_rounds: counter(C_BATCHED_ROUNDS),
+            batched_requests: counter(C_BATCHED_REQUESTS),
+            latency: self.registry.histogram_value(H_LATENCY),
+        }
+    }
+
+    /// The four waterfall stages in order — queue, dispatch, compute,
+    /// emit — each with its histogram over the completed requests so far.
+    pub fn stages(&self) -> [(&'static str, LatencyHistogram); 4] {
+        [
+            ("queue", H_QUEUE),
+            ("dispatch", H_DISPATCH),
+            ("compute", H_COMPUTE),
+            ("emit", H_EMIT),
+        ]
+        .map(|(name, idx)| (name, self.registry.histogram_value(idx)))
+    }
+
     /// Renders the p99 waterfall attribution table from the stage
     /// histograms accumulated so far.
     pub fn attribution_table(&self) -> String {
-        let queue = self.registry.histogram_value(H_QUEUE);
-        let dispatch = self.registry.histogram_value(H_DISPATCH);
-        let compute = self.registry.histogram_value(H_COMPUTE);
-        let emit = self.registry.histogram_value(H_EMIT);
-        let total = self.registry.histogram_value(H_LATENCY);
+        let stages = self.stages();
         mergepath_telemetry::waterfall::render_attribution(
-            &[
-                ("queue", &queue),
-                ("dispatch", &dispatch),
-                ("compute", &compute),
-                ("emit", &emit),
-            ],
-            &total,
+            &stages.each_ref().map(|(name, h)| (*name, h)),
+            &self.registry.histogram_value(H_LATENCY),
         )
     }
 
@@ -429,8 +333,10 @@ impl std::fmt::Debug for ServeObserver {
     }
 }
 
-impl ServeProbe for ServeObserver {
-    fn on_submit(&self, id: u64, t_ns: u64, deadline_ns: u64) {
+/// The request-path hooks [`Server`](crate::Server) reports into.
+impl ServeObserver {
+    /// A request was offered to `submit` (admitted or not).
+    pub fn on_submit(&self, id: u64, t_ns: u64, deadline_ns: u64) {
         self.registry.counter_add(C_SUBMITTED, 1);
         self.flight.record(FlightEvent {
             seq: 0,
@@ -442,12 +348,14 @@ impl ServeProbe for ServeObserver {
         });
     }
 
-    fn on_enqueue(&self, _id: u64, depth: usize) {
+    /// The request was admitted; the queue is now `depth` deep.
+    pub fn on_enqueue(&self, depth: usize) {
         self.registry.gauge_set(G_QUEUE_DEPTH, depth as u64);
         self.registry.gauge_max(G_QUEUE_DEPTH_PEAK, depth as u64);
     }
 
-    fn on_reject_queue_full(&self, id: u64, t_ns: u64, capacity: usize) {
+    /// The request bounced synchronously off the full queue.
+    pub fn on_reject_queue_full(&self, id: u64, t_ns: u64, capacity: usize) {
         self.registry.counter_add(C_REJECTED_QUEUE_FULL, 1);
         self.flight.record(FlightEvent {
             seq: 0,
@@ -460,7 +368,9 @@ impl ServeProbe for ServeObserver {
         self.note_queue_full(t_ns);
     }
 
-    fn on_dequeue(&self, id: u64, t_ns: u64, submit_ns: u64, depth: usize) {
+    /// A serving thread popped the request; `depth` is the queue depth
+    /// after the pop.
+    pub fn on_dequeue(&self, id: u64, t_ns: u64, submit_ns: u64, depth: usize) {
         self.registry.gauge_set(G_QUEUE_DEPTH, depth as u64);
         self.flight.record(FlightEvent {
             seq: 0,
@@ -472,7 +382,8 @@ impl ServeProbe for ServeObserver {
         });
     }
 
-    fn on_reject_deadline(&self, id: u64, t_ns: u64, deadline_ns: u64) {
+    /// The request's deadline had expired by dequeue time.
+    pub fn on_reject_deadline(&self, id: u64, t_ns: u64, deadline_ns: u64) {
         self.registry.counter_add(C_REJECTED_DEADLINE, 1);
         self.flight.record(FlightEvent {
             seq: 0,
@@ -487,7 +398,9 @@ impl ServeProbe for ServeObserver {
         }
     }
 
-    fn on_start(&self, id: u64, t_ns: u64, share: usize, inflight: usize) {
+    /// Kernel execution began with `share` logical workers; `inflight`
+    /// counts this request.
+    pub fn on_start(&self, id: u64, t_ns: u64, share: usize, inflight: usize) {
         self.registry.gauge_set(G_INFLIGHT, inflight as u64);
         self.registry.gauge_max(G_INFLIGHT_PEAK, inflight as u64);
         self.flight.record(FlightEvent {
@@ -500,7 +413,8 @@ impl ServeProbe for ServeObserver {
         });
     }
 
-    fn on_complete(&self, id: u64, t_ns: u64, inflight: usize, waterfall: &Waterfall) {
+    /// The request resolved successfully; `inflight` no longer counts it.
+    pub fn on_complete(&self, id: u64, t_ns: u64, inflight: usize, waterfall: &Waterfall) {
         self.registry.counter_add(C_COMPLETED, 1);
         self.registry.gauge_set(G_INFLIGHT, inflight as u64);
         // One lock round-trip for all five series (shard-major layout).
@@ -521,7 +435,9 @@ impl ServeProbe for ServeObserver {
         });
     }
 
-    fn on_fail(&self, id: u64, t_ns: u64, inflight: usize) {
+    /// The request's kernel panicked (contained); `inflight` no longer
+    /// counts it.
+    pub fn on_fail(&self, id: u64, t_ns: u64, inflight: usize) {
         self.registry.counter_add(C_FAILED, 1);
         self.registry.gauge_set(G_INFLIGHT, inflight as u64);
         self.flight.record(FlightEvent {
@@ -535,6 +451,12 @@ impl ServeProbe for ServeObserver {
         if !self.dumped_panic.swap(true, Ordering::Relaxed) {
             self.write_dump(AnomalyTrigger::Panic);
         }
+    }
+
+    /// One coalesced round merged `width` queued requests together.
+    pub fn on_batch(&self, width: u64) {
+        self.registry.counter_add(C_BATCHED_ROUNDS, 1);
+        self.registry.counter_add(C_BATCHED_REQUESTS, width);
     }
 }
 
@@ -628,17 +550,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_probe_is_zero_sized_and_inactive() {
-        assert_eq!(core::mem::size_of::<NoProbe>(), 0);
-        const { assert!(!NoProbe::ACTIVE) }
-        const { assert!(<Arc<ServeObserver> as ServeProbe>::ACTIVE) }
-    }
-
-    #[test]
     fn hooks_drive_counters_gauges_and_histograms() {
         let obs = ServeObserver::new(None);
         obs.on_submit(1, 100, 0);
-        obs.on_enqueue(1, 3);
+        obs.on_enqueue(3);
         obs.on_dequeue(1, 200, 100, 2);
         obs.on_start(1, 210, 4, 2);
         let wf = Waterfall {
@@ -651,12 +566,15 @@ mod tests {
         obs.on_submit(2, 900, 0);
         obs.on_reject_queue_full(2, 900, 64);
         obs.on_fail(3, 1000, 0);
+        obs.on_batch(3);
 
         let snap = obs.snapshot();
         assert_eq!(snap.counter("serve_submitted_total"), Some(2));
         assert_eq!(snap.counter("serve_completed_total"), Some(1));
         assert_eq!(snap.counter("serve_rejected_queue_full_total"), Some(1));
         assert_eq!(snap.counter("serve_failed_total"), Some(1));
+        assert_eq!(snap.counter("serve_batched_rounds_total"), Some(1));
+        assert_eq!(snap.counter("serve_batched_requests_total"), Some(3));
         assert_eq!(snap.gauge("serve_queue_depth_peak"), Some(3));
         assert_eq!(snap.gauge("serve_inflight_peak"), Some(2));
         let lat = snap.histogram("serve_latency_ns").unwrap();

@@ -42,7 +42,7 @@ fn usage() -> ExitCode {
     eprintln!("                   at the workspace root");
     eprintln!("  verify-bench     run `mp bench --smoke` into target/xtask/bench, schema-");
     eprintln!("                   check the three artifacts (shared envelope + fingerprint),");
-    eprintln!("                   append per-family medians to results/bench_history.jsonl");
+    eprintln!("                   append per-family medians to {HISTORY_PATH}");
     eprintln!("                   and WARN (not fail) when a fresh median ns/element");
     eprintln!("                   regresses >10% against the rolling median of the last");
     eprintln!(
@@ -55,10 +55,9 @@ fn usage() -> ExitCode {
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
-    eprintln!("                   lost requests, zero correctness failures, and");
-    eprintln!("                   pool_overlapped_rounds > 0 over the bursty rows) and");
-    eprintln!("                   append a serve_history line to");
-    eprintln!("                   results/bench_history.jsonl");
+    eprintln!("                   lost requests, zero correctness failures, every row's");
+    eprintln!("                   waterfall split, and pool_overlapped_rounds > 0 over");
+    eprintln!("                   the bursty rows)");
     eprintln!("  verify-net       spawn `mp serve --listen 127.0.0.1:0` out of process,");
     eprintln!("                   drive `mp client --malformed` over the loopback TCP");
     eprintln!("                   socket (nine adversarial families, oracle-checked, plus");
@@ -79,8 +78,10 @@ fn usage() -> ExitCode {
 /// median that fresh bench numbers are judged against.
 const HISTORY_WINDOW: usize = 5;
 
-/// Where `verify-bench` accumulates one JSONL line per run.
-const HISTORY_PATH: &str = "results/bench_history.jsonl";
+/// Where `verify-bench` accumulates one JSONL line per run: build output,
+/// so local runs leave the tracked tree clean (CI carries it from run to
+/// run as an artifact).
+const HISTORY_PATH: &str = "target/xtask/bench_history.jsonl";
 
 /// Runs `cargo <args>` against the workspace root, echoing the command.
 fn cargo(args: &[&str]) -> bool {
@@ -590,7 +591,7 @@ fn render_history_entry(
     out
 }
 
-/// Loads the history entries of `results/bench_history.jsonl` that carry
+/// Loads the history entries of [`HISTORY_PATH`] that carry
 /// the same environment fingerprint as the fresh run (numbers from other
 /// machines or build configurations are never comparable). Unparseable
 /// lines are skipped, so a corrupted history degrades to an empty one.
@@ -647,7 +648,7 @@ fn judge_against_history(
     judged
 }
 
-/// Appends one rendered history line, creating `results/` on first use.
+/// Appends one rendered history line, creating its directory on first use.
 fn append_history(entry: &str) -> Result<(), String> {
     use std::io::Write as _;
     let path = std::path::Path::new(HISTORY_PATH);
@@ -838,10 +839,10 @@ fn verify_bench() -> ExitCode {
 }
 
 /// Validates one fresh `bench_serve` payload: all three arrival patterns
-/// present, ≥ 4 concurrency levels, on every row the zero-lost /
-/// zero-correctness-failure / zero-contained-panic invariants, and the
-/// round-overlap witness: `pool_overlapped_rounds > 0` summed over the
-/// bursty sweep rows.
+/// present, ≥ 4 concurrency levels, on every row the p50/p99 of each
+/// waterfall stage and the zero-lost / zero-correctness-failure /
+/// zero-contained-panic invariants, and the round-overlap witness:
+/// `pool_overlapped_rounds > 0` summed over the bursty sweep rows.
 fn check_serve_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), String> {
     use mergepath_telemetry::json::Value;
     let rows = doc
@@ -876,6 +877,14 @@ fn check_serve_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), Str
             "batched_requests",
             "batch_width",
             "pool_overlapped_rounds",
+            "queue_p50_ns",
+            "queue_p99_ns",
+            "dispatch_p50_ns",
+            "dispatch_p99_ns",
+            "compute_p50_ns",
+            "compute_p99_ns",
+            "emit_p50_ns",
+            "emit_p99_ns",
         ] {
             if r.get(col).and_then(Value::as_f64).is_none() {
                 return Err(format!("row {i} ({pattern} @ {level}): {col} missing"));
@@ -940,47 +949,6 @@ fn check_serve_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), Str
     Ok(())
 }
 
-/// Renders the JSONL history entry for one `verify-serve` run: the shared
-/// environment fingerprint plus per-(pattern, concurrency) throughput and
-/// latency percentiles.
-fn render_serve_history_entry(doc: &mergepath_telemetry::json::Value) -> String {
-    use mergepath_telemetry::json::{write_f64, write_str, write_value, Value};
-    let mut out = String::from("{\"type\":\"serve_history\",\"env\":");
-    write_value(&mut out, doc.get("env").unwrap_or(&Value::Null));
-    out.push_str(",\"rows\":[");
-    let rows = doc
-        .get("payload")
-        .and_then(|p| p.get("rows"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"pattern\":");
-        write_str(
-            &mut out,
-            r.get("pattern").and_then(Value::as_str).unwrap_or("?"),
-        );
-        for col in [
-            "concurrency",
-            "completed",
-            "throughput_rps",
-            "p50_ns",
-            "p99_ns",
-            "pool_overlapped_rounds",
-        ] {
-            out.push_str(",\"");
-            out.push_str(col);
-            out.push_str("\":");
-            write_f64(&mut out, r.get(col).and_then(Value::as_f64).unwrap_or(-1.0));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 fn verify_serve() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("serve");
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -1015,10 +983,6 @@ fn verify_serve() -> ExitCode {
     if let Err(e) = check_serve_payload(&fresh) {
         eprintln!("verify-serve: FAILED: BENCH_serve.json: {e}");
         return ExitCode::FAILURE;
-    }
-    match append_history(&render_serve_history_entry(&fresh)) {
-        Ok(()) => println!("verify-serve: appended serve_history to {HISTORY_PATH}"),
-        Err(e) => println!("verify-serve: WARNING: could not append history ({e})"),
     }
     println!(
         "verify-serve: OK (3 patterns x >=4 concurrency levels; zero lost requests, \
@@ -1341,8 +1305,9 @@ fn check_metrics_outputs(dir: &std::path::Path, requests: f64) -> Result<usize, 
 }
 
 /// The observability-overhead gate: `BENCH_telemetry.json` carries a
-/// `serve_overhead` point (metrics-on vs metrics-off medians of the same
-/// unpaced serve workload); the enabled layer must cost at most 3%.
+/// `serve_overhead` point (one request's hook sequence over the
+/// per-request service time of an unpaced serve workload); the observer
+/// must cost at most 3%.
 fn check_overhead(dir: &std::path::Path) -> Result<f64, String> {
     use mergepath_telemetry::json::Value;
     let doc = load_artifact(&dir.join("BENCH_telemetry.json"), "bench_telemetry")?;
@@ -1368,11 +1333,12 @@ fn check_overhead(dir: &std::path::Path) -> Result<f64, String> {
 ///    misses deadlines, so the flight recorder must dump automatically;
 ///    every file the live layer wrote is then schema-checked.
 /// 2. **Hot-path cost**: the `metrics_invariants` integration tests prove
-///    with a counting allocator that every probe hook and flight-ring
-///    write is allocation-free, that waterfall stages partition latency
-///    exactly, and that the disabled `NoProbe` path stays zero-sized.
+///    with a counting allocator that every observer hook and flight-ring
+///    write is allocation-free, and that waterfall stages partition
+///    latency exactly.
 /// 3. **Overhead budget**: a smoke `mp bench` refreshes the
-///    `serve_overhead` point and >3% metrics-on overhead fails the gate.
+///    `serve_overhead` point, and an observer costing more than 3% of
+///    per-request service time fails the gate.
 fn verify_metrics() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("metrics");
     // Stale dumps from an earlier run must not satisfy the gate.

@@ -1,24 +1,21 @@
 //! Live-observability invariants (DESIGN.md §12):
 //!
-//! * the metrics/flight hot path — every [`ServeProbe`] hook on a
-//!   [`ServeObserver`] — performs **zero heap allocation** (measured with
-//!   a counting global allocator);
+//! * the metrics/flight hot path — every `on_*` hook of the
+//!   [`ServeObserver`] each daemon owns — performs **zero heap
+//!   allocation** (measured with a counting global allocator);
 //! * a completed request's waterfall stages partition its latency exactly
 //!   (`queue + dispatch + compute + emit == latency_ns`) and the sum
 //!   never exceeds the measured wall time of the whole run — the clock
 //!   unification contract of `telemetry::now_ns`;
-//! * the flight ring retains exactly its capacity, overwriting oldest;
-//! * [`NoProbe`] is a ZST and the disabled path reports all-zero
-//!   waterfalls (stage clocks are never read).
+//! * the flight ring retains exactly its capacity, overwriting oldest.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 use mergepath::telemetry::now_ns;
 use mergepath_serve::{
-    FlightEvent, FlightEventKind, FlightRecorder, NoProbe, Outcome, QueuePolicy, Request,
-    ServeConfig, ServeObserver, ServeProbe, Server, Waterfall,
+    FlightEvent, FlightEventKind, FlightRecorder, Outcome, QueuePolicy, Request, ServeConfig,
+    ServeObserver, Server, Waterfall,
 };
 
 /// Counts allocations per thread, so concurrent test threads in this
@@ -65,24 +62,26 @@ fn probe_hot_path_is_allocation_free() {
     // Warm-up: first call from this thread initializes its shard index
     // and any lazy thread-local state.
     obs.on_submit(0, 1, 0);
-    obs.on_enqueue(0, 1);
+    obs.on_enqueue(1);
     obs.on_dequeue(0, 2, 1, 0);
     obs.on_start(0, 3, 1, 1);
     obs.on_complete(0, 4, 0, &wf);
     obs.on_reject_queue_full(0, 5, 8);
     obs.on_reject_deadline(0, 6, 5);
     obs.on_fail(0, 7, 0);
+    obs.on_batch(2);
 
     let allocs = allocs_during(|| {
         for i in 1..=1_000u64 {
             obs.on_submit(i, i, 0);
-            obs.on_enqueue(i, 1);
+            obs.on_enqueue(1);
             obs.on_dequeue(i, i + 1, i, 0);
             obs.on_start(i, i + 2, 1, 1);
             obs.on_complete(i, i + 3, 0, &wf);
             obs.on_reject_queue_full(i, i + 4, 8);
             obs.on_reject_deadline(i, i + 5, i);
             obs.on_fail(i, i + 6, 0);
+            obs.on_batch(2);
         }
     });
     assert_eq!(allocs, 0, "probe hooks must not allocate on the hot path");
@@ -139,20 +138,17 @@ fn flight_recorder_record_is_allocation_free_and_overwrites_oldest() {
 
 #[test]
 fn waterfall_partitions_latency_and_stays_under_wall_time() {
-    let obs = Arc::new(ServeObserver::new(None));
-    let server: Server<u32, mergepath_serve::NoRecorder, Arc<ServeObserver>> =
-        Server::start_with_probe(
-            ServeConfig {
-                queue_capacity: 32,
-                max_inflight: 2,
-                worker_budget: 2,
-                policy: QueuePolicy::Edf,
-                // Batched resolutions must partition latency exactly too.
-                batch_max_items: 4096,
-            },
-            mergepath_serve::NoRecorder,
-            Arc::clone(&obs),
-        );
+    let server: Server<u32> = Server::start(
+        ServeConfig {
+            queue_capacity: 32,
+            max_inflight: 2,
+            worker_budget: 2,
+            policy: QueuePolicy::Edf,
+            // Batched resolutions must partition latency exactly too.
+            batch_max_items: 4096,
+        },
+        mergepath_serve::NoRecorder,
+    );
     let t0 = now_ns();
     let mut handles = Vec::new();
     for id in 0..16u64 {
@@ -186,40 +182,8 @@ fn waterfall_partitions_latency_and_stays_under_wall_time() {
             other => panic!("expected completion, got {other:?}"),
         }
     }
-    server.shutdown();
-}
-
-#[test]
-fn no_probe_is_zero_sized_and_reports_zero_waterfalls() {
-    assert_eq!(std::mem::size_of::<NoProbe>(), 0);
-    const { assert!(!NoProbe::ACTIVE) };
-    let server: Server<u32> = Server::start(
-        ServeConfig {
-            queue_capacity: 8,
-            max_inflight: 1,
-            worker_budget: 1,
-            policy: QueuePolicy::Edf,
-            batch_max_items: 4096,
-        },
-        mergepath_serve::NoRecorder,
-    );
-    let h = server
-        .submit(Request::merge(0, vec![1, 3], vec![2, 4]))
-        .expect("admitted");
-    match h.wait() {
-        Outcome::Completed {
-            latency_ns,
-            waterfall,
-            ..
-        } => {
-            assert!(latency_ns > 0);
-            assert_eq!(
-                waterfall,
-                Waterfall::default(),
-                "disabled path never reads stage clocks"
-            );
-        }
-        other => panic!("expected completion, got {other:?}"),
-    }
+    // The daemon's own observer holds one stage sample per completion.
+    let [_, _, (stage, compute), _] = server.observer().stages();
+    assert_eq!((stage, compute.count()), ("compute", 16));
     server.shutdown();
 }

@@ -234,6 +234,12 @@ fn pipelined_interleaved_connections_match_the_oracle() {
     });
 
     assert_eq!(server.protocol_errors(), 0);
+    // Every request left its submit, dequeue, start and complete events in
+    // the daemon's flight ring, and one sample in its compute stage.
+    let obs = server.observer();
+    assert_eq!(obs.flight().recorded(), 4 * 36);
+    let [_, _, (stage, compute), _] = obs.stages();
+    assert_eq!((stage, compute.count()), ("compute", 36));
     let stats = server.shutdown();
     assert_eq!(stats.completed, 36);
     assert_eq!(stats.lost(), 0, "every request resolved exactly once");

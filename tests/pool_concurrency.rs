@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use mergepath_suite::mergepath::executor;
 use mergepath_suite::mergepath::telemetry::{NoRecorder, Recorder};
-use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, ServeProbe, Server};
+use mergepath_suite::serve::{Outcome, QueuePolicy, Request, ServeConfig, Server};
 
 /// Escape hatch for every spin loop in this file: generous enough for a
 /// loaded single-core CI runner, short enough that a genuine deadlock
@@ -125,15 +125,18 @@ static WIDE_IN_ROUND: AtomicBool = AtomicBool::new(false);
 /// after each `wait()` returns).
 static NARROW_DONE: AtomicUsize = AtomicUsize::new(0);
 /// The serving thread that runs the wide request (id 0), recorded by
-/// [`WideServer`] just before that thread starts the kernel.
+/// [`WideServer`] as that thread begins the wide round.
 static WIDE_SERVER: OnceLock<ThreadId> = OnceLock::new();
 
-/// Probe that names the wide request's own serving thread.
+/// Recorder that names the wide request's own serving thread. Only the
+/// wide request runs a 4-share round (the narrow requests, in flight
+/// beside it, get 2 shares each), and a round begins on its caller before
+/// the caller runs any share of it.
 struct WideServer;
 
-impl ServeProbe for WideServer {
-    fn on_start(&self, id: u64, _t_ns: u64, _share: usize, _inflight: usize) {
-        if id == 0 {
+impl Recorder for WideServer {
+    fn round_begin(&self, shares: usize) {
+        if shares == 4 {
             let _ = WIDE_SERVER.set(std::thread::current().id());
         }
     }
@@ -209,7 +212,7 @@ impl Ord for WideKey {
 #[test]
 fn narrow_requests_complete_while_a_wide_round_is_executing() {
     assert_eq!(pool().threads(), 4, "test needs a real multi-worker pool");
-    let server: Server<WideKey, _, WideServer> = Server::start_with_probe(
+    let server: Server<WideKey, WideServer> = Server::start(
         ServeConfig {
             queue_capacity: 32,
             max_inflight: 2,
@@ -222,7 +225,6 @@ fn narrow_requests_complete_while_a_wide_round_is_executing() {
             // distinct rounds for overlap to mean anything.
             batch_max_items: 0,
         },
-        mergepath_suite::serve::NoRecorder,
         WideServer,
     );
 

@@ -153,16 +153,16 @@ fn free_merge(id: u64) -> Request<HeldKey> {
 
 /// A daemon whose one serving thread is held inside request 0 until the
 /// returned [`Hold`] is released, so that the requests submitted
-/// meanwhile wait in the queue together.
+/// meanwhile wait in the queue together. Also returns the daemon's
+/// observer, whose flight ring outlives the daemon's shutdown.
 #[allow(clippy::type_complexity)]
 fn held_daemon() -> (
-    Server<HeldKey, NoRecorder, Arc<ServeObserver>>,
+    Server<HeldKey>,
     Arc<ServeObserver>,
     Arc<Hold>,
     ResponseHandle<HeldKey>,
 ) {
-    let obs = Arc::new(ServeObserver::new(None));
-    let server = Server::start_with_probe(
+    let server = Server::start(
         ServeConfig {
             queue_capacity: 16,
             max_inflight: 1,
@@ -171,8 +171,8 @@ fn held_daemon() -> (
             batch_max_items: 0,
         },
         NoRecorder,
-        Arc::clone(&obs),
     );
+    let obs = Arc::clone(server.observer());
     let hold = Arc::new(Hold::default());
     let held = |key| {
         vec![HeldKey {

@@ -9,8 +9,10 @@ use std::sync::atomic::{AtomicIsize, Ordering as AtOrd};
 use std::sync::{Arc, Barrier};
 
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
+use mergepath_suite::mergepath::telemetry::CounterKind;
 use mergepath_suite::serve::{
-    NoRecorder, Outcome, QueuePolicy, RejectReason, Request, ServeConfig, ServeObserver, Server,
+    FlightEventKind, NoRecorder, Outcome, QueuePolicy, RejectReason, Request, ServeConfig, Server,
+    TimelineRecorder,
 };
 use mergepath_suite::workloads::gen::{merge_pair_sized, MergeWorkload};
 
@@ -71,6 +73,62 @@ fn concurrent_responses_match_sequential_oracle_on_all_families() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 36);
     assert_eq!(stats.lost(), 0);
+}
+
+/// The daemon merges through `natural_cmp`, the one comparator under
+/// which branch-lean runs its AVX2 body on `u32` keys. That body calls the
+/// comparator once per eight-key step, where the scalar streams call it
+/// once per output, so a traced uniform 4096 + 4096 request counts fewer
+/// than n/2 comparisons only if it reached the vector body.
+#[test]
+fn u32_requests_reach_the_vector_merge_body() {
+    if !avx2() {
+        eprintln!("no AVX2 on this CPU: the vector body cannot run, nothing to check");
+        return;
+    }
+    let rec = Arc::new(TimelineRecorder::new());
+    let server: Server<u32, Arc<TimelineRecorder>> = Server::start(
+        ServeConfig {
+            queue_capacity: 1,
+            max_inflight: 1,
+            worker_budget: 1,
+            policy: QueuePolicy::Edf,
+            batch_max_items: 0,
+        },
+        Arc::clone(&rec),
+    );
+    let (a, b) = merge_pair_sized(MergeWorkload::Uniform, 4096, 4096, 0x5EC7);
+    let mut want = vec![0u32; a.len() + b.len()];
+    merge_into_by(&a, &b, &mut want, &u32_cmp);
+    let h = server.submit(Request::merge(0, a, b)).expect("admitted");
+    match h.wait() {
+        Outcome::Completed { output, .. } => assert_eq!(output, want),
+        other => panic!("unexpected outcome {other:?}"),
+    }
+    server.shutdown();
+    let t = Arc::try_unwrap(rec)
+        .ok()
+        .expect("server released its recorder handle at shutdown")
+        .finish();
+    let comparisons: u64 = t
+        .counters
+        .iter()
+        .filter(|c| c.kind == CounterKind::Comparisons)
+        .map(|c| c.total)
+        .sum();
+    let n = want.len() as u64;
+    assert!(
+        comparisons < n / 2,
+        "{comparisons} comparisons for {n} outputs: the scalar body ran"
+    );
+}
+
+/// Whether this CPU runs AVX2.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -191,13 +249,11 @@ fn sustains_64_concurrent_in_flight_requests() {
 
 /// Overloads a one-slot daemon until both rejection kinds fire, then
 /// checks every path stayed clean: queue-full reported synchronously,
-/// deadline expiry through the handle, both visible in an attached
-/// observer's `serve_*_total` counters, and `submitted` fully accounted
-/// for.
+/// deadline expiry through the handle, both counted in the daemon's
+/// observer, and `submitted` fully accounted for.
 #[test]
 fn rejections_are_explicit_and_counted() {
-    let obs = Arc::new(ServeObserver::new(None));
-    let server: Server<u32, NoRecorder, _> = Server::start_with_probe(
+    let server: Server<u32> = Server::start(
         ServeConfig {
             queue_capacity: 2,
             max_inflight: 1,
@@ -206,7 +262,6 @@ fn rejections_are_explicit_and_counted() {
             batch_max_items: 4096,
         },
         NoRecorder,
-        Arc::clone(&obs),
     );
     // A slow sort pins the single serving thread...
     let busy: Vec<u32> = (0..400_000u32)
@@ -240,23 +295,17 @@ fn rejections_are_explicit_and_counted() {
             other => panic!("admitted request resolved dirty: {other:?}"),
         }
     }
+    // Each synchronous rejection is a flight event, and so is the
+    // deadline miss; the ring holds all 40 submissions' events.
+    let events = server.observer().flight().snapshot();
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert_eq!(count(FlightEventKind::RejectQueueFull), queue_full);
+    assert_eq!(count(FlightEventKind::RejectDeadline), 1);
     let stats = server.shutdown();
+    assert_eq!(stats.submitted, 40);
     assert_eq!(stats.rejected_queue_full, queue_full);
-    assert!(stats.rejected_deadline >= 1);
+    assert_eq!(stats.rejected_deadline, 1);
     assert_eq!(stats.lost(), 0, "every submission accounted for");
-
-    // The same story must be readable from the observer alone.
-    let snap = obs.snapshot();
-    assert_eq!(snap.counter("serve_submitted_total"), Some(stats.submitted));
-    assert_eq!(snap.counter("serve_completed_total"), Some(stats.completed));
-    assert_eq!(
-        snap.counter("serve_rejected_queue_full_total"),
-        Some(stats.rejected_queue_full)
-    );
-    assert_eq!(
-        snap.counter("serve_rejected_deadline_total"),
-        Some(stats.rejected_deadline)
-    );
 }
 
 // ---------------------------------------------------------------------------
