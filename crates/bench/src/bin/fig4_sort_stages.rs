@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p mergepath-bench --bin fig4_sort_stages`
 
-use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
+use mergepath::sort::cache_aware::{block_len, cache_aware_parallel_sort_by};
 use mergepath::sort::parallel::parallel_merge_sort;
 use mergepath::telemetry::NoRecorder;
 use mergepath_bench::Table;
@@ -24,8 +24,7 @@ fn main() {
     println!("N = {n}, cache C = {cache} elements, p = {threads}\n");
 
     // Stage 1 (replicated manually so it can be narrated).
-    let cfg = CacheAwareConfig::new(cache, threads);
-    let block = cfg.block_len();
+    let block = block_len(threads, cache);
     println!(
         "Stage 1: sort ⌈N/B⌉ = {} blocks of B = C/2 = {block} elements,",
         n.div_ceil(block)
@@ -62,7 +61,7 @@ fn main() {
 
     // End-to-end check through the public API.
     let mut v = data;
-    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
+    cache_aware_parallel_sort_by(&mut v, threads, cache, &|a, b| a.cmp(b), &NoRecorder);
     assert!(is_sorted(&v), "cache-aware sort must sort");
     println!("\nEnd-to-end cache-aware sort: sorted = {}", is_sorted(&v));
     println!(

@@ -148,19 +148,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Invalidates all contents and statistics.
-    pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.stats = CacheStats::default();
-    }
-
     /// Accesses byte address `addr`; returns `true` on a hit.
     ///
     /// Reads and writes are modelled identically (a write-allocate,
@@ -222,50 +209,6 @@ impl Cache {
             evictions: self.stats.evictions - before.evictions,
             prefetch_fills: self.stats.prefetch_fills - before.prefetch_fills,
         }
-    }
-}
-
-/// A two-level inclusive-occupancy hierarchy (L1 backed by L2): every L1
-/// miss is forwarded to L2.
-#[derive(Debug, Clone)]
-pub struct Hierarchy {
-    /// First level.
-    pub l1: Cache,
-    /// Second level.
-    pub l2: Cache,
-}
-
-impl Hierarchy {
-    /// Builds a hierarchy from two configs.
-    pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        Hierarchy {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-        }
-    }
-
-    /// Accesses an address; returns the level that hit (`1`, `2`) or `0`
-    /// for memory.
-    pub fn access(&mut self, addr: u64) -> u8 {
-        if self.l1.access(addr) {
-            1
-        } else if self.l2.access(addr) {
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Average access cost under a simple latency model.
-    pub fn amat(&self, l1_cycles: f64, l2_cycles: f64, mem_cycles: f64) -> f64 {
-        let l1 = self.l1.stats();
-        let l2 = self.l2.stats();
-        let total = l1.accesses() as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        (l1.hits as f64 * l1_cycles + l2.hits as f64 * l2_cycles + l2.misses as f64 * mem_cycles)
-            / total
     }
 }
 
@@ -381,14 +324,10 @@ mod tests {
             associativity: 16,
         }; // 16 lines, 1 set
         let mut c = Cache::new(cfg);
-        for i in 0..16u64 {
-            c.access(i * 64);
-        }
-        c.reset_stats();
-        for i in 0..16u64 {
-            assert!(c.access(i * 64));
-        }
-        assert_eq!(c.stats().misses, 0);
+        let lines = || (0..16u64).map(|i| i * 64);
+        assert_eq!(c.run(lines()).misses, 16);
+        let again = c.run(lines());
+        assert_eq!((again.hits, again.misses), (16, 0));
     }
 
     #[test]
@@ -399,45 +338,6 @@ mod tests {
         let second = c.run([0u64, 64, 128]);
         assert_eq!(second.hits, 3);
         assert_eq!(second.misses, 0);
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut c = Cache::new(small());
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0));
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn hierarchy_l2_catches_l1_misses() {
-        let l1 = CacheConfig {
-            capacity_bytes: 512,
-            line_bytes: 64,
-            associativity: 2,
-        };
-        let l2 = CacheConfig {
-            capacity_bytes: 8192,
-            line_bytes: 64,
-            associativity: 4,
-        };
-        let mut h = Hierarchy::new(l1, l2);
-        // Touch 64 lines (4 KiB): too big for L1, fits L2.
-        for i in 0..64u64 {
-            h.access(i * 64);
-        }
-        let mut l2_hits = 0;
-        for i in 0..64u64 {
-            match h.access(i * 64) {
-                2 => l2_hits += 1,
-                0 => panic!("should not reach memory on the second pass"),
-                _ => {}
-            }
-        }
-        assert!(l2_hits > 0);
-        let amat = h.amat(1.0, 10.0, 100.0);
-        assert!(amat > 1.0 && amat < 100.0);
     }
 
     #[test]

@@ -1,93 +1,21 @@
-//! Probe adapters connecting the instrumented kernels to the cache model.
+//! Turning recorded kernel traces into the address streams a cache sees.
 
-use mergepath::probe::{AccessEvent, Probe};
+use mergepath::probe::AccessEvent;
 
-use crate::cache::Cache;
 use crate::layout::{MemoryLayout, Region};
 
-/// A [`Probe`] that streams each kernel access straight into a [`Cache`],
-/// translating logical indices to byte addresses through a
-/// [`MemoryLayout`].
-///
-/// The region bindings are configurable so the same kernel can be traced
-/// reading from the original arrays (`A`/`B`) or from staging buffers
-/// (`StageA`/`StageB`).
-pub struct CacheProbe<'c> {
-    cache: &'c mut Cache,
-    layout: MemoryLayout,
-    region_a: Region,
-    region_b: Region,
-    region_out: Region,
-}
-
-impl<'c> CacheProbe<'c> {
-    /// A probe reading `A`/`B` and writing `Out`.
-    pub fn new(cache: &'c mut Cache, layout: MemoryLayout) -> Self {
-        CacheProbe {
-            cache,
-            layout,
-            region_a: Region::A,
-            region_b: Region::B,
-            region_out: Region::Out,
-        }
-    }
-
-    /// Rebinds the regions the three probe channels map to.
-    pub fn with_regions(mut self, a: Region, b: Region, out: Region) -> Self {
-        self.region_a = a;
-        self.region_b = b;
-        self.region_out = out;
-        self
-    }
-}
-
-impl Probe for CacheProbe<'_> {
-    fn read_a(&mut self, i: usize) {
-        self.cache.access(self.layout.addr(self.region_a, i));
-    }
-    fn read_b(&mut self, i: usize) {
-        self.cache.access(self.layout.addr(self.region_b, i));
-    }
-    fn write_out(&mut self, i: usize) {
-        self.cache.access(self.layout.addr(self.region_out, i));
-    }
-}
-
-/// Translates recorded [`AccessEvent`]s into byte addresses.
-///
-/// `map_a`/`map_b`/`map_out` rebase logical indices first (identity for
-/// whole-array kernels; ring-physical translation for staged merges).
-pub struct EventTranslator<'f> {
-    /// The layout used for the final address computation.
-    pub layout: MemoryLayout,
-    /// Region for `ReadA` events.
-    pub region_a: Region,
-    /// Region for `ReadB` events.
-    pub region_b: Region,
-    /// Region for `WriteOut` events.
-    pub region_out: Region,
-    /// Index rebasing for `ReadA`.
-    pub map_a: &'f dyn Fn(usize) -> usize,
-    /// Index rebasing for `ReadB`.
-    pub map_b: &'f dyn Fn(usize) -> usize,
-    /// Index rebasing for `WriteOut`.
-    pub map_out: &'f dyn Fn(usize) -> usize,
-}
-
-impl EventTranslator<'_> {
-    /// The byte address of one event.
-    pub fn translate(&self, e: &AccessEvent) -> u64 {
-        match *e {
-            AccessEvent::ReadA(i) => self.layout.addr(self.region_a, (self.map_a)(i)),
-            AccessEvent::ReadB(i) => self.layout.addr(self.region_b, (self.map_b)(i)),
-            AccessEvent::WriteOut(i) => self.layout.addr(self.region_out, (self.map_out)(i)),
-        }
-    }
-
-    /// Translates a whole trace.
-    pub fn translate_all(&self, events: &[AccessEvent]) -> Vec<u64> {
-        events.iter().map(|e| self.translate(e)).collect()
-    }
+/// Translates a trace recorded in whole-array coordinates into byte
+/// addresses: `ReadA(i)` is `A[i]`, `ReadB(j)` is `B[j]` and `WriteOut(k)`
+/// is `Out[k]` under `layout`.
+pub fn translate_all(layout: &MemoryLayout, events: &[AccessEvent]) -> Vec<u64> {
+    events
+        .iter()
+        .map(|e| match *e {
+            AccessEvent::ReadA(i) => layout.addr(Region::A, i),
+            AccessEvent::ReadB(j) => layout.addr(Region::B, j),
+            AccessEvent::WriteOut(k) => layout.addr(Region::Out, k),
+        })
+        .collect()
 }
 
 /// Round-robin interleaving of per-worker address streams — the access
@@ -116,53 +44,27 @@ pub fn interleave_round_robin(streams: Vec<Vec<u64>>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
     use mergepath::merge::sequential::merge_into_probed;
     use mergepath::probe::TraceProbe;
 
     #[test]
-    fn cache_probe_streams_merge_accesses() {
-        let a: Vec<u32> = (0..256).map(|x| x * 2).collect();
-        let b: Vec<u32> = (0..256).map(|x| x * 2 + 1).collect();
-        let mut out = vec![0u32; 512];
-        let layout = MemoryLayout::natural(4, 256, 256, 0);
-        let mut cache = Cache::new(CacheConfig::new(64 * 1024, 8));
-        {
-            let mut probe = CacheProbe::new(&mut cache, layout);
-            merge_into_probed(&a, &b, &mut out, &|x, y| x.cmp(y), &mut probe);
-        }
-        let stats = cache.stats();
-        assert!(stats.accesses() > 512);
-        // Everything fits in a 64 KiB cache: only compulsory misses, one per
-        // 64-byte line. Inputs: 2 × (256 × 4 / 64) = 32 lines; output:
-        // 512 × 4 / 64 = 32 lines.
-        assert_eq!(stats.misses, 64);
-    }
-
-    #[test]
-    fn translator_applies_maps_and_regions() {
+    fn translate_maps_each_event_to_its_region() {
         let layout = MemoryLayout::natural(4, 100, 100, 64);
-        let double = |i: usize| i * 2;
-        let ident = |i: usize| i;
-        let t = EventTranslator {
-            layout,
-            region_a: Region::StageA,
-            region_b: Region::B,
-            region_out: Region::Out,
-            map_a: &double,
-            map_b: &ident,
-            map_out: &ident,
-        };
+        let events = [
+            AccessEvent::ReadA(3),
+            AccessEvent::ReadB(5),
+            AccessEvent::WriteOut(0),
+            AccessEvent::WriteOut(1),
+        ];
         assert_eq!(
-            t.translate(&AccessEvent::ReadA(3)),
-            layout.addr(Region::StageA, 6)
+            translate_all(&layout, &events),
+            vec![
+                layout.addr(Region::A, 3),
+                layout.addr(Region::B, 5),
+                layout.out_base,
+                layout.out_base + 4
+            ]
         );
-        assert_eq!(
-            t.translate(&AccessEvent::ReadB(5)),
-            layout.addr(Region::B, 5)
-        );
-        let all = t.translate_all(&[AccessEvent::WriteOut(0), AccessEvent::WriteOut(1)]);
-        assert_eq!(all, vec![layout.out_base, layout.out_base + 4]);
     }
 
     #[test]
@@ -188,17 +90,7 @@ mod tests {
         let mut probe = TraceProbe::default();
         merge_into_probed(&a, &b, &mut out, &|x, y| x.cmp(y), &mut probe);
         let layout = MemoryLayout::natural(4, 3, 2, 0);
-        let ident = |i: usize| i;
-        let t = EventTranslator {
-            layout,
-            region_a: Region::A,
-            region_b: Region::B,
-            region_out: Region::Out,
-            map_a: &ident,
-            map_b: &ident,
-            map_out: &ident,
-        };
-        let addrs = t.translate_all(&probe.events);
+        let addrs = translate_all(&layout, &probe.events);
         assert_eq!(addrs.len(), probe.events.len());
         // All output writes land in [out_base, out_base + 20).
         for (e, addr) in probe.events.iter().zip(&addrs) {

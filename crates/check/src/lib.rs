@@ -46,7 +46,7 @@ use mergepath::merge::inplace::parallel_inplace_merge_by;
 use mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
-use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
+use mergepath::sort::cache_aware::cache_aware_parallel_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{NoRecorder, Recorder};
 use mergepath_pram::PramMachine;
@@ -682,16 +682,8 @@ fn sort_input<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
 /// kernels through it.
 impl Kernel {
     /// Runs the kernel once on the sorted pair `a`, `b` with `threads`
-    /// workers, reporting into `rec`, and returns the buffer it wrote.
-    ///
-    /// The merges merge `a` and `b` into a fresh output (the batch merge
-    /// as two pairs, cut at `(a/2, b/3)`; the k-way merge as four runs,
-    /// each input's halves), and the in-place merge merges `a ++ b` in
-    /// place; the sorts sort a fixed-seed shuffle of `a ++ b`. `window` is
-    /// the cache size, in elements, of the two windowed kernels: the
-    /// segmented merge's and the cache-aware sort's. The returned vector is
-    /// the buffer the kernel wrote, so its address span is the one the
-    /// kernel's pool rounds recorded.
+    /// workers, reporting into `rec`, and returns the buffer it wrote:
+    /// [`Kernel::buffer`], then [`Kernel::run_on`].
     ///
     /// # Panics
     /// Panics if `threads == 0`, or if `cmp` panics.
@@ -709,35 +701,73 @@ impl Kernel {
         F: Fn(&T, &T) -> Ordering + Sync,
         R: Recorder,
     {
-        let mut out = match self {
+        let mut buf = self.buffer(a, b);
+        self.run_on(a, b, &mut buf, threads, window, cmp, rec);
+        buf
+    }
+
+    /// The buffer the kernel writes when run on the sorted pair `a`, `b`:
+    /// a fresh output for the merges, `a ++ b` for the in-place merge and a
+    /// fixed-seed shuffle of `a ++ b` for the sorts.
+    pub fn buffer<T: Clone + Default>(self, a: &[T], b: &[T]) -> Vec<T> {
+        match self {
             Kernel::Inplace => [a, b].concat(),
             Kernel::SortParallel | Kernel::SortCacheAware => sort_input(a, b),
             _ => vec![T::default(); a.len() + b.len()],
-        };
+        }
+    }
+
+    /// Runs the kernel once on the sorted pair `a`, `b` with `threads`
+    /// workers into `buf`, reporting into `rec`. `buf` must hold what
+    /// [`Kernel::buffer`] returns for the same pair: the in-place merge
+    /// and the sorts rearrange it, and the merges overwrite it.
+    ///
+    /// The merges merge `a` and `b` (the batch merge as two pairs, cut at
+    /// `(a/2, b/3)`; the k-way merge as four runs, each input's halves),
+    /// and the in-place merge merges the two runs of `buf` in place; the
+    /// sorts sort `buf`. `window` is the cache size, in elements, of the
+    /// two windowed kernels: the segmented merge's and the cache-aware
+    /// sort's. The address span the kernel's pool rounds record is `buf`'s.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`, if `buf.len() != a.len() + b.len()`, or
+    /// if `cmp` panics.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_on<T, F, R>(
+        self,
+        a: &[T],
+        b: &[T],
+        buf: &mut [T],
+        threads: usize,
+        window: usize,
+        cmp: &F,
+        rec: &R,
+    ) where
+        T: Clone + Default + Send + Sync,
+        F: Fn(&T, &T) -> Ordering + Sync,
+        R: Recorder,
+    {
+        assert_eq!(buf.len(), a.len() + b.len(), "buffer length mismatch");
         match self {
-            Kernel::Parallel => parallel_merge_into_by(a, b, &mut out, threads, cmp, rec),
+            Kernel::Parallel => parallel_merge_into_by(a, b, buf, threads, cmp, rec),
             Kernel::Segmented => {
                 let spm = SpmConfig::new(window, threads);
-                segmented_parallel_merge_into_by(a, b, &mut out, &spm, cmp, rec);
+                segmented_parallel_merge_into_by(a, b, buf, &spm, cmp, rec);
             }
             Kernel::Batch => {
                 let (ha, hb) = batch_split(a, b);
                 let pairs = [(&a[..ha], &b[..hb]), (&a[ha..], &b[hb..])];
-                batch_merge_into_by(&pairs, &mut out, threads, cmp, rec);
+                batch_merge_into_by(&pairs, buf, threads, cmp, rec);
             }
-            Kernel::Inplace => parallel_inplace_merge_by(&mut out, a.len(), threads, cmp, rec),
+            Kernel::Inplace => parallel_inplace_merge_by(buf, a.len(), threads, cmp, rec),
             Kernel::Kway => {
                 let (ha, hb) = kway_split(a, b);
                 let runs = [&a[..ha], &a[ha..], &b[..hb], &b[hb..]];
-                parallel_kway_merge_by(&runs, &mut out, threads, cmp, rec);
+                parallel_kway_merge_by(&runs, buf, threads, cmp, rec);
             }
-            Kernel::SortParallel => parallel_merge_sort_by(&mut out, threads, cmp, rec),
-            Kernel::SortCacheAware => {
-                let cfg = CacheAwareConfig::new(window, threads);
-                cache_aware_parallel_sort_by(&mut out, &cfg, cmp, rec);
-            }
+            Kernel::SortParallel => parallel_merge_sort_by(buf, threads, cmp, rec),
+            Kernel::SortCacheAware => cache_aware_parallel_sort_by(buf, threads, window, cmp, rec),
         }
-        out
     }
 
     /// What [`Kernel::run_by`] must return for `a`, `b` and `cmp`, computed

@@ -29,7 +29,7 @@ use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::natural_cmp;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
-use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
+use mergepath::telemetry::{NoRecorder, Recorder, Telemetry, TimelineRecorder};
 use mergepath_workloads::{merge_pair_sized, unsorted_keys, MergeWorkload, SortWorkload};
 
 use mergepath_check::Kernel;
@@ -109,17 +109,23 @@ fn merge_inputs(family: &str, n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
     }
 }
 
-/// Median wall-clock nanoseconds of `reps` runs of `f`.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<u128> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
+/// The median of `times` (the upper one of an even count).
+fn median(mut times: Vec<u128>) -> f64 {
     times.sort_unstable();
     times[times.len() / 2] as f64
+}
+
+/// Median wall-clock nanoseconds of `reps` runs of `f`.
+fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    median(
+        (0..reps.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_nanos()
+            })
+            .collect(),
+    )
 }
 
 /// One family's measurements under the probe's dispatch.
@@ -247,15 +253,32 @@ fn summarize(title: &str, rows: &[FamilyRow], out: &mut String) {
     }
 }
 
+/// Wall-clock nanoseconds of one [`Kernel::run_on`] call on `buf`, which
+/// is first refreshed from `pristine` ([`Kernel::buffer`]'s output) before
+/// the clock starts: the in-place merge and the sorts rearrange their
+/// buffer, and the copy is not the kernel's work.
+fn time_run_on<R: Recorder>(
+    kernel: Kernel,
+    (a, b): (&[u32], &[u32]),
+    pristine: &[u32],
+    buf: &mut [u32],
+    threads: usize,
+    rec: &R,
+) -> u128 {
+    buf.copy_from_slice(pristine);
+    let start = Instant::now();
+    kernel.run_on(a, b, buf, threads, WINDOW, &natural_cmp::<u32>, rec);
+    start.elapsed().as_nanos()
+}
+
 /// The telemetry artifact's payload: traced vs untraced wall-clock plus
 /// the load-balance report for every parallel kernel, and the serving
 /// layer's observability overhead (`serve_overhead` — the number
-/// `cargo xtask verify-metrics` gates at ≤ 3%). The kernels' pair is
-/// built once, before any clock starts, so each cell times one
-/// [`Kernel::run_by`] call: the buffer the kernel writes (a fresh output,
-/// the pair concatenated for the in-place merge, a shuffle of it for the
-/// sorts) and the kernel itself. A traced cell builds its recorder before
-/// the clock starts and finishes it after the clock stops.
+/// `cargo xtask verify-metrics` gates at ≤ 3%). The kernels' pair and
+/// each kernel's buffer ([`Kernel::buffer`]) are built once, before any
+/// clock starts, so each cell times [`Kernel::run_on`] alone; see
+/// [`time_run_on`]. A traced cell builds its recorder before the clock
+/// starts and finishes it after the clock stops.
 fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String {
     let mut payload = String::new();
     let _ = write!(
@@ -263,22 +286,27 @@ fn telemetry_payload(n: usize, threads: usize, seed: u64, reps: usize) -> String
         "{{\"n\":{n},\"threads\":{threads},\"reps\":{reps},\"kernels\":["
     );
     let (a, b) = trace_inputs(n, seed);
-    let cmp = natural_cmp::<u32>;
     for (i, kernel) in Kernel::ALL.into_iter().enumerate() {
-        let untraced_ns = median_ns(reps, || {
-            drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &NoRecorder));
-        });
+        let pristine = kernel.buffer(&a, &b);
+        let mut buf = pristine.clone();
+        let untraced: Vec<u128> = (0..reps.max(1))
+            .map(|_| time_run_on(kernel, (&a, &b), &pristine, &mut buf, threads, &NoRecorder))
+            .collect();
         let mut traced = Vec::with_capacity(reps.max(1));
         let mut telemetry = None;
         for _ in 0..reps.max(1) {
             let rec = TimelineRecorder::new();
-            let start = Instant::now();
-            drop(kernel.run_by(&a, &b, threads, WINDOW, &cmp, &rec));
-            traced.push(start.elapsed().as_nanos());
+            traced.push(time_run_on(
+                kernel,
+                (&a, &b),
+                &pristine,
+                &mut buf,
+                threads,
+                &rec,
+            ));
             telemetry = Some(rec.finish());
         }
-        traced.sort_unstable();
-        let traced_ns = traced[traced.len() / 2] as f64;
+        let (untraced_ns, traced_ns) = (median(untraced), median(traced));
         let telemetry = telemetry.expect("at least one traced rep");
         let report = telemetry.load_balance(n as u64, threads);
         if i > 0 {

@@ -62,7 +62,7 @@ use std::fmt::Write as _;
 use mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath::merge::sequential::natural_cmp;
 use mergepath::select::kth_of_union_by;
-use mergepath::sort::cache_aware::{cache_aware_parallel_sort_by, CacheAwareConfig};
+use mergepath::sort::cache_aware::cache_aware_parallel_sort_by;
 use mergepath::sort::natural::natural_merge_sort_by;
 use mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath::telemetry::{LoadBalanceReport, NoRecorder, TimelineRecorder};
@@ -732,8 +732,7 @@ where
                 }
                 SortAlgo::Natural => natural_merge_sort_by(&mut records, *threads, &cmp),
                 SortAlgo::CacheAware => {
-                    let cfg = CacheAwareConfig::new(WINDOW, *threads);
-                    cache_aware_parallel_sort_by(&mut records, &cfg, &cmp, &NoRecorder);
+                    cache_aware_parallel_sort_by(&mut records, *threads, WINDOW, &cmp, &NoRecorder)
                 }
             }
             Ok(render(&records))

@@ -13,9 +13,8 @@
 //! 2. In parallel, each of the `p` workers binary-searches its segment
 //!    starting point on a cross diagonal of the `L × L` window and merges
 //!    `L/p` steps sequentially. This is Algorithm 1 on the window: the
-//!    windowed staging calls [`parallel_merge_into_by`] on it, which cuts
-//!    `p` segments below `2 · TILE_MIN` outputs and Algorithm 1's tiles
-//!    above.
+//!    merge calls [`parallel_merge_into_by`] on it, which cuts `p`
+//!    segments below `2 · TILE_MIN` outputs and Algorithm 1's tiles above.
 //! 3. Write the `L` merged elements out.
 //!
 //! Theorem 16 guarantees feasibility: `L` elements of each input always
@@ -24,40 +23,23 @@
 //! window must hold `2L` input elements for `L` outputs (the paper's
 //! remark), and the consumed counts drive the next refill.
 //!
-//! Two staging strategies are implemented:
-//!
-//! * [`Staging::Windowed`] — the window is a pair of slices of the original
-//!   arrays (no copying). The working set is bounded by `3L` but its
-//!   *addresses* slide through memory; with hardware prefetchers this is the
-//!   variant the paper benchmarked on x86.
-//! * [`Staging::Cyclic`] — inputs are staged through two fixed power-of-two
-//!   ring buffers exactly as in step 1 of Algorithm 2, so all merge-phase
-//!   accesses hit a fixed `3L`-element footprint. This is the variant for
-//!   simple-cache machines (the paper's Hypercore target) and the one the
-//!   cache simulator analyses.
+//! Here the window of step 1 is a view of the inputs — a pair of slices,
+//! not a copy — so its working set is bounded by `3L` while its addresses
+//! slide through memory. The paper's cyclic buffers, which pin every
+//! merge-phase access to one fixed `3L`-element footprint, pay where
+//! caches are simple or software-managed; the cache simulator
+//! (`mergepath-cache-sim`: its `ring` module and
+//! `scenarios::spm_cyclic_shared`) runs them.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
 use crate::diagonal::co_rank_by;
 use crate::error::MergeError;
-use crate::executor::{self, SendPtr};
 use crate::merge::parallel::parallel_merge_into_by;
-use crate::merge::sequential::{merge_views_into_by, natural_cmp};
-use crate::partition::{search_diagonal, segment_boundary, tile_co_ranks};
-use crate::view::{RingBuffer, RingView, SortedView};
-
-/// Input staging strategy for the segmented merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Staging {
-    /// Merge directly from sliding windows of the input arrays.
-    #[default]
-    Windowed,
-    /// Stage inputs through fixed cyclic buffers (paper, Algorithm 2 step 1).
-    Cyclic,
-}
+use crate::merge::sequential::natural_cmp;
+use crate::partition::search_diagonal;
 
 /// Configuration of the segmented parallel merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,25 +48,16 @@ pub struct SpmConfig {
     pub cache_elems: usize,
     /// Number of parallel workers per segment.
     pub threads: usize,
-    /// Input staging strategy.
-    pub staging: Staging,
 }
 
 impl SpmConfig {
-    /// A windowed configuration for the given cache capacity (in elements)
-    /// and worker count.
+    /// A configuration for the given cache capacity (in elements) and
+    /// worker count.
     pub fn new(cache_elems: usize, threads: usize) -> Self {
         SpmConfig {
             cache_elems,
             threads,
-            staging: Staging::Windowed,
         }
-    }
-
-    /// Selects a staging strategy.
-    pub fn with_staging(mut self, staging: Staging) -> Self {
-        self.staging = staging;
-        self
     }
 
     /// The segment length `L = max(cache_elems / 3, threads, 1)`.
@@ -138,18 +111,18 @@ impl SpmBlock {
 ///
 /// # Examples
 /// ```
-/// use mergepath::merge::segmented::{segmented_parallel_merge_into, SpmConfig, Staging};
+/// use mergepath::merge::segmented::{segmented_parallel_merge_into, SpmConfig};
 /// let a: Vec<u32> = (0..500).map(|x| 2 * x).collect();
 /// let b: Vec<u32> = (0..500).map(|x| 2 * x + 1).collect();
 /// let mut out = vec![0; 1000];
 /// // A 96-element cache: merge in 32-element path segments.
-/// let cfg = SpmConfig::new(96, 4).with_staging(Staging::Cyclic);
+/// let cfg = SpmConfig::new(96, 4);
 /// segmented_parallel_merge_into(&a, &b, &mut out, &cfg);
 /// assert!(out.windows(2).all(|w| w[0] <= w[1]));
 /// ```
 pub fn segmented_parallel_merge_into<T>(a: &[T], b: &[T], out: &mut [T], config: &SpmConfig)
 where
-    T: Ord + Clone + Default + Send + Sync,
+    T: Ord + Clone + Send + Sync,
 {
     segmented_parallel_merge_into_by(a, b, out, config, &natural_cmp, &NoRecorder);
 }
@@ -157,8 +130,8 @@ where
 /// [`segmented_parallel_merge_into`] with a caller-supplied comparator,
 /// reporting telemetry into `rec` (pass [`NoRecorder`] for an untraced
 /// merge): one `spm_window` span per outer iteration (on worker 0, the
-/// orchestrating thread), `staging_fills` counts for the cyclic ring
-/// refills, and per-share partition/merge spans inside each window.
+/// orchestrating thread), with the window's diagonal search and Algorithm
+/// 1's per-tile partition and merge spans inside it.
 pub fn segmented_parallel_merge_into_by<T, F, R>(
     a: &[T],
     b: &[T],
@@ -167,61 +140,23 @@ pub fn segmented_parallel_merge_into_by<T, F, R>(
     cmp: &F,
     rec: &R,
 ) where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
-{
-    let n = a.len() + b.len();
-    assert!(
-        out.len() == n,
-        "output buffer length mismatch: expected {n}, got {}",
-        out.len()
-    );
-    assert!(config.threads > 0, "thread count must be at least 1");
-    match config.staging {
-        Staging::Windowed => spm_windowed(a, b, out, config, cmp, rec),
-        Staging::Cyclic => spm_cyclic(a, b, out, config, cmp, rec),
-    }
-}
-
-/// Fallible variant of [`segmented_parallel_merge_into_by`].
-pub fn try_segmented_parallel_merge_into_by<T, F>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    config: &SpmConfig,
-    cmp: &F,
-) -> Result<(), MergeError>
-where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    if out.len() != a.len() + b.len() {
-        return Err(MergeError::OutputLenMismatch {
-            expected: a.len() + b.len(),
-            actual: out.len(),
-        });
-    }
-    if config.threads == 0 {
-        return Err(MergeError::ZeroThreads);
-    }
-    segmented_parallel_merge_into_by(a, b, out, config, cmp, &NoRecorder);
-    Ok(())
-}
-
-fn spm_windowed<T, F, R>(a: &[T], b: &[T], out: &mut [T], config: &SpmConfig, cmp: &F, rec: &R)
-where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
     let (na, nb) = (a.len(), b.len());
     let n = na + nb;
+    assert!(
+        out.len() == n,
+        "output buffer length mismatch: expected {n}, got {}",
+        out.len()
+    );
+    assert!(config.threads > 0, "thread count must be at least 1");
     let l = config.segment_len();
     let (mut ai, mut bi, mut oi) = (0usize, 0usize, 0usize);
     while oi < n {
         let _window = span(rec, 0, SpanKind::SpmWindow);
-        // Step 1 (windowed): the next ≤ L unconsumed elements of each input.
+        // Step 1: the next ≤ L unconsumed elements of each input.
         let wa = &a[ai..na.min(ai + l)];
         let wb = &b[bi..nb.min(bi + l)];
         let step = l.min(n - oi);
@@ -245,103 +180,29 @@ where
     }
 }
 
-fn spm_cyclic<T, F, R>(a: &[T], b: &[T], out: &mut [T], config: &SpmConfig, cmp: &F, rec: &R)
-where
-    T: Clone + Default + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
-{
-    let (na, nb) = (a.len(), b.len());
-    let n = na + nb;
-    let l = config.segment_len();
-    let mut ring_a: RingBuffer<T> = RingBuffer::with_capacity(l);
-    let mut ring_b: RingBuffer<T> = RingBuffer::with_capacity(l);
-    // Source cursors: how much of each input has been staged so far.
-    let (mut fa, mut fb) = (0usize, 0usize);
-    let mut oi = 0usize;
-    while oi < n {
-        let _window = span(rec, 0, SpanKind::SpmWindow);
-        // Step 1: refill each buffer back up to L live elements (first
-        // iteration fills from empty; later ones replace exactly what the
-        // previous iteration consumed).
-        let refill_a = (l - ring_a.len()).min(na - fa);
-        ring_a.refill(&a[fa..fa + refill_a]);
-        fa += refill_a;
-        let refill_b = (l - ring_b.len()).min(nb - fb);
-        ring_b.refill(&b[fb..fb + refill_b]);
-        fb += refill_b;
-        let fills = (refill_a > 0) as u64 + (refill_b > 0) as u64;
-        rec.counter_add(0, CounterKind::StagingFills, fills);
-
-        let va = ring_a.view();
-        let vb = ring_b.view();
-        let step = l.min(n - oi);
-        debug_assert!(step <= va.len() + vb.len(), "Theorem 16 feasibility");
-        let ta = search_diagonal(step, &va, &vb, cmp, rec, 0);
-        let tb = step - ta;
-        // Step 2: parallel merge of the staged windows.
-        segment_merge_views_parallel(
-            va.slice(0, ta),
-            vb.slice(0, tb),
-            &mut out[oi..oi + step],
-            config,
-            cmp,
-            rec,
-        );
-        // Step 3 happened implicitly (writes stream to `out`); retire the
-        // consumed staging slots so the next refill overwrites them.
-        ring_a.consume(ta);
-        ring_b.consume(tb);
-        oi += step;
-    }
-}
-
-/// Parallel merge of one segment staged in ring-buffer views.
-///
-/// This path stays on the classic view merge: the branch-lean and
-/// galloping kernels require contiguous slices (block copies, exponential
-/// probes), which the cyclic staging views cannot provide.
-fn segment_merge_views_parallel<T, F, R>(
-    sa: RingView<'_, T>,
-    sb: RingView<'_, T>,
+/// Fallible variant of [`segmented_parallel_merge_into_by`].
+pub fn try_segmented_parallel_merge_into_by<T, F>(
+    a: &[T],
+    b: &[T],
     out: &mut [T],
     config: &SpmConfig,
     cmp: &F,
-    rec: &R,
-) where
+) -> Result<(), MergeError>
+where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
 {
-    let step = out.len();
-    let p = config.threads.min(step.max(1));
-    let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed(p, p, rec, &|k| {
-        // Each share finds its own intersections, as in Algorithm 1.
-        let (d_lo, d_hi) = (
-            segment_boundary(step, p, k),
-            segment_boundary(step, p, k + 1),
-        );
-        let (i_lo, i_hi) = tile_co_ranks(d_lo, d_hi, &sa, &sb, cmp, rec, k);
-        // SAFETY: the cuts `⌊k·step/p⌋` are monotone, so the `d_lo..d_hi`
-        // ranges are disjoint across shares and tile `out` exactly; the
-        // pool's end barrier orders the writes before this frame resumes.
-        // (Ring-view reads have no contiguous address range to report, so
-        // only the write side is recorded here.)
-        let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-        let hits = Cell::new(0u64);
-        {
-            let _merge = span(rec, k, SpanKind::SegmentMerge);
-            merge_views_into_by(
-                &sa.slice(i_lo, i_hi),
-                &sb.slice(d_lo - i_lo, d_hi - i_hi),
-                chunk,
-                &counted_cmp(rec, cmp, &hits),
-            );
-        }
-        rec.counter_add(k, CounterKind::Comparisons, hits.get());
-        rec.worker_items(k, (d_hi - d_lo) as u64);
-    });
+    if out.len() != a.len() + b.len() {
+        return Err(MergeError::OutputLenMismatch {
+            expected: a.len() + b.len(),
+            actual: out.len(),
+        });
+    }
+    if config.threads == 0 {
+        return Err(MergeError::ZeroThreads);
+    }
+    segmented_parallel_merge_into_by(a, b, out, config, cmp, &NoRecorder);
+    Ok(())
 }
 
 /// Computes the outer-iteration block structure of the segmented merge
@@ -402,14 +263,11 @@ mod tests {
         out
     }
 
-    fn check_both_stagings(a: &[i64], b: &[i64], cache: usize, threads: usize) {
+    fn check_spm(a: &[i64], b: &[i64], cache: usize, threads: usize) {
         let expect = oracle(a, b);
-        for staging in [Staging::Windowed, Staging::Cyclic] {
-            let cfg = SpmConfig::new(cache, threads).with_staging(staging);
-            let mut out = vec![0; expect.len()];
-            segmented_parallel_merge_into(a, b, &mut out, &cfg);
-            assert_eq!(out, expect, "cache={cache} threads={threads} {staging:?}");
-        }
+        let mut out = vec![0; expect.len()];
+        segmented_parallel_merge_into(a, b, &mut out, &SpmConfig::new(cache, threads));
+        assert_eq!(out, expect, "cache={cache} threads={threads}");
     }
 
     #[test]
@@ -417,7 +275,7 @@ mod tests {
         let a: Vec<i64> = (0..3000).map(|x| x * 2).collect();
         let b: Vec<i64> = (0..2500).map(|x| x * 2 + 1).collect();
         for cache in [3, 30, 96, 300, 3000, 30_000] {
-            check_both_stagings(&a, &b, cache, 4);
+            check_spm(&a, &b, cache, 4);
         }
     }
 
@@ -426,7 +284,7 @@ mod tests {
         let a: Vec<i64> = (0..997).collect();
         let b: Vec<i64> = (0..1009).map(|x| x * 3 - 500).collect();
         for threads in [1, 2, 3, 5, 8, 13] {
-            check_both_stagings(&a, &b, 192, threads);
+            check_spm(&a, &b, 192, threads);
         }
     }
 
@@ -434,16 +292,16 @@ mod tests {
     fn spm_adversarial_one_sided() {
         let a: Vec<i64> = (10_000..11_000).collect();
         let b: Vec<i64> = (0..1000).collect();
-        check_both_stagings(&a, &b, 90, 4);
-        check_both_stagings(&b, &a, 90, 4);
+        check_spm(&a, &b, 90, 4);
+        check_spm(&b, &a, 90, 4);
     }
 
     #[test]
     fn spm_empty_and_tiny() {
-        check_both_stagings(&[], &[], 30, 2);
-        check_both_stagings(&[1], &[], 30, 2);
-        check_both_stagings(&[], &[1, 2], 30, 2);
-        check_both_stagings(&[5], &[3], 3, 2);
+        check_spm(&[], &[], 30, 2);
+        check_spm(&[1], &[], 30, 2);
+        check_spm(&[], &[1, 2], 30, 2);
+        check_spm(&[5], &[3], 3, 2);
     }
 
     #[test]
@@ -451,7 +309,7 @@ mod tests {
         // L clamps to the thread count.
         let a: Vec<i64> = (0..100).collect();
         let b: Vec<i64> = (0..100).map(|x| x + 50).collect();
-        check_both_stagings(&a, &b, 1, 8);
+        check_spm(&a, &b, 1, 8);
     }
 
     #[test]
@@ -461,39 +319,38 @@ mod tests {
         let cmp = |x: &(i32, u32), y: &(i32, u32)| x.0.cmp(&y.0);
         let mut expect = vec![(0, 0); 400];
         merge_into_by(&a, &b, &mut expect, &cmp);
-        for staging in [Staging::Windowed, Staging::Cyclic] {
-            let cfg = SpmConfig::new(60, 3).with_staging(staging);
-            let mut out = vec![(0, 0); 400];
-            segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &cmp, &NoRecorder);
-            assert_eq!(out, expect, "{staging:?}");
-        }
+        let mut out = vec![(0, 0); 400];
+        let cfg = SpmConfig::new(60, 3);
+        segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &cmp, &NoRecorder);
+        assert_eq!(out, expect);
     }
 
     #[test]
-    fn both_stagings_report_every_search_and_probe_step() {
+    fn segmented_merge_reports_every_search_and_probe_step() {
         use mergepath_telemetry::{CounterKind, SpanKind, TimelineRecorder};
         let a: Vec<i64> = (0..3000).map(|x| x * 2).collect();
         let b: Vec<i64> = (0..3000).map(|x| x * 2 + 1).collect();
-        let searches = |staging| {
-            let rec = TimelineRecorder::new();
-            let cfg = SpmConfig::new(300, 4).with_staging(staging);
-            let mut out = vec![0; 6000];
-            segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &|x, y| x.cmp(y), &rec);
-            let t = rec.finish();
-            let spans = t
-                .spans
-                .iter()
-                .filter(|s| s.kind == SpanKind::DiagonalSearch);
-            let steps = t
-                .counters
-                .iter()
-                .filter(|c| c.kind == CounterKind::DiagonalProbeSteps);
-            (spans.count(), steps.map(|c| c.total).sum::<u64>())
-        };
+        let rec = TimelineRecorder::new();
+        let mut out = vec![0; 6000];
+        let cfg = SpmConfig::new(300, 4);
+        segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &|x, y| x.cmp(y), &rec);
+        let t = rec.finish();
+        let searches = t
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::DiagonalSearch)
+            .count();
+        let steps: u64 = t
+            .counters
+            .iter()
+            .filter(|c| c.kind == CounterKind::DiagonalProbeSteps)
+            .map(|c| c.total)
+            .sum();
         // 60 windows, each one window search and four shares' two cuts.
-        let windowed = searches(Staging::Windowed);
-        assert_eq!(windowed.0, 60 * 9);
-        assert_eq!(searches(Staging::Cyclic), windowed);
+        assert_eq!(searches, 60 * 9);
+        // Every search spans at most L = 100 cells of its diagonal, so it
+        // takes at most ⌈log2(101)⌉ = 7 probe steps.
+        assert!(steps > 0 && steps <= 60 * 9 * 7, "{steps} probe steps");
     }
 
     #[test]
@@ -568,7 +425,7 @@ mod tests {
             cache in 1usize..200,
             threads in 1usize..8,
         ) {
-            check_both_stagings(&a, &b, cache, threads);
+            check_spm(&a, &b, cache, threads);
         }
 
         #[test]

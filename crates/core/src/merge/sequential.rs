@@ -18,8 +18,8 @@
 //!   the inputs interleave coarsely (long runs from one side).
 //!
 //! The cache simulator replays the classic merge through
-//! [`merge_into_probed`], the view-merge loop of [`merge_views_into_by`]
-//! run with a probe.
+//! [`merge_into_probed`] and [`merge_views_into_probed`], one view-merge
+//! loop run with a probe.
 //!
 //! # Four streams per core
 //!
@@ -58,7 +58,7 @@ use super::adaptive::{is_u32, natural_u32};
 use crate::diagonal::co_rank_by;
 use crate::error::{first_unsorted_index, InputId, MergeError};
 use crate::partition::segment_boundary;
-use crate::probe::{NoProbe, Probe};
+use crate::probe::Probe;
 use crate::view::SortedView;
 
 #[cfg(target_arch = "x86_64")]
@@ -156,21 +156,9 @@ where
     Ok(())
 }
 
-/// [`merge_into_by`] generic over [`SortedView`] inputs; used by the
-/// segmented merge to consume cyclic staging buffers without compaction.
-/// It is [`merge_views_into_probed`]'s loop under [`NoProbe`].
-pub fn merge_views_into_by<T, A, B, F>(a: &A, b: &B, out: &mut [T], cmp: &F)
-where
-    T: Clone,
-    A: SortedView<T> + ?Sized,
-    B: SortedView<T> + ?Sized,
-    F: Fn(&T, &T) -> Ordering,
-{
-    merge_views_into_probed(a, b, out, cmp, &mut NoProbe);
-}
-
-/// [`merge_views_into_by`] reporting every access to a [`Probe`]: the one
-/// view-merge loop, which the cache simulator replays.
+/// [`merge_into_by`] generic over [`SortedView`] inputs, reporting every
+/// access to a [`Probe`]: the one view-merge loop, which the cache
+/// simulator replays over slices and over its cyclic staging buffers.
 ///
 /// Probe indices are the *logical* view indices; callers translate them to
 /// physical addresses (e.g. ring-buffer slots) as needed.
@@ -527,7 +515,6 @@ pub(crate) fn assert_out_len(na: usize, nb: usize, nout: usize) {
 mod tests {
     use super::*;
     use crate::probe::{CountingProbe, TraceProbe};
-    use crate::view::RingView;
     use core::cell::Cell;
     use proptest::prelude::*;
 
@@ -761,19 +748,6 @@ mod tests {
         assert_eq!(writes, (0..6).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn view_merge_over_ring_buffers() {
-        // Backing ring holds a sorted window that wraps physically.
-        let ring_a = [30, 40, 0, 10, 20]; // not power of two; pad
-        let _ = ring_a;
-        let buf_a = [30i64, 40, 50, 60, 0, 10, 20, 25];
-        let va = RingView::new(&buf_a, 4, 7); // [0,10,20,25,30,40,50]
-        let b = [5i64, 15, 45];
-        let mut out = vec![0; 10];
-        merge_views_into_by(&va, b.as_slice(), &mut out, &|x, y| x.cmp(y));
-        assert_eq!(out, [0, 5, 10, 15, 20, 25, 30, 40, 45, 50]);
-    }
-
     proptest! {
         #[test]
         fn all_kernels_match_oracle(
@@ -799,10 +773,6 @@ mod tests {
             let mut out3 = vec![0i64; n];
             galloping_merge_into_by(&a, &b, &mut out3, &cmp);
             prop_assert_eq!(&out3, &expect);
-
-            let mut out4 = vec![0i64; n];
-            merge_views_into_by(a.as_slice(), b.as_slice(), &mut out4, &cmp);
-            prop_assert_eq!(&out4, &expect);
 
             let mut out5 = vec![0i64; n];
             let mut probe = CountingProbe::default();

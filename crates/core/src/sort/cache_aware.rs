@@ -13,57 +13,25 @@
 //! than the basic parallel sort (the numerous partitioning stages), which
 //! the paper argues is justified whenever a cache miss is expensive.
 //!
-//! The merge rounds inherit adaptive per-segment kernel dispatch
-//! ([`crate::merge::adaptive`]) through the segmented merge's contiguous
-//! slice path; the cyclic staging views stay on the classic view merge
+//! Blocks hold `C/2` elements (the paper leaves the fraction open; half
+//! the cache leaves room for the sort's scratch buffer, so a block sort
+//! stays cache-resident). The merge rounds inherit adaptive per-segment
+//! kernel dispatch ([`crate::merge::adaptive`]) through the segmented
+//! merge, whose windows are slices of the inputs
 //! (see [`crate::merge::segmented`]).
 
 use core::cmp::Ordering;
 
 use mergepath_telemetry::{span, NoRecorder, Recorder, SpanKind};
 
-use crate::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig, Staging};
+use crate::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use crate::sort::parallel::parallel_merge_sort_by;
 use crate::sort::{merge_pairs, merge_rounds};
 
-/// Configuration of the cache-aware sort.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheAwareConfig {
-    /// Cache capacity in elements.
-    pub cache_elems: usize,
-    /// Worker count.
-    pub threads: usize,
-    /// Staging mode for the merge rounds' segmented merges.
-    pub staging: Staging,
-    /// Block size as a fraction of `cache_elems` for phase 1 (the paper
-    /// leaves the fraction open; `1/2` leaves room for the sort's scratch
-    /// buffer so a block sort stays cache-resident).
-    pub block_divisor: usize,
-}
-
-impl CacheAwareConfig {
-    /// A default configuration: blocks of `C/2`, windowed staging.
-    pub fn new(cache_elems: usize, threads: usize) -> Self {
-        CacheAwareConfig {
-            cache_elems,
-            threads,
-            staging: Staging::Windowed,
-            block_divisor: 2,
-        }
-    }
-
-    /// Selects the staging strategy used in the merge rounds.
-    pub fn with_staging(mut self, staging: Staging) -> Self {
-        self.staging = staging;
-        self
-    }
-
-    /// Phase-1 block size in elements.
-    pub fn block_len(&self) -> usize {
-        (self.cache_elems / self.block_divisor.max(1))
-            .max(self.threads)
-            .max(1)
-    }
+/// Phase-1 block length for `threads` workers and a cache of
+/// `cache_elems` elements: `max(cache_elems / 2, threads, 1)`.
+pub fn block_len(threads: usize, cache_elems: usize) -> usize {
+    (cache_elems / 2).max(threads).max(1)
 }
 
 /// Cache-aware parallel sort using the natural order.
@@ -86,19 +54,21 @@ where
 {
     cache_aware_parallel_sort_by(
         v,
-        &CacheAwareConfig::new(cache_elems, threads),
+        threads,
+        cache_elems,
         &crate::merge::sequential::natural_cmp,
         &NoRecorder,
     );
 }
 
-/// [`cache_aware_parallel_sort`] with full configuration and comparator,
+/// [`cache_aware_parallel_sort`] with a caller-supplied comparator,
 /// reporting spans, counters and per-worker element counts into `rec`
 /// (pass [`NoRecorder`] for an untraced sort); output identical to
 /// `slice::sort_by(cmp)`.
 pub fn cache_aware_parallel_sort_by<T, F, R>(
     v: &mut [T],
-    config: &CacheAwareConfig,
+    threads: usize,
+    cache_elems: usize,
     cmp: &F,
     rec: &R,
 ) where
@@ -106,12 +76,12 @@ pub fn cache_aware_parallel_sort_by<T, F, R>(
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
-    assert!(config.threads > 0, "thread count must be at least 1");
+    assert!(threads > 0, "thread count must be at least 1");
     let n = v.len();
     if n <= 1 {
         return;
     }
-    let block = config.block_len().min(n);
+    let block = block_len(threads, cache_elems).min(n);
 
     // Phase 1 (paper Fig. 4): sort each cache-sized block with the parallel
     // sort, one block after the other.
@@ -119,7 +89,7 @@ pub fn cache_aware_parallel_sort_by<T, F, R>(
     let mut start = 0;
     while start < n {
         let end = (start + block).min(n);
-        parallel_merge_sort_by(&mut v[start..end], config.threads, cmp, rec);
+        parallel_merge_sort_by(&mut v[start..end], threads, cmp, rec);
         boundaries.push(start);
         start = end;
     }
@@ -127,8 +97,8 @@ pub fn cache_aware_parallel_sort_by<T, F, R>(
 
     // Phase 2: merge rounds, every pair merged with the segmented parallel
     // merge so the working set stays within `cache_elems`.
-    let spm = SpmConfig::new(config.cache_elems, config.threads).with_staging(config.staging);
-    merge_rounds(v, boundaries, config.threads, |src, dst, runs| {
+    let spm = SpmConfig::new(cache_elems, threads);
+    merge_rounds(v, boundaries, threads, |src, dst, runs| {
         let _round = span(rec, 0, SpanKind::SortRound);
         merge_pairs(src, dst, runs, |a, b, out| {
             segmented_parallel_merge_into_by(a, b, out, &spm, cmp, rec)
@@ -160,24 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_staging_variant() {
-        let mut v: Vec<i64> = (0..5000).map(|x| (x * 31) % 999).collect();
-        let mut expect = v.clone();
-        expect.sort();
-        let cfg = CacheAwareConfig::new(300, 4).with_staging(Staging::Cyclic);
-        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
     fn stability_preserved() {
         let mut v: Vec<(i32, usize)> = (0..3000usize)
             .map(|i| (((i * 53) % 12) as i32, i))
             .collect();
         let mut expect = v.clone();
         expect.sort_by_key(|&(k, _)| k);
-        let cfg = CacheAwareConfig::new(200, 4);
-        cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.0.cmp(&b.0), &NoRecorder);
+        cache_aware_parallel_sort_by(&mut v, 4, 200, &|a, b| a.0.cmp(&b.0), &NoRecorder);
         assert_eq!(v, expect);
     }
 
@@ -195,11 +154,9 @@ mod tests {
 
     #[test]
     fn block_len_clamps() {
-        assert_eq!(CacheAwareConfig::new(100, 2).block_len(), 50);
-        assert_eq!(CacheAwareConfig::new(0, 3).block_len(), 3);
-        let mut cfg = CacheAwareConfig::new(100, 2);
-        cfg.block_divisor = 0;
-        assert_eq!(cfg.block_len(), 100);
+        assert_eq!(block_len(2, 100), 50);
+        assert_eq!(block_len(3, 0), 3);
+        assert_eq!(block_len(0, 1), 1);
     }
 
     proptest! {

@@ -1,11 +1,14 @@
 //! Read-only views of sorted sequences.
 //!
-//! The diagonal search and the merge kernels are written against
-//! [`SortedView`] rather than `&[T]` so that the same (monomorphized,
-//! zero-overhead) code runs over plain slices *and* over the cyclic staging
-//! buffers used by the segmented cache-efficient merge (paper, Algorithm 2,
-//! step 1: "cyclic buffer"). A [`RingView`] presents a logically contiguous
-//! window of a power-of-two ring buffer without copying or compaction.
+//! The diagonal search ([`co_rank_probed`](crate::diagonal::co_rank_probed))
+//! and the probed view merge
+//! ([`merge_views_into_probed`](crate::merge::sequential::merge_views_into_probed))
+//! are written against [`SortedView`] rather than `&[T]`, so that views
+//! defined outside this crate are searched and merged by the real code, not
+//! by a copy of it. The cache simulator's cyclic staging buffers (paper,
+//! Algorithm 2, step 1: "cyclic buffer") are such a view; in this crate the
+//! trait is implemented for slices only, and the code is monomorphized, so
+//! slices pay nothing for it.
 
 /// A read-only, random-access view of a sorted sequence.
 ///
@@ -51,194 +54,6 @@ impl<T, V: SortedView<T> + ?Sized> SortedView<T> for &V {
     }
 }
 
-/// A contiguous logical window over a power-of-two ring buffer.
-///
-/// Index `i` of the view maps to physical slot `(head + i) & mask` of the
-/// backing buffer. This is exactly the addressing mode of the cache-resident
-/// staging buffers in the paper's segmented parallel merge: elements are
-/// refilled in place of consumed ones, so a logical window generally wraps
-/// around the physical end of the buffer.
-#[derive(Debug)]
-pub struct RingView<'a, T> {
-    buf: &'a [T],
-    head: usize,
-    len: usize,
-}
-
-// Manual impls: the view is a borrow plus two indices, copyable regardless
-// of whether `T` itself is (the derive would wrongly require `T: Clone`).
-impl<T> Clone for RingView<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for RingView<'_, T> {}
-
-impl<'a, T> RingView<'a, T> {
-    /// Creates a view of `len` elements starting at physical index `head`.
-    ///
-    /// # Panics
-    /// Panics if `buf.len()` is not a power of two, or if `len > buf.len()`.
-    pub fn new(buf: &'a [T], head: usize, len: usize) -> Self {
-        assert!(
-            buf.len().is_power_of_two(),
-            "RingView requires a power-of-two backing buffer, got {}",
-            buf.len()
-        );
-        assert!(
-            len <= buf.len(),
-            "RingView window {} exceeds buffer capacity {}",
-            len,
-            buf.len()
-        );
-        RingView {
-            buf,
-            head: head & (buf.len() - 1),
-            len,
-        }
-    }
-
-    /// The physical index backing logical index `i`.
-    #[inline(always)]
-    pub fn physical_index(&self, i: usize) -> usize {
-        (self.head + i) & (self.buf.len() - 1)
-    }
-
-    /// Returns a new view advanced by `n` elements (the first `n` are
-    /// dropped from the front).
-    ///
-    /// # Panics
-    /// Panics if `n > self.len()`.
-    pub fn advanced(&self, n: usize) -> RingView<'a, T> {
-        assert!(n <= self.len, "cannot advance past the end of the view");
-        RingView {
-            buf: self.buf,
-            head: self.physical_index(n),
-            len: self.len - n,
-        }
-    }
-
-    /// Returns the sub-view of logical range `start..end`.
-    ///
-    /// # Panics
-    /// Panics if `start > end` or `end > self.len()`.
-    pub fn slice(&self, start: usize, end: usize) -> RingView<'a, T> {
-        assert!(
-            start <= end && end <= self.len,
-            "invalid RingView slice {start}..{end} of length {}",
-            self.len
-        );
-        RingView {
-            buf: self.buf,
-            head: self.physical_index(start),
-            len: end - start,
-        }
-    }
-}
-
-impl<T> SortedView<T> for RingView<'_, T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline(always)]
-    fn get(&self, i: usize) -> &T {
-        debug_assert!(
-            i < self.len,
-            "RingView index {i} out of bounds {}",
-            self.len
-        );
-        &self.buf[self.physical_index(i)]
-    }
-}
-
-/// A mutable ring buffer with power-of-two capacity, used as the staging
-/// area for the segmented merge's inputs.
-///
-/// The buffer tracks a `[head, head + len)` live window. Consuming elements
-/// advances `head`; refilling appends at the tail, overwriting slots whose
-/// elements were already consumed — the paper's "overwriting the used
-/// elements of the respective arrays (cyclic buffer)".
-#[derive(Debug)]
-pub struct RingBuffer<T> {
-    buf: Vec<T>,
-    head: usize,
-    len: usize,
-}
-
-impl<T: Clone + Default> RingBuffer<T> {
-    /// Creates a ring buffer with capacity `capacity.next_power_of_two()`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(1).next_power_of_two();
-        RingBuffer {
-            buf: vec![T::default(); cap],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Physical capacity (always a power of two).
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Number of live (unconsumed) elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no live elements remain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Free slots available for refill.
-    pub fn free(&self) -> usize {
-        self.capacity() - self.len
-    }
-
-    /// Appends `src` at the tail of the live window.
-    ///
-    /// # Panics
-    /// Panics if `src.len() > self.free()`.
-    pub fn refill(&mut self, src: &[T]) {
-        assert!(
-            src.len() <= self.free(),
-            "refill of {} exceeds free space {}",
-            src.len(),
-            self.free()
-        );
-        let mask = self.capacity() - 1;
-        for (k, item) in src.iter().enumerate() {
-            let idx = (self.head + self.len + k) & mask;
-            self.buf[idx] = item.clone();
-        }
-        self.len += src.len();
-    }
-
-    /// Drops the first `n` live elements (they have been merged out).
-    ///
-    /// # Panics
-    /// Panics if `n > self.len()`.
-    pub fn consume(&mut self, n: usize) {
-        assert!(
-            n <= self.len,
-            "cannot consume {} of {} elements",
-            n,
-            self.len
-        );
-        self.head = (self.head + n) & (self.capacity() - 1);
-        self.len -= n;
-    }
-
-    /// A read-only view of the live window.
-    pub fn view(&self) -> RingView<'_, T> {
-        RingView::new(&self.buf, self.head, self.len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,98 +76,5 @@ mod tests {
         let vv = &v;
         assert_eq!(SortedView::len(&vv), 3);
         assert_eq!(*SortedView::get(&vv, 2), 3);
-    }
-
-    #[test]
-    fn ring_view_wraps_around() {
-        // Physical buffer [4, 5, 6, 7, 0, 1, 2, 3], logical window of 6
-        // starting at head = 4 → logical [0, 1, 2, 3, 4, 5].
-        let buf = [4, 5, 6, 7, 0, 1, 2, 3];
-        let v = RingView::new(&buf, 4, 6);
-        let logical: Vec<i32> = (0..v.len).map(|i| *SortedView::get(&v, i)).collect();
-        assert_eq!(logical, [0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn ring_view_advanced_drops_front() {
-        let buf = [4, 5, 6, 7, 0, 1, 2, 3];
-        let v = RingView::new(&buf, 4, 6).advanced(3);
-        assert_eq!(SortedView::len(&v), 3);
-        assert_eq!(*SortedView::get(&v, 0), 3);
-        assert_eq!(*SortedView::get(&v, 2), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn ring_view_rejects_non_power_of_two() {
-        let buf = [1, 2, 3];
-        let _ = RingView::new(&buf, 0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds buffer capacity")]
-    fn ring_view_rejects_oversized_window() {
-        let buf = [1, 2, 3, 4];
-        let _ = RingView::new(&buf, 0, 5);
-    }
-
-    #[test]
-    fn ring_buffer_refill_consume_cycle() {
-        let mut rb: RingBuffer<u32> = RingBuffer::with_capacity(5); // rounds to 8
-        assert_eq!(rb.capacity(), 8);
-        rb.refill(&[1, 2, 3, 4, 5]);
-        assert_eq!(rb.len(), 5);
-        rb.consume(3);
-        assert_eq!(rb.len(), 2);
-        rb.refill(&[6, 7, 8, 9, 10, 11]); // wraps physically
-        assert_eq!(rb.len(), 8);
-        assert_eq!(rb.free(), 0);
-        let v = rb.view();
-        let logical: Vec<u32> = (0..v.len()).map(|i| *v.get(i)).collect();
-        assert_eq!(logical, [4, 5, 6, 7, 8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn ring_buffer_many_cycles_preserve_fifo() {
-        let mut rb: RingBuffer<u64> = RingBuffer::with_capacity(16);
-        let mut next_in = 0u64;
-        let mut next_out = 0u64;
-        for round in 0..100 {
-            let n = (round % 7) + 1;
-            let batch: Vec<u64> = (0..n).map(|k| next_in + k as u64).collect();
-            if rb.free() >= batch.len() {
-                next_in += batch.len() as u64;
-                rb.refill(&batch);
-            }
-            let take = (round % 5).min(rb.len());
-            let v = rb.view();
-            for i in 0..take {
-                assert_eq!(*v.get(i), next_out + i as u64);
-            }
-            rb.consume(take);
-            next_out += take as u64;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds free space")]
-    fn ring_buffer_overfill_panics() {
-        let mut rb: RingBuffer<u8> = RingBuffer::with_capacity(4);
-        rb.refill(&[1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot consume")]
-    fn ring_buffer_overconsume_panics() {
-        let mut rb: RingBuffer<u8> = RingBuffer::with_capacity(4);
-        rb.refill(&[1]);
-        rb.consume(2);
-    }
-
-    #[test]
-    fn empty_ring_buffer_view_is_empty() {
-        let rb: RingBuffer<u8> = RingBuffer::with_capacity(8);
-        assert!(rb.view().is_empty());
-        assert!(rb.is_empty());
     }
 }

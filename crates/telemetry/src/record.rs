@@ -86,8 +86,6 @@ pub enum CounterKind {
     Comparisons,
     /// Comparisons spent inside diagonal binary searches only.
     DiagonalProbeSteps,
-    /// Staging-buffer refills (the cyclic SPM merge's ring buffers).
-    StagingFills,
     /// Segments the adaptive dispatcher routed to the classic two-pointer
     /// kernel.
     SegmentsClassic,
@@ -103,7 +101,6 @@ impl CounterKind {
         match self {
             CounterKind::Comparisons => "comparisons",
             CounterKind::DiagonalProbeSteps => "diagonal_probe_steps",
-            CounterKind::StagingFills => "staging_fills",
             CounterKind::SegmentsClassic => "segments_classic",
             CounterKind::SegmentsBranchLean => "segments_branch_lean",
             CounterKind::SegmentsGalloping => "segments_galloping",
@@ -446,7 +443,6 @@ mod tests {
             CounterKind::DiagonalProbeSteps.name(),
             "diagonal_probe_steps"
         );
-        assert_eq!(CounterKind::StagingFills.name(), "staging_fills");
         assert_eq!(CounterKind::SegmentsClassic.name(), "segments_classic");
         assert_eq!(
             CounterKind::SegmentsBranchLean.name(),

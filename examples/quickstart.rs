@@ -7,7 +7,6 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-use mergepath_suite::mergepath::merge::segmented::Staging;
 use mergepath_suite::mergepath::prelude::*;
 
 fn main() {
@@ -34,9 +33,9 @@ fn main() {
     }
 
     // --- 2. Cache-bounded (segmented) merge --------------------------------
-    // Keep the merge's working set within ~a 256 KiB cache of u64s, staging
-    // inputs through cyclic buffers exactly as in the paper's Algorithm 2.
-    let cfg = SpmConfig::new(256 * 1024 / 8, 8).with_staging(Staging::Cyclic);
+    // Keep the merge's working set within ~a 256 KiB cache of u64s: the
+    // paper's Algorithm 2 merges the path one cache-sized window at a time.
+    let cfg = SpmConfig::new(256 * 1024 / 8, 8);
     let mut merged2 = vec![0u64; merged.len()];
     segmented_parallel_merge_into(&a, &b, &mut merged2, &cfg);
     assert_eq!(merged, merged2, "same output, different memory schedule");

@@ -7,9 +7,7 @@ use mergepath_suite::baselines::akl_santoro::akl_santoro_merge_into;
 use mergepath_suite::baselines::rank_partition::rank_partition_merge_into;
 use mergepath_suite::baselines::sequential::textbook_merge_into;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into;
-use mergepath_suite::mergepath::merge::segmented::{
-    segmented_parallel_merge_into, SpmConfig, Staging,
-};
+use mergepath_suite::mergepath::merge::segmented::{segmented_parallel_merge_into, SpmConfig};
 use mergepath_suite::mergepath::merge::sequential::{galloping_merge_into_by, merge_into};
 use mergepath_suite::pram::kernels::measure_merge;
 use mergepath_suite::workloads::{is_sorted, is_stable_merge_of, merge_pair_sized, MergeWorkload};
@@ -26,12 +24,9 @@ fn check_all_implementations(a: &[u32], b: &[u32]) {
         parallel_merge_into(a, b, &mut out, threads);
         assert_eq!(out, reference, "parallel, threads={threads}");
 
-        for staging in [Staging::Windowed, Staging::Cyclic] {
-            let cfg = SpmConfig::new(97, threads).with_staging(staging);
-            out.fill(0);
-            segmented_parallel_merge_into(a, b, &mut out, &cfg);
-            assert_eq!(out, reference, "segmented {staging:?}, threads={threads}");
-        }
+        out.fill(0);
+        segmented_parallel_merge_into(a, b, &mut out, &SpmConfig::new(97, threads));
+        assert_eq!(out, reference, "segmented, threads={threads}");
 
         out.fill(0);
         akl_santoro_merge_into(a, b, &mut out, threads);

@@ -4,9 +4,7 @@
 //! any drop/clone miscounting under the parallel paths.
 
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
-use mergepath_suite::mergepath::merge::segmented::{
-    segmented_parallel_merge_into_by, SpmConfig, Staging,
-};
+use mergepath_suite::mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
 use mergepath_suite::mergepath::telemetry::NoRecorder;
@@ -41,12 +39,40 @@ fn string_keyed_parallel_merge() {
         parallel_merge_into_by(&a, &b, &mut out, threads, &by_key, &NoRecorder);
         assert_eq!(out, expect, "threads={threads}");
     }
-    // Segmented, both stagings (Clone + Default only).
-    for staging in [Staging::Windowed, Staging::Cyclic] {
-        let cfg = SpmConfig::new(300, 4).with_staging(staging);
-        let mut out = vec![Row::default(); 5500];
+    let mut out = vec![Row::default(); 5500];
+    let cfg = SpmConfig::new(300, 4);
+    segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &by_key, &NoRecorder);
+    assert_eq!(out, expect, "segmented");
+}
+
+/// A key that is `Clone` but not `Default`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Tagged {
+    key: u32,
+    tag: String,
+}
+
+#[test]
+fn segmented_merge_takes_keys_without_default() {
+    let tagged = |side: &str, n: u32, stride: u32| -> Vec<Tagged> {
+        (0..n)
+            .map(|i| Tagged {
+                key: i * stride / 7,
+                tag: format!("{side}{i}"),
+            })
+            .collect()
+    };
+    // Runs of equal keys from both sides: the tags make stability visible.
+    let (a, b) = (tagged("a", 2000, 3), tagged("b", 1500, 5));
+    let by_key = |x: &Tagged, y: &Tagged| x.key.cmp(&y.key);
+    // Any `a.len() + b.len()` values do as initial outputs: merges overwrite.
+    let mut expect: Vec<Tagged> = a.iter().chain(&b).cloned().collect();
+    merge_into_by(&a, &b, &mut expect, &by_key);
+    for threads in [1, 3] {
+        let mut out: Vec<Tagged> = b.iter().chain(&a).cloned().collect();
+        let cfg = SpmConfig::new(300, threads);
         segmented_parallel_merge_into_by(&a, &b, &mut out, &cfg, &by_key, &NoRecorder);
-        assert_eq!(out, expect, "{staging:?}");
+        assert_eq!(out, expect, "threads={threads}");
     }
 }
 

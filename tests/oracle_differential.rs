@@ -16,9 +16,7 @@ use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
 use mergepath_suite::mergepath::merge::inplace::parallel_inplace_merge_by;
 use mergepath_suite::mergepath::merge::kway::parallel_kway_merge_by;
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
-use mergepath_suite::mergepath::merge::segmented::{
-    segmented_parallel_merge_into_by, SpmConfig, Staging,
-};
+use mergepath_suite::mergepath::merge::segmented::{segmented_parallel_merge_into_by, SpmConfig};
 use mergepath_suite::mergepath::merge::sequential::{merge_into_by, natural_cmp};
 use mergepath_suite::mergepath::partition::{partition_segments_by, tile_count};
 use mergepath_suite::mergepath::telemetry::NoRecorder;
@@ -118,12 +116,10 @@ fn every_variant_matches_the_sequential_oracle() {
             parallel_merge_into_by(&a, &b, &mut out, threads, &cmp, &NoRecorder);
             assert_eq!(out, oracle, "parallel: {label}");
 
-            for staging in [Staging::Windowed, Staging::Cyclic] {
-                let spm = SpmConfig::new(91, threads).with_staging(staging);
-                out.fill((0, 0));
-                segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, &NoRecorder);
-                assert_eq!(out, oracle, "segmented {staging:?}: {label}");
-            }
+            let spm = SpmConfig::new(91, threads);
+            out.fill((0, 0));
+            segmented_parallel_merge_into_by(&a, &b, &mut out, &spm, &cmp, &NoRecorder);
+            assert_eq!(out, oracle, "segmented: {label}");
 
             let pairs: Vec<(&[Kv], &[Kv])> = vec![(&a, &b)];
             out.fill((0, 0));

@@ -3,9 +3,7 @@
 //! the wall-clock and PRAM implementations of the §III sort.
 
 use mergepath_suite::baselines::bitonic::{bitonic_sort, parallel_bitonic_sort};
-use mergepath_suite::mergepath::sort::cache_aware::{
-    cache_aware_parallel_sort_by, CacheAwareConfig,
-};
+use mergepath_suite::mergepath::sort::cache_aware::cache_aware_parallel_sort_by;
 use mergepath_suite::mergepath::sort::parallel::{parallel_merge_sort, parallel_merge_sort_by};
 use mergepath_suite::mergepath::telemetry::NoRecorder;
 use mergepath_suite::pram::kernels::{load_array, parallel_merge_sort as pram_sort};
@@ -25,8 +23,7 @@ fn every_sort_on_every_workload() {
             assert_eq!(v, expect, "parallel p={threads} on {}", wl.name());
 
             let mut v = base.clone();
-            let cfg = CacheAwareConfig::new(1024, threads);
-            cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
+            cache_aware_parallel_sort_by(&mut v, threads, 1024, &|a, b| a.cmp(b), &NoRecorder);
             assert_eq!(v, expect, "cache-aware p={threads} on {}", wl.name());
         }
 
@@ -59,8 +56,7 @@ fn stability_with_tagged_records_end_to_end() {
     assert_eq!(v, expect);
 
     let mut v = shuffled.clone();
-    let cfg = CacheAwareConfig::new(512, 3);
-    cache_aware_parallel_sort_by(&mut v, &cfg, &cmp, &NoRecorder);
+    cache_aware_parallel_sort_by(&mut v, 3, 512, &cmp, &NoRecorder);
     assert_eq!(v, expect);
 }
 
@@ -85,13 +81,11 @@ fn pram_sort_agrees_with_host_sort() {
 #[test]
 fn large_single_shot_sort() {
     // One big everything-path test: 1M elements through the cache-aware
-    // sort with cyclic staging.
+    // sort, whose merge rounds run the segmented merge's windows.
     let base = unsorted_keys(SortWorkload::Uniform, 1 << 20, 0xB16);
     let mut expect = base.clone();
     expect.sort();
     let mut v = base;
-    let cfg = CacheAwareConfig::new(64 * 1024, 4)
-        .with_staging(mergepath_suite::mergepath::merge::segmented::Staging::Cyclic);
-    cache_aware_parallel_sort_by(&mut v, &cfg, &|a, b| a.cmp(b), &NoRecorder);
+    cache_aware_parallel_sort_by(&mut v, 4, 64 * 1024, &|a, b| a.cmp(b), &NoRecorder);
     assert_eq!(v, expect);
 }
