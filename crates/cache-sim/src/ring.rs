@@ -14,11 +14,11 @@
 
 use mergepath::view::SortedView;
 
-/// A contiguous logical window over a power-of-two ring buffer.
+/// A contiguous logical window over a ring buffer.
 ///
-/// Index `i` of the view maps to physical slot `(head + i) & mask` of the
-/// backing buffer: elements are refilled in place of consumed ones, so a
-/// logical window generally wraps around the physical end of the buffer.
+/// Index `i` of the view maps to physical slot `(head + i) % capacity` of
+/// the backing buffer: elements are refilled in place of consumed ones, so
+/// a logical window generally wraps around the physical end of the buffer.
 #[derive(Debug)]
 pub struct RingView<'a, T> {
     buf: &'a [T],
@@ -30,13 +30,8 @@ impl<'a, T> RingView<'a, T> {
     /// Creates a view of `len` elements starting at physical index `head`.
     ///
     /// # Panics
-    /// Panics if `buf.len()` is not a power of two, or if `len > buf.len()`.
+    /// Panics if `buf` is empty or `len > buf.len()`.
     pub fn new(buf: &'a [T], head: usize, len: usize) -> Self {
-        assert!(
-            buf.len().is_power_of_two(),
-            "RingView requires a power-of-two backing buffer, got {}",
-            buf.len()
-        );
         assert!(
             len <= buf.len(),
             "RingView window {} exceeds buffer capacity {}",
@@ -45,7 +40,7 @@ impl<'a, T> RingView<'a, T> {
         );
         RingView {
             buf,
-            head: head & (buf.len() - 1),
+            head: head % buf.len(),
             len,
         }
     }
@@ -53,7 +48,7 @@ impl<'a, T> RingView<'a, T> {
     /// The physical index backing logical index `i`.
     #[inline(always)]
     pub fn physical_index(&self, i: usize) -> usize {
-        (self.head + i) & (self.buf.len() - 1)
+        (self.head + i) % self.buf.len()
     }
 
     /// Returns the sub-view of logical range `start..end`.
@@ -91,8 +86,9 @@ impl<T> SortedView<T> for RingView<'_, T> {
     }
 }
 
-/// A mutable ring buffer with power-of-two capacity: the staging area for
-/// one input of the simulated cyclic segmented merge.
+/// A mutable ring buffer of exactly the capacity asked for: the staging
+/// area for one input of the simulated cyclic segmented merge, whose
+/// layout reserves `L` slots per ring.
 ///
 /// The buffer tracks a `[head, head + len)` live window. Consuming elements
 /// advances `head`; refilling appends at the tail, overwriting slots whose
@@ -105,17 +101,16 @@ pub struct RingBuffer<T> {
 }
 
 impl<T: Clone + Default> RingBuffer<T> {
-    /// Creates a ring buffer with capacity `capacity.next_power_of_two()`.
+    /// Creates a ring buffer of `capacity.max(1)` slots.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(1).next_power_of_two();
         RingBuffer {
-            buf: vec![T::default(); cap],
+            buf: vec![T::default(); capacity.max(1)],
             head: 0,
             len: 0,
         }
     }
 
-    /// Physical capacity (always a power of two).
+    /// Physical capacity.
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
@@ -146,9 +141,8 @@ impl<T: Clone + Default> RingBuffer<T> {
             src.len(),
             self.free()
         );
-        let mask = self.capacity() - 1;
         for (k, item) in src.iter().enumerate() {
-            let idx = (self.head + self.len + k) & mask;
+            let idx = (self.head + self.len + k) % self.capacity();
             self.buf[idx] = item.clone();
         }
         self.len += src.len();
@@ -165,7 +159,7 @@ impl<T: Clone + Default> RingBuffer<T> {
             n,
             self.len
         );
-        self.head = (self.head + n) & (self.capacity() - 1);
+        self.head = (self.head + n) % self.capacity();
         self.len -= n;
     }
 
@@ -192,13 +186,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn ring_view_rejects_non_power_of_two() {
-        let buf = [1, 2, 3];
-        let _ = RingView::new(&buf, 0, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds buffer capacity")]
     fn ring_view_rejects_oversized_window() {
         let buf = [1, 2, 3, 4];
@@ -207,18 +194,21 @@ mod tests {
 
     #[test]
     fn ring_buffer_refill_consume_cycle() {
-        let mut rb: RingBuffer<u32> = RingBuffer::with_capacity(5); // rounds to 8
-        assert_eq!(rb.capacity(), 8);
+        // Exactly the slots asked for: the layout reserves no more.
+        let mut rb: RingBuffer<u32> = RingBuffer::with_capacity(5);
+        assert_eq!(rb.capacity(), 5);
         rb.refill(&[1, 2, 3, 4, 5]);
         assert_eq!(rb.len(), 5);
         rb.consume(3);
         assert_eq!(rb.len(), 2);
-        rb.refill(&[6, 7, 8, 9, 10, 11]); // wraps physically
-        assert_eq!(rb.len(), 8);
+        rb.refill(&[6, 7, 8]); // wraps physically at slot 5
+        assert_eq!(rb.len(), 5);
         assert_eq!(rb.free(), 0);
         let v = rb.view();
         let logical: Vec<u32> = (0..v.len()).map(|i| *v.get(i)).collect();
-        assert_eq!(logical, [4, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(logical, [4, 5, 6, 7, 8]);
+        let slots: Vec<usize> = (0..v.len()).map(|i| v.physical_index(i)).collect();
+        assert_eq!(slots, [3, 4, 0, 1, 2]);
     }
 
     #[test]

@@ -893,14 +893,10 @@ impl Pool {
     /// wait into `rec`. `job(ticket, share)` reports its own share
     /// windows.
     ///
-    /// These round-level callbacks are the executor's only contribution to
-    /// the live observability layer (DESIGN.md §12): when the serving
-    /// daemon wraps its recorder in a `RoundGaugeRecorder`
-    /// (`mergepath-serve::observe`), every `round_begin`/`round_end` pair
-    /// seen here is teed into the `pool_rounds_active` gauge and
-    /// `pool_rounds_total` counter of the live registry, and the
-    /// `round_wait_ns` callback into the `round_queue_wait_ns` histogram —
-    /// the executor itself stays metrics-agnostic.
+    /// These callbacks go to `rec` alone: a `TimelineRecorder` keeps one
+    /// round record, wait included, per pair, and
+    /// [`Pool::round_counts`] counts team rounds with no recorder. The
+    /// executor feeds no live registry (DESIGN.md §12).
     fn run_round<R: Recorder>(
         &self,
         rec: &R,

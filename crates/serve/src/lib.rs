@@ -54,7 +54,7 @@ pub mod observe;
 mod server;
 
 pub use net::{NetClient, NetOp, NetRequest, NetResponse, NetServer, NetStatus, ProtocolError};
-pub use observe::{AnomalyTrigger, RoundGaugeRecorder, ServeObserver};
+pub use observe::{AnomalyTrigger, ServeObserver};
 pub use server::{
     worker_share, Outcome, QueuePolicy, RejectReason, Request, RequestKind, ResponseHandle,
     ServeConfig, ServeStats, Server,

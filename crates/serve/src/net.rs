@@ -53,7 +53,7 @@
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -527,7 +527,6 @@ where
 {
     addr: SocketAddr,
     closed: Arc<AtomicBool>,
-    protocol_errors: Arc<AtomicU64>,
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     server: Arc<Server<u32, R>>,
 }
@@ -543,20 +542,17 @@ where
         let addr = listener.local_addr()?;
         let server = Arc::new(Server::start(cfg, rec));
         let closed = Arc::new(AtomicBool::new(false));
-        let protocol_errors = Arc::new(AtomicU64::new(0));
         let accept = {
             let server = Arc::clone(&server);
             let closed = Arc::clone(&closed);
-            let protocol_errors = Arc::clone(&protocol_errors);
             std::thread::Builder::new()
                 .name("mp-net-accept".into())
-                .spawn(move || accept_loop(listener, server, closed, protocol_errors))
+                .spawn(move || accept_loop(listener, server, closed))
                 .expect("spawn accept thread")
         };
         Ok(NetServer {
             addr,
             closed,
-            protocol_errors,
             accept: Some(accept),
             server,
         })
@@ -567,9 +563,10 @@ where
         self.addr
     }
 
-    /// Malformed frames seen so far across all connections.
+    /// Malformed frames seen so far across all connections: the
+    /// observer's `serve_protocol_errors_total` counter.
     pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
+        self.observer().protocol_errors()
     }
 
     /// Live daemon counters.
@@ -610,7 +607,6 @@ fn accept_loop<R>(
     listener: TcpListener,
     server: Arc<Server<u32, R>>,
     closed: Arc<AtomicBool>,
-    protocol_errors: Arc<AtomicU64>,
 ) -> Vec<JoinHandle<()>>
 where
     R: Recorder + Send + Sync + 'static,
@@ -624,10 +620,9 @@ where
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(&server);
         let closed = Arc::clone(&closed);
-        let protocol_errors = Arc::clone(&protocol_errors);
         if let Ok(h) = std::thread::Builder::new()
             .name("mp-net-conn".into())
-            .spawn(move || serve_connection(stream, &server, &closed, &protocol_errors))
+            .spawn(move || serve_connection(stream, &server, &closed))
         {
             conns.push(h);
         }
@@ -658,12 +653,8 @@ const WRITE_BATCH: usize = 256 * 1024;
 
 /// One connection: this thread reads and submits frames; a paired writer
 /// thread resolves handles and writes responses in request order.
-fn serve_connection<R>(
-    stream: TcpStream,
-    server: &Server<u32, R>,
-    closed: &AtomicBool,
-    protocol_errors: &AtomicU64,
-) where
+fn serve_connection<R>(stream: TcpStream, server: &Server<u32, R>, closed: &AtomicBool)
+where
     R: Recorder + Send + Sync + 'static,
 {
     // 100ms poll so shutdown is never blocked on a silent client.
@@ -718,7 +709,7 @@ fn serve_connection<R>(
                 // A typed decode failure: count it and drop the
                 // connection. Resynchronizing an unframed byte stream is
                 // guesswork; closing is the honest answer.
-                protocol_errors.fetch_add(1, Ordering::Relaxed);
+                server.observer().on_protocol_error();
                 break;
             }
         }

@@ -4,7 +4,12 @@
 //!
 //! Every [`Server`](crate::Server) owns one observer, and its `on_*`
 //! hooks are the daemon's one event path: the registry is the only place
-//! a request event is counted, and [`ServeStats`] is read back from it.
+//! a request event is counted, and [`ServeStats`] reads its counters and
+//! latency histogram back from it. The registry keeps no gauges: the
+//! queue's depth and the inflight count live with the server, which also
+//! holds their peaks, and each dequeue's depth and each start's inflight
+//! count travel in the flight ring's events.
+//!
 //! The hooks sit on the serving hot path, so they touch only storage
 //! allocated up front (`tests/metrics_invariants.rs` holds them to zero
 //! allocation), and `cargo xtask verify-metrics` gates their cost at 3% of
@@ -19,11 +24,11 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use mergepath_telemetry::{
     now_ns, FlightEvent, FlightEventKind, FlightRecorder, LatencyHistogram, MetricsRegistry,
-    MetricsSnapshot, Recorder, Waterfall,
+    MetricsSnapshot, Waterfall,
 };
 
 use crate::ServeStats;
@@ -36,9 +41,9 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serve_rejected_deadline_total",
     "serve_failed_total",
     "serve_flight_dumps_total",
-    "pool_rounds_total",
     "serve_batched_rounds_total",
     "serve_batched_requests_total",
+    "serve_protocol_errors_total",
 ];
 const C_SUBMITTED: usize = 0;
 const C_COMPLETED: usize = 1;
@@ -46,41 +51,24 @@ const C_REJECTED_QUEUE_FULL: usize = 2;
 const C_REJECTED_DEADLINE: usize = 3;
 const C_FAILED: usize = 4;
 const C_FLIGHT_DUMPS: usize = 5;
-const C_POOL_ROUNDS: usize = 6;
-const C_BATCHED_ROUNDS: usize = 7;
-const C_BATCHED_REQUESTS: usize = 8;
-
-/// Gauge names registered by [`ServeObserver`], in index order.
-pub const GAUGE_NAMES: &[&str] = &[
-    "serve_queue_depth",
-    "serve_inflight",
-    "serve_queue_depth_peak",
-    "serve_inflight_peak",
-    "pool_rounds_active",
-];
-const G_QUEUE_DEPTH: usize = 0;
-const G_INFLIGHT: usize = 1;
-const G_QUEUE_DEPTH_PEAK: usize = 2;
-const G_INFLIGHT_PEAK: usize = 3;
-const G_POOL_ROUNDS_ACTIVE: usize = 4;
+const C_BATCHED_ROUNDS: usize = 6;
+const C_BATCHED_REQUESTS: usize = 7;
+const C_PROTOCOL_ERRORS: usize = 8;
 
 /// Histogram names registered by [`ServeObserver`]: the four waterfall
-/// stages, end-to-end latency, and the executor's round submit-to-start
-/// queue wait, in index order.
+/// stages and end-to-end latency, in index order.
 pub const HISTOGRAM_NAMES: &[&str] = &[
     "serve_stage_queue_ns",
     "serve_stage_dispatch_ns",
     "serve_stage_compute_ns",
     "serve_stage_emit_ns",
     "serve_latency_ns",
-    "round_queue_wait_ns",
 ];
 const H_QUEUE: usize = 0;
 const H_DISPATCH: usize = 1;
 const H_COMPUTE: usize = 2;
 const H_EMIT: usize = 3;
 const H_LATENCY: usize = 4;
-const H_ROUND_QUEUE_WAIT: usize = 5;
 
 /// Why a flight dump was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +111,7 @@ pub const QUEUE_FULL_WINDOW_NS: u64 = 1_000_000_000;
 /// ignore the cooldown).
 pub const DUMP_COOLDOWN_NS: u64 = 1_000_000_000;
 
-/// A daemon's live counters/gauges, per-stage waterfall histograms, and
+/// A daemon's live event counters, per-stage waterfall histograms, and
 /// dump-on-anomaly flight recorder.
 ///
 /// All hook paths are allocation-free (registry cells and flight slots
@@ -151,7 +139,7 @@ impl ServeObserver {
     /// metric and flight storage is allocated here.
     pub fn new(dump_dir: Option<PathBuf>) -> Self {
         ServeObserver {
-            registry: MetricsRegistry::new(COUNTER_NAMES, GAUGE_NAMES, HISTOGRAM_NAMES),
+            registry: MetricsRegistry::new(COUNTER_NAMES, HISTOGRAM_NAMES),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             dump_dir,
             dumped_deadline: AtomicBool::new(false),
@@ -179,41 +167,28 @@ impl ServeObserver {
         self.registry.snapshot(now_ns())
     }
 
-    /// Bumps the pool-round counters (wired from the executor's
-    /// round-level callbacks via [`RoundGaugeRecorder`]).
-    pub fn round_started(&self) {
-        self.registry.counter_add(C_POOL_ROUNDS, 1);
-        self.registry.gauge_add(G_POOL_ROUNDS_ACTIVE, 1);
-    }
-
-    /// Closes one pool round.
-    pub fn round_finished(&self) {
-        self.registry.gauge_sub(G_POOL_ROUNDS_ACTIVE, 1);
-    }
-
-    /// Records a round's submit-to-first-share queue wait (wired from the
-    /// executor's `round_wait_ns` callback via [`RoundGaugeRecorder`]).
-    pub fn on_round_queue_wait(&self, ns: u64) {
-        self.registry.histogram_record(H_ROUND_QUEUE_WAIT, ns);
-    }
-
     /// The daemon's counters and latency histogram, read from the
-    /// registry.
-    pub(crate) fn stats(&self) -> ServeStats {
+    /// registry, with the two peaks the server keeps beside the state
+    /// they measure.
+    pub(crate) fn stats(&self, queue_depth_peak: usize, inflight_peak: usize) -> ServeStats {
         let counter = |idx| self.registry.counter_value(idx);
-        let gauge = |idx| self.registry.gauge_value(idx) as usize;
         ServeStats {
             submitted: counter(C_SUBMITTED),
             completed: counter(C_COMPLETED),
             rejected_queue_full: counter(C_REJECTED_QUEUE_FULL),
             rejected_deadline: counter(C_REJECTED_DEADLINE),
             failed: counter(C_FAILED),
-            queue_depth_peak: gauge(G_QUEUE_DEPTH_PEAK),
-            inflight_peak: gauge(G_INFLIGHT_PEAK),
+            queue_depth_peak,
+            inflight_peak,
             batched_rounds: counter(C_BATCHED_ROUNDS),
             batched_requests: counter(C_BATCHED_REQUESTS),
             latency: self.registry.histogram_value(H_LATENCY),
         }
+    }
+
+    /// Frames that failed to decode so far: `serve_protocol_errors_total`.
+    pub(crate) fn protocol_errors(&self) -> u64 {
+        self.registry.counter_value(C_PROTOCOL_ERRORS)
     }
 
     /// The four waterfall stages in order — queue, dispatch, compute,
@@ -348,12 +323,6 @@ impl ServeObserver {
         });
     }
 
-    /// The request was admitted; the queue is now `depth` deep.
-    pub fn on_enqueue(&self, depth: usize) {
-        self.registry.gauge_set(G_QUEUE_DEPTH, depth as u64);
-        self.registry.gauge_max(G_QUEUE_DEPTH_PEAK, depth as u64);
-    }
-
     /// The request bounced synchronously off the full queue.
     pub fn on_reject_queue_full(&self, id: u64, t_ns: u64, capacity: usize) {
         self.registry.counter_add(C_REJECTED_QUEUE_FULL, 1);
@@ -371,7 +340,6 @@ impl ServeObserver {
     /// A serving thread popped the request; `depth` is the queue depth
     /// after the pop.
     pub fn on_dequeue(&self, id: u64, t_ns: u64, submit_ns: u64, depth: usize) {
-        self.registry.gauge_set(G_QUEUE_DEPTH, depth as u64);
         self.flight.record(FlightEvent {
             seq: 0,
             t_ns,
@@ -401,8 +369,6 @@ impl ServeObserver {
     /// Kernel execution began with `share` logical workers; `inflight`
     /// counts this request.
     pub fn on_start(&self, id: u64, t_ns: u64, share: usize, inflight: usize) {
-        self.registry.gauge_set(G_INFLIGHT, inflight as u64);
-        self.registry.gauge_max(G_INFLIGHT_PEAK, inflight as u64);
         self.flight.record(FlightEvent {
             seq: 0,
             t_ns,
@@ -413,10 +379,9 @@ impl ServeObserver {
         });
     }
 
-    /// The request resolved successfully; `inflight` no longer counts it.
-    pub fn on_complete(&self, id: u64, t_ns: u64, inflight: usize, waterfall: &Waterfall) {
+    /// The request resolved successfully.
+    pub fn on_complete(&self, id: u64, t_ns: u64, waterfall: &Waterfall) {
         self.registry.counter_add(C_COMPLETED, 1);
-        self.registry.gauge_set(G_INFLIGHT, inflight as u64);
         // One lock round-trip for all five series (shard-major layout).
         self.registry.histogram_record_many(&[
             (H_QUEUE, waterfall.queue_ns),
@@ -435,11 +400,9 @@ impl ServeObserver {
         });
     }
 
-    /// The request's kernel panicked (contained); `inflight` no longer
-    /// counts it.
-    pub fn on_fail(&self, id: u64, t_ns: u64, inflight: usize) {
+    /// The request's kernel panicked (contained).
+    pub fn on_fail(&self, id: u64, t_ns: u64) {
         self.registry.counter_add(C_FAILED, 1);
-        self.registry.gauge_set(G_INFLIGHT, inflight as u64);
         self.flight.record(FlightEvent {
             seq: 0,
             t_ns,
@@ -458,73 +421,11 @@ impl ServeObserver {
         self.registry.counter_add(C_BATCHED_ROUNDS, 1);
         self.registry.counter_add(C_BATCHED_REQUESTS, width);
     }
-}
 
-/// A [`Recorder`] adapter that forwards everything to `inner` and
-/// additionally feeds the executor's **round-level** callbacks into the
-/// observer's pool metrics: `round_begin`/`round_end` into the
-/// `pool_rounds_total` counter and `pool_rounds_active` gauge (so the
-/// live snapshot shows whether the daemon is currently data-parallel or
-/// request-parallel), and `round_wait_ns` into the `round_queue_wait_ns`
-/// histogram. The gauge is the live witness that rounds overlap: it reads
-/// above 1 while more than one is in flight.
-pub struct RoundGaugeRecorder<R> {
-    inner: R,
-    observer: Arc<ServeObserver>,
-}
-
-impl<R: Recorder + Send + Sync> RoundGaugeRecorder<R> {
-    /// Wraps `inner`, teeing round events into `observer`'s gauges.
-    pub fn new(inner: R, observer: Arc<ServeObserver>) -> Self {
-        RoundGaugeRecorder { inner, observer }
-    }
-
-    /// Unwraps the inner recorder (to `finish()` a timeline afterwards).
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Recorder + Send + Sync> Recorder for RoundGaugeRecorder<R> {
-    // Round hooks must fire even when the inner recorder is inactive;
-    // kernel-span call sites still reach the inner `R` through delegation
-    // (a `NoRecorder` inner simply ignores them).
-    const ACTIVE: bool = true;
-
-    #[inline(always)]
-    fn span_begin(&self, worker: usize, kind: mergepath_telemetry::SpanKind) {
-        self.inner.span_begin(worker, kind);
-    }
-    #[inline(always)]
-    fn span_end(&self, worker: usize, kind: mergepath_telemetry::SpanKind) {
-        self.inner.span_end(worker, kind);
-    }
-    #[inline(always)]
-    fn counter_add(&self, worker: usize, kind: mergepath_telemetry::CounterKind, delta: u64) {
-        self.inner.counter_add(worker, kind, delta);
-    }
-    #[inline(always)]
-    fn worker_items(&self, worker: usize, items: u64) {
-        self.inner.worker_items(worker, items);
-    }
-    #[inline(always)]
-    fn round_begin(&self, shares: usize) {
-        self.observer.round_started();
-        self.inner.round_begin(shares);
-    }
-    #[inline(always)]
-    fn round_end(&self) {
-        self.inner.round_end();
-        self.observer.round_finished();
-    }
-    #[inline(always)]
-    fn round_wait_ns(&self, ns: u64) {
-        self.observer.on_round_queue_wait(ns);
-        self.inner.round_wait_ns(ns);
-    }
-    #[inline(always)]
-    fn share_window(&self, tid: usize, share: usize, start_ns: u64, end_ns: u64) {
-        self.inner.share_window(tid, share, start_ns, end_ns);
+    /// A connection sent a frame that failed to decode; the front-end
+    /// dropped the connection.
+    pub fn on_protocol_error(&self) {
+        self.registry.counter_add(C_PROTOCOL_ERRORS, 1);
     }
 }
 
@@ -550,10 +451,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hooks_drive_counters_gauges_and_histograms() {
+    fn hooks_drive_counters_and_histograms() {
         let obs = ServeObserver::new(None);
         obs.on_submit(1, 100, 0);
-        obs.on_enqueue(3);
         obs.on_dequeue(1, 200, 100, 2);
         obs.on_start(1, 210, 4, 2);
         let wf = Waterfall {
@@ -562,11 +462,12 @@ mod tests {
             compute_ns: 500,
             emit_ns: 5,
         };
-        obs.on_complete(1, 815, 1, &wf);
+        obs.on_complete(1, 815, &wf);
         obs.on_submit(2, 900, 0);
         obs.on_reject_queue_full(2, 900, 64);
-        obs.on_fail(3, 1000, 0);
+        obs.on_fail(3, 1000);
         obs.on_batch(3);
+        obs.on_protocol_error();
 
         let snap = obs.snapshot();
         assert_eq!(snap.counter("serve_submitted_total"), Some(2));
@@ -575,8 +476,7 @@ mod tests {
         assert_eq!(snap.counter("serve_failed_total"), Some(1));
         assert_eq!(snap.counter("serve_batched_rounds_total"), Some(1));
         assert_eq!(snap.counter("serve_batched_requests_total"), Some(3));
-        assert_eq!(snap.gauge("serve_queue_depth_peak"), Some(3));
-        assert_eq!(snap.gauge("serve_inflight_peak"), Some(2));
+        assert_eq!(snap.counter("serve_protocol_errors_total"), Some(1));
         let lat = snap.histogram("serve_latency_ns").unwrap();
         assert_eq!(lat.count(), 1);
         assert_eq!(lat.sum(), wf.total_ns());
@@ -669,8 +569,8 @@ mod tests {
     fn panic_and_on_demand_dumps() {
         let dir = test_scratch_dir("panic");
         let obs = ServeObserver::new(Some(dir.clone()));
-        obs.on_fail(1, 10, 0);
-        obs.on_fail(2, 20, 0);
+        obs.on_fail(1, 10);
+        obs.on_fail(2, 20);
         let on_demand = obs.dump_on_demand().expect("dump dir configured");
         let dumps = obs.dump_paths();
         assert_eq!(dumps.len(), 2, "one panic dump + one on-demand dump");
@@ -689,36 +589,5 @@ mod tests {
             Some(1)
         );
         assert_eq!(obs.snapshot().counter("serve_flight_dumps_total"), Some(0));
-    }
-
-    #[test]
-    fn round_gauge_recorder_tees_rounds_and_delegates() {
-        use mergepath_telemetry::TimelineRecorder;
-        let obs = Arc::new(ServeObserver::new(None));
-        let rec = RoundGaugeRecorder::new(TimelineRecorder::new(), Arc::clone(&obs));
-        rec.round_wait_ns(750);
-        rec.round_begin(4);
-        assert_eq!(obs.snapshot().gauge("pool_rounds_active"), Some(1));
-        rec.span_begin(0, mergepath_telemetry::SpanKind::SegmentMerge);
-        rec.span_end(0, mergepath_telemetry::SpanKind::SegmentMerge);
-        rec.round_end();
-        rec.counter_add(0, mergepath_telemetry::CounterKind::Comparisons, 2);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("pool_rounds_total"), Some(1));
-        assert_eq!(snap.gauge("pool_rounds_active"), Some(0));
-        let wait = snap.histogram("round_queue_wait_ns").unwrap();
-        assert_eq!(wait.count(), 1, "round_wait_ns teed into the histogram");
-        assert_eq!(wait.sum(), 750);
-        let t = rec.into_inner().finish();
-        assert_eq!(t.spans.len(), 1, "inner recorder still saw the span");
-        assert_eq!(t.rounds.len(), 1);
-        assert_eq!(
-            t.counters
-                .iter()
-                .filter(|c| c.kind == mergepath_telemetry::CounterKind::Comparisons)
-                .count(),
-            1,
-            "counters still delegate to the inner recorder"
-        );
     }
 }

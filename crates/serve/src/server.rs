@@ -195,7 +195,8 @@ impl Default for ServeConfig {
 }
 
 /// A monotonic snapshot of the daemon's counters and latency histogram,
-/// read from its [`ServeObserver`]'s registry.
+/// read from its [`ServeObserver`]'s registry, and of the two peaks the
+/// server keeps beside the queue and the inflight count.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Requests offered to [`Server::submit`] (admitted or not).
@@ -304,6 +305,8 @@ struct Ticket<T> {
 struct QueueState<T> {
     deque: VecDeque<Ticket<T>>,
     open: bool,
+    /// The deepest `deque` has been: [`ServeStats::queue_depth_peak`].
+    depth_peak: usize,
 }
 
 struct Inner<T, R> {
@@ -315,6 +318,8 @@ struct Inner<T, R> {
     /// Requests executing now: scheduling state, read to size each
     /// request's [`worker_share`].
     inflight: AtomicUsize,
+    /// The most `inflight` has been: [`ServeStats::inflight_peak`].
+    inflight_peak: AtomicUsize,
 }
 
 /// The serving daemon. See the [crate docs](crate) for the model.
@@ -372,12 +377,14 @@ where
             queue: Mutex::new(QueueState {
                 deque: VecDeque::with_capacity(cfg.queue_capacity),
                 open: true,
+                depth_peak: 0,
             }),
             cv: Condvar::new(),
             cfg,
             rec,
             obs,
             inflight: AtomicUsize::new(0),
+            inflight_peak: AtomicUsize::new(0),
         });
         let workers = (0..cfg.max_inflight)
             .map(|w| {
@@ -419,16 +426,22 @@ where
             submit_ns,
             cell: Arc::clone(&cell),
         });
-        let depth = q.deque.len();
+        q.depth_peak = q.depth_peak.max(q.deque.len());
         drop(q);
-        inner.obs.on_enqueue(depth);
         inner.cv.notify_one();
         Ok(ResponseHandle { id, cell })
     }
 
     /// Current counters (live; the histogram is a snapshot copy).
     pub fn stats(&self) -> ServeStats {
-        self.inner.obs.stats()
+        let inner = &self.inner;
+        let depth_peak = inner
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .depth_peak;
+        let inflight_peak = inner.inflight_peak.load(AtomicOrdering::Relaxed);
+        inner.obs.stats(depth_peak, inflight_peak)
     }
 
     /// The daemon's observer: its metrics registry, waterfall histograms
@@ -621,6 +634,14 @@ where
         }
 
         let inflight = inner.inflight.fetch_add(1, AtomicOrdering::SeqCst) + 1;
+        // A statistic that publishes nothing, so relaxed. The load first
+        // keeps a steady daemon, whose peak stopped moving, off the locked
+        // read-modify-write.
+        if inflight > inner.inflight_peak.load(AtomicOrdering::Relaxed) {
+            inner
+                .inflight_peak
+                .fetch_max(inflight, AtomicOrdering::Relaxed);
+        }
         let share = worker_share(inner.cfg.worker_budget, inflight);
         let start_ns = now_ns();
         for t in &live {
@@ -631,7 +652,7 @@ where
             let ticket = live.pop().expect("one live ticket");
             let result = catch_unwind(AssertUnwindSafe(|| execute(ticket.kind, share, &rec)));
             let compute_end_ns = now_ns();
-            let inflight_after = inner.inflight.fetch_sub(1, AtomicOrdering::SeqCst) - 1;
+            inner.inflight.fetch_sub(1, AtomicOrdering::SeqCst);
             match result {
                 Ok(output) => resolve_completed(
                     inner,
@@ -642,13 +663,12 @@ where
                     dequeue_ns,
                     start_ns,
                     compute_end_ns,
-                    inflight_after,
                 ),
                 Err(_panic) => {
                     // The kernel (comparator) panicked; the unwind already
                     // dropped the partial output. Contain it — the daemon
                     // itself never panics on a bad request.
-                    inner.obs.on_fail(ticket.id, compute_end_ns, inflight_after);
+                    inner.obs.on_fail(ticket.id, compute_end_ns);
                     ticket.cell.put(Outcome::Failed);
                 }
             }
@@ -685,7 +705,7 @@ where
             }))
         };
         let compute_end_ns = now_ns();
-        let inflight_after = inner.inflight.fetch_sub(1, AtomicOrdering::SeqCst) - 1;
+        inner.inflight.fetch_sub(1, AtomicOrdering::SeqCst);
 
         match result {
             Ok(outputs) => {
@@ -700,7 +720,6 @@ where
                         dequeue_ns,
                         start_ns,
                         compute_end_ns,
-                        inflight_after,
                     );
                 }
             }
@@ -709,7 +728,7 @@ where
                 // unwind dropped the shared output buffer, and each
                 // ticket resolves `Failed` — contained, nothing lost.
                 for ticket in live {
-                    inner.obs.on_fail(ticket.id, compute_end_ns, inflight_after);
+                    inner.obs.on_fail(ticket.id, compute_end_ns);
                     ticket.cell.put(Outcome::Failed);
                 }
             }
@@ -729,7 +748,6 @@ fn resolve_completed<T, R>(
     dequeue_ns: u64,
     start_ns: u64,
     compute_end_ns: u64,
-    inflight_after: usize,
 ) where
     T: Ord + Clone + Default + Send + Sync + 'static,
     R: Recorder + Send + Sync + 'static,
@@ -745,9 +763,7 @@ fn resolve_completed<T, R>(
         compute_ns: compute_end_ns.saturating_sub(start_ns),
         emit_ns: done_ns.saturating_sub(compute_end_ns),
     };
-    inner
-        .obs
-        .on_complete(id, done_ns, inflight_after, &waterfall);
+    inner.obs.on_complete(id, done_ns, &waterfall);
     cell.put(Outcome::Completed {
         output,
         latency_ns,
@@ -867,6 +883,7 @@ mod tests {
         }
         let stats = server.shutdown();
         assert!(stats.rejected_queue_full >= 1);
+        assert_eq!(stats.queue_depth_peak, 1, "one slot, filled at least once");
         assert_eq!(stats.lost(), 0);
     }
 

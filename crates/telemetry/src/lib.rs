@@ -39,8 +39,9 @@
 //! timeline and shares its zero-cost philosophy:
 //!
 //! - [`metrics`]: [`MetricsRegistry`] — cache-line-sharded lock-free
-//!   counters, gauges, and mergeable [`LatencyHistogram`]s, snapshotable
-//!   at any instant without pausing writers.
+//!   event counters and mergeable [`LatencyHistogram`]s, snapshotable at
+//!   any instant without pausing writers. It keeps no gauges: a level
+//!   such as a queue's depth is read from the state it measures.
 //! - [`waterfall`]: the per-request `{queue, dispatch, compute, emit}`
 //!   latency breakdown and the p99 attribution table renderer.
 //! - [`flight`]: [`FlightRecorder`] — a bounded overwrite-oldest ring of

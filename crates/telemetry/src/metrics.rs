@@ -1,4 +1,4 @@
-//! Live, snapshot-at-any-instant metrics: sharded counters, gauges, and
+//! Live, snapshot-at-any-instant metrics: sharded event counters and
 //! mergeable latency histograms.
 //!
 //! [`MetricsRegistry`] is the always-on complement to the post-hoc
@@ -12,8 +12,9 @@
 //!   row of [`COUNTER_SHARDS`] cache-line-aligned `AtomicU64` cells;
 //!   writers pick a shard by [`thread_index`], so two serving threads
 //!   almost never touch the same cache line. Reads sum the row.
-//! - **Gauges are single relaxed atomics** (set / add / saturating-sub /
-//!   max). They describe "now", so sharding would only blur them.
+//! - **Only events are counted, each once.** The registry keeps no
+//!   gauges: a level such as a queue's depth stays with the state it
+//!   measures, so the hot path never writes a second copy of it.
 //! - **Histograms reuse [`LatencyHistogram`]** behind a small set of
 //!   shard mutexes, laid out shard-major: one mutex per shard guards a
 //!   cell for *every* histogram name, so a batch of related records
@@ -22,7 +23,7 @@
 //!   [`MetricsRegistry::histogram_record_many`]. A snapshot clones each
 //!   shard in turn and merges with [`LatencyHistogram::merge_from`], so
 //!   recording threads are never blocked behind a full-registry pause.
-//! - **Zero allocation after construction.** Every `record`/`add`/`set`
+//! - **Zero allocation after construction.** Every `record`/`add`
 //!   touches only preallocated cells, so the registry is safe to call
 //!   from the flight-recorder hot path.
 //!
@@ -48,19 +49,17 @@ pub const HISTOGRAM_SHARDS: usize = 4;
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
 
-/// A fixed set of counters, gauges, and latency histograms, addressable
-/// by index, snapshotable at any instant.
+/// A fixed set of event counters and latency histograms, addressable by
+/// index, snapshotable at any instant.
 ///
 /// Indices are positions in the name slices handed to [`MetricsRegistry::new`];
 /// owners define `const` indices next to their name tables so call sites
 /// stay readable (see `mergepath-serve::observe`).
 pub struct MetricsRegistry {
     counter_names: &'static [&'static str],
-    gauge_names: &'static [&'static str],
     histogram_names: &'static [&'static str],
     /// `counter_names.len() * COUNTER_SHARDS` cells, row-major.
     counters: Box<[PaddedU64]>,
-    gauges: Box<[PaddedU64]>,
     /// [`HISTOGRAM_SHARDS`] shards, each holding one cell per histogram
     /// name (shard-major, so one lock covers a batch of records).
     histograms: Box<[Mutex<Box<[LatencyHistogram]>>]>,
@@ -71,13 +70,9 @@ impl MetricsRegistry {
     /// is allocated here; no later operation allocates.
     pub fn new(
         counter_names: &'static [&'static str],
-        gauge_names: &'static [&'static str],
         histogram_names: &'static [&'static str],
     ) -> Self {
         let counters = (0..counter_names.len() * COUNTER_SHARDS)
-            .map(|_| PaddedU64::default())
-            .collect();
-        let gauges = (0..gauge_names.len())
             .map(|_| PaddedU64::default())
             .collect();
         let histograms = (0..HISTOGRAM_SHARDS)
@@ -91,10 +86,8 @@ impl MetricsRegistry {
             .collect();
         MetricsRegistry {
             counter_names,
-            gauge_names,
             histogram_names,
             counters,
-            gauges,
             histograms,
         }
     }
@@ -116,41 +109,6 @@ impl MetricsRegistry {
             .iter()
             .map(|c| c.0.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Sets gauge `idx` to `value`.
-    #[inline]
-    pub fn gauge_set(&self, idx: usize, value: u64) {
-        self.gauges[idx].0.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises gauge `idx` to `value` if `value` is larger (peak tracking).
-    #[inline]
-    pub fn gauge_max(&self, idx: usize, value: u64) {
-        self.gauges[idx].0.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` to gauge `idx`.
-    #[inline]
-    pub fn gauge_add(&self, idx: usize, delta: u64) {
-        self.gauges[idx].0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Subtracts `delta` from gauge `idx`, saturating at zero (a racy
-    /// decrement below zero would otherwise wrap to 2^64-1 and poison
-    /// every later read).
-    #[inline]
-    pub fn gauge_sub(&self, idx: usize, delta: u64) {
-        let _ = self.gauges[idx]
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(delta))
-            });
-    }
-
-    /// Current value of gauge `idx`.
-    pub fn gauge_value(&self, idx: usize) -> u64 {
-        self.gauges[idx].0.load(Ordering::Relaxed)
     }
 
     /// Records `value_ns` into histogram `idx`, locking only the calling
@@ -188,7 +146,7 @@ impl MetricsRegistry {
     /// Captures every metric at (approximately) one instant.
     ///
     /// Never blocks recording threads for longer than one histogram-shard
-    /// clone; counters and gauges are read without any lock at all. The
+    /// clone; counters are read without any lock at all. The
     /// snapshot is internally consistent per metric, not across metrics —
     /// a counter incremented while the snapshot walks the table may or
     /// may not be included, which is the standard live-metrics contract.
@@ -200,12 +158,6 @@ impl MetricsRegistry {
                 .iter()
                 .enumerate()
                 .map(|(i, name)| (*name, self.counter_value(i)))
-                .collect(),
-            gauges: self
-                .gauge_names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (*name, self.gauge_value(i)))
                 .collect(),
             histograms: self
                 .histogram_names
@@ -221,7 +173,6 @@ impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("counters", &self.counter_names)
-            .field("gauges", &self.gauge_names)
             .field("histograms", &self.histogram_names)
             .finish()
     }
@@ -234,8 +185,6 @@ pub struct MetricsSnapshot {
     pub t_ns: u64,
     /// `(name, value)` per counter, in registration order.
     pub counters: Vec<(&'static str, u64)>,
-    /// `(name, value)` per gauge, in registration order.
-    pub gauges: Vec<(&'static str, u64)>,
     /// `(name, merged histogram)` per histogram, in registration order.
     pub histograms: Vec<(&'static str, LatencyHistogram)>,
 }
@@ -244,14 +193,6 @@ impl MetricsSnapshot {
     /// Looks up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
@@ -266,7 +207,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (counters as `counter`, gauges as `gauge`, histograms as
+    /// (counters as `counter`, histograms as
     /// `summary` with p50/p90/p99/p999 quantile series plus `_sum` and
     /// `_count`).
     pub fn to_prometheus(&self) -> String {
@@ -274,9 +215,6 @@ impl MetricsSnapshot {
         let mut out = String::new();
         for (name, v) in &self.counters {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} summary");
@@ -294,7 +232,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as one deterministic JSON object:
-    /// `{"type":"metrics_snapshot","t_ns":…,"counters":{…},"gauges":{…},
+    /// `{"type":"metrics_snapshot","t_ns":…,"counters":{…},
     /// "histograms":{name: summary}}`. One such object per line is the
     /// `metrics.jsonl` format `mp serve --metrics-out` appends to.
     pub fn to_json(&self) -> String {
@@ -302,15 +240,6 @@ impl MetricsSnapshot {
         json::write_f64(&mut out, self.t_ns as f64);
         out.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, name);
-            out.push(':');
-            json::write_f64(&mut out, *v as f64);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -337,11 +266,10 @@ mod tests {
     use super::*;
 
     const COUNTERS: &[&str] = &["req_total", "err_total"];
-    const GAUGES: &[&str] = &["depth", "depth_peak"];
     const HISTS: &[&str] = &["latency_ns"];
 
     fn registry() -> MetricsRegistry {
-        MetricsRegistry::new(COUNTERS, GAUGES, HISTS)
+        MetricsRegistry::new(COUNTERS, HISTS)
     }
 
     #[test]
@@ -360,21 +288,6 @@ mod tests {
         });
         assert_eq!(reg.counter_value(0), 402);
         assert_eq!(reg.counter_value(1), 20);
-    }
-
-    #[test]
-    fn gauges_set_max_add_sub() {
-        let reg = registry();
-        reg.gauge_set(0, 7);
-        assert_eq!(reg.gauge_value(0), 7);
-        reg.gauge_add(0, 3);
-        reg.gauge_sub(0, 4);
-        assert_eq!(reg.gauge_value(0), 6);
-        reg.gauge_sub(0, 100);
-        assert_eq!(reg.gauge_value(0), 0, "gauge_sub saturates at zero");
-        reg.gauge_max(1, 5);
-        reg.gauge_max(1, 3);
-        assert_eq!(reg.gauge_value(1), 5);
     }
 
     #[test]
@@ -397,18 +310,15 @@ mod tests {
     fn snapshot_reads_everything_and_renders() {
         let reg = registry();
         reg.counter_add(0, 3);
-        reg.gauge_set(1, 9);
         reg.histogram_record(0, 1_000);
         let snap = reg.snapshot(42);
         assert_eq!(snap.counter("req_total"), Some(3));
         assert_eq!(snap.counter("missing"), None);
-        assert_eq!(snap.gauge("depth_peak"), Some(9));
         assert_eq!(snap.histogram("latency_ns").map(|h| h.count()), Some(1));
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE req_total counter"));
         assert!(prom.contains("req_total 3"));
-        assert!(prom.contains("# TYPE depth gauge"));
         assert!(prom.contains("# TYPE latency_ns summary"));
         assert!(prom.contains("latency_ns_count 1"));
 

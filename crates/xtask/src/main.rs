@@ -41,17 +41,16 @@ fn usage() -> ExitCode {
     eprintln!("                   BENCH_merge.json / BENCH_sort.json / BENCH_telemetry.json");
     eprintln!("                   at the workspace root");
     eprintln!("  verify-bench     run `mp bench --smoke` into target/xtask/bench, schema-");
-    eprintln!("                   check the three artifacts (shared envelope + fingerprint),");
-    eprintln!("                   append per-family medians to {HISTORY_PATH}");
+    eprintln!("                   check the three fresh artifacts (shared envelope +");
+    eprintln!("                   fingerprint) and the three committed ones, append");
+    eprintln!("                   per-family medians to {HISTORY_PATH}");
     eprintln!("                   and WARN (not fail) when a fresh median ns/element");
     eprintln!("                   regresses >10% against the rolling median of the last");
-    eprintln!(
-        "                   {HISTORY_WINDOW} same-environment history entries (falling back to the"
-    );
-    eprintln!("                   committed artifact when the history is empty); hard-fails");
-    eprintln!("                   when a merge family's heaviest tile exceeds Thm 14's");
-    eprintln!("                   ceil(n/T) items (max_items > predicted_max; cut arithmetic,");
-    eprintln!("                   so deterministic)");
+    eprintln!("                   {HISTORY_WINDOW} same-environment history entries (nothing");
+    eprintln!("                   is judged while the history is empty); hard-fails when a");
+    eprintln!("                   merge family's heaviest tile, fresh or committed, exceeds");
+    eprintln!("                   Thm 14's ceil(n/T) items (max_items > predicted_max; cut");
+    eprintln!("                   arithmetic, so deterministic)");
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
     eprintln!("                   three arrival patterns at >= 4 concurrency levels, zero");
@@ -519,24 +518,6 @@ fn load_artifact(
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Per-family `adaptive_ns_per_elem` medians from a bench_merge/bench_sort
-/// artifact.
-fn family_medians(doc: &mergepath_telemetry::json::Value) -> Vec<(String, f64)> {
-    use mergepath_telemetry::json::Value;
-    doc.get("payload")
-        .and_then(|p| p.get("families"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|f| {
-            Some((
-                f.get("family")?.as_str()?.to_string(),
-                f.get("adaptive_ns_per_elem")?.as_f64()?,
-            ))
-        })
-        .collect()
-}
-
 /// Every `*_ns_per_elem` median of a bench artifact, per family: the rows
 /// that feed the regression history.
 fn family_metrics(doc: &mergepath_telemetry::json::Value) -> Vec<(String, Vec<(String, f64)>)> {
@@ -616,17 +597,15 @@ fn load_history(
 
 /// Judges the fresh artifact's per-family `adaptive` medians against the
 /// rolling median of the last [`HISTORY_WINDOW`] same-environment history
-/// entries, printing non-gating warnings for >10% regressions. Returns
-/// `false` when the history held nothing to judge against (the caller then
-/// falls back to the committed-artifact comparison).
+/// entries, printing non-gating warnings for >10% regressions. A family
+/// with no history is not judged.
 fn judge_against_history(
     name: &str,
     kind: &str,
     fresh: &mergepath_telemetry::json::Value,
     history: &[mergepath_telemetry::json::Value],
-) -> bool {
+) {
     let window = &history[history.len().saturating_sub(HISTORY_WINDOW)..];
-    let mut judged = false;
     for (family, metrics) in family_metrics(fresh) {
         let Some(&(_, fresh_ns)) = metrics.iter().find(|(m, _)| m == "adaptive") else {
             continue;
@@ -638,7 +617,6 @@ fn judge_against_history(
         if past.is_empty() {
             continue;
         }
-        judged = true;
         past.sort_by(f64::total_cmp);
         let median = past[past.len() / 2];
         if fresh_ns > median * 1.10 {
@@ -650,7 +628,6 @@ fn judge_against_history(
             );
         }
     }
-    judged
 }
 
 /// Appends one rendered history line, creating its directory on first use.
@@ -666,78 +643,6 @@ fn append_history(entry: &str) -> Result<(), String> {
         .open(path)
         .map_err(|e| format!("{HISTORY_PATH}: {e}"))?;
     writeln!(file, "{entry}").map_err(|e| format!("{HISTORY_PATH}: {e}"))
-}
-
-/// Compares a fresh artifact against the committed one (if present) and
-/// prints non-gating warnings for >10% median ns/element regressions.
-fn warn_on_regression(name: &str, doc_type: &str, fresh: &mergepath_telemetry::json::Value) {
-    let committed_path = std::path::Path::new(name);
-    if !committed_path.exists() {
-        println!("verify-bench: no committed {name}; skipping regression comparison");
-        return;
-    }
-    let committed = match load_artifact(committed_path, doc_type) {
-        Ok(doc) => doc,
-        Err(e) => {
-            println!("verify-bench: WARNING: committed {name} fails the schema check ({e})");
-            return;
-        }
-    };
-    if !mergepath_telemetry::artifact::same_env(fresh, &committed) {
-        println!(
-            "verify-bench: WARNING: {name} was produced on a different environment; \
-             ns/element numbers are not directly comparable"
-        );
-    }
-    match regression_warnings(name, fresh, &committed) {
-        Ok(warnings) => {
-            for warning in warnings {
-                println!("verify-bench: WARNING: {warning}");
-            }
-        }
-        Err(skipped) => println!("verify-bench: {skipped}"),
-    }
-}
-
-/// The per-family regressions of `fresh` against `committed`: one line for
-/// each family whose median ns/element is more than 10% above the
-/// committed one. A median depends on the size and thread count it was
-/// measured at, so two artifacts are compared only when their `payload.n`
-/// and `payload.threads` agree; otherwise the result is one line naming
-/// both, and no comparison.
-fn regression_warnings(
-    name: &str,
-    fresh: &mergepath_telemetry::json::Value,
-    committed: &mergepath_telemetry::json::Value,
-) -> Result<Vec<String>, String> {
-    let shape = |doc: &mergepath_telemetry::json::Value| {
-        let field = |key| doc.get("payload")?.get(key)?.as_f64();
-        Some(format!("n={} threads={}", field("n")?, field("threads")?))
-    };
-    let (fresh_shape, committed_shape) = (shape(fresh), shape(committed));
-    if fresh_shape.is_none() || fresh_shape != committed_shape {
-        let unknown = "an unknown size";
-        return Err(format!(
-            "{name}: fresh run at {} vs committed at {}; medians at different \
-             sizes are not compared",
-            fresh_shape.as_deref().unwrap_or(unknown),
-            committed_shape.as_deref().unwrap_or(unknown)
-        ));
-    }
-    let committed_rows = family_medians(committed);
-    Ok(family_medians(fresh)
-        .into_iter()
-        .filter_map(|(family, fresh_ns)| {
-            let (_, committed_ns) = committed_rows.iter().find(|(f, _)| *f == family)?;
-            (fresh_ns > committed_ns * 1.10).then(|| {
-                format!(
-                    "{name} {family}: fresh {fresh_ns:.3} ns/elem vs committed \
-                     {committed_ns:.3} (+{:.1}%, threshold 10%)",
-                    (fresh_ns / committed_ns - 1.0) * 100.0
-                )
-            })
-        })
-        .collect())
 }
 
 /// Theorem 14 per tile: in every merge family, the heaviest tile of the
@@ -781,6 +686,27 @@ fn check_tile_balance(merge: &mergepath_telemetry::json::Value) -> Result<(), St
     Ok(())
 }
 
+/// Loads and envelope-checks the three `mp bench` artifacts in `dir`
+/// (merge, sort, telemetry, in that order) and holds the merge sweep to
+/// the per-tile Thm 14 gate.
+fn load_bench_artifacts(
+    dir: &std::path::Path,
+) -> Result<Vec<mergepath_telemetry::json::Value>, String> {
+    let docs = [
+        ("BENCH_merge.json", "bench_merge"),
+        ("BENCH_sort.json", "bench_sort"),
+        ("BENCH_telemetry.json", "bench_telemetry"),
+    ]
+    .iter()
+    .map(|(name, doc_type)| load_artifact(&dir.join(name), doc_type))
+    .collect::<Result<Vec<_>, _>>()?;
+    // Deterministic, so a violation is a bug in the cut schedule, never
+    // noise.
+    check_tile_balance(&docs[0])
+        .map_err(|e| format!("{}: {e}", dir.join("BENCH_merge.json").display()))?;
+    Ok(docs)
+}
+
 fn verify_bench() -> ExitCode {
     let dir = std::path::Path::new("target").join("xtask").join("bench");
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -792,21 +718,13 @@ fn verify_bench() -> ExitCode {
         eprintln!("verify-bench: FAILED running `mp bench --smoke`");
         return ExitCode::FAILURE;
     }
-    let specs = [
-        ("BENCH_merge.json", "bench_merge"),
-        ("BENCH_sort.json", "bench_sort"),
-        ("BENCH_telemetry.json", "bench_telemetry"),
-    ];
-    let mut fresh = Vec::new();
-    for (name, doc_type) in specs {
-        match load_artifact(&dir.join(name), doc_type) {
-            Ok(doc) => fresh.push(doc),
-            Err(e) => {
-                eprintln!("verify-bench: FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
+    let fresh = match load_bench_artifacts(&dir) {
+        Ok(docs) => docs,
+        Err(e) => {
+            eprintln!("verify-bench: FAILED: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     // The three artifacts of one run must carry the same fingerprint.
     for pair in fresh.windows(2) {
         if !mergepath_telemetry::artifact::same_env(&pair[0], &pair[1]) {
@@ -814,21 +732,14 @@ fn verify_bench() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The per-tile Thm 14 gate: deterministic, so a violation is a bug in
-    // the cut schedule, never noise.
-    if let Err(e) = check_tile_balance(&fresh[0]) {
-        eprintln!("verify-bench: FAILED: BENCH_merge.json: {e}");
+    // The committed artifacts are held to the same schema and tile gate.
+    if let Err(e) = load_bench_artifacts(std::path::Path::new(".")) {
+        eprintln!("verify-bench: FAILED: committed artifact: {e}");
         return ExitCode::FAILURE;
     }
-    // Judge against the rolling history first; artifacts with no usable
-    // history fall back to the committed-baseline comparison.
     let history = load_history(fresh[0].get("env"));
-    if !judge_against_history("BENCH_merge.json", "merge", &fresh[0], &history) {
-        warn_on_regression("BENCH_merge.json", "bench_merge", &fresh[0]);
-    }
-    if !judge_against_history("BENCH_sort.json", "sort", &fresh[1], &history) {
-        warn_on_regression("BENCH_sort.json", "bench_sort", &fresh[1]);
-    }
+    judge_against_history("BENCH_merge.json", "merge", &fresh[0], &history);
+    judge_against_history("BENCH_sort.json", "sort", &fresh[1], &history);
     match append_history(&render_history_entry(&fresh[0], &fresh[1])) {
         Ok(()) => println!(
             "verify-bench: appended run #{} to {HISTORY_PATH}",
@@ -837,8 +748,8 @@ fn verify_bench() -> ExitCode {
         Err(e) => println!("verify-bench: WARNING: could not append history ({e})"),
     }
     println!(
-        "verify-bench: OK (three artifacts schema-checked, shared fingerprint; \
-         regressions are warnings only)"
+        "verify-bench: OK (fresh and committed artifacts schema-checked and \
+         tile-balanced, shared fingerprint; regressions are warnings only)"
     );
     ExitCode::SUCCESS
 }
@@ -874,7 +785,6 @@ fn check_serve_payload(doc: &mergepath_telemetry::json::Value) -> Result<(), Str
             .ok_or_else(|| format!("row {i}: concurrency missing"))? as u64;
         levels.insert(level);
         for col in [
-            "throughput_rps",
             "p50_ns",
             "p99_ns",
             "completed",
@@ -1563,7 +1473,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_tile_balance, parallel_max_shares, regression_warnings};
+    use super::{check_tile_balance, parallel_max_shares};
     use mergepath_telemetry::json;
 
     #[test]
@@ -1589,37 +1499,6 @@ mod tests {
             row("duplicate-heavy")
         ))
         .unwrap()
-    }
-
-    fn bench_doc(n: u64, ns_per_elem: f64) -> json::Value {
-        json::parse(&format!(
-            "{{\"payload\":{{\"n\":{n},\"threads\":2,\"families\":[\
-             {{\"family\":\"duplicate-heavy\",\"adaptive_ns_per_elem\":{ns_per_elem}}}]}}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn regressions_are_judged_only_between_runs_of_one_size() {
-        // A smoke run at 2^16 keys reading 24% above a committed 2^20 run
-        // is a different measurement, not a regression.
-        let committed = bench_doc(1 << 20, 1.0);
-        let smoke = bench_doc(1 << 16, 1.24);
-        let skipped = regression_warnings("BENCH_merge.json", &smoke, &committed).unwrap_err();
-        assert!(
-            skipped.contains("n=65536") && skipped.contains("n=1048576"),
-            "{skipped}"
-        );
-        // At one size the same 24% is one warning.
-        let same_size = bench_doc(1 << 20, 1.24);
-        let warnings = regression_warnings("BENCH_merge.json", &same_size, &committed).unwrap();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("duplicate-heavy"), "{warnings:?}");
-        let steady = bench_doc(1 << 20, 1.05);
-        assert_eq!(
-            regression_warnings("BENCH_merge.json", &steady, &committed),
-            Ok(vec![])
-        );
     }
 
     #[test]

@@ -62,26 +62,26 @@ fn probe_hot_path_is_allocation_free() {
     // Warm-up: first call from this thread initializes its shard index
     // and any lazy thread-local state.
     obs.on_submit(0, 1, 0);
-    obs.on_enqueue(1);
     obs.on_dequeue(0, 2, 1, 0);
     obs.on_start(0, 3, 1, 1);
-    obs.on_complete(0, 4, 0, &wf);
+    obs.on_complete(0, 4, &wf);
     obs.on_reject_queue_full(0, 5, 8);
     obs.on_reject_deadline(0, 6, 5);
-    obs.on_fail(0, 7, 0);
+    obs.on_fail(0, 7);
     obs.on_batch(2);
+    obs.on_protocol_error();
 
     let allocs = allocs_during(|| {
         for i in 1..=1_000u64 {
             obs.on_submit(i, i, 0);
-            obs.on_enqueue(1);
             obs.on_dequeue(i, i + 1, i, 0);
             obs.on_start(i, i + 2, 1, 1);
-            obs.on_complete(i, i + 3, 0, &wf);
+            obs.on_complete(i, i + 3, &wf);
             obs.on_reject_queue_full(i, i + 4, 8);
             obs.on_reject_deadline(i, i + 5, i);
-            obs.on_fail(i, i + 6, 0);
+            obs.on_fail(i, i + 6);
             obs.on_batch(2);
+            obs.on_protocol_error();
         }
     });
     assert_eq!(allocs, 0, "probe hooks must not allocate on the hot path");

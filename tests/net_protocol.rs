@@ -182,7 +182,11 @@ fn daemon() -> NetServer {
 }
 
 /// Polls until the daemon has counted `n` protocol errors (the reader
-/// thread races the test), bounded by a generous timeout.
+/// thread races the test). The awaited event is one read and one header
+/// decode on the connection's reader thread, which wakes as the bytes
+/// arrive; no request is computed. The 10 s bound is a hundred of that
+/// thread's 100 ms read polls, so only a reader that never ran, not a
+/// slow host, can reach it.
 fn await_protocol_errors(server: &NetServer, n: u64) {
     let t0 = std::time::Instant::now();
     while server.protocol_errors() < n {
@@ -293,6 +297,8 @@ fn malformed_frame_closes_only_the_offending_connection() {
     assert_eq!(resp.output, vec![1, 2, 3]);
 
     assert_eq!(server.protocol_errors(), 1);
+    let snap = server.observer().snapshot();
+    assert_eq!(snap.counter("serve_protocol_errors_total"), Some(1));
     let stats = server.shutdown();
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.lost(), 0);
