@@ -92,9 +92,7 @@ fn main() {
     println!(
         "The paper's argument: the working set is 3L (A-stage, B-stage, output\n\
          block), so L = C/3 is the largest L whose working set fits, and smaller L\n\
-         pays more accesses (one partition search per L-sized block). The simulated\n\
-         rings round L up to a power of two, so for L not a power of two the staged\n\
-         footprint is not 3L and the misses above need not be monotone in L.\n"
+         pays more accesses (one partition search per L-sized block).\n"
     );
 
     // --- C2c: associativity ("3-way suffices") ---------------------------
@@ -189,7 +187,6 @@ fn main() {
     println!(
         "With the output streamed past the cache (movnt-style), only the two\n\
          staging buffers must co-reside: the working set is 2L, so L = C/2 should\n\
-         fit where the normal policy needs L = C/3. The rings' power-of-two\n\
-         rounding (C2b) also applies here, so read the sweep with that caveat."
+         fit where the normal policy needs L = C/3."
     );
 }

@@ -233,8 +233,9 @@ pub fn spm_cyclic_shared<T: Ord + Clone + Default>(
 /// `nt_stores` the output writes bypass the cache model entirely — the
 /// merge working set drops from `3L` to `2L`. Ablation C2e sweeps `L`
 /// with it to test whether the optimal segment length moves from `C/3` to
-/// `C/2`; the rings round `L` up to a power of two, so at `L = C/3` the
-/// staged footprint is not `3L` and the current sweep does not show it.
+/// `C/2`. NT stores cut misses at every `L`, but misses keep falling as
+/// `L` shrinks under both store policies, so the sweep shows no optimum
+/// at `C/3` or at `C/2` (EXPERIMENTS C2b, C2e).
 pub fn spm_cyclic_shared_opts<T: Ord + Clone + Default>(
     a: &[T],
     b: &[T],
